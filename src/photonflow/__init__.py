@@ -29,7 +29,7 @@ from .planewaves import (PRESETS, CircularPlaneWave, PlaneWaveSuperposition,
                          eval_phi, eval_weber, polarization_basis,
                          sample_to_grid, single_wave)
 from .lorentz import (Boost, FourVectorAudit, audit_four_vector,
-                      audit_to_json, audit_weber_flow, boost_event,
+                      audit_to_json, boost_event,
                       boost_plane_wave, boost_wave_vector, field_boost,
                       fourvector_transform_flow, velocity_addition)
 from .bohm import (FrameConsistency, Trajectory, density_upper_bound,

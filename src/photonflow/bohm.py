@@ -29,9 +29,7 @@ import numpy as np
 
 from .errors import FieldValidationError, GuidanceNodeError, InternalConsistencyError
 from .lorentz import Boost, boost_event, boost_plane_wave, velocity_addition
-from .photon import PHI_BASED, WEBER_BASED
-from .planewaves import (PlaneWaveSuperposition, analytic_probability_flow,
-                         analytic_weber_flow, coalesce)
+from .planewaves import PHI_BASED, CompiledState, PlaneWaveSuperposition, flow_recipe
 
 SPEED_SLACK = 1e-9
 
@@ -39,35 +37,32 @@ SPEED_SLACK = 1e-9
 def density_upper_bound(state: PlaneWaveSuperposition, guidance: str = PHI_BASED,
                         *, c: float = 1.0, hbar: float = 1.0) -> float:
     """A bound on the guidance denominator valid at every point and time."""
-    merged = coalesce(state)
-    if guidance == PHI_BASED:
-        total = sum(np.linalg.norm(comp.phi_amplitude(c, hbar)) for comp in merged.components)
-        return float(total ** 2)
-    if guidance == WEBER_BASED:
-        total = sum(np.linalg.norm(comp.weber_amplitude(c)) for comp in merged.components)
-        return float(total ** 2 / (8.0 * np.pi))
-    raise FieldValidationError(f"unknown guidance law {guidance!r}")
+    return CompiledState(state, c, hbar).density_bound(flow_recipe(guidance))
 
 
-def _flow(state, x, t, guidance, c, hbar):
-    if guidance == PHI_BASED:
-        return analytic_probability_flow(state, x, t, c, hbar)
-    if guidance == WEBER_BASED:
-        return analytic_weber_flow(state, x, t, c)
-    raise FieldValidationError(f"unknown guidance law {guidance!r}")
+def _velocity_field(state, guidance, c, hbar, node_floor_rel, **inputs):
+    """v(x, t) -> (velocity, node mask); checks the inputs and compiles once."""
+    recipe = flow_recipe(guidance)
+    for name, value in inputs.items():
+        if not np.all(np.isfinite(value)):
+            raise FieldValidationError(f"{name} must be finite, got {value!r}")
+    compiled = CompiledState(state, c, hbar)
+    floor = node_floor_rel * compiled.density_bound(recipe)
+    return lambda x, t: _velocity_masked(compiled, recipe, x, t, floor)
 
 
-def _velocity_masked(state, x, t, guidance, c, hbar, floor):
+def _velocity_masked(compiled, recipe, x, t, floor):
     """Velocity with node mask instead of an exception; nodes get v = 0."""
-    rho, current = _flow(state, x, t, guidance, c, hbar)
+    rho, current = compiled.flow(recipe, x, t)
     mask = rho <= floor
     safe = np.where(mask, 1.0, rho)
     v = current / safe[..., None]
     v = np.where(mask[..., None], 0.0, v)
     speed = np.linalg.norm(v, axis=-1)
-    if speed.size and speed.max() > c * (1.0 + SPEED_SLACK):
+    # "not <=" so that a NaN speed fails the gate
+    if speed.size and not speed.max() <= compiled.c * (1.0 + SPEED_SLACK):
         raise InternalConsistencyError(
-            f"guidance speed {speed.max()!r} exceeds c = {c!r}; "
+            f"guidance speed {speed.max()!r} exceeds c = {compiled.c!r}; "
             f"the flow recipe violated |J| <= c rho")
     return v, mask
 
@@ -80,8 +75,7 @@ def guidance_velocity(state: PlaneWaveSuperposition, x, t, guidance: str = PHI_B
     Raises GuidanceNodeError if any point sits where the density is below
     node_floor_rel times its global upper bound.
     """
-    floor = node_floor_rel * density_upper_bound(state, guidance, c=c, hbar=hbar)
-    v, mask = _velocity_masked(state, x, t, guidance, c, hbar, floor)
+    v, mask = _velocity_field(state, guidance, c, hbar, node_floor_rel, x=x, t=t)(x, t)
     if np.any(mask):
         idx = np.unravel_index(np.argmax(mask), mask.shape)
         where = np.asarray(x, dtype=float)[idx]
@@ -103,7 +97,17 @@ class Trajectory:
     node_hit: bool = False
 
 
-def _time_knots(t0, t1, step):
+def _rk4(state, points, t0, t1, step, guidance, c, hbar, node_floor_rel):
+    """The one integrator: fixed-step RK4 for points (n, 3), yielding (t, x, v, live)
+    at t0 and after each step, the last step shortened to land on t1.  A point
+    meeting a density node in a step stays at its last knot and is no longer
+    live.  A knot's velocity is the next k1: four guidance evaluations a step.
+    """
+    x = np.array(points, dtype=float)
+    if x.ndim != 2 or x.shape[1] != 3:
+        raise FieldValidationError(f"points must have shape (n, 3), got {x.shape}")
+    velocity = _velocity_field(state, guidance, c, hbar, node_floor_rel,
+                               points=x, t0=t0, t1=t1, step=step)
     if step <= 0:
         raise FieldValidationError(f"step must be positive, got {step!r}")
     if t1 < t0:
@@ -111,7 +115,22 @@ def _time_knots(t0, t1, step):
     n = max(1, int(np.ceil((t1 - t0) / step - 1e-12))) if t1 > t0 else 0
     knots = t0 + step * np.arange(n + 1)
     knots[-1] = t1
-    return knots
+    v, node = velocity(x, knots[0])
+    live = ~node
+    yield knots[0], x, v, live
+    for a, b in zip(knots[:-1], knots[1:]):
+        if not live.any():
+            return
+        h = b - a
+        k2, m2 = velocity(x + 0.5 * h * v, a + 0.5 * h)
+        k3, m3 = velocity(x + 0.5 * h * k2, a + 0.5 * h)
+        k4, m4 = velocity(x + h * k3, b)
+        x_next = x + (h / 6.0) * (v + 2.0 * k2 + 2.0 * k3 + k4)
+        v_next, m5 = velocity(x_next, b)
+        live = live & ~(m2 | m3 | m4 | m5)
+        x = np.where(live[:, None], x_next, x)
+        v = np.where(live[:, None], v_next, v)
+        yield b, x, v, live
 
 
 def integrate_trajectory(state: PlaneWaveSuperposition, x0, t0: float, t1: float,
@@ -123,43 +142,20 @@ def integrate_trajectory(state: PlaneWaveSuperposition, x0, t0: float, t1: float
     and the returned object has node_hit = True with the samples
     accumulated so far.
     """
-    floor = node_floor_rel * density_upper_bound(state, guidance, c=c, hbar=hbar)
-    x = np.asarray(x0, dtype=float).reshape(1, 3)
-    knots = _time_knots(t0, t1, step)
-
-    def vel(p, tt):
-        v, mask = _velocity_masked(state, p, tt, guidance, c, hbar, floor)
-        return (None, None) if mask.any() else (v, mask)
-
-    v, mask = vel(x, knots[0])
-    if v is None:
+    times, positions, velocities = [], [], []
+    for t, x, v, live in _rk4(state, np.reshape(x0, (1, 3)), t0, t1, step, guidance,
+                              c, hbar, node_floor_rel):
+        if not live[0]:
+            break
+        times.append(t)
+        positions.append(x[0])
+        velocities.append(v[0])
+    if not times:
         raise GuidanceNodeError(
-            f"trajectory starts on a density node at x = {x[0].tolist()}, t = {knots[0]:.6g}",
-            location=x[0], time=float(knots[0]))
-
-    times = [knots[0]]
-    positions = [x[0].copy()]
-    velocities = [v[0].copy()]
-    node_hit = False
-    for a, b in zip(knots[:-1], knots[1:]):
-        h = b - a
-        k1, _ = vel(x, a)
-        k2, _ = vel(x + 0.5 * h * k1, a + 0.5 * h) if k1 is not None else (None, None)
-        k3, _ = vel(x + 0.5 * h * k2, a + 0.5 * h) if k2 is not None else (None, None)
-        k4, _ = vel(x + h * k3, b) if k3 is not None else (None, None)
-        if k4 is None:
-            node_hit = True
-            break
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        v, _ = vel(x, b)
-        if v is None:
-            node_hit = True
-            break
-        times.append(b)
-        positions.append(x[0].copy())
-        velocities.append(v[0].copy())
+            f"trajectory starts on a density node at x = {x[0].tolist()}, t = {t:.6g}",
+            location=x[0], time=float(t))
     return Trajectory(np.array(times), np.array(positions), np.array(velocities),
-                      guidance, node_hit)
+                      guidance, not live[0])
 
 
 def transport_ensemble(state: PlaneWaveSuperposition, points, t0: float, t1: float,
@@ -168,27 +164,11 @@ def transport_ensemble(state: PlaneWaveSuperposition, points, t0: float, t1: flo
     """Push many initial points through the flow at once.
 
     Returns (final_positions, node_mask).  A particle that reaches a node
-    freezes in place and is marked; the others are unaffected.
+    stops at its last defined knot and is marked; the others are unaffected.
     """
-    floor = node_floor_rel * density_upper_bound(state, guidance, c=c, hbar=hbar)
-    x = np.array(points, dtype=float)
-    if x.ndim != 2 or x.shape[1] != 3:
-        raise FieldValidationError(f"points must have shape (n, 3), got {x.shape}")
-    frozen = np.zeros(x.shape[0], dtype=bool)
-    knots = _time_knots(t0, t1, step)
-
-    for a, b in zip(knots[:-1], knots[1:]):
-        h = b - a
-        k1, m1 = _velocity_masked(state, x, a, guidance, c, hbar, floor)
-        k2, m2 = _velocity_masked(state, x + 0.5 * h * k1, a + 0.5 * h, guidance, c, hbar, floor)
-        k3, m3 = _velocity_masked(state, x + 0.5 * h * k2, a + 0.5 * h, guidance, c, hbar, floor)
-        k4, m4 = _velocity_masked(state, x + h * k3, b, guidance, c, hbar, floor)
-        bad = m1 | m2 | m3 | m4
-        delta = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        move = ~(frozen | bad)
-        x[move] += delta[move]
-        frozen |= bad
-    return x, frozen
+    for _, x, _, live in _rk4(state, points, t0, t1, step, guidance, c, hbar, node_floor_rel):
+        pass
+    return x, ~live
 
 
 def sample_points_on_line(state: PlaneWaveSuperposition, origin, direction,
@@ -201,12 +181,13 @@ def sample_points_on_line(state: PlaneWaveSuperposition, origin, direction,
     Inverse-CDF sampling on a dense tabulation of rho along
     origin + s * direction for s in [0, length].
     """
+    recipe = flow_recipe(guidance)
     origin = np.asarray(origin, dtype=float)
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
     s = np.linspace(0.0, length, n_dense)
     pts = origin + s[:, None] * direction
-    rho, _ = _flow(state, pts, t, guidance, c, hbar)
+    rho, _ = CompiledState(state, c, hbar).flow(recipe, pts, t)
     ds = s[1] - s[0]
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * ds)])
     if cdf[-1] <= 0.0:

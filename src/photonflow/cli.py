@@ -126,8 +126,9 @@ def _require_number(cfg, key, field, positive=False):
 
 def _vector3(value, field):
     if (not isinstance(value, (list, tuple)) or len(value) != 3
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
-        raise ConfigError(f"{field} must be a list of three numbers, got {value!r}", field=field)
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       and np.isfinite(v) for v in value)):
+        raise ConfigError(f"{field} must be three finite numbers, got {value!r}", field=field)
     return np.array(value, dtype=float)
 
 
@@ -158,10 +159,11 @@ def build_state(config) -> PlaneWaveSuperposition:
             raise ConfigError(
                 f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}",
                 field="state.preset")
-        kwargs = {k: v for k, v in state.items() if k != "preset"}
+        kwargs = {key: _require_number(state, key, f"state.{key}")
+                  for key in state if key != "preset"}
         try:
             return PRESETS[name](**kwargs)
-        except TypeError as exc:
+        except (TypeError, PhotonflowError) as exc:
             raise ConfigError(f"bad arguments for preset {name!r}: {exc}",
                               field="state") from exc
     components = state["components"]
@@ -175,7 +177,7 @@ def build_state(config) -> PlaneWaveSuperposition:
         k = _vector3(comp.get("k"), f"{field}.k")
         intensity = _require_number(comp, "I", f"{field}.I", positive=True) if "I" in comp else 1.0
         handedness = comp.get("handedness", "right")
-        phase = float(comp.get("phase", 0.0))
+        phase = _require_number(comp, "phase", f"{field}.phase") if "phase" in comp else 0.0
         try:
             waves.append(CircularPlaneWave(k, intensity, handedness, phase))
         except PhotonflowError as exc:
@@ -355,11 +357,12 @@ def cmd_trajectories(args):
     step = _require_number(section, "step", "trajectories.step", positive=True)
     out = _out_dir(args)
 
-    if section.get("initial_points") is not None:
-        points = [
-            _vector3(p, f"trajectories.initial_points[{i}]")
-            for i, p in enumerate(section["initial_points"])
-        ]
+    initial = section.get("initial_points")
+    if initial is not None:
+        if not isinstance(initial, list) or not initial:
+            raise ConfigError("trajectories.initial_points must be a non-empty list of points",
+                              field="trajectories.initial_points")
+        points = [_vector3(p, f"trajectories.initial_points[{i}]") for i, p in enumerate(initial)]
     else:
         count = section.get("count", 16)
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:

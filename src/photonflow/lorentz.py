@@ -28,9 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import FieldValidationError, InternalConsistencyError, ZeroFieldError
-from .photon import PHI_BASED, WEBER_BASED
-from .planewaves import (CircularPlaneWave, PlaneWaveSuperposition,
-                         analytic_probability_flow, analytic_weber_flow)
+from .planewaves import (PHI_BASED, CircularPlaneWave, CompiledState,
+                         PlaneWaveSuperposition, flow_recipe)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +170,7 @@ def boost_plane_wave(state: PlaneWaveSuperposition, boost: Boost,
 
         out.append(CircularPlaneWave(k_out, intensity_out, comp.handedness,
                                      float(np.angle(z))))
-    return PlaneWaveSuperposition(out, frame="boosted")
+    return PlaneWaveSuperposition(out)
 
 
 @dataclass
@@ -198,14 +197,6 @@ class FourVectorAudit:
     scale: float
     tolerance: float
     verdict: str
-
-
-def _flow_on_points(state, recipe, x, t, c, hbar):
-    if recipe == PHI_BASED:
-        return analytic_probability_flow(state, x, t, c, hbar)
-    if recipe == WEBER_BASED:
-        return analytic_weber_flow(state, x, t, c)
-    raise FieldValidationError(f"unknown flow recipe {recipe!r}")
 
 
 def default_sample_line(state: PlaneWaveSuperposition, boost: Boost,
@@ -243,6 +234,7 @@ def audit_four_vector(state: PlaneWaveSuperposition, boost: Boost,
     there, and push (rho, J) forward with the four-vector rule.
     A genuine four-current makes the two routes agree identically.
     """
+    entry = flow_recipe(recipe)
     if not state.components:
         raise ZeroFieldError("cannot audit a superposition with no components")
     if sample_points is None:
@@ -254,10 +246,10 @@ def audit_four_vector(state: PlaneWaveSuperposition, boost: Boost,
         t_prime = np.asarray(t_prime, dtype=float)
 
     boosted_state = boost_plane_wave(state, boost)
-    rho_a, current_a = _flow_on_points(boosted_state, recipe, x_prime, t_prime, c, hbar)
+    rho_a, current_a = CompiledState(boosted_state, c, hbar).flow(entry, x_prime, t_prime)
 
     x_rest, t_rest = boost_event(x_prime, t_prime, boost.inverse())
-    rho_rest, current_rest = _flow_on_points(state, recipe, x_rest, t_rest, c, hbar)
+    rho_rest, current_rest = CompiledState(state, c, hbar).flow(entry, x_rest, t_rest)
     rho_b, current_b = fourvector_transform_flow(rho_rest, current_rest, boost)
 
     scale = max(float(np.abs(c * rho_b).max()), float(np.abs(current_b).max()))
@@ -271,14 +263,6 @@ def audit_four_vector(state: PlaneWaveSuperposition, boost: Boost,
     return FourVectorAudit(recipe, boost, s, x_prime, t_prime, rho_a, rho_b,
                            current_a, current_b, mismatch_field, max_mismatch,
                            scale, tolerance, verdict)
-
-
-def audit_weber_flow(state: PlaneWaveSuperposition, boost: Boost, *, c: float = 1.0,
-                     n_samples: int = 256, tolerance: float = 1e-9,
-                     sample_points: Optional[tuple] = None) -> FourVectorAudit:
-    """Four-vector audit of the energy-density/Poynting pair (rho_E, S)."""
-    return audit_four_vector(state, boost, WEBER_BASED, c=c, n_samples=n_samples,
-                             tolerance=tolerance, sample_points=sample_points)
 
 
 def audit_to_json(audit: FourVectorAudit) -> dict:

@@ -39,12 +39,10 @@ import numpy as np
 from .errors import DCContentError, RepresentationError, ZeroFieldError
 from .fields import (MOMENTUM, POSITION, GridSpec, WeberGrid, energy_density,
                      poynting_vector, total_energy)
-from .spectral import _fft_forward, _fft_inverse, evolve, kgrid
+from .planewaves import PHI_BASED, WEBER_BASED, flow_recipe
+from .spectral import _fft_forward, _fft_inverse, evolve, inverse_transform, kgrid
 
 DEFAULT_DC_TOLERANCE = 1e-12
-
-PHI_BASED = "phi_based"
-WEBER_BASED = "weber_based"
 
 
 @dataclass
@@ -185,12 +183,9 @@ def weber_probability_flow(weber: WeberGrid) -> ProbabilityFlow:
 
 def _flow_of(weber_momentum: WeberGrid, recipe: str,
              dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> ProbabilityFlow:
-    from .spectral import inverse_transform
     if recipe == PHI_BASED:
         return probability_flow(to_position(photon_wavefunction(weber_momentum, dc_tolerance)))
-    if recipe == WEBER_BASED:
-        return weber_probability_flow(inverse_transform(weber_momentum))
-    raise ValueError(f"unknown recipe {recipe!r}")
+    return weber_probability_flow(inverse_transform(weber_momentum))
 
 
 def _spectral_divergence(vec: np.ndarray, spec: GridSpec) -> np.ndarray:
@@ -209,6 +204,7 @@ def continuity_residual(weber: WeberGrid, recipe: str, dt_probe: float,
     phi-based flow by construction of the wave equation, the weber-based
     flow by local energy conservation.
     """
+    flow_recipe(recipe)  # an unknown recipe fails before any evolution
     if weber.representation != MOMENTUM:
         raise RepresentationError("continuity_residual expects a momentum-representation field")
     flow_plus = _flow_of(evolve(weber, dt_probe), recipe, dc_tolerance)

@@ -43,6 +43,9 @@ from .fields import POSITION, GridSpec, WeberGrid
 RIGHT = "right"
 LEFT = "left"
 
+PHI_BASED = "phi_based"
+WEBER_BASED = "weber_based"
+
 _Z_ALIGNMENT_CUTOFF = 0.9
 
 
@@ -88,6 +91,8 @@ class CircularPlaneWave:
             raise FieldValidationError(f"intensity must be finite and > 0, got {self.intensity!r}")
         if self.handedness not in (RIGHT, LEFT):
             raise FieldValidationError(f"handedness must be 'right' or 'left', got {self.handedness!r}")
+        if not np.isfinite(self.phase):
+            raise FieldValidationError(f"phase must be finite, got {self.phase!r}")
 
     @property
     def k_norm(self) -> float:
@@ -121,7 +126,6 @@ class PlaneWaveSuperposition:
     """A finite list of components; empty list = zero field."""
 
     components: List[CircularPlaneWave] = field(default_factory=list)
-    frame: str = "rest"
 
 
 def coalesce(state: PlaneWaveSuperposition) -> PlaneWaveSuperposition:
@@ -150,52 +154,83 @@ def coalesce(state: PlaneWaveSuperposition) -> PlaneWaveSuperposition:
         k, handedness = key
         merged.append(CircularPlaneWave(np.array(k), float(abs(amp) ** 2),
                                         handedness, float(np.angle(amp))))
-    return PlaneWaveSuperposition(merged, state.frame)
+    return PlaneWaveSuperposition(merged)
 
 
-def _eval_sum(state, x, t, amplitude_of, c):
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != 3:
-        raise FieldValidationError(f"points must have a trailing axis of size 3, got shape {x.shape}")
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(np.broadcast_shapes(x.shape[:-1], t.shape) + (3,), dtype=complex)
-    for comp in state.components:
-        arg = comp.sigma * (x @ comp.wave_vector - comp.k_norm * c * t)
-        out += np.exp(1j * arg)[..., None] * amplitude_of(comp)
-    return out
+# recipe -> (CompiledState amplitudes of the mode sum v, density norm, current norm)
+# with rho = |v|^2 / density norm, J = (c / current norm) Im(v* x v).  Both norms
+# are 1/s; |J| <= c rho holds only while current norm >= density norm.
+RECIPES = {
+    PHI_BASED: ("phi", 1.0, 1.0),
+    WEBER_BASED: ("weber", 8.0 * np.pi, 8.0 * np.pi),
+}
+
+
+def flow_recipe(name) -> tuple:
+    """(amplitude array for v, density norm, current norm) of a recipe name."""
+    if not isinstance(name, str) or name not in RECIPES:
+        raise FieldValidationError(
+            f"unknown flow recipe {name!r}; expected one of {sorted(RECIPES)}")
+    return RECIPES[name]
+
+
+class CompiledState:
+    """A superposition coalesced once into arrays over its M modes, for units (c, hbar):
+    mode m adds amplitude_m exp(i (wave_vectors_m . x - frequencies_m t))."""
+
+    def __init__(self, state: PlaneWaveSuperposition, c: float = 1.0, hbar: float = 1.0):
+        comps = coalesce(state).components
+        self.c = c
+        self.wave_vectors = np.array([comp.sigma * comp.wave_vector for comp in comps]).reshape(-1, 3)
+        self.frequencies = np.array([comp.sigma * (comp.k_norm * c) for comp in comps])
+        self.phi = np.array([comp.phi_amplitude(c, hbar) for comp in comps]).reshape(-1, 3)
+        self.weber = np.array([comp.weber_amplitude(c) for comp in comps]).reshape(-1, 3)
+
+    def mode_sum(self, amplitudes: str, x, t) -> np.ndarray:
+        """v = sum over modes of the named amplitudes at points x (..., 3), time(s) t."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1] != 3:
+            raise FieldValidationError(
+                f"points must have a trailing axis of size 3, got shape {x.shape}")
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(np.broadcast_shapes(x.shape[:-1], t.shape) + (3,), dtype=complex)
+        for k, omega, amplitude in zip(self.wave_vectors, self.frequencies, getattr(self, amplitudes)):
+            out += np.exp(1j * (x @ k - omega * t))[..., None] * amplitude
+        return out
+
+    def flow(self, recipe: tuple, x, t) -> tuple:
+        """(rho, J) of a RECIPES entry in closed form at (x, t), cross terms included."""
+        amplitudes, density_norm, current_norm = recipe
+        v = self.mode_sum(amplitudes, x, t)
+        rho = (v.real ** 2 + v.imag ** 2).sum(axis=-1) / density_norm
+        return rho, (self.c / current_norm) * np.cross(v.conj(), v).imag
+
+    def density_bound(self, recipe: tuple) -> float:
+        """(sum of mode amplitude norms)^2 / density norm >= rho at every event."""
+        amplitudes, density_norm, _ = recipe
+        return float(sum(np.linalg.norm(a) for a in getattr(self, amplitudes)) ** 2 / density_norm)
 
 
 def eval_weber(state: PlaneWaveSuperposition, x, t, c: float = 1.0) -> np.ndarray:
     """Exact Weber field of the superposition at points x (..., 3) and time t."""
-    return _eval_sum(state, x, t, lambda comp: comp.weber_amplitude(c), c)
+    return CompiledState(state, c).mode_sum("weber", x, t)
 
 
 def eval_phi(state: PlaneWaveSuperposition, x, t, c: float = 1.0,
              hbar: float = 1.0) -> np.ndarray:
     """Exact energy-weighted wave function of the superposition at (x, t)."""
-    return _eval_sum(state, x, t, lambda comp: comp.phi_amplitude(c, hbar), c)
+    return CompiledState(state, c, hbar).mode_sum("phi", x, t)
 
 
 def analytic_probability_flow(state: PlaneWaveSuperposition, x, t,
                               c: float = 1.0, hbar: float = 1.0) -> tuple:
-    """(rho, J) of the phi-based recipe in closed form at (x, t).
-
-    rho = phi^dag phi and J = -i c phi* x phi with phi the exact sum of
-    component amplitudes (coalesced first), so diagonal and cross terms
-    are both present with no discretization.
-    """
-    phi = eval_phi(coalesce(state), x, t, c, hbar)
-    rho = (phi.real ** 2 + phi.imag ** 2).sum(axis=-1)
-    current = c * np.cross(phi.conj(), phi).imag
-    return rho, current
+    """(rho, J) of the phi-based recipe in closed form at (x, t)."""
+    return CompiledState(state, c, hbar).flow(flow_recipe(PHI_BASED), x, t)
 
 
 def analytic_weber_flow(state: PlaneWaveSuperposition, x, t, c: float = 1.0) -> tuple:
     """(rho_E, S) = energy density and Poynting flux in closed form at (x, t)."""
-    f = eval_weber(coalesce(state), x, t, c)
-    rho_e = (f.real ** 2 + f.imag ** 2).sum(axis=-1) / (8.0 * np.pi)
-    s = (c / (8.0 * np.pi)) * np.cross(f.conj(), f).imag
-    return rho_e, s
+    return CompiledState(state, c).flow(flow_recipe(WEBER_BASED), x, t)
 
 
 def sample_to_grid(state: PlaneWaveSuperposition, spec: GridSpec, t: float = 0.0) -> WeberGrid:

@@ -143,7 +143,7 @@ def evolve(weber: WeberGrid, dt: float, transversality_tol: float = 1e-10) -> We
     if weber.representation != MOMENTUM:
         raise RepresentationError("evolve expects a momentum-representation field")
     residual = transversality_residual(weber)
-    if residual > transversality_tol:
+    if not residual <= transversality_tol:  # NaN fails too
         raise TransversalityError(
             f"state has transversality residual {residual:.3e} > {transversality_tol:.1e}; "
             "project_transverse it first")

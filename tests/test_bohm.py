@@ -5,15 +5,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from photonflow import (Boost, CircularPlaneWave, GuidanceNodeError,
+from photonflow import (Boost, CircularPlaneWave, FieldValidationError,
+                        GridSpec, GuidanceNodeError, InternalConsistencyError,
                         PlaneWaveSuperposition, analytic_probability_flow,
-                        analytic_weber_flow, boost_plane_wave,
-                        density_upper_bound, frame_consistency_check,
-                        guidance_velocity, integrate_trajectory,
-                        sample_points_on_line, transport_ensemble)
+                        analytic_weber_flow, audit_four_vector,
+                        boost_plane_wave, continuity_residual,
+                        density_upper_bound, forward_transform,
+                        frame_consistency_check, guidance_velocity,
+                        integrate_trajectory, sample_points_on_line,
+                        sample_to_grid, transport_ensemble)
+from photonflow import bohm, planewaves
 from photonflow.photon import PHI_BASED, WEBER_BASED
-from photonflow.planewaves import (copropagating_pair, counterprop_pair,
-                                   single_wave)
+from photonflow.planewaves import (CompiledState, copropagating_pair,
+                                   counterprop_pair, flow_recipe, single_wave)
 
 X_HAT = np.array([1.0, 0.0, 0.0])
 Z_HAT = np.array([0.0, 0.0, 1.0])
@@ -215,3 +219,87 @@ def test_frame_consistency_disagreements():
     _check_frame(counterprop_pair(), Z_HAT, WEBER_BASED, 0.3, 1e-12)
     _check_frame(counterprop_pair(), X_HAT, PHI_BASED, 0.471074466474, 1e-10)
     _check_frame(counterprop_pair(), X_HAT, WEBER_BASED, 0.5, 1e-12)
+
+
+def test_rk4_reuses_the_knot_velocity_as_k1(monkeypatch):
+    times = []
+    real = bohm._velocity_masked
+
+    def recorded(compiled, recipe, x, t, floor):
+        times.append(t)
+        return real(compiled, recipe, x, t, floor)
+
+    monkeypatch.setattr(bohm, "_velocity_masked", recorded)
+    traj = integrate_trajectory(counterprop_pair(), np.zeros(3), 0.0, 1.0, 0.1,
+                                PHI_BASED)
+    assert len(traj.times) - 1 == 10
+    # the start knot, then k2, k3, k4 and the new knot's velocity per step
+    assert times[:5] == [0.0, 0.05, 0.05, 0.1, 0.1]
+    assert len(times) == 1 + 4 * 10
+
+
+def test_transport_ensemble_stops_points_where_trajectories_stop():
+    # a high floor turns the troughs of the boosted standing wave into nodes;
+    # the points reach one at different times, the last starts on one
+    state = _boosted_pair()
+    k_sum_hat = np.array([-np.sqrt(3.0), 0.0, -1.0]) / 2.0
+    points = np.outer([np.pi / 2.0, 1.2, 0.3], k_sum_hat)
+    final, frozen = transport_ensemble(state, points, 0.0, 2.0, 0.05, PHI_BASED,
+                                       node_floor_rel=0.45)
+    assert frozen.all()
+    for x0, xf in zip(points[:2], final[:2]):
+        traj = integrate_trajectory(state, x0, 0.0, 2.0, 0.05, PHI_BASED,
+                                    node_floor_rel=0.45)
+        assert traj.node_hit
+        assert_allclose(xf, traj.positions[-1], atol=1e-12)
+    assert_allclose(final[2], points[2], atol=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: guidance_velocity(single_wave(), [[np.nan, 0.0, 0.0]], 0.0),
+    lambda: guidance_velocity(single_wave(), np.zeros((1, 3)), np.inf),
+    lambda: integrate_trajectory(single_wave(), [np.nan, 0.0, 0.0], 0.0, 1.0, 0.1),
+    lambda: integrate_trajectory(single_wave(), np.zeros(3), np.nan, 1.0, 0.1),
+    lambda: integrate_trajectory(single_wave(), np.zeros(3), 0.0, np.inf, 0.1),
+    lambda: integrate_trajectory(single_wave(), np.zeros(3), 0.0, 1.0, np.nan),
+    lambda: transport_ensemble(single_wave(), [[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]],
+                               0.0, 1.0, 0.1),
+], ids=["point", "time", "x0", "t0", "t1", "step", "ensemble"])
+def test_guidance_rejects_non_finite_input(call):
+    with pytest.raises(FieldValidationError):
+        call()
+
+
+def test_speed_gate_fires_when_the_current_outgrows_the_density(monkeypatch):
+    monkeypatch.setitem(planewaves.RECIPES, PHI_BASED, ("phi", 1.0, 0.5))
+    with pytest.raises(InternalConsistencyError):
+        guidance_velocity(single_wave(), np.zeros((1, 3)), 0.0, PHI_BASED)
+
+
+def test_speed_gate_fails_closed_on_nan():
+    with pytest.raises(InternalConsistencyError):
+        bohm._velocity_masked(CompiledState(single_wave()), flow_recipe(PHI_BASED),
+                              np.full((1, 3), np.nan), 0.0, 0.0)
+
+
+def _momentum_single_wave():
+    return forward_transform(sample_to_grid(single_wave(), GridSpec(8, 2.0 * np.pi)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda r: guidance_velocity(single_wave(), np.zeros((1, 3)), 0.0, r),
+    lambda r: density_upper_bound(single_wave(), r),
+    lambda r: integrate_trajectory(single_wave(), np.zeros(3), 0.0, 1.0, 0.1, r),
+    lambda r: transport_ensemble(single_wave(), np.zeros((2, 3)), 0.0, 1.0, 0.1, r),
+    lambda r: sample_points_on_line(single_wave(), np.zeros(3), Z_HAT, 1.0, 4,
+                                    np.random.default_rng(0), r),
+    lambda r: frame_consistency_check(single_wave(), Boost(X_HAT, 0.5), np.zeros(3),
+                                      0.0, r),
+    lambda r: audit_four_vector(single_wave(), Boost(X_HAT, 0.5), r),
+    lambda r: continuity_residual(_momentum_single_wave(), r, 0.01),
+], ids=["guidance_velocity", "density_upper_bound", "integrate_trajectory",
+        "transport_ensemble", "sample_points_on_line", "frame_consistency_check",
+        "audit_four_vector", "continuity_residual"])
+def test_unknown_recipe_is_rejected_by_the_recipe_table(call):
+    with pytest.raises(FieldValidationError, match="unknown flow recipe 'bogus'"):
+        call("bogus")

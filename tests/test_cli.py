@@ -322,6 +322,30 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, field", [
+    ("trajectories", {"trajectories": {"initial_points": [[float("nan"), 0, 0]]}},
+     "trajectories.initial_points[0]"),
+    ("trajectories", {"trajectories": {"initial_points": []}},
+     "trajectories.initial_points"),
+    ("trajectories", {"boost": {"direction": [0, 0, float("inf")], "u": 0.5}},
+     "boost.direction"),
+    ("evolve", {"state": {"components": [{"k": [0, 0, 1], "phase": "abc"}]}},
+     "state.components[0].phase"),
+    ("evolve", {"state": {"components": [{"k": [0, 0, 1], "phase": float("nan")}]}},
+     "state.components[0].phase"),
+    ("evolve", {"state": {"preset": "single-wave", "wavenumber": "x"}},
+     "state.wavenumber"),
+    ("evolve", {"state": {"preset": "single-wave", "intensity": float("nan")}},
+     "state.intensity"),
+], ids=["nan-point", "no-points", "inf-boost", "text-phase", "nan-phase",
+        "text-preset-arg", "nan-preset-arg"])
+def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, command,
+                                                   config, field):
+    rc, _ = _run(tmp_path, command, config=config)
+    assert rc == 2
+    assert f"(field: {field})" in capsys.readouterr().err
+
+
 def test_state_file_combined_with_preset_exits_2(tmp_path):
     rc, _ = _run(tmp_path, "evolve",
                  config={"state": {"file": "x.phwf", "preset": "single-wave"},

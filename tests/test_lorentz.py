@@ -10,11 +10,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from photonflow import (Boost, analytic_probability_flow, audit_four_vector,
-                        audit_to_json, audit_weber_flow, boost_event,
+                        audit_to_json, boost_event,
                         boost_plane_wave, boost_wave_vector, eval_weber,
                         field_boost, fourvector_transform_flow,
                         velocity_addition)
-from photonflow.errors import FieldValidationError, ZeroFieldError
+from photonflow import lorentz
+from photonflow.errors import (FieldValidationError, InternalConsistencyError,
+                               ZeroFieldError)
 from photonflow.lorentz import default_sample_line
 from photonflow.photon import PHI_BASED, WEBER_BASED
 from photonflow.planewaves import (PlaneWaveSuperposition, counterprop_pair,
@@ -121,7 +123,6 @@ def test_boosted_plane_wave_intensities_and_handedness():
     for comp in boosted_x.components:
         assert_allclose(comp.intensity, GAMMA_HALF ** 2, rtol=1e-12)
     assert [c.handedness for c in boosted_x.components] == ["right", "left"]
-    assert boosted_x.frame == "boosted"
 
 
 def test_boosted_single_wave_polarization_structure():
@@ -193,7 +194,7 @@ def test_audit_verdicts_match_the_covariance_table():
     scenarios = [(single_wave(), _half_z()), (single_wave(), _half_x()),
                  (counterprop_pair(), _half_z()), (counterprop_pair(), _half_x())]
     phi = [audit_four_vector(s, b, PHI_BASED) for s, b in scenarios]
-    weber = [audit_weber_flow(s, b) for s, b in scenarios]
+    weber = [audit_four_vector(s, b, WEBER_BASED) for s, b in scenarios]
     assert [a.verdict for a in phi] == ["four_vector_consistent"] * 3 + ["violated"]
     assert [a.verdict for a in weber] == ["violated"] * 4
     assert all(a.max_mismatch < 1e-9 for a in phi[:3])
@@ -246,7 +247,7 @@ def test_audit_samples_cover_one_interference_period():
 
 
 def test_audit_json_payload():
-    audit = audit_weber_flow(single_wave(), _half_z(), n_samples=16)
+    audit = audit_four_vector(single_wave(), _half_z(), WEBER_BASED, n_samples=16)
     payload = audit_to_json(audit)
     assert payload["recipe"] == WEBER_BASED
     assert payload["verdict"] == "violated"
@@ -269,3 +270,15 @@ def test_unboosted_audit_is_trivially_consistent():
                                              audit.x_prime, 0.0)
     assert_allclose(audit.rho_a, rho, rtol=1e-12)
     assert_allclose(audit.current_a, current, atol=1e-12)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda amp, boost: 1.01 * amp,                       # Doppler route disagrees
+    lambda amp, boost: amp + 0.1 * np.abs(amp).max() * boost.direction,  # not helical
+], ids=["intensity", "helicity"])
+def test_boost_route_checks_fire_on_a_wrong_field_boost(monkeypatch, corrupt):
+    real = lorentz.field_boost
+    monkeypatch.setattr(lorentz, "field_boost",
+                        lambda f, boost: corrupt(real(f, boost), boost))
+    with pytest.raises(InternalConsistencyError):
+        boost_plane_wave(single_wave(), _half_x())

@@ -53,6 +53,8 @@ def test_wave_validation():
         CircularPlaneWave(np.array([0.0, 0.0, 1.0]), -2.0)
     with pytest.raises(FieldValidationError):
         CircularPlaneWave(np.array([0.0, 0.0, 1.0]), 1.0, "sideways")
+    with pytest.raises(FieldValidationError):
+        CircularPlaneWave(np.array([0.0, 0.0, 1.0]), 1.0, phase=np.nan)
 
 
 def test_weber_amplitude_closed_form():

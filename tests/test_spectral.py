@@ -191,6 +191,13 @@ def test_evolve_rejects_longitudinal_states(spec8, rng):
         evolve(tilde, 0.1)
 
 
+def test_evolve_rejects_a_nan_entry(spec8):
+    tilde = forward_transform(sample_to_grid(single_wave(), spec8))
+    tilde.field[1, 2, 3, 0] = np.nan
+    with pytest.raises(TransversalityError):
+        evolve(tilde, 0.1)
+
+
 def test_evolve_rejects_position_representation(spec8, rng):
     with pytest.raises(RepresentationError):
         evolve(_random_weber(spec8, rng), 0.1)
