@@ -18,8 +18,11 @@ Config layout (any subset; missing keys take the defaults shown by
       ... per-command sections below ...
     }
 
-Boost speeds are given as fractions of c.  Tolerances are overridden per
-key with ``--tolerance KEY=VALUE`` (keys listed by ``photonflow info``).
+Every key is checked against one schema (``SCHEMA``) before a command
+creates its output directory; an unknown key or a bad value exits 2 and
+names the field path.  Boost speeds are given as fractions of c.
+Tolerances are overridden per key with ``--tolerance KEY=VALUE`` (keys
+listed by ``photonflow info``); every value must be finite and > 0.
 """
 
 from __future__ import annotations
@@ -44,172 +47,209 @@ from .planewaves import (PRESETS, CircularPlaneWave, PlaneWaveSuperposition,
                          sample_to_grid)
 from .spectral import evolve, forward_transform, transversality_residual
 
-DEFAULT_TOLERANCES = {
-    "audit": 1e-9,          # four-vector audit verdict threshold
-    "dc": 1e-12,            # k = 0 energy fraction allowed in photon ops
-    "transversality": 1e-10,  # residual allowed by evolve
-    "node_floor": 1e-12,    # guidance node floor, relative to density bound
+# --- config schema ------------------------------------------------------------
+#
+# A table maps each key to (default, check), or to a nested table for a
+# section.  A check takes (value, field path) and returns the typed value,
+# or raises ConfigError naming the path.
+
+
+def _kind(expected, accepts, typed=lambda value: value):
+    """A check that accepts what ``accepts`` does and returns ``typed(value)``."""
+    def check(value, path):
+        if not accepts(value):
+            raise ConfigError(f"{path} must be {expected}, got {value!r}", field=path)
+        return typed(value)
+    return check
+
+
+def _real(value):
+    # type(), not isinstance(), so a bool is not a number; the bound rejects
+    # nan, +-inf and integers too large for a float
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+_number = _kind("a finite number", _real, float)
+_positive = _kind("a finite number > 0", lambda v: _real(v) and v > 0, float)
+_fraction_of_c = _kind("a fraction of c with 0 <= u < 1",
+                       lambda v: _real(v) and 0 <= v < 1, float)
+_flag = _kind("true or false", lambda v: type(v) is bool)
+_vector3 = _kind("three finite numbers",
+                 lambda v: type(v) is list and len(v) == 3 and all(map(_real, v)),
+                 lambda v: np.array(v, dtype=float))
+
+
+def _integer(low):
+    return _kind(f"an integer >= {low}", lambda v: type(v) is int and v >= low)
+
+
+def _one_of(*choices):
+    return _kind("one of " + ", ".join(map(repr, choices)),
+                 lambda v: any(type(v) is type(c) and v == c for c in choices))
+
+
+def _list_of(item):
+    nonempty = _kind("a non-empty list", lambda v: type(v) is list and len(v) > 0)
+    return lambda value, path: [item(v, f"{path}[{i}]")
+                                for i, v in enumerate(nonempty(value, path))]
+
+
+def _optional(check):
+    return lambda value, path: None if value is None else check(value, path)
+
+
+_COMPONENT = {
+    "k": (None, _vector3),
+    "I": (1.0, _positive),
+    "handedness": ("right", _one_of("right", "left")),
+    "phase": (0.0, _number),
 }
 
-DEFAULT_CONFIG = {
-    "units": {"c": 1.0, "hbar": 1.0},
-    "grid": {"n": 32, "L": 2.0 * np.pi},
-    "state": {"preset": "single-wave"},
-    "boost": {"direction": [0.0, 0.0, 1.0], "u": 0.5},
-    "evolve": {"times": [0.0, 1.0, 2.0], "normalize": False},
-    "audit": {"u": 0.5, "k_right": 1.0, "k_left": 2.0, "samples": 256},
+
+def _state(value, path):
+    """Exactly one of a preset (plus numeric arguments), components, or a file."""
+    forms = [key for key in ("preset", "components", "file")
+             if type(value) is dict and key in value]
+    if len(forms) != 1:
+        raise ConfigError(f"{path} must be an object with exactly one of 'preset', "
+                          f"'components' or 'file', got {value!r}", field=path)
+    form, given = forms[0], value[forms[0]]
+    if form == "preset":
+        if type(given) is not str or given not in PRESETS:
+            raise ConfigError(
+                f"unknown preset {given!r}; available: {', '.join(sorted(PRESETS))}",
+                field=f"{path}.preset")
+        # argument names are checked by the preset's signature in build_state
+        return {key: arg if key == "preset" else _number(arg, f"{path}.{key}")
+                for key, arg in value.items()}
+    extra = sorted(set(value) - {form})
+    if extra:
+        raise ConfigError(f"{path}.{form} cannot be combined with {', '.join(extra)}",
+                          field=f"{path}.{extra[0]}")
+    if form == "file":
+        return {"file": _kind("a path string", lambda v: type(v) is str)(given, f"{path}.file")}
+    components = _kind("a list", lambda v: type(v) is list)(given, f"{path}.components")
+    return {"components": [_resolve(_COMPONENT, comp, f"{path}.components[{i}]")
+                           for i, comp in enumerate(components)]}
+
+
+SCHEMA = {
+    "units": {"c": (1.0, _positive), "hbar": (1.0, _positive)},
+    "grid": {"n": (32, _integer(2)), "L": (2.0 * np.pi, _positive)},
+    "state": ({"preset": "single-wave"}, _state),
+    "boost": {"direction": ([0.0, 0.0, 1.0], _vector3), "u": (0.5, _fraction_of_c)},
+    "evolve": {"times": ([0.0, 1.0, 2.0], _list_of(_number)),
+               "normalize": (False, _flag)},
+    "audit": {"u": (0.5, _fraction_of_c), "k_right": (1.0, _positive),
+              "k_left": (2.0, _positive), "samples": (256, _integer(2))},
     "trajectories": {
-        "guidance": PHI_BASED,
-        "t0": 0.0,
-        "t1": 2.0 * np.pi,
-        "step": 0.05,
-        "count": 16,
-        "line": {"origin": [0.0, 0.0, 0.0], "direction": [0.0, 0.0, 1.0],
-                 "length": 2.0 * np.pi},
-        "initial_points": None,
-        "check_event": {"x": [0.0, 0.0, 0.0], "t": 0.0},
+        "guidance": (PHI_BASED, _one_of(PHI_BASED, WEBER_BASED)),
+        "t0": (0.0, _number),
+        "t1": (2.0 * np.pi, _number),
+        "step": (0.05, _positive),
+        "count": (16, _integer(1)),
+        "line": {"origin": ([0.0, 0.0, 0.0], _vector3),
+                 "direction": ([0.0, 0.0, 1.0], _vector3),
+                 "length": (2.0 * np.pi, _positive)},
+        "initial_points": (None, _optional(_list_of(_vector3))),
+        "check_event": {"x": ([0.0, 0.0, 0.0], _vector3), "t": (0.0, _number)},
     },
     "doubleslit": {
-        "sources": 2,
-        "forward_mode": 3,
-        "transverse_mode": 1,
-        "bundle_width": 0,
-        "bundle_sigma": 1.0,
-        "intensity_ratio": 1.0,
-        "times": [0.0, 0.4, 0.8],
+        "sources": (2, _one_of(1, 2)),
+        "forward_mode": (3, _integer(1)),
+        "transverse_mode": (1, _integer(1)),
+        "bundle_width": (0, _integer(0)),
+        "bundle_sigma": (1.0, _positive),
+        "intensity_ratio": (1.0, _positive),
+        "times": ([0.0, 0.4, 0.8], _list_of(_number)),
     },
 }
 
+TOLERANCES = {
+    "audit": (1e-9, _positive),           # four-vector audit verdict threshold
+    "dc": (1e-12, _positive),             # k = 0 energy fraction allowed in photon ops
+    "transversality": (1e-10, _positive),  # residual allowed by evolve
+    "node_floor": (1e-12, _positive),     # guidance node floor, relative to density bound
+}
 
-def _merge(defaults, override, path=""):
-    if not isinstance(override, dict):
-        raise ConfigError(f"expected an object at {path or 'top level'}, "
-                          f"got {type(override).__name__}", field=path)
-    out = dict(defaults)
-    for key, value in override.items():
-        if isinstance(out.get(key), dict) and isinstance(value, dict):
-            out[key] = _merge(out[key], value, f"{path}.{key}" if path else key)
+
+def _resolve(table, given, path):
+    """Check the object ``given`` against ``table``; return typed values, defaults filled in."""
+    if type(given) is not dict:
+        raise ConfigError(f"{path or 'the config'} must be an object, got {given!r}",
+                          field=path or None)
+    prefix = f"{path}." if path else ""
+    unknown = sorted(set(given) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown key {prefix}{unknown[0]}; expected one of "
+                          f"{', '.join(table)}", field=prefix + unknown[0])
+    resolved = {}
+    for key, entry in table.items():
+        if isinstance(entry, dict):
+            resolved[key] = _resolve(entry, given.get(key, {}), prefix + key)
         else:
-            out[key] = value
-    return out
+            default, check = entry
+            resolved[key] = check(given.get(key, default), prefix + key)
+    return resolved
+
+
+def _defaults(table):
+    return {key: _defaults(entry) if isinstance(entry, dict) else entry[0]
+            for key, entry in table.items()}
 
 
 def load_config(path):
-    """Read a JSON config and merge it over the defaults."""
-    if path is None:
-        return json.loads(json.dumps(DEFAULT_CONFIG))
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        user = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
-    merged = _merge(DEFAULT_CONFIG, user)
-    if "state" in user:
-        # preset / components / file are alternatives, so a user-supplied
-        # state replaces the default instead of merging with it
-        merged["state"] = user["state"]
-    return merged
+    """Read a JSON config, check every key against SCHEMA, and fill in the defaults."""
+    user = {}
+    if path is not None:
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        try:
+            user = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    return _resolve(SCHEMA, user, "")
 
 
-def _require_number(cfg, key, field, positive=False):
-    value = cfg.get(key)
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not np.isfinite(value):
-        raise ConfigError(f"{field} must be a finite number, got {value!r}", field=field)
-    if positive and value <= 0:
-        raise ConfigError(f"{field} must be > 0, got {value!r}", field=field)
-    return float(value)
-
-
-def _vector3(value, field):
-    if (not isinstance(value, (list, tuple)) or len(value) != 3
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       and np.isfinite(v) for v in value)):
-        raise ConfigError(f"{field} must be three finite numbers, got {value!r}", field=field)
-    return np.array(value, dtype=float)
-
-
-def build_grid(config) -> GridSpec:
-    units = config["units"]
-    grid = config["grid"]
-    c = _require_number(units, "c", "units.c", positive=True)
-    hbar = _require_number(units, "hbar", "units.hbar", positive=True)
-    n = grid.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ConfigError(f"grid.n must be an integer >= 2, got {n!r}", field="grid.n")
-    box = _require_number(grid, "L", "grid.L", positive=True)
-    return GridSpec(n, box, c, hbar)
+def parse_tolerances(pairs):
+    given = {}
+    for pair in pairs or []:
+        key, sep, value = pair.partition("=")
+        if not sep:
+            raise ConfigError(f"--tolerance expects KEY=VALUE, got {pair!r}")
+        try:
+            given[key] = float(value)
+        except ValueError as exc:
+            raise ConfigError(f"--tolerance {key}: {value!r} is not a number",
+                              field=f"tolerance.{key}") from exc
+    return _resolve(TOLERANCES, given, "tolerance")
 
 
 def build_state(config) -> PlaneWaveSuperposition:
+    """The plane-wave superposition of a checked ``state`` entry."""
     state = config["state"]
-    if not isinstance(state, dict):
-        raise ConfigError("state must be an object", field="state")
-    has_preset = "preset" in state
-    has_components = "components" in state
-    if has_preset == has_components:
-        raise ConfigError("state needs exactly one of 'preset' or 'components'",
-                          field="state")
-    if has_preset:
+    if "file" in state:
+        raise ConfigError("state.file is read by evolve only", field="state.file")
+    if "preset" in state:
         name = state["preset"]
-        if name not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}",
-                field="state.preset")
-        kwargs = {key: _require_number(state, key, f"state.{key}")
-                  for key in state if key != "preset"}
+        kwargs = {key: value for key, value in state.items() if key != "preset"}
         try:
             return PRESETS[name](**kwargs)
         except (TypeError, PhotonflowError) as exc:
             raise ConfigError(f"bad arguments for preset {name!r}: {exc}",
                               field="state") from exc
-    components = state["components"]
-    if not isinstance(components, list):
-        raise ConfigError("state.components must be a list", field="state.components")
     waves = []
-    for i, comp in enumerate(components):
-        field = f"state.components[{i}]"
-        if not isinstance(comp, dict):
-            raise ConfigError(f"{field} must be an object", field=field)
-        k = _vector3(comp.get("k"), f"{field}.k")
-        intensity = _require_number(comp, "I", f"{field}.I", positive=True) if "I" in comp else 1.0
-        handedness = comp.get("handedness", "right")
-        phase = _require_number(comp, "phase", f"{field}.phase") if "phase" in comp else 0.0
+    for i, comp in enumerate(state["components"]):
         try:
-            waves.append(CircularPlaneWave(k, intensity, handedness, phase))
+            waves.append(CircularPlaneWave(comp["k"], comp["I"], comp["handedness"],
+                                           comp["phase"]))
         except PhotonflowError as exc:
+            field = f"state.components[{i}]"
             raise ConfigError(f"{field}: {exc}", field=field) from exc
     return PlaneWaveSuperposition(waves)
-
-
-def build_boost(config, c) -> Boost:
-    boost = config["boost"]
-    direction = _vector3(boost.get("direction"), "boost.direction")
-    u = _require_number(boost, "u", "boost.u")
-    if not 0.0 <= u < 1.0:
-        raise ConfigError(f"boost.u is a fraction of c and must satisfy 0 <= u < 1, "
-                          f"got {u!r}", field="boost.u")
-    try:
-        return Boost(direction, u * c, c)
-    except PhotonflowError as exc:
-        raise ConfigError(f"boost: {exc}", field="boost") from exc
-
-
-def parse_tolerances(pairs):
-    tol = dict(DEFAULT_TOLERANCES)
-    for pair in pairs or []:
-        key, sep, value = pair.partition("=")
-        if not sep or key not in tol:
-            raise ConfigError(
-                f"--tolerance expects KEY=VALUE with KEY in {sorted(tol)}, got {pair!r}")
-        try:
-            tol[key] = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"--tolerance {key}: {value!r} is not a number") from exc
-    return tol
 
 
 def _out_dir(args) -> Path:
@@ -224,43 +264,32 @@ def cmd_evolve(args):
     config = load_config(args.config)
     tol = parse_tolerances(args.tolerance)
     section = config["evolve"]
-    times = section.get("times")
-    if (not isinstance(times, list) or not times
-            or not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in times)):
-        raise ConfigError("evolve.times must be a non-empty list of numbers",
-                          field="evolve.times")
-    out = _out_dir(args)
 
-    state_cfg = config.get("state")
-    if isinstance(state_cfg, dict) and "file" in state_cfg:
+    if "file" in config["state"]:
         # resume from a stored snapshot; it carries its own grid and units,
-        # so the config's grid section is ignored
-        if set(state_cfg) != {"file"}:
-            raise ConfigError("state.file cannot be combined with preset or components",
-                              field="state")
-        if not isinstance(state_cfg["file"], str):
-            raise ConfigError("state.file must be a path string", field="state.file")
+        # so the config's grid and units sections are not used
         try:
-            weber = read_weber(state_cfg["file"])
+            weber = read_weber(config["state"]["file"])
         except OSError as exc:
             raise ConfigError(f"cannot read field file: {exc}", field="state.file")
         if weber.representation == POSITION:
             weber = forward_transform(weber)
         spec = weber.spec
     else:
-        spec = build_grid(config)
-        state = build_state(config)
-        weber = forward_transform(sample_to_grid(state, spec, t=0.0))
-    if section.get("normalize", False):
+        grid, units = config["grid"], config["units"]
+        spec = GridSpec(grid["n"], grid["L"], units["c"], units["hbar"])
+        weber = forward_transform(sample_to_grid(build_state(config), spec, t=0.0))
+    if section["normalize"]:
         weber = normalize_single_photon(weber, dc_tolerance=tol["dc"])
+    out = _out_dir(args)
 
     records = []
-    for i, t in enumerate(times):
-        weber = evolve(weber, float(t) - weber.time, transversality_tol=tol["transversality"])
+    for i, t in enumerate(section["times"]):
+        weber = evolve(weber, t - weber.time, transversality_tol=tol["transversality"])
         snapshot = out / f"snapshot_{i:02d}.phwf"
         write_weber(snapshot, weber)
         record = {
-            "time": float(t),
+            "time": t,
             "file": snapshot.name,
             "energy": total_energy(weber),
             "photon_number": photon_number(weber, dc_tolerance=tol["dc"]),
@@ -273,7 +302,7 @@ def cmd_evolve(args):
     diagnostics = {
         "grid": {"n": spec.n_per_axis, "L": spec.box_length},
         "units": {"c": spec.c, "hbar": spec.hbar},
-        "normalized": bool(section.get("normalize", False)),
+        "normalized": section["normalize"],
         "snapshots": records,
     }
     (out / "diagnostics.json").write_text(json.dumps(diagnostics, indent=2))
@@ -288,19 +317,9 @@ def cmd_boost_audit(args):
 
     config = load_config(args.config)
     tol = parse_tolerances(args.tolerance)
-    units = config["units"]
-    c = _require_number(units, "c", "units.c", positive=True)
-    hbar = _require_number(units, "hbar", "units.hbar", positive=True)
+    c, hbar = config["units"]["c"], config["units"]["hbar"]
     section = config["audit"]
-    u = _require_number(section, "u", "audit.u")
-    if not 0.0 <= u < 1.0:
-        raise ConfigError("audit.u is a fraction of c and must satisfy 0 <= u < 1",
-                          field="audit.u")
-    k_right = _require_number(section, "k_right", "audit.k_right", positive=True)
-    k_left = _require_number(section, "k_left", "audit.k_left", positive=True)
-    samples = section.get("samples", 256)
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
-        raise ConfigError("audit.samples must be an integer >= 2", field="audit.samples")
+    u, k_right, k_left = section["u"], section["k_right"], section["k_left"]
     out = _out_dir(args)
 
     single = single_wave(k_right, 1.0)
@@ -319,7 +338,7 @@ def cmd_boost_audit(args):
     for name, state, boost in scenarios:
         for recipe in (PHI_BASED, WEBER_BASED):
             audit = audit_four_vector(state, boost, recipe, c=c, hbar=hbar,
-                                      n_samples=samples, tolerance=tol["audit"])
+                                      n_samples=section["samples"], tolerance=tol["audit"])
             results.append((name, audit))
             print(f"{name:22s} {recipe:12s} {audit.max_mismatch:14.3e}  {audit.verdict}")
 
@@ -341,39 +360,22 @@ def cmd_boost_audit(args):
 def cmd_trajectories(args):
     config = load_config(args.config)
     tol = parse_tolerances(args.tolerance)
-    units = config["units"]
-    c = _require_number(units, "c", "units.c", positive=True)
-    hbar = _require_number(units, "hbar", "units.hbar", positive=True)
+    c, hbar = config["units"]["c"], config["units"]["hbar"]
     state = build_state(config)
-    boost = build_boost(config, c)
+    try:
+        boost = Boost(config["boost"]["direction"], config["boost"]["u"] * c, c)
+    except PhotonflowError as exc:
+        raise ConfigError(f"boost: {exc}", field="boost") from exc
     section = config["trajectories"]
-    guidance = section.get("guidance")
-    if guidance not in (PHI_BASED, WEBER_BASED):
-        raise ConfigError(f"trajectories.guidance must be '{PHI_BASED}' or "
-                          f"'{WEBER_BASED}', got {guidance!r}",
-                          field="trajectories.guidance")
-    t0 = _require_number(section, "t0", "trajectories.t0")
-    t1 = _require_number(section, "t1", "trajectories.t1")
-    step = _require_number(section, "step", "trajectories.step", positive=True)
+    guidance, t0, t1, step = section["guidance"], section["t0"], section["t1"], section["step"]
     out = _out_dir(args)
 
-    initial = section.get("initial_points")
-    if initial is not None:
-        if not isinstance(initial, list) or not initial:
-            raise ConfigError("trajectories.initial_points must be a non-empty list of points",
-                              field="trajectories.initial_points")
-        points = [_vector3(p, f"trajectories.initial_points[{i}]") for i, p in enumerate(initial)]
-    else:
-        count = section.get("count", 16)
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise ConfigError("trajectories.count must be a positive integer",
-                              field="trajectories.count")
-        line = section.get("line", {})
-        origin = _vector3(line.get("origin"), "trajectories.line.origin")
-        direction = _vector3(line.get("direction"), "trajectories.line.direction")
-        length = _require_number(line, "length", "trajectories.line.length", positive=True)
+    points = section["initial_points"]
+    if points is None:
+        line = section["line"]
         rng = np.random.default_rng(args.seed)
-        points = sample_points_on_line(state, origin, direction, length, count, rng,
+        points = sample_points_on_line(state, line["origin"], line["direction"],
+                                       line["length"], section["count"], rng,
                                        guidance, t=t0, c=c, hbar=hbar)
 
     trajectories = [
@@ -390,12 +392,10 @@ def cmd_trajectories(args):
           f"t = [{t0:g}, {t1:g}] step {step:g}; node hits: {node_hits}; "
           f"max |v|/c = {max_speed / c:.12g}")
 
-    event = section.get("check_event", {})
-    x_event = _vector3(event.get("x"), "trajectories.check_event.x")
-    t_event = _require_number(event, "t", "trajectories.check_event.t")
+    event = section["check_event"]
     checks = []
     for recipe in (PHI_BASED, WEBER_BASED):
-        result = frame_consistency_check(state, boost, x_event, t_event, recipe,
+        result = frame_consistency_check(state, boost, event["x"], event["t"], recipe,
                                          c=c, hbar=hbar,
                                          node_floor_rel=tol["node_floor"])
         checks.append({
@@ -433,24 +433,8 @@ def build_slit_state(section, spec) -> PlaneWaveSuperposition:
     weights exp(-j^2 / (2 sigma^2)); the second bundle has the transverse
     indices negated.  bundle_width 0 gives the pure two-beam case.
     """
-    sources = section.get("sources", 2)
-    if sources not in (1, 2):
-        raise ConfigError("doubleslit.sources must be 1 or 2", field="doubleslit.sources")
-    m_f = section.get("forward_mode", 3)
-    m_t = section.get("transverse_mode", 1)
-    width = section.get("bundle_width", 0)
-    for name, value in (("forward_mode", m_f), ("transverse_mode", m_t),
-                        ("bundle_width", width)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ConfigError(f"doubleslit.{name} must be a nonnegative integer",
-                              field=f"doubleslit.{name}")
-    if m_f == 0 or m_t == 0:
-        raise ConfigError("doubleslit forward_mode and transverse_mode must be nonzero",
-                          field="doubleslit")
-    sigma = _require_number(section, "bundle_sigma", "doubleslit.bundle_sigma",
-                            positive=True) if "bundle_sigma" in section else 1.0
-    ratio = _require_number(section, "intensity_ratio", "doubleslit.intensity_ratio",
-                            positive=True) if "intensity_ratio" in section else 1.0
+    m_f, m_t, width = section["forward_mode"], section["transverse_mode"], section["bundle_width"]
+    sigma, ratio = section["bundle_sigma"], section["intensity_ratio"]
     limit = spec.n_per_axis // 2 - 1
     if m_f > limit or m_t + width > limit:
         raise ConfigError(
@@ -462,7 +446,7 @@ def build_slit_state(section, spec) -> PlaneWaveSuperposition:
     weights = weights ** 2 / (weights ** 2).sum()
     unit = 2.0 * np.pi / spec.box_length
     waves = []
-    for source_sign, source_intensity in ((1, 1.0), (-1, ratio))[:sources]:
+    for source_sign, source_intensity in ((1, 1.0), (-1, ratio))[:section["sources"]]:
         for j, w in zip(offsets, weights):
             m = source_sign * (m_t + int(j))
             if m == 0:
@@ -487,36 +471,30 @@ def _fringe_measurement(profile, box_length):
 def cmd_doubleslit(args):
     config = load_config(args.config)
     tol = parse_tolerances(args.tolerance)
-    spec = build_grid(config)
-    section = config["doubleslit"]
-    times = section.get("times", [0.0])
-    if (not isinstance(times, list) or not times
-            or not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in times)):
-        raise ConfigError("doubleslit.times must be a non-empty list of numbers",
-                          field="doubleslit.times")
+    grid, units, section = config["grid"], config["units"], config["doubleslit"]
+    spec = GridSpec(grid["n"], grid["L"], units["c"], units["hbar"])
+    state = build_slit_state(section, spec)
     out = _out_dir(args)
 
-    state = build_slit_state(section, spec)
     weber = forward_transform(sample_to_grid(state, spec, t=0.0))
-
     y = spec.axis_coordinates()
     frames = []
     profiles = []
-    for t in times:
-        weber = evolve(weber, float(t) - weber.time, transversality_tol=tol["transversality"])
+    for t in section["times"]:
+        weber = evolve(weber, t - weber.time, transversality_tol=tol["transversality"])
         flow = probability_flow(to_position(photon_wavefunction(weber, dc_tolerance=tol["dc"])))
         profile = flow.rho.mean(axis=(0, 2))
         profiles.append(profile)
-        frames.append(np.column_stack([np.full_like(y, float(t)), y, profile]))
+        frames.append(np.column_stack([np.full_like(y, t), y, profile]))
     table = np.vstack(frames)
     np.savetxt(out / "frames.csv", table, delimiter=",", header="t,y,rho", comments="")
 
     spacing, visibility = _fringe_measurement(profiles[0], spec.box_length)
-    m_t = section.get("transverse_mode", 1)
-    expected = spec.box_length / (2 * m_t) if section.get("sources", 2) == 2 else None
+    m_t = section["transverse_mode"]
+    expected = spec.box_length / (2 * m_t) if section["sources"] == 2 else None
     summary = {
-        "sources": section.get("sources", 2),
-        "times": [float(t) for t in times],
+        "sources": section["sources"],
+        "times": section["times"],
         "grid": {"n": spec.n_per_axis, "L": spec.box_length, "cell": spec.dx},
         "component_count": len(state.components),
         "fringe_spacing": spacing,
@@ -543,10 +521,10 @@ def cmd_info(args):
         doc = (factory.__doc__ or "").strip().splitlines()[0]
         print(f"  {name:20s} {doc}")
     print("\ndefault tolerances (--tolerance KEY=VALUE):")
-    for key, value in DEFAULT_TOLERANCES.items():
+    for key, (value, _) in TOLERANCES.items():
         print(f"  {key:16s} {value:g}")
     print("\ndefault config:")
-    print(json.dumps(DEFAULT_CONFIG, indent=2))
+    print(json.dumps(_defaults(SCHEMA), indent=2))
     print(
         "\nPHWF1 field container: 'PHWF1' magic, uint32 n, float64 L, c, hbar,\n"
         "1-byte representation tag (0 position, 1 momentum), float64 time,\n"

@@ -62,7 +62,15 @@ def read_weber(path) -> WeberGrid:
         raise FieldValidationError(
             f"{path}: payload is {len(raw) - _HEADER.size} bytes, "
             f"expected {expected - _HEADER.size} for n = {n}")
+    if not np.isfinite(time):
+        raise FieldValidationError(f"{path}: header time {time!r} is not finite")
     flat = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        point, offset = divmod(int(np.argmin(finite)), 6)
+        raise FieldValidationError(
+            f"{path}: payload is non-finite at grid index "
+            f"{(point % n, point // n % n, point // (n * n))}, component {offset // 2}")
     zyx = flat.reshape(n, n, n, 3, 2)
     field = (zyx[..., 0] + 1j * zyx[..., 1]).transpose(2, 1, 0, 3)
     spec = GridSpec(int(n), box_length, c, hbar)

@@ -12,9 +12,9 @@ import sys
 import numpy as np
 import pytest
 
-from photonflow import __version__
+from photonflow import GridSpec, WeberGrid, __version__
 from photonflow.cli import main
-from photonflow.fieldio import read_weber
+from photonflow.fieldio import read_weber, write_weber
 
 
 def _write_config(tmp_path, config, name="config.json"):
@@ -316,10 +316,12 @@ def test_off_grid_wave_vector_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_unknown_tolerance_key_exits_2(tmp_path, capsys):
-    rc, _ = _run(tmp_path, "evolve", extra=["--tolerance", "bogus=1e-3"])
+@pytest.mark.parametrize("pair", ["bogus=1e-3", "audit=nan", "dc=-1", "transversality=inf"],
+                         ids=["bogus", "nan-audit", "negative-dc", "inf-transversality"])
+def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
+    rc, _ = _run(tmp_path, "evolve", extra=["--tolerance", pair])
     assert rc == 2
-    assert "bogus" in capsys.readouterr().err
+    assert f"(field: tolerance.{pair.partition('=')[0]})" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, config, field", [
@@ -337,8 +339,14 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys):
      "state.wavenumber"),
     ("evolve", {"state": {"preset": "single-wave", "intensity": float("nan")}},
      "state.intensity"),
+    ("evolve", {"evolve": {"times": [0.0, float("inf")]}}, "evolve.times[1]"),
+    ("doubleslit", {"doubleslit": {"times": [0.0, float("inf")]}}, "doubleslit.times[1]"),
+    ("evolve", {"evolve": {"normalize": "no"}}, "evolve.normalize"),
+    ("trajectories", {"trajectories": {"stpe": 0.1}}, "trajectories.stpe"),
+    ("doubleslit", {"doubleslit": {"sources": True}}, "doubleslit.sources"),
 ], ids=["nan-point", "no-points", "inf-boost", "text-phase", "nan-phase",
-        "text-preset-arg", "nan-preset-arg"])
+        "text-preset-arg", "nan-preset-arg", "inf-evolve-time", "inf-slit-time",
+        "text-normalize", "misspelled-key", "bool-sources"])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, command,
                                                    config, field):
     rc, _ = _run(tmp_path, command, config=config)
@@ -366,6 +374,18 @@ def test_corrupt_state_file_exits_1(tmp_path):
     rc, _ = _run(tmp_path, "evolve",
                  config={"state": {"file": str(bad)}, "evolve": {"times": [0.0]}})
     assert rc == 1
+
+
+def test_state_file_with_nan_time_exits_1(tmp_path, capsys):
+    bad = tmp_path / "nan-time.phwf"
+    spec = GridSpec(4, 2.0 * np.pi)
+    write_weber(bad, WeberGrid(np.zeros((4, 4, 4, 3), complex), spec, "momentum",
+                               time=float("nan")))
+    rc, out = _run(tmp_path, "evolve",
+                   config={"state": {"file": str(bad)}, "evolve": {"times": [0.0]}})
+    assert rc == 1
+    assert "header time nan is not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tolerance_override_changes_behavior(tmp_path):

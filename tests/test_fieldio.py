@@ -88,6 +88,23 @@ def test_bad_representation_tag_rejected(tmp_path, rng):
         read_weber(path)
 
 
+@pytest.mark.parametrize("offset, value, message", [
+    # the header's last float64 is the time
+    (struct.calcsize("<5sIdddB"), np.nan, "header time nan"),
+    # float64 number 33 of the payload: point 5 = (ix 1, iy 0, iz 1), Im Fy
+    (struct.calcsize("<5sIdddBd") + 8 * 33, np.nan, r"grid index \(1, 0, 1\), component 1"),
+    (struct.calcsize("<5sIdddBd") + 8 * 33, -np.inf, r"grid index \(1, 0, 1\), component 1"),
+], ids=["nan-time", "nan-payload", "inf-payload"])
+def test_non_finite_values_rejected(tmp_path, rng, offset, value, message):
+    path = tmp_path / "field.phwf"
+    write_weber(path, _random_grid(rng, n=2))
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, offset, value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FieldValidationError, match=message):
+        read_weber(path)
+
+
 def test_write_csv_header_and_columns(tmp_path):
     path = tmp_path / "data.csv"
     write_csv(path, "a,b", [np.array([1.0, 2.0]), np.array([3.0, 4.0])])
