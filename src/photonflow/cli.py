@@ -1,7 +1,8 @@
 """Command-line front end: evolve, boost-audit, trajectories, doubleslit, info.
 
-Every subcommand reads an optional JSON config (--config), writes data
-files into --out, and prints a short human-readable summary.  All
+Every subcommand but info reads an optional JSON config (--config),
+writes data files into --out, and prints a short human-readable summary;
+info only prints the presets, tolerances and default config.  All
 randomness is seeded (--seed), all numeric output is deterministic.
 
 Config layout (any subset; missing keys take the defaults shown by
@@ -74,9 +75,27 @@ _positive = _kind("a finite number > 0", lambda v: _real(v) and v > 0, float)
 _fraction_of_c = _kind("a fraction of c with 0 <= u < 1",
                        lambda v: _real(v) and 0 <= v < 1, float)
 _flag = _kind("true or false", lambda v: type(v) is bool)
-_vector3 = _kind("three finite numbers",
-                 lambda v: type(v) is list and len(v) == 3 and all(map(_real, v)),
-                 lambda v: np.array(v, dtype=float))
+
+
+def _is_vector3(value):
+    return type(value) is list and len(value) == 3 and all(map(_real, value))
+
+
+def _as_array(value):
+    return np.array(value, dtype=float)
+
+
+def _has_length(value):
+    # a direction is divided by its length, so that must be finite and > 0
+    if not _is_vector3(value):
+        return False
+    with np.errstate(over="ignore", under="ignore"):
+        return 0.0 < np.linalg.norm(_as_array(value)) < np.inf
+
+
+_vector3 = _kind("three finite numbers", _is_vector3, _as_array)
+_direction = _kind("three finite numbers with a finite, nonzero length", _has_length,
+                   _as_array)
 
 
 def _integer(low):
@@ -137,7 +156,7 @@ SCHEMA = {
     "units": {"c": (1.0, _positive), "hbar": (1.0, _positive)},
     "grid": {"n": (32, _integer(2)), "L": (2.0 * np.pi, _positive)},
     "state": ({"preset": "single-wave"}, _state),
-    "boost": {"direction": ([0.0, 0.0, 1.0], _vector3), "u": (0.5, _fraction_of_c)},
+    "boost": {"direction": ([0.0, 0.0, 1.0], _direction), "u": (0.5, _fraction_of_c)},
     "evolve": {"times": ([0.0, 1.0, 2.0], _list_of(_number)),
                "normalize": (False, _flag)},
     "audit": {"u": (0.5, _fraction_of_c), "k_right": (1.0, _positive),
@@ -149,7 +168,7 @@ SCHEMA = {
         "step": (0.05, _positive),
         "count": (16, _integer(1)),
         "line": {"origin": ([0.0, 0.0, 0.0], _vector3),
-                 "direction": ([0.0, 0.0, 1.0], _vector3),
+                 "direction": ([0.0, 0.0, 1.0], _direction),
                  "length": (2.0 * np.pi, _positive)},
         "initial_points": (None, _optional(_list_of(_vector3))),
         "check_event": {"x": ([0.0, 0.0, 0.0], _vector3), "t": (0.0, _number)},
@@ -561,7 +580,8 @@ def build_parser():
     }
     for name, (handler, help_text) in handlers.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        if handler is not cmd_info:  # info reads no config and writes no files
+            _add_common(p)
         p.set_defaults(handler=handler)
     return parser
 

@@ -39,13 +39,12 @@ def write_weber(path, weber: WeberGrid) -> None:
     spec = weber.spec
     header = _HEADER.pack(MAGIC, spec.n_per_axis, spec.box_length, spec.c,
                           spec.hbar, _REP_TAGS[weber.representation], weber.time)
-    zyx = weber.field.transpose(2, 1, 0, 3)
-    interleaved = np.empty(zyx.shape + (2,), dtype="<f8")
-    interleaved[..., 0] = zyx.real
-    interleaved[..., 1] = zyx.imag
+    # a little-endian complex128 is the pair Re, Im of float64s, so the
+    # z, y, x-ordered copy already holds the payload bytes
+    zyx = np.ascontiguousarray(weber.field.transpose(2, 1, 0, 3), dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(interleaved.tobytes())
+        fh.write(memoryview(zyx))
 
 
 def read_weber(path) -> WeberGrid:
@@ -64,15 +63,14 @@ def read_weber(path) -> WeberGrid:
             f"expected {expected - _HEADER.size} for n = {n}")
     if not np.isfinite(time):
         raise FieldValidationError(f"{path}: header time {time!r} is not finite")
-    flat = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    finite = np.isfinite(flat)
+    payload = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
+    finite = np.isfinite(payload)
     if not finite.all():
-        point, offset = divmod(int(np.argmin(finite)), 6)
+        point, component = divmod(int(np.argmin(finite)), 3)
         raise FieldValidationError(
             f"{path}: payload is non-finite at grid index "
-            f"{(point % n, point // n % n, point // (n * n))}, component {offset // 2}")
-    zyx = flat.reshape(n, n, n, 3, 2)
-    field = (zyx[..., 0] + 1j * zyx[..., 1]).transpose(2, 1, 0, 3)
+            f"{(point % n, point // n % n, point // (n * n))}, component {component}")
+    field = payload.reshape(n, n, n, 3).transpose(2, 1, 0, 3)
     spec = GridSpec(int(n), box_length, c, hbar)
     return WeberGrid(field, spec, _TAG_REPS[tag], time)
 

@@ -220,8 +220,9 @@ def total_energy(weber: WeberGrid) -> float:
     two agree to roundoff by the Parseval identity of the transform
     convention; keeping both routes makes that identity testable.
     """
-    f = weber.field
-    quad = (f.real ** 2 + f.imag ** 2).sum() / (8.0 * np.pi)
+    # einsum, not a BLAS dot: same speed, and no BLAS threads left spinning
+    flat = weber.field.view(np.float64)
+    quad = np.einsum("xyzc,xyzc->", flat, flat) / (8.0 * np.pi)
     if weber.representation == POSITION:
         return float(quad * weber.spec.dx ** 3)
     return float(quad * weber.spec.dk ** 3)

@@ -67,9 +67,9 @@ class ProbabilityFlow:
 
 
 def _check_dc_content(weber: WeberGrid, dc_tolerance: float):
-    f = weber.field
-    total = float((f.real ** 2 + f.imag ** 2).sum())
-    dc = float((f.real[0, 0, 0] ** 2 + f.imag[0, 0, 0] ** 2).sum())
+    flat = weber.field.view(np.float64)  # (n, n, n, 6): Re/Im pairs per component
+    total = float(np.einsum("xyzc,xyzc->", flat, flat))
+    dc = float(np.einsum("c,c->", flat[0, 0, 0], flat[0, 0, 0]))
     if total > 0.0 and dc > dc_tolerance * total:
         raise DCContentError(
             f"k = 0 mode carries fraction {dc / total:.3e} of |F~|^2 "
@@ -84,10 +84,8 @@ def photon_wavefunction(weber: WeberGrid,
         raise RepresentationError("photon_wavefunction expects a momentum-representation field")
     _check_dc_content(weber, dc_tolerance)
     spec = weber.spec
-    k = kgrid(spec).k_norm.copy()
-    k[0, 0, 0] = 1.0
-    phi = weber.field / np.sqrt(8.0 * np.pi * spec.hbar * spec.c * k)[..., None]
-    phi[0, 0, 0, :] = 0.0
+    weight = np.sqrt(kgrid(spec).inv_k / (8.0 * np.pi * spec.hbar * spec.c))
+    phi = weber.field * weight[..., None]
     return PhotonWaveFunction(phi, spec, MOMENTUM, weber.time)
 
 
@@ -114,14 +112,9 @@ def photon_number(weber: WeberGrid,
         raise RepresentationError("photon_number expects a momentum-representation field")
     _check_dc_content(weber, dc_tolerance)
     spec = weber.spec
-    kg = kgrid(spec)
-    f = weber.field
-    mode_energy = (f.real ** 2 + f.imag ** 2).sum(axis=-1)
-    k = kg.k_norm.copy()
-    k[0, 0, 0] = 1.0
-    per_mode = mode_energy / k
-    per_mode[0, 0, 0] = 0.0
-    return float(per_mode.sum() * spec.dk ** 3 / (8.0 * np.pi * spec.hbar * spec.c))
+    flat = weber.field.view(np.float64)  # (n, n, n, 6): Re/Im pairs per component
+    weighted = np.einsum("xyzc,xyzc,xyz->", flat, flat, kgrid(spec).inv_k)
+    return float(weighted * spec.dk ** 3 / (8.0 * np.pi * spec.hbar * spec.c))
 
 
 def normalize_single_photon(weber: WeberGrid,
@@ -191,7 +184,7 @@ def _flow_of(weber_momentum: WeberGrid, recipe: str,
 def _spectral_divergence(vec: np.ndarray, spec: GridSpec) -> np.ndarray:
     kg = kgrid(spec)
     vk = np.fft.fftn(vec, axes=(0, 1, 2))
-    div_k = 1j * np.einsum("...i,...i->...", kg.wave_vectors, vk)
+    div_k = 1j * (kg.kx * vk[..., 0] + kg.ky * vk[..., 1] + kg.kz * vk[..., 2])
     return np.fft.ifftn(div_k, axes=(0, 1, 2)).real
 
 

@@ -21,6 +21,14 @@ propagator exact rather than a finite-difference approximation.  Taking
 a second time derivative gives the wave (Klein-Gordon, massless)
 equation d2F/dt2 = c^2 lap F; klein_gordon_residual checks it with a
 central difference in time against the spectral Laplacian.
+
+KGrid holds the wave vectors of a grid as three broadcast axes kx, ky, kz
+plus two (n, n, n) arrays, |k| and 1/|k| (0 at k = 0).  evolve and
+transversality_residual share one kernel that walks the field in slabs
+of a few x-planes: per slab it forms k . F~ once and uses it for the
+NaN-closed transversality gate and for the rotation, whose output goes
+straight into one preallocated array, so the kernel's other temporaries
+are slab-sized.
 """
 
 from __future__ import annotations
@@ -37,31 +45,43 @@ _TWO_PI_3_2 = (2.0 * np.pi) ** 1.5
 # Absolute floor used only to avoid 0/0 in residual quotients.
 _RESIDUAL_FLOOR = 1e-300
 
+# x-planes per slab of the one-pass kernel (_sweep).  At n = 128 a slab
+# temporary is 0.5 MiB; 1 and 2 planes ran fastest there, 4 and 8 slower.
+_SLAB_PLANES = 2
+
 
 class KGrid:
     """Wave vectors of the discrete Fourier modes of a GridSpec.
 
     Built from signed integer indices (0, 1, ..., n/2-1, -n/2, ..., -1
     per axis) so |k| values are reproducible from the indices bit-exactly.
+    ``kx``, ``ky``, ``kz`` are the wave-vector components as broadcast axes
+    of shapes (n, 1, 1), (1, n, 1) and (1, 1, n); ``k_norm`` is |k| and
+    ``inv_k`` is 1/|k| (0 at k = 0), the only (n, n, n) arrays held.
     """
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
         n = spec.n_per_axis
         idx = ((np.arange(n) + n // 2) % n) - n // 2
-        ii = np.empty((n, n, n, 3))
-        ii[..., 0] = idx[:, None, None]
-        ii[..., 1] = idx[None, :, None]
-        ii[..., 2] = idx[None, None, :]
-        self.mode_indices = ii.astype(np.int64)
-        self.wave_vectors = spec.dk * ii
-        self.k_norm = spec.dk * np.sqrt((ii ** 2).sum(axis=-1))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            khat = np.where(self.k_norm[..., None] > 0,
-                            self.wave_vectors / np.where(self.k_norm[..., None] > 0,
-                                                         self.k_norm[..., None], 1.0),
-                            0.0)
-        self.k_hat = khat
+        axis = spec.dk * idx
+        self.kx, self.ky, self.kz = (axis.reshape(shape)
+                                     for shape in ((n, 1, 1), (1, n, 1), (1, 1, n)))
+        sq = idx.astype(float) ** 2
+        self.k_norm = spec.dk * np.sqrt(sq[:, None, None] + sq[None, :, None] + sq[None, None, :])
+        self.inv_k = np.divide(1.0, self.k_norm, out=np.zeros_like(self.k_norm),
+                               where=self.k_norm > 0)
+
+    @property
+    def wave_vectors(self) -> np.ndarray:
+        """(n, n, n, 3) wave vectors, built on each access."""
+        return np.stack(np.broadcast_arrays(self.kx, self.ky, self.kz), axis=-1)
+
+    @property
+    def k_hat(self) -> np.ndarray:
+        """(n, n, n, 3) unit wave vectors (0 at k = 0), built on each access."""
+        k, norm = self.wave_vectors, self.k_norm[..., None]
+        return np.divide(k, norm, out=np.zeros_like(k), where=norm > 0)
 
 
 @lru_cache(maxsize=32)
@@ -93,6 +113,51 @@ def inverse_transform(weber: WeberGrid) -> WeberGrid:
                      POSITION, weber.time)
 
 
+def _sweep(weber: WeberGrid, c_dt=None):
+    """One slab-wise pass over a momentum field: (residual, rotated).
+
+    ``residual`` is the transversality residual; ``rotated`` is the field
+    with each mode rotated about k-hat by the angle |k| c_dt, or None when
+    c_dt is None.  Per slab of x-planes the kernel forms k . F~ once and
+    uses it for both; every full-size array it allocates is the output.
+    """
+    kg = kgrid(weber.spec)
+    f = weber.field
+    flat = f.view(np.float64)
+    rotated = None if c_dt is None else np.empty_like(f)
+    longitudinal = peak_sq = 0.0
+    # non-finite entries give NaN products here; the residual reports them
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start in range(0, weber.spec.n_per_axis, _SLAB_PLANES):
+            xs = slice(start, start + _SLAB_PLANES)
+            g = np.moveaxis(f[xs], -1, 0).copy()  # components of the slab, contiguous
+            k = (kg.kx[xs], kg.ky, kg.kz)
+            inv_k = kg.inv_k[xs]
+            k_dot_f = k[0] * g[0] + k[1] * g[1] + k[2] * g[2]
+            # np.maximum, not max(): max(0.0, nan) is 0.0, and a NaN must reach the gate
+            longitudinal = np.maximum(longitudinal, (np.abs(k_dot_f) * inv_k).max())
+            peak_sq = np.maximum(peak_sq, np.einsum("...i,...i->...", flat[xs], flat[xs]).max())
+            if rotated is None:
+                continue
+            # Rodrigues with the unnormalized k, 1/|k| folded into the weights:
+            # F~ cos + (k x F~) sin / |k| + k (k . F~) (1 - cos) / |k|^2
+            theta = kg.k_norm[xs] * c_dt
+            cos = np.cos(theta)
+            sin_k = np.sin(theta) * inv_k
+            along = k_dot_f * ((1.0 - cos) * inv_k ** 2)
+            for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+                term = k[j] * g[l]
+                term -= k[l] * g[j]
+                term *= sin_k
+                term += k[i] * along
+                term += cos * g[i]
+                rotated[xs, ..., i] = term
+    peak = np.sqrt(peak_sq)
+    # an infinite peak would scale any longitudinal part to 0: report NaN so gates fail
+    residual = longitudinal / (peak + _RESIDUAL_FLOOR) if np.isfinite(peak) else np.nan
+    return float(residual), rotated
+
+
 def transversality_residual(weber: WeberGrid) -> float:
     """max over modes k != 0 of |k-hat . F~(k)|, relative to the spectral peak.
 
@@ -100,16 +165,12 @@ def transversality_residual(weber: WeberGrid) -> float:
     Normalizing by max_k |F~| instead of each mode's own |F~| keeps FFT
     rounding noise (tiny amplitude, random direction) from dominating the
     figure while a genuine longitudinal component of size alpha still
-    reports at the alpha / |transverse| scale.
+    reports at the alpha / |transverse| scale.  Any non-finite entry makes
+    the residual NaN.
     """
     if weber.representation != MOMENTUM:
         raise RepresentationError("transversality_residual expects a momentum-representation field")
-    kg = kgrid(weber.spec)
-    f = weber.field
-    longitudinal = np.abs(np.einsum("...i,...i->...", kg.k_hat, f))
-    longitudinal[kg.k_norm == 0] = 0.0
-    peak = np.sqrt((f.real ** 2 + f.imag ** 2).sum(axis=-1)).max()
-    return float(longitudinal.max() / (peak + _RESIDUAL_FLOOR))
+    return _sweep(weber)[0]
 
 
 def project_transverse(weber: WeberGrid) -> WeberGrid:
@@ -118,8 +179,15 @@ def project_transverse(weber: WeberGrid) -> WeberGrid:
         raise RepresentationError("project_transverse expects a momentum-representation field")
     kg = kgrid(weber.spec)
     f = weber.field
-    longitudinal = np.einsum("...i,...i->...", kg.k_hat, f)[..., None] * kg.k_hat
-    return WeberGrid(f - longitudinal, weber.spec, MOMENTUM, weber.time)
+    # k / |k| by division, so an axis-aligned mode gets an exact unit vector
+    # and a second projection removes nothing
+    k_hat = [np.divide(k, kg.k_norm, out=np.zeros_like(kg.k_norm), where=kg.k_norm > 0)
+             for k in (kg.kx, kg.ky, kg.kz)]
+    along = k_hat[0] * f[..., 0] + k_hat[1] * f[..., 1] + k_hat[2] * f[..., 2]
+    projected = f.copy()
+    for i, k in enumerate(k_hat):
+        projected[..., i] -= k * along
+    return WeberGrid(projected, weber.spec, MOMENTUM, weber.time)
 
 
 def evolve(weber: WeberGrid, dt: float, transversality_tol: float = 1e-10) -> WeberGrid:
@@ -130,7 +198,8 @@ def evolve(weber: WeberGrid, dt: float, transversality_tol: float = 1e-10) -> We
     dF~/dt = c k x F~.  The rotation preserves |F~(k)| per mode and the
     transversality residual; evolve(dt1) o evolve(dt2) = evolve(dt1+dt2)
     to roundoff.  dt < 0 runs the dynamics backwards.  The k = 0 mode is
-    carried through unchanged.
+    carried through unchanged.  The transversality gate and the rotation
+    share one slab-wise pass; a state that fails the gate is discarded.
 
     Parameters
     ----------
@@ -142,19 +211,11 @@ def evolve(weber: WeberGrid, dt: float, transversality_tol: float = 1e-10) -> We
     """
     if weber.representation != MOMENTUM:
         raise RepresentationError("evolve expects a momentum-representation field")
-    residual = transversality_residual(weber)
+    residual, rotated = _sweep(weber, weber.spec.c * dt)
     if not residual <= transversality_tol:  # NaN fails too
         raise TransversalityError(
             f"state has transversality residual {residual:.3e} > {transversality_tol:.1e}; "
             "project_transverse it first")
-    kg = kgrid(weber.spec)
-    theta = kg.k_norm * weber.spec.c * dt
-    cos_t = np.cos(theta)[..., None]
-    sin_t = np.sin(theta)[..., None]
-    f = weber.field
-    khat = kg.k_hat
-    k_dot_f = np.einsum("...i,...i->...", khat, f)[..., None]
-    rotated = f * cos_t + np.cross(khat, f) * sin_t + khat * k_dot_f * (1.0 - cos_t)
     return WeberGrid(rotated, weber.spec, MOMENTUM, weber.time + dt)
 
 

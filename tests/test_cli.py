@@ -49,6 +49,17 @@ def test_info_prints_version_presets_and_tolerances(capsys):
     assert "PHWF1" in text
 
 
+@pytest.mark.parametrize("option", [["--config", "absent.json"], ["--out", "x"],
+                                    ["--seed", "3"], ["--tolerance", "audit=nan"]],
+                         ids=["config", "out", "seed", "tolerance"])
+def test_info_rejects_run_options(capsys, option):
+    # info reads no config and writes nothing, so a run option is an error, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["info"] + option)
+    assert exc.value.code == 2
+    assert option[0] in capsys.readouterr().err
+
+
 def test_console_script_runs():
     result = subprocess.run(
         [sys.executable, "-m", "photonflow", "info"],
@@ -344,9 +355,16 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
     ("evolve", {"evolve": {"normalize": "no"}}, "evolve.normalize"),
     ("trajectories", {"trajectories": {"stpe": 0.1}}, "trajectories.stpe"),
     ("doubleslit", {"doubleslit": {"sources": True}}, "doubleslit.sources"),
+    ("trajectories", {"trajectories": {"line": {"direction": [0, 0, 0]}}},
+     "trajectories.line.direction"),
+    ("trajectories", {"trajectories": {"line": {"direction": [1e200, 1e200, 0]}}},
+     "trajectories.line.direction"),
+    ("trajectories", {"boost": {"direction": [0.0, -0.0, 0.0], "u": 0.5}},
+     "boost.direction"),
 ], ids=["nan-point", "no-points", "inf-boost", "text-phase", "nan-phase",
         "text-preset-arg", "nan-preset-arg", "inf-evolve-time", "inf-slit-time",
-        "text-normalize", "misspelled-key", "bool-sources"])
+        "text-normalize", "misspelled-key", "bool-sources", "zero-line-direction",
+        "overflowing-line-direction", "zero-boost-direction"])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, command,
                                                    config, field):
     rc, _ = _run(tmp_path, command, config=config)

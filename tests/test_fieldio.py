@@ -59,6 +59,25 @@ def test_payload_is_x_fastest_interleaved(tmp_path, rng):
     assert_allclose(point1[1::2], expected.imag, atol=0)
 
 
+def test_payload_bytes_match_a_hand_packed_reference(tmp_path):
+    spec = GridSpec(2, 2.0 * np.pi, 1.5, 0.25)
+    values = np.arange(1.0, 25.0)
+    field = (values / 7.0 - 1j * values * 3.0).reshape(2, 2, 2, 3)  # all distinct
+    field[1, 0, 1, 2] = complex(-0.0, 5e-324)  # signed zero and a subnormal
+    path = tmp_path / "field.phwf"
+    write_weber(path, WeberGrid(field, spec, representation="momentum", time=0.125))
+    expected = struct.pack("<5sIdddBd", b"PHWF1", 2, spec.box_length, 1.5, 0.25, 1, 0.125)
+    for iz in range(2):
+        for iy in range(2):
+            for ix in range(2):  # x fastest
+                for value in field[ix, iy, iz]:
+                    expected += struct.pack("<dd", value.real, value.imag)
+    assert path.read_bytes() == expected
+    back = read_weber(path)
+    assert back.field.dtype == np.complex128
+    assert back.field.tobytes() == field.tobytes()  # bit-exact, -0.0 included
+
+
 def test_bad_magic_rejected(tmp_path, rng):
     path = tmp_path / "field.phwf"
     write_weber(path, _random_grid(rng))

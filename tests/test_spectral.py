@@ -1,5 +1,7 @@
 """Fourier conventions, transversality handling, and the exact propagator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +9,7 @@ from scipy.linalg import expm
 
 from photonflow import (GridSpec, WeberGrid, evolve, forward_transform,
                         inverse_transform, klein_gordon_residual,
-                        project_transverse, sample_to_grid, single_wave,
+                        photon_number, project_transverse, sample_to_grid, single_wave,
                         total_energy, transversality_residual)
 from photonflow.errors import RepresentationError, TransversalityError
 from photonflow.planewaves import counterprop_pair, eval_weber
@@ -26,9 +28,16 @@ def _random_transverse(spec, rng):
 
 def test_mode_indices_cover_symmetric_range(spec8):
     kg = kgrid(spec8)
-    assert kg.mode_indices.dtype == np.int64
-    assert sorted(kg.mode_indices[:, 0, 0, 0]) == list(range(-4, 4))
-    assert_allclose(kg.wave_vectors, kg.mode_indices * spec8.dk, atol=0)
+    assert (kg.kx.shape, kg.ky.shape, kg.kz.shape) == ((8, 1, 1), (1, 8, 1), (1, 1, 8))
+    indices = kg.kx.ravel() / spec8.dk
+    assert list(indices) == [0, 1, 2, 3, -4, -3, -2, -1]
+    assert_allclose(kg.ky.ravel(), kg.kx.ravel(), atol=0)
+    assert_allclose(kg.kz.ravel(), kg.kx.ravel(), atol=0)
+    ix, iy, iz = np.meshgrid(indices, indices, indices, indexing="ij")
+    assert_allclose(kg.wave_vectors, np.stack([ix, iy, iz], axis=-1) * spec8.dk, atol=0)
+    assert_allclose(kg.k_norm, spec8.dk * np.sqrt(ix ** 2 + iy ** 2 + iz ** 2), atol=0)
+    assert kg.inv_k[0, 0, 0] == 0.0
+    assert_allclose(kg.inv_k[kg.k_norm > 0], 1.0 / kg.k_norm[kg.k_norm > 0], rtol=1e-15)
 
 
 def test_k_hat_vanishes_at_dc(spec8):
@@ -196,6 +205,61 @@ def test_evolve_rejects_a_nan_entry(spec8):
     tilde.field[1, 2, 3, 0] = np.nan
     with pytest.raises(TransversalityError):
         evolve(tilde, 0.1)
+
+
+def test_evolve_rejects_a_nan_in_the_last_slab(spec8):
+    # the last x-plane is always in the last slab; its NaN must survive the
+    # reduction over slabs (Python's max(0.0, nan) would drop it)
+    tilde = forward_transform(sample_to_grid(single_wave(), spec8))
+    tilde.field[7, 2, 3, 1] = np.nan
+    assert np.isnan(transversality_residual(tilde))
+    with pytest.raises(TransversalityError):
+        evolve(tilde, 0.1)
+
+
+def test_evolve_rejects_an_inf_in_the_dc_mode(spec8):
+    # k = 0 carries no transversality constraint; a residual that masks it out
+    # sees the inf only through the peak, which would scale the residual to 0
+    tilde = forward_transform(sample_to_grid(single_wave(), spec8))
+    tilde.field[0, 0, 0, 2] = np.inf
+    assert np.isnan(transversality_residual(tilde))
+    with pytest.raises(TransversalityError):
+        evolve(tilde, 0.1)
+
+
+def test_evolve_matches_matrix_exponential_for_odd_n(rng):
+    # n = 7 is no multiple of the slab size, so the last slab is a short one
+    spec = GridSpec(7, 2.0 * np.pi, c=1.3)
+    weber = _random_transverse(spec, rng)
+    dt = -0.61
+    evolved = evolve(weber, dt)
+    wave_vectors = kgrid(spec).wave_vectors
+    for ix in np.ndindex(7, 7, 7):
+        kx, ky, kz = wave_vectors[ix]
+        cross = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+        assert_allclose(evolved.field[ix], expm(spec.c * dt * cross) @ weber.field[ix],
+                        rtol=1e-12, atol=1e-12)
+
+
+def test_evolve_and_photon_number_work_in_slabs(rng):
+    # beyond its input, evolve holds its output plus slab-sized temporaries,
+    # and photon_number no full-size temporary at all
+    spec = GridSpec(32, 2.0 * np.pi)
+    weber = _random_transverse(spec, rng)
+    weber.field[0, 0, 0] = 0.0  # photon_number rejects DC content
+    kgrid(spec)  # the cached wave vectors are not working memory
+    budget = {}
+    tracemalloc.start()
+    try:
+        for name, call, limit in (("evolve", lambda: evolve(weber, 0.3), 1.5),
+                                  ("photon_number", lambda: photon_number(weber), 0.5)):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            budget[name] = (tracemalloc.get_traced_memory()[1] - before) / weber.field.nbytes
+            assert budget[name] < limit, budget
+    finally:
+        tracemalloc.stop()
 
 
 def test_evolve_rejects_position_representation(spec8, rng):
