@@ -32,12 +32,8 @@ from .lorentz import Boost, boost_event, boost_plane_wave, velocity_addition
 from .planewaves import PHI_BASED, CompiledState, PlaneWaveSuperposition, flow_recipe
 
 SPEED_SLACK = 1e-9
-
-
-def density_upper_bound(state: PlaneWaveSuperposition, guidance: str = PHI_BASED,
-                        *, c: float = 1.0, hbar: float = 1.0) -> float:
-    """A bound on the guidance denominator valid at every point and time."""
-    return CompiledState(state, c, hbar).density_bound(flow_recipe(guidance))
+# points of the density table that sample_points_on_line inverts
+_LINE_SAMPLES = 4096
 
 
 def _velocity_field(state, guidance, c, hbar, node_floor_rel, **inputs):
@@ -174,8 +170,7 @@ def transport_ensemble(state: PlaneWaveSuperposition, points, t0: float, t1: flo
 def sample_points_on_line(state: PlaneWaveSuperposition, origin, direction,
                           length: float, n_points: int, rng,
                           guidance: str = PHI_BASED, *, t: float = 0.0,
-                          c: float = 1.0, hbar: float = 1.0,
-                          n_dense: int = 4096) -> np.ndarray:
+                          c: float = 1.0, hbar: float = 1.0) -> np.ndarray:
     """Draw points on a segment with probability proportional to the density.
 
     Inverse-CDF sampling on a dense tabulation of rho along
@@ -185,7 +180,7 @@ def sample_points_on_line(state: PlaneWaveSuperposition, origin, direction,
     origin = np.asarray(origin, dtype=float)
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
-    s = np.linspace(0.0, length, n_dense)
+    s = np.linspace(0.0, length, _LINE_SAMPLES)
     pts = origin + s[:, None] * direction
     rho, _ = CompiledState(state, c, hbar).flow(recipe, pts, t)
     ds = s[1] - s[0]

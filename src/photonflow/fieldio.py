@@ -81,25 +81,6 @@ def write_csv(path, header: str, columns) -> None:
     np.savetxt(path, table, delimiter=",", header=header, comments="")
 
 
-def field_to_csv(path, weber: WeberGrid) -> None:
-    """Position-representation field as x,y,z,ReFx,ImFx,ReFy,ImFy,ReFz,ImFz."""
-    mesh = weber.spec.position_mesh().reshape(-1, 3)
-    f = weber.field.reshape(-1, 3)
-    write_csv(path, "x,y,z,re_fx,im_fx,re_fy,im_fy,re_fz,im_fz",
-              [mesh[:, 0], mesh[:, 1], mesh[:, 2],
-               f[:, 0].real, f[:, 0].imag, f[:, 1].real, f[:, 1].imag,
-               f[:, 2].real, f[:, 2].imag])
-
-
-def flow_to_csv(path, flow) -> None:
-    """ProbabilityFlow as x,y,z,rho,jx,jy,jz (one row per grid node)."""
-    mesh = flow.spec.position_mesh().reshape(-1, 3)
-    rho = flow.rho.reshape(-1)
-    j = flow.current.reshape(-1, 3)
-    write_csv(path, "x,y,z,rho,jx,jy,jz",
-              [mesh[:, 0], mesh[:, 1], mesh[:, 2], rho, j[:, 0], j[:, 1], j[:, 2]])
-
-
 def trajectories_to_csv(path, trajectories) -> None:
     """Trajectory list as traj,t,x,y,z,vx,vy,vz,node_hit (node_hit 0/1 per trajectory)."""
     rows = []

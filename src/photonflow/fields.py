@@ -25,7 +25,7 @@ byte order (see fieldio) runs x fastest, then y, then z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +43,25 @@ for _a, _b, _c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _EPS[_a, _c, _b] = -1.0
 SPIN = -1j * _EPS
 S1, S2, S3 = SPIN[0], SPIN[1], SPIN[2]
+
+# poynting_vector's bound on the real residue of F* x F, relative to its scale
+_RESIDUE_TOL = 1e-10
+
+
+def check_real(name, value, shape=()) -> np.ndarray:
+    """value as a float array of the given shape, if it holds finite reals only.
+
+    Anything else (bool, str, None, complex, ragged or misshapen input)
+    raises FieldValidationError naming the argument; numpy scalars pass.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or arr.shape != shape or not np.isfinite(arr).all():
+        raise FieldValidationError(
+            f"{name} must be finite and real with shape {shape}, got {value!r}")
+    return arr.astype(float)
 
 
 @dataclass(frozen=True)
@@ -67,13 +86,14 @@ class GridSpec:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if int(self.n_per_axis) != self.n_per_axis or self.n_per_axis < 2:
+        n = check_real("n_per_axis", self.n_per_axis)
+        if int(n) != n or n < 2:
             raise FieldValidationError(
                 f"n_per_axis must be an integer >= 2, got {self.n_per_axis!r}")
         for name in ("box_length", "c", "hbar"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise FieldValidationError(f"{name} must be finite and > 0, got {value!r}")
+            if not check_real(name, value) > 0:
+                raise FieldValidationError(f"{name} must be > 0, got {value!r}")
 
     @property
     def dx(self) -> float:
@@ -82,10 +102,6 @@ class GridSpec:
     @property
     def dk(self) -> float:
         return 2.0 * np.pi / self.box_length
-
-    @property
-    def volume(self) -> float:
-        return self.box_length ** 3
 
     def axis_coordinates(self) -> np.ndarray:
         """Grid node coordinates along one axis: 0, dx, ..., L - dx."""
@@ -99,33 +115,6 @@ class GridSpec:
         out[..., 1] = x[None, :, None]
         out[..., 2] = x[None, None, :]
         return out
-
-
-def _check_field_array(arr, spec, name, complex_ok):
-    arr = np.asarray(arr)
-    n = spec.n_per_axis
-    if arr.shape != (n, n, n, 3):
-        raise FieldValidationError(
-            f"{name} must have shape {(n, n, n, 3)}, got {arr.shape}")
-    if np.iscomplexobj(arr):
-        if not complex_ok:
-            raise FieldValidationError(f"{name} must be real, got complex dtype")
-        return np.ascontiguousarray(arr, dtype=np.complex128)
-    return np.ascontiguousarray(arr, dtype=np.complex128 if complex_ok else np.float64)
-
-
-@dataclass
-class RealFieldPair:
-    """Electric and magnetic fields sampled on a grid at one instant."""
-
-    e_field: np.ndarray
-    b_field: np.ndarray
-    spec: GridSpec
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.e_field = _check_field_array(self.e_field, self.spec, "e_field", complex_ok=False)
-        self.b_field = _check_field_array(self.b_field, self.spec, "b_field", complex_ok=False)
 
 
 @dataclass
@@ -146,41 +135,15 @@ class WeberGrid:
         if self.representation not in _REPRESENTATIONS:
             raise RepresentationError(
                 f"representation must be one of {_REPRESENTATIONS}, got {self.representation!r}")
-        self.field = _check_field_array(self.field, self.spec, "field", complex_ok=True)
+        field = np.asarray(self.field)
+        n = self.spec.n_per_axis
+        if field.shape != (n, n, n, 3):
+            raise FieldValidationError(
+                f"field must have shape {(n, n, n, 3)}, got {field.shape}")
+        self.field = np.ascontiguousarray(field, dtype=np.complex128)
 
     def copy(self) -> "WeberGrid":
         return WeberGrid(self.field.copy(), self.spec, self.representation, self.time)
-
-
-def _first_nonfinite(arr):
-    bad = np.argwhere(~np.isfinite(arr))
-    return tuple(int(i) for i in bad[0]) if bad.size else None
-
-
-def weber_from_eb(fields: RealFieldPair) -> WeberGrid:
-    """Package E and B into the complex vector F = E + iB (pointwise)."""
-    for name, arr in (("e_field", fields.e_field), ("b_field", fields.b_field)):
-        loc = _first_nonfinite(arr)
-        if loc is not None:
-            raise FieldValidationError(
-                f"{name} is non-finite at grid index {loc[:3]}, component {loc[3]}")
-    return WeberGrid(fields.e_field + 1j * fields.b_field, fields.spec,
-                     POSITION, fields.time)
-
-
-def eb_from_weber(weber: WeberGrid) -> RealFieldPair:
-    """Split F back into E = Re F, B = Im F.
-
-    Only meaningful in position representation: the transform of a real
-    field is not real, it obeys the conjugation symmetry V~*(k) = V~(-k),
-    so a real/imaginary split of the momentum field is rejected.
-    """
-    if weber.representation != POSITION:
-        raise RepresentationError(
-            "eb_from_weber requires the position representation; the momentum "
-            "field has no physical real/imaginary split")
-    return RealFieldPair(weber.field.real.copy(), weber.field.imag.copy(),
-                         weber.spec, weber.time)
 
 
 def energy_density(weber: WeberGrid) -> np.ndarray:
@@ -191,11 +154,11 @@ def energy_density(weber: WeberGrid) -> np.ndarray:
     return (f.real ** 2 + f.imag ** 2).sum(axis=-1) / (8.0 * np.pi)
 
 
-def poynting_vector(weber: WeberGrid, residue_tol: float = 1e-10) -> np.ndarray:
+def poynting_vector(weber: WeberGrid) -> np.ndarray:
     """S(x) = (c/8pi i) F* x F = (c/4pi) E x B, a real (n, n, n, 3) array.
 
     F* x F is purely imaginary in exact (and, componentwise, in IEEE)
-    arithmetic; the real residue is checked against ``residue_tol``
+    arithmetic; the real residue is checked against _RESIDUE_TOL
     relative to mean(|S|) + mean(rho_E) c before being discarded.
     """
     if weber.representation != POSITION:
@@ -205,10 +168,11 @@ def poynting_vector(weber: WeberGrid, residue_tol: float = 1e-10) -> np.ndarray:
     s = (c / (8.0 * np.pi)) * cross.imag
     residue = (c / (8.0 * np.pi)) * np.abs(cross.real).max(initial=0.0)
     scale = np.mean(np.linalg.norm(s, axis=-1)) + np.mean(energy_density(weber)) * c
-    if scale > 0 and residue > residue_tol * scale:
+    # "not <=" so that a NaN residue or scale fails the gate; a zero field passes
+    if not residue <= _RESIDUE_TOL * scale:
         raise InternalConsistencyError(
             f"Poynting vector has real residue {residue:.3e} above "
-            f"{residue_tol:.1e} * scale ({scale:.3e})")
+            f"{_RESIDUE_TOL:.1e} * scale ({scale:.3e})")
     return s
 
 

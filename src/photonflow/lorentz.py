@@ -23,13 +23,16 @@ against direct evaluation in the boosted frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import FieldValidationError, InternalConsistencyError, ZeroFieldError
+from .fields import check_real
 from .planewaves import (PHI_BASED, CircularPlaneWave, CompiledState,
                          PlaneWaveSuperposition, flow_recipe)
+
+# relative tolerance within which boost_plane_wave's two routes must agree
+_CONSISTENCY_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,11 +44,11 @@ class Boost:
     c: float = 1.0
 
     def __post_init__(self):
-        n = np.asarray(self.direction, dtype=float)
-        if n.shape != (3,) or not np.all(np.isfinite(n)) or np.linalg.norm(n) == 0.0:
-            raise FieldValidationError(f"direction must be a finite nonzero 3-vector, got {n!r}")
+        n = check_real("direction", self.direction, (3,))
+        if np.linalg.norm(n) == 0.0:
+            raise FieldValidationError(f"direction must be nonzero, got {n!r}")
         object.__setattr__(self, "direction", n / np.linalg.norm(n))
-        if not (0.0 <= self.speed < self.c):
+        if not (0.0 <= check_real("speed", self.speed) < check_real("c", self.c)):
             raise FieldValidationError(
                 f"speed must satisfy 0 <= u < c, got u = {self.speed!r}, c = {self.c!r}")
 
@@ -56,10 +59,6 @@ class Boost:
     @property
     def gamma(self) -> float:
         return 1.0 / np.sqrt(1.0 - self.beta ** 2)
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.speed * self.direction
 
     @property
     def beta_vector(self) -> np.ndarray:
@@ -130,8 +129,7 @@ def fourvector_transform_flow(rho, current, boost: Boost) -> tuple:
     return rho_out, current_out
 
 
-def boost_plane_wave(state: PlaneWaveSuperposition, boost: Boost,
-                     consistency_tol: float = 1e-9) -> PlaneWaveSuperposition:
+def boost_plane_wave(state: PlaneWaveSuperposition, boost: Boost) -> PlaneWaveSuperposition:
     """Boost every component of a superposition into the moving frame.
 
     Two independent routes are evaluated per component and must agree:
@@ -150,7 +148,7 @@ def boost_plane_wave(state: PlaneWaveSuperposition, boost: Boost,
         k_hat_out = k_out / np.linalg.norm(k_out)
         helicity = np.cross(k_hat_out, amp_out) + 1j * amp_out
         scale = np.abs(amp_out).max()
-        if np.abs(helicity).max() > consistency_tol * scale:
+        if np.abs(helicity).max() > _CONSISTENCY_TOL * scale:
             raise InternalConsistencyError(
                 f"component {idx}: boosted amplitude is not an eigenvector of the "
                 f"helicity operator (residual {np.abs(helicity).max():.3e})")
@@ -158,12 +156,12 @@ def boost_plane_wave(state: PlaneWaveSuperposition, boost: Boost,
         probe = CircularPlaneWave(k_out, 1.0, comp.handedness)
         eps_out = probe.polarization()
         z = eps_out.conj() @ amp_out / 2.0
-        if np.abs(amp_out - z * eps_out).max() > consistency_tol * scale:
+        if np.abs(amp_out - z * eps_out).max() > _CONSISTENCY_TOL * scale:
             raise InternalConsistencyError(
                 f"component {idx}: boosted amplitude is not proportional to the "
                 f"boosted-frame polarization vector")
         intensity_field = abs(z) ** 2 * boost.c / (4.0 * np.pi)
-        if abs(intensity_field - intensity_out) > consistency_tol * max(intensity_out, intensity_field):
+        if abs(intensity_field - intensity_out) > _CONSISTENCY_TOL * max(intensity_out, intensity_field):
             raise InternalConsistencyError(
                 f"component {idx}: field-route intensity {intensity_field!r} disagrees "
                 f"with Doppler-route intensity {intensity_out!r}")
@@ -224,8 +222,7 @@ def default_sample_line(state: PlaneWaveSuperposition, boost: Boost,
 
 def audit_four_vector(state: PlaneWaveSuperposition, boost: Boost,
                       recipe: str = PHI_BASED, *, c: float = 1.0, hbar: float = 1.0,
-                      n_samples: int = 256, tolerance: float = 1e-9,
-                      sample_points: Optional[tuple] = None) -> FourVectorAudit:
+                      n_samples: int = 256, tolerance: float = 1e-9) -> FourVectorAudit:
     """Decide whether a flow recipe transforms as a four-vector under one boost.
 
     Route a: boost the state (exact per-component Doppler + field boost)
@@ -237,13 +234,7 @@ def audit_four_vector(state: PlaneWaveSuperposition, boost: Boost,
     entry = flow_recipe(recipe)
     if not state.components:
         raise ZeroFieldError("cannot audit a superposition with no components")
-    if sample_points is None:
-        s, x_prime, t_prime = default_sample_line(state, boost, n_samples)
-    else:
-        s, x_prime, t_prime = sample_points
-        s = np.asarray(s, dtype=float)
-        x_prime = np.asarray(x_prime, dtype=float)
-        t_prime = np.asarray(t_prime, dtype=float)
+    s, x_prime, t_prime = default_sample_line(state, boost, n_samples)
 
     boosted_state = boost_plane_wave(state, boost)
     rho_a, current_a = CompiledState(boosted_state, c, hbar).flow(entry, x_prime, t_prime)

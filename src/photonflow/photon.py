@@ -31,7 +31,6 @@ the DC photon coefficient is hard-zeroed otherwise.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,7 @@ from .errors import DCContentError, RepresentationError, ZeroFieldError
 from .fields import (MOMENTUM, POSITION, GridSpec, WeberGrid, energy_density,
                      poynting_vector, total_energy)
 from .planewaves import PHI_BASED, WEBER_BASED, flow_recipe
-from .spectral import _fft_forward, _fft_inverse, evolve, inverse_transform, kgrid
+from .spectral import _fft_inverse, evolve, inverse_transform, kgrid
 
 DEFAULT_DC_TOLERANCE = 1e-12
 
@@ -70,7 +69,8 @@ def _check_dc_content(weber: WeberGrid, dc_tolerance: float):
     flat = weber.field.view(np.float64)  # (n, n, n, 6): Re/Im pairs per component
     total = float(np.einsum("xyzc,xyzc->", flat, flat))
     dc = float(np.einsum("c,c->", flat[0, 0, 0], flat[0, 0, 0]))
-    if total > 0.0 and dc > dc_tolerance * total:
+    # "not <=" so that NaN content fails the gate; a zero field passes
+    if not dc <= dc_tolerance * total:
         raise DCContentError(
             f"k = 0 mode carries fraction {dc / total:.3e} of |F~|^2 "
             f"(tolerance {dc_tolerance:.1e}); the 1/sqrt(k) photon weighting "
@@ -93,12 +93,6 @@ def to_position(pwf: PhotonWaveFunction) -> PhotonWaveFunction:
     if pwf.representation != MOMENTUM:
         raise RepresentationError("to_position expects a momentum-representation wave function")
     return PhotonWaveFunction(_fft_inverse(pwf.phi, pwf.spec), pwf.spec, POSITION, pwf.time)
-
-
-def to_momentum(pwf: PhotonWaveFunction) -> PhotonWaveFunction:
-    if pwf.representation != POSITION:
-        raise RepresentationError("to_momentum expects a position-representation wave function")
-    return PhotonWaveFunction(_fft_forward(pwf.phi, pwf.spec), pwf.spec, MOMENTUM, pwf.time)
 
 
 def photon_number(weber: WeberGrid,
@@ -124,24 +118,6 @@ def normalize_single_photon(weber: WeberGrid,
     if n == 0.0:
         raise ZeroFieldError("photon number is 0; there is no photon to normalize")
     return WeberGrid(weber.field / np.sqrt(n), weber.spec, MOMENTUM, weber.time)
-
-
-def momentum_probability_density(weber: WeberGrid,
-                                 dc_tolerance: float = DEFAULT_DC_TOLERANCE,
-                                 n_warn_tolerance: float = 1e-9) -> np.ndarray:
-    """Per-mode density phi~^dag phi~; sums (dk^3 weights) to photon_number.
-
-    For N = 1 states the values are probability densities in k; otherwise
-    they are number densities and a warning is emitted (advisory only).
-    """
-    pwf = photon_wavefunction(weber, dc_tolerance)
-    rho = (pwf.phi.real ** 2 + pwf.phi.imag ** 2).sum(axis=-1)
-    n = float(rho.sum() * weber.spec.dk ** 3)
-    if abs(n - 1.0) > n_warn_tolerance:
-        warnings.warn(
-            f"state has photon number N = {n:.6g} != 1; the returned values are "
-            "number densities, not probability densities", stacklevel=2)
-    return rho
 
 
 def probability_flow(pwf: PhotonWaveFunction) -> ProbabilityFlow:

@@ -38,7 +38,7 @@ from typing import List
 import numpy as np
 
 from .errors import FieldValidationError, OffGridWaveVectorError
-from .fields import POSITION, GridSpec, WeberGrid
+from .fields import POSITION, GridSpec, WeberGrid, check_real
 
 RIGHT = "right"
 LEFT = "left"
@@ -83,16 +83,15 @@ class CircularPlaneWave:
     phase: float = 0.0
 
     def __post_init__(self):
-        k = np.asarray(self.wave_vector, dtype=float)
-        if k.shape != (3,) or not np.all(np.isfinite(k)) or np.linalg.norm(k) == 0.0:
-            raise FieldValidationError(f"wave_vector must be a finite nonzero 3-vector, got {k!r}")
+        k = check_real("wave_vector", self.wave_vector, (3,))
+        if np.linalg.norm(k) == 0.0:
+            raise FieldValidationError(f"wave_vector must be nonzero, got {k!r}")
         object.__setattr__(self, "wave_vector", k)
-        if not (np.isfinite(self.intensity) and self.intensity > 0):
-            raise FieldValidationError(f"intensity must be finite and > 0, got {self.intensity!r}")
+        if not check_real("intensity", self.intensity) > 0:
+            raise FieldValidationError(f"intensity must be > 0, got {self.intensity!r}")
         if self.handedness not in (RIGHT, LEFT):
             raise FieldValidationError(f"handedness must be 'right' or 'left', got {self.handedness!r}")
-        if not np.isfinite(self.phase):
-            raise FieldValidationError(f"phase must be finite, got {self.phase!r}")
+        check_real("phase", self.phase)
 
     @property
     def k_norm(self) -> float:
@@ -214,12 +213,6 @@ class CompiledState:
 def eval_weber(state: PlaneWaveSuperposition, x, t, c: float = 1.0) -> np.ndarray:
     """Exact Weber field of the superposition at points x (..., 3) and time t."""
     return CompiledState(state, c).mode_sum("weber", x, t)
-
-
-def eval_phi(state: PlaneWaveSuperposition, x, t, c: float = 1.0,
-             hbar: float = 1.0) -> np.ndarray:
-    """Exact energy-weighted wave function of the superposition at (x, t)."""
-    return CompiledState(state, c, hbar).mode_sum("phi", x, t)
 
 
 def analytic_probability_flow(state: PlaneWaveSuperposition, x, t,

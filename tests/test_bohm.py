@@ -10,7 +10,7 @@ from photonflow import (Boost, CircularPlaneWave, FieldValidationError,
                         PlaneWaveSuperposition, analytic_probability_flow,
                         analytic_weber_flow, audit_four_vector,
                         boost_plane_wave, continuity_residual,
-                        density_upper_bound, forward_transform,
+                        forward_transform,
                         frame_consistency_check, guidance_velocity,
                         integrate_trajectory, sample_points_on_line,
                         sample_to_grid, transport_ensemble)
@@ -188,11 +188,12 @@ def test_density_upper_bound_is_an_upper_bound(rng):
         state = _random_state(rng)
         points = rng.uniform(-np.pi, np.pi, size=(40, 3))
         rho, _ = analytic_probability_flow(state, points, 0.3)
-        assert rho.max() <= density_upper_bound(state, PHI_BASED) * (1 + 1e-12)
+        compiled = CompiledState(state)
+        assert rho.max() <= compiled.density_bound(flow_recipe(PHI_BASED)) * (1 + 1e-12)
         rho_e, _ = analytic_weber_flow(state, points, 0.3)
-        assert rho_e.max() <= density_upper_bound(state, WEBER_BASED) * (1 + 1e-12)
+        assert rho_e.max() <= compiled.density_bound(flow_recipe(WEBER_BASED)) * (1 + 1e-12)
     # a single wave saturates the bound
-    assert_allclose(density_upper_bound(single_wave(), PHI_BASED), 1.0,
+    assert_allclose(CompiledState(single_wave()).density_bound(flow_recipe(PHI_BASED)), 1.0,
                     rtol=1e-14)
     rho_single, _ = analytic_probability_flow(single_wave(), np.zeros((1, 3)), 0.0)
     assert_allclose(rho_single, 1.0, rtol=1e-14)
@@ -288,7 +289,6 @@ def _momentum_single_wave():
 
 @pytest.mark.parametrize("call", [
     lambda r: guidance_velocity(single_wave(), np.zeros((1, 3)), 0.0, r),
-    lambda r: density_upper_bound(single_wave(), r),
     lambda r: integrate_trajectory(single_wave(), np.zeros(3), 0.0, 1.0, 0.1, r),
     lambda r: transport_ensemble(single_wave(), np.zeros((2, 3)), 0.0, 1.0, 0.1, r),
     lambda r: sample_points_on_line(single_wave(), np.zeros(3), Z_HAT, 1.0, 4,
@@ -297,7 +297,7 @@ def _momentum_single_wave():
                                       0.0, r),
     lambda r: audit_four_vector(single_wave(), Boost(X_HAT, 0.5), r),
     lambda r: continuity_residual(_momentum_single_wave(), r, 0.01),
-], ids=["guidance_velocity", "density_upper_bound", "integrate_trajectory",
+], ids=["guidance_velocity", "integrate_trajectory",
         "transport_ensemble", "sample_points_on_line", "frame_consistency_check",
         "audit_four_vector", "continuity_residual"])
 def test_unknown_recipe_is_rejected_by_the_recipe_table(call):

@@ -9,9 +9,7 @@ from numpy.testing import assert_allclose
 from photonflow import GridSpec, WeberGrid, read_weber, write_weber
 from photonflow.bohm import Trajectory
 from photonflow.errors import FieldValidationError
-from photonflow.fieldio import (field_to_csv, flow_to_csv,
-                                trajectories_to_csv, write_csv)
-from photonflow.photon import ProbabilityFlow
+from photonflow.fieldio import trajectories_to_csv, write_csv
 
 
 def _random_grid(rng, n=4, representation="position", c=1.0, hbar=1.0,
@@ -131,26 +129,6 @@ def test_write_csv_header_and_columns(tmp_path):
     assert lines[0] == "a,b"
     assert len(lines) == 3
     assert_allclose([float(v) for v in lines[1].split(",")], [1.0, 3.0])
-
-
-def test_field_csv_layout(tmp_path, rng):
-    weber = _random_grid(rng, n=2)
-    path = tmp_path / "field.csv"
-    field_to_csv(path, weber)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,y,z,re_fx,im_fx,re_fy,im_fy,re_fz,im_fz"
-    assert len(lines) == 1 + 8
-
-
-def test_flow_csv_layout(tmp_path, rng):
-    spec = GridSpec(2, 2.0 * np.pi)
-    flow = ProbabilityFlow(rng.random((2, 2, 2)), rng.random((2, 2, 2, 3)),
-                           "phi_based", spec)
-    path = tmp_path / "flow.csv"
-    flow_to_csv(path, flow)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,y,z,rho,jx,jy,jz"
-    assert len(lines) == 1 + 8
 
 
 def test_trajectories_csv_layout(tmp_path):

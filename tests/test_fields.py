@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from photonflow import (GridSpec, WeberGrid, eb_from_weber, energy_density,
-                        poynting_vector, sample_to_grid, single_wave,
-                        total_energy, weber_from_eb)
-from photonflow.errors import FieldValidationError, RepresentationError
-from photonflow.fields import S1, S2, S3, SPIN, RealFieldPair
+from photonflow import (Boost, CircularPlaneWave, GridSpec, WeberGrid,
+                        energy_density, poynting_vector, sample_to_grid,
+                        single_wave, total_energy)
+from photonflow.errors import FieldValidationError, InternalConsistencyError
+from photonflow.fields import S1, S2, S3, SPIN
 from photonflow.spectral import forward_transform
 
 
@@ -46,7 +46,7 @@ def test_grid_spec_geometry():
     spec = GridSpec(16, 4.0)
     assert_allclose(spec.dx * spec.n_per_axis, spec.box_length)
     assert_allclose(spec.dk, 2.0 * np.pi / spec.box_length)
-    assert_allclose(spec.volume, 64.0)
+    assert_allclose(spec.box_length ** 3, 64.0)
     axes = spec.axis_coordinates()
     assert axes.shape == (16,)
     assert_allclose(axes[1] - axes[0], spec.dx)
@@ -55,35 +55,11 @@ def test_grid_spec_geometry():
     assert_allclose(mesh[3, 5, 7], [axes[3], axes[5], axes[7]])
 
 
-def test_weber_from_eb_round_trip(spec8, rng):
-    shape = (8, 8, 8, 3)
-    e = rng.standard_normal(shape)
-    b = rng.standard_normal(shape)
-    weber = weber_from_eb(RealFieldPair(e, b, spec8))
-    pair = eb_from_weber(weber)
-    assert_allclose(pair.e_field, e, atol=0)
-    assert_allclose(pair.b_field, b, atol=0)
-
-
-def test_weber_from_eb_rejects_non_finite(spec8, rng):
-    shape = (8, 8, 8, 3)
-    e = rng.standard_normal(shape)
-    e[1, 2, 3, 0] = np.nan
-    with pytest.raises(FieldValidationError):
-        weber_from_eb(RealFieldPair(e, np.zeros(shape), spec8))
-
-
-def test_eb_from_weber_rejects_momentum_representation(spec8, rng):
-    weber = forward_transform(_random_weber(spec8, rng))
-    with pytest.raises(RepresentationError):
-        eb_from_weber(weber)
-
-
 def test_energy_density_matches_eb_formula(spec8, rng):
     shape = (8, 8, 8, 3)
     e = rng.standard_normal(shape)
     b = rng.standard_normal(shape)
-    weber = weber_from_eb(RealFieldPair(e, b, spec8))
+    weber = WeberGrid(e + 1j * b, spec8)
     expected = ((e ** 2).sum(axis=-1) + (b ** 2).sum(axis=-1)) / (8.0 * np.pi)
     assert_allclose(energy_density(weber), expected, rtol=1e-14)
 
@@ -92,7 +68,7 @@ def test_poynting_matches_eb_cross_product(spec8, rng):
     shape = (8, 8, 8, 3)
     e = rng.standard_normal(shape)
     b = rng.standard_normal(shape)
-    weber = weber_from_eb(RealFieldPair(e, b, spec8))
+    weber = WeberGrid(e + 1j * b, spec8)
     expected = spec8.c / (4.0 * np.pi) * np.cross(e, b)
     assert_allclose(poynting_vector(weber), expected, rtol=1e-13, atol=1e-15)
 
@@ -103,6 +79,33 @@ def test_energy_flux_never_exceeds_c_times_density(spec8, rng):
         rho = energy_density(weber)
         s = np.linalg.norm(poynting_vector(weber), axis=-1)
         assert np.all(s <= spec8.c * rho * (1.0 + 1e-12))
+
+
+def test_poynting_residue_gate_fails_closed_on_nan(spec8, rng):
+    weber = _random_weber(spec8, rng)
+    weber.field[1, 2, 3, 0] = np.nan
+    with pytest.raises(InternalConsistencyError):
+        poynting_vector(weber)
+    zero = WeberGrid(np.zeros((8, 8, 8, 3), dtype=complex), spec8)
+    assert np.all(poynting_vector(zero) == 0.0)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: GridSpec(None, 1.0), "n_per_axis"),
+    (lambda: GridSpec(8, "x"), "box_length"),
+    (lambda: GridSpec(8, True), "box_length"),
+    (lambda: CircularPlaneWave([0, 0, 1], "x"), "intensity"),
+    (lambda: CircularPlaneWave([0, 0, 1], None), "intensity"),
+    (lambda: CircularPlaneWave("abc", 1.0), "wave_vector"),
+    (lambda: CircularPlaneWave([0, 0, 1], 1.0, "right", "0.5"), "phase"),
+    (lambda: Boost([0, 0, 1], "0.5"), "speed"),
+    (lambda: Boost("abc", 0.5), "direction"),
+], ids=["grid_n_none", "grid_length_str", "grid_length_bool",
+        "wave_intensity_str", "wave_intensity_none", "wave_vector_str",
+        "wave_phase_str", "boost_speed_str", "boost_direction_str"])
+def test_ill_typed_constructor_argument_is_named(build, name):
+    with pytest.raises(FieldValidationError, match=f"^{name} "):
+        build()
 
 
 def test_single_wave_energy_density_is_uniform(spec16):

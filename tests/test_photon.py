@@ -1,16 +1,13 @@
 """Photon number, the energy-unweighted wave function, and both flow recipes."""
 
-import warnings
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from photonflow import (WeberGrid, continuity_residual, evolve,
-                        forward_transform, momentum_probability_density,
-                        normalize_single_photon, photon_number,
-                        photon_wavefunction, probability_flow, sample_to_grid,
-                        to_momentum, to_position, weber_probability_flow)
+                        forward_transform, normalize_single_photon,
+                        photon_number, photon_wavefunction, probability_flow,
+                        sample_to_grid, to_position, weber_probability_flow)
 from photonflow.errors import DCContentError, ZeroFieldError
 from photonflow.photon import PHI_BASED, WEBER_BASED
 from photonflow.planewaves import (copropagating_pair, counterprop_pair,
@@ -82,8 +79,8 @@ def test_wavefunction_mode_scaling(spec16):
 
 def test_wavefunction_round_trip_and_transversality(spec16):
     pwf = photon_wavefunction(_momentum_state(counterprop_pair(), spec16))
-    back = to_momentum(to_position(pwf))
-    assert_allclose(back.phi, pwf.phi, rtol=1e-12, atol=1e-12)
+    back = forward_transform(WeberGrid(to_position(pwf).phi, spec16))
+    assert_allclose(back.field, pwf.phi, rtol=1e-12, atol=1e-12)
     carrier = WeberGrid(pwf.phi, spec16, representation="momentum")
     assert transversality_residual(carrier) < 1e-12
 
@@ -99,24 +96,26 @@ def test_dc_content_rejected(spec8):
         photon_number(weber)
 
 
+def test_dc_gate_fails_closed_on_nan(spec8):
+    field = np.zeros((8, 8, 8, 3), dtype=complex)
+    field[0, 0, 1] = [1.0, 1.0j, 0.0]
+    field[2, 3, 1, 0] = np.nan
+    weber = WeberGrid(field, spec8, representation="momentum")
+    with pytest.raises(DCContentError):
+        photon_wavefunction(weber)
+    with pytest.raises(DCContentError):
+        photon_number(weber)
+
+
 def test_momentum_probability_density_mass_ratio(spec16):
     # k = 1 and k = 2 waves of equal intensity hold probability 2 : 1
     tilde = normalize_single_photon(_momentum_state(copropagating_pair(), spec16))
-    density = momentum_probability_density(tilde)
+    density = (np.abs(photon_wavefunction(tilde).phi) ** 2).sum(axis=-1)
     kg = kgrid(spec16)
     p_slow = density[np.isclose(kg.k_norm, 1.0) & (density > 1e-12)].sum()
     p_fast = density[np.isclose(kg.k_norm, 2.0) & (density > 1e-12)].sum()
     assert_allclose(p_slow / p_fast, 2.0, rtol=1e-12)
     assert_allclose((density.sum()) * spec16.dk ** 3, 1.0, rtol=1e-12)
-
-
-def test_momentum_probability_density_warns_when_unnormalized(spec16):
-    tilde = _momentum_state(single_wave(), spec16)
-    with pytest.warns(UserWarning):
-        momentum_probability_density(tilde)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        momentum_probability_density(normalize_single_photon(tilde))
 
 
 def test_flow_closed_form_single_wave(spec16):

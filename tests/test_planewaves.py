@@ -6,15 +6,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from photonflow import (GridSpec, analytic_probability_flow,
-                        analytic_weber_flow, coalesce, energy_density,
-                        eval_phi, eval_weber, forward_transform,
+                        analytic_weber_flow, energy_density,
+                        eval_weber, forward_transform,
                         photon_wavefunction, polarization_basis,
                         poynting_vector, probability_flow, sample_to_grid,
                         to_position)
 from photonflow.errors import FieldValidationError, OffGridWaveVectorError
-from photonflow.planewaves import (PRESETS, CircularPlaneWave,
-                                   PlaneWaveSuperposition, copropagating_pair,
-                                   counterprop_pair, single_wave)
+from photonflow.planewaves import (PRESETS, CircularPlaneWave, CompiledState,
+                                   PlaneWaveSuperposition, coalesce,
+                                   copropagating_pair, counterprop_pair,
+                                   single_wave)
 
 
 def _random_directions(rng, count):
@@ -63,7 +64,7 @@ def test_weber_amplitude_closed_form():
                     np.sqrt(4.0 * np.pi) * np.array([1.0, 1.0j, 0.0]),
                     atol=1e-15)
     # per-component phi amplitude sqrt(I / (2 hbar k c^2)) = 1/sqrt(2) at unit values
-    assert_allclose(np.abs(eval_phi(single_wave(), np.zeros(3), 0.0)),
+    assert_allclose(np.abs(CompiledState(single_wave()).mode_sum("phi", np.zeros(3), 0.0)),
                     [np.sqrt(0.5), np.sqrt(0.5), 0.0], rtol=1e-14)
 
 

@@ -59,7 +59,7 @@ def test_forward_transform_of_plane_wave_is_delta(spec8):
     assert len(where) == 1
     ix = tuple(where[0])
     assert_allclose(kg.wave_vectors[ix], k0, atol=1e-14)
-    expected = amp * spec8.volume / (2.0 * np.pi) ** 1.5
+    expected = amp * spec8.box_length ** 3 / (2.0 * np.pi) ** 1.5
     assert_allclose(tilde.field[ix], expected, rtol=1e-12)
 
 
