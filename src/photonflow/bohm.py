@@ -32,6 +32,8 @@ from .lorentz import Boost, boost_event, boost_plane_wave, velocity_addition
 from .planewaves import PHI_BASED, CompiledState, PlaneWaveSuperposition, flow_recipe
 
 SPEED_SLACK = 1e-9
+# default guidance node floor, relative to the state's density bound
+_NODE_FLOOR_REL = 1e-12
 # points of the density table that sample_points_on_line inverts
 _LINE_SAMPLES = 4096
 
@@ -65,7 +67,7 @@ def _velocity_masked(compiled, recipe, x, t, floor):
 
 def guidance_velocity(state: PlaneWaveSuperposition, x, t, guidance: str = PHI_BASED,
                       *, c: float = 1.0, hbar: float = 1.0,
-                      node_floor_rel: float = 1e-12) -> np.ndarray:
+                      node_floor_rel: float = _NODE_FLOOR_REL) -> np.ndarray:
     """v = J / rho at points x (..., 3) and time(s) t.
 
     Raises GuidanceNodeError if any point sits where the density is below
@@ -131,7 +133,7 @@ def _rk4(state, points, t0, t1, step, guidance, c, hbar, node_floor_rel):
 
 def integrate_trajectory(state: PlaneWaveSuperposition, x0, t0: float, t1: float,
                          step: float, guidance: str = PHI_BASED, *, c: float = 1.0,
-                         hbar: float = 1.0, node_floor_rel: float = 1e-12) -> Trajectory:
+                         hbar: float = 1.0, node_floor_rel: float = _NODE_FLOOR_REL) -> Trajectory:
     """Classic fixed-step RK4 from (x0, t0) to t1, last step shortened to land on t1.
 
     If the trajectory reaches a density node the integration stops there
@@ -156,7 +158,7 @@ def integrate_trajectory(state: PlaneWaveSuperposition, x0, t0: float, t1: float
 
 def transport_ensemble(state: PlaneWaveSuperposition, points, t0: float, t1: float,
                        step: float, guidance: str = PHI_BASED, *, c: float = 1.0,
-                       hbar: float = 1.0, node_floor_rel: float = 1e-12) -> tuple:
+                       hbar: float = 1.0, node_floor_rel: float = _NODE_FLOOR_REL) -> tuple:
     """Push many initial points through the flow at once.
 
     Returns (final_positions, node_mask).  A particle that reaches a node
@@ -218,7 +220,7 @@ class FrameConsistency:
 def frame_consistency_check(state: PlaneWaveSuperposition, boost: Boost, x, t: float,
                             guidance: str = PHI_BASED, *, c: float = 1.0,
                             hbar: float = 1.0,
-                            node_floor_rel: float = 1e-12) -> FrameConsistency:
+                            node_floor_rel: float = _NODE_FLOOR_REL) -> FrameConsistency:
     """Compare the two ways of obtaining the boosted-frame velocity at one event."""
     x = np.asarray(x, dtype=float)
     v_rest = guidance_velocity(state, x[None, :], t, guidance, c=c, hbar=hbar,

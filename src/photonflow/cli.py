@@ -36,17 +36,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bohm import frame_consistency_check, integrate_trajectory, sample_points_on_line
+from .bohm import (_NODE_FLOOR_REL, frame_consistency_check, integrate_trajectory,
+                   sample_points_on_line)
 from .errors import ConfigError, OffGridWaveVectorError, PhotonflowError
 from .fieldio import read_weber, trajectories_to_csv, write_csv, write_weber
 from .fields import POSITION, GridSpec, total_energy
-from .lorentz import Boost, audit_four_vector, audit_to_json
-from .photon import (PHI_BASED, WEBER_BASED, normalize_single_photon,
+from .lorentz import _AUDIT_TOL, Boost, audit_four_vector, audit_to_json
+from .photon import (DEFAULT_DC_TOLERANCE, PHI_BASED, WEBER_BASED, normalize_single_photon,
                      photon_number, photon_wavefunction, probability_flow,
                      to_position)
 from .planewaves import (PRESETS, CircularPlaneWave, PlaneWaveSuperposition,
                          sample_to_grid)
-from .spectral import evolve, forward_transform, transversality_residual
+from .spectral import (_TRANSVERSALITY_TOL, evolve, forward_transform,
+                       transversality_residual)
 
 # --- config schema ------------------------------------------------------------
 #
@@ -185,10 +187,10 @@ SCHEMA = {
 }
 
 TOLERANCES = {
-    "audit": (1e-9, _positive),           # four-vector audit verdict threshold
-    "dc": (1e-12, _positive),             # k = 0 energy fraction allowed in photon ops
-    "transversality": (1e-10, _positive),  # residual allowed by evolve
-    "node_floor": (1e-12, _positive),     # guidance node floor, relative to density bound
+    "audit": (_AUDIT_TOL, _positive),               # four-vector audit verdict threshold
+    "dc": (DEFAULT_DC_TOLERANCE, _positive),        # k = 0 energy fraction in photon ops
+    "transversality": (_TRANSVERSALITY_TOL, _positive),  # residual allowed by evolve
+    "node_floor": (_NODE_FLOOR_REL, _positive),     # guidance node floor / density bound
 }
 
 

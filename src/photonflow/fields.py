@@ -86,8 +86,8 @@ class GridSpec:
     hbar: float = 1.0
 
     def __post_init__(self):
-        n = check_real("n_per_axis", self.n_per_axis)
-        if int(n) != n or n < 2:
+        n = np.asarray(self.n_per_axis)
+        if n.dtype.kind not in "iu" or n.shape != () or n < 2:
             raise FieldValidationError(
                 f"n_per_axis must be an integer >= 2, got {self.n_per_axis!r}")
         for name in ("box_length", "c", "hbar"):

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DCContentError, RepresentationError, ZeroFieldError
 from .fields import (MOMENTUM, POSITION, GridSpec, WeberGrid, energy_density,
                      poynting_vector, total_energy)
-from .planewaves import PHI_BASED, WEBER_BASED, flow_recipe
+from .planewaves import PHI_BASED, WEBER_BASED, _recipe_flow, flow_recipe
 from .spectral import _fft_inverse, evolve, inverse_transform, kgrid
 
 DEFAULT_DC_TOLERANCE = 1e-12
@@ -121,16 +121,10 @@ def normalize_single_photon(weber: WeberGrid,
 
 
 def probability_flow(pwf: PhotonWaveFunction) -> ProbabilityFlow:
-    """phi-based recipe: rho = phi^dag phi, J = c phi^dag s phi = -i c phi* x phi.
-
-    The cross product phi* x phi is purely imaginary componentwise, so J
-    comes out real with no imaginary part to discard.
-    """
+    """phi-based recipe: rho = phi^dag phi, J = c phi^dag s phi = -i c phi* x phi."""
     if pwf.representation != POSITION:
         raise RepresentationError("probability_flow expects a position-representation wave function")
-    phi = pwf.phi
-    rho = (phi.real ** 2 + phi.imag ** 2).sum(axis=-1)
-    current = pwf.spec.c * np.cross(phi.conj(), phi).imag
+    rho, current = _recipe_flow(flow_recipe(PHI_BASED), pwf.phi, pwf.spec.c)
     return ProbabilityFlow(rho, current, PHI_BASED, pwf.spec, pwf.time)
 
 

@@ -114,11 +114,6 @@ class CircularPlaneWave:
         """Complex amplitude sqrt(4 pi I / c) exp(i chi) eps at the origin event."""
         return np.sqrt(4.0 * np.pi * self.intensity / c) * np.exp(1j * self.phase) * self.polarization()
 
-    def phi_amplitude(self, c: float = 1.0, hbar: float = 1.0) -> np.ndarray:
-        """Complex amplitude sqrt(I / (2 hbar k c^2)) exp(i chi) eps at the origin event."""
-        scale = np.sqrt(self.intensity / (2.0 * hbar * self.k_norm * c ** 2))
-        return scale * np.exp(1j * self.phase) * self.polarization()
-
 
 @dataclass
 class PlaneWaveSuperposition:
@@ -127,38 +122,9 @@ class PlaneWaveSuperposition:
     components: List[CircularPlaneWave] = field(default_factory=list)
 
 
-def coalesce(state: PlaneWaveSuperposition) -> PlaneWaveSuperposition:
-    """Merge components sharing (wave_vector, handedness) by complex-amplitude addition.
-
-    Amplitudes add as sqrt(I) exp(i chi); cancellations down to rounding
-    level drop the component.  Keeps cross-term bookkeeping linear in
-    distinct modes.
-    """
-    groups: dict = {}
-    scales: dict = {}
-    order: list = []
-    for comp in state.components:
-        key = (tuple(comp.wave_vector.tolist()), comp.handedness)
-        if key not in groups:
-            groups[key] = 0.0 + 0.0j
-            scales[key] = 0.0
-            order.append(key)
-        groups[key] += np.sqrt(comp.intensity) * np.exp(1j * comp.phase)
-        scales[key] += np.sqrt(comp.intensity)
-    merged = []
-    for key in order:
-        amp = groups[key]
-        if abs(amp) <= 1e-14 * scales[key]:
-            continue
-        k, handedness = key
-        merged.append(CircularPlaneWave(np.array(k), float(abs(amp) ** 2),
-                                        handedness, float(np.angle(amp))))
-    return PlaneWaveSuperposition(merged)
-
-
 # recipe -> (CompiledState amplitudes of the mode sum v, density norm, current norm)
-# with rho = |v|^2 / density norm, J = (c / current norm) Im(v* x v).  Both norms
-# are 1/s; |J| <= c rho holds only while current norm >= density norm.
+# for _recipe_flow.  Both norms are 1/s; |J| <= c rho holds only while
+# current norm >= density norm.
 RECIPES = {
     PHI_BASED: ("phi", 1.0, 1.0),
     WEBER_BASED: ("weber", 8.0 * np.pi, 8.0 * np.pi),
@@ -173,17 +139,40 @@ def flow_recipe(name) -> tuple:
     return RECIPES[name]
 
 
+def _recipe_flow(recipe: tuple, v, c: float) -> tuple:
+    """(rho, J) = (|v|^2 / density norm, (c / current norm) Im(v* x v)) of a RECIPES
+    entry; v* x v is purely imaginary componentwise, so J discards no real part."""
+    _, density_norm, current_norm = recipe
+    rho = (v.real ** 2 + v.imag ** 2).sum(axis=-1) / density_norm
+    return rho, (c / current_norm) * np.cross(v.conj(), v).imag
+
+
 class CompiledState:
-    """A superposition coalesced once into arrays over its M modes, for units (c, hbar):
-    mode m adds amplitude_m exp(i (wave_vectors_m . x - frequencies_m t))."""
+    """A superposition compiled once into arrays over its M modes, for units (c, hbar):
+    mode m adds amplitude_m exp(i (wave_vectors_m . x - frequencies_m t)).
+
+    Components sharing (wave vector, handedness) merge into one mode, in
+    first-seen order, by adding Weber amplitudes; a mode whose sum cancels
+    to 1e-14 of its parts is dropped.  phi is weber over sqrt(8 pi hbar c |k|),
+    Good's weighting as photon_wavefunction applies it on the grid.
+    """
 
     def __init__(self, state: PlaneWaveSuperposition, c: float = 1.0, hbar: float = 1.0):
-        comps = coalesce(state).components
+        modes = {}  # (k, handedness) -> [first component, summed amplitude, summed norms]
+        for comp in state.components:
+            amplitude = comp.weber_amplitude(c)
+            mode = modes.setdefault((tuple(comp.wave_vector.tolist()), comp.handedness),
+                                    [comp, 0.0, 0.0])
+            mode[1] += amplitude
+            mode[2] += np.linalg.norm(amplitude)
+        kept = [(comp, amplitude) for comp, amplitude, norms in modes.values()
+                if np.linalg.norm(amplitude) > 1e-14 * norms]
+        k_norm = np.array([comp.k_norm for comp, _ in kept])
         self.c = c
-        self.wave_vectors = np.array([comp.sigma * comp.wave_vector for comp in comps]).reshape(-1, 3)
-        self.frequencies = np.array([comp.sigma * (comp.k_norm * c) for comp in comps])
-        self.phi = np.array([comp.phi_amplitude(c, hbar) for comp in comps]).reshape(-1, 3)
-        self.weber = np.array([comp.weber_amplitude(c) for comp in comps]).reshape(-1, 3)
+        self.wave_vectors = np.array([comp.sigma * comp.wave_vector for comp, _ in kept]).reshape(-1, 3)
+        self.frequencies = np.array([comp.sigma for comp, _ in kept]) * (k_norm * c)
+        self.weber = np.array([amplitude for _, amplitude in kept]).reshape(-1, 3)
+        self.phi = self.weber / np.sqrt(8.0 * np.pi * hbar * c * k_norm)[:, None]
 
     def mode_sum(self, amplitudes: str, x, t) -> np.ndarray:
         """v = sum over modes of the named amplitudes at points x (..., 3), time(s) t."""
@@ -199,10 +188,7 @@ class CompiledState:
 
     def flow(self, recipe: tuple, x, t) -> tuple:
         """(rho, J) of a RECIPES entry in closed form at (x, t), cross terms included."""
-        amplitudes, density_norm, current_norm = recipe
-        v = self.mode_sum(amplitudes, x, t)
-        rho = (v.real ** 2 + v.imag ** 2).sum(axis=-1) / density_norm
-        return rho, (self.c / current_norm) * np.cross(v.conj(), v).imag
+        return _recipe_flow(recipe, self.mode_sum(recipe[0], x, t), self.c)
 
     def density_bound(self, recipe: tuple) -> float:
         """(sum of mode amplitude norms)^2 / density norm >= rho at every event."""

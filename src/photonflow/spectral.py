@@ -49,6 +49,9 @@ _RESIDUAL_FLOOR = 1e-300
 # temporary is 0.5 MiB; 1 and 2 planes ran fastest there, 4 and 8 slower.
 _SLAB_PLANES = 2
 
+# default transversality residual that evolve accepts
+_TRANSVERSALITY_TOL = 1e-10
+
 
 class KGrid:
     """Wave vectors of the discrete Fourier modes of a GridSpec.
@@ -190,7 +193,8 @@ def project_transverse(weber: WeberGrid) -> WeberGrid:
     return WeberGrid(projected, weber.spec, MOMENTUM, weber.time)
 
 
-def evolve(weber: WeberGrid, dt: float, transversality_tol: float = 1e-10) -> WeberGrid:
+def evolve(weber: WeberGrid, dt: float,
+           transversality_tol: float = _TRANSVERSALITY_TOL) -> WeberGrid:
     """Advance the field by dt with the exact per-mode propagator.
 
     Each mode is rotated about its own k-hat by the angle k c dt in the

@@ -8,6 +8,7 @@ console script in a subprocess.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ import pytest
 from photonflow import GridSpec, WeberGrid, __version__
 from photonflow.cli import main
 from photonflow.fieldio import read_weber, write_weber
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _write_config(tmp_path, config, name="config.json"):
@@ -172,6 +175,23 @@ def test_boost_audit_verdict_table(tmp_path):
     failing = next(a for a in audits
                    if a["scenario"] == "two-wave x-boost" and a["recipe"] == "phi_based")
     assert abs(failing["max_mismatch"] - np.sqrt(2.0) / 3.0) < 1e-6
+
+
+def _audit_rows(text):
+    """(scenario, recipe, printed mismatch, verdict) of each row of an audit table."""
+    rows = [tuple(line.rsplit(None, 3)) for line in text.splitlines()]
+    return [row for row in rows if len(row) == 4 and row[1] in ("phi_based", "weber_based")]
+
+
+def test_readme_audit_table_matches_the_default_run(tmp_path, capsys):
+    assert _run(tmp_path, "boost-audit")[0] == 0
+    printed = _audit_rows(capsys.readouterr().out)
+    documented = _audit_rows(README.read_text().split("### boost-audit")[1].split("```")[1])
+    assert len(printed) == len(documented) == 8
+    for (scenario, recipe, mismatch, verdict), row in zip(printed, documented):
+        assert (scenario, recipe, verdict) == (row[0], row[1], row[3])
+        if verdict == "violated":  # the consistent rows differ in roundoff digits only
+            assert mismatch == row[2]
 
 
 def test_boost_audit_interference_csv(tmp_path):

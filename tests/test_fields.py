@@ -92,6 +92,7 @@ def test_poynting_residue_gate_fails_closed_on_nan(spec8, rng):
 
 @pytest.mark.parametrize("build, name", [
     (lambda: GridSpec(None, 1.0), "n_per_axis"),
+    (lambda: GridSpec(8.0, 1.0), "n_per_axis"),
     (lambda: GridSpec(8, "x"), "box_length"),
     (lambda: GridSpec(8, True), "box_length"),
     (lambda: CircularPlaneWave([0, 0, 1], "x"), "intensity"),
@@ -100,7 +101,7 @@ def test_poynting_residue_gate_fails_closed_on_nan(spec8, rng):
     (lambda: CircularPlaneWave([0, 0, 1], 1.0, "right", "0.5"), "phase"),
     (lambda: Boost([0, 0, 1], "0.5"), "speed"),
     (lambda: Boost("abc", 0.5), "direction"),
-], ids=["grid_n_none", "grid_length_str", "grid_length_bool",
+], ids=["grid_n_none", "grid_n_float", "grid_length_str", "grid_length_bool",
         "wave_intensity_str", "wave_intensity_none", "wave_vector_str",
         "wave_phase_str", "boost_speed_str", "boost_direction_str"])
 def test_ill_typed_constructor_argument_is_named(build, name):

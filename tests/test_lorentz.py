@@ -190,6 +190,47 @@ def test_flow_transform_preserves_minkowski_norm(rng):
         assert_allclose(current_b, current, atol=1e-12)
 
 
+def _boost_matrix(boost):
+    """Lambda(beta n-hat) acting on (ct, x), in its textbook block form."""
+    n, beta, gamma = boost.direction, boost.beta, boost.gamma
+    lam = np.empty((4, 4))
+    lam[0, 0] = gamma
+    lam[0, 1:] = lam[1:, 0] = -gamma * beta * n
+    lam[1:, 1:] = np.eye(3) + (gamma - 1.0) * np.outer(n, n)
+    return lam
+
+
+def _assert_boosted(lam, got_time_part, got_space, time_part, space):
+    want = np.column_stack([time_part, space]) @ lam.T
+    got = np.column_stack([got_time_part, got_space])
+    assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_four_vector_maps_match_the_boost_matrix(rng):
+    # c != 1 and arbitrary directions, against an independent reference
+    c = 3.0
+    for _ in range(20):
+        boost = Boost(rng.standard_normal(3), rng.uniform(0.01, 0.99) * c, c)
+        lam = _boost_matrix(boost)
+
+        x, t = rng.standard_normal((8, 3)), rng.standard_normal(8)
+        x_p, t_p = boost_event(x, t, boost)
+        _assert_boosted(lam, c * t_p, x_p, c * t, x)
+
+        k = rng.standard_normal(3)
+        k_p, omega_p = boost_wave_vector(k, boost)
+        _assert_boosted(lam, omega_p / c, k_p[None], np.linalg.norm(k), k[None])
+
+        rho, current = rng.uniform(0.5, 2.0, 8), rng.standard_normal((8, 3))
+        rho_p, current_p = fourvector_transform_flow(rho, current, boost)
+        _assert_boosted(lam, c * rho_p, current_p, c * rho, current)
+
+        v = rng.standard_normal((8, 3))
+        v *= rng.uniform(0.0, c, (8, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
+        u = np.column_stack([np.full(8, c), v]) @ lam.T
+        assert_allclose(velocity_addition(v, boost), c * u[:, 1:] / u[:, :1], rtol=1e-12)
+
+
 def test_audit_verdicts_match_the_covariance_table():
     scenarios = [(single_wave(), _half_z()), (single_wave(), _half_x()),
                  (counterprop_pair(), _half_z()), (counterprop_pair(), _half_x())]

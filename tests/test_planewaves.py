@@ -13,7 +13,7 @@ from photonflow import (GridSpec, analytic_probability_flow,
                         to_position)
 from photonflow.errors import FieldValidationError, OffGridWaveVectorError
 from photonflow.planewaves import (PRESETS, CircularPlaneWave, CompiledState,
-                                   PlaneWaveSuperposition, coalesce,
+                                   PlaneWaveSuperposition,
                                    copropagating_pair, counterprop_pair,
                                    single_wave)
 
@@ -90,18 +90,21 @@ def test_each_component_is_transverse(rng):
         assert abs(wave.wave_vector @ wave.polarization()) < 1e-12
 
 
-def test_coalesce_merges_and_cancels():
+def test_compiled_state_merges_and_cancels():
     k = np.array([0.0, 0.0, 1.0])
-    doubled = coalesce(PlaneWaveSuperposition(
+    single = CompiledState(PlaneWaveSuperposition([CircularPlaneWave(k, 1.0)]))
+    doubled = CompiledState(PlaneWaveSuperposition(
         [CircularPlaneWave(k, 1.0), CircularPlaneWave(k, 1.0)]))
-    assert len(doubled.components) == 1
-    assert_allclose(doubled.components[0].intensity, 4.0, rtol=1e-14)
-    cancelled = coalesce(PlaneWaveSuperposition(
+    assert doubled.wave_vectors.shape == (1, 3)
+    assert_allclose(doubled.weber, 2.0 * single.weber, rtol=1e-14)
+    assert_allclose(doubled.phi, 2.0 * single.phi, rtol=1e-14)
+    cancelled = CompiledState(PlaneWaveSuperposition(
         [CircularPlaneWave(k, 1.0), CircularPlaneWave(k, 1.0, phase=np.pi)]))
-    assert cancelled.components == []
-    mixed = coalesce(PlaneWaveSuperposition(
+    assert cancelled.wave_vectors.shape == (0, 3)
+    assert cancelled.phi.shape == cancelled.weber.shape == (0, 3)
+    mixed = CompiledState(PlaneWaveSuperposition(
         [CircularPlaneWave(k, 1.0), CircularPlaneWave(k, 1.0, "left")]))
-    assert len(mixed.components) == 2  # opposite handedness never merges
+    assert mixed.wave_vectors.shape == (2, 3)  # opposite handedness never merges
 
 
 def test_analytic_flow_closed_forms(rng):
