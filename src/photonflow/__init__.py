@@ -19,14 +19,14 @@ from .spectral import (evolve, forward_transform, inverse_transform,
                        klein_gordon_residual, project_transverse,
                        transversality_residual)
 from .photon import (PHI_BASED, WEBER_BASED, PhotonWaveFunction,
-                     ProbabilityFlow, continuity_residual,
+                     ProbabilityFlow, continuity_residual, density_profile_y,
                      normalize_single_photon, photon_number,
                      photon_wavefunction, probability_flow, to_position,
                      weber_probability_flow)
 from .planewaves import (PRESETS, CircularPlaneWave, PlaneWaveSuperposition,
                          analytic_probability_flow, analytic_weber_flow,
                          copropagating_pair, counterprop_pair, eval_weber,
-                         polarization_basis, sample_to_grid, single_wave)
+                         place, polarization_basis, sample_to_grid, single_wave)
 from .lorentz import (Boost, FourVectorAudit, audit_four_vector,
                       audit_to_json, boost_event,
                       boost_plane_wave, boost_wave_vector, field_boost,

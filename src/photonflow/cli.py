@@ -5,6 +5,11 @@ writes data files into --out, and prints a short human-readable summary;
 info only prints the presets, tolerances and default config.  All
 randomness is seeded (--seed), all numeric output is deterministic.
 
+evolve and doubleslit build their grid state in momentum space
+(planewaves.place); doubleslit writes the x,z-mean density profile along y
+(photon.density_profile_y), computed without the 3-D inverse transform.
+A closed stdout ends a subcommand with exit status 1 and no traceback.
+
 Config layout (any subset; missing keys take the defaults shown by
 ``photonflow info``)::
 
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -42,11 +48,9 @@ from .errors import ConfigError, OffGridWaveVectorError, PhotonflowError
 from .fieldio import read_weber, trajectories_to_csv, write_csv, write_weber
 from .fields import POSITION, GridSpec, total_energy
 from .lorentz import _AUDIT_TOL, Boost, audit_four_vector, audit_to_json
-from .photon import (DEFAULT_DC_TOLERANCE, PHI_BASED, WEBER_BASED, normalize_single_photon,
-                     photon_number, photon_wavefunction, probability_flow,
-                     to_position)
-from .planewaves import (PRESETS, CircularPlaneWave, PlaneWaveSuperposition,
-                         sample_to_grid)
+from .photon import (DEFAULT_DC_TOLERANCE, PHI_BASED, WEBER_BASED, density_profile_y,
+                     normalize_single_photon, photon_number, photon_wavefunction)
+from .planewaves import PRESETS, CircularPlaneWave, PlaneWaveSuperposition, place
 from .spectral import (_TRANSVERSALITY_TOL, evolve, forward_transform,
                        transversality_residual)
 
@@ -299,7 +303,7 @@ def cmd_evolve(args):
     else:
         grid, units = config["grid"], config["units"]
         spec = GridSpec(grid["n"], grid["L"], units["c"], units["hbar"])
-        weber = forward_transform(sample_to_grid(build_state(config), spec, t=0.0))
+        weber = place(build_state(config), spec, t=0.0)
     if section["normalize"]:
         weber = normalize_single_photon(weber, dc_tolerance=tol["dc"])
     out = _out_dir(args)
@@ -497,14 +501,13 @@ def cmd_doubleslit(args):
     state = build_slit_state(section, spec)
     out = _out_dir(args)
 
-    weber = forward_transform(sample_to_grid(state, spec, t=0.0))
+    weber = place(state, spec, t=0.0)
     y = spec.axis_coordinates()
     frames = []
     profiles = []
     for t in section["times"]:
         weber = evolve(weber, t - weber.time, transversality_tol=tol["transversality"])
-        flow = probability_flow(to_position(photon_wavefunction(weber, dc_tolerance=tol["dc"])))
-        profile = flow.rho.mean(axis=(0, 2))
+        profile = density_profile_y(photon_wavefunction(weber, dc_tolerance=tol["dc"]))
         profiles.append(profile)
         frames.append(np.column_stack([np.full_like(y, t), y, profile]))
     table = np.vstack(frames)
@@ -592,7 +595,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout fails here, inside the try
+        return code
+    except BrokenPipeError:
+        # the reader went away: send what is still buffered to devnull, so the
+        # interpreter's final flush raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"error: {exc}" + (f" (field: {exc.field})" if exc.field else ""),
               file=sys.stderr)

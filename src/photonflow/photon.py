@@ -39,7 +39,7 @@ from .errors import DCContentError, RepresentationError, ZeroFieldError
 from .fields import (MOMENTUM, POSITION, GridSpec, WeberGrid, energy_density,
                      poynting_vector, total_energy)
 from .planewaves import PHI_BASED, WEBER_BASED, _recipe_flow, flow_recipe
-from .spectral import _fft_inverse, evolve, inverse_transform, kgrid
+from .spectral import _TWO_PI_3_2, _fft_inverse, evolve, inverse_transform, kgrid
 
 DEFAULT_DC_TOLERANCE = 1e-12
 
@@ -93,6 +93,23 @@ def to_position(pwf: PhotonWaveFunction) -> PhotonWaveFunction:
     if pwf.representation != MOMENTUM:
         raise RepresentationError("to_position expects a momentum-representation wave function")
     return PhotonWaveFunction(_fft_inverse(pwf.phi, pwf.spec), pwf.spec, POSITION, pwf.time)
+
+
+def density_profile_y(pwf: PhotonWaveFunction) -> np.ndarray:
+    """The x,z-mean of rho = phi^dag phi along y, from the momentum representation.
+
+    By Parseval along x and z only an inverse FFT along y is needed:
+    with g = ifft_y(phi~) (2pi)^(3/2) / (dx^3 n^2), the profile is
+    sum over kx, kz and components of |g|^2.  It equals
+    probability_flow(to_position(pwf)).rho.mean(axis=(0, 2)) to roundoff
+    without the 3-D inverse transform or the current.
+    """
+    if pwf.representation != MOMENTUM:
+        raise RepresentationError("density_profile_y expects a momentum-representation wave function")
+    spec = pwf.spec
+    flat = np.fft.ifft(pwf.phi, axis=1).view(np.float64)  # (n, n, n, 6): Re/Im pairs
+    scale = _TWO_PI_3_2 / (spec.dx ** 3 * spec.n_per_axis ** 2)
+    return np.einsum("xyzc,xyzc->y", flat, flat) * scale ** 2
 
 
 def photon_number(weber: WeberGrid,

@@ -24,6 +24,11 @@ by sqrt(8 pi hbar k c):
 
     phi(x, t) = sqrt(I / (2 hbar k c^2)) eps(k-hat) exp(i sigma (k.x - k c t) + i chi) .
 
+On a periodic grid an on-grid component is a single Fourier mode, so
+place builds the momentum-representation grid field of a state directly
+from its compiled mode arrays; sample_to_grid evaluates the same state at
+the grid nodes, the independent route that tests compare place against.
+
 Flow recipes evaluated here in closed form:
 
     phi-based    rho = phi^dag phi            J = -i c phi* x phi
@@ -38,7 +43,7 @@ from typing import List
 import numpy as np
 
 from .errors import FieldValidationError, OffGridWaveVectorError
-from .fields import POSITION, GridSpec, WeberGrid, check_real
+from .fields import MOMENTUM, POSITION, GridSpec, WeberGrid, check_real
 
 RIGHT = "right"
 LEFT = "left"
@@ -212,15 +217,12 @@ def analytic_weber_flow(state: PlaneWaveSuperposition, x, t, c: float = 1.0) -> 
     return CompiledState(state, c).flow(flow_recipe(WEBER_BASED), x, t)
 
 
-def sample_to_grid(state: PlaneWaveSuperposition, spec: GridSpec, t: float = 0.0) -> WeberGrid:
-    """Evaluate the superposition on the grid nodes at time t.
-
-    Every component wave vector must sit on the k-lattice (integer
-    multiples of 2pi/L per axis, within the resolvable range |m| <= n/2 - 1)
-    so that the transform of the result is supported exactly on the
-    component modes.
-    """
-    scale = 2.0 * np.pi / spec.box_length
+def _check_on_grid(state: PlaneWaveSuperposition, spec: GridSpec):
+    """Raise OffGridWaveVectorError unless every component wave vector sits on
+    the k-lattice: integer multiples of 2pi/L per axis within the resolvable
+    range |m| <= n/2 - 1, so that the grid transform of the state is supported
+    exactly on the component modes."""
+    scale = spec.dk
     limit = spec.n_per_axis // 2 - 1
     for idx, comp in enumerate(state.components):
         m = comp.wave_vector / scale
@@ -232,8 +234,38 @@ def sample_to_grid(state: PlaneWaveSuperposition, spec: GridSpec, t: float = 0.0
                 f"k-lattice of n = {spec.n_per_axis}, L = {spec.box_length:.6g} "
                 f"(nearest representable: {(clipped * scale).tolist()})",
                 nearest=clipped * scale)
+
+
+def sample_to_grid(state: PlaneWaveSuperposition, spec: GridSpec, t: float = 0.0) -> WeberGrid:
+    """Evaluate the superposition on the grid nodes at time t.
+
+    Every component wave vector must sit on the k-lattice (see place).
+    """
+    _check_on_grid(state, spec)
     mesh = spec.position_mesh()
     return WeberGrid(eval_weber(state, mesh, t, spec.c), spec, POSITION, t)
+
+
+def place(state: PlaneWaveSuperposition, spec: GridSpec, t: float = 0.0) -> WeberGrid:
+    """The momentum-representation grid field of the superposition at time t.
+
+    An on-grid mode exp(i (k.x - omega t)) transforms to a single lattice
+    entry, so each compiled mode m adds L^3 (2pi)^(-3/2) weber_m exp(-i omega_m t)
+    at the FFT index of its signed wave vector, and every other entry is an
+    exact zero.  This equals forward_transform(sample_to_grid(state, spec, t))
+    up to the FFT's roundoff, without evaluating the mode sum at the n^3 nodes.
+    The same lattice check applies.
+    """
+    _check_on_grid(state, spec)
+    modes = CompiledState(state, spec.c, spec.hbar)
+    n = spec.n_per_axis
+    index = np.rint(modes.wave_vectors / spec.dk).astype(int) % n
+    values = modes.weber * (spec.box_length ** 3 / (2.0 * np.pi) ** 1.5
+                            * np.exp(-1j * modes.frequencies * t))[:, None]
+    field = np.zeros((n, n, n, 3), dtype=complex)
+    # a right-handed k and a left-handed -k share one lattice site: add, not assign
+    np.add.at(field, tuple(index.T), values)
+    return WeberGrid(field, spec, MOMENTUM, t)
 
 
 # --- built-in states ---------------------------------------------------------

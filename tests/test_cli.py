@@ -6,6 +6,7 @@ console script in a subprocess.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +70,20 @@ def test_console_script_runs():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert __version__ in result.stdout
+
+
+def test_closed_stdout_exits_1_without_traceback(tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody will read what the command prints
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "photonflow", "boost-audit", "--out", str(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr
+    assert result.returncode == 1
 
 
 # --- evolve ---------------------------------------------------------------
@@ -305,6 +320,18 @@ def test_doubleslit_single_source_is_fringe_free(tmp_path):
     assert summary["fringe_spacing"] is None
     assert summary["expected_spacing"] is None
     assert summary["visibility"] < 1e-9
+
+
+def test_doubleslit_benchmark_result(tmp_path):
+    # the n = 96, bundle_width 2 job the benchmark runs, pinned to the value
+    # the sampled-and-transformed full-flow pipeline gave
+    rc, out = _run(tmp_path, "doubleslit",
+                   config={"grid": {"n": 96}, "doubleslit": {"bundle_width": 2}})
+    assert rc == 0
+    summary = _load_json(out, "summary.json")
+    assert summary["component_count"] == 8
+    assert summary["fringe_spacing"] == np.pi
+    assert summary["visibility"] == pytest.approx(0.8269239098633674, rel=1e-12, abs=0)
 
 
 def test_doubleslit_bundles_keep_fringe_spacing(tmp_path):

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from photonflow import (WeberGrid, continuity_residual, evolve,
-                        forward_transform, normalize_single_photon,
+from photonflow import (GridSpec, WeberGrid, continuity_residual,
+                        density_profile_y, evolve, forward_transform,
+                        normalize_single_photon,
                         photon_number, photon_wavefunction, probability_flow,
                         sample_to_grid, to_position, weber_probability_flow)
-from photonflow.errors import DCContentError, ZeroFieldError
+from photonflow.errors import DCContentError, RepresentationError, ZeroFieldError
 from photonflow.photon import PHI_BASED, WEBER_BASED
-from photonflow.planewaves import (copropagating_pair, counterprop_pair,
+from photonflow.planewaves import (CircularPlaneWave, PlaneWaveSuperposition,
+                                   copropagating_pair, counterprop_pair, place,
                                    single_wave)
 from photonflow.spectral import kgrid, transversality_residual
 
@@ -169,3 +171,24 @@ def test_probability_where_the_field_vanishes(spec16):
     flow = probability_flow(
         to_position(photon_wavefunction(forward_transform(weber))))
     assert flow.rho[:, :, iz].min() > 0.01 * flow.rho.max()
+
+
+@pytest.mark.parametrize("n, t", [(7, 0.0), (8, 0.55), (15, -1.3)])
+def test_density_profile_y_matches_the_full_flow(rng, n, t):
+    spec = GridSpec(n, 4.0, 1.5, 0.8)
+    limit = n // 2 - 1
+    # modes interfere in the x,z-mean only where their signed wave vectors share
+    # (kx, kz): pair them up with one handedness per pair
+    waves = [CircularPlaneWave(spec.dk * np.array([mx, my, mz]), rng.uniform(0.5, 2.0),
+                               handedness, rng.uniform(-np.pi, np.pi))
+             for (mx, mz), handedness in zip(rng.integers(-limit, limit + 1, size=(3, 2)),
+                                             ("right", "left", "right"))
+             for my in rng.choice(np.arange(1, limit + 1), size=2, replace=False)]
+    pwf = photon_wavefunction(evolve(place(PlaneWaveSuperposition(waves), spec), t))
+    reference = probability_flow(to_position(pwf)).rho.mean(axis=(0, 2))
+    profile = density_profile_y(pwf)
+    assert profile.shape == (n,)
+    assert np.ptp(reference) > 0.01 * reference.max()  # the profile has structure
+    assert np.abs(profile - reference).max() <= 1e-13 * reference.max()
+    with pytest.raises(RepresentationError):
+        density_profile_y(to_position(pwf))

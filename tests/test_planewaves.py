@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from photonflow import (GridSpec, analytic_probability_flow,
                         analytic_weber_flow, energy_density,
-                        eval_weber, forward_transform,
+                        eval_weber, forward_transform, place,
                         photon_wavefunction, polarization_basis,
                         poynting_vector, probability_flow, sample_to_grid,
                         to_position)
@@ -163,6 +163,66 @@ def test_beyond_nyquist_wave_vector_rejected(spec16):
         [CircularPlaneWave(np.array([0.0, 0.0, 8.0]), 1.0)])
     with pytest.raises(OffGridWaveVectorError):
         sample_to_grid(state, spec16)
+
+
+def _random_on_grid_state(spec, rng, count):
+    limit = spec.n_per_axis // 2 - 1
+    waves = []
+    while len(waves) < count:
+        m = rng.integers(-limit, limit + 1, size=3)
+        if m.any():
+            waves.append(CircularPlaneWave(spec.dk * m, rng.uniform(0.5, 2.0),
+                                           rng.choice(["right", "left"]),
+                                           rng.uniform(-np.pi, np.pi)))
+    return PlaneWaveSuperposition(waves)
+
+
+def _assert_routes_agree(state, spec, t):
+    placed = place(state, spec, t)
+    sampled = forward_transform(sample_to_grid(state, spec, t))
+    assert (placed.representation, placed.time) == (sampled.representation, t)
+    peak = np.abs(sampled.field).max()
+    assert peak > 0
+    assert np.abs(placed.field - sampled.field).max() <= 1e-13 * peak
+
+
+@pytest.mark.parametrize("n, c, hbar, t", [(7, 1.0, 1.0, 0.0), (8, 1.0, 1.0, 0.37),
+                                           (15, 2.5, 0.3, -1.9), (8, 0.7, 3.0, 4.1)])
+def test_place_matches_sampling_and_transform(rng, n, c, hbar, t):
+    spec = GridSpec(n, 3.0, c, hbar)
+    _assert_routes_agree(_random_on_grid_state(spec, rng, 6), spec, t)
+
+
+def test_place_adds_modes_that_share_a_lattice_site(spec8):
+    # a right-handed k and a left-handed -k are two modes with one signed wave
+    # vector; a pi-shifted copy of a third wave cancels it to an exact zero
+    k = spec8.dk * np.array([1.0, -2.0, 3.0])
+    q = spec8.dk * np.array([0.0, 2.0, 0.0])
+    state = PlaneWaveSuperposition([
+        CircularPlaneWave(k, 1.0, "right", 0.3),
+        CircularPlaneWave(-k, 0.6, "left", 1.1),
+        CircularPlaneWave(q, 0.8, "right", 0.2),
+        CircularPlaneWave(q, 0.8, "right", 0.2 + np.pi),
+    ])
+    for t in (0.0, 0.8):
+        _assert_routes_agree(state, spec8, t)
+    field = place(state, spec8, 0.8).field
+    assert np.count_nonzero(np.abs(field).sum(axis=-1)) == 1
+
+
+def test_off_grid_error_is_the_same_on_both_routes(spec16):
+    state = PlaneWaveSuperposition([
+        CircularPlaneWave(np.array([0.0, 0.0, 1.0]), 1.0),
+        CircularPlaneWave(np.array([0.0, 1.3, 9.0]), 1.0)])
+    errors = []
+    for route in (sample_to_grid, place):
+        with pytest.raises(OffGridWaveVectorError) as info:
+            route(state, spec16)
+        errors.append(info.value)
+    assert str(errors[0]) == str(errors[1])
+    assert "component 1" in str(errors[1])
+    assert_allclose(errors[1].nearest, [0.0, 1.0, 7.0], atol=1e-12)
+    assert (errors[0].nearest == errors[1].nearest).all()
 
 
 def test_presets_registry():

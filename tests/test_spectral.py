@@ -7,10 +7,11 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from photonflow import (GridSpec, WeberGrid, evolve, forward_transform,
-                        inverse_transform, klein_gordon_residual,
-                        photon_number, project_transverse, sample_to_grid, single_wave,
-                        total_energy, transversality_residual)
+from photonflow import (GridSpec, WeberGrid, density_profile_y, evolve,
+                        forward_transform, inverse_transform, klein_gordon_residual,
+                        photon_number, photon_wavefunction, place, project_transverse,
+                        sample_to_grid, single_wave, total_energy,
+                        transversality_residual)
 from photonflow.errors import RepresentationError, TransversalityError
 from photonflow.planewaves import counterprop_pair, eval_weber
 from photonflow.spectral import kgrid
@@ -243,16 +244,22 @@ def test_evolve_matches_matrix_exponential_for_odd_n(rng):
 
 def test_evolve_and_photon_number_work_in_slabs(rng):
     # beyond its input, evolve holds its output plus slab-sized temporaries,
-    # and photon_number no full-size temporary at all
+    # and photon_number no full-size temporary at all; place allocates little
+    # beyond the field it returns, and density_profile_y little beyond one
+    # field-sized inverse FFT along y
     spec = GridSpec(32, 2.0 * np.pi)
     weber = _random_transverse(spec, rng)
     weber.field[0, 0, 0] = 0.0  # photon_number rejects DC content
+    pwf = photon_wavefunction(weber)
+    state = counterprop_pair(3.0, 5.0)
     kgrid(spec)  # the cached wave vectors are not working memory
     budget = {}
     tracemalloc.start()
     try:
         for name, call, limit in (("evolve", lambda: evolve(weber, 0.3), 1.5),
-                                  ("photon_number", lambda: photon_number(weber), 0.5)):
+                                  ("photon_number", lambda: photon_number(weber), 0.5),
+                                  ("place", lambda: place(state, spec, 0.3), 1.2),
+                                  ("density_profile_y", lambda: density_profile_y(pwf), 1.5)):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             call()
