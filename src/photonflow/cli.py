@@ -303,7 +303,7 @@ def cmd_evolve(args):
     else:
         grid, units = config["grid"], config["units"]
         spec = GridSpec(grid["n"], grid["L"], units["c"], units["hbar"])
-        weber = place(build_state(config), spec, t=0.0)
+        weber = place(build_state(config), spec)
     if section["normalize"]:
         weber = normalize_single_photon(weber, dc_tolerance=tol["dc"])
     out = _out_dir(args)
@@ -501,7 +501,7 @@ def cmd_doubleslit(args):
     state = build_slit_state(section, spec)
     out = _out_dir(args)
 
-    weber = place(state, spec, t=0.0)
+    weber = place(state, spec)
     y = spec.axis_coordinates()
     frames = []
     profiles = []

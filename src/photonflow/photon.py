@@ -107,7 +107,8 @@ def density_profile_y(pwf: PhotonWaveFunction) -> np.ndarray:
     if pwf.representation != MOMENTUM:
         raise RepresentationError("density_profile_y expects a momentum-representation wave function")
     spec = pwf.spec
-    flat = np.fft.ifft(pwf.phi, axis=1).view(np.float64)  # (n, n, n, 6): Re/Im pairs
+    # (n, n, n, 6): Re/Im pairs; the float view needs a C-ordered FFT result
+    flat = np.ascontiguousarray(np.fft.ifft(pwf.phi, axis=1)).view(np.float64)
     scale = _TWO_PI_3_2 / (spec.dx ** 3 * spec.n_per_axis ** 2)
     return np.einsum("xyzc,xyzc->y", flat, flat) * scale ** 2
 

@@ -239,33 +239,35 @@ def _check_on_grid(state: PlaneWaveSuperposition, spec: GridSpec):
 def sample_to_grid(state: PlaneWaveSuperposition, spec: GridSpec, t: float = 0.0) -> WeberGrid:
     """Evaluate the superposition on the grid nodes at time t.
 
-    Every component wave vector must sit on the k-lattice (see place).
+    Every component wave vector must sit on the k-lattice: an integer
+    multiple of 2pi/L per axis with |m| <= n/2 - 1; otherwise
+    OffGridWaveVectorError names the component and the nearest lattice vector.
     """
     _check_on_grid(state, spec)
     mesh = spec.position_mesh()
     return WeberGrid(eval_weber(state, mesh, t, spec.c), spec, POSITION, t)
 
 
-def place(state: PlaneWaveSuperposition, spec: GridSpec, t: float = 0.0) -> WeberGrid:
-    """The momentum-representation grid field of the superposition at time t.
+def place(state: PlaneWaveSuperposition, spec: GridSpec) -> WeberGrid:
+    """The momentum-representation grid field of the superposition at time 0.
 
-    An on-grid mode exp(i (k.x - omega t)) transforms to a single lattice
-    entry, so each compiled mode m adds L^3 (2pi)^(-3/2) weber_m exp(-i omega_m t)
-    at the FFT index of its signed wave vector, and every other entry is an
-    exact zero.  This equals forward_transform(sample_to_grid(state, spec, t))
-    up to the FFT's roundoff, without evaluating the mode sum at the n^3 nodes.
-    The same lattice check applies.
+    An on-grid mode exp(i k.x) transforms to a single lattice entry, so each
+    compiled mode m adds L^3 (2pi)^(-3/2) weber_m at the FFT index of its
+    signed wave vector, and every other entry is an exact zero.  This equals
+    forward_transform(sample_to_grid(state, spec)) up to the FFT's roundoff,
+    without evaluating the mode sum at the n^3 nodes; evolve then gives the
+    field at any other time.  The wave vectors must sit on the k-lattice, as
+    for sample_to_grid.
     """
     _check_on_grid(state, spec)
     modes = CompiledState(state, spec.c, spec.hbar)
     n = spec.n_per_axis
     index = np.rint(modes.wave_vectors / spec.dk).astype(int) % n
-    values = modes.weber * (spec.box_length ** 3 / (2.0 * np.pi) ** 1.5
-                            * np.exp(-1j * modes.frequencies * t))[:, None]
+    values = modes.weber * (spec.box_length ** 3 / (2.0 * np.pi) ** 1.5)
     field = np.zeros((n, n, n, 3), dtype=complex)
     # a right-handed k and a left-handed -k share one lattice site: add, not assign
     np.add.at(field, tuple(index.T), values)
-    return WeberGrid(field, spec, MOMENTUM, t)
+    return WeberGrid(field, spec, MOMENTUM, 0.0)
 
 
 # --- built-in states ---------------------------------------------------------

@@ -93,7 +93,9 @@ def kgrid(spec: GridSpec) -> KGrid:
 
 
 def _fft_forward(arr: np.ndarray, spec: GridSpec) -> np.ndarray:
-    return np.fft.fftn(arr, axes=(0, 1, 2)) * (spec.dx ** 3 / _TWO_PI_3_2)
+    out = np.fft.fftn(arr, axes=(0, 1, 2))
+    out *= spec.dx ** 3 / _TWO_PI_3_2
+    return out
 
 
 def _fft_inverse(arr: np.ndarray, spec: GridSpec) -> np.ndarray:

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from photonflow import (GridSpec, analytic_probability_flow,
                         analytic_weber_flow, energy_density,
-                        eval_weber, forward_transform, place,
+                        eval_weber, evolve, forward_transform, place,
                         photon_wavefunction, polarization_basis,
                         poynting_vector, probability_flow, sample_to_grid,
                         to_position)
@@ -178,7 +178,8 @@ def _random_on_grid_state(spec, rng, count):
 
 
 def _assert_routes_agree(state, spec, t):
-    placed = place(state, spec, t)
+    # place builds the field at t = 0; evolve carries it to t
+    placed = evolve(place(state, spec), t)
     sampled = forward_transform(sample_to_grid(state, spec, t))
     assert (placed.representation, placed.time) == (sampled.representation, t)
     peak = np.abs(sampled.field).max()
@@ -206,7 +207,7 @@ def test_place_adds_modes_that_share_a_lattice_site(spec8):
     ])
     for t in (0.0, 0.8):
         _assert_routes_agree(state, spec8, t)
-    field = place(state, spec8, 0.8).field
+    field = place(state, spec8).field
     assert np.count_nonzero(np.abs(field).sum(axis=-1)) == 1
 
 

@@ -258,7 +258,7 @@ def test_evolve_and_photon_number_work_in_slabs(rng):
     try:
         for name, call, limit in (("evolve", lambda: evolve(weber, 0.3), 1.5),
                                   ("photon_number", lambda: photon_number(weber), 0.5),
-                                  ("place", lambda: place(state, spec, 0.3), 1.2),
+                                  ("place", lambda: place(state, spec), 1.2),
                                   ("density_profile_y", lambda: density_profile_y(pwf), 1.5)):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
