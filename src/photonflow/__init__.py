@@ -32,6 +32,7 @@ from .lorentz import (Boost, FourVectorAudit, audit_four_vector,
                       boost_plane_wave, boost_wave_vector, field_boost,
                       fourvector_transform_flow, velocity_addition)
 from .bohm import (FrameConsistency, Trajectory, frame_consistency_check,
-                   guidance_velocity, integrate_trajectory,
-                   sample_points_on_line, transport_ensemble)
+                   guidance_velocity, integrate_trajectories,
+                   integrate_trajectory, sample_points_on_line,
+                   transport_ensemble)
 from .fieldio import read_weber, write_weber

@@ -14,6 +14,12 @@ relative to a rigorous upper bound on the density (the squared sum of
 component amplitude norms), so it does not depend on where the state is
 evaluated.
 
+_rk4 is the one integrator: a fixed-step RK4 pass over an array of points,
+four guidance evaluations a step, each covering every point.
+integrate_trajectories keeps every knot of that pass and cuts each point's
+Trajectory at its first node stop; integrate_trajectory is its one-point
+case, and transport_ensemble keeps only the final knot.
+
 The frame-consistency check compares, at one event, the velocity
 obtained by relativistically transforming the rest-frame velocity
 against the velocity of the boosted-frame flow at the transformed event.
@@ -131,29 +137,41 @@ def _rk4(state, points, t0, t1, step, guidance, c, hbar, node_floor_rel):
         yield b, x, v, live
 
 
+def integrate_trajectories(state: PlaneWaveSuperposition, points, t0: float, t1: float,
+                           step: float, guidance: str = PHI_BASED, *, c: float = 1.0,
+                           hbar: float = 1.0,
+                           node_floor_rel: float = _NODE_FLOOR_REL) -> list:
+    """Classic fixed-step RK4 for points (n, 3) from t0 to t1 in one pass, last step
+    shortened to land on t1; returns one Trajectory per point.
+
+    A trajectory that reaches a density node stops there: it keeps the
+    knots before the node and has node_hit = True.  A point that starts on
+    a node raises GuidanceNodeError.
+    """
+    knots = _rk4(state, points, t0, t1, step, guidance, c, hbar, node_floor_rel)
+    first = t, x, _, live = next(knots)
+    if not live.all():
+        i = int(np.argmin(live))
+        raise GuidanceNodeError(
+            f"trajectory starts on a density node at x = {x[i].tolist()}, t = {t:.6g}",
+            location=x[i], time=float(t))
+    times, positions, velocities, alive = zip(first, *knots)
+    times = np.array(times)
+    positions = np.stack(positions, axis=1)
+    velocities = np.stack(velocities, axis=1)
+    # a point never comes back to life, so its live count is its first dead knot
+    stops = np.sum(alive, axis=0)
+    return [Trajectory(times[:stop], positions[i, :stop], velocities[i, :stop], guidance,
+                       bool(stop < len(times)))
+            for i, stop in enumerate(stops)]
+
+
 def integrate_trajectory(state: PlaneWaveSuperposition, x0, t0: float, t1: float,
                          step: float, guidance: str = PHI_BASED, *, c: float = 1.0,
                          hbar: float = 1.0, node_floor_rel: float = _NODE_FLOOR_REL) -> Trajectory:
-    """Classic fixed-step RK4 from (x0, t0) to t1, last step shortened to land on t1.
-
-    If the trajectory reaches a density node the integration stops there
-    and the returned object has node_hit = True with the samples
-    accumulated so far.
-    """
-    times, positions, velocities = [], [], []
-    for t, x, v, live in _rk4(state, np.reshape(x0, (1, 3)), t0, t1, step, guidance,
-                              c, hbar, node_floor_rel):
-        if not live[0]:
-            break
-        times.append(t)
-        positions.append(x[0])
-        velocities.append(v[0])
-    if not times:
-        raise GuidanceNodeError(
-            f"trajectory starts on a density node at x = {x[0].tolist()}, t = {t:.6g}",
-            location=x[0], time=float(t))
-    return Trajectory(np.array(times), np.array(positions), np.array(velocities),
-                      guidance, not live[0])
+    """The trajectory from (x0, t0): integrate_trajectories for one point."""
+    return integrate_trajectories(state, np.reshape(x0, (1, 3)), t0, t1, step, guidance,
+                                  c=c, hbar=hbar, node_floor_rel=node_floor_rel)[0]
 
 
 def transport_ensemble(state: PlaneWaveSuperposition, points, t0: float, t1: float,

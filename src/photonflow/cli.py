@@ -8,6 +8,8 @@ randomness is seeded (--seed), all numeric output is deterministic.
 evolve and doubleslit build their grid state in momentum space
 (planewaves.place); doubleslit writes the x,z-mean density profile along y
 (photon.density_profile_y), computed without the 3-D inverse transform.
+trajectories integrates all its points in one RK4 pass
+(bohm.integrate_trajectories).
 A closed stdout ends a subcommand with exit status 1 and no traceback.
 
 Config layout (any subset; missing keys take the defaults shown by
@@ -26,7 +28,9 @@ Config layout (any subset; missing keys take the defaults shown by
 
 Every key is checked against one schema (``SCHEMA``) before a command
 creates its output directory; an unknown key or a bad value exits 2 and
-names the field path.  Boost speeds are given as fractions of c.
+names the field path.  The work a config asks for is bounded the same
+way (``_check_budget``: grid field bytes, trajectory point-knots, audit
+samples).  Boost speeds are given as fractions of c.
 Tolerances are overridden per key with ``--tolerance KEY=VALUE`` (keys
 listed by ``photonflow info``); every value must be finite and > 0.
 """
@@ -42,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bohm import (_NODE_FLOOR_REL, frame_consistency_check, integrate_trajectory,
+from .bohm import (_NODE_FLOOR_REL, frame_consistency_check, integrate_trajectories,
                    sample_points_on_line)
 from .errors import ConfigError, OffGridWaveVectorError, PhotonflowError
 from .fieldio import read_weber, trajectories_to_csv, write_csv, write_weber
@@ -198,6 +202,44 @@ TOLERANCES = {
 }
 
 
+# Work bounds, checked on the resolved config before a command allocates
+# anything: bytes of one n^3 grid field at 48 bytes a point (n <= 355),
+# trajectory points times RK4 knots that the one integration pass holds
+# (48 bytes each), and samples per four-vector audit (audits.json stores
+# 14 numbers a sample for each of its eight audits).
+_FIELD_BYTES_LIMIT = 2 ** 31
+_POINT_KNOTS_LIMIT = 2 ** 22
+_AUDIT_SAMPLES_LIMIT = 2 ** 16
+
+
+def _check_budget(config):
+    """Raise ConfigError naming the field whose value takes the work over a limit.
+
+    Counts stay Python ints and are compared with floats, never converted
+    to them, so an integer of any size is rejected, not overflowed.
+    """
+    n = config["grid"]["n"]
+    if 48 * n ** 3 > _FIELD_BYTES_LIMIT:
+        raise ConfigError(f"grid.n = {n} needs more than the limit of {_FIELD_BYTES_LIMIT} "
+                          f"bytes per field (48 n^3)", field="grid.n")
+    section = config["trajectories"]
+    points, points_field = section["count"], "trajectories.count"
+    if section["initial_points"] is not None:
+        points, points_field = len(section["initial_points"]), "trajectories.initial_points"
+    span = section["t1"] - section["t0"]
+    # the knot count of bohm._rk4, as a float so that a tiny step gives inf, not a huge int
+    knots = 1.0 + (max(1.0, float(np.ceil(span / section["step"] - 1e-12))) if span > 0
+                   else 0.0)
+    if points > _POINT_KNOTS_LIMIT / knots:
+        field = "trajectories.step" if knots > _POINT_KNOTS_LIMIT else points_field
+        raise ConfigError(f"{field}: {points} point(s) times {knots:.6g} RK4 knots exceed "
+                          f"the limit of {_POINT_KNOTS_LIMIT} point-knots", field=field)
+    samples = config["audit"]["samples"]
+    if samples > _AUDIT_SAMPLES_LIMIT:
+        raise ConfigError(f"audit.samples = {samples} is over the limit of "
+                          f"{_AUDIT_SAMPLES_LIMIT}", field="audit.samples")
+
+
 def _resolve(table, given, path):
     """Check the object ``given`` against ``table``; return typed values, defaults filled in."""
     if type(given) is not dict:
@@ -224,7 +266,8 @@ def _defaults(table):
 
 
 def load_config(path):
-    """Read a JSON config, check every key against SCHEMA, and fill in the defaults."""
+    """Read a JSON config, check every key against SCHEMA and the work against the
+    limits of _check_budget, and fill in the defaults."""
     user = {}
     if path is not None:
         try:
@@ -236,7 +279,11 @@ def load_config(path):
         except json.JSONDecodeError as exc:
             raise ConfigError(
                 f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
-    return _resolve(SCHEMA, user, "")
+        except ValueError as exc:  # an integer literal over Python's digit limit
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    config = _resolve(SCHEMA, user, "")
+    _check_budget(config)
+    return config
 
 
 def parse_tolerances(pairs):
@@ -368,7 +415,8 @@ def cmd_boost_audit(args):
             print(f"{name:22s} {recipe:12s} {audit.max_mismatch:14.3e}  {audit.verdict}")
 
     payload = [dict(scenario=name, **audit_to_json(audit)) for name, audit in results]
-    (out / "audits.json").write_text(json.dumps(payload, indent=2))
+    # compact: with an indent, json uses its pure-Python encoder
+    (out / "audits.json").write_text(json.dumps(payload))
 
     interference = next(audit for name, audit in results
                         if name == "two-wave x-boost" and audit.recipe == PHI_BASED)
@@ -403,11 +451,8 @@ def cmd_trajectories(args):
                                        line["length"], section["count"], rng,
                                        guidance, t=t0, c=c, hbar=hbar)
 
-    trajectories = [
-        integrate_trajectory(state, x0, t0, t1, step, guidance, c=c, hbar=hbar,
-                             node_floor_rel=tol["node_floor"])
-        for x0 in points
-    ]
+    trajectories = integrate_trajectories(state, points, t0, t1, step, guidance, c=c,
+                                          hbar=hbar, node_floor_rel=tol["node_floor"])
     trajectories_to_csv(out / "trajectories.csv", trajectories)
 
     node_hits = sum(t.node_hit for t in trajectories)

@@ -206,6 +206,7 @@ def evolve(weber: WeberGrid, dt: float,
     to roundoff.  dt < 0 runs the dynamics backwards.  The k = 0 mode is
     carried through unchanged.  The transversality gate and the rotation
     share one slab-wise pass; a state that fails the gate is discarded.
+    dt == 0 runs the gate alone and returns ``weber`` itself, not a copy.
 
     Parameters
     ----------
@@ -217,11 +218,13 @@ def evolve(weber: WeberGrid, dt: float,
     """
     if weber.representation != MOMENTUM:
         raise RepresentationError("evolve expects a momentum-representation field")
-    residual, rotated = _sweep(weber, weber.spec.c * dt)
+    residual, rotated = _sweep(weber, None if dt == 0 else weber.spec.c * dt)
     if not residual <= transversality_tol:  # NaN fails too
         raise TransversalityError(
             f"state has transversality residual {residual:.3e} > {transversality_tol:.1e}; "
             "project_transverse it first")
+    if rotated is None:
+        return weber
     return WeberGrid(rotated, weber.spec, MOMENTUM, weber.time + dt)
 
 

@@ -12,7 +12,8 @@ from photonflow import (Boost, CircularPlaneWave, FieldValidationError,
                         boost_plane_wave, continuity_residual,
                         forward_transform,
                         frame_consistency_check, guidance_velocity,
-                        integrate_trajectory, sample_points_on_line,
+                        integrate_trajectories, integrate_trajectory,
+                        sample_points_on_line,
                         sample_to_grid, transport_ensemble)
 from photonflow import bohm, planewaves
 from photonflow.photon import PHI_BASED, WEBER_BASED
@@ -237,6 +238,72 @@ def test_rk4_reuses_the_knot_velocity_as_k1(monkeypatch):
     # the start knot, then k2, k3, k4 and the new knot's velocity per step
     assert times[:5] == [0.0, 0.05, 0.05, 0.1, 0.1]
     assert len(times) == 1 + 4 * 10
+
+
+def _one_point_loop(state, x0, t1, recipe, node_floor_rel=bohm._NODE_FLOOR_REL):
+    """Reference: the knots of bohm._rk4 for x0 alone, up to its first dead knot."""
+    times, positions, velocities = [], [], []
+    for t, x, v, live in bohm._rk4(state, np.reshape(x0, (1, 3)), 0.0, t1, 0.05, recipe,
+                                   1.0, 1.0, node_floor_rel):
+        if not live[0]:
+            break
+        times.append(t)
+        positions.append(x[0])
+        velocities.append(v[0])
+    return np.array(times), np.array(positions), np.array(velocities), not live[0]
+
+
+def _assert_same_trajectory(traj, reference, recipe):
+    times, positions, velocities, node_hit = reference
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.positions, positions)
+    assert np.array_equal(traj.velocities, velocities)
+    assert traj.node_hit == node_hit
+    assert traj.guidance == recipe
+
+
+@pytest.mark.parametrize("recipe", [PHI_BASED, WEBER_BASED])
+def test_integrate_trajectories_equals_per_point_runs_bit_for_bit(rng, recipe):
+    state = _boosted_pair()
+    points = rng.uniform(-np.pi, np.pi, size=(16, 3))
+    batch = integrate_trajectories(state, points, 0.0, 1.3, 0.05, recipe)
+    assert len(batch) == 16
+    for x0, batched in zip(points, batch):
+        reference = _one_point_loop(state, x0, 1.3, recipe)
+        _assert_same_trajectory(batched, reference, recipe)
+        _assert_same_trajectory(integrate_trajectory(state, x0, 0.0, 1.3, 0.05, recipe),
+                                reference, recipe)
+
+
+def test_integrate_trajectories_cuts_each_point_at_its_own_node_stop():
+    # a high floor turns the troughs of the boosted standing wave into nodes,
+    # which the points along k_sum reach at different knots
+    state = _boosted_pair()
+    k_sum_hat = np.array([-np.sqrt(3.0), 0.0, -1.0]) / 2.0
+    points = np.outer([np.pi / 2.0, 1.2, 1.9, 2.2], k_sum_hat)
+    batch = integrate_trajectories(state, points, 0.0, 2.0, 0.05, PHI_BASED,
+                                   node_floor_rel=0.45)
+    assert all(traj.node_hit for traj in batch)
+    assert len({len(traj.times) for traj in batch}) == len(points)
+    for x0, batched in zip(points, batch):
+        reference = _one_point_loop(state, x0, 2.0, PHI_BASED, node_floor_rel=0.45)
+        _assert_same_trajectory(batched, reference, PHI_BASED)
+        _assert_same_trajectory(integrate_trajectory(state, x0, 0.0, 2.0, 0.05, PHI_BASED,
+                                                     node_floor_rel=0.45),
+                                reference, PHI_BASED)
+
+
+def test_integrate_trajectories_rejects_a_point_that_starts_on_a_node():
+    state = copropagating_pair()
+    node = np.array([0.0, 0.0, np.pi])
+    with pytest.raises(GuidanceNodeError) as single:
+        integrate_trajectory(state, node, 0.0, 1.0, 0.1, WEBER_BASED)
+    with pytest.raises(GuidanceNodeError) as batched:
+        integrate_trajectories(state, [[0.0, 0.0, 0.5], node], 0.0, 1.0, 0.1,
+                               WEBER_BASED)
+    assert str(batched.value) == str(single.value)
+    assert_allclose(batched.value.location, node, atol=0)
+    assert batched.value.time == single.value.time == 0.0
 
 
 def test_transport_ensemble_stops_points_where_trajectories_stop():

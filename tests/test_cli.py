@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from photonflow import GridSpec, WeberGrid, __version__
-from photonflow.cli import main
+from photonflow.cli import (_AUDIT_SAMPLES_LIMIT, _FIELD_BYTES_LIMIT, _POINT_KNOTS_LIMIT,
+                            load_config, main)
+from photonflow.errors import ConfigError
 from photonflow.fieldio import read_weber, write_weber
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -282,6 +284,24 @@ def test_trajectories_seed_controls_sampling(tmp_path):
     assert (out_c / "trajectories.csv").read_text() != csv_a
 
 
+def test_trajectories_run_is_one_batched_pass(tmp_path, monkeypatch):
+    from photonflow import bohm
+
+    points_per_call = []
+    real = bohm._velocity_masked
+
+    def counted(compiled, recipe, x, t, floor):
+        points_per_call.append(len(x))
+        return real(compiled, recipe, x, t, floor)
+
+    monkeypatch.setattr(bohm, "_velocity_masked", counted)
+    rc, _ = _run(tmp_path, "trajectories")
+    assert rc == 0
+    # 126 RK4 steps over all 16 points: the start knot, then four a step;
+    # the two recipes' frame checks add one rest and one boosted point each
+    assert points_per_call == [16] * (1 + 4 * 126) + [1] * 4
+
+
 # --- doubleslit -------------------------------------------------------------
 
 
@@ -359,6 +379,15 @@ def test_invalid_json_reports_position(tmp_path, capsys):
     assert f"{bad}:3:" in err
 
 
+def test_over_long_integer_literal_exits_2(tmp_path):
+    # json.loads raises a plain ValueError past Python's integer digit limit
+    bad = tmp_path / "long.json"
+    bad.write_text('{"grid": {"n": 1' + "0" * 5000 + "}}")
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(bad), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_unknown_preset_exits_2(tmp_path, capsys):
     rc, _ = _run(tmp_path, "evolve", config={"state": {"preset": "no-such"}})
     assert rc == 2
@@ -408,15 +437,40 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
      "trajectories.line.direction"),
     ("trajectories", {"boost": {"direction": [0.0, -0.0, 0.0], "u": 0.5}},
      "boost.direction"),
+    # work over a limit of cli._check_budget: each fails the estimate, none allocates
+    ("evolve", {"grid": {"n": 100_000_000}}, "grid.n"),
+    ("evolve", {"grid": {"n": 10 ** 400}}, "grid.n"),
+    ("doubleslit", {"grid": {"n": 356}}, "grid.n"),
+    ("trajectories", {"trajectories": {"step": 1e-300}}, "trajectories.step"),
+    ("trajectories", {"trajectories": {"t0": -1e308, "t1": 1e308}}, "trajectories.step"),
+    ("trajectories", {"trajectories": {"count": 10 ** 17}}, "trajectories.count"),
+    ("trajectories", {"trajectories": {"count": 10 ** 400}}, "trajectories.count"),
+    ("trajectories", {"trajectories": {"initial_points": [[0, 0, 0]] * 40_000}},
+     "trajectories.initial_points"),
+    ("boost-audit", {"audit": {"samples": 10 ** 17}}, "audit.samples"),
 ], ids=["nan-point", "no-points", "inf-boost", "text-phase", "nan-phase",
         "text-preset-arg", "nan-preset-arg", "inf-evolve-time", "inf-slit-time",
         "text-normalize", "misspelled-key", "bool-sources", "zero-line-direction",
-        "overflowing-line-direction", "zero-boost-direction"])
+        "overflowing-line-direction", "zero-boost-direction", "huge-grid",
+        "grid-beyond-float", "grid-over-limit", "tiny-step", "overflowing-span",
+        "huge-count", "count-beyond-float", "points-over-limit", "huge-audit"])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, command,
                                                    config, field):
     rc, _ = _run(tmp_path, command, config=config)
     assert rc == 2
     assert f"(field: {field})" in capsys.readouterr().err
+
+
+def test_work_limits_sit_where_their_comment_says(tmp_path):
+    assert 48 * 355 ** 3 <= _FIELD_BYTES_LIMIT < 48 * 356 ** 3
+    # 2^22 point-knots: 1024 points of 4096 knots (4095 steps of 1 from 0)
+    at_limit = {"grid": {"n": 355}, "audit": {"samples": _AUDIT_SAMPLES_LIMIT},
+                "trajectories": {"count": 1024, "t0": 0.0, "t1": 4095.0, "step": 1.0}}
+    assert 1024 * 4096 == _POINT_KNOTS_LIMIT
+    load_config(_write_config(tmp_path, at_limit))
+    at_limit["trajectories"]["count"] = 1025
+    with pytest.raises(ConfigError, match="trajectories.count"):
+        load_config(_write_config(tmp_path, at_limit))
 
 
 def test_state_file_combined_with_preset_exits_2(tmp_path):

@@ -228,6 +228,22 @@ def test_evolve_rejects_an_inf_in_the_dc_mode(spec8):
         evolve(tilde, 0.1)
 
 
+def test_evolve_by_zero_returns_the_state_itself(spec8, rng):
+    tilde = _random_transverse(spec8, rng)
+    assert evolve(tilde, 0.0) is tilde
+
+
+@pytest.mark.parametrize("spoil", ["nan", "longitudinal"])
+def test_evolve_by_zero_still_runs_the_gate(spec8, rng, spoil):
+    if spoil == "nan":
+        tilde = forward_transform(sample_to_grid(single_wave(), spec8))
+        tilde.field[1, 2, 3, 0] = np.nan
+    else:
+        tilde = forward_transform(_random_weber(spec8, rng))
+    with pytest.raises(TransversalityError):
+        evolve(tilde, 0.0)
+
+
 def test_evolve_matches_matrix_exponential_for_odd_n(rng):
     # n = 7 is no multiple of the slab size, so the last slab is a short one
     spec = GridSpec(7, 2.0 * np.pi, c=1.3)
