@@ -6,8 +6,10 @@ info only prints the presets, tolerances and default config.  All
 randomness is seeded (--seed), all numeric output is deterministic.
 
 evolve and doubleslit build their grid state in momentum space
-(planewaves.place); doubleslit writes the x,z-mean density profile along y
-(photon.density_profile_y), computed without the 3-D inverse transform.
+(planewaves.place) and evolve it in place (spectral.evolve with
+out=weber.field), so each holds one full-size field; doubleslit writes the
+x,z-mean density profile along y (photon.density_profile_y), computed from
+the field slab by slab without building phi~ or the 3-D inverse transform.
 trajectories integrates all its points in one RK4 pass
 (bohm.integrate_trajectories).
 A closed stdout ends a subcommand with exit status 1 and no traceback.
@@ -48,12 +50,13 @@ import numpy as np
 from . import __version__
 from .bohm import (_NODE_FLOOR_REL, frame_consistency_check, integrate_trajectories,
                    sample_points_on_line)
-from .errors import ConfigError, OffGridWaveVectorError, PhotonflowError
-from .fieldio import read_weber, trajectories_to_csv, write_csv, write_weber
+from .errors import (ConfigError, FieldValidationError, OffGridWaveVectorError,
+                     PhotonflowError)
+from .fieldio import _HEADER, read_weber, trajectories_to_csv, write_csv, write_weber
 from .fields import POSITION, GridSpec, total_energy
 from .lorentz import _AUDIT_TOL, Boost, audit_four_vector, audit_to_json
 from .photon import (DEFAULT_DC_TOLERANCE, PHI_BASED, WEBER_BASED, density_profile_y,
-                     normalize_single_photon, photon_number, photon_wavefunction)
+                     normalize_single_photon, photon_number)
 from .planewaves import PRESETS, CircularPlaneWave, PlaneWaveSuperposition, place
 from .spectral import (_TRANSVERSALITY_TOL, evolve, forward_transform,
                        transversality_residual)
@@ -330,6 +333,16 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _evolve_to(weber, t, tol, field):
+    """Evolve ``weber`` in place to time t; a step evolve rejects (one whose
+    angle |k| c dt is not finite) is a ConfigError naming ``field``."""
+    try:
+        return evolve(weber, t - weber.time, transversality_tol=tol["transversality"],
+                      out=weber.field)
+    except FieldValidationError as exc:
+        raise ConfigError(f"{field}: cannot evolve to t = {t!r}: {exc}", field=field) from exc
+
+
 # --- evolve -----------------------------------------------------------------
 
 def cmd_evolve(args):
@@ -340,10 +353,16 @@ def cmd_evolve(args):
     if "file" in config["state"]:
         # resume from a stored snapshot; it carries its own grid and units,
         # so the config's grid and units sections are not used
+        path = config["state"]["file"]
         try:
-            weber = read_weber(config["state"]["file"])
+            size = os.stat(path).st_size
+            if size > _HEADER.size + _FIELD_BYTES_LIMIT:
+                raise ConfigError(f"state.file {path} is {size} bytes, over the limit of "
+                                  f"{_FIELD_BYTES_LIMIT} bytes per field plus the "
+                                  f"{_HEADER.size}-byte header", field="state.file")
+            weber = read_weber(path)
         except OSError as exc:
-            raise ConfigError(f"cannot read field file: {exc}", field="state.file")
+            raise ConfigError(f"cannot read field file: {exc}", field="state.file") from exc
         if weber.representation == POSITION:
             weber = forward_transform(weber)
         spec = weber.spec
@@ -357,7 +376,7 @@ def cmd_evolve(args):
 
     records = []
     for i, t in enumerate(section["times"]):
-        weber = evolve(weber, t - weber.time, transversality_tol=tol["transversality"])
+        weber = _evolve_to(weber, t, tol, "evolve.times")
         snapshot = out / f"snapshot_{i:02d}.phwf"
         write_weber(snapshot, weber)
         record = {
@@ -551,8 +570,8 @@ def cmd_doubleslit(args):
     frames = []
     profiles = []
     for t in section["times"]:
-        weber = evolve(weber, t - weber.time, transversality_tol=tol["transversality"])
-        profile = density_profile_y(photon_wavefunction(weber, dc_tolerance=tol["dc"]))
+        weber = _evolve_to(weber, t, tol, "doubleslit.times")
+        profile = density_profile_y(weber, dc_tolerance=tol["dc"])
         profiles.append(profile)
         frames.append(np.column_stack([np.full_like(y, t), y, profile]))
     table = np.vstack(frames)

@@ -14,12 +14,20 @@ PHWF1 layout (all multi-byte values little-endian):
                   per point six float64: Re Fx, Im Fx, Re Fy, Im Fy,
                   Re Fz, Im Fz.
 
+Both directions move the payload one z-plane (n^2 points) at a time
+through a plane-sized buffer, so neither holds a second full-size copy
+of the field: write_weber gathers each plane from the C-ordered field,
+read_weber checks the file size against the header's n before it
+allocates, then reads and checks each plane and scatters it into the
+field.
+
 CSV exports carry their column names in the first line (no comment
 prefix) so they load directly into plotting tools.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -35,43 +43,54 @@ _TAG_REPS = {v: k for k, v in _REP_TAGS.items()}
 
 
 def write_weber(path, weber: WeberGrid) -> None:
-    """Write a WeberGrid to a PHWF1 file."""
+    """Write a WeberGrid to a PHWF1 file, one z-plane at a time."""
     spec = weber.spec
-    header = _HEADER.pack(MAGIC, spec.n_per_axis, spec.box_length, spec.c,
+    n = spec.n_per_axis
+    header = _HEADER.pack(MAGIC, n, spec.box_length, spec.c,
                           spec.hbar, _REP_TAGS[weber.representation], weber.time)
-    # a little-endian complex128 is the pair Re, Im of float64s, so the
-    # z, y, x-ordered copy already holds the payload bytes
-    zyx = np.ascontiguousarray(weber.field.transpose(2, 1, 0, 3), dtype="<c16")
+    # a little-endian complex128 is the pair Re, Im of float64s, so a y, x-ordered
+    # copy of one z-plane holds that plane's payload bytes
+    plane = np.empty((n, n, 3), dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(memoryview(zyx))
+        for iz in range(n):
+            plane[...] = weber.field[:, :, iz].transpose(1, 0, 2)
+            fh.write(memoryview(plane))
 
 
 def read_weber(path) -> WeberGrid:
-    """Read a PHWF1 file back into a WeberGrid."""
+    """Read a PHWF1 file back into a WeberGrid.
+
+    The file size is checked against the header's n before the field is
+    allocated; the payload is then read one z-plane at a time into the
+    C-ordered field, and each plane is checked for non-finite values.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size or raw[:5] != MAGIC:
-        raise FieldValidationError(f"{path}: not a PHWF1 container")
-    magic, n, box_length, c, hbar, tag, time = _HEADER.unpack_from(raw)
-    if tag not in _TAG_REPS:
-        raise FieldValidationError(f"{path}: unknown representation tag {tag}")
-    expected = _HEADER.size + n ** 3 * 6 * 8
-    if len(raw) != expected:
-        raise FieldValidationError(
-            f"{path}: payload is {len(raw) - _HEADER.size} bytes, "
-            f"expected {expected - _HEADER.size} for n = {n}")
-    if not np.isfinite(time):
-        raise FieldValidationError(f"{path}: header time {time!r} is not finite")
-    payload = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
-    finite = np.isfinite(payload)
-    if not finite.all():
-        point, component = divmod(int(np.argmin(finite)), 3)
-        raise FieldValidationError(
-            f"{path}: payload is non-finite at grid index "
-            f"{(point % n, point // n % n, point // (n * n))}, component {component}")
-    field = payload.reshape(n, n, n, 3).transpose(2, 1, 0, 3)
-    spec = GridSpec(int(n), box_length, c, hbar)
+        raw = fh.read(_HEADER.size)
+        if len(raw) < _HEADER.size or raw[:5] != MAGIC:
+            raise FieldValidationError(f"{path}: not a PHWF1 container")
+        magic, n, box_length, c, hbar, tag, time = _HEADER.unpack(raw)
+        if tag not in _TAG_REPS:
+            raise FieldValidationError(f"{path}: unknown representation tag {tag}")
+        payload_bytes, expected = os.fstat(fh.fileno()).st_size - _HEADER.size, n ** 3 * 6 * 8
+        if payload_bytes != expected:
+            raise FieldValidationError(
+                f"{path}: payload is {payload_bytes} bytes, expected {expected} for n = {n}")
+        if not np.isfinite(time):
+            raise FieldValidationError(f"{path}: header time {time!r} is not finite")
+        spec = GridSpec(int(n), box_length, c, hbar)
+        field = np.empty((n, n, n, 3), dtype=np.complex128)
+        plane = np.empty((n, n, 3), dtype="<c16")  # [iy, ix, component]
+        for iz in range(n):
+            if fh.readinto(plane) != plane.nbytes:
+                raise FieldValidationError(f"{path}: payload ended early at z-plane {iz}")
+            finite = np.isfinite(plane)
+            if not finite.all():
+                point, component = divmod(int(np.argmin(finite)), 3)
+                raise FieldValidationError(
+                    f"{path}: payload is non-finite at grid index "
+                    f"{(point % n, point // n, iz)}, component {component}")
+            field[:, :, iz] = plane.transpose(1, 0, 2)
     return WeberGrid(field, spec, _TAG_REPS[tag], time)
 
 

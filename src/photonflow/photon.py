@@ -27,6 +27,11 @@ continuity_residual verifies the latter numerically for either recipe.
 The 1/sqrt(k) weighting is singular at k = 0, so states carrying a
 non-negligible share of their energy in the DC mode are rejected, and
 the DC photon coefficient is hard-zeroed otherwise.
+
+density_profile_y reads the x,z-mean of rho_p along y straight off the
+momentum-space field: after the same DC gate it applies the weight, an
+inverse FFT along y and the reduction to a few x-planes at a time, so
+phi~ is never built in full.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ from .errors import DCContentError, RepresentationError, ZeroFieldError
 from .fields import (MOMENTUM, POSITION, GridSpec, WeberGrid, energy_density,
                      poynting_vector, total_energy)
 from .planewaves import PHI_BASED, WEBER_BASED, _recipe_flow, flow_recipe
-from .spectral import _TWO_PI_3_2, _fft_inverse, evolve, inverse_transform, kgrid
+from .spectral import (_SLAB_PLANES, _TWO_PI_3_2, _fft_inverse, evolve,
+                       inverse_transform, kgrid)
 
 DEFAULT_DC_TOLERANCE = 1e-12
 
@@ -77,16 +83,19 @@ def _check_dc_content(weber: WeberGrid, dc_tolerance: float):
             "is singular there")
 
 
+def _good_weight(spec: GridSpec, xs=slice(None)) -> np.ndarray:
+    """1 / sqrt(8 pi hbar k c) on the x-planes ``xs`` of the k-grid (0 at k = 0)."""
+    return np.sqrt(kgrid(spec).inv_k[xs] / (8.0 * np.pi * spec.hbar * spec.c))
+
+
 def photon_wavefunction(weber: WeberGrid,
                         dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> PhotonWaveFunction:
     """phi~(k) = F~(k) / sqrt(8 pi hbar k c); the k = 0 coefficient is set to 0."""
     if weber.representation != MOMENTUM:
         raise RepresentationError("photon_wavefunction expects a momentum-representation field")
     _check_dc_content(weber, dc_tolerance)
-    spec = weber.spec
-    weight = np.sqrt(kgrid(spec).inv_k / (8.0 * np.pi * spec.hbar * spec.c))
-    phi = weber.field * weight[..., None]
-    return PhotonWaveFunction(phi, spec, MOMENTUM, weber.time)
+    phi = weber.field * _good_weight(weber.spec)[..., None]
+    return PhotonWaveFunction(phi, weber.spec, MOMENTUM, weber.time)
 
 
 def to_position(pwf: PhotonWaveFunction) -> PhotonWaveFunction:
@@ -95,22 +104,32 @@ def to_position(pwf: PhotonWaveFunction) -> PhotonWaveFunction:
     return PhotonWaveFunction(_fft_inverse(pwf.phi, pwf.spec), pwf.spec, POSITION, pwf.time)
 
 
-def density_profile_y(pwf: PhotonWaveFunction) -> np.ndarray:
-    """The x,z-mean of rho = phi^dag phi along y, from the momentum representation.
+def density_profile_y(weber: WeberGrid,
+                      dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> np.ndarray:
+    """The x,z-mean of the phi-based density rho = phi^dag phi along y, from F~.
 
     By Parseval along x and z only an inverse FFT along y is needed:
     with g = ifft_y(phi~) (2pi)^(3/2) / (dx^3 n^2), the profile is
-    sum over kx, kz and components of |g|^2.  It equals
-    probability_flow(to_position(pwf)).rho.mean(axis=(0, 2)) to roundoff
-    without the 3-D inverse transform or the current.
+    sum over kx, kz and components of |g|^2.  Runs the DC gate of
+    photon_wavefunction, then applies Good's weight, the y-FFT and the
+    reduction per slab of x-planes, so its temporaries are slab-sized.
+    It equals probability_flow(to_position(photon_wavefunction(weber)))
+    .rho.mean(axis=(0, 2)) to roundoff without building phi~, the 3-D
+    inverse transform or the current.
     """
-    if pwf.representation != MOMENTUM:
-        raise RepresentationError("density_profile_y expects a momentum-representation wave function")
-    spec = pwf.spec
-    # (n, n, n, 6): Re/Im pairs; the float view needs a C-ordered FFT result
-    flat = np.ascontiguousarray(np.fft.ifft(pwf.phi, axis=1)).view(np.float64)
+    if weber.representation != MOMENTUM:
+        raise RepresentationError("density_profile_y expects a momentum-representation field")
+    _check_dc_content(weber, dc_tolerance)
+    spec = weber.spec
+    profile = np.zeros(spec.n_per_axis)
+    for start in range(0, spec.n_per_axis, _SLAB_PLANES):
+        xs = slice(start, start + _SLAB_PLANES)
+        phi = weber.field[xs] * _good_weight(spec, xs)[..., None]
+        # (planes, n, n, 6): Re/Im pairs; the float view needs a C-ordered FFT result
+        flat = np.ascontiguousarray(np.fft.ifft(phi, axis=1)).view(np.float64)
+        profile += np.einsum("xyzc,xyzc->y", flat, flat)
     scale = _TWO_PI_3_2 / (spec.dx ** 3 * spec.n_per_axis ** 2)
-    return np.einsum("xyzc,xyzc->y", flat, flat) * scale ** 2
+    return profile * scale ** 2
 
 
 def photon_number(weber: WeberGrid,

@@ -28,17 +28,20 @@ transversality_residual share one kernel that walks the field in slabs
 of a few x-planes: per slab it forms k . F~ once and uses it for the
 NaN-closed transversality gate and for the rotation, whose output goes
 straight into one preallocated array, so the kernel's other temporaries
-are slab-sized.
+are slab-sized.  Each slab is copied before its rotated values are
+written, so that array may be the input itself: evolve(w, dt,
+out=w.field) rotates a field in place and allocates nothing full-size.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import RepresentationError, TransversalityError
-from .fields import MOMENTUM, POSITION, GridSpec, WeberGrid
+from .errors import FieldValidationError, RepresentationError, TransversalityError
+from .fields import MOMENTUM, POSITION, GridSpec, WeberGrid, check_real
 
 _TWO_PI_3_2 = (2.0 * np.pi) ** 1.5
 
@@ -118,18 +121,23 @@ def inverse_transform(weber: WeberGrid) -> WeberGrid:
                      POSITION, weber.time)
 
 
-def _sweep(weber: WeberGrid, c_dt=None):
+def _sweep(weber: WeberGrid, c_dt=None, out=None):
     """One slab-wise pass over a momentum field: (residual, rotated).
 
     ``residual`` is the transversality residual; ``rotated`` is the field
     with each mode rotated about k-hat by the angle |k| c_dt, or None when
     c_dt is None.  Per slab of x-planes the kernel forms k . F~ once and
-    uses it for both; every full-size array it allocates is the output.
+    uses it for both.  ``rotated`` is written into ``out``, which may be
+    ``weber.field`` itself (a slab is read before it is overwritten), or
+    into a new array when ``out`` is None: that is the only full-size
+    array the kernel allocates.
     """
     kg = kgrid(weber.spec)
     f = weber.field
     flat = f.view(np.float64)
-    rotated = None if c_dt is None else np.empty_like(f)
+    rotated = None
+    if c_dt is not None:
+        rotated = np.empty_like(f) if out is None else out
     longitudinal = peak_sq = 0.0
     # non-finite entries give NaN products here; the residual reports them
     with np.errstate(invalid="ignore", over="ignore"):
@@ -195,8 +203,20 @@ def project_transverse(weber: WeberGrid) -> WeberGrid:
     return WeberGrid(projected, weber.spec, MOMENTUM, weber.time)
 
 
+def _check_out(out, field: np.ndarray) -> None:
+    """Raise FieldValidationError unless evolve can write its result into ``out``."""
+    if not (isinstance(out, np.ndarray) and out.dtype == np.complex128
+            and out.shape == field.shape and out.flags.c_contiguous and out.flags.writeable):
+        raise FieldValidationError(
+            f"out must be a writeable C-contiguous complex128 array of shape {field.shape}, "
+            f"got {type(out).__name__} {getattr(out, 'dtype', '')} {getattr(out, 'shape', '')}")
+    # a slab written into a partly overlapping buffer would spoil input not yet read
+    if out.ctypes.data != field.ctypes.data and np.may_share_memory(out, field):
+        raise FieldValidationError("out overlaps the input field without being it")
+
+
 def evolve(weber: WeberGrid, dt: float,
-           transversality_tol: float = _TRANSVERSALITY_TOL) -> WeberGrid:
+           transversality_tol: float = _TRANSVERSALITY_TOL, *, out=None) -> WeberGrid:
     """Advance the field by dt with the exact per-mode propagator.
 
     Each mode is rotated about its own k-hat by the angle k c dt in the
@@ -206,7 +226,8 @@ def evolve(weber: WeberGrid, dt: float,
     to roundoff.  dt < 0 runs the dynamics backwards.  The k = 0 mode is
     carried through unchanged.  The transversality gate and the rotation
     share one slab-wise pass; a state that fails the gate is discarded.
-    dt == 0 runs the gate alone and returns ``weber`` itself, not a copy.
+    dt == 0 runs the gate alone and returns ``weber`` itself, not a copy
+    (or, with ``out`` another array, a copy of it in ``out``).
 
     Parameters
     ----------
@@ -214,17 +235,35 @@ def evolve(weber: WeberGrid, dt: float,
         Momentum-representation state; must be transverse within
         ``transversality_tol``.
     dt : float
-        Time step (any sign).
+        Time step (any sign).  A non-finite dt, or one that turns the
+        largest mode by a non-finite angle, raises FieldValidationError
+        before anything is written.
+    out : ndarray, optional
+        C-contiguous complex128 array of the field's shape that receives
+        the result, and is the returned field; ``weber.field`` itself
+        evolves the state in place.  Default: a new array, ``weber`` is
+        left as it is.  After a TransversalityError the contents of
+        ``out`` are unspecified.
     """
     if weber.representation != MOMENTUM:
         raise RepresentationError("evolve expects a momentum-representation field")
-    residual, rotated = _sweep(weber, None if dt == 0 else weber.spec.c * dt)
+    if out is not None:
+        _check_out(out, weber.field)
+    dt = float(check_real("dt", dt))
+    c_dt = float(weber.spec.c) * dt  # Python floats: an overflow gives inf, not a warning
+    if not math.isfinite(float(kgrid(weber.spec).k_norm.max()) * abs(c_dt)):
+        raise FieldValidationError(
+            f"dt = {dt!r} turns the largest mode by a non-finite angle |k| c dt")
+    residual, rotated = _sweep(weber, None if dt == 0 else c_dt, out)
     if not residual <= transversality_tol:  # NaN fails too
         raise TransversalityError(
             f"state has transversality residual {residual:.3e} > {transversality_tol:.1e}; "
             "project_transverse it first")
     if rotated is None:
-        return weber
+        if out is None or out is weber.field:
+            return weber
+        out[...] = weber.field
+        rotated = out
     return WeberGrid(rotated, weber.spec, MOMENTUM, weber.time + dt)
 
 

@@ -14,11 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from photonflow import GridSpec, WeberGrid, __version__
+import photonflow
+from photonflow import (GridSpec, WeberGrid, __version__, forward_transform, photon_number,
+                        sample_to_grid, total_energy)
 from photonflow.cli import (_AUDIT_SAMPLES_LIMIT, _FIELD_BYTES_LIMIT, _POINT_KNOTS_LIMIT,
-                            load_config, main)
+                            build_parser, cmd_evolve, load_config, main)
 from photonflow.errors import ConfigError
-from photonflow.fieldio import read_weber, write_weber
+from photonflow.fieldio import _HEADER, read_weber, write_weber
+from photonflow.planewaves import counterprop_pair
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -170,6 +173,80 @@ def test_evolve_custom_components(tmp_path):
     box = (2.0 * np.pi) ** 3
     assert abs(snap["energy"] - 0.5 * box) < 1e-9
     assert abs(snap["photon_number"] - 0.25 * box) < 1e-9
+
+
+def test_evolve_resumes_from_a_position_representation_file(tmp_path):
+    spec = GridSpec(8, 2.0 * np.pi, 1.3, 0.9)
+    position = sample_to_grid(counterprop_pair(1.0, 2.0), spec)
+    assert position.representation == "position"
+    path = tmp_path / "position.phwf"
+    write_weber(path, position)
+    rc, out = _run(tmp_path, "evolve",
+                   config={"state": {"file": str(path)}, "evolve": {"times": [0.0, 0.5]}})
+    assert rc == 0
+    tilde = forward_transform(position)
+    first, second = _load_json(out, "diagnostics.json")["snapshots"]
+    # t = 0 is the state's own time: the snapshot is the transformed field itself
+    assert read_weber(out / first["file"]).field.tobytes() == tilde.field.tobytes()
+    assert (first["energy"], first["photon_number"]) == (total_energy(tilde),
+                                                         photon_number(tilde))
+    assert second["energy"] == pytest.approx(total_energy(tilde), rel=1e-13)
+    assert second["photon_number"] == pytest.approx(photon_number(tilde), rel=1e-13)
+
+
+@pytest.mark.parametrize("command", ["evolve", "doubleslit"])
+def test_time_with_a_non_finite_rotation_angle_exits_2_before_writing(tmp_path, capsys,
+                                                                       command):
+    # |k| c dt overflows to inf: cos and sin of it would be NaN everywhere
+    rc, out = _run(tmp_path, command, config={command: {"times": [1e308]}})
+    assert rc == 2
+    assert f"(field: {command}.times)" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+_PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable] + sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def _peak_rss_bytes(args):
+    """Peak resident set of ``python args`` in a fresh interpreter, from os.wait4.
+
+    A small launcher starts the child: Linux folds the resident set a process
+    has before exec into its ru_maxrss, so a child started from this (large)
+    test process would report at least this process's resident set.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(photonflow.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", _PEAK_RSS, *args], env=env,
+                            capture_output=True, text=True, check=True)
+    code, rss_kib = map(int, result.stdout.split())
+    assert code == 0, args
+    return 1024 * rss_kib
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads ru_maxrss in KiB, as Linux reports it")
+def test_evolve_jobs_hold_one_field(tmp_path):
+    # the normalized evolve job and its resume, as the benchmark runs them at
+    # n = 128; each should hold one field plus the wave-vector grid beyond the
+    # interpreter with photonflow imported, while a second full-size copy
+    # (of the rotation, the .phwf payload or the read bytes) takes it over
+    n = 96
+    field_bytes, kgrid_bytes = 48 * n ** 3, 16 * n ** 3  # complex 3-vectors; |k|, 1/|k|
+    baseline = _peak_rss_bytes(["-c", "import photonflow.cli"])
+    run = tmp_path / "run"
+    jobs = [({"grid": {"n": n}, "evolve": {"times": [0.0, 1.0], "normalize": True}}, run),
+            ({"state": {"file": str(run / "snapshot_01.phwf")},
+              "evolve": {"times": [1.0, 2.0]}}, tmp_path / "resumed")]
+    for i, (config, out) in enumerate(jobs):
+        path = _write_config(tmp_path, config, name=f"job{i}.json")
+        extra = _peak_rss_bytes(["-m", "photonflow", "evolve", "--config", path,
+                                 "--out", str(out)]) - baseline
+        assert extra < 1.5 * field_bytes + kgrid_bytes, (i, extra / field_bytes)
 
 
 # --- boost-audit ------------------------------------------------------------
@@ -485,6 +562,32 @@ def test_missing_state_file_exits_2(tmp_path):
                  config={"state": {"file": str(tmp_path / "absent.phwf")},
                          "evolve": {"times": [0.0]}})
     assert rc == 2
+
+
+def test_unreadable_state_file_error_names_its_cause(tmp_path):
+    config = _write_config(tmp_path, {"state": {"file": str(tmp_path / "absent.phwf")}})
+    args = build_parser().parse_args(["evolve", "--config", config,
+                                      "--out", str(tmp_path / "out")])
+    with pytest.raises(ConfigError, match="cannot read field file") as exc:
+        cmd_evolve(args)
+    assert exc.value.field == "state.file"
+    assert isinstance(exc.value.__cause__, FileNotFoundError)
+
+
+@pytest.mark.parametrize("excess, code", [(1, 2), (0, 1)], ids=["over", "at"])
+def test_state_file_over_the_field_limit_exits_2_before_reading(tmp_path, capsys,
+                                                                excess, code):
+    # a sparse file: truncate sets the size without writing the bytes
+    big = tmp_path / "big.phwf"
+    with open(big, "wb") as fh:
+        fh.truncate(_HEADER.size + _FIELD_BYTES_LIMIT + excess)
+    rc, out = _run(tmp_path, "evolve",
+                   config={"state": {"file": str(big)}, "evolve": {"times": [0.0]}})
+    assert rc == code
+    err = capsys.readouterr().err
+    # at the limit the file is read, and its zero header is no PHWF1 container
+    assert ("(field: state.file)" if code == 2 else "not a PHWF1 container") in err
+    assert not out.exists()
 
 
 def test_corrupt_state_file_exits_1(tmp_path):

@@ -105,16 +105,18 @@ def test_bad_representation_tag_rejected(tmp_path, rng):
         read_weber(path)
 
 
-@pytest.mark.parametrize("offset, value, message", [
+@pytest.mark.parametrize("n, offset, value, message", [
     # the header's last float64 is the time
-    (struct.calcsize("<5sIdddB"), np.nan, "header time nan"),
+    (2, struct.calcsize("<5sIdddB"), np.nan, "header time nan"),
     # float64 number 33 of the payload: point 5 = (ix 1, iy 0, iz 1), Im Fy
-    (struct.calcsize("<5sIdddBd") + 8 * 33, np.nan, r"grid index \(1, 0, 1\), component 1"),
-    (struct.calcsize("<5sIdddBd") + 8 * 33, -np.inf, r"grid index \(1, 0, 1\), component 1"),
-], ids=["nan-time", "nan-payload", "inf-payload"])
-def test_non_finite_values_rejected(tmp_path, rng, offset, value, message):
+    (2, struct.calcsize("<5sIdddBd") + 8 * 33, np.nan, r"grid index \(1, 0, 1\), component 1"),
+    (2, struct.calcsize("<5sIdddBd") + 8 * 33, -np.inf, r"grid index \(1, 0, 1\), component 1"),
+    # float64 number 326 at n = 4: point 54 = (ix 2, iy 1, iz 3) in the last z-plane, Re Fy
+    (4, struct.calcsize("<5sIdddBd") + 8 * 326, np.inf, r"grid index \(2, 1, 3\), component 1"),
+], ids=["nan-time", "nan-payload", "inf-payload", "inf-last-plane"])
+def test_non_finite_values_rejected(tmp_path, rng, n, offset, value, message):
     path = tmp_path / "field.phwf"
-    write_weber(path, _random_grid(rng, n=2))
+    write_weber(path, _random_grid(rng, n=n))
     raw = bytearray(path.read_bytes())
     struct.pack_into("<d", raw, offset, value)
     path.write_bytes(bytes(raw))

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from photonflow import (GridSpec, WeberGrid, continuity_residual,
                         density_profile_y, evolve, forward_transform,
-                        normalize_single_photon,
+                        inverse_transform, normalize_single_photon,
                         photon_number, photon_wavefunction, probability_flow,
                         sample_to_grid, to_position, weber_probability_flow)
 from photonflow.errors import DCContentError, RepresentationError, ZeroFieldError
@@ -184,11 +184,14 @@ def test_density_profile_y_matches_the_full_flow(rng, n, t):
              for (mx, mz), handedness in zip(rng.integers(-limit, limit + 1, size=(3, 2)),
                                              ("right", "left", "right"))
              for my in rng.choice(np.arange(1, limit + 1), size=2, replace=False)]
-    pwf = photon_wavefunction(evolve(place(PlaneWaveSuperposition(waves), spec), t))
-    reference = probability_flow(to_position(pwf)).rho.mean(axis=(0, 2))
-    profile = density_profile_y(pwf)
+    weber = evolve(place(PlaneWaveSuperposition(waves), spec), t)
+    reference = probability_flow(to_position(photon_wavefunction(weber))).rho.mean(axis=(0, 2))
+    profile = density_profile_y(weber)
     assert profile.shape == (n,)
     assert np.ptp(reference) > 0.01 * reference.max()  # the profile has structure
     assert np.abs(profile - reference).max() <= 1e-13 * reference.max()
     with pytest.raises(RepresentationError):
-        density_profile_y(to_position(pwf))
+        density_profile_y(inverse_transform(weber))
+    weber.field[0, 0, 0, 0] = 1.0  # the DC gate of photon_wavefunction runs too
+    with pytest.raises(DCContentError):
+        density_profile_y(weber)

@@ -9,10 +9,10 @@ from scipy.linalg import expm
 
 from photonflow import (GridSpec, WeberGrid, density_profile_y, evolve,
                         forward_transform, inverse_transform, klein_gordon_residual,
-                        photon_number, photon_wavefunction, place, project_transverse,
+                        photon_number, place, project_transverse, read_weber,
                         sample_to_grid, single_wave, total_energy,
-                        transversality_residual)
-from photonflow.errors import RepresentationError, TransversalityError
+                        transversality_residual, write_weber)
+from photonflow.errors import FieldValidationError, RepresentationError, TransversalityError
 from photonflow.planewaves import counterprop_pair, eval_weber
 from photonflow.spectral import kgrid
 
@@ -258,24 +258,29 @@ def test_evolve_matches_matrix_exponential_for_odd_n(rng):
                         rtol=1e-12, atol=1e-12)
 
 
-def test_evolve_and_photon_number_work_in_slabs(rng):
-    # beyond its input, evolve holds its output plus slab-sized temporaries,
-    # and photon_number no full-size temporary at all; place allocates little
-    # beyond the field it returns, and density_profile_y little beyond one
-    # field-sized inverse FFT along y
-    spec = GridSpec(32, 2.0 * np.pi)
+def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
+    # beyond its input, evolve holds its output plus slab-sized temporaries (in
+    # place, the temporaries alone: about 3.5 slabs of 2/64 of the field each),
+    # photon_number and density_profile_y no full-size temporary at all, and
+    # place little beyond the field it returns; the .phwf writer and reader move
+    # the payload one z-plane at a time
+    spec = GridSpec(64, 2.0 * np.pi)
     weber = _random_transverse(spec, rng)
     weber.field[0, 0, 0] = 0.0  # photon_number rejects DC content
-    pwf = photon_wavefunction(weber)
     state = counterprop_pair(3.0, 5.0)
+    path = tmp_path / "field.phwf"
     kgrid(spec)  # the cached wave vectors are not working memory
     budget = {}
     tracemalloc.start()
     try:
-        for name, call, limit in (("evolve", lambda: evolve(weber, 0.3), 1.5),
-                                  ("photon_number", lambda: photon_number(weber), 0.5),
-                                  ("place", lambda: place(state, spec), 1.2),
-                                  ("density_profile_y", lambda: density_profile_y(pwf), 1.5)):
+        for name, call, limit in (
+                ("evolve", lambda: evolve(weber, 0.3), 1.5),
+                ("evolve in place", lambda: evolve(weber, 0.3, out=weber.field), 0.15),
+                ("photon_number", lambda: photon_number(weber), 0.5),
+                ("place", lambda: place(state, spec), 1.2),
+                ("density_profile_y", lambda: density_profile_y(weber), 0.2),
+                ("write_weber", lambda: write_weber(path, weber), 0.1),
+                ("read_weber", lambda: read_weber(path), 1.1)):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             call()
@@ -283,6 +288,57 @@ def test_evolve_and_photon_number_work_in_slabs(rng):
             assert budget[name] < limit, budget
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n, dt", [(7, -0.61), (8, 0.45), (15, 2.3), (15, -1.7)])
+def test_evolve_in_place_equals_the_default_route(rng, n, dt):
+    spec = GridSpec(n, 2.0 * np.pi, c=1.3)
+    weber = _random_transverse(spec, rng)
+    reference = evolve(weber, dt)
+    buffer = weber.field
+    evolved = evolve(weber, dt, out=weber.field)
+    assert evolved.field is buffer and evolved.time == reference.time
+    assert evolved.field.tobytes() == reference.field.tobytes()
+    other = np.empty_like(buffer)  # a separate buffer, the input left as it is
+    assert evolve(evolved, -dt, out=other).field is other
+    assert evolved.field.tobytes() == reference.field.tobytes()
+    assert evolve(evolved, 0.0, out=other).field.tobytes() == reference.field.tobytes()
+
+
+def _read_only(field):
+    view = field.view()
+    view.flags.writeable = False
+    return view
+
+
+@pytest.mark.parametrize("make_out", [
+    lambda f: np.empty(f.shape[:3] + (2,), complex),
+    lambda f: np.empty(f.shape, np.complex64),
+    lambda f: np.empty(f.shape[::-1], complex).T,
+    _read_only,
+    lambda f: f.tolist(),
+    # C-contiguous and of the right shape, but one point past the field's start
+    lambda f: f.base[3:].reshape(f.shape),
+], ids=["shape", "dtype", "non-contiguous", "read-only", "list", "overlapping"])
+def test_evolve_rejects_a_bad_out(spec8, rng, make_out):
+    shape = (8, 8, 8, 3)
+    buffer = np.zeros(np.prod(shape) + 3, complex)  # room for the shifted view
+    buffer[:-3] = _random_transverse(spec8, rng).field.ravel()
+    weber = WeberGrid(buffer[:-3].reshape(shape), spec8, "momentum")
+    assert weber.field.base is buffer
+    before = buffer.copy()
+    with pytest.raises(FieldValidationError, match="out"):
+        evolve(weber, 0.3, out=make_out(weber.field))
+    assert buffer.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, 1e308, -1e308])
+def test_evolve_rejects_a_step_with_a_non_finite_angle_before_writing(spec8, rng, dt):
+    weber = _random_transverse(spec8, rng)
+    before = weber.field.copy()
+    with pytest.raises(FieldValidationError, match="dt"):
+        evolve(weber, dt, out=weber.field)
+    assert weber.field.tobytes() == before.tobytes()
 
 
 def test_evolve_rejects_position_representation(spec8, rng):
