@@ -7,7 +7,7 @@ randomness is seeded (--seed), all numeric output is deterministic.
 
 evolve and doubleslit build their grid state in momentum space
 (planewaves.place) and evolve it in place (spectral.evolve with
-out=weber.field), so each holds one full-size field; doubleslit writes the
+in_place=True), so each holds one full-size field; doubleslit writes the
 x,z-mean density profile along y (photon.density_profile_y), computed from
 the field slab by slab without building phi~ or the 3-D inverse transform.
 trajectories integrates all its points in one RK4 pass
@@ -216,7 +216,8 @@ _AUDIT_SAMPLES_LIMIT = 2 ** 16
 
 
 def _check_budget(config):
-    """Raise ConfigError naming the field whose value takes the work over a limit.
+    """Raise ConfigError naming the field whose value takes the work over a limit,
+    or trajectories.t1 if it lies before t0 (the span is formed here).
 
     Counts stay Python ints and are compared with floats, never converted
     to them, so an integer of any size is rejected, not overflowed.
@@ -230,6 +231,9 @@ def _check_budget(config):
     if section["initial_points"] is not None:
         points, points_field = len(section["initial_points"]), "trajectories.initial_points"
     span = section["t1"] - section["t0"]
+    if span < 0:
+        raise ConfigError(f"trajectories.t1 = {section['t1']!r} is before trajectories.t0 = "
+                          f"{section['t0']!r}", field="trajectories.t1")
     # the knot count of bohm._rk4, as a float so that a tiny step gives inf, not a huge int
     knots = 1.0 + (max(1.0, float(np.ceil(span / section["step"] - 1e-12))) if span > 0
                    else 0.0)
@@ -337,10 +341,19 @@ def _evolve_to(weber, t, tol, field):
     """Evolve ``weber`` in place to time t; a step evolve rejects (one whose
     angle |k| c dt is not finite) is a ConfigError naming ``field``."""
     try:
-        return evolve(weber, t - weber.time, transversality_tol=tol["transversality"],
-                      out=weber.field)
+        evolve(weber, t - weber.time, transversality_tol=tol["transversality"],
+               in_place=True)
     except FieldValidationError as exc:
         raise ConfigError(f"{field}: cannot evolve to t = {t!r}: {exc}", field=field) from exc
+
+
+def _boost(direction, u, c, field):
+    """Boost(direction, u c, c); one the library rejects (u c rounds to c when c
+    is tiny) is a ConfigError naming ``field``."""
+    try:
+        return Boost(direction, u * c, c)
+    except PhotonflowError as exc:
+        raise ConfigError(f"{field}: {exc}", field=field) from exc
 
 
 # --- evolve -----------------------------------------------------------------
@@ -376,7 +389,7 @@ def cmd_evolve(args):
 
     records = []
     for i, t in enumerate(section["times"]):
-        weber = _evolve_to(weber, t, tol, "evolve.times")
+        _evolve_to(weber, t, tol, "evolve.times")
         snapshot = out / f"snapshot_{i:02d}.phwf"
         write_weber(snapshot, weber)
         record = {
@@ -411,12 +424,12 @@ def cmd_boost_audit(args):
     c, hbar = config["units"]["c"], config["units"]["hbar"]
     section = config["audit"]
     u, k_right, k_left = section["u"], section["k_right"], section["k_left"]
+    z_boost = _boost([0.0, 0.0, 1.0], u, c, "audit.u")
+    x_boost = _boost([1.0, 0.0, 0.0], u, c, "audit.u")
     out = _out_dir(args)
 
     single = single_wave(k_right, 1.0)
     pair = counterprop_pair(k_right, k_left, 1.0)
-    z_boost = Boost(np.array([0.0, 0.0, 1.0]), u * c, c)
-    x_boost = Boost(np.array([1.0, 0.0, 0.0]), u * c, c)
     scenarios = [
         ("single-wave z-boost", single, z_boost),
         ("single-wave x-boost", single, x_boost),
@@ -454,10 +467,7 @@ def cmd_trajectories(args):
     tol = parse_tolerances(args.tolerance)
     c, hbar = config["units"]["c"], config["units"]["hbar"]
     state = build_state(config)
-    try:
-        boost = Boost(config["boost"]["direction"], config["boost"]["u"] * c, c)
-    except PhotonflowError as exc:
-        raise ConfigError(f"boost: {exc}", field="boost") from exc
+    boost = _boost(config["boost"]["direction"], config["boost"]["u"], c, "boost")
     section = config["trajectories"]
     guidance, t0, t1, step = section["guidance"], section["t0"], section["t1"], section["step"]
     out = _out_dir(args)
@@ -566,23 +576,21 @@ def cmd_doubleslit(args):
     out = _out_dir(args)
 
     weber = place(state, spec)
-    y = spec.axis_coordinates()
-    frames = []
+    times = section["times"]
     profiles = []
-    for t in section["times"]:
-        weber = _evolve_to(weber, t, tol, "doubleslit.times")
-        profile = density_profile_y(weber, dc_tolerance=tol["dc"])
-        profiles.append(profile)
-        frames.append(np.column_stack([np.full_like(y, t), y, profile]))
-    table = np.vstack(frames)
-    np.savetxt(out / "frames.csv", table, delimiter=",", header="t,y,rho", comments="")
+    for t in times:
+        _evolve_to(weber, t, tol, "doubleslit.times")
+        profiles.append(density_profile_y(weber, dc_tolerance=tol["dc"]))
+    y = spec.axis_coordinates()
+    write_csv(out / "frames.csv", "t,y,rho",
+              [np.repeat(times, y.size), np.tile(y, len(times)), np.concatenate(profiles)])
 
     spacing, visibility = _fringe_measurement(profiles[0], spec.box_length)
     m_t = section["transverse_mode"]
     expected = spec.box_length / (2 * m_t) if section["sources"] == 2 else None
     summary = {
         "sources": section["sources"],
-        "times": section["times"],
+        "times": times,
         "grid": {"n": spec.n_per_axis, "L": spec.box_length, "cell": spec.dx},
         "component_count": len(state.components),
         "fringe_spacing": spacing,

@@ -102,16 +102,8 @@ def write_csv(path, header: str, columns) -> None:
 
 def trajectories_to_csv(path, trajectories) -> None:
     """Trajectory list as traj,t,x,y,z,vx,vy,vz,node_hit (node_hit 0/1 per trajectory)."""
-    rows = []
-    for idx, traj in enumerate(trajectories):
-        m = len(traj.times)
-        block = np.empty((m, 9))
-        block[:, 0] = idx
-        block[:, 1] = traj.times
-        block[:, 2:5] = traj.positions
-        block[:, 5:8] = traj.velocities
-        block[:, 8] = 1.0 if traj.node_hit else 0.0
-        rows.append(block)
+    rows = [np.column_stack([np.full(len(traj.times), idx), traj.times, traj.positions,
+                             traj.velocities, np.full(len(traj.times), float(traj.node_hit))])
+            for idx, traj in enumerate(trajectories)]
     table = np.vstack(rows) if rows else np.empty((0, 9))
-    np.savetxt(path, table, delimiter=",",
-               header="traj,t,x,y,z,vx,vy,vz,node_hit", comments="")
+    write_csv(path, "traj,t,x,y,z,vx,vy,vz,node_hit", table.T)

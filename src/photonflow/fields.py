@@ -48,6 +48,14 @@ S1, S2, S3 = SPIN[0], SPIN[1], SPIN[2]
 _RESIDUE_TOL = 1e-10
 
 
+def require_representation(carrier, representation: str, caller: str) -> None:
+    """Raise RepresentationError unless ``carrier`` (a field or a wave function)
+    is in ``representation``; the message names ``caller``."""
+    if carrier.representation != representation:
+        raise RepresentationError(f"{caller} expects the {representation} representation, "
+                                  f"got {carrier.representation!r}")
+
+
 def check_real(name, value, shape=()) -> np.ndarray:
     """value as a float array of the given shape, if it holds finite reals only.
 
@@ -148,8 +156,7 @@ class WeberGrid:
 
 def energy_density(weber: WeberGrid) -> np.ndarray:
     """rho_E(x) = (1/8pi) F* . F, a nonnegative (n, n, n) array."""
-    if weber.representation != POSITION:
-        raise RepresentationError("energy_density requires the position representation")
+    require_representation(weber, POSITION, "energy_density")
     f = weber.field
     return (f.real ** 2 + f.imag ** 2).sum(axis=-1) / (8.0 * np.pi)
 
@@ -161,8 +168,7 @@ def poynting_vector(weber: WeberGrid) -> np.ndarray:
     arithmetic; the real residue is checked against _RESIDUE_TOL
     relative to mean(|S|) + mean(rho_E) c before being discarded.
     """
-    if weber.representation != POSITION:
-        raise RepresentationError("poynting_vector requires the position representation")
+    require_representation(weber, POSITION, "poynting_vector")
     c = weber.spec.c
     cross = np.cross(weber.field.conj(), weber.field)
     s = (c / (8.0 * np.pi)) * cross.imag

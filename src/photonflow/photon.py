@@ -40,9 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DCContentError, RepresentationError, ZeroFieldError
+from .errors import DCContentError, ZeroFieldError
 from .fields import (MOMENTUM, POSITION, GridSpec, WeberGrid, energy_density,
-                     poynting_vector, total_energy)
+                     poynting_vector, require_representation, total_energy)
 from .planewaves import PHI_BASED, WEBER_BASED, _recipe_flow, flow_recipe
 from .spectral import (_SLAB_PLANES, _TWO_PI_3_2, _fft_inverse, evolve,
                        inverse_transform, kgrid)
@@ -91,16 +91,14 @@ def _good_weight(spec: GridSpec, xs=slice(None)) -> np.ndarray:
 def photon_wavefunction(weber: WeberGrid,
                         dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> PhotonWaveFunction:
     """phi~(k) = F~(k) / sqrt(8 pi hbar k c); the k = 0 coefficient is set to 0."""
-    if weber.representation != MOMENTUM:
-        raise RepresentationError("photon_wavefunction expects a momentum-representation field")
+    require_representation(weber, MOMENTUM, "photon_wavefunction")
     _check_dc_content(weber, dc_tolerance)
     phi = weber.field * _good_weight(weber.spec)[..., None]
     return PhotonWaveFunction(phi, weber.spec, MOMENTUM, weber.time)
 
 
 def to_position(pwf: PhotonWaveFunction) -> PhotonWaveFunction:
-    if pwf.representation != MOMENTUM:
-        raise RepresentationError("to_position expects a momentum-representation wave function")
+    require_representation(pwf, MOMENTUM, "to_position")
     return PhotonWaveFunction(_fft_inverse(pwf.phi, pwf.spec), pwf.spec, POSITION, pwf.time)
 
 
@@ -117,8 +115,7 @@ def density_profile_y(weber: WeberGrid,
     .rho.mean(axis=(0, 2)) to roundoff without building phi~, the 3-D
     inverse transform or the current.
     """
-    if weber.representation != MOMENTUM:
-        raise RepresentationError("density_profile_y expects a momentum-representation field")
+    require_representation(weber, MOMENTUM, "density_profile_y")
     _check_dc_content(weber, dc_tolerance)
     spec = weber.spec
     profile = np.zeros(spec.n_per_axis)
@@ -139,8 +136,7 @@ def photon_number(weber: WeberGrid,
     Scales quadratically with the field amplitude and is conserved by
     evolve (each |F~(k)| is preserved mode by mode).
     """
-    if weber.representation != MOMENTUM:
-        raise RepresentationError("photon_number expects a momentum-representation field")
+    require_representation(weber, MOMENTUM, "photon_number")
     _check_dc_content(weber, dc_tolerance)
     spec = weber.spec
     flat = weber.field.view(np.float64)  # (n, n, n, 6): Re/Im pairs per component
@@ -159,8 +155,7 @@ def normalize_single_photon(weber: WeberGrid,
 
 def probability_flow(pwf: PhotonWaveFunction) -> ProbabilityFlow:
     """phi-based recipe: rho = phi^dag phi, J = c phi^dag s phi = -i c phi* x phi."""
-    if pwf.representation != POSITION:
-        raise RepresentationError("probability_flow expects a position-representation wave function")
+    require_representation(pwf, POSITION, "probability_flow")
     rho, current = _recipe_flow(flow_recipe(PHI_BASED), pwf.phi, pwf.spec.c)
     return ProbabilityFlow(rho, current, PHI_BASED, pwf.spec, pwf.time)
 
@@ -171,8 +166,7 @@ def weber_probability_flow(weber: WeberGrid) -> ProbabilityFlow:
     The normalizing constant is the box total energy, the unique choice
     with units of energy that makes rho integrate to one over the box.
     """
-    if weber.representation != POSITION:
-        raise RepresentationError("weber_probability_flow expects a position-representation field")
+    require_representation(weber, POSITION, "weber_probability_flow")
     e_box = total_energy(weber)
     if e_box == 0.0:
         raise ZeroFieldError("zero field has no normalizable energy density")
@@ -205,8 +199,7 @@ def continuity_residual(weber: WeberGrid, recipe: str, dt_probe: float,
     flow by local energy conservation.
     """
     flow_recipe(recipe)  # an unknown recipe fails before any evolution
-    if weber.representation != MOMENTUM:
-        raise RepresentationError("continuity_residual expects a momentum-representation field")
+    require_representation(weber, MOMENTUM, "continuity_residual")
     flow_plus = _flow_of(evolve(weber, dt_probe), recipe, dc_tolerance)
     flow_minus = _flow_of(evolve(weber, -dt_probe), recipe, dc_tolerance)
     flow_now = _flow_of(weber, recipe, dc_tolerance)

@@ -30,7 +30,7 @@ NaN-closed transversality gate and for the rotation, whose output goes
 straight into one preallocated array, so the kernel's other temporaries
 are slab-sized.  Each slab is copied before its rotated values are
 written, so that array may be the input itself: evolve(w, dt,
-out=w.field) rotates a field in place and allocates nothing full-size.
+in_place=True) advances w itself and allocates nothing full-size.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import FieldValidationError, RepresentationError, TransversalityError
-from .fields import MOMENTUM, POSITION, GridSpec, WeberGrid, check_real
+from .errors import FieldValidationError, TransversalityError
+from .fields import (MOMENTUM, POSITION, GridSpec, WeberGrid, check_real,
+                     require_representation)
 
 _TWO_PI_3_2 = (2.0 * np.pi) ** 1.5
 
@@ -107,37 +108,34 @@ def _fft_inverse(arr: np.ndarray, spec: GridSpec) -> np.ndarray:
 
 def forward_transform(weber: WeberGrid) -> WeberGrid:
     """Position -> momentum representation (symmetric convention above)."""
-    if weber.representation != POSITION:
-        raise RepresentationError("forward_transform expects a position-representation field")
+    require_representation(weber, POSITION, "forward_transform")
     return WeberGrid(_fft_forward(weber.field, weber.spec), weber.spec,
                      MOMENTUM, weber.time)
 
 
 def inverse_transform(weber: WeberGrid) -> WeberGrid:
     """Momentum -> position representation, the exact inverse of forward_transform."""
-    if weber.representation != MOMENTUM:
-        raise RepresentationError("inverse_transform expects a momentum-representation field")
+    require_representation(weber, MOMENTUM, "inverse_transform")
     return WeberGrid(_fft_inverse(weber.field, weber.spec), weber.spec,
                      POSITION, weber.time)
 
 
-def _sweep(weber: WeberGrid, c_dt=None, out=None):
+def _sweep(weber: WeberGrid, c_dt=None, in_place=False):
     """One slab-wise pass over a momentum field: (residual, rotated).
 
     ``residual`` is the transversality residual; ``rotated`` is the field
     with each mode rotated about k-hat by the angle |k| c_dt, or None when
     c_dt is None.  Per slab of x-planes the kernel forms k . F~ once and
-    uses it for both.  ``rotated`` is written into ``out``, which may be
-    ``weber.field`` itself (a slab is read before it is overwritten), or
-    into a new array when ``out`` is None: that is the only full-size
-    array the kernel allocates.
+    uses it for both.  ``rotated`` is ``weber.field`` itself when
+    ``in_place`` (a slab is read before it is overwritten), else a new
+    array: that is the only full-size array the kernel allocates.
     """
     kg = kgrid(weber.spec)
     f = weber.field
     flat = f.view(np.float64)
     rotated = None
     if c_dt is not None:
-        rotated = np.empty_like(f) if out is None else out
+        rotated = f if in_place else np.empty_like(f)
     longitudinal = peak_sq = 0.0
     # non-finite entries give NaN products here; the residual reports them
     with np.errstate(invalid="ignore", over="ignore"):
@@ -181,15 +179,13 @@ def transversality_residual(weber: WeberGrid) -> float:
     reports at the alpha / |transverse| scale.  Any non-finite entry makes
     the residual NaN.
     """
-    if weber.representation != MOMENTUM:
-        raise RepresentationError("transversality_residual expects a momentum-representation field")
+    require_representation(weber, MOMENTUM, "transversality_residual")
     return _sweep(weber)[0]
 
 
 def project_transverse(weber: WeberGrid) -> WeberGrid:
     """F~ -> F~ - khat (khat . F~) per mode (k = 0 untouched). Idempotent."""
-    if weber.representation != MOMENTUM:
-        raise RepresentationError("project_transverse expects a momentum-representation field")
+    require_representation(weber, MOMENTUM, "project_transverse")
     kg = kgrid(weber.spec)
     f = weber.field
     # k / |k| by division, so an axis-aligned mode gets an exact unit vector
@@ -203,20 +199,9 @@ def project_transverse(weber: WeberGrid) -> WeberGrid:
     return WeberGrid(projected, weber.spec, MOMENTUM, weber.time)
 
 
-def _check_out(out, field: np.ndarray) -> None:
-    """Raise FieldValidationError unless evolve can write its result into ``out``."""
-    if not (isinstance(out, np.ndarray) and out.dtype == np.complex128
-            and out.shape == field.shape and out.flags.c_contiguous and out.flags.writeable):
-        raise FieldValidationError(
-            f"out must be a writeable C-contiguous complex128 array of shape {field.shape}, "
-            f"got {type(out).__name__} {getattr(out, 'dtype', '')} {getattr(out, 'shape', '')}")
-    # a slab written into a partly overlapping buffer would spoil input not yet read
-    if out.ctypes.data != field.ctypes.data and np.may_share_memory(out, field):
-        raise FieldValidationError("out overlaps the input field without being it")
-
-
 def evolve(weber: WeberGrid, dt: float,
-           transversality_tol: float = _TRANSVERSALITY_TOL, *, out=None) -> WeberGrid:
+           transversality_tol: float = _TRANSVERSALITY_TOL, *,
+           in_place: bool = False) -> WeberGrid:
     """Advance the field by dt with the exact per-mode propagator.
 
     Each mode is rotated about its own k-hat by the angle k c dt in the
@@ -226,8 +211,7 @@ def evolve(weber: WeberGrid, dt: float,
     to roundoff.  dt < 0 runs the dynamics backwards.  The k = 0 mode is
     carried through unchanged.  The transversality gate and the rotation
     share one slab-wise pass; a state that fails the gate is discarded.
-    dt == 0 runs the gate alone and returns ``weber`` itself, not a copy
-    (or, with ``out`` another array, a copy of it in ``out``).
+    dt == 0 runs the gate alone and returns ``weber`` itself, not a copy.
 
     Parameters
     ----------
@@ -238,32 +222,33 @@ def evolve(weber: WeberGrid, dt: float,
         Time step (any sign).  A non-finite dt, or one that turns the
         largest mode by a non-finite angle, raises FieldValidationError
         before anything is written.
-    out : ndarray, optional
-        C-contiguous complex128 array of the field's shape that receives
-        the result, and is the returned field; ``weber.field`` itself
-        evolves the state in place.  Default: a new array, ``weber`` is
-        left as it is.  After a TransversalityError the contents of
-        ``out`` are unspecified.
+    in_place : bool
+        False (default): return a new WeberGrid and leave ``weber`` as it
+        is.  True: rotate ``weber.field`` in place, advance ``weber.time``
+        by dt once the gate has passed, and return ``weber`` itself, so
+        no second WeberGrid shares the buffer.  A read-only field raises
+        FieldValidationError before anything is written.  After a
+        TransversalityError the field holds rotated values at the old
+        time: discard it.
     """
-    if weber.representation != MOMENTUM:
-        raise RepresentationError("evolve expects a momentum-representation field")
-    if out is not None:
-        _check_out(out, weber.field)
+    require_representation(weber, MOMENTUM, "evolve")
+    if in_place and not weber.field.flags.writeable:
+        raise FieldValidationError("evolve(in_place=True) got a read-only field")
     dt = float(check_real("dt", dt))
     c_dt = float(weber.spec.c) * dt  # Python floats: an overflow gives inf, not a warning
     if not math.isfinite(float(kgrid(weber.spec).k_norm.max()) * abs(c_dt)):
         raise FieldValidationError(
             f"dt = {dt!r} turns the largest mode by a non-finite angle |k| c dt")
-    residual, rotated = _sweep(weber, None if dt == 0 else c_dt, out)
+    residual, rotated = _sweep(weber, None if dt == 0 else c_dt, in_place)
     if not residual <= transversality_tol:  # NaN fails too
         raise TransversalityError(
             f"state has transversality residual {residual:.3e} > {transversality_tol:.1e}; "
             "project_transverse it first")
     if rotated is None:
-        if out is None or out is weber.field:
-            return weber
-        out[...] = weber.field
-        rotated = out
+        return weber
+    if in_place:
+        weber.time += dt
+        return weber
     return WeberGrid(rotated, weber.spec, MOMENTUM, weber.time + dt)
 
 
@@ -276,8 +261,7 @@ def klein_gordon_residual(weber: WeberGrid, dt_probe: float) -> float:
     (2cos(k c dt) - 2)/dt^2 + k^2 c^2 ~ k^4 c^4 dt^2 / 12, so halving
     dt_probe divides the residual by ~4.
     """
-    if weber.representation != MOMENTUM:
-        raise RepresentationError("klein_gordon_residual expects a momentum-representation field")
+    require_representation(weber, MOMENTUM, "klein_gordon_residual")
     kg = kgrid(weber.spec)
     c = weber.spec.c
     f_plus = evolve(weber, dt_probe).field

@@ -80,15 +80,19 @@ def test_console_script_runs():
 def test_closed_stdout_exits_1_without_traceback(tmp_path):
     read_end, write_end = os.pipe()
     os.close(read_end)  # nobody will read what the command prints
+    # block-buffered stdout, as by default for a pipe
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     try:
         result = subprocess.run(
             [sys.executable, "-m", "photonflow", "boost-audit", "--out", str(tmp_path)],
-            stdout=write_end, stderr=subprocess.PIPE, text=True)
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
     finally:
         os.close(write_end)
     assert "Traceback" not in result.stderr
     assert "Exception ignored" not in result.stderr
     assert result.returncode == 1
+    # the table is buffered, so the command wrote its files before the flush failed
+    assert (tmp_path / "audits.json").exists()
 
 
 # --- evolve ---------------------------------------------------------------
@@ -525,17 +529,23 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
     ("trajectories", {"trajectories": {"initial_points": [[0, 0, 0]] * 40_000}},
      "trajectories.initial_points"),
     ("boost-audit", {"audit": {"samples": 10 ** 17}}, "audit.samples"),
+    ("trajectories", {"trajectories": {"t0": 1.0, "t1": 0.5}}, "trajectories.t1"),
+    # u c rounds to c when c is the smallest subnormal, so Boost rejects the speed
+    ("boost-audit", {"units": {"c": 5e-324}, "audit": {"u": 0.9}}, "audit.u"),
+    ("trajectories", {"units": {"c": 5e-324}, "boost": {"u": 0.9}}, "boost"),
 ], ids=["nan-point", "no-points", "inf-boost", "text-phase", "nan-phase",
         "text-preset-arg", "nan-preset-arg", "inf-evolve-time", "inf-slit-time",
         "text-normalize", "misspelled-key", "bool-sources", "zero-line-direction",
         "overflowing-line-direction", "zero-boost-direction", "huge-grid",
         "grid-beyond-float", "grid-over-limit", "tiny-step", "overflowing-span",
-        "huge-count", "count-beyond-float", "points-over-limit", "huge-audit"])
+        "huge-count", "count-beyond-float", "points-over-limit", "huge-audit",
+        "backward-span", "audit-speed-rounds-to-c", "boost-speed-rounds-to-c"])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, command,
                                                    config, field):
-    rc, _ = _run(tmp_path, command, config=config)
+    rc, out = _run(tmp_path, command, config=config)
     assert rc == 2
     assert f"(field: {field})" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_work_limits_sit_where_their_comment_says(tmp_path):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from photonflow import (Boost, CircularPlaneWave, GridSpec, WeberGrid,
+import photonflow
+from photonflow import (Boost, CircularPlaneWave, GridSpec, PhotonWaveFunction, WeberGrid,
                         energy_density, poynting_vector, sample_to_grid,
                         single_wave, total_energy)
-from photonflow.errors import FieldValidationError, InternalConsistencyError
-from photonflow.fields import S1, S2, S3, SPIN
+from photonflow.errors import (FieldValidationError, InternalConsistencyError,
+                               RepresentationError)
+from photonflow.fields import MOMENTUM, POSITION, S1, S2, S3, SPIN
 from photonflow.spectral import forward_transform
 
 
@@ -129,3 +131,34 @@ def test_zero_field_has_zero_energy(spec8):
     weber = WeberGrid(np.zeros((8, 8, 8, 3), dtype=complex), spec8)
     assert total_energy(weber) == 0.0
     assert np.all(energy_density(weber) == 0.0)
+
+
+# every public function that needs one representation, with the arguments it
+# takes after the field; to_position and probability_flow take a wave function
+_GUARDED = [
+    ("energy_density", POSITION, ()),
+    ("poynting_vector", POSITION, ()),
+    ("forward_transform", POSITION, ()),
+    ("inverse_transform", MOMENTUM, ()),
+    ("transversality_residual", MOMENTUM, ()),
+    ("project_transverse", MOMENTUM, ()),
+    ("evolve", MOMENTUM, (0.1,)),
+    ("klein_gordon_residual", MOMENTUM, (0.1,)),
+    ("photon_wavefunction", MOMENTUM, ()),
+    ("to_position", MOMENTUM, ()),
+    ("density_profile_y", MOMENTUM, ()),
+    ("photon_number", MOMENTUM, ()),
+    ("probability_flow", POSITION, ()),
+    ("weber_probability_flow", POSITION, ()),
+    ("continuity_residual", MOMENTUM, ("phi_based", 0.1)),
+]
+
+
+@pytest.mark.parametrize("name, expects, extra", _GUARDED, ids=[row[0] for row in _GUARDED])
+def test_a_wrong_representation_names_the_function(spec8, rng, name, expects, extra):
+    wrong = POSITION if expects == MOMENTUM else MOMENTUM
+    carrier = WeberGrid(_random_weber(spec8, rng).field, spec8, wrong)
+    if name in ("to_position", "probability_flow"):
+        carrier = PhotonWaveFunction(carrier.field, spec8, wrong)
+    with pytest.raises(RepresentationError, match=f"^{name} expects the {expects} "):
+        getattr(photonflow, name)(carrier, *extra)

@@ -199,6 +199,9 @@ def test_evolve_rejects_longitudinal_states(spec8, rng):
     assert transversality_residual(tilde) > 1e-3
     with pytest.raises(TransversalityError):
         evolve(tilde, 0.1)
+    with pytest.raises(TransversalityError):  # in place, the time is not advanced
+        evolve(tilde, 0.1, in_place=True)
+    assert tilde.time == 0.0
 
 
 def test_evolve_rejects_a_nan_entry(spec8):
@@ -275,7 +278,7 @@ def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
     try:
         for name, call, limit in (
                 ("evolve", lambda: evolve(weber, 0.3), 1.5),
-                ("evolve in place", lambda: evolve(weber, 0.3, out=weber.field), 0.15),
+                ("evolve in place", lambda: evolve(weber, 0.3, in_place=True), 0.15),
                 ("photon_number", lambda: photon_number(weber), 0.5),
                 ("place", lambda: place(state, spec), 1.2),
                 ("density_profile_y", lambda: density_profile_y(weber), 0.2),
@@ -294,42 +297,28 @@ def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
 def test_evolve_in_place_equals_the_default_route(rng, n, dt):
     spec = GridSpec(n, 2.0 * np.pi, c=1.3)
     weber = _random_transverse(spec, rng)
+    weber.time = 0.25
     reference = evolve(weber, dt)
     buffer = weber.field
-    evolved = evolve(weber, dt, out=weber.field)
-    assert evolved.field is buffer and evolved.time == reference.time
-    assert evolved.field.tobytes() == reference.field.tobytes()
-    other = np.empty_like(buffer)  # a separate buffer, the input left as it is
-    assert evolve(evolved, -dt, out=other).field is other
-    assert evolved.field.tobytes() == reference.field.tobytes()
-    assert evolve(evolved, 0.0, out=other).field.tobytes() == reference.field.tobytes()
+    assert evolve(weber, dt, in_place=True) is weber
+    assert weber.field is buffer and weber.time == reference.time == 0.25 + dt
+    assert weber.field.tobytes() == reference.field.tobytes()
+    assert evolve(weber, 0.0, in_place=True) is weber
+    assert weber.time == reference.time
+    assert weber.field.tobytes() == reference.field.tobytes()
 
 
-def _read_only(field):
-    view = field.view()
-    view.flags.writeable = False
-    return view
-
-
-@pytest.mark.parametrize("make_out", [
-    lambda f: np.empty(f.shape[:3] + (2,), complex),
-    lambda f: np.empty(f.shape, np.complex64),
-    lambda f: np.empty(f.shape[::-1], complex).T,
-    _read_only,
-    lambda f: f.tolist(),
-    # C-contiguous and of the right shape, but one point past the field's start
-    lambda f: f.base[3:].reshape(f.shape),
-], ids=["shape", "dtype", "non-contiguous", "read-only", "list", "overlapping"])
-def test_evolve_rejects_a_bad_out(spec8, rng, make_out):
-    shape = (8, 8, 8, 3)
-    buffer = np.zeros(np.prod(shape) + 3, complex)  # room for the shifted view
-    buffer[:-3] = _random_transverse(spec8, rng).field.ravel()
-    weber = WeberGrid(buffer[:-3].reshape(shape), spec8, "momentum")
-    assert weber.field.base is buffer
-    before = buffer.copy()
-    with pytest.raises(FieldValidationError, match="out"):
-        evolve(weber, 0.3, out=make_out(weber.field))
-    assert buffer.tobytes() == before.tobytes()
+# in place, the field itself is the output buffer: a read-only one is rejected
+# before the gate runs, whatever the step
+@pytest.mark.parametrize("dt", [0.3, 0.0], ids=["read-only", "read-only-zero-step"])
+def test_evolve_rejects_a_bad_out(spec8, rng, dt):
+    weber = _random_transverse(spec8, rng)
+    weber.field[1, 2, 3, 0] = np.nan  # a gate that ran first would raise TransversalityError
+    before = weber.field.tobytes()
+    weber.field.flags.writeable = False
+    with pytest.raises(FieldValidationError, match="read-only"):
+        evolve(weber, dt, in_place=True)
+    assert weber.field.tobytes() == before and weber.time == 0.0
 
 
 @pytest.mark.parametrize("dt", [np.nan, np.inf, 1e308, -1e308])
@@ -337,8 +326,8 @@ def test_evolve_rejects_a_step_with_a_non_finite_angle_before_writing(spec8, rng
     weber = _random_transverse(spec8, rng)
     before = weber.field.copy()
     with pytest.raises(FieldValidationError, match="dt"):
-        evolve(weber, dt, out=weber.field)
-    assert weber.field.tobytes() == before.tobytes()
+        evolve(weber, dt, in_place=True)
+    assert weber.field.tobytes() == before.tobytes() and weber.time == 0.0
 
 
 def test_evolve_rejects_position_representation(spec8, rng):
