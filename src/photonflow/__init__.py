@@ -15,7 +15,7 @@ from .errors import (ConfigError, DCContentError, FieldValidationError,
                      RepresentationError, TransversalityError, ZeroFieldError)
 from .fields import (GridSpec, WeberGrid, energy_density, poynting_vector,
                      total_energy)
-from .spectral import (evolve, forward_transform, inverse_transform,
+from .spectral import (advance, evolve, forward_transform, inverse_transform,
                        klein_gordon_residual, project_transverse,
                        transversality_residual)
 from .photon import (PHI_BASED, WEBER_BASED, PhotonWaveFunction,

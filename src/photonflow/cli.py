@@ -6,8 +6,11 @@ info only prints the presets, tolerances and default config.  All
 randomness is seeded (--seed), all numeric output is deterministic.
 
 evolve and doubleslit build their grid state in momentum space
-(planewaves.place) and evolve it in place (spectral.evolve with
-in_place=True), so each holds one full-size field; doubleslit writes the
+(planewaves.place) and evolve it in place (spectral.advance), so each holds
+one full-size field; evolve takes each snapshot's energy, photon number and
+transversality residual from the sums advance forms in its one pass over the
+field, and a position-representation state file is transformed in place
+(spectral.forward_transform_in_place); doubleslit writes the
 x,z-mean density profile along y (photon.density_profile_y), computed from
 the field slab by slab without building phi~ or the 3-D inverse transform.
 trajectories integrates all its points in one RK4 pass
@@ -32,7 +35,8 @@ Every key is checked against one schema (``SCHEMA``) before a command
 creates its output directory; an unknown key or a bad value exits 2 and
 names the field path.  The work a config asks for is bounded the same
 way (``_check_budget``: grid field bytes, trajectory point-knots, audit
-samples).  Boost speeds are given as fractions of c.
+samples).  units.c and units.hbar must lie in [1e-100, 1e100]
+(``_check_units``).  Boost speeds are given as fractions of c.
 Tolerances are overridden per key with ``--tolerance KEY=VALUE`` (keys
 listed by ``photonflow info``); every value must be finite and > 0.
 """
@@ -53,13 +57,12 @@ from .bohm import (_NODE_FLOOR_REL, frame_consistency_check, integrate_trajector
 from .errors import (ConfigError, FieldValidationError, OffGridWaveVectorError,
                      PhotonflowError)
 from .fieldio import _HEADER, read_weber, trajectories_to_csv, write_csv, write_weber
-from .fields import POSITION, GridSpec, total_energy
+from .fields import MOMENTUM, POSITION, GridSpec, box_energy
 from .lorentz import _AUDIT_TOL, Boost, audit_four_vector, audit_to_json
-from .photon import (DEFAULT_DC_TOLERANCE, PHI_BASED, WEBER_BASED, density_profile_y,
-                     normalize_single_photon, photon_number)
+from .photon import (DEFAULT_DC_TOLERANCE, PHI_BASED, WEBER_BASED, check_dc_share,
+                     density_profile_y, normalize_single_photon, photon_count)
 from .planewaves import PRESETS, CircularPlaneWave, PlaneWaveSuperposition, place
-from .spectral import (_TRANSVERSALITY_TOL, evolve, forward_transform,
-                       transversality_residual)
+from .spectral import _TRANSVERSALITY_TOL, advance, forward_transform_in_place
 
 # --- config schema ------------------------------------------------------------
 #
@@ -166,6 +169,7 @@ def _state(value, path):
 
 
 SCHEMA = {
+    # c and hbar must also lie in _UNIT_RANGE (_check_units)
     "units": {"c": (1.0, _positive), "hbar": (1.0, _positive)},
     "grid": {"n": (32, _integer(2)), "L": (2.0 * np.pi, _positive)},
     "state": ({"preset": "single-wave"}, _state),
@@ -214,6 +218,11 @@ _FIELD_BYTES_LIMIT = 2 ** 31
 _POINT_KNOTS_LIMIT = 2 ** 22
 _AUDIT_SAMPLES_LIMIT = 2 ** 16
 
+# The range of units.c and units.hbar.  Beyond it the closed forms under- or
+# overflow on ordinary inputs: c^2 in a boost, I / c in a wave amplitude,
+# hbar c |k| in Good's weight (c = 1e-300 makes c^2 zero).
+_UNIT_RANGE = (1e-100, 1e100)
+
 
 def _check_budget(config):
     """Raise ConfigError naming the field whose value takes the work over a limit,
@@ -245,6 +254,22 @@ def _check_budget(config):
     if samples > _AUDIT_SAMPLES_LIMIT:
         raise ConfigError(f"audit.samples = {samples} is over the limit of "
                           f"{_AUDIT_SAMPLES_LIMIT}", field="audit.samples")
+
+
+def _check_units(units, field=None):
+    """Raise ConfigError if units["c"] or units["hbar"] lies outside _UNIT_RANGE,
+    naming units.c or units.hbar, or ``field`` for units read from elsewhere.
+
+    Each command runs this on the units it works in before it evaluates a
+    wave or creates its output directory, after its checks of the boost
+    (so that a speed that rounds to c is named as such).
+    """
+    low, high = _UNIT_RANGE
+    for key in ("c", "hbar"):
+        if not low <= units[key] <= high:
+            name = field or f"units.{key}"
+            raise ConfigError(f"{name}: {key} = {units[key]!r} is outside the supported "
+                              f"range [{low:g}, {high:g}]", field=name)
 
 
 def _resolve(table, given, path):
@@ -338,11 +363,11 @@ def _out_dir(args) -> Path:
 
 
 def _evolve_to(weber, t, tol, field):
-    """Evolve ``weber`` in place to time t; a step evolve rejects (one whose
-    angle |k| c dt is not finite) is a ConfigError naming ``field``."""
+    """Advance ``weber`` in place to time t and return its FieldSums; a step
+    advance rejects (one whose angle |k| c dt is not finite) is a ConfigError
+    naming ``field``."""
     try:
-        evolve(weber, t - weber.time, transversality_tol=tol["transversality"],
-               in_place=True)
+        return advance(weber, t - weber.time, transversality_tol=tol["transversality"])
     except FieldValidationError as exc:
         raise ConfigError(f"{field}: cannot evolve to t = {t!r}: {exc}", field=field) from exc
 
@@ -376,11 +401,13 @@ def cmd_evolve(args):
             weber = read_weber(path)
         except OSError as exc:
             raise ConfigError(f"cannot read field file: {exc}", field="state.file") from exc
-        if weber.representation == POSITION:
-            weber = forward_transform(weber)
         spec = weber.spec
+        _check_units({"c": spec.c, "hbar": spec.hbar}, "state.file")
+        if weber.representation == POSITION:
+            forward_transform_in_place(weber)
     else:
         grid, units = config["grid"], config["units"]
+        _check_units(units)
         spec = GridSpec(grid["n"], grid["L"], units["c"], units["hbar"])
         weber = place(build_state(config), spec)
     if section["normalize"]:
@@ -389,15 +416,16 @@ def cmd_evolve(args):
 
     records = []
     for i, t in enumerate(section["times"]):
-        _evolve_to(weber, t, tol, "evolve.times")
+        sums = _evolve_to(weber, t, tol, "evolve.times")
         snapshot = out / f"snapshot_{i:02d}.phwf"
         write_weber(snapshot, weber)
+        check_dc_share(sums.dc_sq, sums.sum_sq, tol["dc"])
         record = {
             "time": t,
             "file": snapshot.name,
-            "energy": total_energy(weber),
-            "photon_number": photon_number(weber, dc_tolerance=tol["dc"]),
-            "transversality_residual": transversality_residual(weber),
+            "energy": box_energy(sums.sum_sq, spec, MOMENTUM),
+            "photon_number": photon_count(sums.sum_sq_over_k, spec),
+            "transversality_residual": sums.residual,
         }
         records.append(record)
         print(f"t = {t:10.6g}   energy = {record['energy']:.12g}   "
@@ -426,6 +454,7 @@ def cmd_boost_audit(args):
     u, k_right, k_left = section["u"], section["k_right"], section["k_left"]
     z_boost = _boost([0.0, 0.0, 1.0], u, c, "audit.u")
     x_boost = _boost([1.0, 0.0, 0.0], u, c, "audit.u")
+    _check_units(config["units"])
     out = _out_dir(args)
 
     single = single_wave(k_right, 1.0)
@@ -470,6 +499,7 @@ def cmd_trajectories(args):
     boost = _boost(config["boost"]["direction"], config["boost"]["u"], c, "boost")
     section = config["trajectories"]
     guidance, t0, t1, step = section["guidance"], section["t0"], section["t1"], section["step"]
+    _check_units(config["units"])
     out = _out_dir(args)
 
     points = section["initial_points"]
@@ -573,6 +603,7 @@ def cmd_doubleslit(args):
     grid, units, section = config["grid"], config["units"], config["doubleslit"]
     spec = GridSpec(grid["n"], grid["L"], units["c"], units["hbar"])
     state = build_slit_state(section, spec)
+    _check_units(units)
     out = _out_dir(args)
 
     weber = place(state, spec)

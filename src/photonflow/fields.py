@@ -192,7 +192,12 @@ def total_energy(weber: WeberGrid) -> float:
     """
     # einsum, not a BLAS dot: same speed, and no BLAS threads left spinning
     flat = weber.field.view(np.float64)
-    quad = np.einsum("xyzc,xyzc->", flat, flat) / (8.0 * np.pi)
-    if weber.representation == POSITION:
-        return float(quad * weber.spec.dx ** 3)
-    return float(quad * weber.spec.dk ** 3)
+    return box_energy(np.einsum("xyzc,xyzc->", flat, flat), weber.spec, weber.representation)
+
+
+def box_energy(sum_sq, spec: GridSpec, representation: str) -> float:
+    """Box total energy of a field whose |F|^2 (or |F~|^2) summed over the grid is sum_sq."""
+    quad = sum_sq / (8.0 * np.pi)
+    if representation == POSITION:
+        return float(quad * spec.dx ** 3)
+    return float(quad * spec.dk ** 3)

@@ -73,8 +73,13 @@ class ProbabilityFlow:
 
 def _check_dc_content(weber: WeberGrid, dc_tolerance: float):
     flat = weber.field.view(np.float64)  # (n, n, n, 6): Re/Im pairs per component
-    total = float(np.einsum("xyzc,xyzc->", flat, flat))
-    dc = float(np.einsum("c,c->", flat[0, 0, 0], flat[0, 0, 0]))
+    check_dc_share(float(np.einsum("c,c->", flat[0, 0, 0], flat[0, 0, 0])),
+                   float(np.einsum("xyzc,xyzc->", flat, flat)), dc_tolerance)
+
+
+def check_dc_share(dc: float, total: float, dc_tolerance: float) -> None:
+    """Raise DCContentError unless |F~(0)|^2 = dc is at most dc_tolerance times
+    the sum of |F~|^2 over all modes, ``total``."""
     # "not <=" so that NaN content fails the gate; a zero field passes
     if not dc <= dc_tolerance * total:
         raise DCContentError(
@@ -83,9 +88,15 @@ def _check_dc_content(weber: WeberGrid, dc_tolerance: float):
             "is singular there")
 
 
-def _good_weight(spec: GridSpec, xs=slice(None)) -> np.ndarray:
-    """1 / sqrt(8 pi hbar k c) on the x-planes ``xs`` of the k-grid (0 at k = 0)."""
-    return np.sqrt(kgrid(spec).inv_k[xs] / (8.0 * np.pi * spec.hbar * spec.c))
+def photon_count(sum_sq_over_k: float, spec: GridSpec) -> float:
+    """N of a field whose |F~|^2 / |k| summed over the modes k != 0 is sum_sq_over_k."""
+    return float(sum_sq_over_k * spec.dk ** 3 / (8.0 * np.pi * spec.hbar * spec.c))
+
+
+def _good_weights(spec: GridSpec) -> np.ndarray:
+    """1 / sqrt(8 pi hbar k c) per shell of kgrid(spec) (0 at k = 0); index it
+    with the grid's ``shell``."""
+    return np.sqrt(kgrid(spec).shell_inv_k / (8.0 * np.pi * spec.hbar * spec.c))
 
 
 def photon_wavefunction(weber: WeberGrid,
@@ -93,7 +104,8 @@ def photon_wavefunction(weber: WeberGrid,
     """phi~(k) = F~(k) / sqrt(8 pi hbar k c); the k = 0 coefficient is set to 0."""
     require_representation(weber, MOMENTUM, "photon_wavefunction")
     _check_dc_content(weber, dc_tolerance)
-    phi = weber.field * _good_weight(weber.spec)[..., None]
+    weight = _good_weights(weber.spec)[kgrid(weber.spec).shell]
+    phi = weber.field * weight[..., None]
     return PhotonWaveFunction(phi, weber.spec, MOMENTUM, weber.time)
 
 
@@ -118,10 +130,11 @@ def density_profile_y(weber: WeberGrid,
     require_representation(weber, MOMENTUM, "density_profile_y")
     _check_dc_content(weber, dc_tolerance)
     spec = weber.spec
+    shell, weights = kgrid(spec).shell, _good_weights(spec)
     profile = np.zeros(spec.n_per_axis)
     for start in range(0, spec.n_per_axis, _SLAB_PLANES):
         xs = slice(start, start + _SLAB_PLANES)
-        phi = weber.field[xs] * _good_weight(spec, xs)[..., None]
+        phi = weber.field[xs] * weights[shell[xs]][..., None]
         # (planes, n, n, 6): Re/Im pairs; the float view needs a C-ordered FFT result
         flat = np.ascontiguousarray(np.fft.ifft(phi, axis=1)).view(np.float64)
         profile += np.einsum("xyzc,xyzc->y", flat, flat)
@@ -138,10 +151,9 @@ def photon_number(weber: WeberGrid,
     """
     require_representation(weber, MOMENTUM, "photon_number")
     _check_dc_content(weber, dc_tolerance)
-    spec = weber.spec
     flat = weber.field.view(np.float64)  # (n, n, n, 6): Re/Im pairs per component
-    weighted = np.einsum("xyzc,xyzc,xyz->", flat, flat, kgrid(spec).inv_k)
-    return float(weighted * spec.dk ** 3 / (8.0 * np.pi * spec.hbar * spec.c))
+    weighted = np.einsum("xyzc,xyzc,xyz->", flat, flat, kgrid(weber.spec).inv_k)
+    return photon_count(weighted, weber.spec)
 
 
 def normalize_single_photon(weber: WeberGrid,

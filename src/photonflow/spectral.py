@@ -22,20 +22,28 @@ a second time derivative gives the wave (Klein-Gordon, massless)
 equation d2F/dt2 = c^2 lap F; klein_gordon_residual checks it with a
 central difference in time against the spectral Laplacian.
 
-KGrid holds the wave vectors of a grid as three broadcast axes kx, ky, kz
-plus two (n, n, n) arrays, |k| and 1/|k| (0 at k = 0).  evolve and
-transversality_residual share one kernel that walks the field in slabs
-of a few x-planes: per slab it forms k . F~ once and uses it for the
-NaN-closed transversality gate and for the rotation, whose output goes
-straight into one preallocated array, so the kernel's other temporaries
-are slab-sized.  Each slab is copied before its rotated values are
-written, so that array may be the input itself: evolve(w, dt,
-in_place=True) advances w itself and allocates nothing full-size.
+KGrid holds the wave vectors of a grid as three broadcast axes kx, ky, kz,
+one (n, n, n) integer shell index m^2 = mx^2 + my^2 + mz^2 and two
+per-shell tables of |k| and 1/|k| (0 at k = 0): a mode enters the
+propagator and Good's weight only through |k|, which takes 3 (n/2)^2 + 1
+values against n^3 modes.  advance and transversality_residual share one
+kernel that walks the field in slabs of a few x-planes.  It forms the
+rotation's cos, sin/|k| and (1 - cos)/|k|^2 once per shell and gathers
+them per slab through the index; per slab it forms k . F~ once and uses it
+for the NaN-closed transversality gate and for the rotation.  Each slab is
+copied before its rotated values are written back, so advance(w, dt)
+turns w in place with slab-sized temporaries only; evolve(w, dt) is
+advance applied to a copy.  From the slabs it already holds the kernel
+also sums |F~|^2 and |F~|^2/|k|, reads |F~(0)|^2 and forms the
+transversality residual of the field it leaves behind (FieldSums), so a
+caller that needs the energy, the photon number and the residual of each
+evolved state reads the field once.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -53,7 +61,7 @@ _RESIDUAL_FLOOR = 1e-300
 # temporary is 0.5 MiB; 1 and 2 planes ran fastest there, 4 and 8 slower.
 _SLAB_PLANES = 2
 
-# default transversality residual that evolve accepts
+# default transversality residual that evolve and advance accept
 _TRANSVERSALITY_TOL = 1e-10
 
 
@@ -63,8 +71,13 @@ class KGrid:
     Built from signed integer indices (0, 1, ..., n/2-1, -n/2, ..., -1
     per axis) so |k| values are reproducible from the indices bit-exactly.
     ``kx``, ``ky``, ``kz`` are the wave-vector components as broadcast axes
-    of shapes (n, 1, 1), (1, n, 1) and (1, 1, n); ``k_norm`` is |k| and
-    ``inv_k`` is 1/|k| (0 at k = 0), the only (n, n, n) arrays held.
+    of shapes (n, 1, 1), (1, n, 1) and (1, 1, n).  ``shell`` is the only
+    (n, n, n) array held: the integer m^2 = mx^2 + my^2 + mz^2 of each
+    mode, in the smallest unsigned type that holds 3 (n/2)^2 (uint16 up to
+    n = 295).  ``shell_k`` and ``shell_inv_k`` hold |k| and 1/|k| (0 at
+    k = 0) for m^2 = 0, 1, ..., 3 (n/2)^2, so ``shell_k[shell]`` is |k| per
+    mode.  ``k_norm`` and ``inv_k`` build those (n, n, n) arrays on each
+    access, for the reference routes.
     """
 
     def __init__(self, spec: GridSpec):
@@ -74,10 +87,22 @@ class KGrid:
         axis = spec.dk * idx
         self.kx, self.ky, self.kz = (axis.reshape(shape)
                                      for shape in ((n, 1, 1), (1, n, 1), (1, 1, n)))
-        sq = idx.astype(float) ** 2
-        self.k_norm = spec.dk * np.sqrt(sq[:, None, None] + sq[None, :, None] + sq[None, None, :])
-        self.inv_k = np.divide(1.0, self.k_norm, out=np.zeros_like(self.k_norm),
-                               where=self.k_norm > 0)
+        top = 3 * (n // 2) ** 2
+        sq = (idx ** 2).astype(np.min_scalar_type(top))
+        self.shell = sq[:, None, None] + sq[None, :, None] + sq[None, None, :]
+        self.shell_k = spec.dk * np.sqrt(np.arange(top + 1, dtype=float))
+        self.shell_inv_k = np.divide(1.0, self.shell_k, out=np.zeros_like(self.shell_k),
+                                     where=self.shell_k > 0)
+
+    @property
+    def k_norm(self) -> np.ndarray:
+        """(n, n, n) |k|, built on each access."""
+        return self.shell_k[self.shell]
+
+    @property
+    def inv_k(self) -> np.ndarray:
+        """(n, n, n) 1/|k| (0 at k = 0), built on each access."""
+        return self.shell_inv_k[self.shell]
 
     @property
     def wave_vectors(self) -> np.ndarray:
@@ -96,12 +121,6 @@ def kgrid(spec: GridSpec) -> KGrid:
     return KGrid(spec)
 
 
-def _fft_forward(arr: np.ndarray, spec: GridSpec) -> np.ndarray:
-    out = np.fft.fftn(arr, axes=(0, 1, 2))
-    out *= spec.dx ** 3 / _TWO_PI_3_2
-    return out
-
-
 def _fft_inverse(arr: np.ndarray, spec: GridSpec) -> np.ndarray:
     return np.fft.ifftn(arr * (_TWO_PI_3_2 / spec.dx ** 3), axes=(0, 1, 2))
 
@@ -109,8 +128,29 @@ def _fft_inverse(arr: np.ndarray, spec: GridSpec) -> np.ndarray:
 def forward_transform(weber: WeberGrid) -> WeberGrid:
     """Position -> momentum representation (symmetric convention above)."""
     require_representation(weber, POSITION, "forward_transform")
-    return WeberGrid(_fft_forward(weber.field, weber.spec), weber.spec,
-                     MOMENTUM, weber.time)
+    tilde = weber.copy()
+    forward_transform_in_place(tilde)
+    return tilde
+
+
+def forward_transform_in_place(weber: WeberGrid) -> None:
+    """Turn ``weber`` itself into the momentum representation.
+
+    The 1-D FFTs run in the order np.fft.fftn takes them, so the result is
+    bit for bit fftn's: along z, then y, over slabs of x-planes, then along
+    x over slabs of y-planes.  Beyond the field only slab-sized temporaries
+    are allocated.
+    """
+    require_representation(weber, POSITION, "forward_transform_in_place")
+    f, n = weber.field, weber.spec.n_per_axis
+    for start in range(0, n, _SLAB_PLANES):
+        xs = slice(start, start + _SLAB_PLANES)
+        f[xs] = np.fft.fft(np.fft.fft(f[xs], axis=2), axis=1)
+    for start in range(0, n, _SLAB_PLANES):
+        ys = slice(start, start + _SLAB_PLANES)
+        f[:, ys] = np.fft.fft(f[:, ys], axis=0)
+    f *= weber.spec.dx ** 3 / _TWO_PI_3_2
+    weber.representation = MOMENTUM
 
 
 def inverse_transform(weber: WeberGrid) -> WeberGrid:
@@ -120,53 +160,110 @@ def inverse_transform(weber: WeberGrid) -> WeberGrid:
                      POSITION, weber.time)
 
 
-def _sweep(weber: WeberGrid, c_dt=None, in_place=False):
-    """One slab-wise pass over a momentum field: (residual, rotated).
+@dataclass(frozen=True)
+class FieldSums:
+    """What one pass of the kernel learns about the field it leaves behind.
 
-    ``residual`` is the transversality residual; ``rotated`` is the field
-    with each mode rotated about k-hat by the angle |k| c_dt, or None when
-    c_dt is None.  Per slab of x-planes the kernel forms k . F~ once and
-    uses it for both.  ``rotated`` is ``weber.field`` itself when
-    ``in_place`` (a slab is read before it is overwritten), else a new
-    array: that is the only full-size array the kernel allocates.
+    ``sum_sq`` is the sum of |F~|^2 over all modes and ``sum_sq_over_k``
+    the sum of |F~|^2 / |k| over k != 0, both summed slab by slab from the
+    |F~|^2 per mode that the residual's peak needs; total_energy and
+    photon_number sum the same terms over the whole field at once, so the
+    two routes agree to roundoff.  ``dc_sq`` is |F~(0)|^2.  ``residual`` is
+    the transversality residual, bit for bit as transversality_residual
+    reports it.
+    """
+
+    sum_sq: float
+    sum_sq_over_k: float
+    dc_sq: float
+    residual: float
+
+
+class _Tally:
+    """Running maxima, and optionally sums, over the slabs of one field."""
+
+    def __init__(self):
+        self.longitudinal = self.peak_sq = self.sum_sq = self.sum_sq_over_k = 0.0
+
+    def add(self, k, g, flat, inv_k, sums):
+        """Fold in one slab (components ``g`` first, float view ``flat``); return k . F~."""
+        k_dot_f = k[0] * g[0]
+        k_dot_f += k[1] * g[1]
+        k_dot_f += k[2] * g[2]
+        longitudinal = np.abs(k_dot_f)
+        longitudinal *= inv_k
+        # np.maximum, not max(): max(0.0, nan) is 0.0, and a NaN must reach the gate
+        self.longitudinal = np.maximum(self.longitudinal, longitudinal.max())
+        sq = np.einsum("...i,...i->...", flat, flat)  # |F~|^2 per mode
+        self.peak_sq = np.maximum(self.peak_sq, sq.max())
+        if sums:
+            self.sum_sq += sq.sum()
+            self.sum_sq_over_k += np.einsum("xyz,xyz->", sq, inv_k)
+        return k_dot_f
+
+    def residual(self) -> float:
+        peak = np.sqrt(self.peak_sq)
+        # an infinite peak would scale any longitudinal part to 0: report NaN so gates fail
+        return float(self.longitudinal / (peak + _RESIDUAL_FLOOR) if np.isfinite(peak)
+                     else np.nan)
+
+
+def _rotate(k, g, along, cos, sin_k, rotated):
+    """Turn one slab (components ``g`` first) about k-hat into ``rotated``.
+
+    Rodrigues with the unnormalized k and 1/|k| folded into the weights
+    ``cos``, ``sin_k`` = sin / |k| and ``along`` = (k . F~) (1 - cos) / |k|^2:
+    F~ cos + (k x F~) sin / |k| + k (k . F~) (1 - cos) / |k|^2.
+    """
+    for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        term = np.multiply(k[j], g[l], out=rotated[i])
+        term -= k[l] * g[j]
+        term *= sin_k
+        term += k[i] * along
+        term += cos * g[i]
+
+
+def _sweep(weber: WeberGrid, c_dt=None):
+    """One slab-wise pass over a momentum field: (residual, sums).
+
+    ``residual`` is the transversality residual of ``weber`` as given.
+    Given ``c_dt``, each mode of ``weber.field`` is rotated in place about
+    k-hat by the angle |k| c_dt (each slab is copied before it is
+    overwritten).  ``sums`` are the FieldSums of the field the pass leaves.
+    Per slab of x-planes k . F~ is formed once for the gate and the
+    rotation, and the rotation's weights are gathered from per-shell tables.
     """
     kg = kgrid(weber.spec)
     f = weber.field
     flat = f.view(np.float64)
-    rotated = None
+    # the slab's components, contiguous, and its rotation: one buffer each per pass
+    slab = np.empty((3,) + f[:_SLAB_PLANES].shape[:-1], dtype=f.dtype)
+    source = result = _Tally()
     if c_dt is not None:
-        rotated = f if in_place else np.empty_like(f)
-    longitudinal = peak_sq = 0.0
+        # per shell: cos, sin / |k| and (1 - cos) / |k|^2 of the angle |k| c_dt
+        theta = kg.shell_k * c_dt
+        cos = np.cos(theta)
+        sin_k, along = np.sin(theta) * kg.shell_inv_k, (1.0 - cos) * kg.shell_inv_k ** 2
+        result, rotated_slab = _Tally(), np.empty_like(slab)
     # non-finite entries give NaN products here; the residual reports them
     with np.errstate(invalid="ignore", over="ignore"):
         for start in range(0, weber.spec.n_per_axis, _SLAB_PLANES):
             xs = slice(start, start + _SLAB_PLANES)
-            g = np.moveaxis(f[xs], -1, 0).copy()  # components of the slab, contiguous
+            g = slab[:, :len(f[xs])]
+            np.copyto(g, np.moveaxis(f[xs], -1, 0))
             k = (kg.kx[xs], kg.ky, kg.kz)
-            inv_k = kg.inv_k[xs]
-            k_dot_f = k[0] * g[0] + k[1] * g[1] + k[2] * g[2]
-            # np.maximum, not max(): max(0.0, nan) is 0.0, and a NaN must reach the gate
-            longitudinal = np.maximum(longitudinal, (np.abs(k_dot_f) * inv_k).max())
-            peak_sq = np.maximum(peak_sq, np.einsum("...i,...i->...", flat[xs], flat[xs]).max())
-            if rotated is None:
-                continue
-            # Rodrigues with the unnormalized k, 1/|k| folded into the weights:
-            # F~ cos + (k x F~) sin / |k| + k (k . F~) (1 - cos) / |k|^2
-            theta = kg.k_norm[xs] * c_dt
-            cos = np.cos(theta)
-            sin_k = np.sin(theta) * inv_k
-            along = k_dot_f * ((1.0 - cos) * inv_k ** 2)
-            for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-                term = k[j] * g[l]
-                term -= k[l] * g[j]
-                term *= sin_k
-                term += k[i] * along
-                term += cos * g[i]
-                rotated[xs, ..., i] = term
-    peak = np.sqrt(peak_sq)
-    # an infinite peak would scale any longitudinal part to 0: report NaN so gates fail
-    residual = longitudinal / (peak + _RESIDUAL_FLOOR) if np.isfinite(peak) else np.nan
-    return float(residual), rotated
+            shell = kg.shell[xs].astype(np.intp)  # np.take would convert it per call
+            inv_k = np.take(kg.shell_inv_k, shell)
+            k_dot_f = source.add(k, g, flat[xs], inv_k, sums=result is source)
+            if c_dt is not None:
+                rotated = rotated_slab[:, :len(g[0])]
+                k_dot_f *= np.take(along, shell)  # in place: k . F~ is not needed again
+                _rotate(k, g, k_dot_f, np.take(cos, shell), np.take(sin_k, shell), rotated)
+                f[xs] = np.moveaxis(rotated, 0, -1)
+                result.add(k, rotated, flat[xs], inv_k, sums=True)
+    dc = flat[0, 0, 0]
+    return source.residual(), FieldSums(float(result.sum_sq), float(result.sum_sq_over_k),
+                                        float(np.einsum("c,c->", dc, dc)), result.residual())
 
 
 def transversality_residual(weber: WeberGrid) -> float:
@@ -186,11 +283,12 @@ def transversality_residual(weber: WeberGrid) -> float:
 def project_transverse(weber: WeberGrid) -> WeberGrid:
     """F~ -> F~ - khat (khat . F~) per mode (k = 0 untouched). Idempotent."""
     require_representation(weber, MOMENTUM, "project_transverse")
-    kg = kgrid(weber.spec)
     f = weber.field
+    kg = kgrid(weber.spec)
+    k_norm = kg.k_norm
     # k / |k| by division, so an axis-aligned mode gets an exact unit vector
     # and a second projection removes nothing
-    k_hat = [np.divide(k, kg.k_norm, out=np.zeros_like(kg.k_norm), where=kg.k_norm > 0)
+    k_hat = [np.divide(k, k_norm, out=np.zeros_like(k_norm), where=k_norm > 0)
              for k in (kg.kx, kg.ky, kg.kz)]
     along = k_hat[0] * f[..., 0] + k_hat[1] * f[..., 1] + k_hat[2] * f[..., 2]
     projected = f.copy()
@@ -199,10 +297,16 @@ def project_transverse(weber: WeberGrid) -> WeberGrid:
     return WeberGrid(projected, weber.spec, MOMENTUM, weber.time)
 
 
+def _gate(residual: float, transversality_tol: float) -> None:
+    if not residual <= transversality_tol:  # NaN fails too
+        raise TransversalityError(
+            f"state has transversality residual {residual:.3e} > {transversality_tol:.1e}; "
+            "project_transverse it first")
+
+
 def evolve(weber: WeberGrid, dt: float,
-           transversality_tol: float = _TRANSVERSALITY_TOL, *,
-           in_place: bool = False) -> WeberGrid:
-    """Advance the field by dt with the exact per-mode propagator.
+           transversality_tol: float = _TRANSVERSALITY_TOL) -> WeberGrid:
+    """The field advanced by dt with the exact per-mode propagator, as a new WeberGrid.
 
     Each mode is rotated about its own k-hat by the angle k c dt in the
     right-handed sense (Rodrigues form), the exact solution of
@@ -212,6 +316,7 @@ def evolve(weber: WeberGrid, dt: float,
     carried through unchanged.  The transversality gate and the rotation
     share one slab-wise pass; a state that fails the gate is discarded.
     dt == 0 runs the gate alone and returns ``weber`` itself, not a copy.
+    ``weber`` is left as it is: the step is advance applied to a copy.
 
     Parameters
     ----------
@@ -222,34 +327,43 @@ def evolve(weber: WeberGrid, dt: float,
         Time step (any sign).  A non-finite dt, or one that turns the
         largest mode by a non-finite angle, raises FieldValidationError
         before anything is written.
-    in_place : bool
-        False (default): return a new WeberGrid and leave ``weber`` as it
-        is.  True: rotate ``weber.field`` in place, advance ``weber.time``
-        by dt once the gate has passed, and return ``weber`` itself, so
-        no second WeberGrid shares the buffer.  A read-only field raises
-        FieldValidationError before anything is written.  After a
-        TransversalityError the field holds rotated values at the old
-        time: discard it.
     """
     require_representation(weber, MOMENTUM, "evolve")
-    if in_place and not weber.field.flags.writeable:
-        raise FieldValidationError("evolve(in_place=True) got a read-only field")
+    if check_real("dt", dt) == 0:
+        _gate(_sweep(weber)[0], transversality_tol)
+        return weber
+    evolved = weber.copy()
+    advance(evolved, dt, transversality_tol)
+    return evolved
+
+
+def advance(weber: WeberGrid, dt: float,
+            transversality_tol: float = _TRANSVERSALITY_TOL) -> FieldSums:
+    """Advance ``weber`` itself by dt with evolve's exact per-mode propagator.
+
+    The rotation is written into ``weber.field`` with slab-sized
+    temporaries only, and ``weber.time`` grows by dt once the gate has
+    passed.  Returns the FieldSums of the advanced field (its |F~|^2 and
+    |F~|^2/|k| sums, |F~(0)|^2 and transversality residual), formed in the
+    same pass.  dt == 0 runs the gate alone and leaves the field as it is.
+    A non-finite dt or largest angle |k| c dt, or a read-only field, raises
+    FieldValidationError before anything is written.  After a
+    TransversalityError the field holds rotated values at the old time:
+    discard it.
+    """
+    require_representation(weber, MOMENTUM, "advance")
+    if not weber.field.flags.writeable:
+        raise FieldValidationError("advance got a read-only field")
     dt = float(check_real("dt", dt))
     c_dt = float(weber.spec.c) * dt  # Python floats: an overflow gives inf, not a warning
-    if not math.isfinite(float(kgrid(weber.spec).k_norm.max()) * abs(c_dt)):
+    # the largest angle is the outermost shell's
+    if not math.isfinite(float(kgrid(weber.spec).shell_k[-1]) * abs(c_dt)):
         raise FieldValidationError(
             f"dt = {dt!r} turns the largest mode by a non-finite angle |k| c dt")
-    residual, rotated = _sweep(weber, None if dt == 0 else c_dt, in_place)
-    if not residual <= transversality_tol:  # NaN fails too
-        raise TransversalityError(
-            f"state has transversality residual {residual:.3e} > {transversality_tol:.1e}; "
-            "project_transverse it first")
-    if rotated is None:
-        return weber
-    if in_place:
-        weber.time += dt
-        return weber
-    return WeberGrid(rotated, weber.spec, MOMENTUM, weber.time + dt)
+    residual, sums = _sweep(weber, None if dt == 0 else c_dt)
+    _gate(residual, transversality_tol)
+    weber.time += dt
+    return sums
 
 
 def klein_gordon_residual(weber: WeberGrid, dt_probe: float) -> float:

@@ -17,6 +17,7 @@ import pytest
 import photonflow
 from photonflow import (GridSpec, WeberGrid, __version__, forward_transform, photon_number,
                         sample_to_grid, total_energy)
+from photonflow import cli, fields, photon, spectral
 from photonflow.cli import (_AUDIT_SAMPLES_LIMIT, _FIELD_BYTES_LIMIT, _POINT_KNOTS_LIMIT,
                             build_parser, cmd_evolve, load_config, main)
 from photonflow.errors import ConfigError
@@ -198,6 +199,38 @@ def test_evolve_resumes_from_a_position_representation_file(tmp_path):
     assert second["photon_number"] == pytest.approx(photon_number(tilde), rel=1e-13)
 
 
+def test_evolve_reads_each_snapshot_in_its_one_pass(tmp_path, monkeypatch):
+    # a normalized run of T times makes T passes over the field (one per
+    # advance) and takes every diagnostic from them: after normalize it calls
+    # none of the reference routes
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append(name)
+            return result
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(spectral, "_sweep")
+    counted(cli, "normalize_single_photon")
+    for module, name in ((photon, "photon_number"), (fields, "total_energy"),
+                         (spectral, "transversality_residual")):
+        counted(module, name)
+        if hasattr(cli, name):
+            counted(cli, name)
+    times = [0.0, 0.5, 1.0, 2.5]
+    rc, out = _run(tmp_path, "evolve", config={"grid": {"n": 8}, "evolve": {
+        "times": times, "normalize": True}})
+    assert rc == 0
+    assert calls[calls.index("normalize_single_photon") + 1:] == ["_sweep"] * len(times)
+    assert calls.count("_sweep") == len(times)
+    snapshots = _load_json(out, "diagnostics.json")["snapshots"]
+    assert [s["time"] for s in snapshots] == times
+
+
 @pytest.mark.parametrize("command", ["evolve", "doubleslit"])
 def test_time_with_a_non_finite_rotation_angle_exits_2_before_writing(tmp_path, capsys,
                                                                        command):
@@ -236,16 +269,24 @@ def _peak_rss_bytes(args):
                     reason="reads ru_maxrss in KiB, as Linux reports it")
 def test_evolve_jobs_hold_one_field(tmp_path):
     # the normalized evolve job and its resume, as the benchmark runs them at
-    # n = 128; each should hold one field plus the wave-vector grid beyond the
-    # interpreter with photonflow imported, while a second full-size copy
-    # (of the rotation, the .phwf payload or the read bytes) takes it over
+    # n = 128, and a resume from a position-representation file; each should
+    # hold one field plus the wave-vector grid beyond the interpreter with
+    # photonflow imported, while a second full-size copy (of the rotation,
+    # the .phwf payload, the read bytes or the forward transform) takes it over
     n = 96
-    field_bytes, kgrid_bytes = 48 * n ** 3, 16 * n ** 3  # complex 3-vectors; |k|, 1/|k|
+    shells = 3 * (n // 2) ** 2 + 1
+    field_bytes = 48 * n ** 3  # complex 3-vectors
+    # the uint16 shell index plus the per-shell |k| and 1/|k|
+    kgrid_bytes = 2 * n ** 3 + 16 * shells
     baseline = _peak_rss_bytes(["-c", "import photonflow.cli"])
     run = tmp_path / "run"
+    position = tmp_path / "position.phwf"
+    write_weber(position, sample_to_grid(counterprop_pair(1.0, 2.0), GridSpec(n, 2.0 * np.pi)))
     jobs = [({"grid": {"n": n}, "evolve": {"times": [0.0, 1.0], "normalize": True}}, run),
             ({"state": {"file": str(run / "snapshot_01.phwf")},
-              "evolve": {"times": [1.0, 2.0]}}, tmp_path / "resumed")]
+              "evolve": {"times": [1.0, 2.0]}}, tmp_path / "resumed"),
+            ({"state": {"file": str(position)}, "evolve": {"times": [0.0, 1.0]}},
+             tmp_path / "from-position")]
     for i, (config, out) in enumerate(jobs):
         path = _write_config(tmp_path, config, name=f"job{i}.json")
         extra = _peak_rss_bytes(["-m", "photonflow", "evolve", "--config", path,
@@ -533,19 +574,38 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
     # u c rounds to c when c is the smallest subnormal, so Boost rejects the speed
     ("boost-audit", {"units": {"c": 5e-324}, "audit": {"u": 0.9}}, "audit.u"),
     ("trajectories", {"units": {"c": 5e-324}, "boost": {"u": 0.9}}, "boost"),
+    # units outside their range: I / c overflows in a wave amplitude, c^2
+    # underflows in a boost
+    ("trajectories", {"units": {"c": 5e-324}}, "units.c"),
+    ("boost-audit", {"units": {"c": 1e-300}}, "units.c"),
+    ("evolve", {"units": {"hbar": 1e101}}, "units.hbar"),
 ], ids=["nan-point", "no-points", "inf-boost", "text-phase", "nan-phase",
         "text-preset-arg", "nan-preset-arg", "inf-evolve-time", "inf-slit-time",
         "text-normalize", "misspelled-key", "bool-sources", "zero-line-direction",
         "overflowing-line-direction", "zero-boost-direction", "huge-grid",
         "grid-beyond-float", "grid-over-limit", "tiny-step", "overflowing-span",
         "huge-count", "count-beyond-float", "points-over-limit", "huge-audit",
-        "backward-span", "audit-speed-rounds-to-c", "boost-speed-rounds-to-c"])
+        "backward-span", "audit-speed-rounds-to-c", "boost-speed-rounds-to-c",
+        "subnormal-c-trajectories", "tiny-c-boost-audit", "huge-hbar"])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, command,
                                                    config, field):
     rc, out = _run(tmp_path, command, config=config)
     assert rc == 2
-    assert f"(field: {field})" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"(field: {field})" in err
+    assert "Warning" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("c, hbar", [(1e-100, 1e-100), (1e100, 1e100), (1e-100, 1e100)])
+@pytest.mark.parametrize("command", ["evolve", "boost-audit", "trajectories", "doubleslit"])
+def test_units_at_the_ends_of_their_range_run(tmp_path, command, c, hbar):
+    small = {"evolve": {"grid": {"n": 8}, "evolve": {"normalize": True}},
+             "boost-audit": {"audit": {"samples": 16}},
+             "trajectories": {"trajectories": {"count": 4}},
+             "doubleslit": {"grid": {"n": 16}}}[command]
+    rc, out = _run(tmp_path, command, config=dict(small, units={"c": c, "hbar": hbar}))
+    assert rc == 0 and out.exists()
 
 
 def test_work_limits_sit_where_their_comment_says(tmp_path):
@@ -618,6 +678,43 @@ def test_state_file_with_nan_time_exits_1(tmp_path, capsys):
     assert rc == 1
     assert "header time nan is not finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("c, hbar", [(1e-300, 1e-300), (1.0, 1e101)])
+def test_state_file_with_units_out_of_range_exits_2(tmp_path, capsys, c, hbar):
+    # a snapshot carries its own units: hbar c = 1e-600 would make the photon
+    # number's weight divide by zero
+    path = tmp_path / "units.phwf"
+    field = np.zeros((4, 4, 4, 3), complex)
+    field[0, 0, 1] = [1.0, 1j, 0.0]
+    write_weber(path, WeberGrid(field, GridSpec(4, 2.0 * np.pi, c, hbar), "momentum"))
+    rc, out = _run(tmp_path, "evolve",
+                   config={"state": {"file": str(path)}, "evolve": {"times": [0.0, 1.0]}})
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "(field: state.file)" in err and "outside the supported range" in err
+    assert not out.exists()
+
+
+def test_evolve_gates_each_snapshot_on_its_dc_share(tmp_path, capsys):
+    # the photon number of a snapshot is read from advance's sums, behind the
+    # same DC gate as photon_number: 2e-6 of |F~|^2 in k = 0 fails the default
+    spec = GridSpec(4, 2.0 * np.pi)
+    field = np.zeros((4, 4, 4, 3), complex)
+    field[0, 0, 1] = [1.0, 1j, 0.0]
+    field[0, 0, 0] = [2e-3, 0.0, 0.0]
+    path = tmp_path / "dc.phwf"
+    write_weber(path, WeberGrid(field, spec, "momentum"))
+    config = {"state": {"file": str(path)}, "evolve": {"times": [0.0]}}
+    rc, _ = _run(tmp_path, "evolve", config=config)
+    assert rc == 1
+    assert "k = 0 mode carries fraction 2.000e-06" in capsys.readouterr().err
+    rc, out = _run(tmp_path, "evolve", config=config, extra=["--tolerance", "dc=1e-5"])
+    assert rc == 0
+    snapshot = _load_json(out, "diagnostics.json")["snapshots"][0]
+    weber = read_weber(out / snapshot["file"])
+    assert snapshot["photon_number"] == pytest.approx(photon_number(weber, dc_tolerance=1e-5),
+                                                      rel=1e-15)
 
 
 def test_tolerance_override_changes_behavior(tmp_path):

@@ -7,14 +7,16 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from photonflow import (GridSpec, WeberGrid, density_profile_y, evolve,
+from photonflow import (GridSpec, WeberGrid, advance, density_profile_y, evolve,
                         forward_transform, inverse_transform, klein_gordon_residual,
                         photon_number, place, project_transverse, read_weber,
                         sample_to_grid, single_wave, total_energy,
                         transversality_residual, write_weber)
 from photonflow.errors import FieldValidationError, RepresentationError, TransversalityError
+from photonflow.fields import box_energy
+from photonflow.photon import photon_count
 from photonflow.planewaves import counterprop_pair, eval_weber
-from photonflow.spectral import kgrid
+from photonflow.spectral import forward_transform_in_place, kgrid
 
 
 def _random_weber(spec, rng):
@@ -39,6 +41,38 @@ def test_mode_indices_cover_symmetric_range(spec8):
     assert_allclose(kg.k_norm, spec8.dk * np.sqrt(ix ** 2 + iy ** 2 + iz ** 2), atol=0)
     assert kg.inv_k[0, 0, 0] == 0.0
     assert_allclose(kg.inv_k[kg.k_norm > 0], 1.0 / kg.k_norm[kg.k_norm > 0], rtol=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 18, 19, 20, 21])
+def test_shell_tables_reproduce_the_full_k_grid_bit_for_bit(n):
+    # the (n, n, n) |k| and 1/|k| the k-grid used to store, from float index
+    # squares; n = 18, 19 keep the shell index in uint8, n = 20, 21 need uint16
+    spec = GridSpec(n, 2.0 * np.pi * 1.37)
+    kg = kgrid(spec)
+    idx = ((np.arange(n) + n // 2) % n) - n // 2
+    sq = idx.astype(float) ** 2
+    k_norm = spec.dk * np.sqrt(sq[:, None, None] + sq[None, :, None] + sq[None, None, :])
+    inv_k = np.divide(1.0, k_norm, out=np.zeros_like(k_norm), where=k_norm > 0)
+    assert kg.shell.dtype == (np.uint8 if n < 20 else np.uint16)
+    assert len(kg.shell_k) == len(kg.shell_inv_k) == 3 * (n // 2) ** 2 + 1
+    assert kg.k_norm.tobytes() == k_norm.tobytes()
+    assert kg.inv_k.tobytes() == inv_k.tobytes()
+    assert kg.shell_k[-1] == k_norm.max()
+
+
+def test_kgrid_holds_the_shell_index_and_tables_only():
+    # 2 bytes a mode for the uint16 index, O(n^2) for the per-shell tables
+    n = 64
+    spec = GridSpec(n, 2.0 * np.pi * 1.61)  # not in kgrid's cache yet
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kg = kgrid(spec)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kg.shell.nbytes == 2 * n ** 3
+    assert held <= 2 * n ** 3 + 16 * n ** 2, held / n ** 3
 
 
 def test_k_hat_vanishes_at_dc(spec8):
@@ -200,7 +234,7 @@ def test_evolve_rejects_longitudinal_states(spec8, rng):
     with pytest.raises(TransversalityError):
         evolve(tilde, 0.1)
     with pytest.raises(TransversalityError):  # in place, the time is not advanced
-        evolve(tilde, 0.1, in_place=True)
+        advance(tilde, 0.1)
     assert tilde.time == 0.0
 
 
@@ -262,8 +296,8 @@ def test_evolve_matches_matrix_exponential_for_odd_n(rng):
 
 
 def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
-    # beyond its input, evolve holds its output plus slab-sized temporaries (in
-    # place, the temporaries alone: about 3.5 slabs of 2/64 of the field each),
+    # beyond its input, evolve holds its output plus slab-sized temporaries
+    # (advance, the temporaries alone: a few slabs of 2/64 of the field each),
     # photon_number and density_profile_y no full-size temporary at all, and
     # place little beyond the field it returns; the .phwf writer and reader move
     # the payload one z-plane at a time
@@ -278,7 +312,7 @@ def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
     try:
         for name, call, limit in (
                 ("evolve", lambda: evolve(weber, 0.3), 1.5),
-                ("evolve in place", lambda: evolve(weber, 0.3, in_place=True), 0.15),
+                ("advance", lambda: advance(weber, 0.3), 0.15),
                 ("photon_number", lambda: photon_number(weber), 0.5),
                 ("place", lambda: place(state, spec), 1.2),
                 ("density_profile_y", lambda: density_profile_y(weber), 0.2),
@@ -300,16 +334,48 @@ def test_evolve_in_place_equals_the_default_route(rng, n, dt):
     weber.time = 0.25
     reference = evolve(weber, dt)
     buffer = weber.field
-    assert evolve(weber, dt, in_place=True) is weber
+    advance(weber, dt)
     assert weber.field is buffer and weber.time == reference.time == 0.25 + dt
     assert weber.field.tobytes() == reference.field.tobytes()
-    assert evolve(weber, 0.0, in_place=True) is weber
-    assert weber.time == reference.time
+    advance(weber, 0.0)
+    assert weber.field is buffer and weber.time == reference.time
     assert weber.field.tobytes() == reference.field.tobytes()
 
 
-# in place, the field itself is the output buffer: a read-only one is rejected
-# before the gate runs, whatever the step
+@pytest.mark.parametrize("n", [7, 8, 15])
+@pytest.mark.parametrize("dt", [0.0, 0.83, -2.1])
+def test_advance_reports_the_sums_of_the_field_it_leaves(rng, n, dt):
+    spec = GridSpec(n, 2.0 * np.pi, c=1.3, hbar=0.7)
+    weber = _random_transverse(spec, rng)
+    weber.field[0, 0, 0] = [1e-3, 2e-3j, 0.0]  # some DC content, carried unchanged
+    sums = advance(weber, dt)
+    flat = weber.field.view(np.float64)
+    assert sums.residual == transversality_residual(weber)  # bit for bit
+    assert box_energy(sums.sum_sq, spec, "momentum") == pytest.approx(total_energy(weber),
+                                                                      rel=1e-13, abs=0)
+    assert photon_count(sums.sum_sq_over_k, spec) == pytest.approx(
+        photon_number(weber, dc_tolerance=1.0), rel=1e-13, abs=0)
+    assert sums.dc_sq == np.einsum("c,c->", flat[0, 0, 0], flat[0, 0, 0])
+
+
+def test_forward_transform_in_place_is_fftn_bit_for_bit(rng):
+    for n in (7, 8, 16):
+        spec = GridSpec(n, 2.0 * np.pi * 0.9)
+        weber = _random_weber(spec, rng)
+        weber.time = 0.5
+        reference = np.fft.fftn(weber.field, axes=(0, 1, 2))
+        reference *= spec.dx ** 3 / (2.0 * np.pi) ** 1.5
+        buffer = weber.field
+        forward_transform_in_place(weber)
+        assert weber.field is buffer
+        assert (weber.representation, weber.time) == ("momentum", 0.5)
+        assert weber.field.tobytes() == reference.tobytes()
+    with pytest.raises(RepresentationError):
+        forward_transform_in_place(weber)
+
+
+# advance writes into the field itself: a read-only one is rejected before
+# the gate runs, whatever the step
 @pytest.mark.parametrize("dt", [0.3, 0.0], ids=["read-only", "read-only-zero-step"])
 def test_evolve_rejects_a_bad_out(spec8, rng, dt):
     weber = _random_transverse(spec8, rng)
@@ -317,7 +383,7 @@ def test_evolve_rejects_a_bad_out(spec8, rng, dt):
     before = weber.field.tobytes()
     weber.field.flags.writeable = False
     with pytest.raises(FieldValidationError, match="read-only"):
-        evolve(weber, dt, in_place=True)
+        advance(weber, dt)
     assert weber.field.tobytes() == before and weber.time == 0.0
 
 
@@ -326,7 +392,7 @@ def test_evolve_rejects_a_step_with_a_non_finite_angle_before_writing(spec8, rng
     weber = _random_transverse(spec8, rng)
     before = weber.field.copy()
     with pytest.raises(FieldValidationError, match="dt"):
-        evolve(weber, dt, in_place=True)
+        advance(weber, dt)
     assert weber.field.tobytes() == before.tobytes() and weber.time == 0.0
 
 
