@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, DCContentError, FieldValidationError,
                      GuidanceNodeError, InternalConsistencyError,
-                     OffGridWaveVectorError, PhotonflowError,
+                     OffGridWaveVectorError, PhotonflowError, RangeError,
                      RepresentationError, TransversalityError, ZeroFieldError)
 from .fields import (GridSpec, WeberGrid, energy_density, poynting_vector,
                      total_energy)

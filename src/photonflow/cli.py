@@ -36,7 +36,8 @@ creates its output directory; an unknown key or a bad value exits 2 and
 names the field path.  The work a config asks for is bounded the same
 way (``_check_budget``: grid field bytes, trajectory point-knots, audit
 samples).  units.c and units.hbar must lie in [1e-100, 1e100]
-(``_check_units``).  Boost speeds are given as fractions of c.
+(``_check_units``), and grid.L in [1e-40, 1e40], the ranges GridSpec
+accepts.  Boost speeds are given as fractions of c.
 Tolerances are overridden per key with ``--tolerance KEY=VALUE`` (keys
 listed by ``photonflow info``); every value must be finite and > 0.
 """
@@ -55,9 +56,10 @@ from . import __version__
 from .bohm import (_NODE_FLOOR_REL, frame_consistency_check, integrate_trajectories,
                    sample_points_on_line)
 from .errors import (ConfigError, FieldValidationError, OffGridWaveVectorError,
-                     PhotonflowError)
+                     PhotonflowError, RangeError)
 from .fieldio import _HEADER, read_weber, trajectories_to_csv, write_csv, write_weber
-from .fields import MOMENTUM, POSITION, GridSpec, box_energy
+from .fields import (_BOX_LENGTH_RANGE, _UNIT_RANGE, MOMENTUM, POSITION, GridSpec,
+                     box_energy)
 from .lorentz import _AUDIT_TOL, Boost, audit_four_vector, audit_to_json
 from .photon import (DEFAULT_DC_TOLERANCE, PHI_BASED, WEBER_BASED, check_dc_share,
                      density_profile_y, normalize_single_photon, photon_count)
@@ -112,6 +114,12 @@ def _has_length(value):
 _vector3 = _kind("three finite numbers", _is_vector3, _as_array)
 _direction = _kind("three finite numbers with a finite, nonzero length", _has_length,
                    _as_array)
+
+
+def _within(bounds):
+    low, high = bounds
+    return _kind(f"a number in [{low:g}, {high:g}]",
+                 lambda v: _real(v) and low <= v <= high, float)
 
 
 def _integer(low):
@@ -169,9 +177,9 @@ def _state(value, path):
 
 
 SCHEMA = {
-    # c and hbar must also lie in _UNIT_RANGE (_check_units)
+    # c and hbar must also lie in fields._UNIT_RANGE (_check_units)
     "units": {"c": (1.0, _positive), "hbar": (1.0, _positive)},
-    "grid": {"n": (32, _integer(2)), "L": (2.0 * np.pi, _positive)},
+    "grid": {"n": (32, _integer(2)), "L": (2.0 * np.pi, _within(_BOX_LENGTH_RANGE))},
     "state": ({"preset": "single-wave"}, _state),
     "boost": {"direction": ([0.0, 0.0, 1.0], _direction), "u": (0.5, _fraction_of_c)},
     "evolve": {"times": ([0.0, 1.0, 2.0], _list_of(_number)),
@@ -218,11 +226,6 @@ _FIELD_BYTES_LIMIT = 2 ** 31
 _POINT_KNOTS_LIMIT = 2 ** 22
 _AUDIT_SAMPLES_LIMIT = 2 ** 16
 
-# The range of units.c and units.hbar.  Beyond it the closed forms under- or
-# overflow on ordinary inputs: c^2 in a boost, I / c in a wave amplitude,
-# hbar c |k| in Good's weight (c = 1e-300 makes c^2 zero).
-_UNIT_RANGE = (1e-100, 1e100)
-
 
 def _check_budget(config):
     """Raise ConfigError naming the field whose value takes the work over a limit,
@@ -256,18 +259,18 @@ def _check_budget(config):
                           f"{_AUDIT_SAMPLES_LIMIT}", field="audit.samples")
 
 
-def _check_units(units, field=None):
-    """Raise ConfigError if units["c"] or units["hbar"] lies outside _UNIT_RANGE,
-    naming units.c or units.hbar, or ``field`` for units read from elsewhere.
+def _check_units(units):
+    """Raise ConfigError naming units.c or units.hbar if it lies outside
+    fields._UNIT_RANGE, the range GridSpec accepts.
 
-    Each command runs this on the units it works in before it evaluates a
-    wave or creates its output directory, after its checks of the boost
-    (so that a speed that rounds to c is named as such).
+    Each command runs this on the config's units before it evaluates a
+    wave, builds a GridSpec or creates its output directory, after its
+    checks of the boost (so that a speed that rounds to c is named as such).
     """
     low, high = _UNIT_RANGE
     for key in ("c", "hbar"):
         if not low <= units[key] <= high:
-            name = field or f"units.{key}"
+            name = f"units.{key}"
             raise ConfigError(f"{name}: {key} = {units[key]!r} is outside the supported "
                               f"range [{low:g}, {high:g}]", field=name)
 
@@ -401,8 +404,9 @@ def cmd_evolve(args):
             weber = read_weber(path)
         except OSError as exc:
             raise ConfigError(f"cannot read field file: {exc}", field="state.file") from exc
+        except RangeError as exc:  # the snapshot's L, c or hbar, before its payload
+            raise ConfigError(f"state.file {path}: {exc}", field="state.file") from exc
         spec = weber.spec
-        _check_units({"c": spec.c, "hbar": spec.hbar}, "state.file")
         if weber.representation == POSITION:
             forward_transform_in_place(weber)
     else:
@@ -601,9 +605,9 @@ def cmd_doubleslit(args):
     config = load_config(args.config)
     tol = parse_tolerances(args.tolerance)
     grid, units, section = config["grid"], config["units"], config["doubleslit"]
+    _check_units(units)
     spec = GridSpec(grid["n"], grid["L"], units["c"], units["hbar"])
     state = build_slit_state(section, spec)
-    _check_units(units)
     out = _out_dir(args)
 
     weber = place(state, spec)

@@ -9,6 +9,11 @@ class FieldValidationError(PhotonflowError):
     """A field array is malformed (wrong shape, wrong dtype, non-finite entries)."""
 
 
+class RangeError(FieldValidationError):
+    """A finite value lies outside the range the package supports for it
+    (a grid's box length, c or hbar)."""
+
+
 class RepresentationError(PhotonflowError):
     """An operation received a field in the wrong representation (position vs momentum)."""
 

@@ -14,12 +14,13 @@ PHWF1 layout (all multi-byte values little-endian):
                   per point six float64: Re Fx, Im Fx, Re Fy, Im Fy,
                   Re Fz, Im Fz.
 
-Both directions move the payload one z-plane (n^2 points) at a time
-through a plane-sized buffer, so neither holds a second full-size copy
-of the field: write_weber gathers each plane from the C-ordered field,
-read_weber checks the file size against the header's n before it
-allocates, then reads and checks each plane and scatters it into the
-field.
+A WeberGrid holds its field in this payload order (see fields), so both
+directions move the payload one z-plane (n^2 points) at a time straight
+between the file and the field, with no transpose and no plane buffer:
+write_weber writes each plane of the field's plane view, and read_weber
+checks the file size against the header's n before it allocates the
+field, then reads each plane into place and checks it.  Only a
+big-endian host converts, one plane at a time.
 
 CSV exports carry their column names in the first line (no comment
 prefix) so they load directly into plotting tools.
@@ -33,7 +34,7 @@ import struct
 import numpy as np
 
 from .errors import FieldValidationError
-from .fields import MOMENTUM, POSITION, GridSpec, WeberGrid
+from .fields import MOMENTUM, POSITION, GridSpec, WeberGrid, plane_view
 
 MAGIC = b"PHWF1"
 _HEADER = struct.Struct("<5sIdddBd")
@@ -48,22 +49,23 @@ def write_weber(path, weber: WeberGrid) -> None:
     n = spec.n_per_axis
     header = _HEADER.pack(MAGIC, n, spec.box_length, spec.c,
                           spec.hbar, _REP_TAGS[weber.representation], weber.time)
-    # a little-endian complex128 is the pair Re, Im of float64s, so a y, x-ordered
-    # copy of one z-plane holds that plane's payload bytes
-    plane = np.empty((n, n, 3), dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(header)
-        for iz in range(n):
-            plane[...] = weber.field[:, :, iz].transpose(1, 0, 2)
-            fh.write(memoryview(plane))
+        # a little-endian complex128 is the pair Re, Im of float64s, so each
+        # z-plane of the plane view holds that plane's payload bytes; only a
+        # big-endian host, or a field assigned out of payload order, copies
+        for plane in plane_view(weber.field):
+            fh.write(memoryview(np.ascontiguousarray(plane, dtype="<c16")))
 
 
 def read_weber(path) -> WeberGrid:
     """Read a PHWF1 file back into a WeberGrid.
 
     The file size is checked against the header's n before the field is
-    allocated; the payload is then read one z-plane at a time into the
-    C-ordered field, and each plane is checked for non-finite values.
+    allocated; the payload is then read one z-plane at a time into its
+    place in the field, and each plane is checked for non-finite values.
+    A header box length, c or hbar outside GridSpec's range raises
+    RangeError before the payload is read.
     """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
@@ -79,9 +81,8 @@ def read_weber(path) -> WeberGrid:
         if not np.isfinite(time):
             raise FieldValidationError(f"{path}: header time {time!r} is not finite")
         spec = GridSpec(int(n), box_length, c, hbar)
-        field = np.empty((n, n, n, 3), dtype=np.complex128)
-        plane = np.empty((n, n, 3), dtype="<c16")  # [iy, ix, component]
-        for iz in range(n):
+        planes = np.empty((n, n, n, 3), dtype="<c16")  # [iz, iy, ix, component]
+        for iz, plane in enumerate(planes):
             if fh.readinto(plane) != plane.nbytes:
                 raise FieldValidationError(f"{path}: payload ended early at z-plane {iz}")
             finite = np.isfinite(plane)
@@ -90,8 +91,7 @@ def read_weber(path) -> WeberGrid:
                 raise FieldValidationError(
                     f"{path}: payload is non-finite at grid index "
                     f"{(point % n, point // n, iz)}, component {component}")
-            field[:, :, iz] = plane.transpose(1, 0, 2)
-    return WeberGrid(field, spec, _TAG_REPS[tag], time)
+    return WeberGrid(plane_view(planes), spec, _TAG_REPS[tag], time)
 
 
 def write_csv(path, header: str, columns) -> None:

@@ -19,8 +19,12 @@ Spin-1 matrices (s_a)_{jk} = -i eps_{ajk} are provided as constants; for
 any complex 3-vectors a, b they satisfy a^dag s b = -i a* x b, which is
 how the probability current is written elsewhere in the package.
 
-Arrays are indexed [ix, iy, iz, component] in C order.  The serialized
-byte order (see fieldio) runs x fastest, then y, then z.
+Arrays are indexed [ix, iy, iz, component].  A WeberGrid holds its field
+in the byte order of the PHWF1 payload (see fieldio): component fastest,
+then x, then y, then z.  plane_view(field), indexed [iz, iy, ix, component],
+is then C-contiguous: its z-planes are the payload's planes, and slab-wise
+kernels walk contiguous runs of them.  Only the strides carry this order;
+every routine indexes field[ix, iy, iz, c].
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldValidationError, InternalConsistencyError, RepresentationError
+from .errors import (FieldValidationError, InternalConsistencyError, RangeError,
+                     RepresentationError)
 
 POSITION = "position"
 MOMENTUM = "momentum"
@@ -47,6 +52,17 @@ S1, S2, S3 = SPIN[0], SPIN[1], SPIN[2]
 # poynting_vector's bound on the real residue of F* x F, relative to its scale
 _RESIDUE_TOL = 1e-10
 
+# The supported range of c and hbar.  Beyond it the closed forms under- or
+# overflow on ordinary inputs: c^2 in a boost, I / c in a wave amplitude,
+# hbar c |k| in Good's weight (c = 1e-300 makes c^2 zero).
+_UNIT_RANGE = (1e-100, 1e100)
+
+# The supported range of the box length L.  Within it dx^3 = (L/n)^3 and
+# dk^3 = (2pi/L)^3 are finite, normal floats for every n GridSpec takes
+# (n < 2^63), and so are the lattice sums of a unit-intensity state in unit
+# c and hbar: sum |F~|^2 / |k|, the photon number's, grows as L^7.
+_BOX_LENGTH_RANGE = (1e-40, 1e40)
+
 
 def require_representation(carrier, representation: str, caller: str) -> None:
     """Raise RepresentationError unless ``carrier`` (a field or a wave function)
@@ -54,6 +70,15 @@ def require_representation(carrier, representation: str, caller: str) -> None:
     if carrier.representation != representation:
         raise RepresentationError(f"{caller} expects the {representation} representation, "
                                   f"got {carrier.representation!r}")
+
+
+def plane_view(field: np.ndarray) -> np.ndarray:
+    """field[ix, iy, iz, c] seen as [iz, iy, ix, c]; C-contiguous for a WeberGrid's field.
+
+    The view is its own inverse: plane_view of a C-ordered [iz, iy, ix, c]
+    array is a field in payload order.
+    """
+    return field.transpose(2, 1, 0, 3)
 
 
 def check_real(name, value, shape=()) -> np.ndarray:
@@ -81,11 +106,14 @@ class GridSpec:
     n_per_axis : int
         Samples per axis (>= 2; powers of two recommended).
     box_length : float
-        Periodic box edge L, identical on all axes.
+        Periodic box edge L, identical on all axes, in _BOX_LENGTH_RANGE.
     c : float
-        Speed of light in simulation units.
+        Speed of light in simulation units, in _UNIT_RANGE.
     hbar : float
-        Reduced Planck constant in simulation units.
+        Reduced Planck constant in simulation units, in _UNIT_RANGE.
+
+    A value of the wrong type raises FieldValidationError, and a finite
+    value outside its range RangeError; both name the argument.
     """
 
     n_per_axis: int
@@ -98,10 +126,15 @@ class GridSpec:
         if n.dtype.kind not in "iu" or n.shape != () or n < 2:
             raise FieldValidationError(
                 f"n_per_axis must be an integer >= 2, got {self.n_per_axis!r}")
-        for name in ("box_length", "c", "hbar"):
+        for name, bounds in (("box_length", _BOX_LENGTH_RANGE), ("c", _UNIT_RANGE),
+                             ("hbar", _UNIT_RANGE)):
             value = getattr(self, name)
             if not check_real(name, value) > 0:
                 raise FieldValidationError(f"{name} must be > 0, got {value!r}")
+            low, high = bounds
+            if not low <= value <= high:
+                raise RangeError(f"{name} = {value!r} is outside the supported range "
+                                 f"[{low:g}, {high:g}]")
 
     @property
     def dx(self) -> float:
@@ -132,6 +165,10 @@ class WeberGrid:
     The momentum representation stores the symmetric-convention transform
     F~(k) = (2pi)^(-3/2) integral F(x) exp(-i k.x) d3x realized as a
     discrete sum with dx^3 weights (see spectral).
+
+    ``field`` is held in payload order (see the module docstring).  An input
+    already in that order is kept without a copy; any other array is copied
+    into it once.
     """
 
     field: np.ndarray
@@ -148,10 +185,10 @@ class WeberGrid:
         if field.shape != (n, n, n, 3):
             raise FieldValidationError(
                 f"field must have shape {(n, n, n, 3)}, got {field.shape}")
-        self.field = np.ascontiguousarray(field, dtype=np.complex128)
+        self.field = plane_view(np.ascontiguousarray(plane_view(field), dtype=np.complex128))
 
     def copy(self) -> "WeberGrid":
-        return WeberGrid(self.field.copy(), self.spec, self.representation, self.time)
+        return WeberGrid(self.field.copy(order="K"), self.spec, self.representation, self.time)
 
 
 def energy_density(weber: WeberGrid) -> np.ndarray:
@@ -191,8 +228,8 @@ def total_energy(weber: WeberGrid) -> float:
     convention; keeping both routes makes that identity testable.
     """
     # einsum, not a BLAS dot: same speed, and no BLAS threads left spinning
-    flat = weber.field.view(np.float64)
-    return box_energy(np.einsum("xyzc,xyzc->", flat, flat), weber.spec, weber.representation)
+    flat = plane_view(weber.field).view(np.float64)
+    return box_energy(np.einsum("zyxc,zyxc->", flat, flat), weber.spec, weber.representation)
 
 
 def box_energy(sum_sq, spec: GridSpec, representation: str) -> float:

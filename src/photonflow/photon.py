@@ -30,8 +30,9 @@ the DC photon coefficient is hard-zeroed otherwise.
 
 density_profile_y reads the x,z-mean of rho_p along y straight off the
 momentum-space field: after the same DC gate it applies the weight, an
-inverse FFT along y and the reduction to a few x-planes at a time, so
-phi~ is never built in full.
+inverse FFT along y and the reduction to a few z-planes of the field's
+plane view (see fields) at a time, so phi~ is never built in full.
+photon_number gathers the per-shell 1/|k| the same way, slab by slab.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DCContentError, ZeroFieldError
-from .fields import (MOMENTUM, POSITION, GridSpec, WeberGrid, energy_density,
+from .fields import (MOMENTUM, POSITION, GridSpec, WeberGrid, energy_density, plane_view,
                      poynting_vector, require_representation, total_energy)
 from .planewaves import PHI_BASED, WEBER_BASED, _recipe_flow, flow_recipe
 from .spectral import (_SLAB_PLANES, _TWO_PI_3_2, _fft_inverse, evolve,
@@ -72,9 +73,9 @@ class ProbabilityFlow:
 
 
 def _check_dc_content(weber: WeberGrid, dc_tolerance: float):
-    flat = weber.field.view(np.float64)  # (n, n, n, 6): Re/Im pairs per component
+    flat = plane_view(weber.field).view(np.float64)  # (n, n, n, 6): Re/Im pairs
     check_dc_share(float(np.einsum("c,c->", flat[0, 0, 0], flat[0, 0, 0])),
-                   float(np.einsum("xyzc,xyzc->", flat, flat)), dc_tolerance)
+                   float(np.einsum("zyxc,zyxc->", flat, flat)), dc_tolerance)
 
 
 def check_dc_share(dc: float, total: float, dc_tolerance: float) -> None:
@@ -122,7 +123,7 @@ def density_profile_y(weber: WeberGrid,
     with g = ifft_y(phi~) (2pi)^(3/2) / (dx^3 n^2), the profile is
     sum over kx, kz and components of |g|^2.  Runs the DC gate of
     photon_wavefunction, then applies Good's weight, the y-FFT and the
-    reduction per slab of x-planes, so its temporaries are slab-sized.
+    reduction per slab of z-planes, so its temporaries are slab-sized.
     It equals probability_flow(to_position(photon_wavefunction(weber)))
     .rho.mean(axis=(0, 2)) to roundoff without building phi~, the 3-D
     inverse transform or the current.
@@ -131,13 +132,14 @@ def density_profile_y(weber: WeberGrid,
     _check_dc_content(weber, dc_tolerance)
     spec = weber.spec
     shell, weights = kgrid(spec).shell, _good_weights(spec)
+    planes = plane_view(weber.field)
     profile = np.zeros(spec.n_per_axis)
     for start in range(0, spec.n_per_axis, _SLAB_PLANES):
-        xs = slice(start, start + _SLAB_PLANES)
-        phi = weber.field[xs] * weights[shell[xs]][..., None]
+        zs = slice(start, start + _SLAB_PLANES)
+        phi = planes[zs] * weights[shell[zs]][..., None]
         # (planes, n, n, 6): Re/Im pairs; the float view needs a C-ordered FFT result
         flat = np.ascontiguousarray(np.fft.ifft(phi, axis=1)).view(np.float64)
-        profile += np.einsum("xyzc,xyzc->y", flat, flat)
+        profile += np.einsum("zyxc,zyxc->y", flat, flat)
     scale = _TWO_PI_3_2 / (spec.dx ** 3 * spec.n_per_axis ** 2)
     return profile * scale ** 2
 
@@ -147,12 +149,19 @@ def photon_number(weber: WeberGrid,
     """N = (1/8pi) sum_{k != 0} |F~|^2 / (hbar k c) dk^3 >= 0.
 
     Scales quadratically with the field amplitude and is conserved by
-    evolve (each |F~(k)| is preserved mode by mode).
+    evolve (each |F~(k)| is preserved mode by mode).  1/|k| is gathered
+    per slab of z-planes from the per-shell table, so no (n, n, n) float
+    array is built.
     """
     require_representation(weber, MOMENTUM, "photon_number")
     _check_dc_content(weber, dc_tolerance)
-    flat = weber.field.view(np.float64)  # (n, n, n, 6): Re/Im pairs per component
-    weighted = np.einsum("xyzc,xyzc,xyz->", flat, flat, kgrid(weber.spec).inv_k)
+    kg = kgrid(weber.spec)
+    flat = plane_view(weber.field).view(np.float64)  # (n, n, n, 6): Re/Im pairs
+    weighted = 0.0
+    for start in range(0, weber.spec.n_per_axis, _SLAB_PLANES):
+        zs = slice(start, start + _SLAB_PLANES)
+        weighted += np.einsum("zyxc,zyxc,zyx->", flat[zs], flat[zs],
+                              kg.shell_inv_k[kg.shell[zs]])
     return photon_count(weighted, weber.spec)
 
 

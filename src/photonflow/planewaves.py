@@ -43,7 +43,7 @@ from typing import List
 import numpy as np
 
 from .errors import FieldValidationError, OffGridWaveVectorError
-from .fields import MOMENTUM, POSITION, GridSpec, WeberGrid, check_real
+from .fields import MOMENTUM, POSITION, GridSpec, WeberGrid, check_real, plane_view
 
 RIGHT = "right"
 LEFT = "left"
@@ -264,7 +264,7 @@ def place(state: PlaneWaveSuperposition, spec: GridSpec) -> WeberGrid:
     n = spec.n_per_axis
     index = np.rint(modes.wave_vectors / spec.dk).astype(int) % n
     values = modes.weber * (spec.box_length ** 3 / (2.0 * np.pi) ** 1.5)
-    field = np.zeros((n, n, n, 3), dtype=complex)
+    field = plane_view(np.zeros((n, n, n, 3), dtype=complex))  # in payload order
     # a right-handed k and a left-handed -k share one lattice site: add, not assign
     np.add.at(field, tuple(index.T), values)
     return WeberGrid(field, spec, MOMENTUM, 0.0)

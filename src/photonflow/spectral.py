@@ -26,10 +26,13 @@ KGrid holds the wave vectors of a grid as three broadcast axes kx, ky, kz,
 one (n, n, n) integer shell index m^2 = mx^2 + my^2 + mz^2 and two
 per-shell tables of |k| and 1/|k| (0 at k = 0): a mode enters the
 propagator and Good's weight only through |k|, which takes 3 (n/2)^2 + 1
-values against n^3 modes.  advance and transversality_residual share one
-kernel that walks the field in slabs of a few x-planes.  It forms the
-rotation's cos, sin/|k| and (1 - cos)/|k|^2 once per shell and gathers
-them per slab through the index; per slab it forms k . F~ once and uses it
+values against n^3 modes.  A WeberGrid holds its field in PHWF1 payload
+order (see fields), so the kernels here work on its plane view
+[iz, iy, ix, component], whose z-planes are contiguous.  advance and
+transversality_residual share one kernel that walks the plane view in
+slabs of a few z-planes.  It forms the rotation's cos, sin/|k| and
+(1 - cos)/|k|^2 once per shell and gathers them per slab through the
+shell index; per slab it forms k . F~ once and uses it
 for the NaN-closed transversality gate and for the rotation.  Each slab is
 copied before its rotated values are written back, so advance(w, dt)
 turns w in place with slab-sized temporaries only; evolve(w, dt) is
@@ -49,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FieldValidationError, TransversalityError
-from .fields import (MOMENTUM, POSITION, GridSpec, WeberGrid, check_real,
+from .fields import (MOMENTUM, POSITION, GridSpec, WeberGrid, check_real, plane_view,
                      require_representation)
 
 _TWO_PI_3_2 = (2.0 * np.pi) ** 1.5
@@ -57,7 +60,7 @@ _TWO_PI_3_2 = (2.0 * np.pi) ** 1.5
 # Absolute floor used only to avoid 0/0 in residual quotients.
 _RESIDUAL_FLOOR = 1e-300
 
-# x-planes per slab of the one-pass kernel (_sweep).  At n = 128 a slab
+# z-planes per slab of the one-pass kernel (_sweep).  At n = 128 a slab
 # temporary is 0.5 MiB; 1 and 2 planes ran fastest there, 4 and 8 slower.
 _SLAB_PLANES = 2
 
@@ -71,13 +74,18 @@ class KGrid:
     Built from signed integer indices (0, 1, ..., n/2-1, -n/2, ..., -1
     per axis) so |k| values are reproducible from the indices bit-exactly.
     ``kx``, ``ky``, ``kz`` are the wave-vector components as broadcast axes
-    of shapes (n, 1, 1), (1, n, 1) and (1, 1, n).  ``shell`` is the only
+    of shapes (n, 1, 1), (1, n, 1) and (1, 1, n); ``plane_k`` holds the
+    same three components broadcast on a plane view's [iz, iy, ix] axes,
+    shapes (1, 1, n), (1, n, 1) and (n, 1, 1).  ``shell`` is the only
     (n, n, n) array held: the integer m^2 = mx^2 + my^2 + mz^2 of each
     mode, in the smallest unsigned type that holds 3 (n/2)^2 (uint16 up to
-    n = 295).  ``shell_k`` and ``shell_inv_k`` hold |k| and 1/|k| (0 at
-    k = 0) for m^2 = 0, 1, ..., 3 (n/2)^2, so ``shell_k[shell]`` is |k| per
-    mode.  ``k_norm`` and ``inv_k`` build those (n, n, n) arrays on each
-    access, for the reference routes.
+    n = 295).  m^2 is symmetric in the three axes, so ``shell`` indexes the
+    modes of a field [ix, iy, iz] and of its plane view [iz, iy, ix] alike,
+    and ``shell[zs]`` is the index of a slab of z-planes.  ``shell_k`` and
+    ``shell_inv_k`` hold |k| and 1/|k| (0 at k = 0) for
+    m^2 = 0, 1, ..., 3 (n/2)^2, so ``shell_k[shell]`` is |k| per mode.
+    ``k_norm`` and ``inv_k`` build those (n, n, n) arrays on each access,
+    for the reference routes.
     """
 
     def __init__(self, spec: GridSpec):
@@ -87,6 +95,8 @@ class KGrid:
         axis = spec.dk * idx
         self.kx, self.ky, self.kz = (axis.reshape(shape)
                                      for shape in ((n, 1, 1), (1, n, 1), (1, 1, n)))
+        self.plane_k = tuple(axis.reshape(shape)
+                             for shape in ((1, 1, n), (1, n, 1), (n, 1, 1)))
         top = 3 * (n // 2) ** 2
         sq = (idx ** 2).astype(np.min_scalar_type(top))
         self.shell = sq[:, None, None] + sq[None, :, None] + sq[None, None, :]
@@ -137,19 +147,19 @@ def forward_transform_in_place(weber: WeberGrid) -> None:
     """Turn ``weber`` itself into the momentum representation.
 
     The 1-D FFTs run in the order np.fft.fftn takes them, so the result is
-    bit for bit fftn's: along z, then y, over slabs of x-planes, then along
-    x over slabs of y-planes.  Beyond the field only slab-sized temporaries
-    are allocated.
+    bit for bit fftn's: along z over slabs of y-planes, then along y and x
+    over contiguous slabs of z-planes.  Beyond the field only slab-sized
+    temporaries are allocated.
     """
     require_representation(weber, POSITION, "forward_transform_in_place")
-    f, n = weber.field, weber.spec.n_per_axis
-    for start in range(0, n, _SLAB_PLANES):
-        xs = slice(start, start + _SLAB_PLANES)
-        f[xs] = np.fft.fft(np.fft.fft(f[xs], axis=2), axis=1)
+    planes, n = plane_view(weber.field), weber.spec.n_per_axis
     for start in range(0, n, _SLAB_PLANES):
         ys = slice(start, start + _SLAB_PLANES)
-        f[:, ys] = np.fft.fft(f[:, ys], axis=0)
-    f *= weber.spec.dx ** 3 / _TWO_PI_3_2
+        planes[:, ys] = np.fft.fft(planes[:, ys], axis=0)
+    for start in range(0, n, _SLAB_PLANES):
+        zs = slice(start, start + _SLAB_PLANES)
+        planes[zs] = np.fft.fft(np.fft.fft(planes[zs], axis=1), axis=2)
+    planes *= weber.spec.dx ** 3 / _TWO_PI_3_2
     weber.representation = MOMENTUM
 
 
@@ -198,7 +208,7 @@ class _Tally:
         self.peak_sq = np.maximum(self.peak_sq, sq.max())
         if sums:
             self.sum_sq += sq.sum()
-            self.sum_sq_over_k += np.einsum("xyz,xyz->", sq, inv_k)
+            self.sum_sq_over_k += np.einsum("zyx,zyx->", sq, inv_k)
         return k_dot_f
 
     def residual(self) -> float:
@@ -230,14 +240,16 @@ def _sweep(weber: WeberGrid, c_dt=None):
     Given ``c_dt``, each mode of ``weber.field`` is rotated in place about
     k-hat by the angle |k| c_dt (each slab is copied before it is
     overwritten).  ``sums`` are the FieldSums of the field the pass leaves.
-    Per slab of x-planes k . F~ is formed once for the gate and the
-    rotation, and the rotation's weights are gathered from per-shell tables.
+    Per slab of z-planes of the plane view k . F~ is formed once for the
+    gate and the rotation, and the rotation's weights are gathered from
+    per-shell tables.
     """
     kg = kgrid(weber.spec)
-    f = weber.field
-    flat = f.view(np.float64)
+    planes = plane_view(weber.field)
+    flat = planes.view(np.float64)
+    kx, ky, kz = kg.plane_k
     # the slab's components, contiguous, and its rotation: one buffer each per pass
-    slab = np.empty((3,) + f[:_SLAB_PLANES].shape[:-1], dtype=f.dtype)
+    slab = np.empty((3,) + planes[:_SLAB_PLANES].shape[:-1], dtype=planes.dtype)
     source = result = _Tally()
     if c_dt is not None:
         # per shell: cos, sin / |k| and (1 - cos) / |k|^2 of the angle |k| c_dt
@@ -248,19 +260,19 @@ def _sweep(weber: WeberGrid, c_dt=None):
     # non-finite entries give NaN products here; the residual reports them
     with np.errstate(invalid="ignore", over="ignore"):
         for start in range(0, weber.spec.n_per_axis, _SLAB_PLANES):
-            xs = slice(start, start + _SLAB_PLANES)
-            g = slab[:, :len(f[xs])]
-            np.copyto(g, np.moveaxis(f[xs], -1, 0))
-            k = (kg.kx[xs], kg.ky, kg.kz)
-            shell = kg.shell[xs].astype(np.intp)  # np.take would convert it per call
+            zs = slice(start, start + _SLAB_PLANES)
+            g = slab[:, :len(planes[zs])]
+            np.copyto(g, np.moveaxis(planes[zs], -1, 0))
+            k = (kx, ky, kz[zs])
+            shell = kg.shell[zs].astype(np.intp)  # np.take would convert it per call
             inv_k = np.take(kg.shell_inv_k, shell)
-            k_dot_f = source.add(k, g, flat[xs], inv_k, sums=result is source)
+            k_dot_f = source.add(k, g, flat[zs], inv_k, sums=result is source)
             if c_dt is not None:
                 rotated = rotated_slab[:, :len(g[0])]
                 k_dot_f *= np.take(along, shell)  # in place: k . F~ is not needed again
                 _rotate(k, g, k_dot_f, np.take(cos, shell), np.take(sin_k, shell), rotated)
-                f[xs] = np.moveaxis(rotated, 0, -1)
-                result.add(k, rotated, flat[xs], inv_k, sums=True)
+                planes[zs] = np.moveaxis(rotated, 0, -1)
+                result.add(k, rotated, flat[zs], inv_k, sums=True)
     dc = flat[0, 0, 0]
     return source.residual(), FieldSums(float(result.sum_sq), float(result.sum_sq_over_k),
                                         float(np.einsum("c,c->", dc, dc)), result.residual())
@@ -283,18 +295,18 @@ def transversality_residual(weber: WeberGrid) -> float:
 def project_transverse(weber: WeberGrid) -> WeberGrid:
     """F~ -> F~ - khat (khat . F~) per mode (k = 0 untouched). Idempotent."""
     require_representation(weber, MOMENTUM, "project_transverse")
-    f = weber.field
+    planes = plane_view(weber.field)
     kg = kgrid(weber.spec)
-    k_norm = kg.k_norm
+    k_norm = kg.k_norm  # symmetric in its axes: it indexes the plane view too
     # k / |k| by division, so an axis-aligned mode gets an exact unit vector
     # and a second projection removes nothing
     k_hat = [np.divide(k, k_norm, out=np.zeros_like(k_norm), where=k_norm > 0)
-             for k in (kg.kx, kg.ky, kg.kz)]
-    along = k_hat[0] * f[..., 0] + k_hat[1] * f[..., 1] + k_hat[2] * f[..., 2]
-    projected = f.copy()
+             for k in kg.plane_k]
+    along = k_hat[0] * planes[..., 0] + k_hat[1] * planes[..., 1] + k_hat[2] * planes[..., 2]
+    projected = planes.copy()
     for i, k in enumerate(k_hat):
         projected[..., i] -= k * along
-    return WeberGrid(projected, weber.spec, MOMENTUM, weber.time)
+    return WeberGrid(plane_view(projected), weber.spec, MOMENTUM, weber.time)
 
 
 def _gate(residual: float, transversality_tol: float) -> None:

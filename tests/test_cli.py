@@ -7,6 +7,7 @@ console script in a subprocess.
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -579,6 +580,10 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
     ("trajectories", {"units": {"c": 5e-324}}, "units.c"),
     ("boost-audit", {"units": {"c": 1e-300}}, "units.c"),
     ("evolve", {"units": {"hbar": 1e101}}, "units.hbar"),
+    # a box length outside its range: dk^3 overflows at L = 1e-300
+    ("evolve", {"grid": {"L": 1e-300, "n": 8}}, "grid.L"),
+    ("doubleslit", {"grid": {"L": 1e41}}, "grid.L"),
+    ("trajectories", {"grid": {"L": 1e-41}}, "grid.L"),
 ], ids=["nan-point", "no-points", "inf-boost", "text-phase", "nan-phase",
         "text-preset-arg", "nan-preset-arg", "inf-evolve-time", "inf-slit-time",
         "text-normalize", "misspelled-key", "bool-sources", "zero-line-direction",
@@ -586,7 +591,8 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
         "grid-beyond-float", "grid-over-limit", "tiny-step", "overflowing-span",
         "huge-count", "count-beyond-float", "points-over-limit", "huge-audit",
         "backward-span", "audit-speed-rounds-to-c", "boost-speed-rounds-to-c",
-        "subnormal-c-trajectories", "tiny-c-boost-audit", "huge-hbar"])
+        "subnormal-c-trajectories", "tiny-c-boost-audit", "huge-hbar", "tiny-box-evolve",
+        "huge-box-doubleslit", "tiny-box-trajectories"])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, command,
                                                    config, field):
     rc, out = _run(tmp_path, command, config=config)
@@ -606,6 +612,22 @@ def test_units_at_the_ends_of_their_range_run(tmp_path, command, c, hbar):
              "doubleslit": {"grid": {"n": 16}}}[command]
     rc, out = _run(tmp_path, command, config=dict(small, units={"c": c, "hbar": hbar}))
     assert rc == 0 and out.exists()
+
+
+@pytest.mark.parametrize("end", [0, 1], ids=["smallest", "largest"])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_box_lengths_at_the_ends_of_their_range_run(tmp_path, end, normalize):
+    # the photon number's sum of |F~|^2 / |k| grows as L^7: a range reaching
+    # L = 1e-50 or 1e50 would give N = 0 or inf at its ends
+    box_length = fields._BOX_LENGTH_RANGE[end]
+    config = {"grid": {"n": 8, "L": box_length},
+              "state": {"preset": "single-wave", "wavenumber": 2.0 * np.pi / box_length},
+              "evolve": {"times": [0.0, box_length], "normalize": normalize}}
+    rc, out = _run(tmp_path, "evolve", config=config)
+    assert rc == 0
+    for snapshot in _load_json(out, "diagnostics.json")["snapshots"]:
+        assert np.isfinite([snapshot["energy"], snapshot["photon_number"]]).all()
+        assert snapshot["energy"] > 0 and snapshot["photon_number"] > 0
 
 
 def test_work_limits_sit_where_their_comment_says(tmp_path):
@@ -680,20 +702,41 @@ def test_state_file_with_nan_time_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def _snapshot_with_header(path, box_length=2.0 * np.pi, c=1.0, hbar=1.0):
+    """A valid n = 4 momentum snapshot whose header then gets these L, c and hbar
+    (GridSpec itself rejects values outside its ranges)."""
+    field = np.zeros((4, 4, 4, 3), complex)
+    field[0, 0, 1] = [1.0, 1j, 0.0]
+    write_weber(path, WeberGrid(field, GridSpec(4, 2.0 * np.pi), "momentum"))
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<ddd", raw, struct.calcsize("<5sI"), box_length, c, hbar)
+    path.write_bytes(bytes(raw))
+
+
 @pytest.mark.parametrize("c, hbar", [(1e-300, 1e-300), (1.0, 1e101)])
 def test_state_file_with_units_out_of_range_exits_2(tmp_path, capsys, c, hbar):
     # a snapshot carries its own units: hbar c = 1e-600 would make the photon
     # number's weight divide by zero
     path = tmp_path / "units.phwf"
-    field = np.zeros((4, 4, 4, 3), complex)
-    field[0, 0, 1] = [1.0, 1j, 0.0]
-    write_weber(path, WeberGrid(field, GridSpec(4, 2.0 * np.pi, c, hbar), "momentum"))
+    _snapshot_with_header(path, c=c, hbar=hbar)
     rc, out = _run(tmp_path, "evolve",
                    config={"state": {"file": str(path)}, "evolve": {"times": [0.0, 1.0]}})
     assert rc == 2
     err = capsys.readouterr().err
     assert "(field: state.file)" in err and "outside the supported range" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("box_length", [1e-300, 1e41])
+def test_state_file_with_box_length_out_of_range_exits_2(tmp_path, capsys, box_length):
+    path = tmp_path / "box.phwf"
+    _snapshot_with_header(path, box_length=box_length)
+    rc, out = _run(tmp_path, "evolve",
+                   config={"state": {"file": str(path)}, "evolve": {"times": [0.0]}})
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "(field: state.file)" in err and "box_length" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_evolve_gates_each_snapshot_on_its_dc_share(tmp_path, capsys):

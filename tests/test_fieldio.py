@@ -147,3 +147,39 @@ def test_trajectories_csv_layout(tmp_path):
     last = [float(v) for v in lines[-1].split(",")]
     assert first[0] == 0.0 and first[-1] == 0.0
     assert last[0] == 1.0 and last[-1] == 1.0
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("representation", ["position", "momentum"])
+def test_asymmetric_round_trip_keeps_payload_order_and_sums(tmp_path, rng, n, representation):
+    # a random field has no symmetry between x and z, so a swapped axis shows
+    from photonflow import forward_transform, photon_number, total_energy
+    from photonflow.fields import box_energy
+    from photonflow.photon import photon_count
+    from photonflow.spectral import _sweep, kgrid, transversality_residual
+
+    spec = GridSpec(n, 2.0 * np.pi * 1.3, 1.7, 0.6)
+    values = rng.standard_normal((n, n, n, 3)) + 1j * rng.standard_normal((n, n, n, 3))
+    weber = WeberGrid(values, spec, representation=representation, time=0.5)
+    path = tmp_path / "field.phwf"
+    write_weber(path, weber)
+    payload = path.read_bytes()[struct.calcsize("<5sIdddBd"):]
+    assert payload == np.ascontiguousarray(values.transpose(2, 1, 0, 3)).astype("<c16").tobytes()
+    back = read_weber(path)
+    assert back.field.transpose(2, 1, 0, 3).flags.c_contiguous
+    assert back.field.tobytes() == values.tobytes()
+    tilde = back if representation == "momentum" else forward_transform(back)
+    residual, sums = _sweep(tilde)
+    f = np.ascontiguousarray(tilde.field)  # C-ordered reference routes from here
+    sq = (np.abs(f) ** 2).sum(axis=-1)
+    kg = kgrid(spec)
+    assert box_energy(sums.sum_sq, spec, "momentum") == pytest.approx(total_energy(tilde),
+                                                                      rel=1e-13, abs=0)
+    assert sums.sum_sq == pytest.approx(sq.sum(), rel=1e-13, abs=0)
+    assert photon_count(sums.sum_sq_over_k, spec) == pytest.approx(
+        photon_number(tilde, dc_tolerance=1.0), rel=1e-13, abs=0)
+    assert sums.sum_sq_over_k == pytest.approx((sq * kg.inv_k).sum(), rel=1e-13, abs=0)
+    assert sums.dc_sq == pytest.approx(sq[0, 0, 0], rel=1e-15, abs=0)
+    assert residual == transversality_residual(tilde)
+    longitudinal = np.abs(np.einsum("xyzc,xyzc->xyz", kg.k_hat, f)).max()
+    assert residual == pytest.approx(longitudinal / np.sqrt(sq.max()), rel=1e-12, abs=0)

@@ -162,3 +162,94 @@ def test_a_wrong_representation_names_the_function(spec8, rng, name, expects, ex
         carrier = PhotonWaveFunction(carrier.field, spec8, wrong)
     with pytest.raises(RepresentationError, match=f"^{name} expects the {expects} "):
         getattr(photonflow, name)(carrier, *extra)
+
+
+def _payload_ordered(field):
+    # the invariant of a WeberGrid: the [iz, iy, ix, c] view of its field is C-contiguous
+    return field.dtype == np.complex128 and field.transpose(2, 1, 0, 3).flags.c_contiguous
+
+
+def _producers(tmp_path):
+    from photonflow import (advance, evolve, normalize_single_photon, place,
+                            project_transverse, read_weber, write_weber)
+    from photonflow.planewaves import counterprop_pair
+    from photonflow.spectral import forward_transform_in_place
+
+    spec = GridSpec(6, 2.0 * np.pi)
+    rng = np.random.default_rng(7)
+    c_ordered = rng.standard_normal((6, 6, 6, 3)) + 1j * rng.standard_normal((6, 6, 6, 3))
+    momentum = place(counterprop_pair(1.0, 2.0), spec)
+
+    def written_and_read():
+        write_weber(tmp_path / "f.phwf", momentum)
+        return read_weber(tmp_path / "f.phwf")
+
+    def advanced():
+        weber = momentum.copy()
+        advance(weber, 0.4)
+        return weber
+
+    def transformed_in_place():
+        weber = WeberGrid(c_ordered, spec)
+        forward_transform_in_place(weber)
+        return weber
+
+    return {
+        "constructor": lambda: WeberGrid(c_ordered, spec),
+        "place": lambda: momentum,
+        "read_weber": written_and_read,
+        "copy": lambda: momentum.copy(),
+        "normalize_single_photon": lambda: normalize_single_photon(momentum),
+        "advance": advanced,
+        "evolve": lambda: evolve(momentum, 0.4),
+        "forward_transform": lambda: forward_transform(WeberGrid(c_ordered, spec)),
+        "forward_transform_in_place": transformed_in_place,
+        "project_transverse": lambda: project_transverse(WeberGrid(c_ordered, spec, MOMENTUM)),
+        "sample_to_grid": lambda: sample_to_grid(single_wave(), spec),
+    }
+
+
+@pytest.mark.parametrize("producer", [
+    "constructor", "place", "read_weber", "copy", "normalize_single_photon", "advance",
+    "evolve", "forward_transform", "forward_transform_in_place", "project_transverse",
+    "sample_to_grid"])
+def test_every_producer_holds_the_field_in_payload_order(tmp_path, producer):
+    weber = _producers(tmp_path)[producer]()
+    assert weber.field.shape == (6, 6, 6, 3)
+    assert _payload_ordered(weber.field)
+
+
+def test_a_field_in_payload_order_is_kept_without_a_copy(spec8, rng):
+    planes = rng.standard_normal((8, 8, 8, 3)) + 1j * rng.standard_normal((8, 8, 8, 3))
+    field = planes.transpose(2, 1, 0, 3)
+    weber = WeberGrid(field, spec8)
+    assert np.shares_memory(weber.field, planes)
+    # a C-ordered input is copied into payload order once, values unchanged
+    c_ordered = np.ascontiguousarray(field)
+    copied = WeberGrid(c_ordered, spec8)
+    assert not np.shares_memory(copied.field, c_ordered)
+    assert copied.field.tobytes() == c_ordered.tobytes()
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"box_length": 1e-300}, "box_length"),
+    ({"box_length": 1e41}, "box_length"),
+    ({"c": 5e-324}, "c"),
+    ({"c": 1e101}, "c"),
+    ({"hbar": 1e-101}, "hbar"),
+], ids=["tiny-box", "huge-box", "subnormal-c", "huge-c", "tiny-hbar"])
+def test_grid_spec_rejects_values_outside_their_range(kwargs, name):
+    args = dict({"box_length": 2.0 * np.pi}, **kwargs)
+    with pytest.raises(FieldValidationError, match=f"^{name} = .* outside the supported range"):
+        GridSpec(8, **args)
+
+
+@pytest.mark.parametrize("end", [0, 1], ids=["smallest", "largest"])
+@pytest.mark.parametrize("n", [2, 355, 2 ** 62])
+def test_box_length_range_keeps_cell_and_k_volumes_normal(end, n):
+    import sys
+    from photonflow.fields import _BOX_LENGTH_RANGE
+
+    spec = GridSpec(n, _BOX_LENGTH_RANGE[end], c=1e-100, hbar=1e100)
+    for volume in (spec.dx ** 3, spec.dk ** 3, spec.box_length ** 3):
+        assert sys.float_info.min <= volume <= sys.float_info.max
