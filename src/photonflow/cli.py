@@ -335,11 +335,16 @@ def parse_tolerances(pairs):
     return _resolve(TOLERANCES, given, "tolerance")
 
 
+def _reject_state_file(config):
+    """Only evolve reads a stored field: any other subcommand rejects state.file."""
+    if "file" in config["state"]:
+        raise ConfigError("state.file is read by evolve only", field="state.file")
+
+
 def build_state(config) -> PlaneWaveSuperposition:
     """The plane-wave superposition of a checked ``state`` entry."""
+    _reject_state_file(config)
     state = config["state"]
-    if "file" in state:
-        raise ConfigError("state.file is read by evolve only", field="state.file")
     if "preset" in state:
         name = state["preset"]
         kwargs = {key: value for key, value in state.items() if key != "preset"}
@@ -452,6 +457,7 @@ def cmd_boost_audit(args):
     from .planewaves import counterprop_pair, single_wave
 
     config = load_config(args.config)
+    _reject_state_file(config)
     tol = parse_tolerances(args.tolerance)
     c, hbar = config["units"]["c"], config["units"]["hbar"]
     section = config["audit"]
@@ -603,6 +609,7 @@ def _fringe_measurement(profile, box_length):
 
 def cmd_doubleslit(args):
     config = load_config(args.config)
+    _reject_state_file(config)
     tol = parse_tolerances(args.tolerance)
     grid, units, section = config["grid"], config["units"], config["doubleslit"]
     _check_units(units)

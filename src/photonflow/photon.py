@@ -30,9 +30,13 @@ the DC photon coefficient is hard-zeroed otherwise.
 
 density_profile_y reads the x,z-mean of rho_p along y straight off the
 momentum-space field: after the same DC gate it applies the weight, an
-inverse FFT along y and the reduction to a few z-planes of the field's
+inverse FFT along y and the reduction to one z-plane of the field's
 plane view (see fields) at a time, so phi~ is never built in full.
-photon_number gathers the per-shell 1/|k| the same way, slab by slab.
+photon_number gathers the per-shell 1/|k| the same way, slab by slab,
+and normalize_single_photon writes its scaled field slab by slab.  These
+loops run on spectral's _over_slabs, which splits the slabs between the
+process's CPUs (at most 2); the per-slab sums and profiles are folded in
+slab order, so the results do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .errors import DCContentError, ZeroFieldError
 from .fields import (MOMENTUM, POSITION, GridSpec, WeberGrid, energy_density, plane_view,
                      poynting_vector, require_representation, total_energy)
 from .planewaves import PHI_BASED, WEBER_BASED, _recipe_flow, flow_recipe
-from .spectral import (_SLAB_PLANES, _TWO_PI_3_2, _fft_inverse, evolve,
+from .spectral import (_SLAB_PLANES, _TWO_PI_3_2, _fft_inverse, _over_slabs, evolve,
                        inverse_transform, kgrid)
 
 DEFAULT_DC_TOLERANCE = 1e-12
@@ -123,23 +127,31 @@ def density_profile_y(weber: WeberGrid,
     with g = ifft_y(phi~) (2pi)^(3/2) / (dx^3 n^2), the profile is
     sum over kx, kz and components of |g|^2.  Runs the DC gate of
     photon_wavefunction, then applies Good's weight, the y-FFT and the
-    reduction per slab of z-planes, so its temporaries are slab-sized.
-    It equals probability_flow(to_position(photon_wavefunction(weber)))
-    .rho.mean(axis=(0, 2)) to roundoff without building phi~, the 3-D
-    inverse transform or the current.
+    reduction per slab of z-planes, so its temporaries are slab-sized;
+    the slab profiles are summed in slab order.  It equals
+    probability_flow(to_position(photon_wavefunction(weber))).rho.mean(axis=(0, 2))
+    to roundoff without building phi~, the 3-D inverse transform or the
+    current.
     """
     require_representation(weber, MOMENTUM, "density_profile_y")
     _check_dc_content(weber, dc_tolerance)
     spec = weber.spec
     shell, weights = kgrid(spec).shell, _good_weights(spec)
     planes = plane_view(weber.field)
+
+    def work(starts):
+        profiles = []
+        for start in starts:
+            zs = slice(start, start + _SLAB_PLANES)
+            phi = planes[zs] * weights[shell[zs]][..., None]
+            # (planes, n, n, 6): Re/Im pairs; the float view needs a C-ordered FFT result
+            flat = np.ascontiguousarray(np.fft.ifft(phi, axis=1)).view(np.float64)
+            profiles.append(np.einsum("zyxc,zyxc->y", flat, flat))
+        return profiles
+
     profile = np.zeros(spec.n_per_axis)
-    for start in range(0, spec.n_per_axis, _SLAB_PLANES):
-        zs = slice(start, start + _SLAB_PLANES)
-        phi = planes[zs] * weights[shell[zs]][..., None]
-        # (planes, n, n, 6): Re/Im pairs; the float view needs a C-ordered FFT result
-        flat = np.ascontiguousarray(np.fft.ifft(phi, axis=1)).view(np.float64)
-        profile += np.einsum("zyxc,zyxc->y", flat, flat)
+    for slab_profile in _over_slabs(spec.n_per_axis, work):
+        profile += slab_profile
     scale = _TWO_PI_3_2 / (spec.dx ** 3 * spec.n_per_axis ** 2)
     return profile * scale ** 2
 
@@ -157,21 +169,38 @@ def photon_number(weber: WeberGrid,
     _check_dc_content(weber, dc_tolerance)
     kg = kgrid(weber.spec)
     flat = plane_view(weber.field).view(np.float64)  # (n, n, n, 6): Re/Im pairs
+
+    def work(starts):
+        return [np.einsum("zyxc,zyxc,zyx->", flat[zs], flat[zs], kg.shell_inv_k[kg.shell[zs]])
+                for zs in (slice(start, start + _SLAB_PLANES) for start in starts)]
+
     weighted = 0.0
-    for start in range(0, weber.spec.n_per_axis, _SLAB_PLANES):
-        zs = slice(start, start + _SLAB_PLANES)
-        weighted += np.einsum("zyxc,zyxc,zyx->", flat[zs], flat[zs],
-                              kg.shell_inv_k[kg.shell[zs]])
+    for slab_sum in _over_slabs(weber.spec.n_per_axis, work):
+        weighted += slab_sum
     return photon_count(weighted, weber.spec)
 
 
 def normalize_single_photon(weber: WeberGrid,
                             dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> WeberGrid:
-    """Scale the field so photon_number(result) = 1 (within roundoff)."""
+    """A new field, ``weber``'s scaled so photon_number(result) = 1 (within roundoff).
+
+    The division is written slab by slab into the new field; ``weber`` is
+    left as it is.
+    """
     n = photon_number(weber, dc_tolerance)
     if n == 0.0:
         raise ZeroFieldError("photon number is 0; there is no photon to normalize")
-    return WeberGrid(weber.field / np.sqrt(n), weber.spec, MOMENTUM, weber.time)
+    planes, norm = plane_view(weber.field), np.sqrt(n)
+    scaled = np.empty_like(planes)
+
+    def work(starts):
+        for start in starts:
+            zs = slice(start, start + _SLAB_PLANES)
+            np.divide(planes[zs], norm, out=scaled[zs])
+        return []
+
+    _over_slabs(weber.spec.n_per_axis, work)
+    return WeberGrid(plane_view(scaled), weber.spec, MOMENTUM, weber.time)
 
 
 def probability_flow(pwf: PhotonWaveFunction) -> ProbabilityFlow:

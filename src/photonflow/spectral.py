@@ -28,24 +28,38 @@ per-shell tables of |k| and 1/|k| (0 at k = 0): a mode enters the
 propagator and Good's weight only through |k|, which takes 3 (n/2)^2 + 1
 values against n^3 modes.  A WeberGrid holds its field in PHWF1 payload
 order (see fields), so the kernels here work on its plane view
-[iz, iy, ix, component], whose z-planes are contiguous.  advance and
-transversality_residual share one kernel that walks the plane view in
-slabs of a few z-planes.  It forms the rotation's cos, sin/|k| and
+[iz, iy, ix, component], whose z-planes are contiguous.
+
+The slab loops (the one-pass kernel below, forward_transform_in_place,
+and photon_number, density_profile_y and normalize_single_photon in
+photon) run through _over_slabs: it splits the slab starts into
+min(2, CPUs the process may run on) contiguous runs and works each run
+on its own thread (the caller's thread takes the first), since numpy's
+array loops release the GIL.  Each slab is one z-plane, so a worker's
+temporaries are one plane each.  A loop that reduces returns one record
+per slab, and the caller folds sums, maxima and profiles from them in
+slab order, so every result is the same bit for bit whatever the worker
+count.
+
+advance and transversality_residual share one kernel (_sweep) that walks
+the plane view slab by slab.  It forms the rotation's cos, sin/|k| and
 (1 - cos)/|k|^2 once per shell and gathers them per slab through the
-shell index; per slab it forms k . F~ once and uses it
-for the NaN-closed transversality gate and for the rotation.  Each slab is
-copied before its rotated values are written back, so advance(w, dt)
-turns w in place with slab-sized temporaries only; evolve(w, dt) is
-advance applied to a copy.  From the slabs it already holds the kernel
-also sums |F~|^2 and |F~|^2/|k|, reads |F~(0)|^2 and forms the
-transversality residual of the field it leaves behind (FieldSums), so a
-caller that needs the energy, the photon number and the residual of each
-evolved state reads the field once.
+shell index; per slab it forms k . F~ once and uses it for the NaN-closed
+transversality gate and for the rotation.  Each slab is copied before its
+rotated values are written back, so advance(w, dt) turns w in place with
+slab-sized temporaries only; evolve(w, dt) is advance applied to a copy.
+From the slabs it already holds the kernel also sums |F~|^2 and
+|F~|^2/|k|, reads |F~(0)|^2 and forms the transversality residual of the
+field it leaves behind (FieldSums), so a caller that needs the energy,
+the photon number and the residual of each evolved state reads the field
+once.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,9 +74,14 @@ _TWO_PI_3_2 = (2.0 * np.pi) ** 1.5
 # Absolute floor used only to avoid 0/0 in residual quotients.
 _RESIDUAL_FLOOR = 1e-300
 
-# z-planes per slab of the one-pass kernel (_sweep).  At n = 128 a slab
-# temporary is 0.5 MiB; 1 and 2 planes ran fastest there, 4 and 8 slower.
-_SLAB_PLANES = 2
+# z-planes per slab of the slab loops.  At n = 128 a one-plane temporary is
+# 0.25 MiB; one plane per slab keeps two workers' temporaries at what one
+# worker held with two-plane slabs.
+_SLAB_PLANES = 1
+
+# threads that share a slab loop: the process's CPUs, at most 2
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 # default transversality residual that evolve and advance accept
 _TRANSVERSALITY_TOL = 1e-10
@@ -131,8 +150,49 @@ def kgrid(spec: GridSpec) -> KGrid:
     return KGrid(spec)
 
 
+def _over_slabs(n: int, work) -> list:
+    """Run work(starts) over contiguous runs of the slab starts of n planes.
+
+    The starts 0, _SLAB_PLANES, ... below n are split into at most _WORKERS
+    contiguous runs, one thread per run: the caller's thread works the
+    first run and a started thread each of the others, and every started
+    thread is joined before this returns.  Each work(run) returns a list
+    of per-slab records (empty if it keeps none); the records of all runs
+    come back in slab order.  An
+    exception raised by work is re-raised here (the first run's first).
+    work must call no public photonflow function (a traced run keeps one
+    span stack for all threads), and numpy's errstate is per thread, so
+    work enters its own where it needs one.
+    """
+    starts = range(0, n, _SLAB_PLANES)
+    count = min(_WORKERS, len(starts))
+    cuts = [len(starts) * i // count for i in range(count + 1)]
+    runs = [starts[a:b] for a, b in zip(cuts, cuts[1:])]
+    records, errors = [[]] * count, [None] * count
+
+    def run(i):
+        try:
+            records[i] = work(runs[i])
+        except BaseException as exc:  # re-raised in the caller below
+            errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, count)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return [record for part in records for record in part]
+
+
 def _fft_inverse(arr: np.ndarray, spec: GridSpec) -> np.ndarray:
-    return np.fft.ifftn(arr * (_TWO_PI_3_2 / spec.dx ** 3), axes=(0, 1, 2))
+    # scaled in place after the FFT: scaling the input first would hold a third field
+    result = np.fft.ifftn(arr, axes=(0, 1, 2))
+    result *= _TWO_PI_3_2 / spec.dx ** 3
+    return result
 
 
 def forward_transform(weber: WeberGrid) -> WeberGrid:
@@ -148,18 +208,30 @@ def forward_transform_in_place(weber: WeberGrid) -> None:
 
     The 1-D FFTs run in the order np.fft.fftn takes them, so the result is
     bit for bit fftn's: along z over slabs of y-planes, then along y and x
-    over contiguous slabs of z-planes.  Beyond the field only slab-sized
-    temporaries are allocated.
+    over contiguous slabs of z-planes, each slab scaled as it is written
+    back.  Both loops run through _over_slabs.  Beyond the field only
+    slab-sized temporaries are allocated.
     """
     require_representation(weber, POSITION, "forward_transform_in_place")
     planes, n = plane_view(weber.field), weber.spec.n_per_axis
-    for start in range(0, n, _SLAB_PLANES):
-        ys = slice(start, start + _SLAB_PLANES)
-        planes[:, ys] = np.fft.fft(planes[:, ys], axis=0)
-    for start in range(0, n, _SLAB_PLANES):
-        zs = slice(start, start + _SLAB_PLANES)
-        planes[zs] = np.fft.fft(np.fft.fft(planes[zs], axis=1), axis=2)
-    planes *= weber.spec.dx ** 3 / _TWO_PI_3_2
+    scale = weber.spec.dx ** 3 / _TWO_PI_3_2
+
+    def along_z(starts):
+        for start in starts:
+            ys = slice(start, start + _SLAB_PLANES)
+            planes[:, ys] = np.fft.fft(planes[:, ys], axis=0)
+        return []
+
+    def along_y_x(starts):
+        for start in starts:
+            zs = slice(start, start + _SLAB_PLANES)
+            slab = np.fft.fft(np.fft.fft(planes[zs], axis=1), axis=2)
+            slab *= scale
+            planes[zs] = slab
+        return []
+
+    _over_slabs(n, along_z)
+    _over_slabs(n, along_y_x)
     weber.representation = MOMENTUM
 
 
@@ -175,12 +247,12 @@ class FieldSums:
     """What one pass of the kernel learns about the field it leaves behind.
 
     ``sum_sq`` is the sum of |F~|^2 over all modes and ``sum_sq_over_k``
-    the sum of |F~|^2 / |k| over k != 0, both summed slab by slab from the
-    |F~|^2 per mode that the residual's peak needs; total_energy and
-    photon_number sum the same terms over the whole field at once, so the
-    two routes agree to roundoff.  ``dc_sq`` is |F~(0)|^2.  ``residual`` is
-    the transversality residual, bit for bit as transversality_residual
-    reports it.
+    the sum of |F~|^2 / |k| over k != 0, each summed per slab from the
+    |F~|^2 per mode that the residual's peak needs and folded in slab
+    order; total_energy and photon_number sum the same terms over the
+    whole field at once, so the two routes agree to roundoff.  ``dc_sq``
+    is |F~(0)|^2.  ``residual`` is the transversality residual, bit for
+    bit as transversality_residual reports it.
     """
 
     sum_sq: float
@@ -189,33 +261,38 @@ class FieldSums:
     residual: float
 
 
-class _Tally:
-    """Running maxima, and optionally sums, over the slabs of one field."""
+def _tally(k, g, flat, inv_k, sums):
+    """(k . F~, tally) of one slab (components ``g`` first, float view ``flat``).
 
-    def __init__(self):
-        self.longitudinal = self.peak_sq = self.sum_sq = self.sum_sq_over_k = 0.0
+    The tally is (max |k . F~| / |k|, max |F~|^2, sum |F~|^2,
+    sum |F~|^2 / |k|); the two sums are 0.0 unless ``sums``.
+    """
+    k_dot_f = k[0] * g[0]
+    k_dot_f += k[1] * g[1]
+    k_dot_f += k[2] * g[2]
+    longitudinal = np.abs(k_dot_f)
+    longitudinal *= inv_k
+    sq = np.einsum("...i,...i->...", flat, flat)  # |F~|^2 per mode
+    if not sums:
+        return k_dot_f, (longitudinal.max(), sq.max(), 0.0, 0.0)
+    return k_dot_f, (longitudinal.max(), sq.max(), sq.sum(),
+                     np.einsum("zyx,zyx->", sq, inv_k))
 
-    def add(self, k, g, flat, inv_k, sums):
-        """Fold in one slab (components ``g`` first, float view ``flat``); return k . F~."""
-        k_dot_f = k[0] * g[0]
-        k_dot_f += k[1] * g[1]
-        k_dot_f += k[2] * g[2]
-        longitudinal = np.abs(k_dot_f)
-        longitudinal *= inv_k
+
+def _fold(tallies):
+    """(residual, sum |F~|^2, sum |F~|^2 / |k|) of a field from its slab tallies,
+    folded in slab order."""
+    longitudinal = peak_sq = sum_sq = sum_sq_over_k = 0.0
+    for slab_longitudinal, slab_peak_sq, slab_sum_sq, slab_sum_sq_over_k in tallies:
         # np.maximum, not max(): max(0.0, nan) is 0.0, and a NaN must reach the gate
-        self.longitudinal = np.maximum(self.longitudinal, longitudinal.max())
-        sq = np.einsum("...i,...i->...", flat, flat)  # |F~|^2 per mode
-        self.peak_sq = np.maximum(self.peak_sq, sq.max())
-        if sums:
-            self.sum_sq += sq.sum()
-            self.sum_sq_over_k += np.einsum("zyx,zyx->", sq, inv_k)
-        return k_dot_f
-
-    def residual(self) -> float:
-        peak = np.sqrt(self.peak_sq)
-        # an infinite peak would scale any longitudinal part to 0: report NaN so gates fail
-        return float(self.longitudinal / (peak + _RESIDUAL_FLOOR) if np.isfinite(peak)
-                     else np.nan)
+        longitudinal = np.maximum(longitudinal, slab_longitudinal)
+        peak_sq = np.maximum(peak_sq, slab_peak_sq)
+        sum_sq += slab_sum_sq
+        sum_sq_over_k += slab_sum_sq_over_k
+    peak = np.sqrt(peak_sq)
+    # an infinite peak would scale any longitudinal part to 0: report NaN so gates fail
+    residual = longitudinal / (peak + _RESIDUAL_FLOOR) if np.isfinite(peak) else np.nan
+    return float(residual), float(sum_sq), float(sum_sq_over_k)
 
 
 def _rotate(k, g, along, cos, sin_k, rotated):
@@ -242,40 +319,51 @@ def _sweep(weber: WeberGrid, c_dt=None):
     overwritten).  ``sums`` are the FieldSums of the field the pass leaves.
     Per slab of z-planes of the plane view k . F~ is formed once for the
     gate and the rotation, and the rotation's weights are gathered from
-    per-shell tables.
+    per-shell tables.  The slabs run through _over_slabs, and their
+    tallies are folded in slab order.
     """
     kg = kgrid(weber.spec)
     planes = plane_view(weber.field)
     flat = planes.view(np.float64)
     kx, ky, kz = kg.plane_k
-    # the slab's components, contiguous, and its rotation: one buffer each per pass
-    slab = np.empty((3,) + planes[:_SLAB_PLANES].shape[:-1], dtype=planes.dtype)
-    source = result = _Tally()
-    if c_dt is not None:
+    rotate = c_dt is not None
+    if rotate:
         # per shell: cos, sin / |k| and (1 - cos) / |k|^2 of the angle |k| c_dt
         theta = kg.shell_k * c_dt
         cos = np.cos(theta)
         sin_k, along = np.sin(theta) * kg.shell_inv_k, (1.0 - cos) * kg.shell_inv_k ** 2
-        result, rotated_slab = _Tally(), np.empty_like(slab)
-    # non-finite entries give NaN products here; the residual reports them
-    with np.errstate(invalid="ignore", over="ignore"):
-        for start in range(0, weber.spec.n_per_axis, _SLAB_PLANES):
-            zs = slice(start, start + _SLAB_PLANES)
-            g = slab[:, :len(planes[zs])]
-            np.copyto(g, np.moveaxis(planes[zs], -1, 0))
-            k = (kx, ky, kz[zs])
-            shell = kg.shell[zs].astype(np.intp)  # np.take would convert it per call
-            inv_k = np.take(kg.shell_inv_k, shell)
-            k_dot_f = source.add(k, g, flat[zs], inv_k, sums=result is source)
-            if c_dt is not None:
-                rotated = rotated_slab[:, :len(g[0])]
-                k_dot_f *= np.take(along, shell)  # in place: k . F~ is not needed again
-                _rotate(k, g, k_dot_f, np.take(cos, shell), np.take(sin_k, shell), rotated)
-                planes[zs] = np.moveaxis(rotated, 0, -1)
-                result.add(k, rotated, flat[zs], inv_k, sums=True)
+
+    def work(starts):
+        # the slab's components, contiguous, and its rotation: one buffer each per run
+        slab = np.empty((3,) + planes[:_SLAB_PLANES].shape[:-1], dtype=planes.dtype)
+        rotated_slab = np.empty_like(slab) if rotate else None
+        tallies = []
+        # non-finite entries give NaN products here; the residual reports them
+        with np.errstate(invalid="ignore", over="ignore"):
+            for start in starts:
+                zs = slice(start, start + _SLAB_PLANES)
+                g = slab[:, :len(planes[zs])]
+                np.copyto(g, np.moveaxis(planes[zs], -1, 0))
+                k = (kx, ky, kz[zs])
+                shell = kg.shell[zs].astype(np.intp)  # np.take would convert it per call
+                inv_k = np.take(kg.shell_inv_k, shell)
+                k_dot_f, source = _tally(k, g, flat[zs], inv_k, sums=not rotate)
+                result = source
+                if rotate:
+                    rotated = rotated_slab[:, :len(g[0])]
+                    k_dot_f *= np.take(along, shell)  # in place: k . F~ is not needed again
+                    _rotate(k, g, k_dot_f, np.take(cos, shell), np.take(sin_k, shell), rotated)
+                    planes[zs] = np.moveaxis(rotated, 0, -1)
+                    result = _tally(k, rotated, flat[zs], inv_k, sums=True)[1]
+                tallies.append((source, result))
+        return tallies
+
+    tallies = _over_slabs(weber.spec.n_per_axis, work)
+    residual = _fold(source for source, _ in tallies)[0]
+    result_residual, sum_sq, sum_sq_over_k = _fold(result for _, result in tallies)
     dc = flat[0, 0, 0]
-    return source.residual(), FieldSums(float(result.sum_sq), float(result.sum_sq_over_k),
-                                        float(np.einsum("c,c->", dc, dc)), result.residual())
+    return residual, FieldSums(sum_sq, sum_sq_over_k, float(np.einsum("c,c->", dc, dc)),
+                               result_residual)
 
 
 def transversality_residual(weber: WeberGrid) -> float:

@@ -649,6 +649,16 @@ def test_state_file_combined_with_preset_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["trajectories", "boost-audit", "doubleslit"])
+def test_state_file_is_rejected_by_the_commands_that_do_not_read_it(tmp_path, capsys,
+                                                                    command):
+    rc, out = _run(tmp_path, command, config={"state": {"file": "x.phwf"}})
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "state.file is read by evolve only" in err and "(field: state.file)" in err
+    assert not out.exists()
+
+
 def test_missing_state_file_exits_2(tmp_path):
     rc, _ = _run(tmp_path, "evolve",
                  config={"state": {"file": str(tmp_path / "absent.phwf")},

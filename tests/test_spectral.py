@@ -1,6 +1,8 @@
 """Fourier conventions, transversality handling, and the exact propagator."""
 
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from scipy.linalg import expm
 
 from photonflow import (GridSpec, WeberGrid, advance, density_profile_y, evolve,
                         forward_transform, inverse_transform, klein_gordon_residual,
-                        photon_number, place, project_transverse, read_weber,
-                        sample_to_grid, single_wave, total_energy,
+                        normalize_single_photon, photon_number, place, project_transverse,
+                        read_weber, sample_to_grid, single_wave, spectral, total_energy,
                         transversality_residual, write_weber)
 from photonflow.errors import FieldValidationError, RepresentationError, TransversalityError
 from photonflow.fields import box_energy
@@ -282,7 +284,7 @@ def test_evolve_by_zero_still_runs_the_gate(spec8, rng, spoil):
 
 
 def test_evolve_matches_matrix_exponential_for_odd_n(rng):
-    # n = 7 is no multiple of the slab size, so the last slab is a short one
+    # n = 7 splits its slabs unevenly between two workers
     spec = GridSpec(7, 2.0 * np.pi, c=1.3)
     weber = _random_transverse(spec, rng)
     dt = -0.61
@@ -297,10 +299,11 @@ def test_evolve_matches_matrix_exponential_for_odd_n(rng):
 
 def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
     # beyond its input, evolve holds its output plus slab-sized temporaries
-    # (advance, the temporaries alone: a few slabs of 2/64 of the field each),
-    # photon_number (one slab of 1/|k|) and density_profile_y no full-size
-    # temporary at all, and place little beyond the field it returns; the .phwf
-    # writer and reader copy the payload straight between file and field
+    # (advance, the temporaries alone: a few one-plane slabs of 1/64 of the
+    # field per worker), photon_number (one slab of 1/|k|) and density_profile_y
+    # no full-size temporary at all, place little beyond the field it returns
+    # and inverse_transform one field besides it; the .phwf writer and reader
+    # copy the payload straight between file and field
     spec = GridSpec(64, 2.0 * np.pi)
     weber = _random_transverse(spec, rng)
     weber.field[0, 0, 0] = 0.0  # photon_number rejects DC content
@@ -317,7 +320,8 @@ def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
                 ("place", lambda: place(state, spec), 1.2),
                 ("density_profile_y", lambda: density_profile_y(weber), 0.2),
                 ("write_weber", lambda: write_weber(path, weber), 0.005),
-                ("read_weber", lambda: read_weber(path), 1.01)):
+                ("read_weber", lambda: read_weber(path), 1.01),
+                ("inverse_transform", lambda: inverse_transform(weber), 2.1)):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             call()
@@ -417,3 +421,68 @@ def test_klein_gordon_residual_scales_with_k_fourth(spec16):
         forward_transform(sample_to_grid(single_wave(2.0), spec16)), dt)
     # amplitudes scale as sqrt(I/c) independent of k, so the ratio is k^4
     assert two / one == pytest.approx(16.0, rel=1e-3)
+
+
+# --- the slab loops on worker threads ---------------------------------------
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_slab_loops_give_the_same_bits_for_any_worker_count(rng, monkeypatch, n):
+    spec = GridSpec(n, 2.0 * np.pi, c=1.3, hbar=0.7)
+    position = _random_weber(spec, rng)
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(spectral, "_WORKERS", workers)
+        tilde = position.copy()
+        forward_transform_in_place(tilde)
+        transverse = project_transverse(tilde)
+        transverse.field[0, 0, 0] = 0.0  # photon_number rejects DC content
+        advanced = transverse.copy()
+        sums = advance(advanced, -1.1)
+        results.append((tilde.field.tobytes(), transversality_residual(tilde),
+                        evolve(transverse, 0.7).field.tobytes(),
+                        advanced.field.tobytes(), sums, photon_number(transverse),
+                        density_profile_y(transverse).tobytes(),
+                        normalize_single_photon(transverse).field.tobytes()))
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_over_slabs_splits_the_starts_into_contiguous_runs_in_order(monkeypatch, workers):
+    monkeypatch.setattr(spectral, "_WORKERS", workers)
+    # thread objects, not idents: a finished thread's ident can be reused
+    records = spectral._over_slabs(7, lambda starts: [(start, threading.current_thread())
+                                                      for start in starts])
+    assert [start for start, _ in records] == list(range(7))
+    threads = [thread for _, thread in records]
+    assert threads[0] is threading.current_thread()  # the caller works the first run
+    assert len(set(threads)) == workers
+    assert sorted(threads, key=threads.index) == threads  # one run per thread
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_a_non_finite_entry_in_the_second_workers_run_fails_the_gate(spec8, monkeypatch, bad):
+    # an inf also makes inf - inf in the rotation: the worker's own errstate hides it
+    monkeypatch.setattr(spectral, "_WORKERS", 2)
+    tilde = forward_transform(sample_to_grid(single_wave(), spec8))
+    tilde.field[3, 2, 7, 1] = bad  # iz = 7: the last z-plane
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # in the workers too: the filters are global
+        assert np.isnan(transversality_residual(tilde))
+        with pytest.raises(TransversalityError):
+            advance(tilde, 0.1)
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["caller-run", "started-run"])
+def test_a_worker_exception_reaches_the_caller(monkeypatch, failing):
+    monkeypatch.setattr(spectral, "_WORKERS", 2)
+    before = threading.active_count()
+
+    def work(starts):
+        if (starts[0] > 0) == failing:
+            raise ValueError(f"run from {starts[0]}")
+        return list(starts)
+
+    with pytest.raises(ValueError, match="run from"):
+        spectral._over_slabs(8, work)
+    assert threading.active_count() == before
