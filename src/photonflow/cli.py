@@ -12,7 +12,7 @@ transversality residual from the sums advance forms in its one pass over the
 field, and a position-representation state file is transformed in place
 (spectral.forward_transform_in_place); doubleslit writes the
 x,z-mean density profile along y (photon.density_profile_y), computed from
-the field slab by slab without building phi~ or the 3-D inverse transform.
+the field plane by plane without building phi~ or the 3-D inverse transform.
 trajectories integrates all its points in one RK4 pass
 (bohm.integrate_trajectories).
 A closed stdout ends a subcommand with exit status 1 and no traceback.

@@ -83,6 +83,7 @@ def read_weber(path) -> WeberGrid:
         spec = GridSpec(int(n), box_length, c, hbar)
         planes = np.empty((n, n, n, 3), dtype="<c16")  # [iz, iy, ix, component]
         for iz, plane in enumerate(planes):
+            # the size was checked above: only a file shortened while it is read gets here
             if fh.readinto(plane) != plane.nbytes:
                 raise FieldValidationError(f"{path}: payload ended early at z-plane {iz}")
             finite = np.isfinite(plane)

@@ -22,13 +22,15 @@ how the probability current is written elsewhere in the package.
 Arrays are indexed [ix, iy, iz, component].  A WeberGrid holds its field
 in the byte order of the PHWF1 payload (see fieldio): component fastest,
 then x, then y, then z.  plane_view(field), indexed [iz, iy, ix, component],
-is then C-contiguous: its z-planes are the payload's planes, and slab-wise
-kernels walk contiguous runs of them.  Only the strides carry this order;
-every routine indexes field[ix, iy, iz, c].
+is then C-contiguous: its z-planes are the payload's planes, and the plane
+loops (over_planes) walk contiguous runs of them.  Only the strides carry
+this order; every routine indexes field[ix, iy, iz, c].
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +65,10 @@ _UNIT_RANGE = (1e-100, 1e100)
 # c and hbar: sum |F~|^2 / |k|, the photon number's, grows as L^7.
 _BOX_LENGTH_RANGE = (1e-40, 1e40)
 
+# threads that share a plane loop (over_planes): the process's CPUs, at most 2
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
 
 def require_representation(carrier, representation: str, caller: str) -> None:
     """Raise RepresentationError unless ``carrier`` (a field or a wave function)
@@ -79,6 +85,57 @@ def plane_view(field: np.ndarray) -> np.ndarray:
     array is a field in payload order.
     """
     return field.transpose(2, 1, 0, 3)
+
+
+def over_planes(n: int, work) -> list:
+    """Run work(run) over contiguous runs of the one-plane slices of n planes.
+
+    slice(0, 1), ..., slice(n - 1, n) are split into at most _WORKERS
+    contiguous runs.  The caller's thread works the first run and one
+    started thread each other run; all are joined before this returns, and
+    an exception raised by work is re-raised here (the first run's first).
+    work loops over its run itself: called per plane, it would free its
+    temporaries after each plane, and the allocator could return their
+    pages to the OS only to fault them in again.  It returns its per-plane
+    records, or None; the records come back in plane order.  work must call
+    no public photonflow function (a traced run keeps one span stack for
+    all threads), and enters its own numpy errstate where it needs one
+    (errstate is per thread).
+    """
+    slices = [slice(i, i + 1) for i in range(n)]
+    count = min(_WORKERS, n)
+    cuts = [n * i // count for i in range(count + 1)]
+    records, errors = [None] * count, [None] * count
+
+    def run(i):
+        try:
+            records[i] = work(slices[cuts[i]:cuts[i + 1]])
+        except BaseException as exc:  # re-raised in the caller below
+            errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, count)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return [record for part in records if part is not None for record in part]
+
+
+def sum_in_order(records):
+    """0.0 + records[0] + records[1] + ..., added one at a time in order.
+
+    Per-plane records added in plane order give the same bits for any
+    worker count; builtin sum() (compensated since Python 3.12) and
+    math.fsum round differently.
+    """
+    total = 0.0
+    for record in records:
+        total = total + record
+    return total
 
 
 def check_real(name, value, shape=()) -> np.ndarray:

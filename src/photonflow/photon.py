@@ -32,11 +32,10 @@ density_profile_y reads the x,z-mean of rho_p along y straight off the
 momentum-space field: after the same DC gate it applies the weight, an
 inverse FFT along y and the reduction to one z-plane of the field's
 plane view (see fields) at a time, so phi~ is never built in full.
-photon_number gathers the per-shell 1/|k| the same way, slab by slab,
-and normalize_single_photon writes its scaled field slab by slab.  These
-loops run on spectral's _over_slabs, which splits the slabs between the
-process's CPUs (at most 2); the per-slab sums and profiles are folded in
-slab order, so the results do not depend on the number of workers.
+photon_number gathers the per-shell 1/|k| and normalize_single_photon
+writes its scaled field the same way.  All three run on fields.over_planes
+and add their per-plane sums and profiles in plane order, so the results
+do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -46,11 +45,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DCContentError, ZeroFieldError
-from .fields import (MOMENTUM, POSITION, GridSpec, WeberGrid, energy_density, plane_view,
-                     poynting_vector, require_representation, total_energy)
+from .fields import (MOMENTUM, POSITION, GridSpec, WeberGrid, energy_density, over_planes,
+                     plane_view, poynting_vector, require_representation, sum_in_order,
+                     total_energy)
 from .planewaves import PHI_BASED, WEBER_BASED, _recipe_flow, flow_recipe
-from .spectral import (_SLAB_PLANES, _TWO_PI_3_2, _fft_inverse, _over_slabs, evolve,
-                       inverse_transform, kgrid)
+from .spectral import _TWO_PI_3_2, _fft_inverse, evolve, inverse_transform, kgrid
 
 DEFAULT_DC_TOLERANCE = 1e-12
 
@@ -127,8 +126,8 @@ def density_profile_y(weber: WeberGrid,
     with g = ifft_y(phi~) (2pi)^(3/2) / (dx^3 n^2), the profile is
     sum over kx, kz and components of |g|^2.  Runs the DC gate of
     photon_wavefunction, then applies Good's weight, the y-FFT and the
-    reduction per slab of z-planes, so its temporaries are slab-sized;
-    the slab profiles are summed in slab order.  It equals
+    reduction one z-plane at a time, so its temporaries are plane-sized;
+    the per-plane profiles are added in plane order.  It equals
     probability_flow(to_position(photon_wavefunction(weber))).rho.mean(axis=(0, 2))
     to roundoff without building phi~, the 3-D inverse transform or the
     current.
@@ -139,19 +138,16 @@ def density_profile_y(weber: WeberGrid,
     shell, weights = kgrid(spec).shell, _good_weights(spec)
     planes = plane_view(weber.field)
 
-    def work(starts):
+    def work(run):
         profiles = []
-        for start in starts:
-            zs = slice(start, start + _SLAB_PLANES)
+        for zs in run:
             phi = planes[zs] * weights[shell[zs]][..., None]
-            # (planes, n, n, 6): Re/Im pairs; the float view needs a C-ordered FFT result
+            # (1, n, n, 6): Re/Im pairs; the float view needs a C-ordered FFT result
             flat = np.ascontiguousarray(np.fft.ifft(phi, axis=1)).view(np.float64)
             profiles.append(np.einsum("zyxc,zyxc->y", flat, flat))
         return profiles
 
-    profile = np.zeros(spec.n_per_axis)
-    for slab_profile in _over_slabs(spec.n_per_axis, work):
-        profile += slab_profile
+    profile = sum_in_order(over_planes(spec.n_per_axis, work))
     scale = _TWO_PI_3_2 / (spec.dx ** 3 * spec.n_per_axis ** 2)
     return profile * scale ** 2
 
@@ -162,7 +158,7 @@ def photon_number(weber: WeberGrid,
 
     Scales quadratically with the field amplitude and is conserved by
     evolve (each |F~(k)| is preserved mode by mode).  1/|k| is gathered
-    per slab of z-planes from the per-shell table, so no (n, n, n) float
+    one z-plane at a time from the per-shell table, so no (n, n, n) float
     array is built.
     """
     require_representation(weber, MOMENTUM, "photon_number")
@@ -170,22 +166,19 @@ def photon_number(weber: WeberGrid,
     kg = kgrid(weber.spec)
     flat = plane_view(weber.field).view(np.float64)  # (n, n, n, 6): Re/Im pairs
 
-    def work(starts):
+    def work(run):
         return [np.einsum("zyxc,zyxc,zyx->", flat[zs], flat[zs], kg.shell_inv_k[kg.shell[zs]])
-                for zs in (slice(start, start + _SLAB_PLANES) for start in starts)]
+                for zs in run]
 
-    weighted = 0.0
-    for slab_sum in _over_slabs(weber.spec.n_per_axis, work):
-        weighted += slab_sum
-    return photon_count(weighted, weber.spec)
+    return photon_count(sum_in_order(over_planes(weber.spec.n_per_axis, work)), weber.spec)
 
 
 def normalize_single_photon(weber: WeberGrid,
                             dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> WeberGrid:
     """A new field, ``weber``'s scaled so photon_number(result) = 1 (within roundoff).
 
-    The division is written slab by slab into the new field; ``weber`` is
-    left as it is.
+    The division is written a z-plane at a time into the new field;
+    ``weber`` is left as it is.
     """
     n = photon_number(weber, dc_tolerance)
     if n == 0.0:
@@ -193,13 +186,11 @@ def normalize_single_photon(weber: WeberGrid,
     planes, norm = plane_view(weber.field), np.sqrt(n)
     scaled = np.empty_like(planes)
 
-    def work(starts):
-        for start in starts:
-            zs = slice(start, start + _SLAB_PLANES)
+    def work(run):
+        for zs in run:
             np.divide(planes[zs], norm, out=scaled[zs])
-        return []
 
-    _over_slabs(weber.spec.n_per_axis, work)
+    over_planes(weber.spec.n_per_axis, work)
     return WeberGrid(plane_view(scaled), weber.spec, MOMENTUM, weber.time)
 
 

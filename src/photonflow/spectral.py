@@ -30,58 +30,42 @@ values against n^3 modes.  A WeberGrid holds its field in PHWF1 payload
 order (see fields), so the kernels here work on its plane view
 [iz, iy, ix, component], whose z-planes are contiguous.
 
-The slab loops (the one-pass kernel below, forward_transform_in_place,
-and photon_number, density_profile_y and normalize_single_photon in
-photon) run through _over_slabs: it splits the slab starts into
-min(2, CPUs the process may run on) contiguous runs and works each run
-on its own thread (the caller's thread takes the first), since numpy's
-array loops release the GIL.  Each slab is one z-plane, so a worker's
-temporaries are one plane each.  A loop that reduces returns one record
-per slab, and the caller folds sums, maxima and profiles from them in
-slab order, so every result is the same bit for bit whatever the worker
-count.
+The plane loops here and in photon run through fields.over_planes, which
+works contiguous runs of z-planes on up to two threads (numpy's array
+loops release the GIL) with one-plane temporaries; a loop that reduces
+adds its per-plane records in plane order (fields.sum_in_order), so every
+result is the same bit for bit whatever the worker count.
 
 advance and transversality_residual share one kernel (_sweep) that walks
-the plane view slab by slab.  It forms the rotation's cos, sin/|k| and
-(1 - cos)/|k|^2 once per shell and gathers them per slab through the
-shell index; per slab it forms k . F~ once and uses it for the NaN-closed
-transversality gate and for the rotation.  Each slab is copied before its
-rotated values are written back, so advance(w, dt) turns w in place with
-slab-sized temporaries only; evolve(w, dt) is advance applied to a copy.
-From the slabs it already holds the kernel also sums |F~|^2 and
-|F~|^2/|k|, reads |F~(0)|^2 and forms the transversality residual of the
-field it leaves behind (FieldSums), so a caller that needs the energy,
-the photon number and the residual of each evolved state reads the field
-once.
+the plane view one z-plane at a time.  It forms the rotation's cos,
+sin/|k| and (1 - cos)/|k|^2 once per shell and gathers them per plane
+through the shell index; per plane it forms k . F~ once and uses it for
+the NaN-closed transversality gate and for the rotation.  Each plane is
+copied before its rotated values are written back, so advance(w, dt)
+turns w in place with plane-sized temporaries only; evolve(w, dt) is
+advance applied to a copy.  From the planes it already holds the kernel
+also sums |F~|^2 and |F~|^2/|k|, reads |F~(0)|^2 and forms the
+transversality residual of the field it leaves behind (FieldSums), so a
+caller that needs the energy, the photon number and the residual of each
+evolved state reads the field once.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import FieldValidationError, TransversalityError
-from .fields import (MOMENTUM, POSITION, GridSpec, WeberGrid, check_real, plane_view,
-                     require_representation)
+from .fields import (MOMENTUM, POSITION, GridSpec, WeberGrid, check_real, over_planes,
+                     plane_view, require_representation, sum_in_order)
 
 _TWO_PI_3_2 = (2.0 * np.pi) ** 1.5
 
 # Absolute floor used only to avoid 0/0 in residual quotients.
 _RESIDUAL_FLOOR = 1e-300
-
-# z-planes per slab of the slab loops.  At n = 128 a one-plane temporary is
-# 0.25 MiB; one plane per slab keeps two workers' temporaries at what one
-# worker held with two-plane slabs.
-_SLAB_PLANES = 1
-
-# threads that share a slab loop: the process's CPUs, at most 2
-_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
 
 # default transversality residual that evolve and advance accept
 _TRANSVERSALITY_TOL = 1e-10
@@ -100,7 +84,7 @@ class KGrid:
     mode, in the smallest unsigned type that holds 3 (n/2)^2 (uint16 up to
     n = 295).  m^2 is symmetric in the three axes, so ``shell`` indexes the
     modes of a field [ix, iy, iz] and of its plane view [iz, iy, ix] alike,
-    and ``shell[zs]`` is the index of a slab of z-planes.  ``shell_k`` and
+    and ``shell[zs]`` is the index of the z-planes ``zs``.  ``shell_k`` and
     ``shell_inv_k`` hold |k| and 1/|k| (0 at k = 0) for
     m^2 = 0, 1, ..., 3 (n/2)^2, so ``shell_k[shell]`` is |k| per mode.
     ``k_norm`` and ``inv_k`` build those (n, n, n) arrays on each access,
@@ -150,44 +134,6 @@ def kgrid(spec: GridSpec) -> KGrid:
     return KGrid(spec)
 
 
-def _over_slabs(n: int, work) -> list:
-    """Run work(starts) over contiguous runs of the slab starts of n planes.
-
-    The starts 0, _SLAB_PLANES, ... below n are split into at most _WORKERS
-    contiguous runs, one thread per run: the caller's thread works the
-    first run and a started thread each of the others, and every started
-    thread is joined before this returns.  Each work(run) returns a list
-    of per-slab records (empty if it keeps none); the records of all runs
-    come back in slab order.  An
-    exception raised by work is re-raised here (the first run's first).
-    work must call no public photonflow function (a traced run keeps one
-    span stack for all threads), and numpy's errstate is per thread, so
-    work enters its own where it needs one.
-    """
-    starts = range(0, n, _SLAB_PLANES)
-    count = min(_WORKERS, len(starts))
-    cuts = [len(starts) * i // count for i in range(count + 1)]
-    runs = [starts[a:b] for a, b in zip(cuts, cuts[1:])]
-    records, errors = [[]] * count, [None] * count
-
-    def run(i):
-        try:
-            records[i] = work(runs[i])
-        except BaseException as exc:  # re-raised in the caller below
-            errors[i] = exc
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, count)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return [record for part in records for record in part]
-
-
 def _fft_inverse(arr: np.ndarray, spec: GridSpec) -> np.ndarray:
     # scaled in place after the FFT: scaling the input first would hold a third field
     result = np.fft.ifftn(arr, axes=(0, 1, 2))
@@ -207,31 +153,27 @@ def forward_transform_in_place(weber: WeberGrid) -> None:
     """Turn ``weber`` itself into the momentum representation.
 
     The 1-D FFTs run in the order np.fft.fftn takes them, so the result is
-    bit for bit fftn's: along z over slabs of y-planes, then along y and x
-    over contiguous slabs of z-planes, each slab scaled as it is written
-    back.  Both loops run through _over_slabs.  Beyond the field only
-    slab-sized temporaries are allocated.
+    bit for bit fftn's: along z one y-plane at a time, then along y and x
+    one z-plane at a time, each z-plane scaled as it is written back.  Both
+    passes run through over_planes.  Beyond the field only plane-sized
+    temporaries are allocated.
     """
     require_representation(weber, POSITION, "forward_transform_in_place")
     planes, n = plane_view(weber.field), weber.spec.n_per_axis
     scale = weber.spec.dx ** 3 / _TWO_PI_3_2
 
-    def along_z(starts):
-        for start in starts:
-            ys = slice(start, start + _SLAB_PLANES)
+    def along_z(run):
+        for ys in run:
             planes[:, ys] = np.fft.fft(planes[:, ys], axis=0)
-        return []
 
-    def along_y_x(starts):
-        for start in starts:
-            zs = slice(start, start + _SLAB_PLANES)
-            slab = np.fft.fft(np.fft.fft(planes[zs], axis=1), axis=2)
-            slab *= scale
-            planes[zs] = slab
-        return []
+    def along_y_x(run):
+        for zs in run:
+            plane = np.fft.fft(np.fft.fft(planes[zs], axis=1), axis=2)
+            plane *= scale
+            planes[zs] = plane
 
-    _over_slabs(n, along_z)
-    _over_slabs(n, along_y_x)
+    over_planes(n, along_z)
+    over_planes(n, along_y_x)
     weber.representation = MOMENTUM
 
 
@@ -247,8 +189,8 @@ class FieldSums:
     """What one pass of the kernel learns about the field it leaves behind.
 
     ``sum_sq`` is the sum of |F~|^2 over all modes and ``sum_sq_over_k``
-    the sum of |F~|^2 / |k| over k != 0, each summed per slab from the
-    |F~|^2 per mode that the residual's peak needs and folded in slab
+    the sum of |F~|^2 / |k| over k != 0, each summed per z-plane from the
+    |F~|^2 per mode that the residual's peak needs and added in plane
     order; total_energy and photon_number sum the same terms over the
     whole field at once, so the two routes agree to roundoff.  ``dc_sq``
     is |F~(0)|^2.  ``residual`` is the transversality residual, bit for
@@ -262,7 +204,7 @@ class FieldSums:
 
 
 def _tally(k, g, flat, inv_k, sums):
-    """(k . F~, tally) of one slab (components ``g`` first, float view ``flat``).
+    """(k . F~, tally) of one z-plane (components ``g`` first, float view ``flat``).
 
     The tally is (max |k . F~| / |k|, max |F~|^2, sum |F~|^2,
     sum |F~|^2 / |k|); the two sums are 0.0 unless ``sums``.
@@ -280,15 +222,12 @@ def _tally(k, g, flat, inv_k, sums):
 
 
 def _fold(tallies):
-    """(residual, sum |F~|^2, sum |F~|^2 / |k|) of a field from its slab tallies,
-    folded in slab order."""
-    longitudinal = peak_sq = sum_sq = sum_sq_over_k = 0.0
-    for slab_longitudinal, slab_peak_sq, slab_sum_sq, slab_sum_sq_over_k in tallies:
-        # np.maximum, not max(): max(0.0, nan) is 0.0, and a NaN must reach the gate
-        longitudinal = np.maximum(longitudinal, slab_longitudinal)
-        peak_sq = np.maximum(peak_sq, slab_peak_sq)
-        sum_sq += slab_sum_sq
-        sum_sq_over_k += slab_sum_sq_over_k
+    """(residual, sum |F~|^2, sum |F~|^2 / |k|) of a field from its per-plane
+    tallies, the sums added in plane order."""
+    # np.max, not max(): max(0.0, nan) is 0.0, and a NaN must reach the gate
+    longitudinal, peak_sq = np.max([tally[:2] for tally in tallies], axis=0)
+    sum_sq = sum_in_order(tally[2] for tally in tallies)
+    sum_sq_over_k = sum_in_order(tally[3] for tally in tallies)
     peak = np.sqrt(peak_sq)
     # an infinite peak would scale any longitudinal part to 0: report NaN so gates fail
     residual = longitudinal / (peak + _RESIDUAL_FLOOR) if np.isfinite(peak) else np.nan
@@ -296,7 +235,7 @@ def _fold(tallies):
 
 
 def _rotate(k, g, along, cos, sin_k, rotated):
-    """Turn one slab (components ``g`` first) about k-hat into ``rotated``.
+    """Turn one z-plane (components ``g`` first) about k-hat into ``rotated``.
 
     Rodrigues with the unnormalized k and 1/|k| folded into the weights
     ``cos``, ``sin_k`` = sin / |k| and ``along`` = (k . F~) (1 - cos) / |k|^2:
@@ -311,16 +250,16 @@ def _rotate(k, g, along, cos, sin_k, rotated):
 
 
 def _sweep(weber: WeberGrid, c_dt=None):
-    """One slab-wise pass over a momentum field: (residual, sums).
+    """One pass over a momentum field, a z-plane at a time: (residual, sums).
 
     ``residual`` is the transversality residual of ``weber`` as given.
     Given ``c_dt``, each mode of ``weber.field`` is rotated in place about
-    k-hat by the angle |k| c_dt (each slab is copied before it is
+    k-hat by the angle |k| c_dt (each z-plane is copied before it is
     overwritten).  ``sums`` are the FieldSums of the field the pass leaves.
-    Per slab of z-planes of the plane view k . F~ is formed once for the
-    gate and the rotation, and the rotation's weights are gathered from
-    per-shell tables.  The slabs run through _over_slabs, and their
-    tallies are folded in slab order.
+    Per z-plane of the plane view k . F~ is formed once for the gate and
+    the rotation, and the rotation's weights are gathered from per-shell
+    tables.  The planes run through over_planes, each run with its own
+    plane buffers, and _fold folds their tallies.
     """
     kg = kgrid(weber.spec)
     planes = plane_view(weber.field)
@@ -333,16 +272,14 @@ def _sweep(weber: WeberGrid, c_dt=None):
         cos = np.cos(theta)
         sin_k, along = np.sin(theta) * kg.shell_inv_k, (1.0 - cos) * kg.shell_inv_k ** 2
 
-    def work(starts):
-        # the slab's components, contiguous, and its rotation: one buffer each per run
-        slab = np.empty((3,) + planes[:_SLAB_PLANES].shape[:-1], dtype=planes.dtype)
-        rotated_slab = np.empty_like(slab) if rotate else None
+    def work(run):
+        # the plane's components, contiguous, and its rotation: one buffer each per run
+        g = np.empty((3,) + planes[:1].shape[:-1], dtype=planes.dtype)
+        rotated = np.empty_like(g) if rotate else None
         tallies = []
         # non-finite entries give NaN products here; the residual reports them
         with np.errstate(invalid="ignore", over="ignore"):
-            for start in starts:
-                zs = slice(start, start + _SLAB_PLANES)
-                g = slab[:, :len(planes[zs])]
+            for zs in run:
                 np.copyto(g, np.moveaxis(planes[zs], -1, 0))
                 k = (kx, ky, kz[zs])
                 shell = kg.shell[zs].astype(np.intp)  # np.take would convert it per call
@@ -350,7 +287,6 @@ def _sweep(weber: WeberGrid, c_dt=None):
                 k_dot_f, source = _tally(k, g, flat[zs], inv_k, sums=not rotate)
                 result = source
                 if rotate:
-                    rotated = rotated_slab[:, :len(g[0])]
                     k_dot_f *= np.take(along, shell)  # in place: k . F~ is not needed again
                     _rotate(k, g, k_dot_f, np.take(cos, shell), np.take(sin_k, shell), rotated)
                     planes[zs] = np.moveaxis(rotated, 0, -1)
@@ -358,9 +294,9 @@ def _sweep(weber: WeberGrid, c_dt=None):
                 tallies.append((source, result))
         return tallies
 
-    tallies = _over_slabs(weber.spec.n_per_axis, work)
-    residual = _fold(source for source, _ in tallies)[0]
-    result_residual, sum_sq, sum_sq_over_k = _fold(result for _, result in tallies)
+    sources, results = zip(*over_planes(weber.spec.n_per_axis, work))
+    residual = _fold(sources)[0]
+    result_residual, sum_sq, sum_sq_over_k = _fold(results)
     dc = flat[0, 0, 0]
     return residual, FieldSums(sum_sq, sum_sq_over_k, float(np.einsum("c,c->", dc, dc)),
                                result_residual)
@@ -414,7 +350,7 @@ def evolve(weber: WeberGrid, dt: float,
     transversality residual; evolve(dt1) o evolve(dt2) = evolve(dt1+dt2)
     to roundoff.  dt < 0 runs the dynamics backwards.  The k = 0 mode is
     carried through unchanged.  The transversality gate and the rotation
-    share one slab-wise pass; a state that fails the gate is discarded.
+    share one pass over the z-planes; a state that fails the gate is discarded.
     dt == 0 runs the gate alone and returns ``weber`` itself, not a copy.
     ``weber`` is left as it is: the step is advance applied to a copy.
 
@@ -441,7 +377,7 @@ def advance(weber: WeberGrid, dt: float,
             transversality_tol: float = _TRANSVERSALITY_TOL) -> FieldSums:
     """Advance ``weber`` itself by dt with evolve's exact per-mode propagator.
 
-    The rotation is written into ``weber.field`` with slab-sized
+    The rotation is written into ``weber.field`` with plane-sized
     temporaries only, and ``weber.time`` grows by dt once the gate has
     passed.  Returns the FieldSums of the advanced field (its |F~|^2 and
     |F~|^2/|k| sums, |F~(0)|^2 and transversality residual), formed in the

@@ -603,6 +603,31 @@ def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, config, extra, named", [
+    ("evolve", {"state": {"components": [{"k": [0, 0, 1]}], "wavenumber": 1.0}}, [],
+     "(field: state.wavenumber)"),
+    ("evolve", [1, 2], [], "the config must be an object"),
+    ("evolve", None, ["--config", "absent.json"], "cannot read config file absent.json"),
+    ("evolve", None, ["--tolerance", "audit"], "--tolerance expects KEY=VALUE"),
+    ("evolve", None, ["--tolerance", "audit=abc"], "(field: tolerance.audit)"),
+    ("evolve", {"state": {"preset": "single-wave", "bogus": 1.0}}, [], "(field: state)"),
+    ("evolve", {"state": {"components": [{"k": [0, 0, 0]}]}}, [],
+     "(field: state.components[0])"),
+    ("doubleslit", {"grid": {"n": 8}, "doubleslit": {"forward_mode": 4}}, [],
+     "(field: doubleslit)"),
+], ids=["state-form-plus-extra", "config-not-object", "unreadable-config",
+        "tolerance-without-equals", "tolerance-not-a-number", "bad-preset-argument",
+        "bad-component", "slit-modes-beyond-grid"])
+def test_rejected_input_exits_2_naming_the_field(tmp_path, capsys, command, config, extra,
+                                                 named):
+    rc, out = _run(tmp_path, command, config=config, extra=extra)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("c, hbar", [(1e-100, 1e-100), (1e100, 1e100), (1e-100, 1e100)])
 @pytest.mark.parametrize("command", ["evolve", "boost-audit", "trajectories", "doubleslit"])
 def test_units_at_the_ends_of_their_range_run(tmp_path, command, c, hbar):

@@ -1,0 +1,54 @@
+"""Library boundaries reject bad arguments with a named error.
+
+Each case checks the error class and that the message names the
+offending argument.
+"""
+
+import numpy as np
+import pytest
+
+from photonflow import (Boost, CircularPlaneWave, GridSpec, PlaneWaveSuperposition, WeberGrid,
+                        audit_four_vector, integrate_trajectories, sample_points_on_line,
+                        single_wave)
+from photonflow.errors import FieldValidationError, RepresentationError, ZeroFieldError
+from photonflow.planewaves import CompiledState
+
+SPEC = GridSpec(4, 2.0 * np.pi)
+BOOST = Boost([0.0, 0.0, 1.0], 0.5)
+# two equal waves half a turn apart: the compiled state keeps no mode
+CANCELLING = PlaneWaveSuperposition([CircularPlaneWave([0.0, 0.0, 1.0], 1.0),
+                                     CircularPlaneWave([0.0, 0.0, 1.0], 1.0, phase=np.pi)])
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: integrate_trajectories(single_wave(), np.zeros((2, 2)), 0.0, 1.0, 0.1),
+     "points must have shape (n, 3)"),
+    (lambda: integrate_trajectories(single_wave(), np.zeros((2, 3)), 0.0, 1.0, 0.0),
+     "step must be positive"),
+    (lambda: integrate_trajectories(single_wave(), np.zeros((2, 3)), 1.0, 0.5, 0.1),
+     "need t1 >= t0"),
+    (lambda: sample_points_on_line(CANCELLING, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0, 4,
+                                   np.random.default_rng(0)),
+     "density vanishes along the whole segment"),
+    (lambda: CompiledState(single_wave()).mode_sum("phi", np.zeros((4, 2)), 0.0),
+     "points must have a trailing axis of size 3"),
+    (lambda: GridSpec(8, 0.0), "box_length must be > 0"),
+    (lambda: GridSpec(8, 1.0, c=-1.0), "c must be > 0"),
+    (lambda: GridSpec(8, 1.0, hbar=0.0), "hbar must be > 0"),
+    (lambda: WeberGrid(np.zeros((4, 4, 4)), SPEC), "field must have shape (4, 4, 4, 3)"),
+], ids=["point-shape", "zero-step", "backward-span", "vanishing-line-density",
+        "mode-sum-point-shape", "zero-box-length", "negative-c", "zero-hbar", "field-shape"])
+def test_field_validation_error_names_the_argument(call, named):
+    with pytest.raises(FieldValidationError) as exc:
+        call()
+    assert named in str(exc.value)
+
+
+def test_zero_field_error_names_the_vacuous_audit():
+    with pytest.raises(ZeroFieldError, match="audit is vacuous"):
+        audit_four_vector(CANCELLING, BOOST)
+
+
+def test_representation_error_names_the_unknown_representation():
+    with pytest.raises(RepresentationError, match="got 'fourier'"):
+        WeberGrid(np.zeros((4, 4, 4, 3)), SPEC, "fourier")

@@ -9,10 +9,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from photonflow import (GridSpec, WeberGrid, advance, density_profile_y, evolve,
+from photonflow import (GridSpec, WeberGrid, advance, density_profile_y, evolve, fields,
                         forward_transform, inverse_transform, klein_gordon_residual,
                         normalize_single_photon, photon_number, place, project_transverse,
-                        read_weber, sample_to_grid, single_wave, spectral, total_energy,
+                        read_weber, sample_to_grid, single_wave, total_energy,
                         transversality_residual, write_weber)
 from photonflow.errors import FieldValidationError, RepresentationError, TransversalityError
 from photonflow.fields import box_energy
@@ -298,15 +298,17 @@ def test_evolve_matches_matrix_exponential_for_odd_n(rng):
 
 
 def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
-    # beyond its input, evolve holds its output plus slab-sized temporaries
-    # (advance, the temporaries alone: a few one-plane slabs of 1/64 of the
-    # field per worker), photon_number (one slab of 1/|k|) and density_profile_y
-    # no full-size temporary at all, place little beyond the field it returns
+    # beyond its input, evolve holds its output plus plane-sized temporaries
+    # (advance and forward_transform_in_place, the temporaries alone: a few
+    # planes of 1/64 of the field per worker), photon_number (one plane of
+    # 1/|k|) and density_profile_y no full-size temporary at all,
+    # normalize_single_photon and place little beyond the field they return
     # and inverse_transform one field besides it; the .phwf writer and reader
     # copy the payload straight between file and field
     spec = GridSpec(64, 2.0 * np.pi)
     weber = _random_transverse(spec, rng)
     weber.field[0, 0, 0] = 0.0  # photon_number rejects DC content
+    position = inverse_transform(weber)
     state = counterprop_pair(3.0, 5.0)
     path = tmp_path / "field.phwf"
     kgrid(spec)  # the cached wave vectors are not working memory
@@ -317,6 +319,9 @@ def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
                 ("evolve", lambda: evolve(weber, 0.3), 1.5),
                 ("advance", lambda: advance(weber, 0.3), 0.15),
                 ("photon_number", lambda: photon_number(weber), 0.05),
+                ("forward_transform_in_place", lambda: forward_transform_in_place(position),
+                 0.15),
+                ("normalize_single_photon", lambda: normalize_single_photon(weber), 1.05),
                 ("place", lambda: place(state, spec), 1.2),
                 ("density_profile_y", lambda: density_profile_y(weber), 0.2),
                 ("write_weber", lambda: write_weber(path, weber), 0.005),
@@ -432,7 +437,7 @@ def test_slab_loops_give_the_same_bits_for_any_worker_count(rng, monkeypatch, n)
     position = _random_weber(spec, rng)
     results = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(spectral, "_WORKERS", workers)
+        monkeypatch.setattr(fields, "_WORKERS", workers)
         tilde = position.copy()
         forward_transform_in_place(tilde)
         transverse = project_transverse(tilde)
@@ -448,22 +453,29 @@ def test_slab_loops_give_the_same_bits_for_any_worker_count(rng, monkeypatch, n)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_over_slabs_splits_the_starts_into_contiguous_runs_in_order(monkeypatch, workers):
-    monkeypatch.setattr(spectral, "_WORKERS", workers)
-    # thread objects, not idents: a finished thread's ident can be reused
-    records = spectral._over_slabs(7, lambda starts: [(start, threading.current_thread())
-                                                      for start in starts])
-    assert [start for start, _ in records] == list(range(7))
+def test_over_planes_splits_the_planes_into_contiguous_runs_in_order(monkeypatch, workers):
+    monkeypatch.setattr(fields, "_WORKERS", workers)
+    calls = []
+
+    def work(run):
+        calls.append(run)  # once per run, not once per plane
+        # thread objects, not idents: a finished thread's ident can be reused
+        return [(zs, threading.current_thread()) for zs in run]
+
+    records = fields.over_planes(7, work)
+    assert [zs for zs, _ in records] == [slice(i, i + 1) for i in range(7)]
+    assert len(calls) == workers
     threads = [thread for _, thread in records]
     assert threads[0] is threading.current_thread()  # the caller works the first run
     assert len(set(threads)) == workers
     assert sorted(threads, key=threads.index) == threads  # one run per thread
+    assert fields.over_planes(7, lambda run: None) == []  # a loop that keeps no records
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_a_non_finite_entry_in_the_second_workers_run_fails_the_gate(spec8, monkeypatch, bad):
     # an inf also makes inf - inf in the rotation: the worker's own errstate hides it
-    monkeypatch.setattr(spectral, "_WORKERS", 2)
+    monkeypatch.setattr(fields, "_WORKERS", 2)
     tilde = forward_transform(sample_to_grid(single_wave(), spec8))
     tilde.field[3, 2, 7, 1] = bad  # iz = 7: the last z-plane
     with warnings.catch_warnings():
@@ -475,14 +487,13 @@ def test_a_non_finite_entry_in_the_second_workers_run_fails_the_gate(spec8, monk
 
 @pytest.mark.parametrize("failing", [0, 1], ids=["caller-run", "started-run"])
 def test_a_worker_exception_reaches_the_caller(monkeypatch, failing):
-    monkeypatch.setattr(spectral, "_WORKERS", 2)
-    before = threading.active_count()
+    monkeypatch.setattr(fields, "_WORKERS", 2)
+    before = set(threading.enumerate())
 
-    def work(starts):
-        if (starts[0] > 0) == failing:
-            raise ValueError(f"run from {starts[0]}")
-        return list(starts)
+    def work(run):
+        if (run[0].start > 0) == failing:
+            raise ValueError(f"run from plane {run[0].start}")
 
-    with pytest.raises(ValueError, match="run from"):
-        spectral._over_slabs(8, work)
-    assert threading.active_count() == before
+    with pytest.raises(ValueError, match=f"run from plane {4 * failing}$"):
+        fields.over_planes(8, work)
+    assert set(threading.enumerate()) == before  # the started thread was joined
