@@ -31,8 +31,11 @@ Config layout (any subset; missing keys take the defaults shown by
       ... per-command sections below ...
     }
 
-Every key is checked against one schema (``SCHEMA``) before a command
-creates its output directory; an unknown key or a bad value exits 2 and
+Every subcommand but info runs through one skeleton (``_run``) that checks
+its input in one order before anything is written: the config, then the
+tolerances, then state.file (rejected by all but evolve), then the
+command's own checks; only then is --out created.  Every key is checked
+against one schema (``SCHEMA``); an unknown key or a bad value exits 2 and
 names the field path.  The work a config asks for is bounded the same
 way (``_check_budget``: grid field bytes, trajectory point-knots, audit
 samples).  units.c and units.hbar must lie in [1e-100, 1e100]
@@ -335,15 +338,8 @@ def parse_tolerances(pairs):
     return _resolve(TOLERANCES, given, "tolerance")
 
 
-def _reject_state_file(config):
-    """Only evolve reads a stored field: any other subcommand rejects state.file."""
-    if "file" in config["state"]:
-        raise ConfigError("state.file is read by evolve only", field="state.file")
-
-
 def build_state(config) -> PlaneWaveSuperposition:
-    """The plane-wave superposition of a checked ``state`` entry."""
-    _reject_state_file(config)
+    """The plane-wave superposition of a checked ``state`` preset or components entry."""
     state = config["state"]
     if "preset" in state:
         name = state["preset"]
@@ -362,12 +358,6 @@ def build_state(config) -> PlaneWaveSuperposition:
             field = f"state.components[{i}]"
             raise ConfigError(f"{field}: {exc}", field=field) from exc
     return PlaneWaveSuperposition(waves)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _evolve_to(weber, t, tol, field):
@@ -391,9 +381,7 @@ def _boost(direction, u, c, field):
 
 # --- evolve -----------------------------------------------------------------
 
-def cmd_evolve(args):
-    config = load_config(args.config)
-    tol = parse_tolerances(args.tolerance)
+def cmd_evolve(config, tol, seed, out):
     section = config["evolve"]
 
     if "file" in config["state"]:
@@ -421,7 +409,7 @@ def cmd_evolve(args):
         weber = place(build_state(config), spec)
     if section["normalize"]:
         weber = normalize_single_photon(weber, dc_tolerance=tol["dc"])
-    out = _out_dir(args)
+    yield
 
     records = []
     for i, t in enumerate(section["times"]):
@@ -448,24 +436,20 @@ def cmd_evolve(args):
     }
     (out / "diagnostics.json").write_text(json.dumps(diagnostics, indent=2))
     print(f"wrote {len(records)} snapshot(s) and diagnostics.json to {out}")
-    return 0
 
 
 # --- boost-audit ------------------------------------------------------------
 
-def cmd_boost_audit(args):
+def cmd_boost_audit(config, tol, seed, out):
     from .planewaves import counterprop_pair, single_wave
 
-    config = load_config(args.config)
-    _reject_state_file(config)
-    tol = parse_tolerances(args.tolerance)
     c, hbar = config["units"]["c"], config["units"]["hbar"]
     section = config["audit"]
     u, k_right, k_left = section["u"], section["k_right"], section["k_left"]
     z_boost = _boost([0.0, 0.0, 1.0], u, c, "audit.u")
     x_boost = _boost([1.0, 0.0, 0.0], u, c, "audit.u")
     _check_units(config["units"])
-    out = _out_dir(args)
+    yield
 
     single = single_wave(k_right, 1.0)
     pair = counterprop_pair(k_right, k_left, 1.0)
@@ -496,26 +480,23 @@ def cmd_boost_audit(args):
               [interference.s, interference.rho_a, interference.rho_b,
                np.abs(interference.rho_a - interference.rho_b)])
     print(f"wrote audits.json and interference.csv to {out}")
-    return 0
 
 
 # --- trajectories -----------------------------------------------------------
 
-def cmd_trajectories(args):
-    config = load_config(args.config)
-    tol = parse_tolerances(args.tolerance)
+def cmd_trajectories(config, tol, seed, out):
     c, hbar = config["units"]["c"], config["units"]["hbar"]
     state = build_state(config)
     boost = _boost(config["boost"]["direction"], config["boost"]["u"], c, "boost")
     section = config["trajectories"]
     guidance, t0, t1, step = section["guidance"], section["t0"], section["t1"], section["step"]
     _check_units(config["units"])
-    out = _out_dir(args)
+    yield
 
     points = section["initial_points"]
     if points is None:
         line = section["line"]
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(seed)
         points = sample_points_on_line(state, line["origin"], line["direction"],
                                        line["length"], section["count"], rng,
                                        guidance, t=t0, c=c, hbar=hbar)
@@ -559,7 +540,6 @@ def cmd_trajectories(args):
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
     print(f"wrote trajectories.csv and summary.json to {out}")
-    return 0
 
 
 # --- doubleslit -------------------------------------------------------------
@@ -607,17 +587,14 @@ def _fringe_measurement(profile, box_length):
     return box_length / m, visibility
 
 
-def cmd_doubleslit(args):
-    config = load_config(args.config)
-    _reject_state_file(config)
-    tol = parse_tolerances(args.tolerance)
+def cmd_doubleslit(config, tol, seed, out):
     grid, units, section = config["grid"], config["units"], config["doubleslit"]
     _check_units(units)
     spec = GridSpec(grid["n"], grid["L"], units["c"], units["hbar"])
     state = build_slit_state(section, spec)
-    out = _out_dir(args)
-
     weber = place(state, spec)
+    yield
+
     times = section["times"]
     profiles = []
     for t in times:
@@ -647,7 +624,6 @@ def cmd_doubleslit(args):
               f"{expected if expected is not None else float('nan'):.6g}), "
               f"visibility = {visibility:.4f}")
     print(f"wrote frames.csv and summary.json to {out}")
-    return 0
 
 
 # --- info -------------------------------------------------------------------
@@ -672,6 +648,22 @@ def cmd_info(args):
 
 
 # --- entry point ------------------------------------------------------------
+
+def _run(args) -> int:
+    """Check the config, the tolerances and state.file, run the generator
+    ``args.handler(config, tol, seed, out)`` through its own checks up to its
+    one bare yield, then create --out and run the rest of the command."""
+    config = load_config(args.config)
+    tol = parse_tolerances(args.tolerance)
+    if args.command != "evolve" and "file" in config["state"]:
+        raise ConfigError("state.file is read by evolve only", field="state.file")
+    out = Path(args.out)
+    command = args.handler(config, tol, args.seed, out)
+    next(command)
+    out.mkdir(parents=True, exist_ok=True)
+    next(command, None)
+    return 0
+
 
 def _add_common(parser):
     parser.add_argument("--config", help="JSON config file (merged over defaults)")
@@ -709,7 +701,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.handler(args)
+        code = cmd_info(args) if args.command == "info" else _run(args)
         sys.stdout.flush()  # a closed stdout fails here, inside the try
         return code
     except BrokenPipeError:

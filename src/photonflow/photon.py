@@ -224,10 +224,10 @@ def _flow_of(weber_momentum: WeberGrid, recipe: str,
 
 
 def _spectral_divergence(vec: np.ndarray, spec: GridSpec) -> np.ndarray:
-    kg = kgrid(spec)
-    vk = np.fft.fftn(vec, axes=(0, 1, 2))
-    div_k = 1j * (kg.kx * vk[..., 0] + kg.ky * vk[..., 1] + kg.kz * vk[..., 2])
-    return np.fft.ifftn(div_k, axes=(0, 1, 2)).real
+    kx, ky, kz = kgrid(spec).plane_k
+    vk = plane_view(np.fft.fftn(vec, axes=(0, 1, 2)))
+    div_k = 1j * (kx * vk[..., 0] + ky * vk[..., 1] + kz * vk[..., 2])
+    return np.fft.ifftn(div_k.transpose(2, 1, 0), axes=(0, 1, 2)).real
 
 
 def continuity_residual(weber: WeberGrid, recipe: str, dt_probe: float,

@@ -158,18 +158,30 @@ class CompiledState:
 
     Components sharing (wave vector, handedness) merge into one mode, in
     first-seen order, by adding Weber amplitudes; a mode whose sum cancels
-    to 1e-14 of its parts is dropped.  phi is weber over sqrt(8 pi hbar c |k|),
-    Good's weighting as photon_wavefunction applies it on the grid.
+    to 1e-14 of its parts is dropped.  A component that makes a summed
+    amplitude, its norm or its phi not finite raises FieldValidationError
+    naming its index.  phi is weber over sqrt(8 pi hbar c |k|), Good's
+    weighting as photon_wavefunction applies it on the grid.
     """
 
     def __init__(self, state: PlaneWaveSuperposition, c: float = 1.0, hbar: float = 1.0):
         modes = {}  # (k, handedness) -> [first component, summed amplitude, summed norms]
-        for comp in state.components:
-            amplitude = comp.weber_amplitude(c)
-            mode = modes.setdefault((tuple(comp.wave_vector.tolist()), comp.handedness),
-                                    [comp, 0.0, 0.0])
-            mode[1] += amplitude
-            mode[2] += np.linalg.norm(amplitude)
+        # an overflow gives inf or NaN, which would fail the cancellation test
+        # below (NaN > x is False) and drop the mode as if it had cancelled
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for i, comp in enumerate(state.components):
+                amplitude = comp.weber_amplitude(c)
+                mode = modes.setdefault((tuple(comp.wave_vector.tolist()), comp.handedness),
+                                        [comp, 0.0, 0.0])
+                mode[1] += amplitude
+                mode[2] += np.linalg.norm(amplitude)
+                phi = mode[1] / np.sqrt(8.0 * np.pi * hbar * c * comp.k_norm)
+                if not (np.isfinite(phi).all() and np.isfinite(mode[2])):
+                    raise FieldValidationError(
+                        f"component {i}: its Weber amplitude sqrt(4 pi I / c) or phi "
+                        f"amplitude (over sqrt(8 pi hbar c |k|)) is not finite for "
+                        f"I = {comp.intensity!r}, |k| = {comp.k_norm!r}, c = {c!r}, "
+                        f"hbar = {hbar!r}")
         kept = [(comp, amplitude) for comp, amplitude, norms in modes.values()
                 if np.linalg.norm(amplitude) > 1e-14 * norms]
         k_norm = np.array([comp.k_norm for comp, _ in kept])

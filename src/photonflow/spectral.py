@@ -22,8 +22,8 @@ a second time derivative gives the wave (Klein-Gordon, massless)
 equation d2F/dt2 = c^2 lap F; klein_gordon_residual checks it with a
 central difference in time against the spectral Laplacian.
 
-KGrid holds the wave vectors of a grid as three broadcast axes kx, ky, kz,
-one (n, n, n) integer shell index m^2 = mx^2 + my^2 + mz^2 and two
+KGrid holds the wave vectors of a grid as three axes broadcast on the plane
+view, one (n, n, n) integer shell index m^2 = mx^2 + my^2 + mz^2 and two
 per-shell tables of |k| and 1/|k| (0 at k = 0): a mode enters the
 propagator and Good's weight only through |k|, which takes 3 (n/2)^2 + 1
 values against n^3 modes.  A WeberGrid holds its field in PHWF1 payload
@@ -76,19 +76,16 @@ class KGrid:
 
     Built from signed integer indices (0, 1, ..., n/2-1, -n/2, ..., -1
     per axis) so |k| values are reproducible from the indices bit-exactly.
-    ``kx``, ``ky``, ``kz`` are the wave-vector components as broadcast axes
-    of shapes (n, 1, 1), (1, n, 1) and (1, 1, n); ``plane_k`` holds the
-    same three components broadcast on a plane view's [iz, iy, ix] axes,
-    shapes (1, 1, n), (1, n, 1) and (n, 1, 1).  ``shell`` is the only
-    (n, n, n) array held: the integer m^2 = mx^2 + my^2 + mz^2 of each
-    mode, in the smallest unsigned type that holds 3 (n/2)^2 (uint16 up to
-    n = 295).  m^2 is symmetric in the three axes, so ``shell`` indexes the
-    modes of a field [ix, iy, iz] and of its plane view [iz, iy, ix] alike,
-    and ``shell[zs]`` is the index of the z-planes ``zs``.  ``shell_k`` and
-    ``shell_inv_k`` hold |k| and 1/|k| (0 at k = 0) for
-    m^2 = 0, 1, ..., 3 (n/2)^2, so ``shell_k[shell]`` is |k| per mode.
-    ``k_norm`` and ``inv_k`` build those (n, n, n) arrays on each access,
-    for the reference routes.
+    ``plane_k`` holds the wave-vector components kx, ky, kz broadcast on a
+    plane view's [iz, iy, ix] axes, shapes (1, 1, n), (1, n, 1) and
+    (n, 1, 1).  ``shell`` is the only (n, n, n) array held: the integer
+    m^2 = mx^2 + my^2 + mz^2 of each mode, in the smallest unsigned type
+    that holds 3 (n/2)^2 (uint16 up to n = 295).  m^2 is symmetric in the
+    three axes, so ``shell`` indexes the modes of a field [ix, iy, iz] and
+    of its plane view [iz, iy, ix] alike, and ``shell[zs]`` is the index of
+    the z-planes ``zs``.  ``shell_k`` and ``shell_inv_k`` hold |k| and 1/|k|
+    (0 at k = 0) for m^2 = 0, 1, ..., 3 (n/2)^2, so ``shell_k[shell]`` is
+    |k| per mode.
     """
 
     def __init__(self, spec: GridSpec):
@@ -96,8 +93,6 @@ class KGrid:
         n = spec.n_per_axis
         idx = ((np.arange(n) + n // 2) % n) - n // 2
         axis = spec.dk * idx
-        self.kx, self.ky, self.kz = (axis.reshape(shape)
-                                     for shape in ((n, 1, 1), (1, n, 1), (1, 1, n)))
         self.plane_k = tuple(axis.reshape(shape)
                              for shape in ((1, 1, n), (1, n, 1), (n, 1, 1)))
         top = 3 * (n // 2) ** 2
@@ -106,27 +101,6 @@ class KGrid:
         self.shell_k = spec.dk * np.sqrt(np.arange(top + 1, dtype=float))
         self.shell_inv_k = np.divide(1.0, self.shell_k, out=np.zeros_like(self.shell_k),
                                      where=self.shell_k > 0)
-
-    @property
-    def k_norm(self) -> np.ndarray:
-        """(n, n, n) |k|, built on each access."""
-        return self.shell_k[self.shell]
-
-    @property
-    def inv_k(self) -> np.ndarray:
-        """(n, n, n) 1/|k| (0 at k = 0), built on each access."""
-        return self.shell_inv_k[self.shell]
-
-    @property
-    def wave_vectors(self) -> np.ndarray:
-        """(n, n, n, 3) wave vectors, built on each access."""
-        return np.stack(np.broadcast_arrays(self.kx, self.ky, self.kz), axis=-1)
-
-    @property
-    def k_hat(self) -> np.ndarray:
-        """(n, n, n, 3) unit wave vectors (0 at k = 0), built on each access."""
-        k, norm = self.wave_vectors, self.k_norm[..., None]
-        return np.divide(k, norm, out=np.zeros_like(k), where=norm > 0)
 
 
 @lru_cache(maxsize=32)
@@ -321,7 +295,7 @@ def project_transverse(weber: WeberGrid) -> WeberGrid:
     require_representation(weber, MOMENTUM, "project_transverse")
     planes = plane_view(weber.field)
     kg = kgrid(weber.spec)
-    k_norm = kg.k_norm  # symmetric in its axes: it indexes the plane view too
+    k_norm = kg.shell_k[kg.shell]  # symmetric in its axes: it indexes the plane view too
     # k / |k| by division, so an axis-aligned mode gets an exact unit vector
     # and a second projection removes nothing
     k_hat = [np.divide(k, k_norm, out=np.zeros_like(k_norm), where=k_norm > 0)
@@ -417,6 +391,6 @@ def klein_gordon_residual(weber: WeberGrid, dt_probe: float) -> float:
     f_plus = evolve(weber, dt_probe).field
     f_minus = evolve(weber, -dt_probe).field
     second = (f_plus - 2.0 * weber.field + f_minus) / dt_probe ** 2
-    laplacian = -(kg.k_norm ** 2)[..., None] * weber.field
+    laplacian = -(kg.shell_k ** 2)[kg.shell][..., None] * weber.field
     defect = _fft_inverse(second - c ** 2 * laplacian, weber.spec)
     return float(np.abs(defect).max())

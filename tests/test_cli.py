@@ -20,7 +20,7 @@ from photonflow import (GridSpec, WeberGrid, __version__, forward_transform, pho
                         sample_to_grid, total_energy)
 from photonflow import cli, fields, photon, spectral
 from photonflow.cli import (_AUDIT_SAMPLES_LIMIT, _FIELD_BYTES_LIMIT, _POINT_KNOTS_LIMIT,
-                            build_parser, cmd_evolve, load_config, main)
+                            build_parser, load_config, main)
 from photonflow.errors import ConfigError
 from photonflow.fieldio import _HEADER, read_weber, write_weber
 from photonflow.planewaves import counterprop_pair
@@ -667,11 +667,73 @@ def test_work_limits_sit_where_their_comment_says(tmp_path):
         load_config(_write_config(tmp_path, at_limit))
 
 
+@pytest.mark.parametrize("command, config", [
+    ("evolve", {"grid": {"n": 8}, "state": {"components": [{"k": [0, 0, 1], "I": 1e308},
+                                                           {"k": [0, 0, 2], "I": 1.0}]}}),
+    ("doubleslit", {"grid": {"n": 16}, "doubleslit": {"intensity_ratio": 1e308}}),
+], ids=["evolve", "doubleslit"])
+def test_an_overflowing_amplitude_exits_non_zero_and_writes_nothing(tmp_path, capsys,
+                                                                   command, config):
+    # sqrt(4 pi I / c) overflows: the wave must not be dropped as if it had cancelled
+    rc, out = _run(tmp_path, command, config=config)
+    assert rc != 0
+    err = capsys.readouterr().err
+    assert "is not finite" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not out.exists()
+
+
 def test_state_file_combined_with_preset_exits_2(tmp_path):
     rc, _ = _run(tmp_path, "evolve",
                  config={"state": {"file": "x.phwf", "preset": "single-wave"},
                          "evolve": {"times": [0.0]}})
     assert rc == 2
+
+
+# one check each command makes itself before --out is created: the units
+# for evolve, a boost speed that rounds to c, modes beyond the grid
+_COMMAND_CHECK = {
+    "evolve": ({"units": {"hbar": 1e101}}, "units.hbar"),
+    "boost-audit": ({"units": {"c": 5e-324}, "audit": {"u": 0.9}}, "audit.u"),
+    "trajectories": ({"units": {"c": 5e-324}, "boost": {"u": 0.9}}, "boost"),
+    "doubleslit": ({"grid": {"n": 8}, "doubleslit": {"forward_mode": 4}}, "doubleslit"),
+}
+_BAD_KEY, _BAD_TOLERANCE = {"grdi": {"n": 8}}, ["--tolerance", "audit=0"]
+_STATE_FILE = {"state": {"file": "x.phwf"}}
+
+
+def _order_case(command, stage):
+    """(config, extra arguments, the field the error must name) of one stage."""
+    check_config, check_field = _COMMAND_CHECK[command]
+    return {
+        "config": (_BAD_KEY, [], "grdi"),
+        "tolerance": (None, _BAD_TOLERANCE, "tolerance.audit"),
+        "state-file": (_STATE_FILE, [], "state.file"),
+        "command-check": (check_config, [], check_field),
+        "config-before-tolerance": (_BAD_KEY, _BAD_TOLERANCE, "grdi"),
+        "tolerance-before-state-file": (_STATE_FILE, _BAD_TOLERANCE, "tolerance.audit"),
+        "state-file-before-command-check": (dict(check_config, **_STATE_FILE), [],
+                                            "state.file"),
+    }[stage]
+
+
+@pytest.mark.parametrize("command, stage", [
+    (command, stage)
+    for command in ("evolve", "boost-audit", "trajectories", "doubleslit")
+    for stage in ("config", "tolerance", "state-file", "command-check",
+                  "config-before-tolerance", "tolerance-before-state-file",
+                  "state-file-before-command-check")
+    # evolve reads state.file: a missing file is evolve's own check
+    if not (command == "evolve" and stage.startswith("state-file"))])
+def test_every_command_checks_its_input_in_one_order_before_creating_out(
+        tmp_path, capsys, command, stage):
+    config, extra, field = _order_case(command, stage)
+    rc, out = _run(tmp_path, command, config=config, extra=extra)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"(field: {field})" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["trajectories", "boost-audit", "doubleslit"])
@@ -696,9 +758,10 @@ def test_unreadable_state_file_error_names_its_cause(tmp_path):
     args = build_parser().parse_args(["evolve", "--config", config,
                                       "--out", str(tmp_path / "out")])
     with pytest.raises(ConfigError, match="cannot read field file") as exc:
-        cmd_evolve(args)
+        cli._run(args)
     assert exc.value.field == "state.file"
     assert isinstance(exc.value.__cause__, FileNotFoundError)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("excess, code", [(1, 2), (0, 1)], ids=["over", "at"])

@@ -178,8 +178,13 @@ def test_asymmetric_round_trip_keeps_payload_order_and_sums(tmp_path, rng, n, re
     assert sums.sum_sq == pytest.approx(sq.sum(), rel=1e-13, abs=0)
     assert photon_count(sums.sum_sq_over_k, spec) == pytest.approx(
         photon_number(tilde, dc_tolerance=1.0), rel=1e-13, abs=0)
-    assert sums.sum_sq_over_k == pytest.approx((sq * kg.inv_k).sum(), rel=1e-13, abs=0)
+    assert sums.sum_sq_over_k == pytest.approx((sq * kg.shell_inv_k[kg.shell]).sum(),
+                                               rel=1e-13, abs=0)
     assert sums.dc_sq == pytest.approx(sq[0, 0, 0], rel=1e-15, abs=0)
     assert residual == transversality_residual(tilde)
-    longitudinal = np.abs(np.einsum("xyzc,xyzc->xyz", kg.k_hat, f)).max()
+    m = np.fft.fftfreq(n, 1 / n)  # signed FFT indices
+    k = spec.dk * np.stack(np.meshgrid(m, m, m, indexing="ij"), axis=-1)
+    norm = np.linalg.norm(k, axis=-1, keepdims=True)
+    k_hat = np.divide(k, norm, out=np.zeros_like(k), where=norm > 0)
+    longitudinal = np.abs(np.einsum("xyzc,xyzc->xyz", k_hat, f)).max()
     assert residual == pytest.approx(longitudinal / np.sqrt(sq.max()), rel=1e-12, abs=0)

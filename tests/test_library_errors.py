@@ -36,8 +36,17 @@ CANCELLING = PlaneWaveSuperposition([CircularPlaneWave([0.0, 0.0, 1.0], 1.0),
     (lambda: GridSpec(8, 1.0, c=-1.0), "c must be > 0"),
     (lambda: GridSpec(8, 1.0, hbar=0.0), "hbar must be > 0"),
     (lambda: WeberGrid(np.zeros((4, 4, 4)), SPEC), "field must have shape (4, 4, 4, 3)"),
+    # 4 pi I / c overflows: a NaN amplitude fails the cancellation test, unnoticed
+    (lambda: CompiledState(PlaneWaveSuperposition([
+        CircularPlaneWave([0.0, 0.0, 2.0], 1.0), CircularPlaneWave([0.0, 0.0, 1.0], 1e308)])),
+     "component 1: its Weber amplitude"),
+    # hbar c |k| = 2.5e-349 underflows to 0, so the phi amplitude is infinite
+    (lambda: CompiledState(PlaneWaveSuperposition([CircularPlaneWave([0.0, 0.0, 1e-150], 1.0)]),
+                           c=1e-100, hbar=1e-100),
+     "component 0: its Weber amplitude sqrt(4 pi I / c) or phi amplitude"),
 ], ids=["point-shape", "zero-step", "backward-span", "vanishing-line-density",
-        "mode-sum-point-shape", "zero-box-length", "negative-c", "zero-hbar", "field-shape"])
+        "mode-sum-point-shape", "zero-box-length", "negative-c", "zero-hbar", "field-shape",
+        "overflowing-weber-amplitude", "underflowing-phi-weight"])
 def test_field_validation_error_names_the_argument(call, named):
     with pytest.raises(FieldValidationError) as exc:
         call()

@@ -33,16 +33,17 @@ def _random_transverse(spec, rng):
 
 def test_mode_indices_cover_symmetric_range(spec8):
     kg = kgrid(spec8)
-    assert (kg.kx.shape, kg.ky.shape, kg.kz.shape) == ((8, 1, 1), (1, 8, 1), (1, 1, 8))
-    indices = kg.kx.ravel() / spec8.dk
+    kx, ky, kz = kg.plane_k  # on the plane view's [iz, iy, ix] axes
+    assert (kx.shape, ky.shape, kz.shape) == ((1, 1, 8), (1, 8, 1), (8, 1, 1))
+    indices = kx.ravel() / spec8.dk
     assert list(indices) == [0, 1, 2, 3, -4, -3, -2, -1]
-    assert_allclose(kg.ky.ravel(), kg.kx.ravel(), atol=0)
-    assert_allclose(kg.kz.ravel(), kg.kx.ravel(), atol=0)
-    ix, iy, iz = np.meshgrid(indices, indices, indices, indexing="ij")
-    assert_allclose(kg.wave_vectors, np.stack([ix, iy, iz], axis=-1) * spec8.dk, atol=0)
-    assert_allclose(kg.k_norm, spec8.dk * np.sqrt(ix ** 2 + iy ** 2 + iz ** 2), atol=0)
-    assert kg.inv_k[0, 0, 0] == 0.0
-    assert_allclose(kg.inv_k[kg.k_norm > 0], 1.0 / kg.k_norm[kg.k_norm > 0], rtol=1e-15)
+    assert ky.ravel().tobytes() == kz.ravel().tobytes() == kx.ravel().tobytes()
+    iz, iy, ix = np.meshgrid(indices, indices, indices, indexing="ij")
+    assert (kg.shell == ix ** 2 + iy ** 2 + iz ** 2).all()
+    assert_allclose(kg.shell_k[kg.shell], spec8.dk * np.sqrt(ix ** 2 + iy ** 2 + iz ** 2),
+                    atol=0)
+    assert kg.shell_inv_k[0] == 0.0
+    assert_allclose(kg.shell_inv_k[1:], 1.0 / kg.shell_k[1:], rtol=1e-15)
 
 
 @pytest.mark.parametrize("n", [2, 7, 8, 18, 19, 20, 21])
@@ -57,8 +58,8 @@ def test_shell_tables_reproduce_the_full_k_grid_bit_for_bit(n):
     inv_k = np.divide(1.0, k_norm, out=np.zeros_like(k_norm), where=k_norm > 0)
     assert kg.shell.dtype == (np.uint8 if n < 20 else np.uint16)
     assert len(kg.shell_k) == len(kg.shell_inv_k) == 3 * (n // 2) ** 2 + 1
-    assert kg.k_norm.tobytes() == k_norm.tobytes()
-    assert kg.inv_k.tobytes() == inv_k.tobytes()
+    assert kg.shell_k[kg.shell].tobytes() == k_norm.tobytes()
+    assert kg.shell_inv_k[kg.shell].tobytes() == inv_k.tobytes()
     assert kg.shell_k[-1] == k_norm.max()
 
 
@@ -77,16 +78,21 @@ def test_kgrid_holds_the_shell_index_and_tables_only():
     assert held <= 2 * n ** 3 + 16 * n ** 2, held / n ** 3
 
 
-def test_k_hat_vanishes_at_dc(spec8):
+def test_k_hat_vanishes_at_dc(spec8, rng):
+    # k-hat = k / |k| with 1/|k| read as 0 at k = 0: a unit vector at every
+    # other mode, none at DC, so projection leaves the DC mode as it is
     kg = kgrid(spec8)
-    assert_allclose(kg.k_hat[0, 0, 0], 0.0, atol=0)
-    norms = np.linalg.norm(kg.k_hat, axis=-1)
-    assert_allclose(norms[kg.k_norm > 0], 1.0, rtol=1e-14)
+    kx, ky, kz = kg.plane_k
+    norms = np.sqrt(kx ** 2 + ky ** 2 + kz ** 2) * kg.shell_inv_k[kg.shell]
+    assert kg.shell[0, 0, 0] == 0 and norms[0, 0, 0] == 0.0
+    assert_allclose(norms[kg.shell > 0], 1.0, rtol=1e-14)
+    tilde = forward_transform(_random_weber(spec8, rng))
+    assert project_transverse(tilde).field[0, 0, 0].tobytes() == \
+        tilde.field[0, 0, 0].tobytes()
 
 
 def test_forward_transform_of_plane_wave_is_delta(spec8):
     # A e^{i k0 . x} -> single coefficient A L^3 / (2 pi)^{3/2} at k0.
-    kg = kgrid(spec8)
     mesh = spec8.position_mesh()
     k0 = np.array([1.0, -2.0, 3.0]) * spec8.dk
     amp = np.array([0.3, -0.7 + 0.2j, 1.1j])
@@ -95,7 +101,8 @@ def test_forward_transform_of_plane_wave_is_delta(spec8):
     where = np.argwhere(np.linalg.norm(tilde.field, axis=-1) > 1e-8)
     assert len(where) == 1
     ix = tuple(where[0])
-    assert_allclose(kg.wave_vectors[ix], k0, atol=1e-14)
+    # the FFT index of k0: signed integers 0, 1, 2, 3, -4, -3, -2, -1 per axis
+    assert_allclose(spec8.dk * np.fft.fftfreq(8, 1 / 8)[list(ix)], k0, atol=1e-14)
     expected = amp * spec8.box_length ** 3 / (2.0 * np.pi) ** 1.5
     assert_allclose(tilde.field[ix], expected, rtol=1e-12)
 
@@ -127,11 +134,11 @@ def test_transversality_residual_zero_for_circular_wave(spec16):
 
 def test_transversality_residual_detects_longitudinal_injection(spec16):
     tilde = forward_transform(sample_to_grid(single_wave(), spec16))
-    kg = kgrid(spec16)
     ix = tuple(np.argwhere(np.linalg.norm(tilde.field, axis=-1) > 1e-8)[0])
+    k = spec16.dk * np.fft.fftfreq(16, 1 / 16)[list(ix)]
     transverse = np.linalg.norm(tilde.field[ix])
     alpha = 0.25 * transverse
-    tilde.field[ix] += alpha * kg.k_hat[ix]
+    tilde.field[ix] += alpha * k / np.linalg.norm(k)
     expected = alpha / np.hypot(transverse, alpha)
     assert_allclose(transversality_residual(tilde), expected, rtol=1e-12)
 
@@ -149,11 +156,13 @@ def test_project_transverse_is_idempotent_and_kills_longitudinal(spec8, rng):
     twice = project_transverse(once)
     assert transversality_residual(once) < 1e-14
     assert_allclose(twice.field, once.field, atol=0)
-    kg = kgrid(spec8)
+    m = np.fft.fftfreq(8, 1 / 8)
+    k = spec8.dk * np.stack(np.meshgrid(m, m, m, indexing="ij"), axis=-1)
+    norm = np.linalg.norm(k, axis=-1, keepdims=True)
+    k_hat = np.divide(k, norm, out=np.zeros_like(k), where=norm > 0)
     # removed part is purely longitudinal, kept part untouched
     removed = tilde.field - once.field
-    perp = removed - kg.k_hat * np.einsum(
-        "...i,...i->...", kg.k_hat, removed)[..., None]
+    perp = removed - k_hat * np.einsum("...i,...i->...", k_hat, removed)[..., None]
     assert_allclose(perp, 0.0, atol=1e-13)
 
 
@@ -162,10 +171,10 @@ def test_evolve_matches_matrix_exponential(spec8, rng):
     weber = _random_transverse(spec8, rng)
     dt = 0.37
     evolved = evolve(weber.copy(), dt)
-    kg = kgrid(spec8)
+    m = np.fft.fftfreq(8, 1 / 8)  # signed FFT indices
     expected = np.empty_like(weber.field)
     for ix in np.ndindex(8, 8, 8):
-        k = kg.wave_vectors[ix]
+        k = spec8.dk * m[list(ix)]
         cross = np.array([[0.0, -k[2], k[1]],
                           [k[2], 0.0, -k[0]],
                           [-k[1], k[0], 0.0]])
@@ -289,9 +298,9 @@ def test_evolve_matches_matrix_exponential_for_odd_n(rng):
     weber = _random_transverse(spec, rng)
     dt = -0.61
     evolved = evolve(weber, dt)
-    wave_vectors = kgrid(spec).wave_vectors
+    m = np.fft.fftfreq(7, 1 / 7)  # signed FFT indices 0, 1, 2, 3, -3, -2, -1
     for ix in np.ndindex(7, 7, 7):
-        kx, ky, kz = wave_vectors[ix]
+        kx, ky, kz = spec.dk * m[list(ix)]
         cross = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
         assert_allclose(evolved.field[ix], expm(spec.c * dt * cross) @ weber.field[ix],
                         rtol=1e-12, atol=1e-12)
@@ -311,7 +320,7 @@ def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
     position = inverse_transform(weber)
     state = counterprop_pair(3.0, 5.0)
     path = tmp_path / "field.phwf"
-    kgrid(spec)  # the cached wave vectors are not working memory
+    kgrid(spec)  # the cached shell index and tables are not working memory
     budget = {}
     tracemalloc.start()
     try:

@@ -1,0 +1,91 @@
+"""Check that a git revision and the working tree give the same outputs.
+
+    python tools/same_outputs.py REV
+
+Checks REV out with ``git worktree add --detach`` into a temporary
+directory, then runs every job of ``perfbench.workloads.WORKLOADS`` with
+``python -m photonflow ... --seed 3`` once from REV's ``src/`` and once from
+the working tree's.  Each side runs each workload's jobs in order in its own
+cycle directory, with relative ``--config`` and ``--out`` paths, so the
+printed paths are the same on both sides.  The exit code, stdout and sha256
+of every file each job writes are compared; the names that differ are
+printed, and the exit status is 1 on any difference, 0 otherwise.  The
+worktree is removed before the working tree's side runs.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from perfbench.workloads import WORKLOADS  # noqa: E402
+
+SEED = "3"
+
+
+def run_side(src: Path, top: Path) -> dict:
+    """{job kind: (exit code, stdout, {output file: sha256})} of the jobs run from ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    imported = subprocess.run(
+        [sys.executable, "-c", "import photonflow; print(photonflow.__file__)"],
+        env=env, capture_output=True, text=True, check=True).stdout.strip()
+    if not Path(imported).is_relative_to(src):
+        raise SystemExit(f"photonflow imports from {imported}, not from {src}")
+    results = {}
+    for workload in WORKLOADS.values():
+        cycle = top / workload.name
+        cycle.mkdir(parents=True)
+        for job in workload.jobs:
+            config = f"{job.kind}.json"
+            (cycle / config).write_text(json.dumps(job.config(Path("."))))
+            run = subprocess.run([sys.executable, "-m", "photonflow", job.command,
+                                  "--config", config, "--out", job.kind, "--seed", SEED],
+                                 cwd=cycle, env=env, capture_output=True)
+            files = {str(path.relative_to(cycle)): hashlib.sha256(path.read_bytes()).hexdigest()
+                     for path in sorted((cycle / job.kind).rglob("*")) if path.is_file()}
+            results[job.kind] = (run.returncode, run.stdout, files)
+    return results
+
+
+def differences(old: tuple, new: tuple) -> list:
+    """The names of what differs between two results of one job."""
+    names = [name for name, a, b in (("exit code", old[0], new[0]), ("stdout", old[1], new[1]))
+             if a != b]
+    return names + sorted(name for name in set(old[2]) | set(new[2])
+                          if old[2].get(name) != new[2].get(name))
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        raise SystemExit("usage: python tools/same_outputs.py REV")
+    rev = argv[1]
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+        tree = Path(tmp) / "rev"
+        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(tree), rev],
+                       cwd=ROOT, check=True)
+        try:
+            old = run_side(tree / "src", Path(tmp) / "old")
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT,
+                           check=True)
+        new = run_side(ROOT / "src", Path(tmp) / "new")
+    differing = 0
+    for kind in old:
+        names = differences(old[kind], new[kind])
+        differing += bool(names)
+        verdict = "differs: " + ", ".join(names) if names else (
+            f"exit code {new[kind][0]}, stdout and {len(new[kind][2])} file(s) identical")
+        print(f"{kind}: {verdict}")
+    print(f"{differing} of {len(old)} jobs differ from {rev}" if differing
+          else f"all {len(old)} jobs identical to {rev}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
