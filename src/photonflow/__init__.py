@@ -13,8 +13,7 @@ from .errors import (ConfigError, DCContentError, FieldValidationError,
                      GuidanceNodeError, InternalConsistencyError,
                      OffGridWaveVectorError, PhotonflowError, RangeError,
                      RepresentationError, TransversalityError, ZeroFieldError)
-from .fields import (GridSpec, WeberGrid, energy_density, poynting_vector,
-                     total_energy)
+from .fields import GridSpec, WeberGrid, total_energy
 from .spectral import (advance, evolve, forward_transform, inverse_transform,
                        klein_gordon_residual, project_transverse,
                        transversality_residual)
@@ -24,15 +23,14 @@ from .photon import (PHI_BASED, WEBER_BASED, PhotonWaveFunction,
                      photon_wavefunction, probability_flow, to_position,
                      weber_probability_flow)
 from .planewaves import (PRESETS, CircularPlaneWave, PlaneWaveSuperposition,
-                         analytic_probability_flow, analytic_weber_flow,
-                         copropagating_pair, counterprop_pair, eval_weber,
-                         place, polarization_basis, sample_to_grid, single_wave)
+                         analytic_probability_flow, copropagating_pair,
+                         counterprop_pair, eval_weber, place, polarization_basis,
+                         sample_to_grid, single_wave)
 from .lorentz import (Boost, FourVectorAudit, audit_four_vector,
                       audit_to_json, boost_event,
                       boost_plane_wave, boost_wave_vector, field_boost,
                       fourvector_transform_flow, velocity_addition)
 from .bohm import (FrameConsistency, Trajectory, frame_consistency_check,
                    guidance_velocity, integrate_trajectories,
-                   integrate_trajectory, sample_points_on_line,
-                   transport_ensemble)
+                   sample_points_on_line, transport_ensemble)
 from .fieldio import read_weber, write_weber

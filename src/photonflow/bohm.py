@@ -15,10 +15,10 @@ component amplitude norms), so it does not depend on where the state is
 evaluated.
 
 _rk4 is the one integrator: a fixed-step RK4 pass over an array of points,
-four guidance evaluations a step, each covering every point.
-integrate_trajectories keeps every knot of that pass and cuts each point's
-Trajectory at its first node stop; integrate_trajectory is its one-point
-case, and transport_ensemble keeps only the final knot.
+four guidance evaluations a step, each covering every point.  It serves
+integrate_trajectories, which keeps every knot of the pass and cuts each
+point's Trajectory at its first node stop, and transport_ensemble, which
+keeps only the final knot.
 
 The frame-consistency check compares, at one event, the velocity
 obtained by relativistically transforming the rest-frame velocity
@@ -164,14 +164,6 @@ def integrate_trajectories(state: PlaneWaveSuperposition, points, t0: float, t1:
     return [Trajectory(times[:stop], positions[i, :stop], velocities[i, :stop], guidance,
                        bool(stop < len(times)))
             for i, stop in enumerate(stops)]
-
-
-def integrate_trajectory(state: PlaneWaveSuperposition, x0, t0: float, t1: float,
-                         step: float, guidance: str = PHI_BASED, *, c: float = 1.0,
-                         hbar: float = 1.0, node_floor_rel: float = _NODE_FLOOR_REL) -> Trajectory:
-    """The trajectory from (x0, t0): integrate_trajectories for one point."""
-    return integrate_trajectories(state, np.reshape(x0, (1, 3)), t0, t1, step, guidance,
-                                  c=c, hbar=hbar, node_floor_rel=node_floor_rel)[0]
 
 
 def transport_ensemble(state: PlaneWaveSuperposition, points, t0: float, t1: float,

@@ -38,9 +38,10 @@ command's own checks; only then is --out created.  Every key is checked
 against one schema (``SCHEMA``); an unknown key or a bad value exits 2 and
 names the field path.  The work a config asks for is bounded the same
 way (``_check_budget``: grid field bytes, trajectory point-knots, audit
-samples).  units.c and units.hbar must lie in [1e-100, 1e100]
-(``_check_units``), and grid.L in [1e-40, 1e40], the ranges GridSpec
-accepts.  Boost speeds are given as fractions of c.
+samples).  units.c and units.hbar must lie in [1e-100, 1e100], and grid.L
+in [1e-40, 1e40], the ranges GridSpec accepts.  Boost speeds are given as
+fractions of c.  A state whose wave amplitudes overflow in the config's
+units exits 2 naming state (doubleslit.intensity_ratio for doubleslit).
 Tolerances are overridden per key with ``--tolerance KEY=VALUE`` (keys
 listed by ``photonflow info``); every value must be finite and > 0.
 """
@@ -66,7 +67,8 @@ from .fields import (_BOX_LENGTH_RANGE, _UNIT_RANGE, MOMENTUM, POSITION, GridSpe
 from .lorentz import _AUDIT_TOL, Boost, audit_four_vector, audit_to_json
 from .photon import (DEFAULT_DC_TOLERANCE, PHI_BASED, WEBER_BASED, check_dc_share,
                      density_profile_y, normalize_single_photon, photon_count)
-from .planewaves import PRESETS, CircularPlaneWave, PlaneWaveSuperposition, place
+from .planewaves import (PRESETS, CircularPlaneWave, CompiledState, PlaneWaveSuperposition,
+                         place)
 from .spectral import _TRANSVERSALITY_TOL, advance, forward_transform_in_place
 
 # --- config schema ------------------------------------------------------------
@@ -180,8 +182,7 @@ def _state(value, path):
 
 
 SCHEMA = {
-    # c and hbar must also lie in fields._UNIT_RANGE (_check_units)
-    "units": {"c": (1.0, _positive), "hbar": (1.0, _positive)},
+    "units": {"c": (1.0, _within(_UNIT_RANGE)), "hbar": (1.0, _within(_UNIT_RANGE))},
     "grid": {"n": (32, _integer(2)), "L": (2.0 * np.pi, _within(_BOX_LENGTH_RANGE))},
     "state": ({"preset": "single-wave"}, _state),
     "boost": {"direction": ([0.0, 0.0, 1.0], _direction), "u": (0.5, _fraction_of_c)},
@@ -260,22 +261,6 @@ def _check_budget(config):
     if samples > _AUDIT_SAMPLES_LIMIT:
         raise ConfigError(f"audit.samples = {samples} is over the limit of "
                           f"{_AUDIT_SAMPLES_LIMIT}", field="audit.samples")
-
-
-def _check_units(units):
-    """Raise ConfigError naming units.c or units.hbar if it lies outside
-    fields._UNIT_RANGE, the range GridSpec accepts.
-
-    Each command runs this on the config's units before it evaluates a
-    wave, builds a GridSpec or creates its output directory, after its
-    checks of the boost (so that a speed that rounds to c is named as such).
-    """
-    low, high = _UNIT_RANGE
-    for key in ("c", "hbar"):
-        if not low <= units[key] <= high:
-            name = f"units.{key}"
-            raise ConfigError(f"{name}: {key} = {units[key]!r} is outside the supported "
-                              f"range [{low:g}, {high:g}]", field=name)
 
 
 def _resolve(table, given, path):
@@ -360,6 +345,16 @@ def build_state(config) -> PlaneWaveSuperposition:
     return PlaneWaveSuperposition(waves)
 
 
+def _finite(state, units, field):
+    """``state``, once CompiledState finds its Weber and phi amplitudes finite in
+    ``units``; one that is not is a ConfigError naming ``field``."""
+    try:
+        CompiledState(state, units["c"], units["hbar"])
+    except FieldValidationError as exc:
+        raise ConfigError(f"{field}: {exc}", field=field) from exc
+    return state
+
+
 def _evolve_to(weber, t, tol, field):
     """Advance ``weber`` in place to time t and return its FieldSums; a step
     advance rejects (one whose angle |k| c dt is not finite) is a ConfigError
@@ -368,15 +363,6 @@ def _evolve_to(weber, t, tol, field):
         return advance(weber, t - weber.time, transversality_tol=tol["transversality"])
     except FieldValidationError as exc:
         raise ConfigError(f"{field}: cannot evolve to t = {t!r}: {exc}", field=field) from exc
-
-
-def _boost(direction, u, c, field):
-    """Boost(direction, u c, c); one the library rejects (u c rounds to c when c
-    is tiny) is a ConfigError naming ``field``."""
-    try:
-        return Boost(direction, u * c, c)
-    except PhotonflowError as exc:
-        raise ConfigError(f"{field}: {exc}", field=field) from exc
 
 
 # --- evolve -----------------------------------------------------------------
@@ -404,9 +390,8 @@ def cmd_evolve(config, tol, seed, out):
             forward_transform_in_place(weber)
     else:
         grid, units = config["grid"], config["units"]
-        _check_units(units)
         spec = GridSpec(grid["n"], grid["L"], units["c"], units["hbar"])
-        weber = place(build_state(config), spec)
+        weber = place(_finite(build_state(config), units, "state"), spec)
     if section["normalize"]:
         weber = normalize_single_photon(weber, dc_tolerance=tol["dc"])
     yield
@@ -446,9 +431,8 @@ def cmd_boost_audit(config, tol, seed, out):
     c, hbar = config["units"]["c"], config["units"]["hbar"]
     section = config["audit"]
     u, k_right, k_left = section["u"], section["k_right"], section["k_left"]
-    z_boost = _boost([0.0, 0.0, 1.0], u, c, "audit.u")
-    x_boost = _boost([1.0, 0.0, 0.0], u, c, "audit.u")
-    _check_units(config["units"])
+    z_boost = Boost([0.0, 0.0, 1.0], u * c, c)
+    x_boost = Boost([1.0, 0.0, 0.0], u * c, c)
     yield
 
     single = single_wave(k_right, 1.0)
@@ -486,11 +470,10 @@ def cmd_boost_audit(config, tol, seed, out):
 
 def cmd_trajectories(config, tol, seed, out):
     c, hbar = config["units"]["c"], config["units"]["hbar"]
-    state = build_state(config)
-    boost = _boost(config["boost"]["direction"], config["boost"]["u"], c, "boost")
+    state = _finite(build_state(config), config["units"], "state")
+    boost = Boost(config["boost"]["direction"], config["boost"]["u"] * c, c)
     section = config["trajectories"]
     guidance, t0, t1, step = section["guidance"], section["t0"], section["t1"], section["step"]
-    _check_units(config["units"])
     yield
 
     points = section["initial_points"]
@@ -589,9 +572,9 @@ def _fringe_measurement(profile, box_length):
 
 def cmd_doubleslit(config, tol, seed, out):
     grid, units, section = config["grid"], config["units"], config["doubleslit"]
-    _check_units(units)
     spec = GridSpec(grid["n"], grid["L"], units["c"], units["hbar"])
-    state = build_slit_state(section, spec)
+    # only the second source's intensity can take an amplitude beyond a float
+    state = _finite(build_slit_state(section, spec), units, "doubleslit.intensity_ratio")
     weber = place(state, spec)
     yield
 

@@ -6,18 +6,8 @@ The state is carried by a single complex 3-vector field, the Weber
     F = E + i B ,
 
 sampled on a periodic cubic box of edge L with n points per axis,
-x_i = i L/n.  The classical local observables are quadratic in F:
-
-    energy density   rho_E(x) = (1/8pi) F* . F = (E^2 + B^2)/8pi
-    energy flux      S(x)     = (c/8pi i) F* x F = (c/4pi) E x B .
-
-F* x F is purely imaginary componentwise, so S is real; the Poynting
-routine checks the (roundoff-level) real residue of F* x F before
-discarding it.
-
-Spin-1 matrices (s_a)_{jk} = -i eps_{ajk} are provided as constants; for
-any complex 3-vectors a, b they satisfy a^dag s b = -i a* x b, which is
-how the probability current is written elsewhere in the package.
+x_i = i L/n.  Its energy density and flux are the weber-based flow recipe
+(photon.weber_probability_flow); total_energy sums the density over the box.
 
 Arrays are indexed [ix, iy, iz, component].  A WeberGrid holds its field
 in the byte order of the PHWF1 payload (see fieldio): component fastest,
@@ -35,24 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (FieldValidationError, InternalConsistencyError, RangeError,
-                     RepresentationError)
+from .errors import FieldValidationError, RangeError, RepresentationError
 
 POSITION = "position"
 MOMENTUM = "momentum"
 
 _REPRESENTATIONS = (POSITION, MOMENTUM)
-
-# (SPIN[a])[j, k] = -i eps_{ajk}; these obey [s_a, s_b] = i eps_{abc} s_c.
-_EPS = np.zeros((3, 3, 3))
-for _a, _b, _c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS[_a, _b, _c] = 1.0
-    _EPS[_a, _c, _b] = -1.0
-SPIN = -1j * _EPS
-S1, S2, S3 = SPIN[0], SPIN[1], SPIN[2]
-
-# poynting_vector's bound on the real residue of F* x F, relative to its scale
-_RESIDUE_TOL = 1e-10
 
 # The supported range of c and hbar.  Beyond it the closed forms under- or
 # overflow on ordinary inputs: c^2 in a boost, I / c in a wave amplitude,
@@ -246,34 +224,6 @@ class WeberGrid:
 
     def copy(self) -> "WeberGrid":
         return WeberGrid(self.field.copy(order="K"), self.spec, self.representation, self.time)
-
-
-def energy_density(weber: WeberGrid) -> np.ndarray:
-    """rho_E(x) = (1/8pi) F* . F, a nonnegative (n, n, n) array."""
-    require_representation(weber, POSITION, "energy_density")
-    f = weber.field
-    return (f.real ** 2 + f.imag ** 2).sum(axis=-1) / (8.0 * np.pi)
-
-
-def poynting_vector(weber: WeberGrid) -> np.ndarray:
-    """S(x) = (c/8pi i) F* x F = (c/4pi) E x B, a real (n, n, n, 3) array.
-
-    F* x F is purely imaginary in exact (and, componentwise, in IEEE)
-    arithmetic; the real residue is checked against _RESIDUE_TOL
-    relative to mean(|S|) + mean(rho_E) c before being discarded.
-    """
-    require_representation(weber, POSITION, "poynting_vector")
-    c = weber.spec.c
-    cross = np.cross(weber.field.conj(), weber.field)
-    s = (c / (8.0 * np.pi)) * cross.imag
-    residue = (c / (8.0 * np.pi)) * np.abs(cross.real).max(initial=0.0)
-    scale = np.mean(np.linalg.norm(s, axis=-1)) + np.mean(energy_density(weber)) * c
-    # "not <=" so that a NaN residue or scale fails the gate; a zero field passes
-    if not residue <= _RESIDUE_TOL * scale:
-        raise InternalConsistencyError(
-            f"Poynting vector has real residue {residue:.3e} above "
-            f"{_RESIDUE_TOL:.1e} * scale ({scale:.3e})")
-    return s
 
 
 def total_energy(weber: WeberGrid) -> float:

@@ -19,7 +19,9 @@ the phi-based recipe.  The rival weber-based recipe reads the classical
 energy density and flux as the flow, divided by the box total energy so
 that rho integrates to one:
 
-    rho = rho_E / E_box          J = S / E_box .
+    rho = rho_E / E_box          J = S / E_box ,
+
+with rho_E = (1/8pi) F* . F and S = (c/8pi i) F* x F = (c/4pi) E x B.
 
 Both recipes obey |J| <= c rho pointwise and a continuity equation;
 continuity_residual verifies the latter numerically for either recipe.
@@ -44,10 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DCContentError, ZeroFieldError
-from .fields import (MOMENTUM, POSITION, GridSpec, WeberGrid, energy_density, over_planes,
-                     plane_view, poynting_vector, require_representation, sum_in_order,
-                     total_energy)
+from .errors import DCContentError, FieldValidationError, ZeroFieldError
+from .fields import (MOMENTUM, POSITION, GridSpec, WeberGrid, over_planes, plane_view,
+                     require_representation, sum_in_order, total_energy)
 from .planewaves import PHI_BASED, WEBER_BASED, _recipe_flow, flow_recipe
 from .spectral import _TWO_PI_3_2, _fft_inverse, evolve, inverse_transform, kgrid
 
@@ -205,15 +206,18 @@ def weber_probability_flow(weber: WeberGrid) -> ProbabilityFlow:
     """weber-based recipe: rho = rho_E / E_box, J = S / E_box.
 
     The normalizing constant is the box total energy, the unique choice
-    with units of energy that makes rho integrate to one over the box.
+    with units of energy that makes rho integrate to one over the box.  A
+    field whose total energy is not finite (a NaN or inf entry) raises
+    FieldValidationError, a zero field ZeroFieldError.
     """
     require_representation(weber, POSITION, "weber_probability_flow")
     e_box = total_energy(weber)
+    if not np.isfinite(e_box):
+        raise FieldValidationError(f"field has total energy {e_box!r}; it must be finite")
     if e_box == 0.0:
         raise ZeroFieldError("zero field has no normalizable energy density")
-    rho = energy_density(weber) / e_box
-    current = poynting_vector(weber) / e_box
-    return ProbabilityFlow(rho, current, WEBER_BASED, weber.spec, weber.time)
+    rho_e, flux = _recipe_flow(flow_recipe(WEBER_BASED), weber.field, weber.spec.c)
+    return ProbabilityFlow(rho_e / e_box, flux / e_box, WEBER_BASED, weber.spec, weber.time)
 
 
 def _flow_of(weber_momentum: WeberGrid, recipe: str,

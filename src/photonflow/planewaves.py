@@ -29,7 +29,8 @@ place builds the momentum-representation grid field of a state directly
 from its compiled mode arrays; sample_to_grid evaluates the same state at
 the grid nodes, the independent route that tests compare place against.
 
-Flow recipes evaluated here in closed form:
+Flow recipes, evaluated in closed form here and on the grid by photon,
+both through _recipe_flow, the one evaluator of each recipe:
 
     phi-based    rho = phi^dag phi            J = -i c phi* x phi
     weber-based  rho_E = (1/8pi) F^dag F      S = (c/8pi i) F* x F
@@ -222,11 +223,6 @@ def analytic_probability_flow(state: PlaneWaveSuperposition, x, t,
                               c: float = 1.0, hbar: float = 1.0) -> tuple:
     """(rho, J) of the phi-based recipe in closed form at (x, t)."""
     return CompiledState(state, c, hbar).flow(flow_recipe(PHI_BASED), x, t)
-
-
-def analytic_weber_flow(state: PlaneWaveSuperposition, x, t, c: float = 1.0) -> tuple:
-    """(rho_E, S) = energy density and Poynting flux in closed form at (x, t)."""
-    return CompiledState(state, c).flow(flow_recipe(WEBER_BASED), x, t)
 
 
 def _check_on_grid(state: PlaneWaveSuperposition, spec: GridSpec):

@@ -8,12 +8,10 @@ from numpy.testing import assert_allclose
 from photonflow import (Boost, CircularPlaneWave, FieldValidationError,
                         GridSpec, GuidanceNodeError, InternalConsistencyError,
                         PlaneWaveSuperposition, analytic_probability_flow,
-                        analytic_weber_flow, audit_four_vector,
-                        boost_plane_wave, continuity_residual,
+                        audit_four_vector, boost_plane_wave, continuity_residual,
                         forward_transform,
                         frame_consistency_check, guidance_velocity,
-                        integrate_trajectories, integrate_trajectory,
-                        sample_points_on_line,
+                        integrate_trajectories, sample_points_on_line,
                         sample_to_grid, transport_ensemble)
 from photonflow import bohm, planewaves
 from photonflow.photon import PHI_BASED, WEBER_BASED
@@ -22,6 +20,12 @@ from photonflow.planewaves import (CompiledState, copropagating_pair,
 
 X_HAT = np.array([1.0, 0.0, 0.0])
 Z_HAT = np.array([0.0, 0.0, 1.0])
+
+
+def _trajectory(state, x0, *args, **kwargs):
+    """The one-point case of integrate_trajectories."""
+    return integrate_trajectories(state, np.asarray(x0, dtype=float)[None], *args,
+                                  **kwargs)[0]
 
 
 def _boosted_pair():
@@ -72,7 +76,7 @@ def test_single_wave_trajectories_are_parallel_lines():
     for recipe in (PHI_BASED, WEBER_BASED):
         ends = []
         for x0 in starts:
-            traj = integrate_trajectory(single_wave(), x0, 0.0, 2.5, 0.1, recipe)
+            traj = _trajectory(single_wave(), x0, 0.0, 2.5, 0.1, recipe)
             assert_allclose(traj.positions,
                             x0 + np.outer(traj.times, Z_HAT), atol=1e-12)
             assert_allclose(np.linalg.norm(traj.velocities, axis=1), 1.0,
@@ -83,14 +87,14 @@ def test_single_wave_trajectories_are_parallel_lines():
 
 
 def test_standing_wave_trajectories_drift_at_c_over_3():
-    traj = integrate_trajectory(counterprop_pair(), np.zeros(3), 0.0, 3.0, 0.1,
+    traj = _trajectory(counterprop_pair(), np.zeros(3), 0.0, 3.0, 0.1,
                                 PHI_BASED)
     assert_allclose(traj.positions[-1], [0.0, 0.0, 1.0], atol=1e-12)
     assert traj.times[-1] == pytest.approx(3.0)
 
 
 def test_final_knot_lands_exactly_on_t1():
-    traj = integrate_trajectory(single_wave(), np.zeros(3), 0.0, 1.03, 0.25,
+    traj = _trajectory(single_wave(), np.zeros(3), 0.0, 1.03, 0.25,
                                 PHI_BASED)
     assert traj.times[-1] == 1.03
     assert_allclose(traj.positions[-1], [0.0, 0.0, 1.03], atol=1e-12)
@@ -101,10 +105,10 @@ def test_rk4_fourth_order_convergence():
     # shrinks the endpoint error about sixteenfold against a 10x-finer run
     state = _boosted_pair()
     x0 = np.array([0.3, -0.2, 0.1])
-    ref = integrate_trajectory(state, x0, 0.0, 2.0, 0.02, PHI_BASED).positions[-1]
+    ref = _trajectory(state, x0, 0.0, 2.0, 0.02, PHI_BASED).positions[-1]
     errors = []
     for h in (0.4, 0.2, 0.1):
-        end = integrate_trajectory(state, x0, 0.0, 2.0, h, PHI_BASED).positions[-1]
+        end = _trajectory(state, x0, 0.0, 2.0, h, PHI_BASED).positions[-1]
         errors.append(np.linalg.norm(end - ref))
     for coarse, fine in zip(errors, errors[1:]):
         assert 10.0 < coarse / fine < 26.0
@@ -112,7 +116,7 @@ def test_rk4_fourth_order_convergence():
 
 def test_trajectory_starting_on_node_raises():
     with pytest.raises(GuidanceNodeError):
-        integrate_trajectory(copropagating_pair(), np.array([0.0, 0.0, np.pi]),
+        _trajectory(copropagating_pair(), np.array([0.0, 0.0, np.pi]),
                              0.0, 1.0, 0.1, WEBER_BASED)
 
 
@@ -123,11 +127,11 @@ def test_trajectory_stops_when_density_crosses_the_floor():
     state = _boosted_pair()
     k_sum_hat = np.array([-np.sqrt(3.0), 0.0, -1.0]) / 2.0
     x0 = (np.pi / 2.0) * k_sum_hat  # density maximum of the trough pattern
-    traj = integrate_trajectory(state, x0, 0.0, 2.0, 0.05, PHI_BASED,
+    traj = _trajectory(state, x0, 0.0, 2.0, 0.05, PHI_BASED,
                                 node_floor_rel=0.45)
     assert traj.node_hit
     assert traj.times[-1] < 2.0
-    full = integrate_trajectory(state, x0, 0.0, 2.0, 0.05, PHI_BASED)
+    full = _trajectory(state, x0, 0.0, 2.0, 0.05, PHI_BASED)
     assert not full.node_hit
 
 
@@ -138,7 +142,7 @@ def test_speed_never_exceeds_c(rng):
         t = rng.uniform(-2.0, 2.0)
         rho, current = analytic_probability_flow(state, points, t)
         assert np.all(np.linalg.norm(current, axis=-1) <= rho * (1.0 + 1e-12))
-        rho_e, s = analytic_weber_flow(state, points, t)
+        rho_e, s = CompiledState(state).flow(flow_recipe(WEBER_BASED), points, t)
         assert np.all(np.linalg.norm(s, axis=-1) <= rho_e * (1.0 + 1e-12))
         for recipe in (PHI_BASED, WEBER_BASED):
             v = guidance_velocity(state, points, t, recipe)
@@ -151,7 +155,7 @@ def test_transport_ensemble_matches_single_trajectories():
     final, frozen = transport_ensemble(state, points, 0.0, 1.5, 0.05, PHI_BASED)
     assert not frozen.any()
     for x0, xf in zip(points, final):
-        traj = integrate_trajectory(state, x0, 0.0, 1.5, 0.05, PHI_BASED)
+        traj = _trajectory(state, x0, 0.0, 1.5, 0.05, PHI_BASED)
         assert_allclose(xf, traj.positions[-1], atol=1e-12)
 
 
@@ -191,7 +195,7 @@ def test_density_upper_bound_is_an_upper_bound(rng):
         rho, _ = analytic_probability_flow(state, points, 0.3)
         compiled = CompiledState(state)
         assert rho.max() <= compiled.density_bound(flow_recipe(PHI_BASED)) * (1 + 1e-12)
-        rho_e, _ = analytic_weber_flow(state, points, 0.3)
+        rho_e, _ = CompiledState(state).flow(flow_recipe(WEBER_BASED), points, 0.3)
         assert rho_e.max() <= compiled.density_bound(flow_recipe(WEBER_BASED)) * (1 + 1e-12)
     # a single wave saturates the bound
     assert_allclose(CompiledState(single_wave()).density_bound(flow_recipe(PHI_BASED)), 1.0,
@@ -232,7 +236,7 @@ def test_rk4_reuses_the_knot_velocity_as_k1(monkeypatch):
         return real(compiled, recipe, x, t, floor)
 
     monkeypatch.setattr(bohm, "_velocity_masked", recorded)
-    traj = integrate_trajectory(counterprop_pair(), np.zeros(3), 0.0, 1.0, 0.1,
+    traj = _trajectory(counterprop_pair(), np.zeros(3), 0.0, 1.0, 0.1,
                                 PHI_BASED)
     assert len(traj.times) - 1 == 10
     # the start knot, then k2, k3, k4 and the new knot's velocity per step
@@ -271,7 +275,7 @@ def test_integrate_trajectories_equals_per_point_runs_bit_for_bit(rng, recipe):
     for x0, batched in zip(points, batch):
         reference = _one_point_loop(state, x0, 1.3, recipe)
         _assert_same_trajectory(batched, reference, recipe)
-        _assert_same_trajectory(integrate_trajectory(state, x0, 0.0, 1.3, 0.05, recipe),
+        _assert_same_trajectory(_trajectory(state, x0, 0.0, 1.3, 0.05, recipe),
                                 reference, recipe)
 
 
@@ -288,7 +292,7 @@ def test_integrate_trajectories_cuts_each_point_at_its_own_node_stop():
     for x0, batched in zip(points, batch):
         reference = _one_point_loop(state, x0, 2.0, PHI_BASED, node_floor_rel=0.45)
         _assert_same_trajectory(batched, reference, PHI_BASED)
-        _assert_same_trajectory(integrate_trajectory(state, x0, 0.0, 2.0, 0.05, PHI_BASED,
+        _assert_same_trajectory(_trajectory(state, x0, 0.0, 2.0, 0.05, PHI_BASED,
                                                      node_floor_rel=0.45),
                                 reference, PHI_BASED)
 
@@ -297,7 +301,7 @@ def test_integrate_trajectories_rejects_a_point_that_starts_on_a_node():
     state = copropagating_pair()
     node = np.array([0.0, 0.0, np.pi])
     with pytest.raises(GuidanceNodeError) as single:
-        integrate_trajectory(state, node, 0.0, 1.0, 0.1, WEBER_BASED)
+        _trajectory(state, node, 0.0, 1.0, 0.1, WEBER_BASED)
     with pytest.raises(GuidanceNodeError) as batched:
         integrate_trajectories(state, [[0.0, 0.0, 0.5], node], 0.0, 1.0, 0.1,
                                WEBER_BASED)
@@ -316,7 +320,7 @@ def test_transport_ensemble_stops_points_where_trajectories_stop():
                                        node_floor_rel=0.45)
     assert frozen.all()
     for x0, xf in zip(points[:2], final[:2]):
-        traj = integrate_trajectory(state, x0, 0.0, 2.0, 0.05, PHI_BASED,
+        traj = _trajectory(state, x0, 0.0, 2.0, 0.05, PHI_BASED,
                                     node_floor_rel=0.45)
         assert traj.node_hit
         assert_allclose(xf, traj.positions[-1], atol=1e-12)
@@ -326,10 +330,10 @@ def test_transport_ensemble_stops_points_where_trajectories_stop():
 @pytest.mark.parametrize("call", [
     lambda: guidance_velocity(single_wave(), [[np.nan, 0.0, 0.0]], 0.0),
     lambda: guidance_velocity(single_wave(), np.zeros((1, 3)), np.inf),
-    lambda: integrate_trajectory(single_wave(), [np.nan, 0.0, 0.0], 0.0, 1.0, 0.1),
-    lambda: integrate_trajectory(single_wave(), np.zeros(3), np.nan, 1.0, 0.1),
-    lambda: integrate_trajectory(single_wave(), np.zeros(3), 0.0, np.inf, 0.1),
-    lambda: integrate_trajectory(single_wave(), np.zeros(3), 0.0, 1.0, np.nan),
+    lambda: _trajectory(single_wave(), [np.nan, 0.0, 0.0], 0.0, 1.0, 0.1),
+    lambda: _trajectory(single_wave(), np.zeros(3), np.nan, 1.0, 0.1),
+    lambda: _trajectory(single_wave(), np.zeros(3), 0.0, np.inf, 0.1),
+    lambda: _trajectory(single_wave(), np.zeros(3), 0.0, 1.0, np.nan),
     lambda: transport_ensemble(single_wave(), [[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]],
                                0.0, 1.0, 0.1),
 ], ids=["point", "time", "x0", "t0", "t1", "step", "ensemble"])
@@ -356,7 +360,7 @@ def _momentum_single_wave():
 
 @pytest.mark.parametrize("call", [
     lambda r: guidance_velocity(single_wave(), np.zeros((1, 3)), 0.0, r),
-    lambda r: integrate_trajectory(single_wave(), np.zeros(3), 0.0, 1.0, 0.1, r),
+    lambda r: integrate_trajectories(single_wave(), np.zeros((1, 3)), 0.0, 1.0, 0.1, r),
     lambda r: transport_ensemble(single_wave(), np.zeros((2, 3)), 0.0, 1.0, 0.1, r),
     lambda r: sample_points_on_line(single_wave(), np.zeros(3), Z_HAT, 1.0, 4,
                                     np.random.default_rng(0), r),
@@ -364,7 +368,7 @@ def _momentum_single_wave():
                                       0.0, r),
     lambda r: audit_four_vector(single_wave(), Boost(X_HAT, 0.5), r),
     lambda r: continuity_residual(_momentum_single_wave(), r, 0.01),
-], ids=["guidance_velocity", "integrate_trajectory",
+], ids=["guidance_velocity", "integrate_trajectories",
         "transport_ensemble", "sample_points_on_line", "frame_consistency_check",
         "audit_four_vector", "continuity_residual"])
 def test_unknown_recipe_is_rejected_by_the_recipe_table(call):

@@ -572,9 +572,9 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
      "trajectories.initial_points"),
     ("boost-audit", {"audit": {"samples": 10 ** 17}}, "audit.samples"),
     ("trajectories", {"trajectories": {"t0": 1.0, "t1": 0.5}}, "trajectories.t1"),
-    # u c rounds to c when c is the smallest subnormal, so Boost rejects the speed
-    ("boost-audit", {"units": {"c": 5e-324}, "audit": {"u": 0.9}}, "audit.u"),
-    ("trajectories", {"units": {"c": 5e-324}, "boost": {"u": 0.9}}, "boost"),
+    # u c would round to c at the smallest subnormal c, which is outside the unit range
+    ("boost-audit", {"units": {"c": 5e-324}, "audit": {"u": 0.9}}, "units.c"),
+    ("trajectories", {"units": {"c": 5e-324}, "boost": {"u": 0.9}}, "units.c"),
     # units outside their range: I / c overflows in a wave amplitude, c^2
     # underflows in a boost
     ("trajectories", {"units": {"c": 5e-324}}, "units.c"),
@@ -667,18 +667,23 @@ def test_work_limits_sit_where_their_comment_says(tmp_path):
         load_config(_write_config(tmp_path, at_limit))
 
 
-@pytest.mark.parametrize("command, config", [
-    ("evolve", {"grid": {"n": 8}, "state": {"components": [{"k": [0, 0, 1], "I": 1e308},
-                                                           {"k": [0, 0, 2], "I": 1.0}]}}),
-    ("doubleslit", {"grid": {"n": 16}, "doubleslit": {"intensity_ratio": 1e308}}),
-], ids=["evolve", "doubleslit"])
+_OVERFLOWING_STATE = {"state": {"components": [{"k": [0, 0, 1], "I": 1e308},
+                                               {"k": [0, 0, 2], "I": 1.0}]}}
+
+
+@pytest.mark.parametrize("command, config, field", [
+    ("evolve", dict(_OVERFLOWING_STATE, grid={"n": 8}), "state"),
+    ("trajectories", _OVERFLOWING_STATE, "state"),
+    ("doubleslit", {"grid": {"n": 16}, "doubleslit": {"intensity_ratio": 1e308}},
+     "doubleslit.intensity_ratio"),
+], ids=["evolve", "trajectories", "doubleslit"])
 def test_an_overflowing_amplitude_exits_non_zero_and_writes_nothing(tmp_path, capsys,
-                                                                   command, config):
+                                                                   command, config, field):
     # sqrt(4 pi I / c) overflows: the wave must not be dropped as if it had cancelled
     rc, out = _run(tmp_path, command, config=config)
-    assert rc != 0
+    assert rc == 2
     err = capsys.readouterr().err
-    assert "is not finite" in err
+    assert "is not finite" in err and f"(field: {field})" in err
     assert "Traceback" not in err and "Warning" not in err
     assert not out.exists()
 
@@ -690,12 +695,11 @@ def test_state_file_combined_with_preset_exits_2(tmp_path):
     assert rc == 2
 
 
-# one check each command makes itself before --out is created: the units
-# for evolve, a boost speed that rounds to c, modes beyond the grid
+# one check each command makes itself before --out is created: a state whose
+# amplitudes overflow, modes beyond the grid; boost-audit makes none of its own
 _COMMAND_CHECK = {
-    "evolve": ({"units": {"hbar": 1e101}}, "units.hbar"),
-    "boost-audit": ({"units": {"c": 5e-324}, "audit": {"u": 0.9}}, "audit.u"),
-    "trajectories": ({"units": {"c": 5e-324}, "boost": {"u": 0.9}}, "boost"),
+    "evolve": (dict(_OVERFLOWING_STATE, grid={"n": 8}), "state"),
+    "trajectories": (_OVERFLOWING_STATE, "state"),
     "doubleslit": ({"grid": {"n": 8}, "doubleslit": {"forward_mode": 4}}, "doubleslit"),
 }
 _BAD_KEY, _BAD_TOLERANCE = {"grdi": {"n": 8}}, ["--tolerance", "audit=0"]
@@ -704,7 +708,7 @@ _STATE_FILE = {"state": {"file": "x.phwf"}}
 
 def _order_case(command, stage):
     """(config, extra arguments, the field the error must name) of one stage."""
-    check_config, check_field = _COMMAND_CHECK[command]
+    check_config, check_field = _COMMAND_CHECK.get(command, ({}, None))
     return {
         "config": (_BAD_KEY, [], "grdi"),
         "tolerance": (None, _BAD_TOLERANCE, "tolerance.audit"),
@@ -724,7 +728,8 @@ def _order_case(command, stage):
                   "config-before-tolerance", "tolerance-before-state-file",
                   "state-file-before-command-check")
     # evolve reads state.file: a missing file is evolve's own check
-    if not (command == "evolve" and stage.startswith("state-file"))])
+    if not (command == "evolve" and stage.startswith("state-file"))
+    and not (command == "boost-audit" and stage.endswith("command-check"))])
 def test_every_command_checks_its_input_in_one_order_before_creating_out(
         tmp_path, capsys, command, stage):
     config, extra, field = _order_case(command, stage)

@@ -1,4 +1,4 @@
-"""Field container, spin matrices, and the energy/flux densities."""
+"""Field container, grid spec, and the energy/flux densities of the weber-based flow."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,9 @@ from numpy.testing import assert_allclose
 
 import photonflow
 from photonflow import (Boost, CircularPlaneWave, GridSpec, PhotonWaveFunction, WeberGrid,
-                        energy_density, poynting_vector, sample_to_grid,
-                        single_wave, total_energy)
-from photonflow.errors import (FieldValidationError, InternalConsistencyError,
-                               RepresentationError)
-from photonflow.fields import MOMENTUM, POSITION, S1, S2, S3, SPIN
+                        sample_to_grid, single_wave, total_energy, weber_probability_flow)
+from photonflow.errors import FieldValidationError, RepresentationError
+from photonflow.fields import MOMENTUM, POSITION
 from photonflow.spectral import forward_transform
 
 
@@ -20,28 +18,11 @@ def _random_weber(spec, rng):
     return WeberGrid(field, spec)
 
 
-def test_spin_commutators_by_direct_multiplication():
-    # [s_a, s_b] = i eps_{abc} s_c, checked entry by entry.
-    s = [S1, S2, S3]
-    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        comm = s[a] @ s[b] - s[b] @ s[a]
-        assert_allclose(comm, 1j * s[c], atol=1e-15)
-
-
-def test_spin_matrices_are_hermitian_with_spin_one_casimir():
-    for s in (S1, S2, S3):
-        assert_allclose(s, s.conj().T, atol=0)
-    casimir = S1 @ S1 + S2 @ S2 + S3 @ S3
-    assert_allclose(casimir, 2.0 * np.eye(3), atol=1e-15)
-
-
-def test_spin_contraction_is_cross_product(rng):
-    # a . s b = -i a* x b for the entrywise definition (s_a)_{jk} = -i eps_{ajk}.
-    for _ in range(20):
-        a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        via_spin = np.einsum("i,aij,j->a", a.conj(), SPIN, b)
-        assert_allclose(via_spin, -1j * np.cross(a.conj(), b), atol=1e-14)
+def _energy_density_and_flux(weber):
+    """(rho_E, S): the weber-based flow times the box energy it was divided by."""
+    flow = weber_probability_flow(weber)
+    e_box = total_energy(weber)
+    return flow.rho * e_box, flow.current * e_box
 
 
 def test_grid_spec_geometry():
@@ -63,7 +44,7 @@ def test_energy_density_matches_eb_formula(spec8, rng):
     b = rng.standard_normal(shape)
     weber = WeberGrid(e + 1j * b, spec8)
     expected = ((e ** 2).sum(axis=-1) + (b ** 2).sum(axis=-1)) / (8.0 * np.pi)
-    assert_allclose(energy_density(weber), expected, rtol=1e-14)
+    assert_allclose(_energy_density_and_flux(weber)[0], expected, rtol=1e-14)
 
 
 def test_poynting_matches_eb_cross_product(spec8, rng):
@@ -72,24 +53,22 @@ def test_poynting_matches_eb_cross_product(spec8, rng):
     b = rng.standard_normal(shape)
     weber = WeberGrid(e + 1j * b, spec8)
     expected = spec8.c / (4.0 * np.pi) * np.cross(e, b)
-    assert_allclose(poynting_vector(weber), expected, rtol=1e-13, atol=1e-15)
+    assert_allclose(_energy_density_and_flux(weber)[1], expected, rtol=1e-13, atol=1e-15)
 
 
 def test_energy_flux_never_exceeds_c_times_density(spec8, rng):
     for _ in range(5):
         weber = _random_weber(spec8, rng)
-        rho = energy_density(weber)
-        s = np.linalg.norm(poynting_vector(weber), axis=-1)
-        assert np.all(s <= spec8.c * rho * (1.0 + 1e-12))
+        rho, s = _energy_density_and_flux(weber)
+        assert np.all(np.linalg.norm(s, axis=-1) <= spec8.c * rho * (1.0 + 1e-12))
 
 
-def test_poynting_residue_gate_fails_closed_on_nan(spec8, rng):
+@pytest.mark.parametrize("bad", [np.nan, complex(0.0, -np.inf)], ids=["nan", "inf"])
+def test_weber_flow_rejects_a_non_finite_field(spec8, rng, bad):
     weber = _random_weber(spec8, rng)
-    weber.field[1, 2, 3, 0] = np.nan
-    with pytest.raises(InternalConsistencyError):
-        poynting_vector(weber)
-    zero = WeberGrid(np.zeros((8, 8, 8, 3), dtype=complex), spec8)
-    assert np.all(poynting_vector(zero) == 0.0)
+    weber.field[1, 2, 3, 0] = bad
+    with pytest.raises(FieldValidationError, match="must be finite"):
+        weber_probability_flow(weber)
 
 
 @pytest.mark.parametrize("build, name", [
@@ -113,9 +92,8 @@ def test_ill_typed_constructor_argument_is_named(build, name):
 
 def test_single_wave_energy_density_is_uniform(spec16):
     weber = sample_to_grid(single_wave(), spec16)
-    rho = energy_density(weber)
+    rho, s = _energy_density_and_flux(weber)
     assert_allclose(rho, np.full_like(rho, 1.0), rtol=1e-12)
-    s = poynting_vector(weber)
     assert_allclose(s[..., 2], np.ones_like(rho), rtol=1e-12)
     assert_allclose(s[..., :2], 0.0, atol=1e-12)
 
@@ -130,14 +108,11 @@ def test_total_energy_agrees_between_representations(spec8, rng):
 def test_zero_field_has_zero_energy(spec8):
     weber = WeberGrid(np.zeros((8, 8, 8, 3), dtype=complex), spec8)
     assert total_energy(weber) == 0.0
-    assert np.all(energy_density(weber) == 0.0)
 
 
 # every public function that needs one representation, with the arguments it
 # takes after the field; to_position and probability_flow take a wave function
 _GUARDED = [
-    ("energy_density", POSITION, ()),
-    ("poynting_vector", POSITION, ()),
     ("forward_transform", POSITION, ()),
     ("inverse_transform", MOMENTUM, ()),
     ("transversality_residual", MOMENTUM, ()),

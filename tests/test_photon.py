@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from photonflow import (GridSpec, WeberGrid, continuity_residual,
+from photonflow import (GridSpec, PhotonWaveFunction, WeberGrid, continuity_residual,
                         density_profile_y, evolve, forward_transform,
                         inverse_transform, normalize_single_photon,
                         photon_number, photon_wavefunction, probability_flow,
@@ -128,6 +128,26 @@ def test_flow_closed_form_single_wave(spec16):
     assert_allclose(flow.current[..., 2], np.ones_like(flow.rho), rtol=1e-10)
     assert_allclose(flow.current[..., :2], 0.0, atol=1e-10)
     assert flow.recipe == PHI_BASED
+
+
+def test_phi_current_is_c_phi_dagger_s_phi(rng):
+    # the paper's form J = c phi^dag s phi with the spin-1 matrices
+    # (s_a)_{jk} = -i eps_{ajk}, which obey [s_a, s_b] = i eps_{abc} s_c
+    eps = np.zeros((3, 3, 3))
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[a, b, c], eps[a, c, b] = 1.0, -1.0
+    s = -1j * eps
+    assert_allclose(s, s.conj().transpose(0, 2, 1), atol=0)
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        assert_allclose(s[a] @ s[b] - s[b] @ s[a], 1j * s[c], atol=1e-15)
+    assert_allclose(s[0] @ s[0] + s[1] @ s[1] + s[2] @ s[2], 2.0 * np.eye(3), atol=1e-15)
+    spec = GridSpec(8, 2.0 * np.pi, c=1.7)
+    phi = rng.standard_normal((8, 8, 8, 3)) + 1j * rng.standard_normal((8, 8, 8, 3))
+    flow = probability_flow(PhotonWaveFunction(phi, spec, "position"))
+    expected = spec.c * np.einsum("xyzi,aij,xyzj->xyza", phi.conj(), s, phi)
+    assert_allclose(expected.imag, 0.0, atol=1e-13)
+    assert_allclose(flow.current, expected.real, rtol=1e-12, atol=1e-13)
+    assert_allclose(flow.rho, (np.abs(phi) ** 2).sum(axis=-1), rtol=1e-14)
 
 
 def test_flow_closed_form_counterprop(spec16):

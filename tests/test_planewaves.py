@@ -5,17 +5,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from photonflow import (GridSpec, analytic_probability_flow,
-                        analytic_weber_flow, energy_density,
-                        eval_weber, evolve, forward_transform, place,
-                        photon_wavefunction, polarization_basis,
-                        poynting_vector, probability_flow, sample_to_grid,
-                        to_position)
+from photonflow import (GridSpec, analytic_probability_flow, eval_weber, evolve,
+                        forward_transform, place, photon_wavefunction,
+                        polarization_basis, probability_flow, sample_to_grid,
+                        to_position, total_energy, weber_probability_flow)
 from photonflow.errors import FieldValidationError, OffGridWaveVectorError
 from photonflow.planewaves import (PRESETS, CircularPlaneWave, CompiledState,
-                                   PlaneWaveSuperposition,
+                                   PlaneWaveSuperposition, WEBER_BASED,
                                    copropagating_pair, counterprop_pair,
-                                   single_wave)
+                                   flow_recipe, single_wave)
 
 
 def _random_directions(rng, count):
@@ -119,9 +117,9 @@ def test_analytic_flow_closed_forms(rng):
     assert_allclose(current2[:, :2], 0.0, atol=1e-13)
 
 
-def test_analytic_weber_flow_closed_forms(rng):
+def test_closed_form_weber_flow_of_the_standing_wave(rng):
     x = rng.uniform(-5, 5, size=(40, 3))
-    rho_e, s = analytic_weber_flow(counterprop_pair(), x, 0.3)
+    rho_e, s = CompiledState(counterprop_pair()).flow(flow_recipe(WEBER_BASED), x, 0.3)
     assert_allclose(rho_e, 2.0, rtol=1e-13)
     assert_allclose(s, 0.0, atol=1e-12)
 
@@ -143,10 +141,12 @@ def test_grid_flows_match_analytic_flows(spec16):
     rho, current = analytic_probability_flow(state, mesh, 0.0)
     assert_allclose(flow.rho, rho, rtol=1e-10)
     assert_allclose(flow.current, current, atol=1e-10)
-    rho_e, s = analytic_weber_flow(state, mesh, 0.0)
+    rho_e, s = CompiledState(state).flow(flow_recipe(WEBER_BASED), mesh, 0.0)
     weber = sample_to_grid(state, spec16)
-    assert_allclose(energy_density(weber), rho_e, rtol=1e-10)
-    assert_allclose(poynting_vector(weber), s, atol=1e-10)
+    flow = weber_probability_flow(weber)
+    e_box = total_energy(weber)
+    assert_allclose(flow.rho * e_box, rho_e, rtol=1e-10)
+    assert_allclose(flow.current * e_box, s, atol=1e-10)
 
 
 def test_off_grid_wave_vector_rejected(spec16):
