@@ -639,6 +639,17 @@ def test_units_at_the_ends_of_their_range_run(tmp_path, command, c, hbar):
     assert rc == 0 and out.exists()
 
 
+def test_every_speed_the_schema_takes_is_a_boost_below_c(rng):
+    # the commands build Boost(direction, u c, c) unchecked: for c in the unit
+    # range and u < 1, u c must stay below c so Boost cannot reject it
+    low, high = np.log10(fields._UNIT_RANGE)
+    cs = np.concatenate([fields._UNIT_RANGE, 10.0 ** rng.uniform(low, high, 2000)])
+    for u in (np.nextafter(1.0, 0.0), 0.9, 0.0):
+        for c in cs:
+            boost = photonflow.Boost([0.0, 0.0, 1.0], u * c, c)
+            assert boost.speed < boost.c and np.isfinite(boost.gamma)
+
+
 @pytest.mark.parametrize("end", [0, 1], ids=["smallest", "largest"])
 @pytest.mark.parametrize("normalize", [False, True])
 def test_box_lengths_at_the_ends_of_their_range_run(tmp_path, end, normalize):

@@ -1,4 +1,5 @@
-"""Field container, grid spec, and the energy/flux densities of the weber-based flow."""
+"""Field container, grid spec, the energy/flux densities of the weber-based flow,
+and the spin-1 matrices of the phi current's form c phi^dag s phi."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from numpy.testing import assert_allclose
 import photonflow
 from photonflow import (Boost, CircularPlaneWave, GridSpec, PhotonWaveFunction, WeberGrid,
                         sample_to_grid, single_wave, total_energy, weber_probability_flow)
-from photonflow.errors import FieldValidationError, RepresentationError
+from photonflow.errors import FieldValidationError, RepresentationError, ZeroFieldError
 from photonflow.fields import MOMENTUM, POSITION
 from photonflow.spectral import forward_transform
 
@@ -16,6 +17,30 @@ def _random_weber(spec, rng):
     shape = (spec.n_per_axis,) * 3 + (3,)
     field = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return WeberGrid(field, spec)
+
+
+def test_spin_commutators_by_direct_multiplication(spin_matrices):
+    # [s_a, s_b] = i eps_{abc} s_c, checked entry by entry.
+    s = spin_matrices
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        comm = s[a] @ s[b] - s[b] @ s[a]
+        assert_allclose(comm, 1j * s[c], atol=1e-15)
+
+
+def test_spin_matrices_are_hermitian_with_spin_one_casimir(spin_matrices):
+    for s in spin_matrices:
+        assert_allclose(s, s.conj().T, atol=0)
+    casimir = sum(s @ s for s in spin_matrices)
+    assert_allclose(casimir, 2.0 * np.eye(3), atol=1e-15)
+
+
+def test_spin_contraction_is_cross_product(rng, spin_matrices):
+    # a . s b = -i a* x b: the identity that lets the phi current be a cross product
+    for _ in range(20):
+        a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        via_spin = np.einsum("i,aij,j->a", a.conj(), spin_matrices, b)
+        assert_allclose(via_spin, -1j * np.cross(a.conj(), b), atol=1e-14)
 
 
 def _energy_density_and_flux(weber):
@@ -63,7 +88,19 @@ def test_energy_flux_never_exceeds_c_times_density(spec8, rng):
         assert np.all(np.linalg.norm(s, axis=-1) <= spec8.c * rho * (1.0 + 1e-12))
 
 
-@pytest.mark.parametrize("bad", [np.nan, complex(0.0, -np.inf)], ids=["nan", "inf"])
+def test_poynting_residue_gate_fails_closed_on_nan(spec8, rng):
+    # the flow's finite-energy check stops a NaN before it reaches rho or J
+    weber = _random_weber(spec8, rng)
+    weber.field[1, 2, 3, 0] = np.nan
+    with pytest.raises(FieldValidationError, match="must be finite"):
+        weber_probability_flow(weber)
+    zero = WeberGrid(np.zeros((8, 8, 8, 3), dtype=complex), spec8)
+    with pytest.raises(ZeroFieldError):
+        weber_probability_flow(zero)
+
+
+@pytest.mark.parametrize("bad", [complex(np.inf, 0.0), complex(0.0, -np.inf)],
+                         ids=["e-inf", "b-inf"])
 def test_weber_flow_rejects_a_non_finite_field(spec8, rng, bad):
     weber = _random_weber(spec8, rng)
     weber.field[1, 2, 3, 0] = bad

@@ -130,17 +130,9 @@ def test_flow_closed_form_single_wave(spec16):
     assert flow.recipe == PHI_BASED
 
 
-def test_phi_current_is_c_phi_dagger_s_phi(rng):
+def test_phi_current_is_c_phi_dagger_s_phi(rng, spin_matrices):
     # the paper's form J = c phi^dag s phi with the spin-1 matrices
-    # (s_a)_{jk} = -i eps_{ajk}, which obey [s_a, s_b] = i eps_{abc} s_c
-    eps = np.zeros((3, 3, 3))
-    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        eps[a, b, c], eps[a, c, b] = 1.0, -1.0
-    s = -1j * eps
-    assert_allclose(s, s.conj().transpose(0, 2, 1), atol=0)
-    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        assert_allclose(s[a] @ s[b] - s[b] @ s[a], 1j * s[c], atol=1e-15)
-    assert_allclose(s[0] @ s[0] + s[1] @ s[1] + s[2] @ s[2], 2.0 * np.eye(3), atol=1e-15)
+    s = spin_matrices
     spec = GridSpec(8, 2.0 * np.pi, c=1.7)
     phi = rng.standard_normal((8, 8, 8, 3)) + 1j * rng.standard_normal((8, 8, 8, 3))
     flow = probability_flow(PhotonWaveFunction(phi, spec, "position"))

@@ -117,7 +117,7 @@ def test_analytic_flow_closed_forms(rng):
     assert_allclose(current2[:, :2], 0.0, atol=1e-13)
 
 
-def test_closed_form_weber_flow_of_the_standing_wave(rng):
+def test_analytic_weber_flow_closed_forms(rng):
     x = rng.uniform(-5, 5, size=(40, 3))
     rho_e, s = CompiledState(counterprop_pair()).flow(flow_recipe(WEBER_BASED), x, 0.3)
     assert_allclose(rho_e, 2.0, rtol=1e-13)
