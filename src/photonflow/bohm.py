@@ -19,6 +19,8 @@ four guidance evaluations a step, each covering every point.  It serves
 integrate_trajectories, which keeps every knot of the pass and cuts each
 point's Trajectory at its first node stop, and transport_ensemble, which
 keeps only the final knot.
+knot_count is the one count of its knots, which the CLI's work bound reads
+as well; a pass of more than 2^53 knots is rejected.
 
 The frame-consistency check compares, at one event, the velocity
 obtained by relativistically transforming the rest-frame velocity
@@ -101,6 +103,18 @@ class Trajectory:
     node_hit: bool = False
 
 
+def knot_count(t0: float, t1: float, step: float) -> float:
+    """Knots of _rk4's pass from t0 to t1 >= t0 by ``step`` > 0, t0 included.
+
+    A float, so that a span too long for the step gives inf rather than an
+    integer too large to hold; below 2^53 it is the exact count.
+    """
+    span = float(t1) - float(t0)  # Python floats: an overflow gives inf, not a warning
+    if span <= 0:
+        return 1.0
+    return 1.0 + max(1.0, float(np.ceil(span / float(step) - 1e-12)))
+
+
 def _rk4(state, points, t0, t1, step, guidance, c, hbar, node_floor_rel):
     """The one integrator: fixed-step RK4 for points (n, 3), yielding (t, x, v, live)
     at t0 and after each step, the last step shortened to land on t1.  A point
@@ -116,8 +130,12 @@ def _rk4(state, points, t0, t1, step, guidance, c, hbar, node_floor_rel):
         raise FieldValidationError(f"step must be positive, got {step!r}")
     if t1 < t0:
         raise FieldValidationError(f"need t1 >= t0, got t0 = {t0!r}, t1 = {t1!r}")
-    n = max(1, int(np.ceil((t1 - t0) / step - 1e-12))) if t1 > t0 else 0
-    knots = t0 + step * np.arange(n + 1)
+    count = knot_count(t0, t1, step)
+    if not count <= 2 ** 53:  # beyond it a float no longer counts exactly
+        raise FieldValidationError(
+            f"step = {step!r} takes {count:.6g} RK4 knots from t0 = {t0!r} to t1 = {t1!r}, "
+            f"more than 2^53")
+    knots = t0 + step * np.arange(int(count))
     knots[-1] = t1
     v, node = velocity(x, knots[0])
     live = ~node

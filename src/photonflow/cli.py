@@ -32,18 +32,17 @@ Config layout (any subset; missing keys take the defaults shown by
     }
 
 Every subcommand but info runs through one skeleton (``_run``) that checks
-its input in one order before anything is written: the config, then the
+its input in one order before --out is created: the config, then the
 tolerances, then state.file (rejected by all but evolve), then the
-command's own checks; only then is --out created.  Every key is checked
-against one schema (``SCHEMA``); an unknown key or a bad value exits 2 and
-names the field path.  The work a config asks for is bounded the same
-way (``_check_budget``: grid field bytes, trajectory point-knots, audit
-samples).  units.c and units.hbar must lie in [1e-100, 1e100], and grid.L
-in [1e-40, 1e40], the ranges GridSpec accepts.  Boost speeds are given as
-fractions of c.  A state whose wave amplitudes overflow in the config's
-units exits 2 naming state (doubleslit.intensity_ratio for doubleslit).
-Tolerances are overridden per key with ``--tolerance KEY=VALUE`` (keys
-listed by ``photonflow info``); every value must be finite and > 0.
+command's own checks.  One schema (``SCHEMA``) checks every key and every
+bound on one value (grid.n <= 355, audit.samples <= 2^16, units.c and
+units.hbar in [1e-100, 1e100], grid.L in [1e-40, 1e40]); ``_check_budget``
+bounds trajectory points times RK4 knots.  A value the library rejects
+while a command builds its state, boost or time steps becomes, through
+``_named``, an exit 2 naming its config field.  Boost speeds are given as
+fractions of c.  Tolerances are overridden per key with
+``--tolerance KEY=VALUE`` (keys listed by ``photonflow info``); every value
+must be finite and > 0.
 """
 
 from __future__ import annotations
@@ -58,18 +57,18 @@ import numpy as np
 
 from . import __version__
 from .bohm import (_NODE_FLOOR_REL, frame_consistency_check, integrate_trajectories,
-                   sample_points_on_line)
+                   knot_count, sample_points_on_line)
 from .errors import (ConfigError, FieldValidationError, OffGridWaveVectorError,
                      PhotonflowError, RangeError)
 from .fieldio import _HEADER, read_weber, trajectories_to_csv, write_csv, write_weber
 from .fields import (_BOX_LENGTH_RANGE, _UNIT_RANGE, MOMENTUM, POSITION, GridSpec,
                      box_energy)
-from .lorentz import _AUDIT_TOL, Boost, audit_four_vector, audit_to_json
+from .lorentz import _AUDIT_TOL, Boost, audit_four_vector, audit_to_json, boost_plane_wave
 from .photon import (DEFAULT_DC_TOLERANCE, PHI_BASED, WEBER_BASED, check_dc_share,
                      density_profile_y, normalize_single_photon, photon_count)
 from .planewaves import (PRESETS, CircularPlaneWave, CompiledState, PlaneWaveSuperposition,
                          place)
-from .spectral import _TRANSVERSALITY_TOL, advance, forward_transform_in_place
+from .spectral import _TRANSVERSALITY_TOL, advance, check_step, forward_transform_in_place
 
 # --- config schema ------------------------------------------------------------
 #
@@ -127,8 +126,10 @@ def _within(bounds):
                  lambda v: _real(v) and low <= v <= high, float)
 
 
-def _integer(low):
-    return _kind(f"an integer >= {low}", lambda v: type(v) is int and v >= low)
+def _integer(low, high=None):
+    bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+    return _kind(f"an integer {bounds}",
+                 lambda v: type(v) is int and low <= v and (high is None or v <= high))
 
 
 def _one_of(*choices):
@@ -181,15 +182,25 @@ def _state(value, path):
                            for i, comp in enumerate(components)]}
 
 
+# Work bounds, checked on the resolved config before a command allocates
+# anything: bytes of one n^3 grid field at 48 bytes a point, trajectory
+# points times RK4 knots that the one integration pass holds (48 bytes
+# each), and samples per four-vector audit (audits.json stores 14 numbers a
+# sample for each of its eight audits).
+_FIELD_BYTES_LIMIT = 2 ** 31
+_MAX_N = 355  # the largest n with 48 n^3 <= _FIELD_BYTES_LIMIT
+_POINT_KNOTS_LIMIT = 2 ** 22
+_AUDIT_SAMPLES_LIMIT = 2 ** 16
+
 SCHEMA = {
     "units": {"c": (1.0, _within(_UNIT_RANGE)), "hbar": (1.0, _within(_UNIT_RANGE))},
-    "grid": {"n": (32, _integer(2)), "L": (2.0 * np.pi, _within(_BOX_LENGTH_RANGE))},
+    "grid": {"n": (32, _integer(2, _MAX_N)), "L": (2.0 * np.pi, _within(_BOX_LENGTH_RANGE))},
     "state": ({"preset": "single-wave"}, _state),
     "boost": {"direction": ([0.0, 0.0, 1.0], _direction), "u": (0.5, _fraction_of_c)},
     "evolve": {"times": ([0.0, 1.0, 2.0], _list_of(_number)),
                "normalize": (False, _flag)},
     "audit": {"u": (0.5, _fraction_of_c), "k_right": (1.0, _positive),
-              "k_left": (2.0, _positive), "samples": (256, _integer(2))},
+              "k_left": (2.0, _positive), "samples": (256, _integer(2, _AUDIT_SAMPLES_LIMIT))},
     "trajectories": {
         "guidance": (PHI_BASED, _one_of(PHI_BASED, WEBER_BASED)),
         "t0": (0.0, _number),
@@ -221,46 +232,25 @@ TOLERANCES = {
 }
 
 
-# Work bounds, checked on the resolved config before a command allocates
-# anything: bytes of one n^3 grid field at 48 bytes a point (n <= 355),
-# trajectory points times RK4 knots that the one integration pass holds
-# (48 bytes each), and samples per four-vector audit (audits.json stores
-# 14 numbers a sample for each of its eight audits).
-_FIELD_BYTES_LIMIT = 2 ** 31
-_POINT_KNOTS_LIMIT = 2 ** 22
-_AUDIT_SAMPLES_LIMIT = 2 ** 16
-
-
 def _check_budget(config):
-    """Raise ConfigError naming the field whose value takes the work over a limit,
-    or trajectories.t1 if it lies before t0 (the span is formed here).
+    """Raise ConfigError naming the field that takes trajectory points times RK4
+    knots over their limit, or trajectories.t1 if it lies before t0.
 
-    Counts stay Python ints and are compared with floats, never converted
-    to them, so an integer of any size is rejected, not overflowed.
+    The point count stays a Python int and is compared with a float, never
+    converted to one, so a count of any size is rejected, not overflowed.
     """
-    n = config["grid"]["n"]
-    if 48 * n ** 3 > _FIELD_BYTES_LIMIT:
-        raise ConfigError(f"grid.n = {n} needs more than the limit of {_FIELD_BYTES_LIMIT} "
-                          f"bytes per field (48 n^3)", field="grid.n")
     section = config["trajectories"]
     points, points_field = section["count"], "trajectories.count"
     if section["initial_points"] is not None:
         points, points_field = len(section["initial_points"]), "trajectories.initial_points"
-    span = section["t1"] - section["t0"]
-    if span < 0:
+    if section["t1"] < section["t0"]:
         raise ConfigError(f"trajectories.t1 = {section['t1']!r} is before trajectories.t0 = "
                           f"{section['t0']!r}", field="trajectories.t1")
-    # the knot count of bohm._rk4, as a float so that a tiny step gives inf, not a huge int
-    knots = 1.0 + (max(1.0, float(np.ceil(span / section["step"] - 1e-12))) if span > 0
-                   else 0.0)
+    knots = knot_count(section["t0"], section["t1"], section["step"])
     if points > _POINT_KNOTS_LIMIT / knots:
         field = "trajectories.step" if knots > _POINT_KNOTS_LIMIT else points_field
         raise ConfigError(f"{field}: {points} point(s) times {knots:.6g} RK4 knots exceed "
                           f"the limit of {_POINT_KNOTS_LIMIT} point-knots", field=field)
-    samples = config["audit"]["samples"]
-    if samples > _AUDIT_SAMPLES_LIMIT:
-        raise ConfigError(f"audit.samples = {samples} is over the limit of "
-                          f"{_AUDIT_SAMPLES_LIMIT}", field="audit.samples")
 
 
 def _resolve(table, given, path):
@@ -289,8 +279,8 @@ def _defaults(table):
 
 
 def load_config(path):
-    """Read a JSON config, check every key against SCHEMA and the work against the
-    limits of _check_budget, and fill in the defaults."""
+    """Read a JSON config, check every key against SCHEMA and the trajectory
+    work against _check_budget, and fill in the defaults."""
     user = {}
     if path is not None:
         try:
@@ -330,39 +320,36 @@ def build_state(config) -> PlaneWaveSuperposition:
         name = state["preset"]
         kwargs = {key: value for key, value in state.items() if key != "preset"}
         try:
-            return PRESETS[name](**kwargs)
-        except (TypeError, PhotonflowError) as exc:
+            return _named("state", lambda: PRESETS[name](**kwargs))
+        except TypeError as exc:  # an argument the preset does not take
             raise ConfigError(f"bad arguments for preset {name!r}: {exc}",
                               field="state") from exc
-    waves = []
-    for i, comp in enumerate(state["components"]):
-        try:
-            waves.append(CircularPlaneWave(comp["k"], comp["I"], comp["handedness"],
-                                           comp["phase"]))
-        except PhotonflowError as exc:
-            field = f"state.components[{i}]"
-            raise ConfigError(f"{field}: {exc}", field=field) from exc
-    return PlaneWaveSuperposition(waves)
+    return PlaneWaveSuperposition([
+        _named(f"state.components[{i}]", CircularPlaneWave, comp["k"], comp["I"],
+               comp["handedness"], comp["phase"])
+        for i, comp in enumerate(state["components"])])
 
 
-def _finite(state, units, field):
-    """``state``, once CompiledState finds its Weber and phi amplitudes finite in
-    ``units``; one that is not is a ConfigError naming ``field``."""
+def _named(field, build, *args):
+    """build(*args); a value the library rejects in it (FieldValidationError,
+    OffGridWaveVectorError) is a ConfigError naming the config ``field``."""
     try:
-        CompiledState(state, units["c"], units["hbar"])
-    except FieldValidationError as exc:
+        return build(*args)
+    except (FieldValidationError, OffGridWaveVectorError) as exc:
         raise ConfigError(f"{field}: {exc}", field=field) from exc
-    return state
 
 
-def _evolve_to(weber, t, tol, field):
-    """Advance ``weber`` in place to time t and return its FieldSums; a step
-    advance rejects (one whose angle |k| c dt is not finite) is a ConfigError
-    naming ``field``."""
-    try:
-        return advance(weber, t - weber.time, transversality_tol=tol["transversality"])
-    except FieldValidationError as exc:
-        raise ConfigError(f"{field}: cannot evolve to t = {t!r}: {exc}", field=field) from exc
+def _steps(weber, times, field):
+    """The dt of each step that advances ``weber`` to each of ``times`` in turn,
+    formed as advance will take them (dt = t - time; time += dt), each checked
+    by check_step and a rejected one named as ``field``."""
+    time, steps = weber.time, []
+    for t in times:
+        dt = t - time
+        _named(field, check_step, weber.spec, dt)
+        steps.append(dt)
+        time += dt
+    return steps
 
 
 # --- evolve -----------------------------------------------------------------
@@ -391,14 +378,15 @@ def cmd_evolve(config, tol, seed, out):
     else:
         grid, units = config["grid"], config["units"]
         spec = GridSpec(grid["n"], grid["L"], units["c"], units["hbar"])
-        weber = place(_finite(build_state(config), units, "state"), spec)
+        weber = _named("state", place, build_state(config), spec)
     if section["normalize"]:
         weber = normalize_single_photon(weber, dc_tolerance=tol["dc"])
+    steps = _steps(weber, section["times"], "evolve.times")
     yield
 
     records = []
-    for i, t in enumerate(section["times"]):
-        sums = _evolve_to(weber, t, tol, "evolve.times")
+    for i, (t, dt) in enumerate(zip(section["times"], steps)):
+        sums = advance(weber, dt, transversality_tol=tol["transversality"])
         snapshot = out / f"snapshot_{i:02d}.phwf"
         write_weber(snapshot, weber)
         check_dc_share(sums.dc_sq, sums.sum_sq, tol["dc"])
@@ -470,8 +458,11 @@ def cmd_boost_audit(config, tol, seed, out):
 
 def cmd_trajectories(config, tol, seed, out):
     c, hbar = config["units"]["c"], config["units"]["hbar"]
-    state = _finite(build_state(config), config["units"], "state")
+    state = build_state(config)
     boost = Boost(config["boost"]["direction"], config["boost"]["u"] * c, c)
+    # compiled here for their checks only: the amplitudes of both frames must be finite
+    _named("state", CompiledState, state, c, hbar)
+    _named("boost", lambda: CompiledState(boost_plane_wave(state, boost), c, hbar))
     section = config["trajectories"]
     guidance, t0, t1, step = section["guidance"], section["t0"], section["t1"], section["step"]
     yield
@@ -544,8 +535,15 @@ def build_slit_state(section, spec) -> PlaneWaveSuperposition:
             f"range |m| <= {limit}; raise grid.n", field="doubleslit")
 
     offsets = np.arange(-width, width + 1)
-    weights = np.exp(-offsets ** 2 / (2.0 * sigma ** 2))
-    weights = weights ** 2 / (weights ** 2).sum()
+    # a float64 sigma^2 is inf past 1e154 (equal weights), where a float's raises
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        weights = np.exp(-offsets ** 2 / (2.0 * np.float64(sigma) ** 2))
+        weights = weights ** 2 / (weights ** 2).sum()
+    if not (weights > 0).all():
+        raise ConfigError(
+            f"bundle_sigma = {sigma!r} is too small for bundle_width = {width}: the "
+            f"Gaussian weights exp(-j^2 / sigma^2) leave a mode of each bundle none",
+            field="doubleslit.bundle_sigma")
     unit = 2.0 * np.pi / spec.box_length
     waves = []
     for source_sign, source_intensity in ((1, 1.0), (-1, ratio))[:section["sources"]]:
@@ -573,15 +571,17 @@ def _fringe_measurement(profile, box_length):
 def cmd_doubleslit(config, tol, seed, out):
     grid, units, section = config["grid"], config["units"], config["doubleslit"]
     spec = GridSpec(grid["n"], grid["L"], units["c"], units["hbar"])
-    # only the second source's intensity can take an amplitude beyond a float
-    state = _finite(build_slit_state(section, spec), units, "doubleslit.intensity_ratio")
-    weber = place(state, spec)
+    # only the second source's intensity can underflow to 0 or take an
+    # amplitude beyond a float
+    state = _named("doubleslit.intensity_ratio", build_slit_state, section, spec)
+    weber = _named("doubleslit.intensity_ratio", place, state, spec)
+    times = section["times"]
+    steps = _steps(weber, times, "doubleslit.times")
     yield
 
-    times = section["times"]
     profiles = []
-    for t in times:
-        _evolve_to(weber, t, tol, "doubleslit.times")
+    for dt in steps:
+        advance(weber, dt, transversality_tol=tol["transversality"])
         profiles.append(density_profile_y(weber, dc_tolerance=tol["dc"]))
     y = spec.axis_coordinates()
     write_csv(out / "frames.csv", "t,y,rho",
@@ -696,9 +696,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}" + (f" (field: {exc.field})" if exc.field else ""),
               file=sys.stderr)
         print(f"run 'photonflow info' for the config schema", file=sys.stderr)
-        return 2
-    except OffGridWaveVectorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except PhotonflowError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -117,28 +117,39 @@ def boost_plane_wave(state: PlaneWaveSuperposition, boost: Boost) -> PlaneWaveSu
     while the field route boosts the complex Weber amplitude directly.
     The boosted amplitude must be helicity-preserving and must project
     onto the boosted-frame polarization with the predicted intensity.
+    A component whose boosted intensity or amplitude is not finite raises
+    FieldValidationError naming it.
     """
     out = []
     for idx, comp in enumerate(state.components):
         k_out, omega_out = boost_wave_vector(comp.wave_vector, boost)
         omega = comp.k_norm * boost.c
-        intensity_out = (omega_out / omega) ** 2 * comp.intensity
-        amp_out = field_boost(comp.weber_amplitude(boost.c), boost)
+        # a wave near the float limit, boosted against its motion, overflows here:
+        # it is rejected before the two routes are compared
+        with np.errstate(over="ignore", invalid="ignore"):
+            intensity_out = (omega_out / omega) ** 2 * comp.intensity
+            amp_out = field_boost(comp.weber_amplitude(boost.c), boost)
+            if not (np.isfinite(intensity_out) and np.isfinite(np.vdot(amp_out, amp_out))):
+                raise FieldValidationError(
+                    f"component {idx}: its boosted intensity {intensity_out!r} or squared "
+                    f"Weber amplitude |F'|^2 is not finite (I = {comp.intensity!r}, "
+                    f"u = {boost.speed!r}, c = {boost.c!r})")
 
-        k_hat_out = k_out / np.linalg.norm(k_out)
-        helicity = np.cross(k_hat_out, amp_out) + 1j * amp_out
-        scale = np.abs(amp_out).max()
-        if np.abs(helicity).max() > _CONSISTENCY_TOL * scale:
-            raise InternalConsistencyError(
-                f"component {idx}: boosted amplitude is not an eigenvector of the "
-                f"helicity operator (residual {np.abs(helicity).max():.3e})")
+            k_hat_out = k_out / np.linalg.norm(k_out)
+            helicity = np.cross(k_hat_out, amp_out) + 1j * amp_out
+            scale = np.abs(amp_out).max()
+            if np.abs(helicity).max() > _CONSISTENCY_TOL * scale:
+                raise InternalConsistencyError(
+                    f"component {idx}: boosted amplitude is not an eigenvector of the "
+                    f"helicity operator (residual {np.abs(helicity).max():.3e})")
 
-        probe = CircularPlaneWave(k_out, 1.0, comp.handedness)
-        eps_out = probe.polarization()
-        # the helicity eigenvectors about k-hat' are the multiples of eps_out,
-        # so the guard above already makes amp_out = z eps_out
-        z = eps_out.conj() @ amp_out / 2.0
-        intensity_field = abs(z) ** 2 * boost.c / (4.0 * np.pi)
+            probe = CircularPlaneWave(k_out, 1.0, comp.handedness)
+            eps_out = probe.polarization()
+            # the helicity eigenvectors about k-hat' are the multiples of eps_out,
+            # so the guard above already makes amp_out = z eps_out; |z|^2 c may
+            # overflow where I' does not, and an infinite intensity_field passes below
+            z = eps_out.conj() @ amp_out / 2.0
+            intensity_field = abs(z) ** 2 * boost.c / (4.0 * np.pi)
         if abs(intensity_field - intensity_out) > _CONSISTENCY_TOL * max(intensity_out, intensity_field):
             raise InternalConsistencyError(
                 f"component {idx}: field-route intensity {intensity_field!r} disagrees "

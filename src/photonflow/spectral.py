@@ -347,6 +347,18 @@ def evolve(weber: WeberGrid, dt: float,
     return evolved
 
 
+def check_step(spec: GridSpec, dt: float) -> float:
+    """c dt of a step dt on ``spec``'s grid; raises FieldValidationError unless
+    dt and the largest angle |k| c dt it turns a mode by are finite."""
+    dt = float(check_real("dt", dt))
+    c_dt = float(spec.c) * dt  # Python floats: an overflow gives inf, not a warning
+    # the largest angle is the outermost shell's
+    if not math.isfinite(float(kgrid(spec).shell_k[-1]) * abs(c_dt)):
+        raise FieldValidationError(
+            f"dt = {dt!r} turns the largest mode by a non-finite angle |k| c dt")
+    return c_dt
+
+
 def advance(weber: WeberGrid, dt: float,
             transversality_tol: float = _TRANSVERSALITY_TOL) -> FieldSums:
     """Advance ``weber`` itself by dt with evolve's exact per-mode propagator.
@@ -356,20 +368,16 @@ def advance(weber: WeberGrid, dt: float,
     passed.  Returns the FieldSums of the advanced field (its |F~|^2 and
     |F~|^2/|k| sums, |F~(0)|^2 and transversality residual), formed in the
     same pass.  dt == 0 runs the gate alone and leaves the field as it is.
-    A non-finite dt or largest angle |k| c dt, or a read-only field, raises
-    FieldValidationError before anything is written.  After a
+    A non-finite dt or largest angle |k| c dt (check_step), or a read-only
+    field, raises FieldValidationError before anything is written.  After a
     TransversalityError the field holds rotated values at the old time:
     discard it.
     """
     require_representation(weber, MOMENTUM, "advance")
     if not weber.field.flags.writeable:
         raise FieldValidationError("advance got a read-only field")
-    dt = float(check_real("dt", dt))
-    c_dt = float(weber.spec.c) * dt  # Python floats: an overflow gives inf, not a warning
-    # the largest angle is the outermost shell's
-    if not math.isfinite(float(kgrid(weber.spec).shell_k[-1]) * abs(c_dt)):
-        raise FieldValidationError(
-            f"dt = {dt!r} turns the largest mode by a non-finite angle |k| c dt")
+    c_dt = check_step(weber.spec, dt)
+    dt = float(dt)
     residual, sums = _sweep(weber, None if dt == 0 else c_dt)
     _gate(residual, transversality_tol)
     weber.time += dt

@@ -232,14 +232,16 @@ def test_evolve_reads_each_snapshot_in_its_one_pass(tmp_path, monkeypatch):
     assert [s["time"] for s in snapshots] == times
 
 
+@pytest.mark.parametrize("times", [[1e308], [0.0, 1e308]], ids=["first", "second"])
 @pytest.mark.parametrize("command", ["evolve", "doubleslit"])
 def test_time_with_a_non_finite_rotation_angle_exits_2_before_writing(tmp_path, capsys,
-                                                                       command):
-    # |k| c dt overflows to inf: cos and sin of it would be NaN everywhere
-    rc, out = _run(tmp_path, command, config={command: {"times": [1e308]}})
+                                                                       command, times):
+    # |k| c dt overflows to inf: cos and sin of it would be NaN everywhere; every
+    # step is checked before --out exists, not only the one that fails
+    rc, out = _run(tmp_path, command, config={"grid": {"n": 8}, command: {"times": times}})
     assert rc == 2
     assert f"(field: {command}.times)" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 _PEAK_RSS = """
@@ -315,6 +317,19 @@ def test_boost_audit_verdict_table(tmp_path):
     failing = next(a for a in audits
                    if a["scenario"] == "two-wave x-boost" and a["recipe"] == "phi_based")
     assert abs(failing["max_mismatch"] - np.sqrt(2.0) / 3.0) < 1e-6
+
+
+def test_boost_audit_without_a_net_boosted_wave_vector(tmp_path, capsys):
+    # u = 0 and k_left = k_right: the pair's wave vectors cancel, and the audit
+    # samples along x-hat over one period of the largest wavenumber
+    rc, out = _run(tmp_path, "boost-audit", config={"audit": {"u": 0.0, "k_left": 1.0}})
+    assert rc == 0
+    rows = _audit_rows(capsys.readouterr().out)
+    assert len(rows) == 8 and {row[3] for row in rows} == {"four_vector_consistent"}
+    pair = [a for a in _load_json(out, "audits.json") if a["scenario"].startswith("two-wave")]
+    for audit in pair:
+        x_prime = np.array(audit["samples"]["x_prime"])
+        assert np.all(x_prime[:, 1:] == 0.0) and x_prime[-1, 0] < 2.0 * np.pi
 
 
 def _audit_rows(text):
@@ -394,6 +409,14 @@ def test_trajectories_counterprop_frame_disagreement(tmp_path):
     assert abs(by_recipe["weber_based"]["mismatch_over_c"] - 0.3) < 1e-9
     np.testing.assert_allclose(by_recipe["phi_based"]["v_velocity_addition"],
                                [0.0, 0.0, -0.2], atol=1e-12)
+
+
+def test_trajectories_over_an_empty_span_keep_one_knot(tmp_path):
+    config = {"trajectories": {"t0": 1.5, "t1": 1.5, "count": 4}}
+    rc, out = _run(tmp_path, "trajectories", config=config)
+    assert rc == 0
+    table = np.loadtxt(out / "trajectories.csv", delimiter=",", skiprows=1)
+    assert table[:, 0].tolist() == [0, 1, 2, 3] and np.all(table[:, 1] == 1.5)
 
 
 def test_trajectories_seed_controls_sampling(tmp_path):
@@ -490,6 +513,13 @@ def test_doubleslit_bundles_keep_fringe_spacing(tmp_path):
     assert 0.5 < summary["visibility"] < 0.9
 
 
+def test_doubleslit_bundle_wider_than_a_float_square_has_equal_weights():
+    # sigma^2 overflows: the Gaussian is flat, and each kept mode gets 1/3
+    section = dict(load_config(None)["doubleslit"], bundle_width=1, bundle_sigma=1e200)
+    state = cli.build_slit_state(section, GridSpec(16, 2.0 * np.pi))
+    assert [wave.intensity for wave in state.components] == [1.0 / 3.0] * 4
+
+
 # --- config and error handling ----------------------------------------------
 
 
@@ -520,10 +550,12 @@ def test_unknown_preset_exits_2(tmp_path, capsys):
 
 
 def test_off_grid_wave_vector_exits_2(tmp_path, capsys):
-    rc, _ = _run(tmp_path, "evolve",
-                 config={"state": {"components": [{"k": [0, 0, 1.3], "I": 1.0}]}})
+    rc, out = _run(tmp_path, "evolve",
+                   config={"state": {"components": [{"k": [0, 0, 1.3], "I": 1.0}]}})
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "nearest representable: [0.0, 0.0, 1.0]" in err and "(field: state)" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("pair", ["bogus=1e-3", "audit=nan", "dc=-1", "transversality=inf"],
@@ -584,6 +616,28 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
     ("evolve", {"grid": {"L": 1e-300, "n": 8}}, "grid.L"),
     ("doubleslit", {"grid": {"L": 1e41}}, "grid.L"),
     ("trajectories", {"grid": {"L": 1e-41}}, "grid.L"),
+    # a wave near the float limit boosted against its motion: I' overflows
+    ("trajectories", {"state": {"components": [{"k": [0, 0, 1], "I": 1e306}]},
+                      "boost": {"direction": [0, 0, -1], "u": 0.999999}}, "boost"),
+    # I' = 2e307 is finite, but |F'|^2 = 8 pi I' / c is not
+    ("trajectories", {"state": {"components": [{"k": [0, 0, 1], "I": 1e301}]},
+                      "boost": {"direction": [0, 0, -1], "u": 0.999999}}, "boost"),
+    # |F'| is finite, but the phi amplitude, which grows as the square root of
+    # the Doppler factor, is not: the boosted state's compile rejects it
+    ("trajectories", {"units": {"c": 1e-100, "hbar": 1e-100},
+                      "state": {"components": [{"k": [0, 0, 4e-120], "I": 8e190}]},
+                      "boost": {"direction": [0, 0, -1], "u": 0.999999999999999}}, "boost"),
+    # the outer bundle modes' Gaussian weight exp(-4e6) underflows to 0
+    ("doubleslit", {"grid": {"n": 16}, "doubleslit": {"bundle_width": 2,
+                                                      "bundle_sigma": 1e-3}},
+     "doubleslit.bundle_sigma"),
+    # sigma^2 underflows to 0, so even the centre mode's weight is 0 / 0
+    ("doubleslit", {"grid": {"n": 16}, "doubleslit": {"bundle_sigma": 1e-200}},
+     "doubleslit.bundle_sigma"),
+    # the second source's ratio times an outer mode's weight underflows to 0
+    ("doubleslit", {"grid": {"n": 16}, "doubleslit": {"bundle_width": 2,
+                                                      "intensity_ratio": 5e-324}},
+     "doubleslit.intensity_ratio"),
 ], ids=["nan-point", "no-points", "inf-boost", "text-phase", "nan-phase",
         "text-preset-arg", "nan-preset-arg", "inf-evolve-time", "inf-slit-time",
         "text-normalize", "misspelled-key", "bool-sources", "zero-line-direction",
@@ -592,7 +646,9 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
         "huge-count", "count-beyond-float", "points-over-limit", "huge-audit",
         "backward-span", "audit-speed-rounds-to-c", "boost-speed-rounds-to-c",
         "subnormal-c-trajectories", "tiny-c-boost-audit", "huge-hbar", "tiny-box-evolve",
-        "huge-box-doubleslit", "tiny-box-trajectories"])
+        "huge-box-doubleslit", "tiny-box-trajectories", "boosted-intensity-overflows",
+        "boosted-amplitude-overflows", "boosted-phi-overflows", "tiny-bundle-sigma",
+        "underflowing-bundle-sigma", "underflowing-second-source"])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, command,
                                                    config, field):
     rc, out = _run(tmp_path, command, config=config)

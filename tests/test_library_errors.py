@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from photonflow import (Boost, CircularPlaneWave, GridSpec, PlaneWaveSuperposition, WeberGrid,
-                        audit_four_vector, integrate_trajectories, sample_points_on_line,
-                        single_wave)
+                        audit_four_vector, boost_plane_wave, integrate_trajectories,
+                        sample_points_on_line, single_wave)
 from photonflow.errors import FieldValidationError, RepresentationError, ZeroFieldError
 from photonflow.planewaves import CompiledState
 
@@ -27,6 +27,17 @@ CANCELLING = PlaneWaveSuperposition([CircularPlaneWave([0.0, 0.0, 1.0], 1.0),
      "step must be positive"),
     (lambda: integrate_trajectories(single_wave(), np.zeros((2, 3)), 1.0, 0.5, 0.1),
      "need t1 >= t0"),
+    # the knot count overflows to inf, or passes 2^53 where a float counts inexactly
+    (lambda: integrate_trajectories(single_wave(), np.zeros((1, 3)), 0.0, 1e300, 1e-300),
+     "step = 1e-300 takes inf RK4 knots"),
+    (lambda: integrate_trajectories(single_wave(), np.zeros((1, 3)), 0.0, 1.0, 1e-30),
+     "step = 1e-30 takes 1e+30 RK4 knots"),
+    # a wave near the float limit boosted against its motion: I' overflows
+    (lambda: boost_plane_wave(PlaneWaveSuperposition([CircularPlaneWave([0.0, 0.0, 1.0],
+                                                                         1e306)]),
+                              Boost([0.0, 0.0, -1.0], 0.999999)),
+     "component 0: its boosted intensity inf"),
+    (lambda: Boost([[1, 0], [0]], 0.5), "direction must be finite and real"),
     (lambda: sample_points_on_line(CANCELLING, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0, 4,
                                    np.random.default_rng(0)),
      "density vanishes along the whole segment"),
@@ -44,7 +55,9 @@ CANCELLING = PlaneWaveSuperposition([CircularPlaneWave([0.0, 0.0, 1.0], 1.0),
     (lambda: CompiledState(PlaneWaveSuperposition([CircularPlaneWave([0.0, 0.0, 1e-150], 1.0)]),
                            c=1e-100, hbar=1e-100),
      "component 0: its Weber amplitude sqrt(4 pi I / c) or phi amplitude"),
-], ids=["point-shape", "zero-step", "backward-span", "vanishing-line-density",
+], ids=["point-shape", "zero-step", "backward-span", "knot-count-overflows",
+        "knot-count-beyond-2-53", "boosted-intensity-overflows", "ragged-direction",
+        "vanishing-line-density",
         "mode-sum-point-shape", "zero-box-length", "negative-c", "zero-hbar", "field-shape",
         "overflowing-weber-amplitude", "underflowing-phi-weight"])
 def test_field_validation_error_names_the_argument(call, named):

@@ -287,6 +287,13 @@ def test_audit_samples_cover_one_interference_period():
     assert s[-1] < period <= s[-1] + (s[1] - s[0]) * 1.0001
 
 
+def test_audit_samples_along_x_when_the_boosted_wave_vectors_cancel():
+    s, points, _ = default_sample_line(counterprop_pair(1.0, 1.0), Boost(Z_HAT, 0.0), 64)
+    assert np.all(points[:, 1:] == 0.0) and np.array_equal(points[:, 0], s)
+    period = 2.0 * np.pi  # set by the largest boosted wavenumber, 1
+    assert s[-1] < period <= s[-1] + (s[1] - s[0]) * 1.0001
+
+
 def test_audit_json_payload():
     audit = audit_four_vector(single_wave(), _half_z(), WEBER_BASED, n_samples=16)
     payload = audit_to_json(audit)
