@@ -246,18 +246,18 @@ class FrameConsistency:
 
 
 def frame_consistency_check(state: PlaneWaveSuperposition, boost: Boost, x, t: float,
-                            guidance: str = PHI_BASED, *, c: float = 1.0,
-                            hbar: float = 1.0,
+                            guidance: str = PHI_BASED, *, hbar: float = 1.0,
                             node_floor_rel: float = _NODE_FLOOR_REL) -> FrameConsistency:
-    """Compare the two ways of obtaining the boosted-frame velocity at one event."""
+    """Compare the two ways of obtaining the boosted-frame velocity at one event;
+    both frames use the boost's c."""
     x = np.asarray(x, dtype=float)
-    v_rest = guidance_velocity(state, x[None, :], t, guidance, c=c, hbar=hbar,
+    v_rest = guidance_velocity(state, x[None, :], t, guidance, c=boost.c, hbar=hbar,
                                node_floor_rel=node_floor_rel)[0]
     v_add = velocity_addition(v_rest, boost)
 
     x_prime, t_prime = boost_event(x, t, boost)
     boosted = boost_plane_wave(state, boost)
     v_flow = guidance_velocity(boosted, x_prime[None, :], float(t_prime), guidance,
-                               c=c, hbar=hbar, node_floor_rel=node_floor_rel)[0]
+                               c=boost.c, hbar=hbar, node_floor_rel=node_floor_rel)[0]
     return FrameConsistency(guidance, x, float(t), x_prime, float(t_prime), v_rest,
-                            v_add, v_flow, float(np.linalg.norm(v_add - v_flow) / c))
+                            v_add, v_flow, float(np.linalg.norm(v_add - v_flow) / boost.c))

@@ -436,7 +436,7 @@ def cmd_boost_audit(config, tol, seed, out):
     print(f"{'scenario':22s} {'recipe':12s} {'max mismatch':>14s}  verdict")
     for name, state, boost in scenarios:
         for recipe in (PHI_BASED, WEBER_BASED):
-            audit = audit_four_vector(state, boost, recipe, c=c, hbar=hbar,
+            audit = audit_four_vector(state, boost, recipe, hbar=hbar,
                                       n_samples=section["samples"], tolerance=tol["audit"])
             results.append((name, audit))
             print(f"{name:22s} {recipe:12s} {audit.max_mismatch:14.3e}  {audit.verdict}")
@@ -490,8 +490,7 @@ def cmd_trajectories(config, tol, seed, out):
     checks = []
     for recipe in (PHI_BASED, WEBER_BASED):
         result = frame_consistency_check(state, boost, event["x"], event["t"], recipe,
-                                         c=c, hbar=hbar,
-                                         node_floor_rel=tol["node_floor"])
+                                         hbar=hbar, node_floor_rel=tol["node_floor"])
         checks.append({
             "guidance": recipe,
             "event_rest": {"x": result.x.tolist(), "t": result.t},

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import FieldValidationError, InternalConsistencyError, ZeroFieldError
 from .fields import check_real
 from .planewaves import (PHI_BASED, CircularPlaneWave, CompiledState,
-                         PlaneWaveSuperposition, flow_recipe)
+                         PlaneWaveSuperposition, flow_recipe, polarization_basis)
 
 # relative tolerance within which boost_plane_wave's two routes must agree
 _CONSISTENCY_TOL = 1e-9
@@ -143,8 +143,8 @@ def boost_plane_wave(state: PlaneWaveSuperposition, boost: Boost) -> PlaneWaveSu
                     f"component {idx}: boosted amplitude is not an eigenvector of the "
                     f"helicity operator (residual {np.abs(helicity).max():.3e})")
 
-            probe = CircularPlaneWave(k_out, 1.0, comp.handedness)
-            eps_out = probe.polarization()
+            e1, e2 = polarization_basis(k_hat_out)
+            eps_out = e1 + 1j * e2
             # the helicity eigenvectors about k-hat' are the multiples of eps_out,
             # so the guard above already makes amp_out = z eps_out; |z|^2 c may
             # overflow where I' does not, and an infinite intensity_field passes below
@@ -186,23 +186,22 @@ class FourVectorAudit:
     verdict: str
 
 
-def default_sample_line(state: PlaneWaveSuperposition, boost: Boost,
-                        n_samples: int = 256) -> tuple:
-    """Sample points for an audit: one period along the boosted mode sum, t' = 0.
+def default_sample_line(boosted: PlaneWaveSuperposition, n_samples: int = 256) -> tuple:
+    """Sample points for an audit of the boosted state: one period along its mode sum, t' = 0.
 
     Returns (s, x_prime, t_prime) with s the arc-length parameter.  The
     direction is the sum of the boosted wave vectors (where the
     interference term oscillates); if that sum vanishes, x-hat is used
     and the period is set by the largest boosted wavenumber.
     """
-    boosted = [boost_wave_vector(comp.wave_vector, boost)[0] for comp in state.components]
-    total = np.sum(boosted, axis=0)
+    wave_vectors = [comp.wave_vector for comp in boosted.components]
+    total = np.sum(wave_vectors, axis=0)
     if np.linalg.norm(total) > 1e-12:
         direction = total / np.linalg.norm(total)
         period = 2.0 * np.pi / np.linalg.norm(total)
     else:
         direction = np.array([1.0, 0.0, 0.0])
-        period = 2.0 * np.pi / max(np.linalg.norm(k) for k in boosted)
+        period = 2.0 * np.pi / max(np.linalg.norm(k) for k in wave_vectors)
     s = np.linspace(0.0, period, n_samples, endpoint=False)
     x_prime = s[:, None] * direction
     t_prime = np.zeros_like(s)
@@ -210,7 +209,7 @@ def default_sample_line(state: PlaneWaveSuperposition, boost: Boost,
 
 
 def audit_four_vector(state: PlaneWaveSuperposition, boost: Boost,
-                      recipe: str = PHI_BASED, *, c: float = 1.0, hbar: float = 1.0,
+                      recipe: str = PHI_BASED, *, hbar: float = 1.0,
                       n_samples: int = 256, tolerance: float = _AUDIT_TOL) -> FourVectorAudit:
     """Decide whether a flow recipe transforms as a four-vector under one boost.
 
@@ -219,13 +218,14 @@ def audit_four_vector(state: PlaneWaveSuperposition, boost: Boost,
     Route b: pull each event back to the rest frame, evaluate the recipe
     there, and push (rho, J) forward with the four-vector rule.
     A genuine four-current makes the two routes agree identically.
+    Both frames use the boost's c.
     """
     entry = flow_recipe(recipe)
     if not state.components:
         raise ZeroFieldError("cannot audit a superposition with no components")
-    s, x_prime, t_prime = default_sample_line(state, boost, n_samples)
-
+    c = boost.c
     boosted_state = boost_plane_wave(state, boost)
+    s, x_prime, t_prime = default_sample_line(boosted_state, n_samples)
     rho_a, current_a = CompiledState(boosted_state, c, hbar).flow(entry, x_prime, t_prime)
 
     x_rest, t_rest = boost_event(x_prime, t_prime, boost.inverse())

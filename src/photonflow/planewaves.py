@@ -128,17 +128,16 @@ class PlaneWaveSuperposition:
     components: List[CircularPlaneWave] = field(default_factory=list)
 
 
-# recipe -> (CompiledState amplitudes of the mode sum v, density norm, current norm)
-# for _recipe_flow.  Both norms are 1/s; |J| <= c rho holds only while
-# current norm >= density norm.
+# recipe -> (CompiledState amplitudes of the mode sum v, norm) for _recipe_flow,
+# which divides the density and the current by the same norm, so |J| <= c rho
 RECIPES = {
-    PHI_BASED: ("phi", 1.0, 1.0),
-    WEBER_BASED: ("weber", 8.0 * np.pi, 8.0 * np.pi),
+    PHI_BASED: ("phi", 1.0),
+    WEBER_BASED: ("weber", 8.0 * np.pi),
 }
 
 
 def flow_recipe(name) -> tuple:
-    """(amplitude array for v, density norm, current norm) of a recipe name."""
+    """(amplitude array for v, norm) of a recipe name."""
     if not isinstance(name, str) or name not in RECIPES:
         raise FieldValidationError(
             f"unknown flow recipe {name!r}; expected one of {sorted(RECIPES)}")
@@ -146,11 +145,11 @@ def flow_recipe(name) -> tuple:
 
 
 def _recipe_flow(recipe: tuple, v, c: float) -> tuple:
-    """(rho, J) = (|v|^2 / density norm, (c / current norm) Im(v* x v)) of a RECIPES
-    entry; v* x v is purely imaginary componentwise, so J discards no real part."""
-    _, density_norm, current_norm = recipe
-    rho = (v.real ** 2 + v.imag ** 2).sum(axis=-1) / density_norm
-    return rho, (c / current_norm) * np.cross(v.conj(), v).imag
+    """(rho, J) = (|v|^2 / norm, (c / norm) Im(v* x v)) of a RECIPES entry; v* x v
+    is purely imaginary componentwise, so J discards no real part."""
+    _, norm = recipe
+    rho = (v.real ** 2 + v.imag ** 2).sum(axis=-1) / norm
+    return rho, (c / norm) * np.cross(v.conj(), v).imag
 
 
 class CompiledState:
@@ -161,8 +160,10 @@ class CompiledState:
     first-seen order, by adding Weber amplitudes; a mode whose sum cancels
     to 1e-14 of its parts is dropped.  A component that makes a summed
     amplitude, its norm or its phi not finite raises FieldValidationError
-    naming its index.  phi is weber over sqrt(8 pi hbar c |k|), Good's
-    weighting as photon_wavefunction applies it on the grid.
+    naming its index; a state whose density bound (density_bound) for
+    either amplitude set is not finite raises it too.  phi is weber over
+    sqrt(8 pi hbar c |k|), Good's weighting as photon_wavefunction applies
+    it on the grid.
     """
 
     def __init__(self, state: PlaneWaveSuperposition, c: float = 1.0, hbar: float = 1.0):
@@ -191,6 +192,13 @@ class CompiledState:
         self.frequencies = np.array([comp.sigma for comp, _ in kept]) * (k_norm * c)
         self.weber = np.array([amplitude for _, amplitude in kept]).reshape(-1, 3)
         self.phi = self.weber / np.sqrt(8.0 * np.pi * hbar * c * k_norm)[:, None]
+        # rho <= bound everywhere, so a finite bound keeps the flows from overflowing
+        with np.errstate(over="ignore", invalid="ignore"):
+            for recipe in RECIPES.values():
+                if not np.isfinite(self.density_bound(recipe)):
+                    raise FieldValidationError(
+                        f"the density bound (sum of mode norms)^2 of the {recipe[0]} "
+                        f"amplitudes is not finite for c = {c!r}, hbar = {hbar!r}")
 
     def mode_sum(self, amplitudes: str, x, t) -> np.ndarray:
         """v = sum over modes of the named amplitudes at points x (..., 3), time(s) t."""
@@ -209,9 +217,9 @@ class CompiledState:
         return _recipe_flow(recipe, self.mode_sum(recipe[0], x, t), self.c)
 
     def density_bound(self, recipe: tuple) -> float:
-        """(sum of mode amplitude norms)^2 / density norm >= rho at every event."""
-        amplitudes, density_norm, _ = recipe
-        return float(sum(np.linalg.norm(a) for a in getattr(self, amplitudes)) ** 2 / density_norm)
+        """(sum of mode amplitude norms)^2 / the recipe's norm >= rho at every event."""
+        amplitudes, norm = recipe
+        return float(sum(np.linalg.norm(a) for a in getattr(self, amplitudes)) ** 2 / norm)
 
 
 def eval_weber(state: PlaneWaveSuperposition, x, t, c: float = 1.0) -> np.ndarray:

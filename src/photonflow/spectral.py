@@ -325,8 +325,8 @@ def evolve(weber: WeberGrid, dt: float,
     to roundoff.  dt < 0 runs the dynamics backwards.  The k = 0 mode is
     carried through unchanged.  The transversality gate and the rotation
     share one pass over the z-planes; a state that fails the gate is discarded.
-    dt == 0 runs the gate alone and returns ``weber`` itself, not a copy.
-    ``weber`` is left as it is: the step is advance applied to a copy.
+    ``weber`` is left as it is: the step, dt == 0 included, is advance applied
+    to a copy.
 
     Parameters
     ----------
@@ -339,9 +339,6 @@ def evolve(weber: WeberGrid, dt: float,
         before anything is written.
     """
     require_representation(weber, MOMENTUM, "evolve")
-    if check_real("dt", dt) == 0:
-        _gate(_sweep(weber)[0], transversality_tol)
-        return weber
     evolved = weber.copy()
     advance(evolved, dt, transversality_tol)
     return evolved

@@ -13,7 +13,7 @@ from photonflow import (Boost, CircularPlaneWave, FieldValidationError,
                         frame_consistency_check, guidance_velocity,
                         integrate_trajectories, sample_points_on_line,
                         sample_to_grid, transport_ensemble)
-from photonflow import bohm, planewaves
+from photonflow import bohm
 from photonflow.photon import PHI_BASED, WEBER_BASED
 from photonflow.planewaves import (CompiledState, copropagating_pair,
                                    counterprop_pair, flow_recipe, single_wave)
@@ -204,21 +204,23 @@ def test_density_upper_bound_is_an_upper_bound(rng):
     assert_allclose(rho_single, 1.0, rtol=1e-14)
 
 
-def _check_frame(state, axis, recipe, expected_mismatch, tol):
-    result = frame_consistency_check(state, Boost(axis, 0.5), np.zeros(3), 0.0,
+def _check_frame(state, axis, recipe, expected_mismatch, tol, c=1.0):
+    result = frame_consistency_check(state, Boost(axis, 0.5 * c, c), np.zeros(3), 0.0,
                                      recipe)
     assert result.mismatch == pytest.approx(expected_mismatch, abs=tol)
     return result
 
 
-def test_frame_consistency_agreements():
-    # velocity-addition of the rest velocity vs guidance in the boosted frame
+@pytest.mark.parametrize("c", [1.0, 2.0])
+def test_frame_consistency_agreements(c):
+    # velocity-addition of the rest velocity vs guidance in the boosted frame;
+    # the check takes c from the boost
     for axis in (Z_HAT, X_HAT):
         for recipe in (PHI_BASED, WEBER_BASED):
-            _check_frame(single_wave(), axis, recipe, 0.0, 1e-12)
-    result = _check_frame(counterprop_pair(), Z_HAT, PHI_BASED, 0.0, 1e-12)
-    assert_allclose(result.v_rest, [0.0, 0.0, 1.0 / 3.0], atol=1e-14)
-    assert_allclose(result.v_velocity_addition, [0.0, 0.0, -0.2], atol=1e-12)
+            _check_frame(single_wave(), axis, recipe, 0.0, 1e-12, c)
+    result = _check_frame(counterprop_pair(), Z_HAT, PHI_BASED, 0.0, 1e-12, c)
+    assert_allclose(result.v_rest, [0.0, 0.0, c / 3.0], atol=1e-14 * c)
+    assert_allclose(result.v_velocity_addition, [0.0, 0.0, -0.2 * c], atol=1e-12 * c)
 
 
 def test_frame_consistency_disagreements():
@@ -343,7 +345,13 @@ def test_guidance_rejects_non_finite_input(call):
 
 
 def test_speed_gate_fires_when_the_current_outgrows_the_density(monkeypatch):
-    monkeypatch.setitem(planewaves.RECIPES, PHI_BASED, ("phi", 1.0, 0.5))
+    real = CompiledState.flow
+
+    def inflated(self, recipe, x, t):
+        rho, current = real(self, recipe, x, t)
+        return rho, 2.0 * current
+
+    monkeypatch.setattr(CompiledState, "flow", inflated)
     with pytest.raises(InternalConsistencyError):
         guidance_velocity(single_wave(), np.zeros((1, 3)), 0.0, PHI_BASED)
 

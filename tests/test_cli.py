@@ -622,11 +622,14 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
     # I' = 2e307 is finite, but |F'|^2 = 8 pi I' / c is not
     ("trajectories", {"state": {"components": [{"k": [0, 0, 1], "I": 1e301}]},
                       "boost": {"direction": [0, 0, -1], "u": 0.999999}}, "boost"),
-    # |F'| is finite, but the phi amplitude, which grows as the square root of
-    # the Doppler factor, is not: the boosted state's compile rejects it
+    # the rest-frame state compiles, but the redshifted 8 pi hbar c |k'| underflows
+    # to 0, so the phi amplitude is not finite: the boosted state's compile rejects it
     ("trajectories", {"units": {"c": 1e-100, "hbar": 1e-100},
-                      "state": {"components": [{"k": [0, 0, 4e-120], "I": 8e190}]},
-                      "boost": {"direction": [0, 0, -1], "u": 0.999999999999999}}, "boost"),
+                      "state": {"components": [{"k": [0, 0, 1e-124], "I": 1e-120}]},
+                      "boost": {"direction": [0, 0, 1], "u": 0.9998}}, "boost"),
+    # the amplitudes are finite, but the phi density bound (sum |phi_m|)^2 is not
+    ("trajectories", {"units": {"c": 1e-100, "hbar": 1e-100},
+                      "state": {"components": [{"k": [0, 0, 1], "I": 1e9}]}}, "state"),
     # the outer bundle modes' Gaussian weight exp(-4e6) underflows to 0
     ("doubleslit", {"grid": {"n": 16}, "doubleslit": {"bundle_width": 2,
                                                       "bundle_sigma": 1e-3}},
@@ -647,8 +650,8 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
         "backward-span", "audit-speed-rounds-to-c", "boost-speed-rounds-to-c",
         "subnormal-c-trajectories", "tiny-c-boost-audit", "huge-hbar", "tiny-box-evolve",
         "huge-box-doubleslit", "tiny-box-trajectories", "boosted-intensity-overflows",
-        "boosted-amplitude-overflows", "boosted-phi-overflows", "tiny-bundle-sigma",
-        "underflowing-bundle-sigma", "underflowing-second-source"])
+        "boosted-amplitude-overflows", "boosted-phi-overflows", "density-bound-overflows",
+        "tiny-bundle-sigma", "underflowing-bundle-sigma", "underflowing-second-source"])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, command,
                                                    config, field):
     rc, out = _run(tmp_path, command, config=config)

@@ -55,11 +55,15 @@ CANCELLING = PlaneWaveSuperposition([CircularPlaneWave([0.0, 0.0, 1.0], 1.0),
     (lambda: CompiledState(PlaneWaveSuperposition([CircularPlaneWave([0.0, 0.0, 1e-150], 1.0)]),
                            c=1e-100, hbar=1e-100),
      "component 0: its Weber amplitude sqrt(4 pi I / c) or phi amplitude"),
+    # |phi| = 2e154 is finite, but the density bound |phi|^2 is not
+    (lambda: CompiledState(PlaneWaveSuperposition([CircularPlaneWave([0.0, 0.0, 1.0], 1e9)]),
+                           c=1e-100, hbar=1e-100),
+     "the density bound (sum of mode norms)^2 of the phi amplitudes is not finite"),
 ], ids=["point-shape", "zero-step", "backward-span", "knot-count-overflows",
         "knot-count-beyond-2-53", "boosted-intensity-overflows", "ragged-direction",
         "vanishing-line-density",
         "mode-sum-point-shape", "zero-box-length", "negative-c", "zero-hbar", "field-shape",
-        "overflowing-weber-amplitude", "underflowing-phi-weight"])
+        "overflowing-weber-amplitude", "underflowing-phi-weight", "density-bound-overflows"])
 def test_field_validation_error_names_the_argument(call, named):
     with pytest.raises(FieldValidationError) as exc:
         call()

@@ -231,9 +231,12 @@ def test_four_vector_maps_match_the_boost_matrix(rng):
         assert_allclose(velocity_addition(v, boost), c * u[:, 1:] / u[:, :1], rtol=1e-12)
 
 
-def test_audit_verdicts_match_the_covariance_table():
-    scenarios = [(single_wave(), _half_z()), (single_wave(), _half_x()),
-                 (counterprop_pair(), _half_z()), (counterprop_pair(), _half_x())]
+@pytest.mark.parametrize("c", [1.0, 2.0])
+def test_audit_verdicts_match_the_covariance_table(c):
+    # u = c/2 for either c: the audit takes c from the boost
+    z_boost, x_boost = Boost(Z_HAT, 0.5 * c, c), Boost(X_HAT, 0.5 * c, c)
+    scenarios = [(single_wave(), z_boost), (single_wave(), x_boost),
+                 (counterprop_pair(), z_boost), (counterprop_pair(), x_boost)]
     phi = [audit_four_vector(s, b, PHI_BASED) for s, b in scenarios]
     weber = [audit_four_vector(s, b, WEBER_BASED) for s, b in scenarios]
     assert [a.verdict for a in phi] == ["four_vector_consistent"] * 3 + ["violated"]
@@ -279,7 +282,7 @@ def test_boosted_flow_still_conserves_probability():
 
 def test_audit_samples_cover_one_interference_period():
     state = counterprop_pair()
-    s, points, t_prime = default_sample_line(state, _half_x(), 128)
+    s, points, t_prime = default_sample_line(boost_plane_wave(state, _half_x()), 128)
     assert points.shape == (128, 3)
     assert np.all(t_prime == 0.0)
     assert s[0] == 0.0
@@ -288,7 +291,8 @@ def test_audit_samples_cover_one_interference_period():
 
 
 def test_audit_samples_along_x_when_the_boosted_wave_vectors_cancel():
-    s, points, _ = default_sample_line(counterprop_pair(1.0, 1.0), Boost(Z_HAT, 0.0), 64)
+    s, points, _ = default_sample_line(
+        boost_plane_wave(counterprop_pair(1.0, 1.0), Boost(Z_HAT, 0.0)), 64)
     assert np.all(points[:, 1:] == 0.0) and np.array_equal(points[:, 0], s)
     period = 2.0 * np.pi  # set by the largest boosted wavenumber, 1
     assert s[-1] < period <= s[-1] + (s[1] - s[0]) * 1.0001

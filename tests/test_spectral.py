@@ -276,9 +276,12 @@ def test_evolve_rejects_an_inf_in_the_dc_mode(spec8):
         evolve(tilde, 0.1)
 
 
-def test_evolve_by_zero_returns_the_state_itself(spec8, rng):
+def test_evolve_by_zero_returns_an_equal_copy(spec8, rng):
     tilde = _random_transverse(spec8, rng)
-    assert evolve(tilde, 0.0) is tilde
+    evolved = evolve(tilde, 0.0)
+    assert evolved is not tilde and evolved.field is not tilde.field
+    assert evolved.field.tobytes() == tilde.field.tobytes()
+    assert evolved.time == tilde.time
 
 
 @pytest.mark.parametrize("spoil", ["nan", "longitudinal"])

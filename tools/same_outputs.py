@@ -7,10 +7,11 @@ directory, then runs every job of ``perfbench.workloads.WORKLOADS`` with
 ``python -m photonflow ... --seed 3`` once from REV's ``src/`` and once from
 the working tree's.  Each side runs each workload's jobs in order in its own
 cycle directory, with relative ``--config`` and ``--out`` paths, so the
-printed paths are the same on both sides.  The exit code, stdout and sha256
-of every file each job writes are compared; the names that differ are
-printed, and the exit status is 1 on any difference, 0 otherwise.  The
-worktree is removed before the working tree's side runs.
+printed paths are the same on both sides.  The exit code, stdout, stderr
+and sha256 of every file each job writes are compared, so a warning that
+one side prints and the other does not is a difference; the names that
+differ are printed, and the exit status is 1 on any difference, 0
+otherwise.  The worktree is removed before the working tree's side runs.
 """
 
 import hashlib
@@ -30,7 +31,8 @@ SEED = "3"
 
 
 def run_side(src: Path, top: Path) -> dict:
-    """{job kind: (exit code, stdout, {output file: sha256})} of the jobs run from ``src``."""
+    """{job kind: (exit code, stdout, stderr, {output file: sha256})} of the jobs run
+    from ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src))
     imported = subprocess.run(
         [sys.executable, "-c", "import photonflow; print(photonflow.__file__)"],
@@ -49,16 +51,15 @@ def run_side(src: Path, top: Path) -> dict:
                                  cwd=cycle, env=env, capture_output=True)
             files = {str(path.relative_to(cycle)): hashlib.sha256(path.read_bytes()).hexdigest()
                      for path in sorted((cycle / job.kind).rglob("*")) if path.is_file()}
-            results[job.kind] = (run.returncode, run.stdout, files)
+            results[job.kind] = (run.returncode, run.stdout, run.stderr, files)
     return results
 
 
 def differences(old: tuple, new: tuple) -> list:
     """The names of what differs between two results of one job."""
-    names = [name for name, a, b in (("exit code", old[0], new[0]), ("stdout", old[1], new[1]))
-             if a != b]
-    return names + sorted(name for name in set(old[2]) | set(new[2])
-                          if old[2].get(name) != new[2].get(name))
+    names = [name for name, a, b in zip(("exit code", "stdout", "stderr"), old, new) if a != b]
+    return names + sorted(name for name in set(old[3]) | set(new[3])
+                          if old[3].get(name) != new[3].get(name))
 
 
 def main(argv) -> int:
@@ -80,7 +81,7 @@ def main(argv) -> int:
         names = differences(old[kind], new[kind])
         differing += bool(names)
         verdict = "differs: " + ", ".join(names) if names else (
-            f"exit code {new[kind][0]}, stdout and {len(new[kind][2])} file(s) identical")
+            f"exit code {new[kind][0]}, stdout, stderr and {len(new[kind][3])} file(s) identical")
         print(f"{kind}: {verdict}")
     print(f"{differing} of {len(old)} jobs differ from {rev}" if differing
           else f"all {len(old)} jobs identical to {rev}")
