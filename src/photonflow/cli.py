@@ -60,7 +60,8 @@ from .bohm import (_NODE_FLOOR_REL, frame_consistency_check, integrate_trajector
                    knot_count, sample_points_on_line)
 from .errors import (ConfigError, FieldValidationError, OffGridWaveVectorError,
                      PhotonflowError, RangeError)
-from .fieldio import _HEADER, read_weber, trajectories_to_csv, write_csv, write_weber
+from .fieldio import (_HEADER, read_weber, trajectories_to_csv, write_csv, write_json,
+                      write_weber)
 from .fields import (_BOX_LENGTH_RANGE, _UNIT_RANGE, MOMENTUM, POSITION, GridSpec,
                      box_energy)
 from .lorentz import _AUDIT_TOL, Boost, audit_four_vector, audit_to_json, boost_plane_wave
@@ -441,9 +442,8 @@ def cmd_boost_audit(config, tol, seed, out):
             results.append((name, audit))
             print(f"{name:22s} {recipe:12s} {audit.max_mismatch:14.3e}  {audit.verdict}")
 
-    payload = [dict(scenario=name, **audit_to_json(audit)) for name, audit in results]
-    # compact: with an indent, json uses its pure-Python encoder
-    (out / "audits.json").write_text(json.dumps(payload))
+    write_json(out / "audits.json",
+               [dict(scenario=name, **audit_to_json(audit)) for name, audit in results])
 
     interference = next(audit for name, audit in results
                         if name == "two-wave x-boost" and audit.recipe == PHI_BASED)

@@ -1,4 +1,4 @@
-"""Serialization: the PHWF1 binary field container and CSV exports.
+"""Serialization: the PHWF1 binary field container, CSV exports and JSON payloads.
 
 PHWF1 layout (all multi-byte values little-endian):
 
@@ -24,10 +24,15 @@ big-endian host converts, one plane at a time.
 
 CSV exports carry their column names in the first line (no comment
 prefix) so they load directly into plotting tools.
+
+write_json writes a payload whose leaves may be float64 arrays, with the
+bytes json.dumps gives once every such array is a list; it formats each
+distinct float once and writes the text a piece at a time.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 
@@ -95,10 +100,76 @@ def read_weber(path) -> WeberGrid:
     return WeberGrid(plane_view(planes), spec, _TAG_REPS[tag], time)
 
 
+# array elements per piece of text that write_json joins and writes: bounds the text held
+_JSON_CHUNK = 1 << 14
+
+
+def write_json(path, obj) -> None:
+    """Write obj as JSON, the bytes of json.dumps(obj) with every float64 array
+    replaced by its tolist().
+
+    Dicts (with str keys), lists and tuples are walked; a float64 ndarray is
+    written from one repr per distinct bit pattern, so NaN, +-inf and -0.0
+    are spelled as json spells them; every other key and leaf goes through
+    json.dumps, which rejects what it cannot encode.  The text goes to the
+    file piece by piece and is never built whole.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        _write_json_value(fh.write, obj)
+
+
+def _write_json_value(write, obj) -> None:
+    if isinstance(obj, dict):
+        write("{")
+        for i, (key, value) in enumerate(obj.items()):
+            write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            _write_json_value(write, value)
+        write("}")
+    elif isinstance(obj, (list, tuple)):
+        write("[")
+        for i, value in enumerate(obj):
+            if i:
+                write(", ")
+            _write_json_value(write, value)
+        write("]")
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64:
+        if obj.ndim and obj.size:
+            _write_float_array(write, obj)
+        else:  # a scalar or no elements: nothing to share
+            write(json.dumps(obj.tolist()))
+    else:
+        write(json.dumps(obj))
+
+
+def _write_float_array(write, array) -> None:
+    # np.unique gets 1-d input only: its return_inverse shape differs between
+    # numpy 1.x and 2.x for more dimensions
+    distinct, inverse = np.unique(array.reshape(-1).view(np.uint64), return_inverse=True)
+    reprs = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "),
+                     dtype=object)
+    # each element followed by its separator: ", " inside the last axis, and
+    # where k trailing axes end, k closing brackets, ", " and k opening ones
+    pieces = np.full((array.size, 2), ", ", dtype=object)
+    pieces[:, 0] = reprs[inverse]
+    for depth in range(1, array.ndim + 1):
+        stride = int(np.prod(array.shape[-depth:]))
+        pieces[stride - 1::stride, 1] = "]" * depth + ", " + "[" * depth
+    pieces[-1, 1] = "]" * array.ndim
+    pieces = pieces.reshape(-1)
+    write("[" * array.ndim)
+    for start in range(0, pieces.size, 2 * _JSON_CHUNK):
+        write("".join(pieces[start:start + 2 * _JSON_CHUNK].tolist()))
+
+
 def write_csv(path, header: str, columns) -> None:
-    """Write named columns (1-d arrays of equal length) as CSV."""
-    table = np.column_stack([np.asarray(col, dtype=float) for col in columns])
+    """Write named columns (1-d arrays of equal length) as CSV, the bytes of
     np.savetxt(path, table, delimiter=",", header=header, comments="")
+    formatted in one % over the whole table."""
+    table = np.column_stack([np.asarray(col, dtype=float) for col in columns])
+    rows = (",".join(["%.18e"] * table.shape[1]) + "\n") * table.shape[0]
+    with open(path, "w") as fh:
+        fh.write(f"{header}\n")
+        fh.write(rows % tuple(table.ravel().tolist()))
 
 
 def trajectories_to_csv(path, trajectories) -> None:

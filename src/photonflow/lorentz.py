@@ -28,7 +28,7 @@ import numpy as np
 from .errors import FieldValidationError, InternalConsistencyError, ZeroFieldError
 from .fields import check_real
 from .planewaves import (PHI_BASED, CircularPlaneWave, CompiledState,
-                         PlaneWaveSuperposition, flow_recipe, polarization_basis)
+                         PlaneWaveSuperposition, _cross, flow_recipe, polarization_basis)
 
 # relative tolerance within which boost_plane_wave's two routes must agree
 _CONSISTENCY_TOL = 1e-9
@@ -93,8 +93,7 @@ def field_boost(f, boost: Boost) -> np.ndarray:
     f = np.asarray(f, dtype=complex)
     b = boost.beta_vector
     g = boost.gamma
-    cross = np.cross(np.broadcast_to(b, f.shape), f)
-    return g * (f - 1j * cross) - (g ** 2 / (g + 1.0)) * (f @ b)[..., None] * b
+    return g * (f - 1j * _cross(b, f)) - (g ** 2 / (g + 1.0)) * (f @ b)[..., None] * b
 
 
 def velocity_addition(v, boost: Boost) -> np.ndarray:
@@ -136,7 +135,7 @@ def boost_plane_wave(state: PlaneWaveSuperposition, boost: Boost) -> PlaneWaveSu
                     f"u = {boost.speed!r}, c = {boost.c!r})")
 
             k_hat_out = k_out / np.linalg.norm(k_out)
-            helicity = np.cross(k_hat_out, amp_out) + 1j * amp_out
+            helicity = _cross(k_hat_out, amp_out) + 1j * amp_out
             scale = np.abs(amp_out).max()
             if np.abs(helicity).max() > _CONSISTENCY_TOL * scale:
                 raise InternalConsistencyError(
@@ -152,8 +151,8 @@ def boost_plane_wave(state: PlaneWaveSuperposition, boost: Boost) -> PlaneWaveSu
             intensity_field = abs(z) ** 2 * boost.c / (4.0 * np.pi)
         if abs(intensity_field - intensity_out) > _CONSISTENCY_TOL * max(intensity_out, intensity_field):
             raise InternalConsistencyError(
-                f"component {idx}: field-route intensity {intensity_field!r} disagrees "
-                f"with Doppler-route intensity {intensity_out!r}")
+                f"component {idx}: field-route intensity {float(intensity_field)!r} "
+                f"disagrees with Doppler-route intensity {float(intensity_out)!r}")
 
         out.append(CircularPlaneWave(k_out, intensity_out, comp.handedness,
                                      float(np.angle(z))))
@@ -246,7 +245,12 @@ def audit_four_vector(state: PlaneWaveSuperposition, boost: Boost,
 
 
 def audit_to_json(audit: FourVectorAudit) -> dict:
-    """A JSON-serializable summary of an audit, samples included."""
+    """A summary of an audit for fieldio.write_json, samples included.
+
+    The per-sample values stay float64 arrays (s, t', rho and the mismatch
+    of shape (n,); x', J of shape (n, 3)), which write_json writes as the
+    lists their tolist() gives; everything else is a plain JSON value.
+    """
     return {
         "recipe": audit.recipe,
         "boost": {
@@ -259,13 +263,13 @@ def audit_to_json(audit: FourVectorAudit) -> dict:
         "tolerance": audit.tolerance,
         "scale": audit.scale,
         "samples": {
-            "s": audit.s.tolist(),
-            "x_prime": audit.x_prime.tolist(),
-            "t_prime": audit.t_prime.tolist(),
-            "rho_boosted_frame": audit.rho_a.tolist(),
-            "rho_fourvector": audit.rho_b.tolist(),
-            "current_boosted_frame": audit.current_a.tolist(),
-            "current_fourvector": audit.current_b.tolist(),
-            "mismatch": audit.mismatch_field.tolist(),
+            "s": audit.s,
+            "x_prime": audit.x_prime,
+            "t_prime": audit.t_prime,
+            "rho_boosted_frame": audit.rho_a,
+            "rho_fourvector": audit.rho_b,
+            "current_boosted_frame": audit.current_a,
+            "current_fourvector": audit.current_b,
+            "mismatch": audit.mismatch_field,
         },
     }

@@ -144,12 +144,21 @@ def flow_recipe(name) -> tuple:
     return RECIPES[name]
 
 
+def _cross(a, b) -> np.ndarray:
+    """a x b on the trailing axis of size 3, written out per component: the
+    bits of np.cross, without its axis moves and broadcast copies, which cost
+    more than the products on a few points."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def _recipe_flow(recipe: tuple, v, c: float) -> tuple:
     """(rho, J) = (|v|^2 / norm, (c / norm) Im(v* x v)) of a RECIPES entry; v* x v
     is purely imaginary componentwise, so J discards no real part."""
     _, norm = recipe
     rho = (v.real ** 2 + v.imag ** 2).sum(axis=-1) / norm
-    return rho, (c / norm) * np.cross(v.conj(), v).imag
+    return rho, (c / norm) * _cross(v.conj(), v).imag
 
 
 class CompiledState:

@@ -10,6 +10,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from photonflow import cli, fields, photon, spectral
 from photonflow.cli import (_AUDIT_SAMPLES_LIMIT, _FIELD_BYTES_LIMIT, _POINT_KNOTS_LIMIT,
                             build_parser, load_config, main)
 from photonflow.errors import ConfigError
-from photonflow.fieldio import _HEADER, read_weber, write_weber
+from photonflow.fieldio import _HEADER, read_weber, write_json, write_weber
 from photonflow.planewaves import counterprop_pair
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -366,6 +367,28 @@ def test_boost_audit_interference_csv(tmp_path):
                                atol=1e-12)
     # the four-vector route predicts a constant density for this state
     np.testing.assert_allclose(table[:, 2], 1.5 * gamma, atol=1e-9)
+
+
+def test_audits_json_is_written_in_pieces(tmp_path, monkeypatch):
+    # the benchmark's payload, eight audits of 4096 samples: write_json holds
+    # one array's pieces at a time, where json.dumps held its lists and the
+    # whole 7 MB text
+    peaks = []
+
+    def traced(path, payload):
+        tracemalloc.start()
+        try:
+            write_json(path, payload)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "write_json", traced)
+    rc, out = _run(tmp_path, "boost-audit", {"audit": {"samples": 4096}})
+    assert rc == 0
+    size = (out / "audits.json").stat().st_size
+    assert size > 6e6
+    assert peaks[0] <= 0.5 * size, peaks[0] / size
 
 
 # --- trajectories -----------------------------------------------------------

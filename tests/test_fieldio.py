@@ -1,15 +1,17 @@
-"""Binary field container round trips and the CSV writers."""
+"""Binary field container round trips, the CSV writers and the JSON writer."""
 
+import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from photonflow import GridSpec, WeberGrid, read_weber, write_weber
 from photonflow.bohm import Trajectory
 from photonflow.errors import FieldValidationError
-from photonflow.fieldio import trajectories_to_csv, write_csv
+from photonflow.fieldio import trajectories_to_csv, write_csv, write_json
 
 
 def _random_grid(rng, n=4, representation="position", c=1.0, hbar=1.0,
@@ -131,6 +133,50 @@ def test_write_csv_header_and_columns(tmp_path):
     assert lines[0] == "a,b"
     assert len(lines) == 3
     assert_allclose([float(v) for v in lines[1].split(",")], [1.0, 3.0])
+
+
+# the values whose spelling needs care: NaN of either sign, +-inf, -0.0 beside
+# 0.0, subnormals, and 1e16 and 1e-5, where repr switches to exponent notation
+SPECIAL = [float("nan"), -float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 5e-324,
+           2.2250738585072e-308, 1e16, 9999999999999998.0, 1e-5, 0.0001, 1.0, -2.5]
+
+
+@pytest.mark.parametrize("rows, ncol", [(0, 3), (1, 1), (9, 4), (300, 9)])
+def test_write_csv_has_the_bytes_of_savetxt(tmp_path, rng, rows, ncol):
+    table = rng.standard_normal((rows, ncol)) * 10.0 ** rng.integers(-300, 300, (rows, ncol))
+    table.flat[::3] = rng.choice(SPECIAL, table.size)[::3]
+    header = ",".join(f"c{i}" for i in range(ncol))
+    write_csv(tmp_path / "ours.csv", header, table.T)
+    np.savetxt(tmp_path / "savetxt.csv", table, delimiter=",", header=header, comments="")
+    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
+def _as_lists(obj):
+    if isinstance(obj, dict):
+        return {key: _as_lists(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_as_lists(value) for value in obj]
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+
+FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
+ARRAYS = st.one_of(
+    st.lists(FLOATS, max_size=12).map(lambda values: np.array(values, dtype=float)),
+    st.lists(st.tuples(FLOATS, FLOATS, FLOATS), max_size=6).map(
+        lambda rows: np.array(rows, dtype=float).reshape(-1, 3)))
+PAYLOADS = st.recursive(
+    ARRAYS | FLOATS | st.text(max_size=4) | st.integers() | st.booleans() | st.none(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=12)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(payload=PAYLOADS)
+def test_write_json_has_the_bytes_of_json_dumps(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "payload.json"  # rewritten by each example
+    write_json(path, payload)
+    assert path.read_text(encoding="utf-8") == json.dumps(_as_lists(payload))
 
 
 def test_trajectories_csv_layout(tmp_path):

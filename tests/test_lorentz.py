@@ -5,6 +5,8 @@ transforms as a four-current except against the boosted standing wave,
 while the energy-weighted flow fails for every boosted scenario.
 """
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,6 +19,7 @@ from photonflow import (Boost, analytic_probability_flow, audit_four_vector,
 from photonflow import lorentz
 from photonflow.errors import (FieldValidationError, InternalConsistencyError,
                                ZeroFieldError)
+from photonflow.fieldio import write_json
 from photonflow.lorentz import default_sample_line
 from photonflow.photon import PHI_BASED, WEBER_BASED
 from photonflow.planewaves import (PlaneWaveSuperposition, counterprop_pair,
@@ -298,16 +301,24 @@ def test_audit_samples_along_x_when_the_boosted_wave_vectors_cancel():
     assert s[-1] < period <= s[-1] + (s[1] - s[0]) * 1.0001
 
 
-def test_audit_json_payload():
+def test_audit_json_payload(tmp_path):
     audit = audit_four_vector(single_wave(), _half_z(), WEBER_BASED, n_samples=16)
     payload = audit_to_json(audit)
     assert payload["recipe"] == WEBER_BASED
     assert payload["verdict"] == "violated"
     assert payload["boost"] == {"direction": [0.0, 0.0, 1.0], "speed": 0.5, "c": 1.0}
+    # the samples are the audit's own arrays, handed to write_json as they are
     samples = payload["samples"]
-    assert len(samples["rho_boosted_frame"]) == 16
-    assert len(samples["current_fourvector"]) == 16
-    assert samples["mismatch"][0] == pytest.approx(audit.mismatch_field[0])
+    assert samples["rho_boosted_frame"] is audit.rho_a
+    assert samples["current_fourvector"] is audit.current_b
+    assert samples["mismatch"] is audit.mismatch_field
+    assert all(value.dtype == np.float64 for value in samples.values())
+    assert samples["x_prime"].shape == samples["current_boosted_frame"].shape == (16, 3)
+    path = tmp_path / "audit.json"
+    write_json(path, payload)
+    written = json.loads(path.read_text())
+    assert written["samples"]["current_fourvector"] == audit.current_b.tolist()
+    assert written["samples"]["mismatch"] == audit.mismatch_field.tolist()
 
 
 def test_audit_rejects_empty_state():
@@ -334,3 +345,14 @@ def test_boost_route_checks_fire_on_a_wrong_field_boost(monkeypatch, corrupt):
                         lambda f, boost: corrupt(real(f, boost), boost))
     with pytest.raises(InternalConsistencyError):
         boost_plane_wave(single_wave(), _half_x())
+
+
+def test_intensity_route_error_prints_python_floats(monkeypatch):
+    # with no tolerance the two routes' roundoff apart fires the intensity guard
+    # (the helicity residual of a z-boosted wave along z is exactly 0)
+    monkeypatch.setattr(lorentz, "_CONSISTENCY_TOL", 0.0)
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^component 0: field-route intensity [0-9.]+ disagrees with "
+                             r"Doppler-route intensity [0-9.]+$") as info:
+        boost_plane_wave(single_wave(), _half_z())
+    assert "np.float64(" not in str(info.value)

@@ -11,7 +11,7 @@ from photonflow import (GridSpec, analytic_probability_flow, eval_weber, evolve,
                         to_position, total_energy, weber_probability_flow)
 from photonflow.errors import FieldValidationError, OffGridWaveVectorError
 from photonflow.planewaves import (PRESETS, CircularPlaneWave, CompiledState,
-                                   PlaneWaveSuperposition, WEBER_BASED,
+                                   PlaneWaveSuperposition, WEBER_BASED, _cross,
                                    copropagating_pair, counterprop_pair,
                                    flow_recipe, single_wave)
 
@@ -147,6 +147,18 @@ def test_grid_flows_match_analytic_flows(spec16):
     e_box = total_energy(weber)
     assert_allclose(flow.rho * e_box, rho_e, rtol=1e-10)
     assert_allclose(flow.current * e_box, s, atol=1e-10)
+
+
+def test_cross_has_the_bits_of_np_cross(spec16, rng):
+    # v* x v at closed-form points (the guidance path) and on a grid field in
+    # payload order (the grid flows), field_boost's one real 3-vector against
+    # many complex values, and the helicity check's pair of 3-vectors
+    v = CompiledState(counterprop_pair()).mode_sum("phi", rng.uniform(-3.0, 3.0, (16, 3)), 0.4)
+    grid = sample_to_grid(counterprop_pair(), spec16).field
+    real = rng.standard_normal(3)
+    for a, b in [(v.conj(), v), (grid.conj(), grid), (real, v), (real, grid),
+                 (real, rng.standard_normal(3) + 1j * rng.standard_normal(3))]:
+        assert np.array_equal(_cross(a, b), np.cross(a, b))
 
 
 def test_off_grid_wave_vector_rejected(spec16):
