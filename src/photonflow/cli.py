@@ -6,16 +6,28 @@ info only prints the presets, tolerances and default config.  All
 randomness is seeded (--seed), all numeric output is deterministic.
 
 evolve and doubleslit build their grid state in momentum space
-(planewaves.place) and evolve it in place (spectral.advance), so each holds
-one full-size field; evolve takes each snapshot's energy, photon number and
-transversality residual from the sums advance forms in its one pass over the
-field, and a position-representation state file is transformed in place
-(spectral.forward_transform_in_place); doubleslit writes the
-x,z-mean density profile along y (photon.density_profile_y), computed from
-the field plane by plane without building phi~ or the 3-D inverse transform.
-trajectories integrates all its points in one RK4 pass
+(planewaves.place).  evolve holds no field: each step reads its state a
+z-plane at a time, turns it and writes it into that step's snapshot file
+(spectral.advance_into), and the next step reads that snapshot, so the
+snapshot files carry the state from step to step.  The first step reads
+the placed state (divided by the square root of its photon number for
+evolve.normalize, never copied) or a momentum state file; only a
+position-representation state file, which needs its 3-D transform
+(spectral.forward_transform_in_place), or a state file to be normalized is
+held in memory, as one field.  Each snapshot's energy, photon number and
+transversality residual come from the sums its step forms in the same
+pass.  doubleslit evolves its one field in place (spectral.advance) and
+writes the x,z-mean density profile along y (photon.density_profile_y),
+computed from the field plane by plane without building phi~ or the 3-D
+inverse transform.  trajectories integrates all its points in one RK4 pass
 (bohm.integrate_trajectories).
-A closed stdout ends a subcommand with exit status 1 and no traceback.
+A closed stdout ends a subcommand with exit status 1 and no traceback.  An
+--out that cannot be created as a directory exits 2, and an output file
+that cannot be written exits 1 naming it ("cannot write <file>").  A
+snapshot is written under a temporary name and renamed when its step has
+passed the transversality gate, so a failed step leaves no snapshot (and
+an older file of that name as it was), and a state file may be the
+snapshot its first step replaces.
 
 Config layout (any subset; missing keys take the defaults shown by
 ``photonflow info``)::
@@ -51,6 +63,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -60,16 +73,17 @@ from .bohm import (_NODE_FLOOR_REL, frame_consistency_check, integrate_trajector
                    knot_count, sample_points_on_line)
 from .errors import (ConfigError, FieldValidationError, OffGridWaveVectorError,
                      PhotonflowError, RangeError)
-from .fieldio import (_HEADER, read_weber, trajectories_to_csv, write_csv, write_json,
-                      write_weber)
-from .fields import (_BOX_LENGTH_RANGE, _UNIT_RANGE, MOMENTUM, POSITION, GridSpec,
+from .fieldio import (_HEADER, WeberFile, check_weber, new_weber_file, read_weber,
+                      trajectories_to_csv, write_csv, write_json)
+from .fields import (_BOX_LENGTH_RANGE, _UNIT_RANGE, MOMENTUM, POSITION, FieldPlanes, GridSpec,
                      box_energy)
 from .lorentz import _AUDIT_TOL, Boost, audit_four_vector, audit_to_json, boost_plane_wave
 from .photon import (DEFAULT_DC_TOLERANCE, PHI_BASED, WEBER_BASED, check_dc_share,
-                     density_profile_y, normalize_single_photon, photon_count)
+                     density_profile_y, photon_count, single_photon_norm)
 from .planewaves import (PRESETS, CircularPlaneWave, CompiledState, PlaneWaveSuperposition,
                          place)
-from .spectral import _TRANSVERSALITY_TOL, advance, check_step, forward_transform_in_place
+from .spectral import (_TRANSVERSALITY_TOL, advance, advance_into, check_step,
+                       forward_transform_in_place)
 
 # --- config schema ------------------------------------------------------------
 #
@@ -340,14 +354,25 @@ def _named(field, build, *args):
         raise ConfigError(f"{field}: {exc}", field=field) from exc
 
 
-def _steps(weber, times, field):
-    """The dt of each step that advances ``weber`` to each of ``times`` in turn,
-    formed as advance will take them (dt = t - time; time += dt), each checked
-    by check_step and a rejected one named as ``field``."""
-    time, steps = weber.time, []
+@contextmanager
+def _writing(path):
+    """Run the block that writes the output file ``path`` (given back); an
+    OSError in it becomes a PhotonflowError, "cannot write <path>: <reason>"."""
+    try:
+        yield path
+    except OSError as exc:
+        raise PhotonflowError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _steps(state, times, field):
+    """The dt of each step that takes ``state`` (a field or plane source, with
+    a spec and a time) to each of ``times`` in turn, formed as the steps take
+    them (dt = t - time; time += dt), each checked by check_step and a
+    rejected one named as ``field``."""
+    time, steps = state.time, []
     for t in times:
         dt = t - time
-        _named(field, check_step, weber.spec, dt)
+        _named(field, check_step, state.spec, dt)
         steps.append(dt)
         time += dt
     return steps
@@ -355,9 +380,16 @@ def _steps(weber, times, field):
 
 # --- evolve -----------------------------------------------------------------
 
-def cmd_evolve(config, tol, seed, out):
-    section = config["evolve"]
+def _initial_source(config, tol):
+    """The plane source (fields.FieldPlanes or fieldio.WeberFile) evolve starts from.
 
+    A state.file is checked in one pass through a plane buffer.  In the
+    momentum representation the first step then reads it again plane by
+    plane; in the position representation, or to be normalized, it is read
+    once more, into memory (and transformed in place).  A normalized state
+    is read through the divisor that makes it one photon, never copied.
+    """
+    normalize = config["evolve"]["normalize"]
     if "file" in config["state"]:
         # resume from a stored snapshot; it carries its own grid and units,
         # so the config's grid and units sections are not used
@@ -368,32 +400,42 @@ def cmd_evolve(config, tol, seed, out):
                 raise ConfigError(f"state.file {path} is {size} bytes, over the limit of "
                                   f"{_FIELD_BYTES_LIMIT} bytes per field plus the "
                                   f"{_HEADER.size}-byte header", field="state.file")
+            stored = check_weber(path)
+            if stored.representation == MOMENTUM and not normalize:
+                return stored
             weber = read_weber(path)
         except OSError as exc:
             raise ConfigError(f"cannot read field file: {exc}", field="state.file") from exc
         except RangeError as exc:  # the snapshot's L, c or hbar, before its payload
             raise ConfigError(f"state.file {path}: {exc}", field="state.file") from exc
-        spec = weber.spec
         if weber.representation == POSITION:
             forward_transform_in_place(weber)
     else:
         grid, units = config["grid"], config["units"]
         spec = GridSpec(grid["n"], grid["L"], units["c"], units["hbar"])
         weber = _named("state", place, build_state(config), spec)
-    if section["normalize"]:
-        weber = normalize_single_photon(weber, dc_tolerance=tol["dc"])
-    steps = _steps(weber, section["times"], "evolve.times")
+    return FieldPlanes(weber, single_photon_norm(weber, tol["dc"]) if normalize else None)
+
+
+def cmd_evolve(config, tol, seed, out):
+    section = config["evolve"]
+    source = _initial_source(config, tol)
+    spec, time = source.spec, source.time
+    steps = _steps(source, section["times"], "evolve.times")
     yield
 
     records = []
     for i, (t, dt) in enumerate(zip(section["times"], steps)):
-        sums = advance(weber, dt, transversality_tol=tol["transversality"])
-        snapshot = out / f"snapshot_{i:02d}.phwf"
-        write_weber(snapshot, weber)
+        # each step reads the one before it from its snapshot, a plane at a time
+        time += dt
+        path = out / f"snapshot_{i:02d}.phwf"
+        with _writing(path), new_weber_file(path, spec, MOMENTUM, time) as snapshot:
+            sums = advance_into(source, dt, snapshot, tol["transversality"])
+        source = WeberFile(path, spec, MOMENTUM, time)
         check_dc_share(sums.dc_sq, sums.sum_sq, tol["dc"])
         record = {
             "time": t,
-            "file": snapshot.name,
+            "file": path.name,
             "energy": box_energy(sums.sum_sq, spec, MOMENTUM),
             "photon_number": photon_count(sums.sum_sq_over_k, spec),
             "transversality_residual": sums.residual,
@@ -408,7 +450,8 @@ def cmd_evolve(config, tol, seed, out):
         "normalized": section["normalize"],
         "snapshots": records,
     }
-    (out / "diagnostics.json").write_text(json.dumps(diagnostics, indent=2))
+    with _writing(out / "diagnostics.json") as path:
+        path.write_text(json.dumps(diagnostics, indent=2))
     print(f"wrote {len(records)} snapshot(s) and diagnostics.json to {out}")
 
 
@@ -442,15 +485,15 @@ def cmd_boost_audit(config, tol, seed, out):
             results.append((name, audit))
             print(f"{name:22s} {recipe:12s} {audit.max_mismatch:14.3e}  {audit.verdict}")
 
-    write_json(out / "audits.json",
-               [dict(scenario=name, **audit_to_json(audit)) for name, audit in results])
+    with _writing(out / "audits.json") as path:
+        write_json(path, [dict(scenario=name, **audit_to_json(audit)) for name, audit in results])
 
     interference = next(audit for name, audit in results
                         if name == "two-wave x-boost" and audit.recipe == PHI_BASED)
-    write_csv(out / "interference.csv",
-              "s,rho_boosted_frame,rho_fourvector,mismatch",
-              [interference.s, interference.rho_a, interference.rho_b,
-               np.abs(interference.rho_a - interference.rho_b)])
+    with _writing(out / "interference.csv") as path:
+        write_csv(path, "s,rho_boosted_frame,rho_fourvector,mismatch",
+                  [interference.s, interference.rho_a, interference.rho_b,
+                   np.abs(interference.rho_a - interference.rho_b)])
     print(f"wrote audits.json and interference.csv to {out}")
 
 
@@ -477,7 +520,8 @@ def cmd_trajectories(config, tol, seed, out):
 
     trajectories = integrate_trajectories(state, points, t0, t1, step, guidance, c=c,
                                           hbar=hbar, node_floor_rel=tol["node_floor"])
-    trajectories_to_csv(out / "trajectories.csv", trajectories)
+    with _writing(out / "trajectories.csv") as path:
+        trajectories_to_csv(path, trajectories)
 
     node_hits = sum(t.node_hit for t in trajectories)
     max_speed = max(float(np.linalg.norm(t.velocities, axis=1).max())
@@ -511,7 +555,8 @@ def cmd_trajectories(config, tol, seed, out):
         "boost": {"direction": boost.direction.tolist(), "u": boost.speed / c},
         "frame_consistency": checks,
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2))
+    with _writing(out / "summary.json") as path:
+        path.write_text(json.dumps(summary, indent=2))
     print(f"wrote trajectories.csv and summary.json to {out}")
 
 
@@ -583,8 +628,9 @@ def cmd_doubleslit(config, tol, seed, out):
         advance(weber, dt, transversality_tol=tol["transversality"])
         profiles.append(density_profile_y(weber, dc_tolerance=tol["dc"]))
     y = spec.axis_coordinates()
-    write_csv(out / "frames.csv", "t,y,rho",
-              [np.repeat(times, y.size), np.tile(y, len(times)), np.concatenate(profiles)])
+    with _writing(out / "frames.csv") as path:
+        write_csv(path, "t,y,rho",
+                  [np.repeat(times, y.size), np.tile(y, len(times)), np.concatenate(profiles)])
 
     spacing, visibility = _fringe_measurement(profiles[0], spec.box_length)
     m_t = section["transverse_mode"]
@@ -598,7 +644,8 @@ def cmd_doubleslit(config, tol, seed, out):
         "expected_spacing": expected,
         "visibility": visibility,
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2))
+    with _writing(out / "summary.json") as path:
+        path.write_text(json.dumps(summary, indent=2))
     if spacing is None:
         print("profile is fringe-free (no transverse interference)")
     else:
@@ -642,7 +689,11 @@ def _run(args) -> int:
     out = Path(args.out)
     command = args.handler(config, tol, args.seed, out)
     next(command)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at out or on the way to it, or no permission
+        raise ConfigError(f"--out {out}: cannot create the output directory: "
+                          f"{exc.strerror or exc}") from exc
     next(command, None)
     return 0
 

@@ -14,27 +14,37 @@ PHWF1 layout (all multi-byte values little-endian):
                   per point six float64: Re Fx, Im Fx, Re Fy, Im Fy,
                   Re Fz, Im Fz.
 
-A WeberGrid holds its field in this payload order (see fields), so both
-directions move the payload one z-plane (n^2 points) at a time straight
-between the file and the field, with no transpose and no plane buffer:
-write_weber writes each plane of the field's plane view, and read_weber
-checks the file size against the header's n before it allocates the
-field, then reads each plane into place and checks it.  Only a
-big-endian host converts, one plane at a time.
+A WeberGrid holds its field in this payload order (see fields), so each
+z-plane (n^2 points) of the payload is one contiguous plane of the field's
+plane view, and every route moves the payload a plane at a time with no
+transpose.  write_weber writes each plane of the plane view; read_weber
+checks the header and the file size against the header's n before it
+allocates the field, then reads each plane into place and checks it for
+non-finite values; check_weber makes the same checks through one plane
+buffer and holds no field.  A WeberFile (a checked file, or a new one
+whose header new_weber_file has written) reads and writes single z-planes
+at their offsets, one file handle and plane buffer per worker run, as
+fields.FieldPlanes does for a field in memory: spectral.advance_into
+evolves from one snapshot file into the next through them, with no field
+held at all.  Only a big-endian host converts, one plane at a time.
 
 CSV exports carry their column names in the first line (no comment
 prefix) so they load directly into plotting tools.
 
 write_json writes a payload whose leaves may be float64 arrays, with the
 bytes json.dumps gives once every such array is a list; it formats each
-distinct float once and writes the text a piece at a time.
+distinct float of the whole payload once and writes the text a piece at a
+time.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import struct
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,20 +57,134 @@ _HEADER = struct.Struct("<5sIdddBd")
 _REP_TAGS = {POSITION: 0, MOMENTUM: 1}
 _TAG_REPS = {v: k for k, v in _REP_TAGS.items()}
 
+# bytes of one grid point in the payload: three complex components
+_POINT_BYTES = 6 * 8
+
+
+@dataclass(frozen=True)
+class WeberFile:
+    """A PHWF1 file's path and header, its payload read and written a z-plane at a time.
+
+    Like fields.FieldPlanes, ``reader()`` and ``writer()`` give each worker
+    run of a plane loop read(zs) and write(zs, plane) for the plane view's
+    z-planes ``zs`` of shape (1, n, n, 3), each at its offset in the file
+    through the run's own file handle and plane buffer.  ``read`` returns
+    the run's buffer; ``write`` returns ``plane``, or the buffer it was
+    copied into when it is not contiguous.
+    """
+
+    path: object
+    spec: GridSpec
+    representation: str
+    time: float
+
+    def _seek(self, fh, zs) -> None:
+        fh.seek(_HEADER.size + zs.start * self.spec.n_per_axis ** 2 * _POINT_BYTES)
+
+    @contextmanager
+    def reader(self):
+        n = self.spec.n_per_axis
+        buffer = np.empty((1, n, n, 3), dtype="<c16")
+        with open(self.path, "rb") as fh:
+            def read(zs):
+                self._seek(fh, zs)
+                _read_plane(fh, self.path, buffer[0], zs.start)
+                return np.asarray(buffer, dtype=np.complex128)  # a copy on a big-endian host only
+            yield read
+
+    @contextmanager
+    def writer(self):
+        n = self.spec.n_per_axis
+        buffer = np.empty((1, n, n, 3), dtype=np.complex128)
+        with open(self.path, "r+b") as fh:
+            def write(zs, plane):
+                if not plane.flags.c_contiguous:
+                    np.copyto(buffer, plane)
+                    plane = buffer
+                self._seek(fh, zs)
+                _write_plane(fh, plane)
+                return plane
+            yield write
+
+
+def _header_bytes(spec: GridSpec, representation: str, time: float) -> bytes:
+    return _HEADER.pack(MAGIC, spec.n_per_axis, spec.box_length, spec.c, spec.hbar,
+                        _REP_TAGS[representation], time)
+
+
+def _write_plane(fh, plane) -> None:
+    # a little-endian complex128 is the pair Re, Im of float64s, so a z-plane
+    # of the plane view holds that plane's payload bytes; only a big-endian
+    # host, or a plane out of payload order, copies
+    fh.write(memoryview(np.ascontiguousarray(plane, dtype="<c16")))
+
 
 def write_weber(path, weber: WeberGrid) -> None:
     """Write a WeberGrid to a PHWF1 file, one z-plane at a time."""
-    spec = weber.spec
-    n = spec.n_per_axis
-    header = _HEADER.pack(MAGIC, n, spec.box_length, spec.c,
-                          spec.hbar, _REP_TAGS[weber.representation], weber.time)
     with open(path, "wb") as fh:
-        fh.write(header)
-        # a little-endian complex128 is the pair Re, Im of float64s, so each
-        # z-plane of the plane view holds that plane's payload bytes; only a
-        # big-endian host, or a field assigned out of payload order, copies
+        fh.write(_header_bytes(weber.spec, weber.representation, weber.time))
         for plane in plane_view(weber.field):
-            fh.write(memoryview(np.ascontiguousarray(plane, dtype="<c16")))
+            _write_plane(fh, plane)
+
+
+@contextmanager
+def new_weber_file(path, spec: GridSpec, representation: str, time: float):
+    """Give the WeberFile of a new PHWF1 file with this header, whose payload
+    the block writes plane by plane (WeberFile.writer); when the block ends,
+    the file takes the name ``path``.
+
+    The file is written under a temporary name in the same directory, so a
+    file the block reads may be ``path`` itself.  If the block raises, the
+    temporary file is removed and ``path`` is left as it was.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    partial = os.path.join(directory, f".{name}.{os.getpid()}.partial")
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(_header_bytes(spec, representation, time))
+        yield WeberFile(partial, spec, representation, time)
+        os.replace(partial, path)
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        raise
+
+
+def _read_header(fh, path) -> WeberFile:
+    """The WeberFile of the open PHWF1 file ``fh`` after checking its header and size."""
+    raw = fh.read(_HEADER.size)
+    if len(raw) < _HEADER.size or raw[:5] != MAGIC:
+        raise FieldValidationError(f"{path}: not a PHWF1 container")
+    magic, n, box_length, c, hbar, tag, time = _HEADER.unpack(raw)
+    if tag not in _TAG_REPS:
+        raise FieldValidationError(f"{path}: unknown representation tag {tag}")
+    payload_bytes, expected = os.fstat(fh.fileno()).st_size - _HEADER.size, n ** 3 * _POINT_BYTES
+    if payload_bytes != expected:
+        raise FieldValidationError(
+            f"{path}: payload is {payload_bytes} bytes, expected {expected} for n = {n}")
+    if not np.isfinite(time):
+        raise FieldValidationError(f"{path}: header time {time!r} is not finite")
+    return WeberFile(path, GridSpec(int(n), box_length, c, hbar), _TAG_REPS[tag], time)
+
+
+def _read_plane(fh, path, plane, iz) -> None:
+    # the size was checked with the header: only a file shortened while it is read gets here
+    if fh.readinto(plane) != plane.nbytes:
+        raise FieldValidationError(f"{path}: payload ended early at z-plane {iz}")
+
+
+def _read_payload(fh, stored: WeberFile, planes) -> None:
+    """Read the payload of ``stored`` from ``fh`` into ``planes``, z-plane iz into
+    planes[iz] (shape (n, n, 3)), checking each plane for non-finite values."""
+    n = stored.spec.n_per_axis
+    for iz, plane in enumerate(planes):
+        _read_plane(fh, stored.path, plane, iz)
+        finite = np.isfinite(plane)
+        if not finite.all():
+            point, component = divmod(int(np.argmin(finite)), 3)
+            raise FieldValidationError(
+                f"{stored.path}: payload is non-finite at grid index "
+                f"{(point % n, point // n, iz)}, component {component}")
 
 
 def read_weber(path) -> WeberGrid:
@@ -73,92 +197,120 @@ def read_weber(path) -> WeberGrid:
     RangeError before the payload is read.
     """
     with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) < _HEADER.size or raw[:5] != MAGIC:
-            raise FieldValidationError(f"{path}: not a PHWF1 container")
-        magic, n, box_length, c, hbar, tag, time = _HEADER.unpack(raw)
-        if tag not in _TAG_REPS:
-            raise FieldValidationError(f"{path}: unknown representation tag {tag}")
-        payload_bytes, expected = os.fstat(fh.fileno()).st_size - _HEADER.size, n ** 3 * 6 * 8
-        if payload_bytes != expected:
-            raise FieldValidationError(
-                f"{path}: payload is {payload_bytes} bytes, expected {expected} for n = {n}")
-        if not np.isfinite(time):
-            raise FieldValidationError(f"{path}: header time {time!r} is not finite")
-        spec = GridSpec(int(n), box_length, c, hbar)
+        stored = _read_header(fh, path)
+        n = stored.spec.n_per_axis
         planes = np.empty((n, n, n, 3), dtype="<c16")  # [iz, iy, ix, component]
-        for iz, plane in enumerate(planes):
-            # the size was checked above: only a file shortened while it is read gets here
-            if fh.readinto(plane) != plane.nbytes:
-                raise FieldValidationError(f"{path}: payload ended early at z-plane {iz}")
-            finite = np.isfinite(plane)
-            if not finite.all():
-                point, component = divmod(int(np.argmin(finite)), 3)
-                raise FieldValidationError(
-                    f"{path}: payload is non-finite at grid index "
-                    f"{(point % n, point // n, iz)}, component {component}")
-    return WeberGrid(plane_view(planes), spec, _TAG_REPS[tag], time)
+        _read_payload(fh, stored, planes)
+    return WeberGrid(plane_view(planes), stored.spec, stored.representation, stored.time)
 
 
-# array elements per piece of text that write_json joins and writes: bounds the text held
-_JSON_CHUNK = 1 << 14
+def check_weber(path) -> WeberFile:
+    """Make read_weber's checks on a PHWF1 file, with the same errors, in one
+    pass through one plane buffer; the checked file's WeberFile."""
+    with open(path, "rb") as fh:
+        stored = _read_header(fh, path)
+        n = stored.spec.n_per_axis
+        _read_payload(fh, stored, itertools.repeat(np.empty((n, n, 3), dtype="<c16"), n))
+    return stored
+
+
+# array elements per piece of text that write_json writes: bounds the text held
+_JSON_CHUNK = 1 << 12
+
+# the longest JSON spelling of a float64: sign, 17 digits, point, "e-" and 3 digits
+_REPR_BYTES = 24
 
 
 def write_json(path, obj) -> None:
     """Write obj as JSON, the bytes of json.dumps(obj) with every float64 array
     replaced by its tolist().
 
-    Dicts (with str keys), lists and tuples are walked; a float64 ndarray is
-    written from one repr per distinct bit pattern, so NaN, +-inf and -0.0
-    are spelled as json spells them; every other key and leaf goes through
-    json.dumps, which rejects what it cannot encode.  The text goes to the
-    file piece by piece and is never built whole.
+    Dicts (with str keys), lists and tuples are walked; the float64 ndarrays
+    among them are written from one repr per distinct bit pattern over the
+    whole payload, so NaN, +-inf and -0.0 are spelled as json spells them and
+    a value repeated between arrays is formatted once; every other key and
+    leaf goes through json.dumps, which rejects what it cannot encode.  The
+    text goes to the file piece by piece and is never built whole.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_json_value(fh.write, obj)
+    # every distinct bit pattern, sorted, and its repr, null-padded to a fixed width
+    bits = np.empty(0, dtype=np.uint64)
+    for array in _float_arrays(obj):
+        new = _distinct(np.sort(array.reshape(-1).view(np.uint64)))
+        # a stable sort takes the two sorted runs in linear time
+        bits = _distinct(np.sort(np.concatenate([bits, new]), kind="stable"))
+    reprs = np.empty(bits.size, dtype=f"S{_REPR_BYTES}")
+    for start in range(0, bits.size, _JSON_CHUNK):
+        values = bits[start:start + _JSON_CHUNK].view(np.float64).tolist()
+        reprs[start:start + _JSON_CHUNK] = json.dumps(values)[1:-1].encode().split(b", ")
+    with open(path, "wb") as fh:
+        _write_json_value(fh.write, obj, bits, reprs)
 
 
-def _write_json_value(write, obj) -> None:
+def _distinct(ordered):
+    """The distinct values of the sorted 1-d array ``ordered``."""
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
+def _is_float_array(obj) -> bool:
+    """True for a float64 array of one or more axes and elements."""
+    return (isinstance(obj, np.ndarray) and obj.dtype == np.float64
+            and obj.ndim > 0 and obj.size > 0)
+
+
+def _float_arrays(obj):
+    """The float64 arrays with elements among the leaves of obj."""
     if isinstance(obj, dict):
-        write("{")
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _float_arrays(value)
+    elif _is_float_array(obj):
+        yield obj
+
+
+def _write_json_value(write, obj, bits, reprs) -> None:
+    if isinstance(obj, dict):
+        write(b"{")
         for i, (key, value) in enumerate(obj.items()):
-            write(f"{', ' if i else ''}{json.dumps(key)}: ")
-            _write_json_value(write, value)
-        write("}")
+            write(f"{', ' if i else ''}{json.dumps(key)}: ".encode())
+            _write_json_value(write, value, bits, reprs)
+        write(b"}")
     elif isinstance(obj, (list, tuple)):
-        write("[")
+        write(b"[")
         for i, value in enumerate(obj):
             if i:
-                write(", ")
-            _write_json_value(write, value)
-        write("]")
-    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64:
-        if obj.ndim and obj.size:
-            _write_float_array(write, obj)
-        else:  # a scalar or no elements: nothing to share
-            write(json.dumps(obj.tolist()))
-    else:
-        write(json.dumps(obj))
+                write(b", ")
+            _write_json_value(write, value, bits, reprs)
+        write(b"]")
+    elif _is_float_array(obj):
+        _write_float_array(write, obj, bits, reprs)
+    else:  # a float64 scalar or array without elements too: nothing to share
+        write(json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj).encode())
 
 
-def _write_float_array(write, array) -> None:
-    # np.unique gets 1-d input only: its return_inverse shape differs between
-    # numpy 1.x and 2.x for more dimensions
-    distinct, inverse = np.unique(array.reshape(-1).view(np.uint64), return_inverse=True)
-    reprs = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "),
-                     dtype=object)
-    # each element followed by its separator: ", " inside the last axis, and
-    # where k trailing axes end, k closing brackets, ", " and k opening ones
-    pieces = np.full((array.size, 2), ", ", dtype=object)
-    pieces[:, 0] = reprs[inverse]
-    for depth in range(1, array.ndim + 1):
-        stride = int(np.prod(array.shape[-depth:]))
-        pieces[stride - 1::stride, 1] = "]" * depth + ", " + "[" * depth
-    pieces[-1, 1] = "]" * array.ndim
-    pieces = pieces.reshape(-1)
-    write("[" * array.ndim)
-    for start in range(0, pieces.size, 2 * _JSON_CHUNK):
-        write("".join(pieces[start:start + 2 * _JSON_CHUNK].tolist()))
+def _write_float_array(write, array, bits, reprs) -> None:
+    # each element's repr and the separator after it, null-padded side by side
+    # in one byte row per element, written without the nulls: ", " inside the
+    # last axis; where k trailing axes end, k closing brackets, ", " and k
+    # opening ones; after the last element, the closing brackets
+    inner = array.ndim - 1
+    rows = array.reshape(len(array), -1)
+    step = max(1, _JSON_CHUNK // rows.shape[1])
+    write(b"[" * array.ndim)
+    for start in range(0, len(rows), step):
+        chunk = rows[start:start + step].reshape(-1).view(np.uint64)
+        separators = np.full(chunk.size, b", ", dtype=f"S{2 + 2 * inner}")
+        for depth in range(1, inner + 1):
+            stride = int(np.prod(array.shape[-depth:]))
+            separators[stride - 1::stride] = b"]" * depth + b", " + b"[" * depth
+        if start + step >= len(rows):
+            separators[-1] = b"]" * array.ndim
+        text = np.concatenate([reprs[np.searchsorted(bits, chunk)].view(np.uint8).reshape(
+            chunk.size, -1), separators.view(np.uint8).reshape(chunk.size, -1)], axis=1)
+        write(text[text != 0].tobytes())
 
 
 def write_csv(path, header: str, columns) -> None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +102,41 @@ def over_planes(n: int, work) -> list:
         if exc is not None:
             raise exc
     return [record for part in records if part is not None for record in part]
+
+
+class FieldPlanes:
+    """The z-planes of a WeberGrid's field, read and written one at a time.
+
+    The plane loop of spectral reads a field through ``reader()`` and writes
+    through ``writer()``, one context per worker run; fieldio.WeberFile does
+    the same for a PHWF1 file's payload.  ``read(zs)`` is the plane view's
+    z-planes ``zs`` of shape (1, n, n, 3), divided by ``divisor`` into the
+    run's one plane buffer if a divisor is given; ``write(zs, plane)``
+    stores ``plane`` there and returns the stored plane.  ``spec``,
+    ``representation`` and ``time`` are the field's.
+    """
+
+    def __init__(self, weber: WeberGrid, divisor=None):
+        self.spec, self.representation, self.time = weber.spec, weber.representation, weber.time
+        self._planes, self._divisor = plane_view(weber.field), divisor
+
+    @contextmanager
+    def reader(self):
+        planes, divisor = self._planes, self._divisor
+        if divisor is None:
+            yield lambda zs: planes[zs]
+        else:
+            buffer = np.empty_like(planes[:1])
+            yield lambda zs: np.divide(planes[zs], divisor, out=buffer)
+
+    @contextmanager
+    def writer(self):
+        planes = self._planes
+
+        def write(zs, plane):
+            planes[zs] = plane
+            return planes[zs]
+        yield write
 
 
 def sum_in_order(records):

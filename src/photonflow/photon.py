@@ -174,17 +174,27 @@ def photon_number(weber: WeberGrid,
     return photon_count(sum_in_order(over_planes(weber.spec.n_per_axis, work)), weber.spec)
 
 
-def normalize_single_photon(weber: WeberGrid,
-                            dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> WeberGrid:
-    """A new field, ``weber``'s scaled so photon_number(result) = 1 (within roundoff).
+def single_photon_norm(weber: WeberGrid,
+                       dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> float:
+    """sqrt(photon_number(weber)), the divisor that makes ``weber`` one photon.
 
-    The division is written a z-plane at a time into the new field;
-    ``weber`` is left as it is.
+    A field with no photons raises ZeroFieldError.
     """
     n = photon_number(weber, dc_tolerance)
     if n == 0.0:
         raise ZeroFieldError("photon number is 0; there is no photon to normalize")
-    planes, norm = plane_view(weber.field), np.sqrt(n)
+    return np.sqrt(n)
+
+
+def normalize_single_photon(weber: WeberGrid,
+                            dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> WeberGrid:
+    """A new field, ``weber``'s divided by single_photon_norm so that
+    photon_number(result) = 1 (within roundoff).
+
+    The division is written a z-plane at a time into the new field;
+    ``weber`` is left as it is.
+    """
+    planes, norm = plane_view(weber.field), single_photon_norm(weber, dc_tolerance)
     scaled = np.empty_like(planes)
 
     def work(run):

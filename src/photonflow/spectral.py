@@ -36,31 +36,37 @@ loops release the GIL) with one-plane temporaries; a loop that reduces
 adds its per-plane records in plane order (fields.sum_in_order), so every
 result is the same bit for bit whatever the worker count.
 
-advance and transversality_residual share one kernel (_sweep) that walks
-the plane view one z-plane at a time.  It forms the rotation's cos,
+advance, advance_into and transversality_residual share one kernel
+(_sweep) that reads a field one z-plane at a time through a plane reader
+and hands each plane it leaves to a plane writer: fields.FieldPlanes for a
+field in memory (read divided by a constant if asked), fieldio.WeberFile
+for the payload of a PHWF1 file.  Mode by mode the dynamics never look
+beyond one plane, so advance_into can evolve a snapshot file into the next
+without either field in memory.  The kernel forms the rotation's cos,
 sin/|k| and (1 - cos)/|k|^2 once per shell and gathers them per plane
 through the shell index; per plane it forms k . F~ once and uses it for
 the NaN-closed transversality gate and for the rotation.  Each plane is
-copied before its rotated values are written back, so advance(w, dt)
-turns w in place with plane-sized temporaries only; evolve(w, dt) is
-advance applied to a copy.  From the planes it already holds the kernel
-also sums |F~|^2 and |F~|^2/|k|, reads |F~(0)|^2 and forms the
-transversality residual of the field it leaves behind (FieldSums), so a
-caller that needs the energy, the photon number and the residual of each
-evolved state reads the field once.
+copied before its rotated values are written, so advance(w, dt), whose
+reader and writer are both w's field, turns w in place with plane-sized
+temporaries only; evolve(w, dt) is advance applied to a copy.  From the
+planes it already holds the kernel also sums |F~|^2 and |F~|^2/|k|, reads
+|F~(0)|^2 and forms the transversality residual of the field it leaves
+behind (FieldSums), so a caller that needs the energy, the photon number
+and the residual of each evolved state reads the field once.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import FieldValidationError, TransversalityError
-from .fields import (MOMENTUM, POSITION, GridSpec, WeberGrid, check_real, over_planes,
-                     plane_view, require_representation, sum_in_order)
+from .fields import (MOMENTUM, POSITION, FieldPlanes, GridSpec, WeberGrid, check_real,
+                     over_planes, plane_view, require_representation, sum_in_order)
 
 _TWO_PI_3_2 = (2.0 * np.pi) ** 1.5
 
@@ -223,21 +229,26 @@ def _rotate(k, g, along, cos, sin_k, rotated):
         term += cos * g[i]
 
 
-def _sweep(weber: WeberGrid, c_dt=None):
+def _sweep(source, c_dt=None, sink=None):
     """One pass over a momentum field, a z-plane at a time: (residual, sums).
 
-    ``residual`` is the transversality residual of ``weber`` as given.
-    Given ``c_dt``, each mode of ``weber.field`` is rotated in place about
-    k-hat by the angle |k| c_dt (each z-plane is copied before it is
-    overwritten).  ``sums`` are the FieldSums of the field the pass leaves.
-    Per z-plane of the plane view k . F~ is formed once for the gate and
-    the rotation, and the rotation's weights are gathered from per-shell
-    tables.  The planes run through over_planes, each run with its own
-    plane buffers, and _fold folds their tallies.
+    ``source`` reads the field's z-planes and ``sink``, if given, takes the
+    planes the pass leaves: each is a fields.FieldPlanes or a
+    fieldio.WeberFile, whose reader() and writer() give each worker run
+    read(zs) and write(zs, plane).  ``residual`` is the transversality
+    residual of the source.  Given ``c_dt``, each mode is rotated about
+    k-hat by the angle |k| c_dt and the rotated plane is written; without
+    it the source plane itself is written, if there is a sink.  The sink
+    may be the source: a plane is read and copied before it is written.
+    ``sums`` are the FieldSums of the field the pass leaves.  Per z-plane
+    k . F~ is formed once for the gate and the rotation, and the rotation's
+    weights are gathered from per-shell tables.  The planes run through
+    over_planes, each run with its own plane buffers, and _fold folds their
+    tallies.
     """
-    kg = kgrid(weber.spec)
-    planes = plane_view(weber.field)
-    flat = planes.view(np.float64)
+    spec = source.spec
+    n = spec.n_per_axis
+    kg = kgrid(spec)
     kx, ky, kz = kg.plane_k
     rotate = c_dt is not None
     if rotate:
@@ -245,35 +256,42 @@ def _sweep(weber: WeberGrid, c_dt=None):
         theta = kg.shell_k * c_dt
         cos = np.cos(theta)
         sin_k, along = np.sin(theta) * kg.shell_inv_k, (1.0 - cos) * kg.shell_inv_k ** 2
+    dc_sq = []  # |F~(0)|^2 of the field left, from the run that holds plane 0
 
     def work(run):
         # the plane's components, contiguous, and its rotation: one buffer each per run
-        g = np.empty((3,) + planes[:1].shape[:-1], dtype=planes.dtype)
+        g = np.empty((3, 1, n, n), dtype=complex)
         rotated = np.empty_like(g) if rotate else None
         tallies = []
+        writing = sink.writer() if sink is not None else nullcontext()
         # non-finite entries give NaN products here; the residual reports them
-        with np.errstate(invalid="ignore", over="ignore"):
+        with source.reader() as read, writing as write, \
+                np.errstate(invalid="ignore", over="ignore"):
             for zs in run:
-                np.copyto(g, np.moveaxis(planes[zs], -1, 0))
+                plane = read(zs)
+                np.copyto(g, np.moveaxis(plane, -1, 0))
                 k = (kx, ky, kz[zs])
                 shell = kg.shell[zs].astype(np.intp)  # np.take would convert it per call
                 inv_k = np.take(kg.shell_inv_k, shell)
-                k_dot_f, source = _tally(k, g, flat[zs], inv_k, sums=not rotate)
-                result = source
+                k_dot_f, tally = _tally(k, g, plane.view(np.float64), inv_k, sums=not rotate)
+                left, result = plane, tally
                 if rotate:
                     k_dot_f *= np.take(along, shell)  # in place: k . F~ is not needed again
                     _rotate(k, g, k_dot_f, np.take(cos, shell), np.take(sin_k, shell), rotated)
-                    planes[zs] = np.moveaxis(rotated, 0, -1)
-                    result = _tally(k, rotated, flat[zs], inv_k, sums=True)[1]
-                tallies.append((source, result))
+                    left = write(zs, np.moveaxis(rotated, 0, -1))
+                    result = _tally(k, rotated, left.view(np.float64), inv_k, sums=True)[1]
+                elif sink is not None:
+                    write(zs, plane)
+                if zs.start == 0:
+                    dc = left.view(np.float64)[0, 0, 0]
+                    dc_sq.append(float(np.einsum("c,c->", dc, dc)))
+                tallies.append((tally, result))
         return tallies
 
-    sources, results = zip(*over_planes(weber.spec.n_per_axis, work))
+    sources, results = zip(*over_planes(n, work))
     residual = _fold(sources)[0]
     result_residual, sum_sq, sum_sq_over_k = _fold(results)
-    dc = flat[0, 0, 0]
-    return residual, FieldSums(sum_sq, sum_sq_over_k, float(np.einsum("c,c->", dc, dc)),
-                               result_residual)
+    return residual, FieldSums(sum_sq, sum_sq_over_k, dc_sq[0], result_residual)
 
 
 def transversality_residual(weber: WeberGrid) -> float:
@@ -287,7 +305,7 @@ def transversality_residual(weber: WeberGrid) -> float:
     the residual NaN.
     """
     require_representation(weber, MOMENTUM, "transversality_residual")
-    return _sweep(weber)[0]
+    return _sweep(FieldPlanes(weber))[0]
 
 
 def project_transverse(weber: WeberGrid) -> WeberGrid:
@@ -375,9 +393,30 @@ def advance(weber: WeberGrid, dt: float,
         raise FieldValidationError("advance got a read-only field")
     c_dt = check_step(weber.spec, dt)
     dt = float(dt)
-    residual, sums = _sweep(weber, None if dt == 0 else c_dt)
+    planes = FieldPlanes(weber)
+    residual, sums = _sweep(planes) if dt == 0 else _sweep(planes, c_dt, planes)
     _gate(residual, transversality_tol)
     weber.time += dt
+    return sums
+
+
+def advance_into(source, dt: float, sink,
+                 transversality_tol: float = _TRANSVERSALITY_TOL) -> FieldSums:
+    """Write the momentum field ``source`` reads, advanced by dt, into ``sink``.
+
+    ``source`` and ``sink`` are plane readers and writers (fields.FieldPlanes,
+    fieldio.WeberFile): each z-plane is read, turned by evolve's exact
+    per-mode propagator and written in one pass, so neither field need be
+    held in memory.  dt == 0 writes the field as it is.  Returns the
+    FieldSums of the field written, as advance does.  A non-finite dt or
+    largest angle raises FieldValidationError before anything is read; a
+    source that fails the transversality gate raises TransversalityError
+    after the pass, and what the sink then holds is to be discarded.
+    """
+    require_representation(source, MOMENTUM, "advance_into")
+    c_dt = check_step(source.spec, dt)
+    residual, sums = _sweep(source, None if float(dt) == 0 else c_dt, sink)
+    _gate(residual, transversality_tol)
     return sums
 
 

@@ -5,6 +5,7 @@ directory and inspects the files it writes; one test runs the installed
 console script in a subprocess.
 """
 
+import errno
 import json
 import os
 import struct
@@ -19,7 +20,7 @@ import pytest
 import photonflow
 from photonflow import (GridSpec, WeberGrid, __version__, forward_transform, photon_number,
                         sample_to_grid, total_energy)
-from photonflow import cli, fields, photon, spectral
+from photonflow import cli, fieldio, fields, photon, spectral
 from photonflow.cli import (_AUDIT_SAMPLES_LIMIT, _FIELD_BYTES_LIMIT, _POINT_KNOTS_LIMIT,
                             build_parser, load_config, main)
 from photonflow.errors import ConfigError
@@ -153,6 +154,23 @@ def test_evolve_resumes_from_snapshot_file(tmp_path):
     np.testing.assert_allclose(resumed.field, reference.field, atol=1e-13)
 
 
+def test_evolve_normalizes_a_state_file_as_it_does_the_placed_state(tmp_path):
+    # a momentum file to be normalized is read into memory and read through
+    # the same divisor as the placed state it holds: the snapshots agree bit for bit
+    config = {"grid": {"n": 8}, "evolve": {"times": [0.0, 0.6]}}
+    assert main(["evolve", "--config", _write_config(tmp_path, config, name="plain.json"),
+                 "--out", str(tmp_path / "plain")]) == 0
+    config["evolve"]["normalize"] = True
+    assert main(["evolve", "--config", _write_config(tmp_path, config, name="norm.json"),
+                 "--out", str(tmp_path / "normalized")]) == 0
+    resume = {"state": {"file": str(tmp_path / "plain" / "snapshot_00.phwf")},
+              "evolve": {"times": [0.0, 0.6], "normalize": True}}
+    rc, out = _run(tmp_path, "evolve", config=resume)
+    assert rc == 0
+    for name in ("snapshot_00.phwf", "snapshot_01.phwf", "diagnostics.json"):
+        assert (out / name).read_bytes() == (tmp_path / "normalized" / name).read_bytes()
+
+
 def test_evolve_zero_state(tmp_path):
     rc, out = _run(tmp_path, "evolve",
                    config={"state": {"components": []}, "evolve": {"times": [0.0, 1.0]}})
@@ -202,9 +220,10 @@ def test_evolve_resumes_from_a_position_representation_file(tmp_path):
 
 
 def test_evolve_reads_each_snapshot_in_its_one_pass(tmp_path, monkeypatch):
-    # a normalized run of T times makes T passes over the field (one per
-    # advance) and takes every diagnostic from them: after normalize it calls
-    # none of the reference routes
+    # a normalized run of T times takes the photon number of its state once,
+    # then makes T passes (one per step, each reading the state or the snapshot
+    # before it) and takes every diagnostic from them: it never builds the
+    # normalized copy and calls none of the reference routes
     calls = []
 
     def counted(module, name):
@@ -217,9 +236,8 @@ def test_evolve_reads_each_snapshot_in_its_one_pass(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(spectral, "_sweep")
-    counted(cli, "normalize_single_photon")
-    for module, name in ((photon, "photon_number"), (fields, "total_energy"),
-                         (spectral, "transversality_residual")):
+    for module, name in ((photon, "photon_number"), (photon, "normalize_single_photon"),
+                         (fields, "total_energy"), (spectral, "transversality_residual")):
         counted(module, name)
         if hasattr(cli, name):
             counted(cli, name)
@@ -227,8 +245,7 @@ def test_evolve_reads_each_snapshot_in_its_one_pass(tmp_path, monkeypatch):
     rc, out = _run(tmp_path, "evolve", config={"grid": {"n": 8}, "evolve": {
         "times": times, "normalize": True}})
     assert rc == 0
-    assert calls[calls.index("normalize_single_photon") + 1:] == ["_sweep"] * len(times)
-    assert calls.count("_sweep") == len(times)
+    assert calls == ["photon_number"] + ["_sweep"] * len(times)
     snapshots = _load_json(out, "diagnostics.json")["snapshots"]
     assert [s["time"] for s in snapshots] == times
 
@@ -273,10 +290,12 @@ def _peak_rss_bytes(args):
                     reason="reads ru_maxrss in KiB, as Linux reports it")
 def test_evolve_jobs_hold_one_field(tmp_path):
     # the normalized evolve job and its resume, as the benchmark runs them at
-    # n = 128, and a resume from a position-representation file; each should
-    # hold one field plus the wave-vector grid beyond the interpreter with
-    # photonflow imported, while a second full-size copy (of the rotation,
-    # the .phwf payload, the read bytes or the forward transform) takes it over
+    # n = 128, and a resume from a position-representation file.  Beyond the
+    # interpreter with photonflow imported and the wave-vector grid, the first
+    # two read and write a plane at a time and hold no field (the normalized
+    # copy or the read payload, a full field, takes them over half a field),
+    # and the third holds one field (a second full-size copy, of the read
+    # bytes or the forward transform, takes it over one and a half)
     n = 96
     shells = 3 * (n // 2) ** 2 + 1
     field_bytes = 48 * n ** 3  # complex 3-vectors
@@ -291,11 +310,11 @@ def test_evolve_jobs_hold_one_field(tmp_path):
               "evolve": {"times": [1.0, 2.0]}}, tmp_path / "resumed"),
             ({"state": {"file": str(position)}, "evolve": {"times": [0.0, 1.0]}},
              tmp_path / "from-position")]
-    for i, (config, out) in enumerate(jobs):
+    for i, ((config, out), limit) in enumerate(zip(jobs, (0.5, 0.5, 1.5))):
         path = _write_config(tmp_path, config, name=f"job{i}.json")
         extra = _peak_rss_bytes(["-m", "photonflow", "evolve", "--config", path,
                                  "--out", str(out)]) - baseline
-        assert extra < 1.5 * field_bytes + kgrid_bytes, (i, extra / field_bytes)
+        assert extra < limit * field_bytes + kgrid_bytes, (i, extra / field_bytes)
 
 
 # --- boost-audit ------------------------------------------------------------
@@ -898,6 +917,22 @@ def test_state_file_with_nan_time_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("normalize", [False, True])
+def test_state_file_with_a_non_finite_payload_exits_1_before_out(tmp_path, capsys, normalize):
+    # the payload's planes are checked in the pass that precedes --out, also
+    # when the file is then read plane by plane by the first step
+    field = np.zeros((4, 4, 4, 3), complex)
+    field[0, 0, 1] = [1.0, 1j, 0.0]
+    field[1, 2, 3, 0] = complex(0.0, np.inf)
+    path = tmp_path / "inf.phwf"
+    write_weber(path, WeberGrid(field, GridSpec(4, 2.0 * np.pi), "momentum"))
+    rc, out = _run(tmp_path, "evolve", config={"state": {"file": str(path)}, "evolve": {
+        "times": [0.0], "normalize": normalize}})
+    assert rc == 1
+    assert "payload is non-finite at grid index (1, 2, 3), component 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _snapshot_with_header(path, box_length=2.0 * np.pi, c=1.0, hbar=1.0):
     """A valid n = 4 momentum snapshot whose header then gets these L, c and hbar
     (GridSpec itself rejects values outside its ranges)."""
@@ -954,6 +989,132 @@ def test_evolve_gates_each_snapshot_on_its_dc_share(tmp_path, capsys):
     weber = read_weber(out / snapshot["file"])
     assert snapshot["photon_number"] == pytest.approx(photon_number(weber, dc_tolerance=1e-5),
                                                       rel=1e-15)
+
+
+# --- what a failing evolve leaves behind ------------------------------------
+
+
+def _transverse_file(path, rng, n=8, time=0.0):
+    """A random transverse momentum snapshot with nothing in k = 0, written to path."""
+    spec = GridSpec(n, 2.0 * np.pi)
+    values = rng.standard_normal((n, n, n, 3)) + 1j * rng.standard_normal((n, n, n, 3))
+    weber = spectral.project_transverse(forward_transform(WeberGrid(values, spec)))
+    weber.field[0, 0, 0] = 0.0
+    weber.time = time
+    write_weber(path, weber)
+    return weber
+
+
+def _listing(out):
+    return sorted(path.name for path in out.iterdir())
+
+
+def test_a_state_failing_the_gate_at_the_first_step_leaves_no_snapshot(tmp_path, capsys):
+    field = np.zeros((4, 4, 4, 3), complex)
+    field[0, 0, 1] = [1.0, 1j, 0.5]  # F~ has a part along k = (0, 0, 1)
+    path = tmp_path / "longitudinal.phwf"
+    write_weber(path, WeberGrid(field, GridSpec(4, 2.0 * np.pi), "momentum"))
+    rc, out = _run(tmp_path, "evolve",
+                   config={"state": {"file": str(path)}, "evolve": {"times": [0.0, 1.0]}})
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "state has transversality residual" in captured.err
+    assert captured.out == "" and _listing(out) == []
+    # a snapshot of that name from an earlier run is left as it was
+    (out / "snapshot_00.phwf").write_bytes(b"earlier")
+    rc, out = _run(tmp_path, "evolve",
+                   config={"state": {"file": str(path)}, "evolve": {"times": [0.0, 1.0]}})
+    assert rc == 1 and (out / "snapshot_00.phwf").read_bytes() == b"earlier"
+
+
+def test_evolve_resumes_from_the_snapshot_its_first_step_replaces(tmp_path):
+    rc, out = _run(tmp_path, "evolve", config={"grid": {"n": 8}, "evolve": {"times": [0.0]}})
+    assert rc == 0
+    resume = {"state": {"file": str(out / "snapshot_00.phwf")},
+              "evolve": {"times": [0.5, 1.0]}}
+    rc, out = _run(tmp_path, "evolve", config=resume)
+    assert rc == 0 and _listing(out) == ["diagnostics.json", "snapshot_00.phwf",
+                                         "snapshot_01.phwf"]
+    direct = tmp_path / "direct"
+    assert main(["evolve", "--out", str(direct), "--config", _write_config(
+        tmp_path, {"grid": {"n": 8}, "evolve": {"times": [0.5, 1.0]}}, name="direct.json")]) == 0
+    for name in ("snapshot_00.phwf", "snapshot_01.phwf"):
+        assert (out / name).read_bytes() == (direct / name).read_bytes()
+
+
+def test_a_dc_failure_at_the_first_step_keeps_its_snapshot(tmp_path, capsys):
+    # the snapshot is written before its DC share is checked
+    field = np.zeros((4, 4, 4, 3), complex)
+    field[0, 0, 1] = [1.0, 1j, 0.0]
+    field[0, 0, 0] = [2e-3, 0.0, 0.0]
+    path = tmp_path / "dc.phwf"
+    write_weber(path, WeberGrid(field, GridSpec(4, 2.0 * np.pi), "momentum"))
+    rc, out = _run(tmp_path, "evolve",
+                   config={"state": {"file": str(path)}, "evolve": {"times": [0.0, 1.0]}})
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "k = 0 mode carries fraction" in captured.err
+    assert captured.out == "" and _listing(out) == ["snapshot_00.phwf"]
+    assert (out / "snapshot_00.phwf").read_bytes() == path.read_bytes()
+
+
+def test_a_failure_at_the_second_step_keeps_the_first(tmp_path, capsys, rng):
+    # a transversality tolerance equal to the state's own residual passes the
+    # first step; the rotated field's residual differs from it in its last bits
+    path = tmp_path / "state.phwf"
+    weber = _transverse_file(path, rng)
+    residual = spectral.transversality_residual(weber)
+    assert spectral.transversality_residual(spectral.evolve(weber, 1.0)) > residual
+    rc, out = _run(tmp_path, "evolve",
+                   config={"state": {"file": str(path)}, "evolve": {"times": [1.0, 2.0]}},
+                   extra=["--tolerance", f"transversality={residual!r}"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "state has transversality residual" in captured.err
+    assert len(captured.out.splitlines()) == 1 and captured.out.startswith("t =          1")
+    assert _listing(out) == ["snapshot_00.phwf"]
+    snapshot = read_weber(out / "snapshot_00.phwf")
+    assert snapshot.time == 1.0
+    assert snapshot.field.tobytes() == spectral.evolve(weber, 1.0).field.tobytes()
+
+
+def test_snapshot_headers_carry_the_accumulated_time(tmp_path, rng):
+    # each step's dt is t - time, and the time it reaches is time + dt, which
+    # need not be t itself
+    path = tmp_path / "state.phwf"
+    _transverse_file(path, rng, time=0.001)
+    rc, out = _run(tmp_path, "evolve",
+                   config={"state": {"file": str(path)}, "evolve": {"times": [0.4, 1.86]}})
+    assert rc == 0
+    assert [s["time"] for s in _load_json(out, "diagnostics.json")["snapshots"]] == [0.4, 1.86]
+    assert read_weber(out / "snapshot_00.phwf").time == 0.4
+    assert read_weber(out / "snapshot_01.phwf").time == 1.8599999999999999
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+@pytest.mark.parametrize("command", ["boost-audit", "trajectories"])
+def test_an_unusable_out_exits_2_naming_it(tmp_path, capsys, command, under):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    out = blocker / "sub" if under else blocker
+    assert main([command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--out {out}: cannot create the output directory" in err
+    assert "Traceback" not in err
+    assert blocker.read_text() == ""
+
+
+def test_a_failed_snapshot_write_exits_1_and_removes_it(tmp_path, capsys, monkeypatch):
+    def full(fh, plane):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(fieldio, "_write_plane", full)
+    rc, out = _run(tmp_path, "evolve", config={"grid": {"n": 8}})
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: cannot write {out / 'snapshot_00.phwf'}: "
+                   f"{os.strerror(errno.ENOSPC)}\n")
+    assert _listing(out) == []
 
 
 def test_tolerance_override_changes_behavior(tmp_path):

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from photonflow import GridSpec, WeberGrid, read_weber, write_weber
 from photonflow.bohm import Trajectory
 from photonflow.errors import FieldValidationError
+from photonflow import fieldio
 from photonflow.fieldio import trajectories_to_csv, write_csv, write_json
 
 
@@ -179,6 +180,20 @@ def test_write_json_has_the_bytes_of_json_dumps(tmp_path_factory, payload):
     assert path.read_text(encoding="utf-8") == json.dumps(_as_lists(payload))
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 5, 4096])
+def test_write_json_joins_its_pieces_across_rows_and_arrays(tmp_path, monkeypatch, rng, chunk):
+    # pieces of whole first-axis rows, so a piece may end inside a nested row
+    # of a 3-d array; values repeat within and between arrays, and the one
+    # repr each distinct value gets serves all of them
+    monkeypatch.setattr(fieldio, "_JSON_CHUNK", chunk)
+    values = np.array(SPECIAL + [0.1, 1.0 / 3.0, -7e-300])
+    shapes = [(7,), (5, 3), (2, 3, 4), (3, 1, 2), (1, 1, 1, 2), (4, 0), (0,), ()]
+    arrays = [rng.choice(values, shape) for shape in shapes]
+    payload = {"arrays": arrays, "again": arrays[1][::-1].T, "reused": [arrays[0]] * 2}
+    write_json(tmp_path / "payload.json", payload)
+    assert (tmp_path / "payload.json").read_text() == json.dumps(_as_lists(payload))
+
+
 def test_trajectories_csv_layout(tmp_path):
     times = np.array([0.0, 0.5])
     traj_a = Trajectory(times, np.zeros((2, 3)), np.ones((2, 3)), "phi_based")
@@ -200,7 +215,8 @@ def test_trajectories_csv_layout(tmp_path):
 def test_asymmetric_round_trip_keeps_payload_order_and_sums(tmp_path, rng, n, representation):
     # a random field has no symmetry between x and z, so a swapped axis shows
     from photonflow import forward_transform, photon_number, total_energy
-    from photonflow.fields import box_energy
+    from photonflow.fieldio import check_weber
+    from photonflow.fields import FieldPlanes, box_energy
     from photonflow.photon import photon_count
     from photonflow.spectral import _sweep, kgrid, transversality_residual
 
@@ -215,7 +231,9 @@ def test_asymmetric_round_trip_keeps_payload_order_and_sums(tmp_path, rng, n, re
     assert back.field.transpose(2, 1, 0, 3).flags.c_contiguous
     assert back.field.tobytes() == values.tobytes()
     tilde = back if representation == "momentum" else forward_transform(back)
-    residual, sums = _sweep(tilde)
+    residual, sums = _sweep(FieldPlanes(tilde))
+    if representation == "momentum":  # the same pass reading the file's planes
+        assert _sweep(check_weber(path)) == (residual, sums)
     f = np.ascontiguousarray(tilde.field)  # C-ordered reference routes from here
     sq = (np.abs(f) ** 2).sum(axis=-1)
     kg = kgrid(spec)

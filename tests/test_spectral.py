@@ -15,10 +15,11 @@ from photonflow import (GridSpec, WeberGrid, advance, density_profile_y, evolve,
                         read_weber, sample_to_grid, single_wave, total_energy,
                         transversality_residual, write_weber)
 from photonflow.errors import FieldValidationError, RepresentationError, TransversalityError
-from photonflow.fields import box_energy
-from photonflow.photon import photon_count
+from photonflow.fieldio import check_weber, new_weber_file
+from photonflow.fields import FieldPlanes, box_energy
+from photonflow.photon import photon_count, single_photon_norm
 from photonflow.planewaves import counterprop_pair, eval_weber
-from photonflow.spectral import forward_transform_in_place, kgrid
+from photonflow.spectral import advance_into, forward_transform_in_place, kgrid
 
 
 def _random_weber(spec, rng):
@@ -316,7 +317,8 @@ def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
     # 1/|k|) and density_profile_y no full-size temporary at all,
     # normalize_single_photon and place little beyond the field they return
     # and inverse_transform one field besides it; the .phwf writer and reader
-    # copy the payload straight between file and field
+    # copy the payload straight between file and field, and advance_into from
+    # one .phwf file into another holds plane buffers only
     spec = GridSpec(64, 2.0 * np.pi)
     weber = _random_transverse(spec, rng)
     weber.field[0, 0, 0] = 0.0  # photon_number rejects DC content
@@ -337,6 +339,8 @@ def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
                 ("place", lambda: place(state, spec), 1.2),
                 ("density_profile_y", lambda: density_profile_y(weber), 0.2),
                 ("write_weber", lambda: write_weber(path, weber), 0.005),
+                ("advance_into", lambda: _file_to_file(path, tmp_path / "next.phwf", 0.3),
+                 0.25),
                 ("read_weber", lambda: read_weber(path), 1.01),
                 ("inverse_transform", lambda: inverse_transform(weber), 2.1)):
             before = tracemalloc.get_traced_memory()[0]
@@ -361,6 +365,52 @@ def test_evolve_in_place_equals_the_default_route(rng, n, dt):
     advance(weber, 0.0)
     assert weber.field is buffer and weber.time == reference.time
     assert weber.field.tobytes() == reference.field.tobytes()
+
+
+def _file_to_file(source, target, dt, **kwargs):
+    """advance_into from the .phwf file ``source`` into the new file ``target``."""
+    stored = check_weber(source)
+    with new_weber_file(target, stored.spec, "momentum", stored.time + dt) as sink:
+        return advance_into(stored, dt, sink, **kwargs)
+
+
+@pytest.mark.parametrize("n, dt", [(7, -0.61), (8, 0.0), (15, 2.3)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_advance_into_reads_and_writes_the_bits_of_advance(tmp_path, rng, monkeypatch, n, dt,
+                                                            workers):
+    # file to file, and from a field read through a divisor: the bytes and sums
+    # of advance on the field (or on its normalized copy) written by write_weber
+    monkeypatch.setattr(fields, "_WORKERS", workers)
+    spec = GridSpec(n, 2.0 * np.pi, c=1.3, hbar=0.7)
+    weber = _random_transverse(spec, rng)
+    weber.field[0, 0, 0] = [1e-3, 2e-3j, 0.0]  # some DC content, carried unchanged
+    weber.time = 0.25
+    write_weber(tmp_path / "state.phwf", weber)
+    for source, reference in (
+            (tmp_path / "state.phwf", weber.copy()),
+            (FieldPlanes(weber, single_photon_norm(weber, dc_tolerance=1.0)),
+             normalize_single_photon(weber, dc_tolerance=1.0))):
+        sums = advance(reference, dt)
+        write_weber(tmp_path / "reference.phwf", reference)
+        if isinstance(source, FieldPlanes):
+            with new_weber_file(tmp_path / "next.phwf", spec, "momentum",
+                                reference.time) as sink:
+                assert advance_into(source, dt, sink) == sums
+        else:
+            assert _file_to_file(source, tmp_path / "next.phwf", dt) == sums
+        assert ((tmp_path / "next.phwf").read_bytes()
+                == (tmp_path / "reference.phwf").read_bytes())
+
+
+def test_advance_into_a_file_removes_it_when_the_gate_fails(tmp_path, spec8, rng):
+    weber = _random_transverse(spec8, rng)
+    weber.field[1, 2, 3, 0] += 0.5  # a longitudinal part
+    write_weber(tmp_path / "state.phwf", weber)
+    with pytest.raises(TransversalityError):
+        _file_to_file(tmp_path / "state.phwf", tmp_path / "next.phwf", 0.4)
+    assert not (tmp_path / "next.phwf").exists()
+    with pytest.raises(RepresentationError):
+        advance_into(FieldPlanes(_random_weber(spec8, rng)), 0.4, None)
 
 
 @pytest.mark.parametrize("n", [7, 8, 15])

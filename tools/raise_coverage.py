@@ -24,8 +24,10 @@ PACKAGE = SRC / "photonflow"
 # (file, a fragment of the raise statement's source) -> why no test reaches it
 ALLOWLIST = {
     ("fieldio.py", "payload ended early"):
-        "read_weber checks the file size against the header before it reads the "
-        "payload, so only a file shortened while it is being read gets here",
+        "the file size is checked against the header before the payload is read "
+        "(read_weber, check_weber), and a snapshot that evolve reads plane by plane "
+        "was written whole by the step before, so only a file shortened while it "
+        "is being read gets here",
 }
 
 

@@ -7,7 +7,11 @@ directory, then runs every job of ``perfbench.workloads.WORKLOADS`` with
 ``python -m photonflow ... --seed 3`` once from REV's ``src/`` and once from
 the working tree's.  Each side runs each workload's jobs in order in its own
 cycle directory, with relative ``--config`` and ``--out`` paths, so the
-printed paths are the same on both sides.  The exit code, stdout, stderr
+printed paths are the same on both sides.  Each side also runs the
+``evolve`` jobs of FAILING, which fail on state files this script writes
+itself: a longitudinal mode (the transversality gate), a heavy k = 0 mode
+(the DC check, after the first snapshot is written) and a NaN entry (the
+state-file check, before --out exists).  The exit code, stdout, stderr
 and sha256 of every file each job writes are compared, so a warning that
 one side prints and the other does not is a difference; the names that
 differ are printed, and the exit status is 1 on any difference, 0
@@ -16,11 +20,15 @@ otherwise.  The worktree is removed before the working tree's side runs.
 
 import hashlib
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
@@ -28,6 +36,34 @@ sys.path.insert(0, str(ROOT))
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
 SEED = "3"
+
+# evolve jobs that fail: the nonzero modes {(ix, iy, iz): (Fx, Fy, Fz)} of an
+# n = 4 momentum state file at time 0, each run over the times [0, 1]
+FAILING = {
+    "evolve-longitudinal": {(0, 0, 1): (1.0, 1j, 0.5)},
+    "evolve-dc-heavy": {(0, 0, 1): (1.0, 1j, 0.0), (0, 0, 0): (2e-3, 0.0, 0.0)},
+    "evolve-nan": {(0, 0, 1): (1.0, 1j, 0.0), (1, 2, 3): (math.nan, 0.0, 0.0)},
+}
+
+
+def write_state_file(path: Path, modes: dict, n: int = 4) -> None:
+    """A PHWF1 momentum file (see photonflow.fieldio) holding ``modes``, packed by hand."""
+    payload = np.zeros((n, n, n, 3), dtype="<c16")  # [iz, iy, ix, component]: x fastest
+    for (ix, iy, iz), value in modes.items():
+        payload[iz, iy, ix] = value
+    header = struct.pack("<5sIdddBd", b"PHWF1", n, 2.0 * math.pi, 1.0, 1.0, 1, 0.0)
+    path.write_bytes(header + payload.tobytes())
+
+
+def run_job(cycle: Path, env: dict, kind: str, command: str, config: dict) -> tuple:
+    """(exit code, stdout, stderr, {output file: sha256}) of one job run in ``cycle``."""
+    (cycle / f"{kind}.json").write_text(json.dumps(config))
+    run = subprocess.run([sys.executable, "-m", "photonflow", command, "--config",
+                          f"{kind}.json", "--out", kind, "--seed", SEED],
+                         cwd=cycle, env=env, capture_output=True)
+    files = {str(path.relative_to(cycle)): hashlib.sha256(path.read_bytes()).hexdigest()
+             for path in sorted((cycle / kind).rglob("*")) if path.is_file()}
+    return run.returncode, run.stdout, run.stderr, files
 
 
 def run_side(src: Path, top: Path) -> dict:
@@ -44,14 +80,15 @@ def run_side(src: Path, top: Path) -> dict:
         cycle = top / workload.name
         cycle.mkdir(parents=True)
         for job in workload.jobs:
-            config = f"{job.kind}.json"
-            (cycle / config).write_text(json.dumps(job.config(Path("."))))
-            run = subprocess.run([sys.executable, "-m", "photonflow", job.command,
-                                  "--config", config, "--out", job.kind, "--seed", SEED],
-                                 cwd=cycle, env=env, capture_output=True)
-            files = {str(path.relative_to(cycle)): hashlib.sha256(path.read_bytes()).hexdigest()
-                     for path in sorted((cycle / job.kind).rglob("*")) if path.is_file()}
-            results[job.kind] = (run.returncode, run.stdout, run.stderr, files)
+            results[job.kind] = run_job(cycle, env, job.kind, job.command,
+                                        job.config(Path(".")))
+    cycle = top / "failing"
+    cycle.mkdir(parents=True)
+    for kind, modes in FAILING.items():
+        write_state_file(cycle / f"{kind}.phwf", modes)
+        results[kind] = run_job(cycle, env, kind, "evolve",
+                                {"state": {"file": f"{kind}.phwf"},
+                                 "evolve": {"times": [0.0, 1.0]}})
     return results
 
 
