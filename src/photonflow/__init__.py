@@ -19,7 +19,7 @@ from .spectral import (advance, evolve, forward_transform, inverse_transform,
                        transversality_residual)
 from .photon import (PHI_BASED, WEBER_BASED, PhotonWaveFunction,
                      ProbabilityFlow, continuity_residual, density_profile_y,
-                     normalize_single_photon, photon_number,
+                     density_profiles, normalize_single_photon, photon_number,
                      photon_wavefunction, probability_flow, to_position,
                      weber_probability_flow)
 from .planewaves import (PRESETS, CircularPlaneWave, PlaneWaveSuperposition,

@@ -14,13 +14,16 @@ the placed state (divided by the square root of its photon number for
 evolve.normalize, never copied) or a momentum state file; only a
 position-representation state file, which needs its 3-D transform
 (spectral.forward_transform_in_place), or a state file to be normalized is
-held in memory, as one field.  Each snapshot's energy, photon number and
+held in memory, as one field; a state file's header alone decides which,
+so its payload is read once.  Each snapshot's energy, photon number and
 transversality residual come from the sums its step forms in the same
-pass.  doubleslit evolves its one field in place (spectral.advance) and
-writes the x,z-mean density profile along y (photon.density_profile_y),
-computed from the field plane by plane without building phi~ or the 3-D
-inverse transform.  trajectories integrates all its points in one RK4 pass
-(bohm.integrate_trajectories).
+pass.  doubleslit holds its placed state and writes no field: one pass
+(photon.density_profiles) reads each z-plane once, turns it through every
+time step in plane buffers and takes each step's x,z-mean density profile
+along y from the plane it leaves, without building phi~ or the 3-D inverse
+transform; the pass and all its gates, a non-finite profile included, run
+before --out exists.  trajectories integrates all its points in one RK4
+pass (bohm.integrate_trajectories).
 A closed stdout ends a subcommand with exit status 1 and no traceback.  An
 --out that cannot be created as a directory exits 2, and an output file
 that cannot be written exits 1 naming it ("cannot write <file>").  A
@@ -49,7 +52,8 @@ tolerances, then state.file (rejected by all but evolve), then the
 command's own checks.  One schema (``SCHEMA``) checks every key and every
 bound on one value (grid.n <= 355, audit.samples <= 2^16, units.c and
 units.hbar in [1e-100, 1e100], grid.L in [1e-40, 1e40]); ``_check_budget``
-bounds trajectory points times RK4 knots.  A value the library rejects
+bounds trajectory points times RK4 knots and the profile rows of the
+doubleslit times.  A value the library rejects
 while a command builds its state, boost or time steps becomes, through
 ``_named``, an exit 2 naming its config field.  Boost speeds are given as
 fractions of c.  Tolerances are overridden per key with
@@ -74,15 +78,15 @@ from .bohm import (_NODE_FLOOR_REL, frame_consistency_check, integrate_trajector
 from .errors import (ConfigError, FieldValidationError, OffGridWaveVectorError,
                      PhotonflowError, RangeError)
 from .fieldio import (_HEADER, WeberFile, check_weber, new_weber_file, read_weber,
-                      trajectories_to_csv, write_csv, write_json)
+                      trajectories_to_csv, weber_header, write_csv, write_json)
 from .fields import (_BOX_LENGTH_RANGE, _UNIT_RANGE, MOMENTUM, POSITION, FieldPlanes, GridSpec,
                      box_energy)
 from .lorentz import _AUDIT_TOL, Boost, audit_four_vector, audit_to_json, boost_plane_wave
 from .photon import (DEFAULT_DC_TOLERANCE, PHI_BASED, WEBER_BASED, check_dc_share,
-                     density_profile_y, photon_count, single_photon_norm)
+                     density_profiles, photon_count, single_photon_norm)
 from .planewaves import (PRESETS, CircularPlaneWave, CompiledState, PlaneWaveSuperposition,
                          place)
-from .spectral import (_TRANSVERSALITY_TOL, advance, advance_into, check_step,
+from .spectral import (_TRANSVERSALITY_TOL, advance_into, check_step,
                        forward_transform_in_place)
 
 # --- config schema ------------------------------------------------------------
@@ -198,10 +202,11 @@ def _state(value, path):
 
 
 # Work bounds, checked on the resolved config before a command allocates
-# anything: bytes of one n^3 grid field at 48 bytes a point, trajectory
-# points times RK4 knots that the one integration pass holds (48 bytes
-# each), and samples per four-vector audit (audits.json stores 14 numbers a
-# sample for each of its eight audits).
+# anything: bytes of one n^3 grid field at 48 bytes a point (also the bound
+# on the 8 n^2 bytes of profile rows that doubleslit's one pass holds per
+# time), trajectory points times RK4 knots that the one integration pass
+# holds (48 bytes each), and samples per four-vector audit (audits.json
+# stores 14 numbers a sample for each of its eight audits).
 _FIELD_BYTES_LIMIT = 2 ** 31
 _MAX_N = 355  # the largest n with 48 n^3 <= _FIELD_BYTES_LIMIT
 _POINT_KNOTS_LIMIT = 2 ** 22
@@ -249,11 +254,17 @@ TOLERANCES = {
 
 def _check_budget(config):
     """Raise ConfigError naming the field that takes trajectory points times RK4
-    knots over their limit, or trajectories.t1 if it lies before t0.
+    knots over their limit, or trajectories.t1 if it lies before t0, or
+    doubleslit.times if its profile rows would exceed _FIELD_BYTES_LIMIT.
 
     The point count stays a Python int and is compared with a float, never
     converted to one, so a count of any size is rejected, not overflowed.
     """
+    times, n = len(config["doubleslit"]["times"]), config["grid"]["n"]
+    if 8 * n ** 2 * times > _FIELD_BYTES_LIMIT:
+        raise ConfigError(f"doubleslit.times: {times} time(s) at grid.n = {n} hold "
+                          f"{8 * n ** 2 * times} bytes of profile rows, over the limit of "
+                          f"{_FIELD_BYTES_LIMIT}", field="doubleslit.times")
     section = config["trajectories"]
     points, points_field = section["count"], "trajectories.count"
     if section["initial_points"] is not None:
@@ -383,11 +394,12 @@ def _steps(state, times, field):
 def _initial_source(config, tol):
     """The plane source (fields.FieldPlanes or fieldio.WeberFile) evolve starts from.
 
-    A state.file is checked in one pass through a plane buffer.  In the
-    momentum representation the first step then reads it again plane by
-    plane; in the position representation, or to be normalized, it is read
-    once more, into memory (and transformed in place).  A normalized state
-    is read through the divisor that makes it one photon, never copied.
+    A state.file's header is read first.  In the momentum representation
+    the file is then checked in one pass through a plane buffer, and the
+    first step reads it again plane by plane; in the position
+    representation, or to be normalized, it is read once, into memory (and
+    transformed in place), with the same checks.  A normalized state is
+    read through the divisor that makes it one photon, never copied.
     """
     normalize = config["evolve"]["normalize"]
     if "file" in config["state"]:
@@ -400,9 +412,8 @@ def _initial_source(config, tol):
                 raise ConfigError(f"state.file {path} is {size} bytes, over the limit of "
                                   f"{_FIELD_BYTES_LIMIT} bytes per field plus the "
                                   f"{_HEADER.size}-byte header", field="state.file")
-            stored = check_weber(path)
-            if stored.representation == MOMENTUM and not normalize:
-                return stored
+            if weber_header(path).representation == MOMENTUM and not normalize:
+                return check_weber(path)
             weber = read_weber(path)
         except OSError as exc:
             raise ConfigError(f"cannot read field file: {exc}", field="state.file") from exc
@@ -620,13 +631,16 @@ def cmd_doubleslit(config, tol, seed, out):
     state = _named("doubleslit.intensity_ratio", build_slit_state, section, spec)
     weber = _named("doubleslit.intensity_ratio", place, state, spec)
     times = section["times"]
-    steps = _steps(weber, times, "doubleslit.times")
+    # every step and profile in one pass over the placed state, which is only read
+    profiles = density_profiles(weber, _steps(weber, times, "doubleslit.times"),
+                                tol["transversality"], tol["dc"])
+    if not all(np.isfinite(profile).all() for profile in profiles):
+        raise ConfigError(
+            f"units.c = {spec.c!r}: the density profile, which scales as L / (c^2 hbar), "
+            f"is not finite at grid.L = {spec.box_length!r} and units.hbar = {spec.hbar!r}",
+            field="units.c")
     yield
 
-    profiles = []
-    for dt in steps:
-        advance(weber, dt, transversality_tol=tol["transversality"])
-        profiles.append(density_profile_y(weber, dc_tolerance=tol["dc"]))
     y = spec.axis_coordinates()
     with _writing(out / "frames.csv") as path:
         write_csv(path, "t,y,rho",

@@ -21,7 +21,9 @@ transpose.  write_weber writes each plane of the plane view; read_weber
 checks the header and the file size against the header's n before it
 allocates the field, then reads each plane into place and checks it for
 non-finite values; check_weber makes the same checks through one plane
-buffer and holds no field.  A WeberFile (a checked file, or a new one
+buffer and holds no field, and weber_header makes the header and size
+checks alone, so a caller can choose between the two before reading the
+payload.  A WeberFile (a checked file, or a new one
 whose header new_weber_file has written) reads and writes single z-planes
 at their offsets, one file handle and plane buffer per worker run, as
 fields.FieldPlanes does for a field in memory: spectral.advance_into
@@ -202,6 +204,13 @@ def read_weber(path) -> WeberGrid:
         planes = np.empty((n, n, n, 3), dtype="<c16")  # [iz, iy, ix, component]
         _read_payload(fh, stored, planes)
     return WeberGrid(plane_view(planes), stored.spec, stored.representation, stored.time)
+
+
+def weber_header(path) -> WeberFile:
+    """The WeberFile of a PHWF1 file whose header and size read_weber accepts,
+    with the same errors; the payload is not read."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
 
 
 def check_weber(path) -> WeberFile:

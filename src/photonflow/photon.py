@@ -31,13 +31,19 @@ non-negligible share of their energy in the DC mode are rejected, and
 the DC photon coefficient is hard-zeroed otherwise.
 
 density_profile_y reads the x,z-mean of rho_p along y straight off the
-momentum-space field: after the same DC gate it applies the weight, an
-inverse FFT along y and the reduction to one z-plane of the field's
-plane view (see fields) at a time, so phi~ is never built in full.
-photon_number gathers the per-shell 1/|k| and normalize_single_photon
-writes its scaled field the same way.  All three run on fields.over_planes
-and add their per-plane sums and profiles in plane order, so the results
-do not depend on the number of workers.
+momentum-space field: one per-plane visitor (_profile_row) applies the
+weight, an inverse FFT along y and the reduction to one z-plane of the
+field's plane view (see fields) at a time, so phi~ is never built in full.
+It runs in the spectral kernel's pass, which also sums |F~|^2 and reads
+|F~(0)|^2 for the DC gate; density_profiles runs the same visitor after
+each of a list of time steps in one such pass, reading the field once
+and writing no field.  photon_number gathers the per-shell 1/|k| and sums
+|F~|^2 for its DC gate in its own plane loop, and normalize_single_photon
+writes its scaled field the same way.  All of them run on
+fields.over_planes and add their per-plane sums and profiles in plane
+order, so the results do not depend on the number of workers.  Only
+photon_wavefunction, which has no plane loop, makes a whole-field pass
+for the DC gate.
 """
 
 from __future__ import annotations
@@ -47,10 +53,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DCContentError, FieldValidationError, ZeroFieldError
-from .fields import (MOMENTUM, POSITION, GridSpec, WeberGrid, over_planes, plane_view,
-                     require_representation, sum_in_order, total_energy)
+from .fields import (MOMENTUM, POSITION, FieldPlanes, GridSpec, WeberGrid, over_planes,
+                     plane_view, require_representation, sum_in_order, total_energy)
 from .planewaves import PHI_BASED, WEBER_BASED, _recipe_flow, flow_recipe
-from .spectral import _TWO_PI_3_2, _fft_inverse, evolve, inverse_transform, kgrid
+from .spectral import (_TRANSVERSALITY_TOL, _TWO_PI_3_2, _c_dt, _fft_inverse, _gate, _sweep,
+                       evolve, inverse_transform, kgrid)
 
 DEFAULT_DC_TOLERANCE = 1e-12
 
@@ -119,38 +126,76 @@ def to_position(pwf: PhotonWaveFunction) -> PhotonWaveFunction:
     return PhotonWaveFunction(_fft_inverse(pwf.phi, pwf.spec), pwf.spec, POSITION, pwf.time)
 
 
+def _profile_row(spec: GridSpec):
+    """visit(zs, plane) giving the unscaled profile row of z-plane ``zs`` (shape (1, n, n, 3)).
+
+    By Parseval along x and z only an inverse FFT along y is needed: with
+    g = ifft_y(phi~) (2pi)^(3/2) / (dx^3 n^2), the x,z-mean of phi^dag phi
+    along y is the sum over kx, kz and components of |g|^2.  The row sums
+    |ifft_y(phi~)|^2 of the plane; _profile adds the rows and scales them.
+    """
+    shell, weights = kgrid(spec).shell, _good_weights(spec)
+
+    def visit(zs, plane):
+        phi = plane * weights[shell[zs]][..., None]
+        # (1, n, n, 6): Re/Im pairs; the float view needs a C-ordered FFT result
+        flat = np.ascontiguousarray(np.fft.ifft(phi, axis=1)).view(np.float64)
+        return np.einsum("zyxc,zyxc->y", flat, flat)
+    return visit
+
+
+def _profile(sums, rows, spec: GridSpec, dc_tolerance: float) -> np.ndarray:
+    """The profile of a field from its FieldSums and its _profile_row rows in
+    plane order, after the DC gate of photon_wavefunction on the sums."""
+    check_dc_share(sums.dc_sq, sums.sum_sq, dc_tolerance)
+    scale = _TWO_PI_3_2 / (spec.dx ** 3 * spec.n_per_axis ** 2)
+    # an overflowed row is inf, and inf times an underflowed scale NaN: both
+    # reach the caller as a non-finite profile, without a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        return sum_in_order(rows) * scale ** 2
+
+
 def density_profile_y(weber: WeberGrid,
                       dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> np.ndarray:
     """The x,z-mean of the phi-based density rho = phi^dag phi along y, from F~.
 
-    By Parseval along x and z only an inverse FFT along y is needed:
-    with g = ifft_y(phi~) (2pi)^(3/2) / (dx^3 n^2), the profile is
-    sum over kx, kz and components of |g|^2.  Runs the DC gate of
-    photon_wavefunction, then applies Good's weight, the y-FFT and the
-    reduction one z-plane at a time, so its temporaries are plane-sized;
-    the per-plane profiles are added in plane order.  It equals
+    Applies Good's weight, an inverse FFT along y and the reduction one
+    z-plane at a time in one pass of the spectral kernel, which also sums
+    |F~|^2 and reads |F~(0)|^2 for the DC gate of photon_wavefunction, so
+    its temporaries are plane-sized; the per-plane profiles are added in
+    plane order.  It equals
     probability_flow(to_position(photon_wavefunction(weber))).rho.mean(axis=(0, 2))
     to roundoff without building phi~, the 3-D inverse transform or the
     current.
     """
     require_representation(weber, MOMENTUM, "density_profile_y")
-    _check_dc_content(weber, dc_tolerance)
+    (_, sums, rows), = _sweep(FieldPlanes(weber), visit=_profile_row(weber.spec))
+    return _profile(sums, rows, weber.spec, dc_tolerance)
+
+
+def density_profiles(weber: WeberGrid, dts,
+                     transversality_tol: float = _TRANSVERSALITY_TOL,
+                     dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> list:
+    """density_profile_y of ``weber`` advanced by each step of ``dts`` in turn.
+
+    One pass of the spectral kernel reads each z-plane of ``weber`` once,
+    turns it through every step in plane buffers and takes each step's
+    profile row from the plane it leaves, so ``weber`` is only read and no
+    advanced field is written.  Each step keeps the gates of
+    advance(weber, dt) and density_profile_y, in that order: the
+    transversality gate on the field it starts from and the DC gate on the
+    field it leaves; the first step that fails raises.  The profiles keep
+    the bits of that route.  A non-finite dt or largest angle raises
+    FieldValidationError before the pass (spectral.check_step).
+    """
+    require_representation(weber, MOMENTUM, "density_profiles")
     spec = weber.spec
-    shell, weights = kgrid(spec).shell, _good_weights(spec)
-    planes = plane_view(weber.field)
-
-    def work(run):
-        profiles = []
-        for zs in run:
-            phi = planes[zs] * weights[shell[zs]][..., None]
-            # (1, n, n, 6): Re/Im pairs; the float view needs a C-ordered FFT result
-            flat = np.ascontiguousarray(np.fft.ifft(phi, axis=1)).view(np.float64)
-            profiles.append(np.einsum("zyxc,zyxc->y", flat, flat))
-        return profiles
-
-    profile = sum_in_order(over_planes(spec.n_per_axis, work))
-    scale = _TWO_PI_3_2 / (spec.dx ** 3 * spec.n_per_axis ** 2)
-    return profile * scale ** 2
+    c_dts = [_c_dt(spec, dt) for dt in dts]
+    profiles = []
+    for residual, sums, rows in _sweep(FieldPlanes(weber), c_dts, visit=_profile_row(spec)):
+        _gate(residual, transversality_tol)
+        profiles.append(_profile(sums, rows, spec, dc_tolerance))
+    return profiles
 
 
 def photon_number(weber: WeberGrid,
@@ -160,18 +205,20 @@ def photon_number(weber: WeberGrid,
     Scales quadratically with the field amplitude and is conserved by
     evolve (each |F~(k)| is preserved mode by mode).  1/|k| is gathered
     one z-plane at a time from the per-shell table, so no (n, n, n) float
-    array is built.
+    array is built; the same plane loop sums |F~|^2 for the DC gate.
     """
     require_representation(weber, MOMENTUM, "photon_number")
-    _check_dc_content(weber, dc_tolerance)
     kg = kgrid(weber.spec)
     flat = plane_view(weber.field).view(np.float64)  # (n, n, n, 6): Re/Im pairs
 
     def work(run):
-        return [np.einsum("zyxc,zyxc,zyx->", flat[zs], flat[zs], kg.shell_inv_k[kg.shell[zs]])
-                for zs in run]
+        return [(np.einsum("zyxc,zyxc,zyx->", flat[zs], flat[zs], kg.shell_inv_k[kg.shell[zs]]),
+                 np.einsum("zyxc,zyxc->", flat[zs], flat[zs])) for zs in run]
 
-    return photon_count(sum_in_order(over_planes(weber.spec.n_per_axis, work)), weber.spec)
+    over_k, sq = zip(*over_planes(weber.spec.n_per_axis, work))
+    check_dc_share(float(np.einsum("c,c->", flat[0, 0, 0], flat[0, 0, 0])),
+                   float(sum_in_order(sq)), dc_tolerance)
+    return photon_count(sum_in_order(over_k), weber.spec)
 
 
 def single_photon_norm(weber: WeberGrid,

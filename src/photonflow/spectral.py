@@ -36,21 +36,26 @@ loops release the GIL) with one-plane temporaries; a loop that reduces
 adds its per-plane records in plane order (fields.sum_in_order), so every
 result is the same bit for bit whatever the worker count.
 
-advance, advance_into and transversality_residual share one kernel
-(_sweep) that reads a field one z-plane at a time through a plane reader
-and hands each plane it leaves to a plane writer: fields.FieldPlanes for a
-field in memory (read divided by a constant if asked), fieldio.WeberFile
-for the payload of a PHWF1 file.  Mode by mode the dynamics never look
-beyond one plane, so advance_into can evolve a snapshot file into the next
-without either field in memory.  The kernel forms the rotation's cos,
-sin/|k| and (1 - cos)/|k|^2 once per shell and gathers them per plane
-through the shell index; per plane it forms k . F~ once and uses it for
-the NaN-closed transversality gate and for the rotation.  Each plane is
-copied before its rotated values are written, so advance(w, dt), whose
-reader and writer are both w's field, turns w in place with plane-sized
-temporaries only; evolve(w, dt) is advance applied to a copy.  From the
-planes it already holds the kernel also sums |F~|^2 and |F~|^2/|k|, reads
-|F~(0)|^2 and forms the transversality residual of the field it leaves
+advance, advance_into, transversality_residual and photon.density_profiles
+share one kernel (_sweep) that reads a field one z-plane at a time through
+a plane reader, turns each plane through a list of steps and hands the
+plane the last step leaves to a plane writer, if there is one:
+fields.FieldPlanes for a field in memory (read divided by a constant if
+asked), fieldio.WeberFile for the payload of a PHWF1 file.  Mode by mode
+the dynamics never look beyond one plane, so advance_into can evolve a
+snapshot file into the next without either field in memory, and
+density_profiles takes a profile of every step from one read of a field
+it never writes: between the steps a plane stays in the run's buffers,
+and a per-step visitor reads each plane a step leaves while it is at hand.
+The kernel forms the rotation's cos, sin/|k| and (1 - cos)/|k|^2 once per
+step and shell and gathers them per plane through the shell index; per
+plane and step it forms k . F~ once and uses it for the NaN-closed
+transversality gate and for the rotation.  Each plane is copied before
+its rotated values are written, so advance(w, dt), whose reader and
+writer are both w's field, turns w in place with plane-sized temporaries
+only; evolve(w, dt) is advance applied to a copy.  From the planes it
+already holds the kernel also sums |F~|^2 and |F~|^2/|k|, reads |F~(0)|^2
+and forms the transversality residual of the field each step leaves
 behind (FieldSums), so a caller that needs the energy, the photon number
 and the residual of each evolved state reads the field once.
 """
@@ -229,41 +234,60 @@ def _rotate(k, g, along, cos, sin_k, rotated):
         term += cos * g[i]
 
 
-def _sweep(source, c_dt=None, sink=None):
-    """One pass over a momentum field, a z-plane at a time: (residual, sums).
+def _turn(kg: KGrid, c_dt: float):
+    """Per shell of ``kg``: cos, sin / |k| and (1 - cos) / |k|^2 of the angle |k| c_dt."""
+    theta = kg.shell_k * c_dt
+    cos = np.cos(theta)
+    return cos, np.sin(theta) * kg.shell_inv_k, (1.0 - cos) * kg.shell_inv_k ** 2
 
-    ``source`` reads the field's z-planes and ``sink``, if given, takes the
-    planes the pass leaves: each is a fields.FieldPlanes or a
+
+def _sweep(source, c_dts=(None,), sink=None, visit=None):
+    """One pass over a momentum field, a z-plane at a time, through a list of steps.
+
+    ``c_dts`` holds one entry per step: c dt, by which each mode is rotated
+    about k-hat by the angle |k| c dt, or None for a step that turns
+    nothing; each step starts from the field the step before leaves.
+    ``source`` reads the field's z-planes and ``sink``, if given, takes each
+    plane a step turns (the source plane if none does), so it ends with
+    the planes the last step leaves: each is a fields.FieldPlanes or a
     fieldio.WeberFile, whose reader() and writer() give each worker run
-    read(zs) and write(zs, plane).  ``residual`` is the transversality
-    residual of the source.  Given ``c_dt``, each mode is rotated about
-    k-hat by the angle |k| c_dt and the rotated plane is written; without
-    it the source plane itself is written, if there is a sink.  The sink
-    may be the source: a plane is read and copied before it is written.
-    ``sums`` are the FieldSums of the field the pass leaves.  Per z-plane
-    k . F~ is formed once for the gate and the rotation, and the rotation's
-    weights are gathered from per-shell tables.  The planes run through
-    over_planes, each run with its own plane buffers, and _fold folds their
-    tallies.
+    read(zs) and write(zs, plane).  The sink may be the source: a plane is
+    read and copied before it is written.  Without a sink a turned plane
+    stays in the run's buffers and no field is written.
+    ``visit(zs, plane)``, if given, records what it needs of the plane
+    (shape (1, n, n, 3)) each step leaves; it runs on the worker threads
+    (see fields.over_planes).
+
+    Returns one (residual, sums, visits) per step: the transversality
+    residual of the field the step starts from, the FieldSums of the field
+    it leaves and the visit records of its z-planes in plane order (None
+    each without ``visit``).  Per z-plane k . F~ is formed once for the
+    gate and the rotation and carried from a step's result to the next
+    step; the rotation's weights are gathered from per-shell tables.  The
+    planes run through over_planes, and _fold folds their tallies per step.
     """
     spec = source.spec
     n = spec.n_per_axis
     kg = kgrid(spec)
     kx, ky, kz = kg.plane_k
-    rotate = c_dt is not None
-    if rotate:
-        # per shell: cos, sin / |k| and (1 - cos) / |k|^2 of the angle |k| c_dt
-        theta = kg.shell_k * c_dt
-        cos = np.cos(theta)
-        sin_k, along = np.sin(theta) * kg.shell_inv_k, (1.0 - cos) * kg.shell_inv_k ** 2
-    dc_sq = []  # |F~(0)|^2 of the field left, from the run that holds plane 0
+    turns = [None if c_dt is None else _turn(kg, c_dt) for c_dt in c_dts]
+    turning = any(turn is not None for turn in turns)
+    dc_sq = [None] * len(turns)  # per step, |F~(0)|^2 of the field left: the run of plane 0
 
     def work(run):
         # the plane's components, contiguous, and its rotation: one buffer each per run
         g = np.empty((3, 1, n, n), dtype=complex)
-        rotated = np.empty_like(g) if rotate else None
-        tallies = []
-        writing = sink.writer() if sink is not None else nullcontext()
+        rotated = np.empty_like(g) if turning else None
+        if sink is not None:
+            writing = sink.writer()
+        else:  # a turned plane is kept in one more run buffer, in payload order
+            kept = np.empty((1, n, n, 3), dtype=complex) if turning else None
+
+            def keep(zs, plane):
+                np.copyto(kept, plane)
+                return kept
+            writing = nullcontext(keep)
+        records = []
         # non-finite entries give NaN products here; the residual reports them
         with source.reader() as read, writing as write, \
                 np.errstate(invalid="ignore", over="ignore"):
@@ -273,25 +297,37 @@ def _sweep(source, c_dt=None, sink=None):
                 k = (kx, ky, kz[zs])
                 shell = kg.shell[zs].astype(np.intp)  # np.take would convert it per call
                 inv_k = np.take(kg.shell_inv_k, shell)
-                k_dot_f, tally = _tally(k, g, plane.view(np.float64), inv_k, sums=not rotate)
-                left, result = plane, tally
-                if rotate:
-                    k_dot_f *= np.take(along, shell)  # in place: k . F~ is not needed again
-                    _rotate(k, g, k_dot_f, np.take(cos, shell), np.take(sin_k, shell), rotated)
-                    left = write(zs, np.moveaxis(rotated, 0, -1))
-                    result = _tally(k, rotated, left.view(np.float64), inv_k, sums=True)[1]
-                elif sink is not None:
+                k_dot_f, tally = _tally(k, g, plane.view(np.float64), inv_k,
+                                        sums=turns[0] is None)
+                steps = []
+                for i, turn in enumerate(turns):
+                    result = tally
+                    if turn is not None:
+                        cos, sin_k, along = turn
+                        k_dot_f *= np.take(along, shell)  # in place: k . F~ is not needed again
+                        _rotate(k, g, k_dot_f, np.take(cos, shell), np.take(sin_k, shell), rotated)
+                        g, rotated = rotated, g
+                        plane = write(zs, np.moveaxis(g, 0, -1))
+                        k_dot_f, result = _tally(k, g, plane.view(np.float64), inv_k, sums=True)
+                    if zs.start == 0:
+                        dc = plane.view(np.float64)[0, 0, 0]
+                        dc_sq[i] = float(np.einsum("c,c->", dc, dc))
+                    steps.append((tally, result, visit(zs, plane) if visit else None))
+                    tally = result
+                del k_dot_f  # the next plane forms its own
+                if sink is not None and not turning:
                     write(zs, plane)
-                if zs.start == 0:
-                    dc = left.view(np.float64)[0, 0, 0]
-                    dc_sq.append(float(np.einsum("c,c->", dc, dc)))
-                tallies.append((tally, result))
-        return tallies
+                records.append(steps)
+        return records
 
-    sources, results = zip(*over_planes(n, work))
-    residual = _fold(sources)[0]
-    result_residual, sum_sq, sum_sq_over_k = _fold(results)
-    return residual, FieldSums(sum_sq, sum_sq_over_k, dc_sq[0], result_residual)
+    planes = over_planes(n, work)
+    swept = []
+    for i, step in enumerate(zip(*planes)):
+        sources, results, visits = zip(*step)
+        result_residual, sum_sq, sum_sq_over_k = _fold(results)
+        swept.append((_fold(sources)[0],
+                      FieldSums(sum_sq, sum_sq_over_k, dc_sq[i], result_residual), visits))
+    return swept
 
 
 def transversality_residual(weber: WeberGrid) -> float:
@@ -305,7 +341,7 @@ def transversality_residual(weber: WeberGrid) -> float:
     the residual NaN.
     """
     require_representation(weber, MOMENTUM, "transversality_residual")
-    return _sweep(FieldPlanes(weber))[0]
+    return _sweep(FieldPlanes(weber))[0][0]
 
 
 def project_transverse(weber: WeberGrid) -> WeberGrid:
@@ -374,6 +410,12 @@ def check_step(spec: GridSpec, dt: float) -> float:
     return c_dt
 
 
+def _c_dt(spec: GridSpec, dt: float):
+    """check_step's c dt, or None for dt == 0: _sweep's entry for the step dt."""
+    c_dt = check_step(spec, dt)
+    return None if float(dt) == 0 else c_dt
+
+
 def advance(weber: WeberGrid, dt: float,
             transversality_tol: float = _TRANSVERSALITY_TOL) -> FieldSums:
     """Advance ``weber`` itself by dt with evolve's exact per-mode propagator.
@@ -391,12 +433,12 @@ def advance(weber: WeberGrid, dt: float,
     require_representation(weber, MOMENTUM, "advance")
     if not weber.field.flags.writeable:
         raise FieldValidationError("advance got a read-only field")
-    c_dt = check_step(weber.spec, dt)
-    dt = float(dt)
+    c_dt = _c_dt(weber.spec, dt)
     planes = FieldPlanes(weber)
-    residual, sums = _sweep(planes) if dt == 0 else _sweep(planes, c_dt, planes)
+    # dt == 0 turns nothing, so there is nothing to write
+    (residual, sums, _), = _sweep(planes, [c_dt], None if c_dt is None else planes)
     _gate(residual, transversality_tol)
-    weber.time += dt
+    weber.time += float(dt)
     return sums
 
 
@@ -414,8 +456,7 @@ def advance_into(source, dt: float, sink,
     after the pass, and what the sink then holds is to be discarded.
     """
     require_representation(source, MOMENTUM, "advance_into")
-    c_dt = check_step(source.spec, dt)
-    residual, sums = _sweep(source, None if float(dt) == 0 else c_dt, sink)
+    (residual, sums, _), = _sweep(source, [_c_dt(source.spec, dt)], sink)
     _gate(residual, transversality_tol)
     return sums
 

@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 import photonflow
-from photonflow import (GridSpec, WeberGrid, __version__, forward_transform, photon_number,
-                        sample_to_grid, total_energy)
+from photonflow import (GridSpec, WeberGrid, __version__, forward_transform,
+                        inverse_transform, photon_number, place, sample_to_grid, total_energy)
 from photonflow import cli, fieldio, fields, photon, spectral
 from photonflow.cli import (_AUDIT_SAMPLES_LIMIT, _FIELD_BYTES_LIMIT, _POINT_KNOTS_LIMIT,
                             build_parser, load_config, main)
@@ -217,6 +217,32 @@ def test_evolve_resumes_from_a_position_representation_file(tmp_path):
                                                          photon_number(tilde))
     assert second["energy"] == pytest.approx(total_energy(tilde), rel=1e-13)
     assert second["photon_number"] == pytest.approx(photon_number(tilde), rel=1e-13)
+
+
+@pytest.mark.parametrize("representation, normalize", [("position", False),
+                                                      ("momentum", True)])
+def test_a_state_file_read_into_memory_is_read_once(tmp_path, monkeypatch, representation,
+                                                    normalize):
+    # the header decides: a file that read_weber reads into memory is not
+    # also run through check_weber's pass; a NaN entry still stops the run
+    # before --out exists
+    spec = GridSpec(8, 2.0 * np.pi)
+    field = place(counterprop_pair(1.0, 2.0), spec)
+    if representation == "position":
+        field = inverse_transform(field)
+    path = tmp_path / "state.phwf"
+    write_weber(path, field)
+
+    def refused(path):
+        raise AssertionError(f"check_weber read {path}")
+    monkeypatch.setattr(cli, "check_weber", refused)
+    config = _write_config(tmp_path, {"state": {"file": str(path)},
+                                      "evolve": {"times": [0.0], "normalize": normalize}})
+    assert main(["evolve", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    field.field[1, 2, 3, 0] = np.nan
+    write_weber(path, field)
+    assert main(["evolve", "--config", config, "--out", str(tmp_path / "nan")]) == 1
+    assert not (tmp_path / "nan").exists()
 
 
 def test_evolve_reads_each_snapshot_in_its_one_pass(tmp_path, monkeypatch):
@@ -683,6 +709,12 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
     ("doubleslit", {"grid": {"n": 16}, "doubleslit": {"bundle_width": 2,
                                                       "intensity_ratio": 5e-324}},
      "doubleslit.intensity_ratio"),
+    # rho scales as L / (c^2 hbar), but |phi~|^2 overflows before the profile is scaled
+    ("doubleslit", {"units": {"c": 1e-100}, "grid": {"n": 16, "L": 1e30}}, "units.c"),
+    # the one pass holds n^2 profile floats per time: 2200 of them at n = 355
+    # are over _FIELD_BYTES_LIMIT
+    ("doubleslit", {"grid": {"n": 355}, "doubleslit": {"times": [0.0] * 2200}},
+     "doubleslit.times"),
 ], ids=["nan-point", "no-points", "inf-boost", "text-phase", "nan-phase",
         "text-preset-arg", "nan-preset-arg", "inf-evolve-time", "inf-slit-time",
         "text-normalize", "misspelled-key", "bool-sources", "zero-line-direction",
@@ -693,7 +725,8 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
         "subnormal-c-trajectories", "tiny-c-boost-audit", "huge-hbar", "tiny-box-evolve",
         "huge-box-doubleslit", "tiny-box-trajectories", "boosted-intensity-overflows",
         "boosted-amplitude-overflows", "boosted-phi-overflows", "density-bound-overflows",
-        "tiny-bundle-sigma", "underflowing-bundle-sigma", "underflowing-second-source"])
+        "tiny-bundle-sigma", "underflowing-bundle-sigma", "underflowing-second-source",
+        "overflowing-slit-profile", "slit-times-over-limit"])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, command,
                                                    config, field):
     rc, out = _run(tmp_path, command, config=config)

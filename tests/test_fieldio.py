@@ -231,9 +231,9 @@ def test_asymmetric_round_trip_keeps_payload_order_and_sums(tmp_path, rng, n, re
     assert back.field.transpose(2, 1, 0, 3).flags.c_contiguous
     assert back.field.tobytes() == values.tobytes()
     tilde = back if representation == "momentum" else forward_transform(back)
-    residual, sums = _sweep(FieldPlanes(tilde))
+    (residual, sums, _), = _sweep(FieldPlanes(tilde))
     if representation == "momentum":  # the same pass reading the file's planes
-        assert _sweep(check_weber(path)) == (residual, sums)
+        assert _sweep(check_weber(path))[0][:2] == (residual, sums)
     f = np.ascontiguousarray(tilde.field)  # C-ordered reference routes from here
     sq = (np.abs(f) ** 2).sum(axis=-1)
     kg = kgrid(spec)

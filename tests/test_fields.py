@@ -159,6 +159,7 @@ _GUARDED = [
     ("photon_wavefunction", MOMENTUM, ()),
     ("to_position", MOMENTUM, ()),
     ("density_profile_y", MOMENTUM, ()),
+    ("density_profiles", MOMENTUM, ([0.1],)),
     ("photon_number", MOMENTUM, ()),
     ("probability_flow", POSITION, ()),
     ("weber_probability_flow", POSITION, ()),

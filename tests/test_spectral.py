@@ -14,12 +14,15 @@ from photonflow import (GridSpec, WeberGrid, advance, density_profile_y, evolve,
                         normalize_single_photon, photon_number, place, project_transverse,
                         read_weber, sample_to_grid, single_wave, total_energy,
                         transversality_residual, write_weber)
-from photonflow.errors import FieldValidationError, RepresentationError, TransversalityError
+from photonflow.errors import (DCContentError, FieldValidationError, RepresentationError,
+                               TransversalityError)
 from photonflow.fieldio import check_weber, new_weber_file
-from photonflow.fields import FieldPlanes, box_energy
-from photonflow.photon import photon_count, single_photon_norm
+from photonflow.fields import FieldPlanes, box_energy, plane_view
+from photonflow.photon import (_good_weights, _profile_row, density_profiles, photon_count,
+                               photon_wavefunction, single_photon_norm)
 from photonflow.planewaves import counterprop_pair, eval_weber
-from photonflow.spectral import advance_into, forward_transform_in_place, kgrid
+from photonflow.spectral import (_TWO_PI_3_2, _sweep, advance_into, forward_transform_in_place,
+                                 kgrid)
 
 
 def _random_weber(spec, rng):
@@ -314,7 +317,9 @@ def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
     # beyond its input, evolve holds its output plus plane-sized temporaries
     # (advance and forward_transform_in_place, the temporaries alone: a few
     # planes of 1/64 of the field per worker), photon_number (one plane of
-    # 1/|k|) and density_profile_y no full-size temporary at all,
+    # 1/|k|), density_profile_y and the doubleslit pass through several steps
+    # (density_profiles: plane buffers and n^2 profile floats a step) no
+    # full-size temporary at all,
     # normalize_single_photon and place little beyond the field they return
     # and inverse_transform one field besides it; the .phwf writer and reader
     # copy the payload straight between file and field, and advance_into from
@@ -338,6 +343,7 @@ def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
                 ("normalize_single_photon", lambda: normalize_single_photon(weber), 1.05),
                 ("place", lambda: place(state, spec), 1.2),
                 ("density_profile_y", lambda: density_profile_y(weber), 0.2),
+                ("density_profiles", lambda: density_profiles(weber, [0.0, 0.4, -0.3]), 0.25),
                 ("write_weber", lambda: write_weber(path, weber), 0.005),
                 ("advance_into", lambda: _file_to_file(path, tmp_path / "next.phwf", 0.3),
                  0.25),
@@ -427,6 +433,68 @@ def test_advance_reports_the_sums_of_the_field_it_leaves(rng, n, dt):
     assert photon_count(sums.sum_sq_over_k, spec) == pytest.approx(
         photon_number(weber, dc_tolerance=1.0), rel=1e-13, abs=0)
     assert sums.dc_sq == np.einsum("c,c->", flat[0, 0, 0], flat[0, 0, 0])
+
+
+# --- doubleslit's one pass: every step and profile from one read of each plane
+
+
+def _profile_by_planes(weber):
+    """The x,z-mean of rho_p along y as density_profile_y has always formed it:
+    Good's weight, an inverse FFT along y and |.|^2 per z-plane, the plane
+    profiles added in plane order, then scaled."""
+    spec, kg = weber.spec, kgrid(weber.spec)
+    profile = 0.0
+    for iz, plane in enumerate(plane_view(weber.field)):
+        phi = plane[None] * _good_weights(spec)[kg.shell[iz:iz + 1]][..., None]
+        flat = np.ascontiguousarray(np.fft.ifft(phi, axis=1)).view(np.float64)
+        profile = profile + np.einsum("zyxc,zyxc->y", flat, flat)
+    return profile * (_TWO_PI_3_2 / (spec.dx ** 3 * spec.n_per_axis ** 2)) ** 2
+
+
+@pytest.mark.parametrize("dts", [[0.0, 0.4, 0.4], [0.35, 0.0, -0.8, 0.0, 0.2]],
+                         ids=["benchmark-steps", "zero-and-negative-steps"])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [7, 8])
+def test_one_pass_gives_the_bits_of_advance_and_density_profile_y(rng, monkeypatch, n,
+                                                                   workers, dts):
+    monkeypatch.setattr(fields, "_WORKERS", workers)
+    spec = GridSpec(n, 2.0 * np.pi, c=1.3, hbar=0.7)
+    weber = _random_transverse(spec, rng)
+    weber.field[0, 0, 0] = 0.0  # the DC gate of the profile
+    weber.field.flags.writeable = False  # the pass only reads the state
+    swept = _sweep(FieldPlanes(weber), [None if dt == 0 else spec.c * dt for dt in dts],
+                   visit=_profile_row(spec))
+    profiles = density_profiles(weber, dts)
+    reference = weber.copy()
+    for dt, (residual, sums, _), profile in zip(dts, swept, profiles, strict=True):
+        assert residual == transversality_residual(reference)
+        assert advance(reference, dt) == sums
+        assert (profile.tobytes() == density_profile_y(reference).tobytes()
+                == _profile_by_planes(reference).tobytes())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_pass_raises_the_error_of_the_first_failing_step(spec8, rng, monkeypatch, workers):
+    # the messages of advance and of the whole-field DC gate photon_wavefunction
+    # keeps: the transversality gate of a step before its DC gate
+    monkeypatch.setattr(fields, "_WORKERS", workers)
+    dts = [0.3, 0.0, -0.5]
+    longitudinal = _random_transverse(spec8, rng)
+    longitudinal.field[0, 0, 0] = 0.0
+    longitudinal.field[1, 2, 3, 0] += 0.5
+    heavy = _random_transverse(spec8, rng)
+    heavy.field[0, 0, 0] = [3.0, 0.0, 0.0]
+    both = longitudinal.copy()
+    both.field[0, 0, 0] = heavy.field[0, 0, 0]
+    for weber, error, parent in (
+            (longitudinal, TransversalityError, lambda w: advance(w.copy(), dts[0])),
+            (heavy, DCContentError, lambda w: photon_wavefunction(evolve(w, dts[0]))),
+            (both, TransversalityError, lambda w: advance(w.copy(), dts[0]))):
+        with pytest.raises(error) as expected:
+            parent(weber)
+        with pytest.raises(error) as raised:
+            density_profiles(weber, dts)
+        assert str(raised.value) == str(expected.value)
 
 
 def test_forward_transform_in_place_is_fftn_bit_for_bit(rng):

@@ -11,7 +11,8 @@ printed paths are the same on both sides.  Each side also runs the
 ``evolve`` jobs of FAILING, which fail on state files this script writes
 itself: a longitudinal mode (the transversality gate), a heavy k = 0 mode
 (the DC check, after the first snapshot is written) and a NaN entry (the
-state-file check, before --out exists).  The exit code, stdout, stderr
+state-file check, before --out exists), and the jobs of EXTRA, which cover
+steps the workloads never take.  The exit code, stdout, stderr
 and sha256 of every file each job writes are compared, so a warning that
 one side prints and the other does not is a difference; the names that
 differ are printed, and the exit status is 1 on any difference, 0
@@ -43,6 +44,14 @@ FAILING = {
     "evolve-longitudinal": {(0, 0, 1): (1.0, 1j, 0.5)},
     "evolve-dc-heavy": {(0, 0, 1): (1.0, 1j, 0.0), (0, 0, 0): (2e-3, 0.0, 0.0)},
     "evolve-nan": {(0, 0, 1): (1.0, 1j, 0.0), (1, 2, 3): (math.nan, 0.0, 0.0)},
+}
+
+# jobs beside the workloads' {kind: (command, config)}: a doubleslit whose
+# steps (dt = 0.8, -0.8, 0, -0.4) include a negative step and a zero step
+# between two others
+EXTRA = {
+    "doubleslit-steps": ("doubleslit", {"grid": {"n": 32}, "doubleslit": {
+        "bundle_width": 1, "times": [0.8, 0.0, 0.0, -0.4]}}),
 }
 
 
@@ -82,6 +91,10 @@ def run_side(src: Path, top: Path) -> dict:
         for job in workload.jobs:
             results[job.kind] = run_job(cycle, env, job.kind, job.command,
                                         job.config(Path(".")))
+    cycle = top / "extra"
+    cycle.mkdir(parents=True)
+    for kind, (command, config) in EXTRA.items():
+        results[kind] = run_job(cycle, env, kind, command, config)
     cycle = top / "failing"
     cycle.mkdir(parents=True)
     for kind, modes in FAILING.items():
