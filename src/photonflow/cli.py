@@ -52,8 +52,9 @@ tolerances, then state.file (rejected by all but evolve), then the
 command's own checks.  One schema (``SCHEMA``) checks every key and every
 bound on one value (grid.n <= 355, audit.samples <= 2^16, units.c and
 units.hbar in [1e-100, 1e100], grid.L in [1e-40, 1e40]); ``_check_budget``
-bounds trajectory points times RK4 knots and the profile rows of the
-doubleslit times.  A value the library rejects
+bounds the work of the sections a command reads: trajectory points times
+RK4 knots for trajectories and the profile rows of the times for
+doubleslit.  A value the library rejects
 while a command builds its state, boost or time steps becomes, through
 ``_named``, an exit 2 naming its config field.  Boost speeds are given as
 fractions of c.  Tolerances are overridden per key with
@@ -252,19 +253,24 @@ TOLERANCES = {
 }
 
 
-def _check_budget(config):
-    """Raise ConfigError naming the field that takes trajectory points times RK4
-    knots over their limit, or trajectories.t1 if it lies before t0, or
-    doubleslit.times if its profile rows would exceed _FIELD_BYTES_LIMIT.
+def _check_budget(config, command):
+    """Raise ConfigError naming the field that takes the work of ``command``
+    over its limit: for doubleslit, doubleslit.times if its profile rows
+    would exceed _FIELD_BYTES_LIMIT; for trajectories, the field that takes
+    trajectory points times RK4 knots over their limit, or trajectories.t1
+    if it lies before t0.  A section the command does not read is not bounded.
 
     The point count stays a Python int and is compared with a float, never
     converted to one, so a count of any size is rejected, not overflowed.
     """
-    times, n = len(config["doubleslit"]["times"]), config["grid"]["n"]
-    if 8 * n ** 2 * times > _FIELD_BYTES_LIMIT:
-        raise ConfigError(f"doubleslit.times: {times} time(s) at grid.n = {n} hold "
-                          f"{8 * n ** 2 * times} bytes of profile rows, over the limit of "
-                          f"{_FIELD_BYTES_LIMIT}", field="doubleslit.times")
+    if command == "doubleslit":
+        times, n = len(config["doubleslit"]["times"]), config["grid"]["n"]
+        if 8 * n ** 2 * times > _FIELD_BYTES_LIMIT:
+            raise ConfigError(f"doubleslit.times: {times} time(s) at grid.n = {n} hold "
+                              f"{8 * n ** 2 * times} bytes of profile rows, over the limit of "
+                              f"{_FIELD_BYTES_LIMIT}", field="doubleslit.times")
+    if command != "trajectories":
+        return
     section = config["trajectories"]
     points, points_field = section["count"], "trajectories.count"
     if section["initial_points"] is not None:
@@ -305,8 +311,8 @@ def _defaults(table):
 
 
 def load_config(path):
-    """Read a JSON config, check every key against SCHEMA and the trajectory
-    work against _check_budget, and fill in the defaults."""
+    """Read a JSON config, check every key against SCHEMA and fill in the
+    defaults; _run then bounds the work of its command (_check_budget)."""
     user = {}
     if path is not None:
         try:
@@ -320,9 +326,7 @@ def load_config(path):
                 f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
         except ValueError as exc:  # an integer literal over Python's digit limit
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    config = _resolve(SCHEMA, user, "")
-    _check_budget(config)
-    return config
+    return _resolve(SCHEMA, user, "")
 
 
 def parse_tolerances(pairs):
@@ -476,10 +480,16 @@ def cmd_boost_audit(config, tol, seed, out):
     u, k_right, k_left = section["u"], section["k_right"], section["k_left"]
     z_boost = Boost([0.0, 0.0, 1.0], u * c, c)
     x_boost = Boost([1.0, 0.0, 0.0], u * c, c)
+    # the pair's first wave is the single wave, so once the single wave and its
+    # boosts pass, the pair and its boosts can fail on k_left only; each audit
+    # boosts its state again
+    single = _named("audit.k_right", single_wave, k_right, 1.0)
+    pair = _named("audit.k_left", counterprop_pair, k_right, k_left, 1.0)
+    for field, state in (("audit.k_right", single), ("audit.k_left", pair)):
+        for boost in (z_boost, x_boost):
+            _named(field, boost_plane_wave, state, boost)
     yield
 
-    single = single_wave(k_right, 1.0)
-    pair = counterprop_pair(k_right, k_left, 1.0)
     scenarios = [
         ("single-wave z-boost", single, z_boost),
         ("single-wave x-boost", single, x_boost),
@@ -693,10 +703,12 @@ def cmd_info(args):
 # --- entry point ------------------------------------------------------------
 
 def _run(args) -> int:
-    """Check the config, the tolerances and state.file, run the generator
-    ``args.handler(config, tol, seed, out)`` through its own checks up to its
-    one bare yield, then create --out and run the rest of the command."""
+    """Check the config, the work it asks of the command, the tolerances and
+    state.file, run the generator ``args.handler(config, tol, seed, out)``
+    through its own checks up to its one bare yield, then create --out and
+    run the rest of the command."""
     config = load_config(args.config)
+    _check_budget(config, args.command)
     tol = parse_tolerances(args.tolerance)
     if args.command != "evolve" and "file" in config["state"]:
         raise ConfigError("state.file is read by evolve only", field="state.file")

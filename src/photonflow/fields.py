@@ -73,9 +73,11 @@ def over_planes(n: int, work) -> list:
     contiguous runs.  The caller's thread works the first run and one
     started thread each other run; all are joined before this returns, and
     an exception raised by work is re-raised here (the first run's first).
-    work loops over its run itself: called per plane, it would free its
-    temporaries after each plane, and the allocator could return their
-    pages to the OS only to fault them in again.  It returns its per-plane
+    work loops over its run itself and keeps its plane temporaries in
+    buffers it allocates once per run, writing into them with out=: a
+    plane-sized temporary allocated and freed inside the loop lies at the
+    top of the heap, where the allocator trims it, so each next plane
+    faults the same pages in again.  It returns its per-plane
     records, or None; the records come back in plane order.  work must call
     no public photonflow function (a traced run keeps one span stack for
     all threads), and enters its own numpy errstate where it needs one

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import FieldValidationError, InternalConsistencyError, ZeroFieldError
 from .fields import check_real
-from .planewaves import (PHI_BASED, CircularPlaneWave, CompiledState,
-                         PlaneWaveSuperposition, _cross, flow_recipe, polarization_basis)
+from .planewaves import (PHI_BASED, CircularPlaneWave, CompiledState, PlaneWaveSuperposition,
+                         _cross, check_wave_vector, flow_recipe, polarization_basis)
 
 # relative tolerance within which boost_plane_wave's two routes must agree
 _CONSISTENCY_TOL = 1e-9
@@ -116,12 +116,14 @@ def boost_plane_wave(state: PlaneWaveSuperposition, boost: Boost) -> PlaneWaveSu
     while the field route boosts the complex Weber amplitude directly.
     The boosted amplitude must be helicity-preserving and must project
     onto the boosted-frame polarization with the predicted intensity.
-    A component whose boosted intensity or amplitude is not finite raises
-    FieldValidationError naming it.
+    A component whose boosted wave vector has a length out of
+    CircularPlaneWave's range, or whose boosted intensity or amplitude is not
+    finite, raises FieldValidationError naming it.
     """
     out = []
     for idx, comp in enumerate(state.components):
         k_out, omega_out = boost_wave_vector(comp.wave_vector, boost)
+        check_wave_vector(f"component {idx}: its boosted wave vector", k_out)
         omega = comp.k_norm * boost.c
         # a wave near the float limit, boosted against its motion, overflows here:
         # it is rejected before the two routes are compared

@@ -107,7 +107,7 @@ def photon_count(sum_sq_over_k: float, spec: GridSpec) -> float:
 
 def _good_weights(spec: GridSpec) -> np.ndarray:
     """1 / sqrt(8 pi hbar k c) per shell of kgrid(spec) (0 at k = 0); index it
-    with the grid's ``shell``."""
+    with a shell index (KGrid.shell or shell_plane)."""
     return np.sqrt(kgrid(spec).shell_inv_k / (8.0 * np.pi * spec.hbar * spec.c))
 
 
@@ -116,7 +116,7 @@ def photon_wavefunction(weber: WeberGrid,
     """phi~(k) = F~(k) / sqrt(8 pi hbar k c); the k = 0 coefficient is set to 0."""
     require_representation(weber, MOMENTUM, "photon_wavefunction")
     _check_dc_content(weber, dc_tolerance)
-    weight = _good_weights(weber.spec)[kgrid(weber.spec).shell]
+    weight = _good_weights(weber.spec)[kgrid(weber.spec).shell()]
     phi = weber.field * weight[..., None]
     return PhotonWaveFunction(phi, weber.spec, MOMENTUM, weber.time)
 
@@ -127,19 +127,23 @@ def to_position(pwf: PhotonWaveFunction) -> PhotonWaveFunction:
 
 
 def _profile_row(spec: GridSpec):
-    """visit(zs, plane) giving the unscaled profile row of z-plane ``zs`` (shape (1, n, n, 3)).
+    """The kernel's visitor (see spectral._sweep) giving the unscaled profile
+    row of a z-plane.
 
     By Parseval along x and z only an inverse FFT along y is needed: with
     g = ifft_y(phi~) (2pi)^(3/2) / (dx^3 n^2), the x,z-mean of phi^dag phi
     along y is the sum over kx, kz and components of |g|^2.  The row sums
     |ifft_y(phi~)|^2 of the plane; _profile adds the rows and scales them.
+    Good's weights are gathered into the lent float buffer and phi~ formed
+    in the lent complex one, which then takes the inverse FFT in C order
+    (np.fft's out= needs numpy 2), so that its float view holds Re/Im pairs.
     """
-    shell, weights = kgrid(spec).shell, _good_weights(spec)
+    weights = _good_weights(spec)
 
-    def visit(zs, plane):
-        phi = plane * weights[shell[zs]][..., None]
-        # (1, n, n, 6): Re/Im pairs; the float view needs a C-ordered FFT result
-        flat = np.ascontiguousarray(np.fft.ifft(phi, axis=1)).view(np.float64)
+    def visit(plane, shell, phi, weight):
+        np.multiply(plane, np.take(weights, shell, out=weight, mode="clip")[..., None], out=phi)
+        np.copyto(phi, np.fft.ifft(phi, axis=1))
+        flat = phi.view(np.float64)  # (1, n, n, 6): Re/Im pairs
         return np.einsum("zyxc,zyxc->y", flat, flat)
     return visit
 
@@ -208,14 +212,20 @@ def photon_number(weber: WeberGrid,
     array is built; the same plane loop sums |F~|^2 for the DC gate.
     """
     require_representation(weber, MOMENTUM, "photon_number")
-    kg = kgrid(weber.spec)
+    kg, n = kgrid(weber.spec), weber.spec.n_per_axis
     flat = plane_view(weber.field).view(np.float64)  # (n, n, n, 6): Re/Im pairs
 
     def work(run):
-        return [(np.einsum("zyxc,zyxc,zyx->", flat[zs], flat[zs], kg.shell_inv_k[kg.shell[zs]]),
-                 np.einsum("zyxc,zyxc->", flat[zs], flat[zs])) for zs in run]
+        # the plane's shell index and 1/|k|, one buffer each per run
+        shell, inv_k = np.empty((1, n, n), dtype=np.intp), np.empty((1, n, n))
+        records = []
+        for zs in run:
+            np.take(kg.shell_inv_k, kg.shell_plane(zs, out=shell), out=inv_k, mode="clip")
+            records.append((np.einsum("zyxc,zyxc,zyx->", flat[zs], flat[zs], inv_k),
+                            np.einsum("zyxc,zyxc->", flat[zs], flat[zs])))
+        return records
 
-    over_k, sq = zip(*over_planes(weber.spec.n_per_axis, work))
+    over_k, sq = zip(*over_planes(n, work))
     check_dc_share(float(np.einsum("c,c->", flat[0, 0, 0], flat[0, 0, 0])),
                    float(sum_in_order(sq)), dc_tolerance)
     return photon_count(sum_in_order(over_k), weber.spec)

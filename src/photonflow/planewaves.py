@@ -73,11 +73,25 @@ def polarization_basis(k_hat) -> tuple:
     return e1, e2
 
 
+def check_wave_vector(name, value) -> np.ndarray:
+    """value as a float 3-vector k whose |k| = sqrt(k . k) keeps its digits.
+
+    k . k overflows past |k| of about 1.3e154, and below about 1.5e-154 it
+    is subnormal or 0; either raises FieldValidationError naming ``name``.
+    """
+    k = check_real(name, value, (3,))
+    with np.errstate(over="ignore", under="ignore"):
+        if not np.finfo(float).tiny <= k @ k < np.inf:
+            raise FieldValidationError(
+                f"{name} must have a length in about [1.5e-154, 1.3e154], got {k!r}")
+    return k
+
+
 @dataclass(frozen=True, eq=False)
 class CircularPlaneWave:
     """One circularly polarized plane-wave component.
 
-    wave_vector : nonzero 3-vector k (1/length)
+    wave_vector : 3-vector k (1/length), 1.5e-154 <~ |k| <~ 1.3e154
     intensity   : I > 0, the energy flux of the wave (Gaussian units)
     handedness  : "right" or "left"
     phase       : overall phase chi in radians
@@ -89,10 +103,8 @@ class CircularPlaneWave:
     phase: float = 0.0
 
     def __post_init__(self):
-        k = check_real("wave_vector", self.wave_vector, (3,))
-        if np.linalg.norm(k) == 0.0:
-            raise FieldValidationError(f"wave_vector must be nonzero, got {k!r}")
-        object.__setattr__(self, "wave_vector", k)
+        object.__setattr__(self, "wave_vector", check_wave_vector("wave_vector",
+                                                                  self.wave_vector))
         if not check_real("intensity", self.intensity) > 0:
             raise FieldValidationError(f"intensity must be > 0, got {self.intensity!r}")
         if self.handedness not in (RIGHT, LEFT):

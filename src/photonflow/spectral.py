@@ -23,18 +23,23 @@ equation d2F/dt2 = c^2 lap F; klein_gordon_residual checks it with a
 central difference in time against the spectral Laplacian.
 
 KGrid holds the wave vectors of a grid as three axes broadcast on the plane
-view, one (n, n, n) integer shell index m^2 = mx^2 + my^2 + mz^2 and two
-per-shell tables of |k| and 1/|k| (0 at k = 0): a mode enters the
-propagator and Good's weight only through |k|, which takes 3 (n/2)^2 + 1
-values against n^3 modes.  A WeberGrid holds its field in PHWF1 payload
-order (see fields), so the kernels here work on its plane view
-[iz, iy, ix, component], whose z-planes are contiguous.
+view, the integer squares of the indices per axis and two per-shell tables
+of |k| and 1/|k| (0 at k = 0), indexed by the shell m^2 = mx^2 + my^2 + mz^2:
+a mode enters the propagator and Good's weight only through |k|, which
+takes 3 (n/2)^2 + 1 values against n^3 modes.  It holds no (n, n, n)
+array: each z-plane forms its shell index from the squares with n^2 adds,
+and the reference routes (project_transverse, klein_gordon_residual,
+photon.photon_wavefunction) build the full index when they run.  A
+WeberGrid holds its field in PHWF1 payload order (see fields), so the
+kernels here work on its plane view [iz, iy, ix, component], whose
+z-planes are contiguous.
 
 The plane loops here and in photon run through fields.over_planes, which
 works contiguous runs of z-planes on up to two threads (numpy's array
-loops release the GIL) with one-plane temporaries; a loop that reduces
-adds its per-plane records in plane order (fields.sum_in_order), so every
-result is the same bit for bit whatever the worker count.
+loops release the GIL), each run with one-plane buffers it allocates once
+and overwrites plane by plane; a loop that reduces adds its per-plane
+records in plane order (fields.sum_in_order), so every result is the same
+bit for bit whatever the worker count.
 
 advance, advance_into, transversality_residual and photon.density_profiles
 share one kernel (_sweep) that reads a field one z-plane at a time through
@@ -48,9 +53,13 @@ density_profiles takes a profile of every step from one read of a field
 it never writes: between the steps a plane stays in the run's buffers,
 and a per-step visitor reads each plane a step leaves while it is at hand.
 The kernel forms the rotation's cos, sin/|k| and (1 - cos)/|k|^2 once per
-step and shell and gathers them per plane through the shell index; per
-plane and step it forms k . F~ once and uses it for the NaN-closed
-transversality gate and for the rotation.  Each plane is copied before
+step and shell and gathers them per plane through the plane's shell index
+into run buffers; per plane and step it forms k . F~ once and uses it for
+the NaN-closed transversality gate and for the rotation.  The buffers
+share roles: one complex buffer takes every product, a gather slot takes
+(1 - cos)/|k|^2, then cos, then |F~|^2, and the visitor works in a
+rotation buffer and a gather slot that are free while it runs, so a run
+holds about four planes of three components.  Each plane is copied before
 its rotated values are written, so advance(w, dt), whose reader and
 writer are both w's field, turns w in place with plane-sized temporaries
 only; evolve(w, dt) is advance applied to a copy.  From the planes it
@@ -89,14 +98,15 @@ class KGrid:
     per axis) so |k| values are reproducible from the indices bit-exactly.
     ``plane_k`` holds the wave-vector components kx, ky, kz broadcast on a
     plane view's [iz, iy, ix] axes, shapes (1, 1, n), (1, n, 1) and
-    (n, 1, 1).  ``shell`` is the only (n, n, n) array held: the integer
-    m^2 = mx^2 + my^2 + mz^2 of each mode, in the smallest unsigned type
-    that holds 3 (n/2)^2 (uint16 up to n = 295).  m^2 is symmetric in the
-    three axes, so ``shell`` indexes the modes of a field [ix, iy, iz] and
-    of its plane view [iz, iy, ix] alike, and ``shell[zs]`` is the index of
-    the z-planes ``zs``.  ``shell_k`` and ``shell_inv_k`` hold |k| and 1/|k|
-    (0 at k = 0) for m^2 = 0, 1, ..., 3 (n/2)^2, so ``shell_k[shell]`` is
-    |k| per mode.
+    (n, 1, 1).  A mode's shell is the integer m^2 = mx^2 + my^2 + mz^2;
+    ``shell_k`` and ``shell_inv_k`` hold |k| and 1/|k| (0 at k = 0) for
+    m^2 = 0, 1, ..., 3 (n/2)^2, so ``shell_k[index]`` is |k| per mode for a
+    shell index ``index``.  No (n, n, n) array is held: ``axis_sq`` holds
+    the squares m^2 of one axis and ``yx_sq`` their sums my^2 + mx^2 over a
+    z-plane, from which shell_plane forms the index of one z-plane with n^2
+    adds, and shell the index of every mode for the routes that need it
+    whole.  m^2 is symmetric in the three axes, so the index indexes the
+    modes of a field [ix, iy, iz] and of its plane view [iz, iy, ix] alike.
     """
 
     def __init__(self, spec: GridSpec):
@@ -106,12 +116,22 @@ class KGrid:
         axis = spec.dk * idx
         self.plane_k = tuple(axis.reshape(shape)
                              for shape in ((1, 1, n), (1, n, 1), (n, 1, 1)))
-        top = 3 * (n // 2) ** 2
-        sq = (idx ** 2).astype(np.min_scalar_type(top))
-        self.shell = sq[:, None, None] + sq[None, :, None] + sq[None, None, :]
-        self.shell_k = spec.dk * np.sqrt(np.arange(top + 1, dtype=float))
+        self.axis_sq = (idx ** 2).astype(np.intp)  # np.take's index type
+        self.yx_sq = self.axis_sq[:, None] + self.axis_sq[None, :]
+        self.shell_k = spec.dk * np.sqrt(np.arange(3 * (n // 2) ** 2 + 1, dtype=float))
         self.shell_inv_k = np.divide(1.0, self.shell_k, out=np.zeros_like(self.shell_k),
                                      where=self.shell_k > 0)
+
+    def shell_plane(self, zs, out) -> np.ndarray:
+        """The shell index of the plane view's z-planes ``zs`` (a one-plane
+        slice), written into the intp buffer ``out`` of shape (1, n, n)."""
+        return np.add(self.yx_sq, self.axis_sq[zs, None, None], out=out)
+
+    def shell(self) -> np.ndarray:
+        """The (n, n, n) shell index of every mode, in the smallest unsigned
+        type that holds 3 (n/2)^2 (uint16 up to n = 295)."""
+        sq = self.axis_sq.astype(np.min_scalar_type(len(self.shell_k) - 1))
+        return sq[:, None, None] + sq[None, :, None] + sq[None, None, :]
 
 
 @lru_cache(maxsize=32)
@@ -188,22 +208,24 @@ class FieldSums:
     residual: float
 
 
-def _tally(k, g, flat, inv_k, sums):
-    """(k . F~, tally) of one z-plane (components ``g`` first, float view ``flat``).
+def _tally(k, g, flat, inv_k, sums, k_dot_f, product, real):
+    """Tally of one z-plane (components ``g`` first, float view ``flat``),
+    with its k . F~ written into ``k_dot_f``.
 
     The tally is (max |k . F~| / |k|, max |F~|^2, sum |F~|^2,
-    sum |F~|^2 / |k|); the two sums are 0.0 unless ``sums``.
+    sum |F~|^2 / |k|); the two sums are 0.0 unless ``sums``.  ``product``
+    (complex) and ``real`` (float) are plane buffers it overwrites.
     """
-    k_dot_f = k[0] * g[0]
-    k_dot_f += k[1] * g[1]
-    k_dot_f += k[2] * g[2]
-    longitudinal = np.abs(k_dot_f)
+    np.multiply(k[0], g[0], out=k_dot_f)
+    k_dot_f += np.multiply(k[1], g[1], out=product)
+    k_dot_f += np.multiply(k[2], g[2], out=product)
+    longitudinal = np.abs(k_dot_f, out=real)
     longitudinal *= inv_k
-    sq = np.einsum("...i,...i->...", flat, flat)  # |F~|^2 per mode
+    peak_longitudinal = longitudinal.max()
+    sq = np.einsum("...i,...i->...", flat, flat, out=real)  # |F~|^2 per mode
     if not sums:
-        return k_dot_f, (longitudinal.max(), sq.max(), 0.0, 0.0)
-    return k_dot_f, (longitudinal.max(), sq.max(), sq.sum(),
-                     np.einsum("zyx,zyx->", sq, inv_k))
+        return peak_longitudinal, sq.max(), 0.0, 0.0
+    return peak_longitudinal, sq.max(), sq.sum(), np.einsum("zyx,zyx->", sq, inv_k)
 
 
 def _fold(tallies):
@@ -219,19 +241,20 @@ def _fold(tallies):
     return float(residual), float(sum_sq), float(sum_sq_over_k)
 
 
-def _rotate(k, g, along, cos, sin_k, rotated):
+def _rotate(k, g, along, cos, sin_k, rotated, product):
     """Turn one z-plane (components ``g`` first) about k-hat into ``rotated``.
 
     Rodrigues with the unnormalized k and 1/|k| folded into the weights
     ``cos``, ``sin_k`` = sin / |k| and ``along`` = (k . F~) (1 - cos) / |k|^2:
-    F~ cos + (k x F~) sin / |k| + k (k . F~) (1 - cos) / |k|^2.
+    F~ cos + (k x F~) sin / |k| + k (k . F~) (1 - cos) / |k|^2.  Each product
+    is formed in the plane buffer ``product``.
     """
     for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         term = np.multiply(k[j], g[l], out=rotated[i])
-        term -= k[l] * g[j]
+        term -= np.multiply(k[l], g[j], out=product)
         term *= sin_k
-        term += k[i] * along
-        term += cos * g[i]
+        term += np.multiply(k[i], along, out=product)
+        term += np.multiply(cos, g[i], out=product)
 
 
 def _turn(kg: KGrid, c_dt: float):
@@ -254,9 +277,11 @@ def _sweep(source, c_dts=(None,), sink=None, visit=None):
     read(zs) and write(zs, plane).  The sink may be the source: a plane is
     read and copied before it is written.  Without a sink a turned plane
     stays in the run's buffers and no field is written.
-    ``visit(zs, plane)``, if given, records what it needs of the plane
-    (shape (1, n, n, 3)) each step leaves; it runs on the worker threads
-    (see fields.over_planes).
+    ``visit(plane, shell, spare, real)``, if given, records what it needs of
+    the plane (shape (1, n, n, 3)) each step leaves, whose shell index is
+    ``shell``; ``spare`` (complex, the plane's shape) and ``real`` (float,
+    (1, n, n)) are run buffers it may overwrite.  It runs on the worker
+    threads (see fields.over_planes).
 
     Returns one (residual, sums, visits) per step: the transversality
     residual of the field the step starts from, the FieldSums of the field
@@ -265,6 +290,9 @@ def _sweep(source, c_dts=(None,), sink=None, visit=None):
     gate and the rotation and carried from a step's result to the next
     step; the rotation's weights are gathered from per-shell tables.  The
     planes run through over_planes, and _fold folds their tallies per step.
+    Every plane-sized temporary of a worker run lives in buffers the run
+    allocates once and the plane loop overwrites (out=); only the visitor's
+    inverse FFT allocates its result per plane.
     """
     spec = source.spec
     n = spec.n_per_axis
@@ -275,9 +303,17 @@ def _sweep(source, c_dts=(None,), sink=None, visit=None):
     dc_sq = [None] * len(turns)  # per step, |F~(0)|^2 of the field left: the run of plane 0
 
     def work(run):
-        # the plane's components, contiguous, and its rotation: one buffer each per run
+        # the plane's components, contiguous, and a second such buffer that
+        # takes their rotation and is free between a step's rotation and the
+        # next: the visitor works in it
         g = np.empty((3, 1, n, n), dtype=complex)
-        rotated = np.empty_like(g) if turning else None
+        spare = np.empty_like(g) if turning or visit else None
+        k_dot_f, product = np.empty((2, 1, n, n), dtype=complex)
+        # 1/|k| of the plane, and two slots for the gathered weights: along,
+        # then cos, in the first, which _tally then overwrites; sin / |k| in the
+        # second, lent to the visitor afterwards
+        inv_k, real, weight = np.empty((3, 1, n, n))
+        shell = np.empty((1, n, n), dtype=np.intp)
         if sink is not None:
             writing = sink.writer()
         else:  # a turned plane is kept in one more run buffer, in payload order
@@ -295,26 +331,30 @@ def _sweep(source, c_dts=(None,), sink=None, visit=None):
                 plane = read(zs)
                 np.copyto(g, np.moveaxis(plane, -1, 0))
                 k = (kx, ky, kz[zs])
-                shell = kg.shell[zs].astype(np.intp)  # np.take would convert it per call
-                inv_k = np.take(kg.shell_inv_k, shell)
-                k_dot_f, tally = _tally(k, g, plane.view(np.float64), inv_k,
-                                        sums=turns[0] is None)
+                kg.shell_plane(zs, out=shell)
+                # mode="clip": with the default "raise" np.take buffers its out=
+                np.take(kg.shell_inv_k, shell, out=inv_k, mode="clip")
+                tally = _tally(k, g, plane.view(np.float64), inv_k, turns[0] is None,
+                               k_dot_f, product, real)
                 steps = []
                 for i, turn in enumerate(turns):
                     result = tally
                     if turn is not None:
                         cos, sin_k, along = turn
-                        k_dot_f *= np.take(along, shell)  # in place: k . F~ is not needed again
-                        _rotate(k, g, k_dot_f, np.take(cos, shell), np.take(sin_k, shell), rotated)
-                        g, rotated = rotated, g
+                        # in place: k . F~ is not needed again
+                        k_dot_f *= np.take(along, shell, out=real, mode="clip")
+                        _rotate(k, g, k_dot_f, np.take(cos, shell, out=real, mode="clip"),
+                                np.take(sin_k, shell, out=weight, mode="clip"), spare, product)
+                        g, spare = spare, g
                         plane = write(zs, np.moveaxis(g, 0, -1))
-                        k_dot_f, result = _tally(k, g, plane.view(np.float64), inv_k, sums=True)
+                        result = _tally(k, g, plane.view(np.float64), inv_k, True,
+                                        k_dot_f, product, real)
                     if zs.start == 0:
                         dc = plane.view(np.float64)[0, 0, 0]
                         dc_sq[i] = float(np.einsum("c,c->", dc, dc))
-                    steps.append((tally, result, visit(zs, plane) if visit else None))
+                    steps.append((tally, result, visit(plane, shell, spare.reshape(plane.shape),
+                                                       weight) if visit else None))
                     tally = result
-                del k_dot_f  # the next plane forms its own
                 if sink is not None and not turning:
                     write(zs, plane)
                 records.append(steps)
@@ -349,7 +389,7 @@ def project_transverse(weber: WeberGrid) -> WeberGrid:
     require_representation(weber, MOMENTUM, "project_transverse")
     planes = plane_view(weber.field)
     kg = kgrid(weber.spec)
-    k_norm = kg.shell_k[kg.shell]  # symmetric in its axes: it indexes the plane view too
+    k_norm = kg.shell_k[kg.shell()]  # symmetric in its axes: it indexes the plane view too
     # k / |k| by division, so an axis-aligned mode gets an exact unit vector
     # and a second projection removes nothing
     k_hat = [np.divide(k, k_norm, out=np.zeros_like(k_norm), where=k_norm > 0)
@@ -476,6 +516,6 @@ def klein_gordon_residual(weber: WeberGrid, dt_probe: float) -> float:
     f_plus = evolve(weber, dt_probe).field
     f_minus = evolve(weber, -dt_probe).field
     second = (f_plus - 2.0 * weber.field + f_minus) / dt_probe ** 2
-    laplacian = -(kg.shell_k ** 2)[kg.shell][..., None] * weber.field
+    laplacian = -(kg.shell_k ** 2)[kg.shell()][..., None] * weber.field
     defect = _fft_inverse(second - c ** 2 * laplacian, weber.spec)
     return float(np.abs(defect).max())

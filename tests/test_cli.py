@@ -22,7 +22,7 @@ from photonflow import (GridSpec, WeberGrid, __version__, forward_transform,
                         inverse_transform, photon_number, place, sample_to_grid, total_energy)
 from photonflow import cli, fieldio, fields, photon, spectral
 from photonflow.cli import (_AUDIT_SAMPLES_LIMIT, _FIELD_BYTES_LIMIT, _POINT_KNOTS_LIMIT,
-                            build_parser, load_config, main)
+                            _check_budget, build_parser, load_config, main)
 from photonflow.errors import ConfigError
 from photonflow.fieldio import _HEADER, read_weber, write_json, write_weber
 from photonflow.planewaves import counterprop_pair
@@ -288,28 +288,29 @@ def test_time_with_a_non_finite_rotation_angle_exits_2_before_writing(tmp_path, 
     assert not out.exists()
 
 
-_PEAK_RSS = """
+_USAGE = """
 import os, subprocess, sys
 proc = subprocess.Popen([sys.executable] + sys.argv[1:], stdout=subprocess.DEVNULL)
 _, status, usage = os.wait4(proc.pid, 0)
 proc.returncode = os.waitstatus_to_exitcode(status)
-print(proc.returncode, usage.ru_maxrss)
+print(proc.returncode, usage.ru_maxrss, usage.ru_minflt)
 """
 
 
-def _peak_rss_bytes(args):
-    """Peak resident set of ``python args`` in a fresh interpreter, from os.wait4.
+def _child_usage(args):
+    """(peak resident set in bytes, minor page faults) of ``python args`` in a
+    fresh interpreter, from os.wait4.
 
     A small launcher starts the child: Linux folds the resident set a process
     has before exec into its ru_maxrss, so a child started from this (large)
     test process would report at least this process's resident set.
     """
     env = dict(os.environ, PYTHONPATH=str(Path(photonflow.__file__).parents[1]))
-    result = subprocess.run([sys.executable, "-c", _PEAK_RSS, *args], env=env,
+    result = subprocess.run([sys.executable, "-c", _USAGE, *args], env=env,
                             capture_output=True, text=True, check=True)
-    code, rss_kib = map(int, result.stdout.split())
+    code, rss_kib, faults = map(int, result.stdout.split())
     assert code == 0, args
-    return 1024 * rss_kib
+    return 1024 * rss_kib, faults
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -325,9 +326,9 @@ def test_evolve_jobs_hold_one_field(tmp_path):
     n = 96
     shells = 3 * (n // 2) ** 2 + 1
     field_bytes = 48 * n ** 3  # complex 3-vectors
-    # the uint16 shell index plus the per-shell |k| and 1/|k|
-    kgrid_bytes = 2 * n ** 3 + 16 * shells
-    baseline = _peak_rss_bytes(["-c", "import photonflow.cli"])
+    # the per-shell |k| and 1/|k| and the plane's sums of index squares
+    kgrid_bytes = 16 * shells + 8 * n ** 2
+    baseline = _child_usage(["-c", "import photonflow.cli"])[0]
     run = tmp_path / "run"
     position = tmp_path / "position.phwf"
     write_weber(position, sample_to_grid(counterprop_pair(1.0, 2.0), GridSpec(n, 2.0 * np.pi)))
@@ -338,9 +339,27 @@ def test_evolve_jobs_hold_one_field(tmp_path):
              tmp_path / "from-position")]
     for i, ((config, out), limit) in enumerate(zip(jobs, (0.5, 0.5, 1.5))):
         path = _write_config(tmp_path, config, name=f"job{i}.json")
-        extra = _peak_rss_bytes(["-m", "photonflow", "evolve", "--config", path,
-                                 "--out", str(out)]) - baseline
+        extra = _child_usage(["-m", "photonflow", "evolve", "--config", path,
+                              "--out", str(out)])[0] - baseline
         assert extra < limit * field_bytes + kgrid_bytes, (i, extra / field_bytes)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults through os.wait4, as Linux reports them")
+def test_doubleslit_job_faults_its_plane_buffers_in_once(tmp_path):
+    # the benchmark's doubleslit job (perfbench/workloads.py) at n = 96.  Its
+    # plane loops keep every plane temporary in run buffers: allocated and
+    # freed per plane and step, they would be trimmed off the heap and
+    # faulted in again each time.  Counted in a fresh process: in this one,
+    # earlier large frees have raised glibc's trim threshold, so the churn
+    # would not show
+    n = 96
+    config = {"grid": {"n": n}, "doubleslit": {"bundle_width": 2, "times": [0.0, 0.4, 0.8]}}
+    baseline = _child_usage(["-c", "import photonflow.cli"])[1]
+    faults = _child_usage(["-m", "photonflow", "doubleslit", "--config",
+                           _write_config(tmp_path, config), "--out", str(tmp_path / "out")])[1]
+    # half of one field's pages
+    assert faults - baseline < 48 * n ** 3 / 4096 / 2, faults - baseline
 
 
 # --- boost-audit ------------------------------------------------------------
@@ -715,6 +734,14 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
     # are over _FIELD_BYTES_LIMIT
     ("doubleslit", {"grid": {"n": 355}, "doubleslit": {"times": [0.0] * 2200}},
      "doubleslit.times"),
+    # |k|^2 underflows to 0 for the left wave; it overflows for the right one,
+    # whose boosted intensity was NaN
+    ("boost-audit", {"audit": {"k_left": 1e-300}}, "audit.k_left"),
+    ("boost-audit", {"audit": {"k_right": 1e300}}, "audit.k_right"),
+    # |k| is in range, but the z-boost's red shift (blue shift for the left
+    # wave) takes the boosted |k'| out of it
+    ("boost-audit", {"audit": {"k_right": 1.5e-154}}, "audit.k_right"),
+    ("boost-audit", {"audit": {"k_left": 1e154}}, "audit.k_left"),
 ], ids=["nan-point", "no-points", "inf-boost", "text-phase", "nan-phase",
         "text-preset-arg", "nan-preset-arg", "inf-evolve-time", "inf-slit-time",
         "text-normalize", "misspelled-key", "bool-sources", "zero-line-direction",
@@ -726,7 +753,8 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
         "huge-box-doubleslit", "tiny-box-trajectories", "boosted-intensity-overflows",
         "boosted-amplitude-overflows", "boosted-phi-overflows", "density-bound-overflows",
         "tiny-bundle-sigma", "underflowing-bundle-sigma", "underflowing-second-source",
-        "overflowing-slit-profile", "slit-times-over-limit"])
+        "overflowing-slit-profile", "slit-times-over-limit", "underflowing-k-left",
+        "overflowing-k-right", "boost-underflows-k-right", "boost-overflows-k-left"])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, command,
                                                    config, field):
     rc, out = _run(tmp_path, command, config=config)
@@ -806,10 +834,34 @@ def test_work_limits_sit_where_their_comment_says(tmp_path):
     at_limit = {"grid": {"n": 355}, "audit": {"samples": _AUDIT_SAMPLES_LIMIT},
                 "trajectories": {"count": 1024, "t0": 0.0, "t1": 4095.0, "step": 1.0}}
     assert 1024 * 4096 == _POINT_KNOTS_LIMIT
-    load_config(_write_config(tmp_path, at_limit))
+    for command in ("trajectories", "doubleslit", "boost-audit"):
+        _check_budget(load_config(_write_config(tmp_path, at_limit)), command)
     at_limit["trajectories"]["count"] = 1025
     with pytest.raises(ConfigError, match="trajectories.count"):
-        load_config(_write_config(tmp_path, at_limit))
+        _check_budget(load_config(_write_config(tmp_path, at_limit)), "trajectories")
+
+
+# a section over its work limit beside a command that does not read it: the
+# command runs, or, at grid.n = 355, passes the check that precedes any allocation
+@pytest.mark.parametrize("command, config, reader, runs", [
+    ("boost-audit", {"trajectories": {"count": 10 ** 9}, "audit": {"samples": 16}},
+     "trajectories", True),
+    ("doubleslit", {"grid": {"n": 16}, "trajectories": {"count": 10 ** 9}}, "trajectories",
+     True),
+    ("evolve", {"grid": {"n": 355}, "doubleslit": {"times": [0.0] * 2200}}, "doubleslit",
+     False),
+    ("trajectories", {"grid": {"n": 355}, "doubleslit": {"times": [0.0] * 2200},
+                      "trajectories": {"count": 2}}, "doubleslit", True),
+], ids=["boost-audit-beside-trajectories", "doubleslit-beside-trajectories",
+        "evolve-beside-doubleslit", "trajectories-beside-doubleslit"])
+def test_a_command_bounds_only_the_sections_it_reads(tmp_path, command, config, reader, runs):
+    resolved = load_config(_write_config(tmp_path, config))
+    with pytest.raises(ConfigError):
+        _check_budget(resolved, reader)
+    _check_budget(resolved, command)
+    if runs:
+        rc, out = _run(tmp_path, command, config=config)
+        assert rc == 0 and out.exists()
 
 
 _OVERFLOWING_STATE = {"state": {"components": [{"k": [0, 0, 1], "I": 1e308},

@@ -242,7 +242,7 @@ def test_asymmetric_round_trip_keeps_payload_order_and_sums(tmp_path, rng, n, re
     assert sums.sum_sq == pytest.approx(sq.sum(), rel=1e-13, abs=0)
     assert photon_count(sums.sum_sq_over_k, spec) == pytest.approx(
         photon_number(tilde, dc_tolerance=1.0), rel=1e-13, abs=0)
-    assert sums.sum_sq_over_k == pytest.approx((sq * kg.shell_inv_k[kg.shell]).sum(),
+    assert sums.sum_sq_over_k == pytest.approx((sq * kg.shell_inv_k[kg.shell()]).sum(),
                                                rel=1e-13, abs=0)
     assert sums.dc_sq == pytest.approx(sq[0, 0, 0], rel=1e-15, abs=0)
     assert residual == transversality_residual(tilde)

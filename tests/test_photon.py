@@ -73,7 +73,7 @@ def test_wavefunction_mode_scaling(spec16):
     kg = kgrid(spec16)
     occupied = np.linalg.norm(tilde.field, axis=-1) > 1e-8
     expected = np.zeros_like(tilde.field)
-    k = kg.shell_k[kg.shell][occupied][..., None]
+    k = kg.shell_k[kg.shell()][occupied][..., None]
     expected[occupied] = tilde.field[occupied] / np.sqrt(8.0 * np.pi * k)
     assert_allclose(pwf.phi, expected, rtol=1e-12, atol=1e-12)
     assert np.all(pwf.phi[0, 0, 0] == 0.0)
@@ -114,7 +114,7 @@ def test_momentum_probability_density_mass_ratio(spec16):
     tilde = normalize_single_photon(_momentum_state(copropagating_pair(), spec16))
     density = (np.abs(photon_wavefunction(tilde).phi) ** 2).sum(axis=-1)
     kg = kgrid(spec16)
-    k_norm = kg.shell_k[kg.shell]
+    k_norm = kg.shell_k[kg.shell()]
     p_slow = density[np.isclose(k_norm, 1.0) & (density > 1e-12)].sum()
     p_fast = density[np.isclose(k_norm, 2.0) & (density > 1e-12)].sum()
     assert_allclose(p_slow / p_fast, 2.0, rtol=1e-12)

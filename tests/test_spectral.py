@@ -43,8 +43,8 @@ def test_mode_indices_cover_symmetric_range(spec8):
     assert list(indices) == [0, 1, 2, 3, -4, -3, -2, -1]
     assert ky.ravel().tobytes() == kz.ravel().tobytes() == kx.ravel().tobytes()
     iz, iy, ix = np.meshgrid(indices, indices, indices, indexing="ij")
-    assert (kg.shell == ix ** 2 + iy ** 2 + iz ** 2).all()
-    assert_allclose(kg.shell_k[kg.shell], spec8.dk * np.sqrt(ix ** 2 + iy ** 2 + iz ** 2),
+    assert (kg.shell() == ix ** 2 + iy ** 2 + iz ** 2).all()
+    assert_allclose(kg.shell_k[kg.shell()], spec8.dk * np.sqrt(ix ** 2 + iy ** 2 + iz ** 2),
                     atol=0)
     assert kg.shell_inv_k[0] == 0.0
     assert_allclose(kg.shell_inv_k[1:], 1.0 / kg.shell_k[1:], rtol=1e-15)
@@ -60,15 +60,30 @@ def test_shell_tables_reproduce_the_full_k_grid_bit_for_bit(n):
     sq = idx.astype(float) ** 2
     k_norm = spec.dk * np.sqrt(sq[:, None, None] + sq[None, :, None] + sq[None, None, :])
     inv_k = np.divide(1.0, k_norm, out=np.zeros_like(k_norm), where=k_norm > 0)
-    assert kg.shell.dtype == (np.uint8 if n < 20 else np.uint16)
+    shell = kg.shell()
+    assert shell.dtype == (np.uint8 if n < 20 else np.uint16)
     assert len(kg.shell_k) == len(kg.shell_inv_k) == 3 * (n // 2) ** 2 + 1
-    assert kg.shell_k[kg.shell].tobytes() == k_norm.tobytes()
-    assert kg.shell_inv_k[kg.shell].tobytes() == inv_k.tobytes()
+    assert kg.shell_k[shell].tobytes() == k_norm.tobytes()
+    assert kg.shell_inv_k[shell].tobytes() == inv_k.tobytes()
     assert kg.shell_k[-1] == k_norm.max()
+    # each z-plane of the plane view [iz, iy, ix] forms its index from the
+    # per-axis squares: m^2 = mx^2 + my^2 + mz^2 and the full index's plane,
+    # bit for bit
+    isq = idx ** 2
+    buffer = np.empty((1, n, n), dtype=np.intp)
+    for iz in range(n):
+        formula = (isq[iz] + isq[:, None] + isq[None, :]).astype(np.intp)[None]
+        plane = kg.shell_plane(slice(iz, iz + 1), out=buffer)
+        assert plane is buffer and plane.tobytes() == formula.tobytes()
+        assert (plane == shell[iz:iz + 1]).all()
+        assert kg.shell_k[plane].tobytes() == k_norm[iz:iz + 1].tobytes()
+        assert kg.shell_inv_k[plane].tobytes() == inv_k[iz:iz + 1].tobytes()
 
 
 def test_kgrid_holds_the_shell_index_and_tables_only():
-    # 2 bytes a mode for the uint16 index, O(n^2) for the per-shell tables
+    # O(n^2): the per-axis squares and their n^2 sums over a z-plane, from
+    # which each plane forms its index, and the per-shell tables of
+    # 3 (n/2)^2 + 1 floats each; no (n, n, n) array
     n = 64
     spec = GridSpec(n, 2.0 * np.pi * 1.61)  # not in kgrid's cache yet
     tracemalloc.start()
@@ -78,8 +93,9 @@ def test_kgrid_holds_the_shell_index_and_tables_only():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert kg.shell.nbytes == 2 * n ** 3
-    assert held <= 2 * n ** 3 + 16 * n ** 2, held / n ** 3
+    assert kg.yx_sq.nbytes == 8 * n ** 2
+    assert all(getattr(value, "size", 0) <= n ** 2 for value in vars(kg).values())
+    assert held <= 24 * n ** 2, held / n ** 2
 
 
 def test_k_hat_vanishes_at_dc(spec8, rng):
@@ -87,9 +103,10 @@ def test_k_hat_vanishes_at_dc(spec8, rng):
     # other mode, none at DC, so projection leaves the DC mode as it is
     kg = kgrid(spec8)
     kx, ky, kz = kg.plane_k
-    norms = np.sqrt(kx ** 2 + ky ** 2 + kz ** 2) * kg.shell_inv_k[kg.shell]
-    assert kg.shell[0, 0, 0] == 0 and norms[0, 0, 0] == 0.0
-    assert_allclose(norms[kg.shell > 0], 1.0, rtol=1e-14)
+    shell = kg.shell()
+    norms = np.sqrt(kx ** 2 + ky ** 2 + kz ** 2) * kg.shell_inv_k[shell]
+    assert shell[0, 0, 0] == 0 and norms[0, 0, 0] == 0.0
+    assert_allclose(norms[shell > 0], 1.0, rtol=1e-14)
     tilde = forward_transform(_random_weber(spec8, rng))
     assert project_transverse(tilde).field[0, 0, 0].tobytes() == \
         tilde.field[0, 0, 0].tobytes()
@@ -445,7 +462,7 @@ def _profile_by_planes(weber):
     spec, kg = weber.spec, kgrid(weber.spec)
     profile = 0.0
     for iz, plane in enumerate(plane_view(weber.field)):
-        phi = plane[None] * _good_weights(spec)[kg.shell[iz:iz + 1]][..., None]
+        phi = plane[None] * _good_weights(spec)[kg.shell()[iz:iz + 1]][..., None]
         flat = np.ascontiguousarray(np.fft.ifft(phi, axis=1)).view(np.float64)
         profile = profile + np.einsum("zyxc,zyxc->y", flat, flat)
     return profile * (_TWO_PI_3_2 / (spec.dx ** 3 * spec.n_per_axis ** 2)) ** 2

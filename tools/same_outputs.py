@@ -48,10 +48,15 @@ FAILING = {
 
 # jobs beside the workloads' {kind: (command, config)}: a doubleslit whose
 # steps (dt = 0.8, -0.8, 0, -0.4) include a negative step and a zero step
-# between two others
+# between two others, and an evolve and a doubleslit on odd grids, whose
+# index ranges are lopsided (-(n-1)/2 .. (n-1)/2) and whose planes split
+# unevenly between two workers
 EXTRA = {
     "doubleslit-steps": ("doubleslit", {"grid": {"n": 32}, "doubleslit": {
         "bundle_width": 1, "times": [0.8, 0.0, 0.0, -0.4]}}),
+    "evolve-odd-n": ("evolve", {"grid": {"n": 33}, "evolve": {"normalize": True}}),
+    "doubleslit-odd-n": ("doubleslit", {"grid": {"n": 35}, "doubleslit": {
+        "bundle_width": 2}}),
 }
 
 
