@@ -6,31 +6,35 @@ info only prints the presets, tolerances and default config.  All
 randomness is seeded (--seed), all numeric output is deterministic.
 
 evolve and doubleslit build their grid state in momentum space
-(planewaves.place).  evolve holds no field: each step reads its state a
-z-plane at a time, turns it and writes it into that step's snapshot file
-(spectral.advance_into), and the next step reads that snapshot, so the
-snapshot files carry the state from step to step.  The first step reads
-the placed state (divided by the square root of its photon number for
-evolve.normalize, never copied) or a momentum state file; only a
-position-representation state file, which needs its 3-D transform
-(spectral.forward_transform_in_place), or a state file to be normalized is
-held in memory, as one field; a state file's header alone decides which,
-so its payload is read once.  Each snapshot's energy, photon number and
-transversality residual come from the sums its step forms in the same
-pass.  doubleslit holds its placed state and writes no field: one pass
-(photon.density_profiles) reads each z-plane once, turns it through every
-time step in plane buffers and takes each step's x,z-mean density profile
-along y from the plane it leaves, without building phi~ or the 3-D inverse
-transform; the pass and all its gates, a non-finite profile included, run
-before --out exists.  trajectories integrates all its points in one RK4
-pass (bohm.integrate_trajectories).
+(planewaves.place).  evolve holds no field: one pass (spectral.advance_into)
+reads its state a z-plane at a time, turns each plane through every step
+in plane buffers and writes the plane each step leaves into that step's
+snapshot file, so no snapshot is read back.  A pass takes at most
+_STEPS_PER_PASS steps, which bounds the files it holds open; a longer
+evolve.times list runs in several passes, each reading the last snapshot
+of the pass before it.  The first pass reads the placed state (divided by
+the square root of its photon number for evolve.normalize, never copied)
+or a momentum state file; only a position-representation state file,
+which needs its 3-D transform (spectral.forward_transform_in_place), or a
+state file to be normalized is held in memory, as one field; a state
+file's header alone decides which, so its payload is read once.  Each
+snapshot's energy, photon number and transversality residual come from
+the sums its step forms in the pass.  doubleslit holds its placed state
+and writes no field: one pass (photon.density_profiles) reads each z-plane
+once, turns it through every time step in plane buffers and takes each
+step's x,z-mean density profile along y from the plane it leaves, without
+building phi~ or the 3-D inverse transform; the pass and all its gates, a
+non-finite profile included, run before --out exists.  trajectories
+integrates all its points in one RK4 pass (bohm.integrate_trajectories).
 A closed stdout ends a subcommand with exit status 1 and no traceback.  An
 --out that cannot be created as a directory exits 2, and an output file
 that cannot be written exits 1 naming it ("cannot write <file>").  A
-snapshot is written under a temporary name and renamed when its step has
-passed the transversality gate, so a failed step leaves no snapshot (and
-an older file of that name as it was), and a state file may be the
-snapshot its first step replaces.
+snapshot is written under a temporary name, and after the pass each step
+in turn runs its transversality gate, gives its snapshot its name, checks
+its k = 0 share and prints its line; the first failure removes the
+snapshots not yet named, so a failed step leaves no snapshot of its own
+or of a later step (and an older file of that name as it was), and a
+state file may be the snapshot its first step replaces.
 
 Config layout (any subset; missing keys take the defaults shown by
 ``photonflow info``)::
@@ -54,8 +58,9 @@ bound on one value (grid.n <= 355, audit.samples <= 2^16, units.c and
 units.hbar in [1e-100, 1e100], grid.L in [1e-40, 1e40]); ``_check_budget``
 bounds the work of the sections a command reads: trajectory points times
 RK4 knots for trajectories and the profile rows of the times for
-doubleslit.  A value the library rejects
-while a command builds its state, boost or time steps becomes, through
+doubleslit; evolve bounds the disk bytes of its snapshots on the n of
+its grid or state file (``_check_snapshot_bytes``).  A value the library
+rejects while a command builds its state, boost or time steps becomes, through
 ``_named``, an exit 2 naming its config field.  Boost speeds are given as
 fractions of c.  Tolerances are overridden per key with
 ``--tolerance KEY=VALUE`` (keys listed by ``photonflow info``); every value
@@ -78,8 +83,8 @@ from .bohm import (_NODE_FLOOR_REL, frame_consistency_check, integrate_trajector
                    knot_count, sample_points_on_line)
 from .errors import (ConfigError, FieldValidationError, OffGridWaveVectorError,
                      PhotonflowError, RangeError)
-from .fieldio import (_HEADER, WeberFile, check_weber, new_weber_file, read_weber,
-                      trajectories_to_csv, weber_header, write_csv, write_json)
+from .fieldio import (_HEADER, _POINT_BYTES, WeberFile, check_weber, new_weber_files,
+                      read_weber, trajectories_to_csv, weber_header, write_csv, write_json)
 from .fields import (_BOX_LENGTH_RANGE, _UNIT_RANGE, MOMENTUM, POSITION, FieldPlanes, GridSpec,
                      box_energy)
 from .lorentz import _AUDIT_TOL, Boost, audit_four_vector, audit_to_json, boost_plane_wave
@@ -210,6 +215,12 @@ def _state(value, path):
 # stores 14 numbers a sample for each of its eight audits).
 _FIELD_BYTES_LIMIT = 2 ** 31
 _MAX_N = 355  # the largest n with 48 n^3 <= _FIELD_BYTES_LIMIT
+# disk bytes of all the snapshots of one evolve run, headers included: 32
+# snapshots at n = 355
+_SNAPSHOT_BYTES_LIMIT = 2 ** 36
+# steps whose snapshots one pass of evolve writes: each worker run of the
+# pass holds one file handle per snapshot besides the one it reads
+_STEPS_PER_PASS = 8
 _POINT_KNOTS_LIMIT = 2 ** 22
 _AUDIT_SAMPLES_LIMIT = 2 ** 16
 
@@ -395,17 +406,28 @@ def _steps(state, times, field):
 
 # --- evolve -----------------------------------------------------------------
 
+def _check_snapshot_bytes(n, times):
+    """Raise ConfigError naming evolve.times if ``times`` snapshots of an
+    n^3 grid would total more than _SNAPSHOT_BYTES_LIMIT bytes on disk."""
+    total = times * (_HEADER.size + _POINT_BYTES * n ** 3)
+    if total > _SNAPSHOT_BYTES_LIMIT:
+        raise ConfigError(f"evolve.times: {times} snapshot(s) at n = {n} take {total} bytes, "
+                          f"over the limit of {_SNAPSHOT_BYTES_LIMIT}", field="evolve.times")
+
+
 def _initial_source(config, tol):
     """The plane source (fields.FieldPlanes or fieldio.WeberFile) evolve starts from.
 
-    A state.file's header is read first.  In the momentum representation
-    the file is then checked in one pass through a plane buffer, and the
-    first step reads it again plane by plane; in the position
-    representation, or to be normalized, it is read once, into memory (and
-    transformed in place), with the same checks.  A normalized state is
-    read through the divisor that makes it one photon, never copied.
+    A state.file's header is read first, and the disk bytes of the
+    snapshots are checked on its n or on grid.n before anything is
+    allocated.  In the momentum representation the file is then checked in
+    one pass through a plane buffer, and the pass of the first steps reads
+    it again plane by plane; in the position representation, or to be
+    normalized, it is read once, into memory (and transformed in place),
+    with the same checks.  A normalized state is read through the divisor
+    that makes it one photon, never copied.
     """
-    normalize = config["evolve"]["normalize"]
+    normalize, times = config["evolve"]["normalize"], len(config["evolve"]["times"])
     if "file" in config["state"]:
         # resume from a stored snapshot; it carries its own grid and units,
         # so the config's grid and units sections are not used
@@ -416,7 +438,9 @@ def _initial_source(config, tol):
                 raise ConfigError(f"state.file {path} is {size} bytes, over the limit of "
                                   f"{_FIELD_BYTES_LIMIT} bytes per field plus the "
                                   f"{_HEADER.size}-byte header", field="state.file")
-            if weber_header(path).representation == MOMENTUM and not normalize:
+            stored = weber_header(path)
+            _check_snapshot_bytes(stored.spec.n_per_axis, times)
+            if stored.representation == MOMENTUM and not normalize:
                 return check_weber(path)
             weber = read_weber(path)
         except OSError as exc:
@@ -427,6 +451,7 @@ def _initial_source(config, tol):
             forward_transform_in_place(weber)
     else:
         grid, units = config["grid"], config["units"]
+        _check_snapshot_bytes(grid["n"], times)
         spec = GridSpec(grid["n"], grid["L"], units["c"], units["hbar"])
         weber = _named("state", place, build_state(config), spec)
     return FieldPlanes(weber, single_photon_norm(weber, tol["dc"]) if normalize else None)
@@ -440,25 +465,40 @@ def cmd_evolve(config, tol, seed, out):
     yield
 
     records = []
-    for i, (t, dt) in enumerate(zip(section["times"], steps)):
-        # each step reads the one before it from its snapshot, a plane at a time
-        time += dt
-        path = out / f"snapshot_{i:02d}.phwf"
-        with _writing(path), new_weber_file(path, spec, MOMENTUM, time) as snapshot:
-            sums = advance_into(source, dt, snapshot, tol["transversality"])
-        source = WeberFile(path, spec, MOMENTUM, time)
-        check_dc_share(sums.dc_sq, sums.sum_sq, tol["dc"])
-        record = {
-            "time": t,
-            "file": path.name,
-            "energy": box_energy(sums.sum_sq, spec, MOMENTUM),
-            "photon_number": photon_count(sums.sum_sq_over_k, spec),
-            "transversality_residual": sums.residual,
-        }
-        records.append(record)
-        print(f"t = {t:10.6g}   energy = {record['energy']:.12g}   "
-              f"N = {record['photon_number']:.12g}   "
-              f"transversality = {record['transversality_residual']:.3e}")
+    for start in range(0, len(steps), _STEPS_PER_PASS):
+        # one pass writes the snapshots of up to _STEPS_PER_PASS steps, each
+        # from the plane the step before it leaves; the next pass reads the
+        # last of them
+        group = range(start, min(start + _STEPS_PER_PASS, len(steps)))
+        paths = [out / f"snapshot_{i:02d}.phwf" for i in group]
+        stamps = []
+        for i in group:
+            time += steps[i]
+            stamps.append(time)
+        with new_weber_files(paths, spec, MOMENTUM, stamps) as (snapshots, commit):
+            # an OSError of the pass is its first step's, which reads the source
+            with _writing(paths[0]):
+                passed = advance_into(source, steps[start:group.stop], snapshots,
+                                      tol["transversality"])
+            # in step order: the gate (as the step is taken from passed), the
+            # snapshot's name, the DC check and the summary line
+            for j, sums in enumerate(passed):
+                path, t = paths[j], section["times"][start + j]
+                with _writing(path):
+                    commit(j)
+                check_dc_share(sums.dc_sq, sums.sum_sq, tol["dc"])
+                record = {
+                    "time": t,
+                    "file": path.name,
+                    "energy": box_energy(sums.sum_sq, spec, MOMENTUM),
+                    "photon_number": photon_count(sums.sum_sq_over_k, spec),
+                    "transversality_residual": sums.residual,
+                }
+                records.append(record)
+                print(f"t = {t:10.6g}   energy = {record['energy']:.12g}   "
+                      f"N = {record['photon_number']:.12g}   "
+                      f"transversality = {record['transversality_residual']:.3e}")
+        source = WeberFile(paths[-1], spec, MOMENTUM, stamps[-1])
     diagnostics = {
         "grid": {"n": spec.n_per_axis, "L": spec.box_length},
         "units": {"c": spec.c, "hbar": spec.hbar},

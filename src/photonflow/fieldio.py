@@ -23,12 +23,15 @@ allocates the field, then reads each plane into place and checks it for
 non-finite values; check_weber makes the same checks through one plane
 buffer and holds no field, and weber_header makes the header and size
 checks alone, so a caller can choose between the two before reading the
-payload.  A WeberFile (a checked file, or a new one
-whose header new_weber_file has written) reads and writes single z-planes
-at their offsets, one file handle and plane buffer per worker run, as
-fields.FieldPlanes does for a field in memory: spectral.advance_into
-evolves from one snapshot file into the next through them, with no field
-held at all.  Only a big-endian host converts, one plane at a time.
+payload.  A WeberFile (a checked file, or a new one whose header
+new_weber_files has written) reads and writes single z-planes at their
+offsets, one file handle per worker run, as fields.FieldPlanes does for a
+field in memory: it reads into the plane buffer of the run and writes the
+contiguous plane it is given, so spectral.advance_into evolves a state
+into one snapshot file per step through them, with no field held at all.
+new_weber_files writes its files under temporary names and gives each its
+name when the caller commits it, in the caller's order.  Only a big-endian
+host converts, one plane at a time.
 
 CSV exports carry their column names in the first line (no comment
 prefix) so they load directly into plotting tools.
@@ -62,17 +65,20 @@ _TAG_REPS = {v: k for k, v in _REP_TAGS.items()}
 # bytes of one grid point in the payload: three complex components
 _POINT_BYTES = 6 * 8
 
+# whether a complex128 in memory has the payload's byte order
+_LITTLE_ENDIAN = np.dtype("<c16").isnative
+
 
 @dataclass(frozen=True)
 class WeberFile:
     """A PHWF1 file's path and header, its payload read and written a z-plane at a time.
 
-    Like fields.FieldPlanes, ``reader()`` and ``writer()`` give each worker
-    run of a plane loop read(zs) and write(zs, plane) for the plane view's
-    z-planes ``zs`` of shape (1, n, n, 3), each at its offset in the file
-    through the run's own file handle and plane buffer.  ``read`` returns
-    the run's buffer; ``write`` returns ``plane``, or the buffer it was
-    copied into when it is not contiguous.
+    Like fields.FieldPlanes, ``reader(buffer)`` and ``writer()`` give each
+    worker run of a plane loop read(zs) and write(zs, plane) for the plane
+    view's z-planes ``zs`` of shape (1, n, n, 3), each at its offset in the
+    file through the run's own file handle.  ``read`` fills the run's
+    complex plane buffer ``buffer`` (payload order) and returns it;
+    ``write`` writes ``plane``, which is to be contiguous in payload order.
     """
 
     path: object
@@ -84,28 +90,22 @@ class WeberFile:
         fh.seek(_HEADER.size + zs.start * self.spec.n_per_axis ** 2 * _POINT_BYTES)
 
     @contextmanager
-    def reader(self):
-        n = self.spec.n_per_axis
-        buffer = np.empty((1, n, n, 3), dtype="<c16")
+    def reader(self, buffer):
         with open(self.path, "rb") as fh:
             def read(zs):
                 self._seek(fh, zs)
-                _read_plane(fh, self.path, buffer[0], zs.start)
-                return np.asarray(buffer, dtype=np.complex128)  # a copy on a big-endian host only
+                _read_plane(fh, self.path, buffer, zs.start)
+                if not _LITTLE_ENDIAN:  # the payload's bytes, as native complex128
+                    buffer.byteswap(inplace=True)
+                return buffer
             yield read
 
     @contextmanager
     def writer(self):
-        n = self.spec.n_per_axis
-        buffer = np.empty((1, n, n, 3), dtype=np.complex128)
         with open(self.path, "r+b") as fh:
             def write(zs, plane):
-                if not plane.flags.c_contiguous:
-                    np.copyto(buffer, plane)
-                    plane = buffer
                 self._seek(fh, zs)
                 _write_plane(fh, plane)
-                return plane
             yield write
 
 
@@ -130,26 +130,36 @@ def write_weber(path, weber: WeberGrid) -> None:
 
 
 @contextmanager
-def new_weber_file(path, spec: GridSpec, representation: str, time: float):
-    """Give the WeberFile of a new PHWF1 file with this header, whose payload
-    the block writes plane by plane (WeberFile.writer); when the block ends,
-    the file takes the name ``path``.
+def new_weber_files(paths, spec: GridSpec, representation: str, times):
+    """Give (files, commit) for new PHWF1 files, one per path: ``files`` holds
+    the WeberFile of each, with this header and the time of the same index,
+    whose payload the block writes plane by plane (WeberFile.writer), and
+    ``commit(i)`` gives file i the name ``paths[i]``.
 
-    The file is written under a temporary name in the same directory, so a
-    file the block reads may be ``path`` itself.  If the block raises, the
-    temporary file is removed and ``path`` is left as it was.
+    The files are written under temporary names in their directories, so a
+    file the block reads may be one of ``paths``.  When the block ends, or
+    raises, every file it has not committed is removed and its path left as
+    it was.
     """
-    directory, name = os.path.split(os.fspath(path))
-    partial = os.path.join(directory, f".{name}.{os.getpid()}.partial")
+    partials = []
+    for path in paths:
+        directory, name = os.path.split(os.fspath(path))
+        partials.append(os.path.join(directory, f".{name}.{os.getpid()}.partial"))
+
+    def commit(i):
+        os.replace(partials[i], paths[i])
+
     try:
-        with open(partial, "wb") as fh:
-            fh.write(_header_bytes(spec, representation, time))
-        yield WeberFile(partial, spec, representation, time)
-        os.replace(partial, path)
-    except BaseException:
-        if os.path.exists(partial):
-            os.remove(partial)
-        raise
+        files = []
+        for partial, time in zip(partials, times):
+            with open(partial, "wb") as fh:
+                fh.write(_header_bytes(spec, representation, time))
+            files.append(WeberFile(partial, spec, representation, time))
+        yield files, commit
+    finally:
+        for partial in partials:  # a committed file has its name: what is left is not
+            if os.path.exists(partial):
+                os.remove(partial)
 
 
 def _read_header(fh, path) -> WeberFile:

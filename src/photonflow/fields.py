@@ -109,12 +109,13 @@ def over_planes(n: int, work) -> list:
 class FieldPlanes:
     """The z-planes of a WeberGrid's field, read and written one at a time.
 
-    The plane loop of spectral reads a field through ``reader()`` and writes
-    through ``writer()``, one context per worker run; fieldio.WeberFile does
-    the same for a PHWF1 file's payload.  ``read(zs)`` is the plane view's
-    z-planes ``zs`` of shape (1, n, n, 3), divided by ``divisor`` into the
-    run's one plane buffer if a divisor is given; ``write(zs, plane)``
-    stores ``plane`` there and returns the stored plane.  ``spec``,
+    The plane loop of spectral reads a field through ``reader(buffer)`` and
+    writes through ``writer()``, one context per worker run; fieldio.WeberFile
+    does the same for a PHWF1 file's payload.  ``buffer`` is the run's
+    complex plane buffer of shape (1, n, n, 3), in payload order.
+    ``read(zs)`` is the plane view's z-planes ``zs``, divided by ``divisor``
+    into ``buffer`` if a divisor is given and the field's own planes
+    otherwise; ``write(zs, plane)`` stores ``plane`` there.  ``spec``,
     ``representation`` and ``time`` are the field's.
     """
 
@@ -123,12 +124,11 @@ class FieldPlanes:
         self._planes, self._divisor = plane_view(weber.field), divisor
 
     @contextmanager
-    def reader(self):
+    def reader(self, buffer):
         planes, divisor = self._planes, self._divisor
         if divisor is None:
             yield lambda zs: planes[zs]
         else:
-            buffer = np.empty_like(planes[:1])
             yield lambda zs: np.divide(planes[zs], divisor, out=buffer)
 
     @contextmanager
@@ -137,7 +137,6 @@ class FieldPlanes:
 
         def write(zs, plane):
             planes[zs] = plane
-            return planes[zs]
         yield write
 
 

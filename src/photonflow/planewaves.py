@@ -257,14 +257,22 @@ def analytic_probability_flow(state: PlaneWaveSuperposition, x, t,
 def _check_on_grid(state: PlaneWaveSuperposition, spec: GridSpec):
     """Raise OffGridWaveVectorError unless every component wave vector sits on
     the k-lattice: integer multiples of 2pi/L per axis within the resolvable
-    range |m| <= n/2 - 1, so that the grid transform of the state is supported
-    exactly on the component modes."""
+    range |m| <= n/2 - 1, and not the k = 0 site, so that the grid transform
+    of the state is supported exactly on the component modes.  A wave
+    vector whose index rounds to 0 on every axis (a wave far longer than
+    the box) would be placed at k = 0, where no wave is: it carries no
+    nearest wave vector."""
     scale = spec.dk
     limit = spec.n_per_axis // 2 - 1
     for idx, comp in enumerate(state.components):
         m = comp.wave_vector / scale
         nearest = np.rint(m)
         clipped = np.clip(nearest, -limit, limit)
+        if not nearest.any():
+            raise OffGridWaveVectorError(
+                f"component {idx} wave vector {comp.wave_vector.tolist()} rounds to the "
+                f"k = 0 site of the k-lattice of n = {spec.n_per_axis}, "
+                f"L = {spec.box_length:.6g}, whose spacing is {scale:.6g}")
         if np.abs(m - nearest).max() > 1e-9 or np.abs(nearest).max() > limit:
             raise OffGridWaveVectorError(
                 f"component {idx} wave vector {comp.wave_vector.tolist()} is not on the "

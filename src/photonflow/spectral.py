@@ -44,35 +44,39 @@ bit for bit whatever the worker count.
 advance, advance_into, transversality_residual and photon.density_profiles
 share one kernel (_sweep) that reads a field one z-plane at a time through
 a plane reader, turns each plane through a list of steps and hands the
-plane the last step leaves to a plane writer, if there is one:
+plane each step leaves to that step's plane writer, if there are writers:
 fields.FieldPlanes for a field in memory (read divided by a constant if
 asked), fieldio.WeberFile for the payload of a PHWF1 file.  Mode by mode
-the dynamics never look beyond one plane, so advance_into can evolve a
-snapshot file into the next without either field in memory, and
-density_profiles takes a profile of every step from one read of a field
-it never writes: between the steps a plane stays in the run's buffers,
-and a per-step visitor reads each plane a step leaves while it is at hand.
+the dynamics never look beyond one plane, so advance_into writes the
+snapshot of every step from one read of its source, without a field in
+memory and without reading a snapshot back, and density_profiles takes a
+profile of every step from one read of a field it never writes: between
+the steps a plane stays in the run's buffers, and a per-step visitor reads
+each plane a step leaves while it is at hand.  Each step's transversality
+gate is the tally of the plane the step before it left.
 The kernel forms the rotation's cos, sin/|k| and (1 - cos)/|k|^2 once per
 step and shell and gathers them per plane through the plane's shell index
 into run buffers; per plane and step it forms k . F~ once and uses it for
 the NaN-closed transversality gate and for the rotation.  The buffers
 share roles: one complex buffer takes every product, a gather slot takes
-(1 - cos)/|k|^2, then cos, then |F~|^2, and the visitor works in a
-rotation buffer and a gather slot that are free while it runs, so a run
-holds about four planes of three components.  Each plane is copied before
-its rotated values are written, so advance(w, dt), whose reader and
-writer are both w's field, turns w in place with plane-sized temporaries
-only; evolve(w, dt) is advance applied to a copy.  From the planes it
-already holds the kernel also sums |F~|^2 and |F~|^2/|k|, reads |F~(0)|^2
-and forms the transversality residual of the field each step leaves
-behind (FieldSums), so a caller that needs the energy, the photon number
-and the residual of each evolved state reads the field once.
+(1 - cos)/|k|^2, then cos, then |F~|^2, the rotation's buffer, seen in
+payload order, is also the plane the reader fills and the plane the
+writers write, and the visitor works in a gather slot that is free while
+it runs and in a buffer of its own (the components' buffer, when no step
+turns), so a run holds about four planes of three components.  Each plane
+is copied before its rotated values are written, so advance(w, dt), whose
+reader and writer are both w's field, turns w in place with plane-sized
+temporaries only; evolve(w, dt) is advance applied to a copy.  From the
+planes it already holds the kernel also sums |F~|^2 and |F~|^2/|k|, reads
+|F~(0)|^2 and forms the transversality residual of the field each step
+leaves behind (FieldSums), so a caller that needs the energy, the photon
+number and the residual of each evolved state reads the field once.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -264,19 +268,19 @@ def _turn(kg: KGrid, c_dt: float):
     return cos, np.sin(theta) * kg.shell_inv_k, (1.0 - cos) * kg.shell_inv_k ** 2
 
 
-def _sweep(source, c_dts=(None,), sink=None, visit=None):
+def _sweep(source, c_dts=(None,), sinks=None, visit=None):
     """One pass over a momentum field, a z-plane at a time, through a list of steps.
 
     ``c_dts`` holds one entry per step: c dt, by which each mode is rotated
     about k-hat by the angle |k| c dt, or None for a step that turns
     nothing; each step starts from the field the step before leaves.
-    ``source`` reads the field's z-planes and ``sink``, if given, takes each
-    plane a step turns (the source plane if none does), so it ends with
-    the planes the last step leaves: each is a fields.FieldPlanes or a
-    fieldio.WeberFile, whose reader() and writer() give each worker run
-    read(zs) and write(zs, plane).  The sink may be the source: a plane is
-    read and copied before it is written.  Without a sink a turned plane
-    stays in the run's buffers and no field is written.
+    ``source`` reads the field's z-planes and ``sinks``, if given, holds
+    one sink per step, which takes each plane that step leaves: each is a
+    fields.FieldPlanes or a fieldio.WeberFile, whose reader(buffer) and
+    writer() give each worker run read(zs) and write(zs, plane).  A sink
+    may be the source: a plane is read and copied before it is written.
+    Without sinks a turned plane stays in the run's buffers and no field is
+    written.
     ``visit(plane, shell, spare, real)``, if given, records what it needs of
     the plane (shape (1, n, n, 3)) each step leaves, whose shell index is
     ``shell``; ``spare`` (complex, the plane's shape) and ``real`` (float,
@@ -291,7 +295,10 @@ def _sweep(source, c_dts=(None,), sink=None, visit=None):
     step; the rotation's weights are gathered from per-shell tables.  The
     planes run through over_planes, and _fold folds their tallies per step.
     Every plane-sized temporary of a worker run lives in buffers the run
-    allocates once and the plane loop overwrites (out=); only the visitor's
+    allocates once and the plane loop overwrites (out=), the reader's plane
+    too: the rotation's buffer, seen in payload order, is the one buffer
+    the reader fills and the one that holds the plane each turning step
+    leaves, which the step's sink writes as it is.  Only the visitor's
     inverse FFT allocates its result per plane.
     """
     spec = source.spec
@@ -304,30 +311,27 @@ def _sweep(source, c_dts=(None,), sink=None, visit=None):
 
     def work(run):
         # the plane's components, contiguous, and a second such buffer that
-        # takes their rotation and is free between a step's rotation and the
-        # next: the visitor works in it
-        g = np.empty((3, 1, n, n), dtype=complex)
-        spare = np.empty_like(g) if turning or visit else None
+        # takes their rotation; seen in payload order, the second holds the
+        # plane the reader fills and, after each rotation, the plane the step
+        # leaves.  The visitor works in a third, or, when no step turns, in
+        # the first, which only the first tally reads then.
+        first, second = np.empty((2, 3, 1, n, n), dtype=complex)
+        lent = None
+        if visit:
+            lent = np.empty((1, n, n, 3), dtype=complex) if turning else first.reshape(1, n, n, 3)
         k_dot_f, product = np.empty((2, 1, n, n), dtype=complex)
         # 1/|k| of the plane, and two slots for the gathered weights: along,
         # then cos, in the first, which _tally then overwrites; sin / |k| in the
         # second, lent to the visitor afterwards
         inv_k, real, weight = np.empty((3, 1, n, n))
         shell = np.empty((1, n, n), dtype=np.intp)
-        if sink is not None:
-            writing = sink.writer()
-        else:  # a turned plane is kept in one more run buffer, in payload order
-            kept = np.empty((1, n, n, 3), dtype=complex) if turning else None
-
-            def keep(zs, plane):
-                np.copyto(kept, plane)
-                return kept
-            writing = nullcontext(keep)
         records = []
         # non-finite entries give NaN products here; the residual reports them
-        with source.reader() as read, writing as write, \
-                np.errstate(invalid="ignore", over="ignore"):
+        with ExitStack() as stack, np.errstate(invalid="ignore", over="ignore"):
+            read = stack.enter_context(source.reader(second.reshape(1, n, n, 3)))
+            writes = [stack.enter_context(sink.writer()) for sink in sinks or ()]
             for zs in run:
+                g, spare = first, second
                 plane = read(zs)
                 np.copyto(g, np.moveaxis(plane, -1, 0))
                 k = (kx, ky, kz[zs])
@@ -346,17 +350,18 @@ def _sweep(source, c_dts=(None,), sink=None, visit=None):
                         _rotate(k, g, k_dot_f, np.take(cos, shell, out=real, mode="clip"),
                                 np.take(sin_k, shell, out=weight, mode="clip"), spare, product)
                         g, spare = spare, g
-                        plane = write(zs, np.moveaxis(g, 0, -1))
+                        plane = spare.reshape(plane.shape)
+                        np.copyto(plane, np.moveaxis(g, 0, -1))
                         result = _tally(k, g, plane.view(np.float64), inv_k, True,
                                         k_dot_f, product, real)
+                    if writes:
+                        writes[i](zs, plane)
                     if zs.start == 0:
                         dc = plane.view(np.float64)[0, 0, 0]
                         dc_sq[i] = float(np.einsum("c,c->", dc, dc))
-                    steps.append((tally, result, visit(plane, shell, spare.reshape(plane.shape),
-                                                       weight) if visit else None))
+                    steps.append((tally, result,
+                                  visit(plane, shell, lent, weight) if visit else None))
                     tally = result
-                if sink is not None and not turning:
-                    write(zs, plane)
                 records.append(steps)
         return records
 
@@ -476,29 +481,38 @@ def advance(weber: WeberGrid, dt: float,
     c_dt = _c_dt(weber.spec, dt)
     planes = FieldPlanes(weber)
     # dt == 0 turns nothing, so there is nothing to write
-    (residual, sums, _), = _sweep(planes, [c_dt], None if c_dt is None else planes)
+    (residual, sums, _), = _sweep(planes, [c_dt], None if c_dt is None else [planes])
     _gate(residual, transversality_tol)
     weber.time += float(dt)
     return sums
 
 
-def advance_into(source, dt: float, sink,
-                 transversality_tol: float = _TRANSVERSALITY_TOL) -> FieldSums:
-    """Write the momentum field ``source`` reads, advanced by dt, into ``sink``.
+def advance_into(source, dts, sinks, transversality_tol: float = _TRANSVERSALITY_TOL):
+    """Write the momentum field ``source`` reads, advanced by each step of
+    ``dts`` in turn, into that step's sink, in one pass.
 
-    ``source`` and ``sink`` are plane readers and writers (fields.FieldPlanes,
-    fieldio.WeberFile): each z-plane is read, turned by evolve's exact
-    per-mode propagator and written in one pass, so neither field need be
-    held in memory.  dt == 0 writes the field as it is.  Returns the
-    FieldSums of the field written, as advance does.  A non-finite dt or
-    largest angle raises FieldValidationError before anything is read; a
-    source that fails the transversality gate raises TransversalityError
-    after the pass, and what the sink then holds is to be discarded.
+    ``source`` and each of ``sinks`` (one per step) are plane readers and
+    writers (fields.FieldPlanes, fieldio.WeberFile): each z-plane is read
+    once, turned through every step by evolve's exact per-mode propagator
+    and written by each step into its sink, so no field need be held in
+    memory and no sink is read back.  A step with dt == 0 writes the field
+    it starts from.  A non-finite dt or largest angle raises
+    FieldValidationError before anything is read.  Returns an iterator over
+    the steps in order, after the pass: each step taken from it runs the
+    step's transversality gate on the field the step starts from and gives
+    the FieldSums of the field it wrote, as advance does, so a caller acts
+    on each step before the next step's gate runs.  After a
+    TransversalityError what the sinks of that step and of every later one
+    hold is to be discarded.
     """
     require_representation(source, MOMENTUM, "advance_into")
-    (residual, sums, _), = _sweep(source, [_c_dt(source.spec, dt)], sink)
-    _gate(residual, transversality_tol)
-    return sums
+    swept = _sweep(source, [_c_dt(source.spec, dt) for dt in dts], sinks)
+
+    def gated():
+        for residual, sums, _ in swept:
+            _gate(residual, transversality_tol)
+            yield sums
+    return gated()
 
 
 def klein_gordon_residual(weber: WeberGrid, dt_probe: float) -> float:

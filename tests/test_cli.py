@@ -6,6 +6,7 @@ console script in a subprocess.
 """
 
 import errno
+import importlib.util
 import json
 import os
 import struct
@@ -245,11 +246,23 @@ def test_a_state_file_read_into_memory_is_read_once(tmp_path, monkeypatch, repre
     assert not (tmp_path / "nan").exists()
 
 
-def test_evolve_reads_each_snapshot_in_its_one_pass(tmp_path, monkeypatch):
+def _count_plane_reads(monkeypatch):
+    """The (file name, z-plane) of every payload plane fieldio reads from now on."""
+    reads, original = [], fieldio._read_plane
+
+    def read_plane(fh, path, plane, iz):
+        reads.append((Path(path).name, iz))
+        return original(fh, path, plane, iz)
+    monkeypatch.setattr(fieldio, "_read_plane", read_plane)
+    return reads
+
+
+def test_evolve_reads_its_source_in_one_pass(tmp_path, monkeypatch):
     # a normalized run of T times takes the photon number of its state once,
-    # then makes T passes (one per step, each reading the state or the snapshot
-    # before it) and takes every diagnostic from them: it never builds the
-    # normalized copy and calls none of the reference routes
+    # then makes one pass that reads each plane of the state once and writes
+    # every snapshot, and takes every diagnostic from it: it reads no snapshot
+    # back, never builds the normalized copy and calls none of the reference
+    # routes
     calls = []
 
     def counted(module, name):
@@ -267,13 +280,102 @@ def test_evolve_reads_each_snapshot_in_its_one_pass(tmp_path, monkeypatch):
         counted(module, name)
         if hasattr(cli, name):
             counted(cli, name)
+    reads = _count_plane_reads(monkeypatch)
     times = [0.0, 0.5, 1.0, 2.5]
+    assert len(times) <= cli._STEPS_PER_PASS
     rc, out = _run(tmp_path, "evolve", config={"grid": {"n": 8}, "evolve": {
         "times": times, "normalize": True}})
     assert rc == 0
-    assert calls == ["photon_number"] + ["_sweep"] * len(times)
+    assert calls == ["photon_number", "_sweep"] and reads == []
     snapshots = _load_json(out, "diagnostics.json")["snapshots"]
     assert [s["time"] for s in snapshots] == times
+    # from a momentum state file: check_weber reads each plane once, the pass
+    # once more
+    calls.clear()
+    (tmp_path / "resumed").mkdir()
+    rc, resumed = _run(tmp_path / "resumed", "evolve", config={
+        "state": {"file": str(out / "snapshot_03.phwf")}, "evolve": {"times": times}})
+    assert rc == 0 and calls == ["_sweep"]
+    assert sorted(reads) == sorted([("snapshot_03.phwf", iz) for iz in range(8)] * 2)
+
+
+def test_a_long_evolve_holds_a_bounded_number_of_files(tmp_path, monkeypatch):
+    # more times than one pass takes: the passes, each reading the last
+    # snapshot of the pass before it, hold at most one file per snapshot of a
+    # pass plus the one they read per worker, and write the bytes and lines of
+    # one pass per step
+    monkeypatch.setattr(fields, "_WORKERS", 2)
+    per_pass = cli._STEPS_PER_PASS
+    opened, peak = [], [0]
+
+    def counting_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    def write_plane(fh, plane, original=fieldio._write_plane):
+        peak[0] = max(peak[0], sum(not fh.closed for fh in opened))
+        original(fh, plane)
+    monkeypatch.setattr(fieldio, "open", counting_open, raising=False)
+    monkeypatch.setattr(fieldio, "_write_plane", write_plane)
+    reads = _count_plane_reads(monkeypatch)
+    times = [0.25 * i - 1.0 for i in range(2 * per_pass + 3)]
+    times[4] = times[3]  # dt = 0
+    config = {"grid": {"n": 4}, "evolve": {"times": times}}
+    rc, out = _run(tmp_path, "evolve", config=config)
+    assert rc == 0
+    assert per_pass < peak[0] <= 2 * (per_pass + 1)
+    # the passes after the first read the last snapshot of the one before
+    assert sorted(set(reads)) == [(f"snapshot_{i:02d}.phwf", iz)
+                                  for i in (per_pass - 1, 2 * per_pass - 1) for iz in range(4)]
+    monkeypatch.setattr(cli, "_STEPS_PER_PASS", 1)
+    (tmp_path / "chained").mkdir()
+    rc, chained = _run(tmp_path / "chained", "evolve", config=config)
+    assert rc == 0
+    assert _listing(out) == _listing(chained)
+    assert len(_listing(out)) == len(times) + 1
+    for name in _listing(out):
+        if name != "diagnostics.json":  # which names its directory
+            assert (out / name).read_bytes() == (chained / name).read_bytes()
+    assert (_load_json(out, "diagnostics.json")["snapshots"]
+            == _load_json(chained, "diagnostics.json")["snapshots"])
+
+
+def _load_same_outputs():
+    """tools/same_outputs.py as a module."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py"
+    spec = importlib.util.spec_from_file_location("same_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# what each FAILING job of tools/same_outputs.py leaves: exit code, stderr and
+# the files in --out (None: --out is not created); stdout is empty
+_FAILING_OUTCOMES = {
+    "evolve-longitudinal": (1, "error: state has transversality residual 3.333e-01 > 1.0e-10; "
+                               "project_transverse it first\n", []),
+    "evolve-dc-heavy": (1, "error: k = 0 mode carries fraction 2.000e-06 of |F~|^2 (tolerance "
+                           "1.0e-12); the 1/sqrt(k) photon weighting is singular there\n",
+                        ["snapshot_00.phwf"]),
+    "evolve-nan": (1, "error: {state}: payload is non-finite at grid index (1, 2, 3), "
+                      "component 0\n", None),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FAILING_OUTCOMES))
+def test_the_failing_jobs_of_same_outputs_leave_what_they_always_left(tmp_path, capsys, kind):
+    same_outputs = _load_same_outputs()
+    state = tmp_path / f"{kind}.phwf"
+    same_outputs.write_state_file(state, same_outputs.FAILING[kind])
+    rc, out = _run(tmp_path, "evolve", config={"state": {"file": str(state)},
+                                               "evolve": {"times": [0.0, 1.0]}})
+    code, err, files = _FAILING_OUTCOMES[kind]
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (code, "", err.format(state=state))
+    assert (_listing(out) if out.exists() else None) == files
+    if files:  # the first step (dt = 0) passed its gate: the state itself
+        assert (out / files[0]).read_bytes() == state.read_bytes()
 
 
 @pytest.mark.parametrize("times", [[1e308], [0.0, 1e308]], ids=["first", "second"])
@@ -734,6 +836,12 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
     # are over _FIELD_BYTES_LIMIT
     ("doubleslit", {"grid": {"n": 355}, "doubleslit": {"times": [0.0] * 2200}},
      "doubleslit.times"),
+    # 33 snapshots at n = 355 take more than _SNAPSHOT_BYTES_LIMIT on disk:
+    # rejected before the state is placed
+    ("evolve", {"grid": {"n": 355}, "evolve": {"times": [0.0] * 33}}, "evolve.times"),
+    # the unit wave vector of the single wave is index 1.6e-31 on this
+    # lattice, within 1e-9 of the k = 0 site, where it would be placed
+    ("evolve", {"grid": {"n": 8, "L": 1e-30}}, "state"),
     # |k|^2 underflows to 0 for the left wave; it overflows for the right one,
     # whose boosted intensity was NaN
     ("boost-audit", {"audit": {"k_left": 1e-300}}, "audit.k_left"),
@@ -753,7 +861,8 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
         "huge-box-doubleslit", "tiny-box-trajectories", "boosted-intensity-overflows",
         "boosted-amplitude-overflows", "boosted-phi-overflows", "density-bound-overflows",
         "tiny-bundle-sigma", "underflowing-bundle-sigma", "underflowing-second-source",
-        "overflowing-slit-profile", "slit-times-over-limit", "underflowing-k-left",
+        "overflowing-slit-profile", "slit-times-over-limit", "snapshots-over-disk-limit",
+        "wave-longer-than-box", "underflowing-k-left",
         "overflowing-k-right", "boost-underflows-k-right", "boost-overflows-k-left"])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, command,
                                                    config, field):
@@ -839,6 +948,27 @@ def test_work_limits_sit_where_their_comment_says(tmp_path):
     at_limit["trajectories"]["count"] = 1025
     with pytest.raises(ConfigError, match="trajectories.count"):
         _check_budget(load_config(_write_config(tmp_path, at_limit)), "trajectories")
+    # 32 snapshots at n = 355, headers included, fit in 2^36 bytes of disk
+    cli._check_snapshot_bytes(355, 32)
+    with pytest.raises(ConfigError, match="evolve.times"):
+        cli._check_snapshot_bytes(355, 33)
+
+
+def test_snapshot_disk_bytes_are_bounded_on_the_state_file_n(tmp_path, capsys, monkeypatch,
+                                                            rng):
+    # a state file's n, from its header, bounds the snapshots' disk bytes
+    # before its payload is read; here the limit is three snapshots at n = 4
+    monkeypatch.setattr(cli, "_SNAPSHOT_BYTES_LIMIT", 3 * (_HEADER.size + 48 * 4 ** 3))
+    path = tmp_path / "state.phwf"
+    _transverse_file(path, rng, n=4)
+    reads = _count_plane_reads(monkeypatch)
+    rc, out = _run(tmp_path, "evolve", config={"state": {"file": str(path)},
+                                               "evolve": {"times": [0.0, 1.0, 2.0, 3.0]}})
+    assert rc == 2 and "(field: evolve.times)" in capsys.readouterr().err
+    assert not out.exists() and reads == []
+    rc, out = _run(tmp_path, "evolve", config={"state": {"file": str(path)},
+                                               "evolve": {"times": [0.0, 1.0, 2.0]}})
+    assert rc == 0 and len(_listing(out)) == 4
 
 
 # a section over its work limit beside a command that does not read it: the

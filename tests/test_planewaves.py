@@ -177,6 +177,21 @@ def test_beyond_nyquist_wave_vector_rejected(spec16):
         sample_to_grid(state, spec16)
 
 
+def test_wave_vector_rounding_to_k_zero_rejected(spec16):
+    # an index within 1e-9 of 0 on every axis would place the wave at k = 0;
+    # float noise on one axis of an on-grid wave vector is still accepted
+    for k in ([1e-12, 0.0, 0.0], [0.0, -3e-10, 2e-10]):
+        state = PlaneWaveSuperposition([CircularPlaneWave(np.array(k), 1.0)])
+        for build in (sample_to_grid, place):
+            with pytest.raises(OffGridWaveVectorError, match="rounds to the k = 0 site") as info:
+                build(state, spec16)
+            assert info.value.nearest is None
+    noisy = PlaneWaveSuperposition([CircularPlaneWave(np.array([6e-17, 0.0, 1.0]), 1.0)])
+    exact = PlaneWaveSuperposition([CircularPlaneWave(np.array([0.0, 0.0, 1.0]), 1.0)])
+    assert np.array_equal(place(noisy, spec16).field.any(axis=-1),
+                          place(exact, spec16).field.any(axis=-1))
+
+
 def _random_on_grid_state(spec, rng, count):
     limit = spec.n_per_axis // 2 - 1
     waves = []

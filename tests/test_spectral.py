@@ -16,7 +16,7 @@ from photonflow import (GridSpec, WeberGrid, advance, density_profile_y, evolve,
                         transversality_residual, write_weber)
 from photonflow.errors import (DCContentError, FieldValidationError, RepresentationError,
                                TransversalityError)
-from photonflow.fieldio import check_weber, new_weber_file
+from photonflow.fieldio import check_weber, new_weber_files
 from photonflow.fields import FieldPlanes, box_energy, plane_view
 from photonflow.photon import (_good_weights, _profile_row, density_profiles, photon_count,
                                photon_wavefunction, single_photon_norm)
@@ -340,7 +340,9 @@ def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
     # normalize_single_photon and place little beyond the field they return
     # and inverse_transform one field besides it; the .phwf writer and reader
     # copy the payload straight between file and field, and advance_into from
-    # one .phwf file into another holds plane buffers only
+    # one .phwf file into another, or into one file per step of several in
+    # one pass, holds the kernel's plane buffers only: its reader fills one
+    # of them and its writers write one of them
     spec = GridSpec(64, 2.0 * np.pi)
     weber = _random_transverse(spec, rng)
     weber.field[0, 0, 0] = 0.0  # photon_number rejects DC content
@@ -362,8 +364,11 @@ def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
                 ("density_profile_y", lambda: density_profile_y(weber), 0.2),
                 ("density_profiles", lambda: density_profiles(weber, [0.0, 0.4, -0.3]), 0.25),
                 ("write_weber", lambda: write_weber(path, weber), 0.005),
-                ("advance_into", lambda: _file_to_file(path, tmp_path / "next.phwf", 0.3),
-                 0.25),
+                ("advance_into", lambda: _file_to_files(path, [tmp_path / "next.phwf"], [0.3]),
+                 0.16),
+                ("advance_into_steps", lambda: _file_to_files(
+                    path, [tmp_path / f"step_{i}.phwf" for i in range(4)],
+                    [0.3, 0.0, -0.5, 0.2]), 0.16),
                 ("read_weber", lambda: read_weber(path), 1.01),
                 ("inverse_transform", lambda: inverse_transform(weber), 2.1)):
             before = tracemalloc.get_traced_memory()[0]
@@ -390,11 +395,23 @@ def test_evolve_in_place_equals_the_default_route(rng, n, dt):
     assert weber.field.tobytes() == reference.field.tobytes()
 
 
-def _file_to_file(source, target, dt, **kwargs):
-    """advance_into from the .phwf file ``source`` into the new file ``target``."""
-    stored = check_weber(source)
-    with new_weber_file(target, stored.spec, "momentum", stored.time + dt) as sink:
-        return advance_into(stored, dt, sink, **kwargs)
+def _into_files(source, targets, dts, **kwargs):
+    """advance_into from the plane source ``source`` into a new .phwf file per
+    step, all committed once every step has passed its gate; the FieldSums
+    of each step."""
+    times = [source.time]
+    for dt in dts:  # as evolve stamps its snapshots
+        times.append(times[-1] + dt)
+    with new_weber_files(targets, source.spec, "momentum", times[1:]) as (files, commit):
+        steps = list(advance_into(source, dts, files, **kwargs))
+        for i in range(len(targets)):
+            commit(i)
+    return steps
+
+
+def _file_to_files(source, targets, dts, **kwargs):
+    """_into_files from the .phwf file ``source``."""
+    return _into_files(check_weber(source), targets, dts, **kwargs)
 
 
 @pytest.mark.parametrize("n, dt", [(7, -0.61), (8, 0.0), (15, 2.3)])
@@ -410,19 +427,46 @@ def test_advance_into_reads_and_writes_the_bits_of_advance(tmp_path, rng, monkey
     weber.time = 0.25
     write_weber(tmp_path / "state.phwf", weber)
     for source, reference in (
-            (tmp_path / "state.phwf", weber.copy()),
+            (check_weber(tmp_path / "state.phwf"), weber.copy()),
             (FieldPlanes(weber, single_photon_norm(weber, dc_tolerance=1.0)),
              normalize_single_photon(weber, dc_tolerance=1.0))):
         sums = advance(reference, dt)
         write_weber(tmp_path / "reference.phwf", reference)
-        if isinstance(source, FieldPlanes):
-            with new_weber_file(tmp_path / "next.phwf", spec, "momentum",
-                                reference.time) as sink:
-                assert advance_into(source, dt, sink) == sums
-        else:
-            assert _file_to_file(source, tmp_path / "next.phwf", dt) == sums
+        assert _into_files(source, [tmp_path / "next.phwf"], [dt]) == [sums]
         assert ((tmp_path / "next.phwf").read_bytes()
                 == (tmp_path / "reference.phwf").read_bytes())
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("normalized", [False, True], ids=["file", "normalized-field"])
+def test_one_pass_into_files_gives_the_bits_of_a_chain_of_passes(tmp_path, rng, monkeypatch,
+                                                                 n, workers, normalized):
+    # several steps (a repeated time, dt = 0, and a negative step among them)
+    # in one pass, against one pass per step, each reading back the file the
+    # step before it wrote: the same bytes in every file and the same sums
+    monkeypatch.setattr(fields, "_WORKERS", workers)
+    spec = GridSpec(n, 2.0 * np.pi, c=1.3, hbar=0.7)
+    weber = _random_transverse(spec, rng)
+    weber.field[0, 0, 0] = [1e-3, 2e-3j, 0.0]  # some DC content, carried unchanged
+    weber.time = 0.25
+    write_weber(tmp_path / "state.phwf", weber)
+    dts = [0.35, 0.0, -0.8, 0.0, 0.2]
+
+    def source():
+        if normalized:
+            return FieldPlanes(weber, single_photon_norm(weber, dc_tolerance=1.0))
+        return check_weber(tmp_path / "state.phwf")
+    chained, step_source = [], source()
+    for i, dt in enumerate(dts):
+        chained += _into_files(step_source, [tmp_path / f"chain_{i}.phwf"], [dt])
+        step_source = check_weber(tmp_path / f"chain_{i}.phwf")
+    one_pass = _into_files(source(), [tmp_path / f"pass_{i}.phwf" for i in range(len(dts))],
+                           dts)
+    assert one_pass == chained
+    for i in range(len(dts)):
+        assert ((tmp_path / f"pass_{i}.phwf").read_bytes()
+                == (tmp_path / f"chain_{i}.phwf").read_bytes())
 
 
 def test_advance_into_a_file_removes_it_when_the_gate_fails(tmp_path, spec8, rng):
@@ -430,10 +474,11 @@ def test_advance_into_a_file_removes_it_when_the_gate_fails(tmp_path, spec8, rng
     weber.field[1, 2, 3, 0] += 0.5  # a longitudinal part
     write_weber(tmp_path / "state.phwf", weber)
     with pytest.raises(TransversalityError):
-        _file_to_file(tmp_path / "state.phwf", tmp_path / "next.phwf", 0.4)
-    assert not (tmp_path / "next.phwf").exists()
+        _file_to_files(tmp_path / "state.phwf", [tmp_path / "next.phwf", tmp_path / "last.phwf"],
+                       [0.4, 0.0])
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["state.phwf"]
     with pytest.raises(RepresentationError):
-        advance_into(FieldPlanes(_random_weber(spec8, rng)), 0.4, None)
+        advance_into(FieldPlanes(_random_weber(spec8, rng)), [0.4], None)
 
 
 @pytest.mark.parametrize("n", [7, 8, 15])

@@ -46,14 +46,17 @@ FAILING = {
     "evolve-nan": {(0, 0, 1): (1.0, 1j, 0.0), (1, 2, 3): (math.nan, 0.0, 0.0)},
 }
 
-# jobs beside the workloads' {kind: (command, config)}: a doubleslit whose
-# steps (dt = 0.8, -0.8, 0, -0.4) include a negative step and a zero step
-# between two others, and an evolve and a doubleslit on odd grids, whose
-# index ranges are lopsided (-(n-1)/2 .. (n-1)/2) and whose planes split
-# unevenly between two workers
+# jobs beside the workloads' {kind: (command, config)}: a doubleslit and an
+# evolve whose steps include a negative step and a zero step between two
+# others (doubleslit dt = 0.8, -0.8, 0, -0.4; evolve dt = 0, 0.5, 0, -0.75,
+# 1.25, each written to its own snapshot), and an evolve and a doubleslit on
+# odd grids, whose index ranges are lopsided (-(n-1)/2 .. (n-1)/2) and whose
+# planes split unevenly between two workers
 EXTRA = {
     "doubleslit-steps": ("doubleslit", {"grid": {"n": 32}, "doubleslit": {
         "bundle_width": 1, "times": [0.8, 0.0, 0.0, -0.4]}}),
+    "evolve-steps": ("evolve", {"grid": {"n": 17}, "evolve": {
+        "normalize": True, "times": [0.0, 0.5, 0.5, -0.25, 1.0]}}),
     "evolve-odd-n": ("evolve", {"grid": {"n": 33}, "evolve": {"normalize": True}}),
     "doubleslit-odd-n": ("doubleslit", {"grid": {"n": 35}, "doubleslit": {
         "bundle_width": 2}}),
