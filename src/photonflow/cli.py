@@ -36,6 +36,13 @@ snapshots not yet named, so a failed step leaves no snapshot of its own
 or of a later step (and an older file of that name as it was), and a
 state file may be the snapshot its first step replaces.
 
+A CLI process runs only its main thread and the plane loops' one more
+worker (fields.over_planes: at most fields._WORKERS = 2 threads, the
+caller's included).  Importing this module, which every entry point does
+before numpy loads, holds numpy's BLAS to one thread
+(OPENBLAS_NUM_THREADS=1) unless the environment already sets
+OPENBLAS_NUM_THREADS; the library modules set nothing.
+
 Config layout (any subset; missing keys take the defaults shown by
 ``photonflow info``)::
 
@@ -75,6 +82,13 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+
+# Before numpy loads: the OpenBLAS bundled with numpy starts a thread pool
+# when it loads, and its workers only spin.  photonflow's BLAS calls are
+# 3-vector products (x @ k, np.linalg.norm of 3-vectors, eps.conj() @ amp),
+# too small for a second thread; the program's own parallelism is
+# fields.over_planes.  setdefault keeps a value the user's environment sets.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -464,6 +464,39 @@ def test_doubleslit_job_faults_its_plane_buffers_in_once(tmp_path):
     assert faults - baseline < 48 * n ** 3 / 4096 / 2, faults - baseline
 
 
+# runs `python -m photonflow info` and prints, at exit, the process's thread
+# count and its OPENBLAS_NUM_THREADS
+_THREADS_AT_EXIT = """
+import atexit, os, runpy, sys
+atexit.register(lambda: print(len(os.listdir("/proc/self/task")),
+                              os.environ.get("OPENBLAS_NUM_THREADS")))
+sys.argv = ["photonflow", "info"]
+runpy.run_module("photonflow", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts the process's threads in /proc/self/task")
+@pytest.mark.parametrize("environment, threads, value", [
+    ({}, 1, "1"),
+    # OpenBLAS reads OPENBLAS_NUM_THREADS before OMP_NUM_THREADS
+    ({"OMP_NUM_THREADS": "2"}, 1, "1"),
+    # the user's value stays; the pool it starts is capped at the CPUs the
+    # process may use, so its thread count is not asserted
+    ({"OPENBLAS_NUM_THREADS": "3"}, None, "3"),
+], ids=["unset", "omp-set", "user-set"])
+def test_a_cli_process_runs_no_blas_thread_pool(environment, threads, value):
+    env = {key: val for key, val in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(environment, PYTHONPATH=str(Path(photonflow.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", _THREADS_AT_EXIT], env=env,
+                            capture_output=True, text=True, check=True)
+    count, seen = result.stdout.splitlines()[-1].split()
+    assert seen == value
+    if threads is not None:
+        assert int(count) == threads
+
+
 # --- boost-audit ------------------------------------------------------------
 
 

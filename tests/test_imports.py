@@ -1,7 +1,14 @@
-"""Every name a library module imports is used by that module."""
+"""Every name a library module imports is used by that module; the package
+imports its modules only when one of its names is first used."""
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import photonflow
 
@@ -25,3 +32,66 @@ def test_library_modules_use_every_import():
     modules = sorted(Path(photonflow.__file__).parent.glob("*.py"))
     assert [bad for path in modules if path.name != "__init__.py"
             for bad in _unused_imports(path)] == []
+
+
+# every name the package exported when its __init__ imported each module
+# eagerly, by the module that defines it
+_EXPORTED = {
+    "errors": ["ConfigError", "DCContentError", "FieldValidationError", "GuidanceNodeError",
+               "InternalConsistencyError", "OffGridWaveVectorError", "PhotonflowError",
+               "RangeError", "RepresentationError", "TransversalityError", "ZeroFieldError"],
+    "fields": ["GridSpec", "WeberGrid", "total_energy"],
+    "spectral": ["advance", "evolve", "forward_transform", "inverse_transform",
+                 "klein_gordon_residual", "project_transverse", "transversality_residual"],
+    "photon": ["PHI_BASED", "WEBER_BASED", "PhotonWaveFunction", "ProbabilityFlow",
+               "continuity_residual", "density_profile_y", "density_profiles",
+               "normalize_single_photon", "photon_number", "photon_wavefunction",
+               "probability_flow", "to_position", "weber_probability_flow"],
+    "planewaves": ["PRESETS", "CircularPlaneWave", "PlaneWaveSuperposition",
+                   "analytic_probability_flow", "copropagating_pair", "counterprop_pair",
+                   "eval_weber", "place", "polarization_basis", "sample_to_grid", "single_wave"],
+    "lorentz": ["Boost", "FourVectorAudit", "audit_four_vector", "audit_to_json", "boost_event",
+                "boost_plane_wave", "boost_wave_vector", "field_boost",
+                "fourvector_transform_flow", "velocity_addition"],
+    "bohm": ["FrameConsistency", "Trajectory", "frame_consistency_check", "guidance_velocity",
+             "integrate_trajectories", "sample_points_on_line", "transport_ensemble"],
+    "fieldio": ["read_weber", "write_weber"],
+}
+_EXPORTED_NAMES = [(module, name) for module, names in _EXPORTED.items() for name in names]
+
+
+def _fresh(code: str) -> str:
+    """stdout of ``python -c code`` in a fresh interpreter, with no
+    OPENBLAS_NUM_THREADS in its environment."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(photonflow.__file__).parents[1])
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_importing_the_package_imports_no_module_and_sets_no_thread_policy():
+    # the library's modules set nothing either: only photonflow.cli does
+    out = _fresh("import sys, os, photonflow\n"
+                 "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('photonflow')))\n"
+                 "[getattr(photonflow, name) for name in photonflow.__all__]\n"
+                 "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+    assert out.split("\n")[:2] == ["['photonflow']", "None"]
+
+
+@pytest.mark.parametrize("module, name", _EXPORTED_NAMES, ids=[name for _, name in _EXPORTED_NAMES])
+def test_each_exported_name_is_its_modules_object(module, name):
+    assert getattr(photonflow, name) is getattr(importlib.import_module(f"photonflow.{module}"), name)
+    assert vars(photonflow)[name] is getattr(photonflow, name)  # resolved once, then cached
+
+
+def test_the_package_exports_the_same_names():
+    assert sorted(photonflow.__all__) == sorted(name for _, name in _EXPORTED_NAMES)
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'photonflow' has no attribute 'flow'$"):
+        photonflow.flow
+
+
+def test_importing_the_entry_module_runs_no_command():
+    assert _fresh("import photonflow.__main__") == ""

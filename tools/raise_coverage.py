@@ -45,8 +45,22 @@ def main(argv):
     sys.path.insert(0, str(SRC))
     import pytest
 
-    tracer = trace.Trace(count=1, trace=0, ignoredirs=[sys.prefix, sys.exec_prefix])
-    threading.settrace(tracer.globaltrace)
+    tracer = trace.Trace(count=1, trace=0)
+    inside = {}  # code file name -> whether it is one of the package's files
+
+    def count_package_lines(frame, why, arg):
+        # not Trace's own ignoredirs filter: it caches its verdict by module
+        # basename, so a file under sys.prefix seen first (any installed
+        # package's __init__.py) would hide the package's file of that name
+        if why != "call":
+            return None
+        name = frame.f_code.co_filename
+        if name not in inside:
+            inside[name] = Path(name).resolve().parent == PACKAGE
+        return tracer.localtrace if inside[name] else None
+
+    tracer.globaltrace = count_package_lines
+    threading.settrace(count_package_lines)
     try:
         status = tracer.runfunc(pytest.main, ["-q", "-p", "no:cacheprovider",
                                               "--continue-on-collection-errors",
