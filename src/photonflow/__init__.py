@@ -22,12 +22,12 @@ _EXPORTS = {
                "InternalConsistencyError", "OffGridWaveVectorError", "PhotonflowError",
                "RangeError", "RepresentationError", "TransversalityError", "ZeroFieldError"),
     "fields": ("GridSpec", "WeberGrid", "total_energy"),
-    "spectral": ("advance", "evolve", "forward_transform", "inverse_transform",
-                 "klein_gordon_residual", "project_transverse", "transversality_residual"),
+    "spectral": ("evolve", "forward_transform", "inverse_transform", "klein_gordon_residual",
+                 "project_transverse", "transversality_residual"),
     "photon": ("PHI_BASED", "WEBER_BASED", "PhotonWaveFunction", "ProbabilityFlow",
-               "continuity_residual", "density_profile_y", "density_profiles",
-               "normalize_single_photon", "photon_number", "photon_wavefunction",
-               "probability_flow", "to_position", "weber_probability_flow"),
+               "continuity_residual", "density_profiles", "normalize_single_photon",
+               "photon_number", "photon_wavefunction", "probability_flow", "to_position",
+               "weber_probability_flow"),
     "planewaves": ("PRESETS", "CircularPlaneWave", "PlaneWaveSuperposition",
                    "analytic_probability_flow", "copropagating_pair", "counterprop_pair",
                    "eval_weber", "place", "polarization_basis", "sample_to_grid",

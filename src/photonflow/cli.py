@@ -66,10 +66,13 @@ units.hbar in [1e-100, 1e100], grid.L in [1e-40, 1e40]); ``_check_budget``
 bounds the work of the sections a command reads: trajectory points times
 RK4 knots for trajectories and the profile rows of the times for
 doubleslit; evolve bounds the disk bytes of its snapshots on the n of
-its grid or state file (``_check_snapshot_bytes``).  A value the library
-rejects while a command builds its state, boost or time steps becomes, through
-``_named``, an exit 2 naming its config field.  Boost speeds are given as
-fractions of c.  Tolerances are overridden per key with
+its grid or state file (``_check_snapshot_bytes``), and a state file's n,
+read from its header before the payload, as grid.n is bounded.  A value the
+library rejects while a command builds its state, boost or time steps, and
+every fault of a state file (one that cannot be read, a malformed header, a
+header value out of range, a non-finite payload), becomes, through
+``_named``, an exit 2 naming its config field, before --out exists.  Boost
+speeds are given as fractions of c.  Tolerances are overridden per key with
 ``--tolerance KEY=VALUE`` (keys listed by ``photonflow info``); every value
 must be finite and > 0.
 """
@@ -95,8 +98,7 @@ import numpy as np
 from . import __version__
 from .bohm import (_NODE_FLOOR_REL, frame_consistency_check, integrate_trajectories,
                    knot_count, sample_points_on_line)
-from .errors import (ConfigError, FieldValidationError, OffGridWaveVectorError,
-                     PhotonflowError, RangeError)
+from .errors import ConfigError, FieldValidationError, OffGridWaveVectorError, PhotonflowError
 from .fieldio import (_HEADER, _POINT_BYTES, WeberFile, check_weber, new_weber_files,
                       read_weber, trajectories_to_csv, weber_header, write_csv, write_json)
 from .fields import (_BOX_LENGTH_RANGE, _UNIT_RANGE, MOMENTUM, POSITION, FieldPlanes, GridSpec,
@@ -387,10 +389,11 @@ def build_state(config) -> PlaneWaveSuperposition:
 
 def _named(field, build, *args):
     """build(*args); a value the library rejects in it (FieldValidationError,
-    OffGridWaveVectorError) is a ConfigError naming the config ``field``."""
+    OffGridWaveVectorError), or a file it cannot read (OSError), is a
+    ConfigError naming the config ``field``."""
     try:
         return build(*args)
-    except (FieldValidationError, OffGridWaveVectorError) as exc:
+    except (FieldValidationError, OffGridWaveVectorError, OSError) as exc:
         raise ConfigError(f"{field}: {exc}", field=field) from exc
 
 
@@ -432,42 +435,37 @@ def _check_snapshot_bytes(n, times):
 def _initial_source(config, tol):
     """The plane source (fields.FieldPlanes or fieldio.WeberFile) evolve starts from.
 
-    A state.file's header is read first, and the disk bytes of the
-    snapshots are checked on its n or on grid.n before anything is
-    allocated.  In the momentum representation the file is then checked in
-    one pass through a plane buffer, and the pass of the first steps reads
-    it again plane by plane; in the position representation, or to be
-    normalized, it is read once, into memory (and transformed in place),
-    with the same checks.  A normalized state is read through the divisor
-    that makes it one photon, never copied.
+    A state.file's header is read first, and its n is checked against
+    _MAX_N, the bound of grid.n, and the disk bytes of the snapshots on its
+    n or on grid.n, before anything is allocated.  In the momentum
+    representation the file is then checked in one pass through a plane
+    buffer, and the pass of the first steps reads it again plane by plane;
+    in the position representation, or to be normalized, it is read once,
+    into memory (and transformed in place), with the same checks.  Every
+    fault of the file is a ConfigError naming state.file (_named).  A
+    normalized state is read through the divisor that makes it one photon,
+    never copied.
     """
     normalize, times = config["evolve"]["normalize"], len(config["evolve"]["times"])
-    if "file" in config["state"]:
-        # resume from a stored snapshot; it carries its own grid and units,
-        # so the config's grid and units sections are not used
-        path = config["state"]["file"]
-        try:
-            size = os.stat(path).st_size
-            if size > _HEADER.size + _FIELD_BYTES_LIMIT:
-                raise ConfigError(f"state.file {path} is {size} bytes, over the limit of "
-                                  f"{_FIELD_BYTES_LIMIT} bytes per field plus the "
-                                  f"{_HEADER.size}-byte header", field="state.file")
-            stored = weber_header(path)
-            _check_snapshot_bytes(stored.spec.n_per_axis, times)
-            if stored.representation == MOMENTUM and not normalize:
-                return check_weber(path)
-            weber = read_weber(path)
-        except OSError as exc:
-            raise ConfigError(f"cannot read field file: {exc}", field="state.file") from exc
-        except RangeError as exc:  # the snapshot's L, c or hbar, before its payload
-            raise ConfigError(f"state.file {path}: {exc}", field="state.file") from exc
-        if weber.representation == POSITION:
-            forward_transform_in_place(weber)
-    else:
+    path = config["state"].get("file")
+    # a stored snapshot carries its own grid and units, so the config's grid
+    # and units sections are not used
+    stored = None if path is None else _named("state.file", weber_header, path)
+    n = config["grid"]["n"] if stored is None else stored.spec.n_per_axis
+    if n > _MAX_N:  # SCHEMA bounds grid.n: only a header's n is checked here
+        raise ConfigError(f"state.file {path}: n = {n} is over the limit of {_MAX_N} "
+                          f"({_FIELD_BYTES_LIMIT} bytes per field)", field="state.file")
+    _check_snapshot_bytes(n, times)
+    if stored is None:
         grid, units = config["grid"], config["units"]
-        _check_snapshot_bytes(grid["n"], times)
         spec = GridSpec(grid["n"], grid["L"], units["c"], units["hbar"])
         weber = _named("state", place, build_state(config), spec)
+    elif stored.representation == MOMENTUM and not normalize:
+        return _named("state.file", check_weber, path)
+    else:
+        weber = _named("state.file", read_weber, path)
+        if weber.representation == POSITION:
+            forward_transform_in_place(weber)
     return FieldPlanes(weber, single_photon_norm(weber, tol["dc"]) if normalize else None)
 
 

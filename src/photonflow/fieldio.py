@@ -176,7 +176,11 @@ def _read_header(fh, path) -> WeberFile:
             f"{path}: payload is {payload_bytes} bytes, expected {expected} for n = {n}")
     if not np.isfinite(time):
         raise FieldValidationError(f"{path}: header time {time!r} is not finite")
-    return WeberFile(path, GridSpec(int(n), box_length, c, hbar), _TAG_REPS[tag], time)
+    try:  # an n below 2, or an L, c or hbar out of range: named with the file, as above
+        spec = GridSpec(int(n), box_length, c, hbar)
+    except FieldValidationError as exc:  # a RangeError stays a RangeError
+        raise type(exc)(f"{path}: {exc}") from exc
+    return WeberFile(path, spec, _TAG_REPS[tag], time)
 
 
 def _read_plane(fh, path, plane, iz) -> None:

@@ -30,20 +30,19 @@ The 1/sqrt(k) weighting is singular at k = 0, so states carrying a
 non-negligible share of their energy in the DC mode are rejected, and
 the DC photon coefficient is hard-zeroed otherwise.
 
-density_profile_y reads the x,z-mean of rho_p along y straight off the
-momentum-space field: one per-plane visitor (_profile_row) applies the
-weight, an inverse FFT along y and the reduction to one z-plane of the
-field's plane view (see fields) at a time, so phi~ is never built in full.
-It runs in the spectral kernel's pass, which also sums |F~|^2 and reads
-|F~(0)|^2 for the DC gate; density_profiles runs the same visitor after
-each of a list of time steps in one such pass, reading the field once
-and writing no field.  photon_number gathers the per-shell 1/|k| and sums
-|F~|^2 for its DC gate in its own plane loop, and normalize_single_photon
-writes its scaled field the same way.  All of them run on
+density_profiles reads the x,z-mean of rho_p along y straight off the
+momentum-space field after each of a list of time steps, in one pass of
+the spectral kernel that reads the field once and writes no field: one
+per-plane visitor (_profile_row) applies the weight, an inverse FFT along
+y and the reduction to one z-plane of the field's plane view (see fields)
+at a time, so phi~ is never built in full, and the pass also sums |F~|^2
+and reads |F~(0)|^2 for the DC gate.  photon_number gathers the per-shell
+1/|k| and sums |F~|^2 for its DC gate in its own plane loop.  Both run on
 fields.over_planes and add their per-plane sums and profiles in plane
-order, so the results do not depend on the number of workers.  Only
-photon_wavefunction, which has no plane loop, makes a whole-field pass
-for the DC gate.
+order, so the results do not depend on the number of workers.
+normalize_single_photon divides the whole field once, and
+photon_wavefunction, which has no plane loop, makes a whole-field pass for
+the DC gate.
 """
 
 from __future__ import annotations
@@ -159,37 +158,25 @@ def _profile(sums, rows, spec: GridSpec, dc_tolerance: float) -> np.ndarray:
         return sum_in_order(rows) * scale ** 2
 
 
-def density_profile_y(weber: WeberGrid,
-                      dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> np.ndarray:
-    """The x,z-mean of the phi-based density rho = phi^dag phi along y, from F~.
-
-    Applies Good's weight, an inverse FFT along y and the reduction one
-    z-plane at a time in one pass of the spectral kernel, which also sums
-    |F~|^2 and reads |F~(0)|^2 for the DC gate of photon_wavefunction, so
-    its temporaries are plane-sized; the per-plane profiles are added in
-    plane order.  It equals
-    probability_flow(to_position(photon_wavefunction(weber))).rho.mean(axis=(0, 2))
-    to roundoff without building phi~, the 3-D inverse transform or the
-    current.
-    """
-    require_representation(weber, MOMENTUM, "density_profile_y")
-    (_, sums, rows), = _sweep(FieldPlanes(weber), visit=_profile_row(weber.spec))
-    return _profile(sums, rows, weber.spec, dc_tolerance)
-
-
 def density_profiles(weber: WeberGrid, dts,
                      transversality_tol: float = _TRANSVERSALITY_TOL,
                      dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> list:
-    """density_profile_y of ``weber`` advanced by each step of ``dts`` in turn.
+    """The x,z-mean of the phi-based density rho = phi^dag phi along y, from F~,
+    of ``weber`` advanced by each step of ``dts`` in turn.
 
     One pass of the spectral kernel reads each z-plane of ``weber`` once,
     turns it through every step in plane buffers and takes each step's
-    profile row from the plane it leaves, so ``weber`` is only read and no
-    advanced field is written.  Each step keeps the gates of
-    advance(weber, dt) and density_profile_y, in that order: the
-    transversality gate on the field it starts from and the DC gate on the
-    field it leaves; the first step that fails raises.  The profiles keep
-    the bits of that route.  A non-finite dt or largest angle raises
+    profile row from the plane it leaves (Good's weight, an inverse FFT
+    along y and the reduction), so ``weber`` is only read, no advanced field
+    is written and the temporaries are plane-sized; the per-plane rows are
+    added in plane order.  A profile equals
+    probability_flow(to_position(photon_wavefunction(evolve(weber, dt)))).rho.mean(axis=(0, 2))
+    to roundoff without building phi~, the 3-D inverse transform or the
+    current; density_profiles(weber, [0.0]) is the profile of ``weber``
+    itself.  Each step keeps the gates of evolve(weber, dt) and
+    photon_wavefunction, in that order: the transversality gate on the field
+    it starts from and the DC gate on the field it leaves; the first step
+    that fails raises.  A non-finite dt or largest angle raises
     FieldValidationError before the pass (spectral.check_step).
     """
     require_representation(weber, MOMENTUM, "density_profiles")
@@ -246,20 +233,10 @@ def single_photon_norm(weber: WeberGrid,
 def normalize_single_photon(weber: WeberGrid,
                             dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> WeberGrid:
     """A new field, ``weber``'s divided by single_photon_norm so that
-    photon_number(result) = 1 (within roundoff).
-
-    The division is written a z-plane at a time into the new field;
-    ``weber`` is left as it is.
+    photon_number(result) = 1 (within roundoff); ``weber`` is left as it is.
     """
-    planes, norm = plane_view(weber.field), single_photon_norm(weber, dc_tolerance)
-    scaled = np.empty_like(planes)
-
-    def work(run):
-        for zs in run:
-            np.divide(planes[zs], norm, out=scaled[zs])
-
-    over_planes(weber.spec.n_per_axis, work)
-    return WeberGrid(plane_view(scaled), weber.spec, MOMENTUM, weber.time)
+    return WeberGrid(weber.field / single_photon_norm(weber, dc_tolerance), weber.spec,
+                     MOMENTUM, weber.time)
 
 
 def probability_flow(pwf: PhotonWaveFunction) -> ProbabilityFlow:

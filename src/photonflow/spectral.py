@@ -41,7 +41,7 @@ and overwrites plane by plane; a loop that reduces adds its per-plane
 records in plane order (fields.sum_in_order), so every result is the same
 bit for bit whatever the worker count.
 
-advance, advance_into, transversality_residual and photon.density_profiles
+evolve, advance_into, transversality_residual and photon.density_profiles
 share one kernel (_sweep) that reads a field one z-plane at a time through
 a plane reader, turns each plane through a list of steps and hands the
 plane each step leaves to that step's plane writer, if there are writers:
@@ -63,14 +63,13 @@ share roles: one complex buffer takes every product, a gather slot takes
 payload order, is also the plane the reader fills and the plane the
 writers write, and the visitor works in a gather slot that is free while
 it runs and in a buffer of its own (the components' buffer, when no step
-turns), so a run holds about four planes of three components.  Each plane
-is copied before its rotated values are written, so advance(w, dt), whose
-reader and writer are both w's field, turns w in place with plane-sized
-temporaries only; evolve(w, dt) is advance applied to a copy.  From the
-planes it already holds the kernel also sums |F~|^2 and |F~|^2/|k|, reads
-|F~(0)|^2 and forms the transversality residual of the field each step
-leaves behind (FieldSums), so a caller that needs the energy, the photon
-number and the residual of each evolved state reads the field once.
+turns), so a run holds about four planes of three components.
+evolve(w, dt) is advance_into from w's field into a new field: w is only
+read, and the step holds the new field and plane-sized temporaries.  From
+the planes it already holds the kernel also sums |F~|^2 and |F~|^2/|k|,
+reads |F~(0)|^2 and forms the transversality residual of the field each
+step leaves behind (FieldSums), so a caller that needs the energy, the
+photon number and the residual of each evolved state reads the field once.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ _TWO_PI_3_2 = (2.0 * np.pi) ** 1.5
 # Absolute floor used only to avoid 0/0 in residual quotients.
 _RESIDUAL_FLOOR = 1e-300
 
-# default transversality residual that evolve and advance accept
+# default transversality residual that evolve and advance_into accept
 _TRANSVERSALITY_TOL = 1e-10
 
 
@@ -277,10 +276,9 @@ def _sweep(source, c_dts=(None,), sinks=None, visit=None):
     ``source`` reads the field's z-planes and ``sinks``, if given, holds
     one sink per step, which takes each plane that step leaves: each is a
     fields.FieldPlanes or a fieldio.WeberFile, whose reader(buffer) and
-    writer() give each worker run read(zs) and write(zs, plane).  A sink
-    may be the source: a plane is read and copied before it is written.
-    Without sinks a turned plane stays in the run's buffers and no field is
-    written.
+    writer() give each worker run read(zs) and write(zs, plane); a sink is
+    never the source.  Without sinks a turned plane stays in the run's
+    buffers and no field is written.
     ``visit(plane, shell, spare, real)``, if given, records what it needs of
     the plane (shape (1, n, n, 3)) each step leaves, whose shell index is
     ``shell``; ``spare`` (complex, the plane's shape) and ``real`` (float,
@@ -424,8 +422,8 @@ def evolve(weber: WeberGrid, dt: float,
     to roundoff.  dt < 0 runs the dynamics backwards.  The k = 0 mode is
     carried through unchanged.  The transversality gate and the rotation
     share one pass over the z-planes; a state that fails the gate is discarded.
-    ``weber`` is left as it is: the step, dt == 0 included, is advance applied
-    to a copy.
+    ``weber`` is only read, so it may be read-only: the step, dt == 0
+    included, is advance_into from its field into a new one in payload order.
 
     Parameters
     ----------
@@ -438,8 +436,9 @@ def evolve(weber: WeberGrid, dt: float,
         before anything is written.
     """
     require_representation(weber, MOMENTUM, "evolve")
-    evolved = weber.copy()
-    advance(evolved, dt, transversality_tol)
+    evolved = WeberGrid(np.empty_like(weber.field), weber.spec, MOMENTUM, weber.time)
+    next(advance_into(FieldPlanes(weber), [dt], [FieldPlanes(evolved)], transversality_tol))
+    evolved.time += float(dt)
     return evolved
 
 
@@ -461,32 +460,6 @@ def _c_dt(spec: GridSpec, dt: float):
     return None if float(dt) == 0 else c_dt
 
 
-def advance(weber: WeberGrid, dt: float,
-            transversality_tol: float = _TRANSVERSALITY_TOL) -> FieldSums:
-    """Advance ``weber`` itself by dt with evolve's exact per-mode propagator.
-
-    The rotation is written into ``weber.field`` with plane-sized
-    temporaries only, and ``weber.time`` grows by dt once the gate has
-    passed.  Returns the FieldSums of the advanced field (its |F~|^2 and
-    |F~|^2/|k| sums, |F~(0)|^2 and transversality residual), formed in the
-    same pass.  dt == 0 runs the gate alone and leaves the field as it is.
-    A non-finite dt or largest angle |k| c dt (check_step), or a read-only
-    field, raises FieldValidationError before anything is written.  After a
-    TransversalityError the field holds rotated values at the old time:
-    discard it.
-    """
-    require_representation(weber, MOMENTUM, "advance")
-    if not weber.field.flags.writeable:
-        raise FieldValidationError("advance got a read-only field")
-    c_dt = _c_dt(weber.spec, dt)
-    planes = FieldPlanes(weber)
-    # dt == 0 turns nothing, so there is nothing to write
-    (residual, sums, _), = _sweep(planes, [c_dt], None if c_dt is None else [planes])
-    _gate(residual, transversality_tol)
-    weber.time += float(dt)
-    return sums
-
-
 def advance_into(source, dts, sinks, transversality_tol: float = _TRANSVERSALITY_TOL):
     """Write the momentum field ``source`` reads, advanced by each step of
     ``dts`` in turn, into that step's sink, in one pass.
@@ -500,8 +473,9 @@ def advance_into(source, dts, sinks, transversality_tol: float = _TRANSVERSALITY
     FieldValidationError before anything is read.  Returns an iterator over
     the steps in order, after the pass: each step taken from it runs the
     step's transversality gate on the field the step starts from and gives
-    the FieldSums of the field it wrote, as advance does, so a caller acts
-    on each step before the next step's gate runs.  After a
+    the FieldSums of the field it wrote (its |F~|^2 and |F~|^2/|k| sums,
+    |F~(0)|^2 and transversality residual), so a caller acts on each step
+    before the next step's gate runs.  After a
     TransversalityError what the sinks of that step and of every later one
     hold is to be discarded.
     """

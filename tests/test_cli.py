@@ -226,7 +226,7 @@ def test_a_state_file_read_into_memory_is_read_once(tmp_path, monkeypatch, repre
                                                     normalize):
     # the header decides: a file that read_weber reads into memory is not
     # also run through check_weber's pass; a NaN entry still stops the run
-    # before --out exists
+    # before --out exists, naming state.file
     spec = GridSpec(8, 2.0 * np.pi)
     field = place(counterprop_pair(1.0, 2.0), spec)
     if representation == "position":
@@ -242,7 +242,7 @@ def test_a_state_file_read_into_memory_is_read_once(tmp_path, monkeypatch, repre
     assert main(["evolve", "--config", config, "--out", str(tmp_path / "out")]) == 0
     field.field[1, 2, 3, 0] = np.nan
     write_weber(path, field)
-    assert main(["evolve", "--config", config, "--out", str(tmp_path / "nan")]) == 1
+    assert main(["evolve", "--config", config, "--out", str(tmp_path / "nan")]) == 2
     assert not (tmp_path / "nan").exists()
 
 
@@ -350,6 +350,8 @@ def _load_same_outputs():
     return module
 
 
+_SCHEMA_HINT = "run 'photonflow info' for the config schema\n"  # after every exit 2
+
 # what each FAILING job of tools/same_outputs.py leaves: exit code, stderr and
 # the files in --out (None: --out is not created); stdout is empty
 _FAILING_OUTCOMES = {
@@ -358,8 +360,10 @@ _FAILING_OUTCOMES = {
     "evolve-dc-heavy": (1, "error: k = 0 mode carries fraction 2.000e-06 of |F~|^2 (tolerance "
                            "1.0e-12); the 1/sqrt(k) photon weighting is singular there\n",
                         ["snapshot_00.phwf"]),
-    "evolve-nan": (1, "error: {state}: payload is non-finite at grid index (1, 2, 3), "
-                      "component 0\n", None),
+    "evolve-nan": (2, "error: state.file: {state}: payload is non-finite at grid index "
+                      "(1, 2, 3), component 0 (field: state.file)\n" + _SCHEMA_HINT, None),
+    "evolve-bad-header": (2, "error: state.file: {state}: not a PHWF1 container "
+                             "(field: state.file)\n" + _SCHEMA_HINT, None),
 }
 
 
@@ -367,7 +371,7 @@ _FAILING_OUTCOMES = {
 def test_the_failing_jobs_of_same_outputs_leave_what_they_always_left(tmp_path, capsys, kind):
     same_outputs = _load_same_outputs()
     state = tmp_path / f"{kind}.phwf"
-    same_outputs.write_state_file(state, same_outputs.FAILING[kind])
+    state.write_bytes(same_outputs.FAILING[kind])
     rc, out = _run(tmp_path, "evolve", config={"state": {"file": str(state)},
                                                "evolve": {"times": [0.0, 1.0]}})
     code, err, files = _FAILING_OUTCOMES[kind]
@@ -1122,51 +1126,62 @@ def test_unreadable_state_file_error_names_its_cause(tmp_path):
     config = _write_config(tmp_path, {"state": {"file": str(tmp_path / "absent.phwf")}})
     args = build_parser().parse_args(["evolve", "--config", config,
                                       "--out", str(tmp_path / "out")])
-    with pytest.raises(ConfigError, match="cannot read field file") as exc:
+    with pytest.raises(ConfigError, match="^state.file: .*No such file") as exc:
         cli._run(args)
     assert exc.value.field == "state.file"
     assert isinstance(exc.value.__cause__, FileNotFoundError)
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("excess, code", [(1, 2), (0, 1)], ids=["over", "at"])
-def test_state_file_over_the_field_limit_exits_2_before_reading(tmp_path, capsys,
-                                                                excess, code):
-    # a sparse file: truncate sets the size without writing the bytes
-    big = tmp_path / "big.phwf"
+@pytest.mark.parametrize("excess", [1, 0, None], ids=["over", "at", "header-n-over"])
+def test_state_file_over_the_field_limit_exits_2_before_reading(tmp_path, capsys, monkeypatch,
+                                                                excess):
+    # sparse files: truncate sets the size without writing the bytes.  The
+    # header is read first: a zero one is no PHWF1 container, over the limit
+    # or at it, and a valid one whose n is over grid.n's bound (with the
+    # payload size that n takes) is refused on its n
+    big, n = tmp_path / "big.phwf", cli._MAX_N + 1
     with open(big, "wb") as fh:
-        fh.truncate(_HEADER.size + _FIELD_BYTES_LIMIT + excess)
+        if excess is None:
+            fh.write(_HEADER.pack(b"PHWF1", n, 2.0 * np.pi, 1.0, 1.0, 1, 0.0))
+            fh.truncate(_HEADER.size + 48 * n ** 3)
+        else:
+            fh.truncate(_HEADER.size + _FIELD_BYTES_LIMIT + excess)
+    reads = _count_plane_reads(monkeypatch)
     rc, out = _run(tmp_path, "evolve",
                    config={"state": {"file": str(big)}, "evolve": {"times": [0.0]}})
-    assert rc == code
+    assert rc == 2 and reads == []
     err = capsys.readouterr().err
-    # at the limit the file is read, and its zero header is no PHWF1 container
-    assert ("(field: state.file)" if code == 2 else "not a PHWF1 container") in err
+    assert "(field: state.file)" in err
+    assert (f"n = {n} is over the limit of {cli._MAX_N}" if excess is None
+            else "not a PHWF1 container") in err
     assert not out.exists()
 
 
-def test_corrupt_state_file_exits_1(tmp_path):
+def test_corrupt_state_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "corrupt.phwf"
     bad.write_bytes(b"PHWF1" + b"\x00" * 16)
-    rc, _ = _run(tmp_path, "evolve",
-                 config={"state": {"file": str(bad)}, "evolve": {"times": [0.0]}})
-    assert rc == 1
+    rc, out = _run(tmp_path, "evolve",
+                   config={"state": {"file": str(bad)}, "evolve": {"times": [0.0]}})
+    assert rc == 2
+    assert "not a PHWF1 container (field: state.file)" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_state_file_with_nan_time_exits_1(tmp_path, capsys):
+def test_state_file_with_nan_time_exits_2(tmp_path, capsys):
     bad = tmp_path / "nan-time.phwf"
     spec = GridSpec(4, 2.0 * np.pi)
     write_weber(bad, WeberGrid(np.zeros((4, 4, 4, 3), complex), spec, "momentum",
                                time=float("nan")))
     rc, out = _run(tmp_path, "evolve",
                    config={"state": {"file": str(bad)}, "evolve": {"times": [0.0]}})
-    assert rc == 1
-    assert "header time nan is not finite" in capsys.readouterr().err
+    assert rc == 2
+    assert "header time nan is not finite (field: state.file)" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("normalize", [False, True])
-def test_state_file_with_a_non_finite_payload_exits_1_before_out(tmp_path, capsys, normalize):
+def test_state_file_with_a_non_finite_payload_exits_2_before_out(tmp_path, capsys, normalize):
     # the payload's planes are checked in the pass that precedes --out, also
     # when the file is then read plane by plane by the first step
     field = np.zeros((4, 4, 4, 3), complex)
@@ -1176,8 +1191,9 @@ def test_state_file_with_a_non_finite_payload_exits_1_before_out(tmp_path, capsy
     write_weber(path, WeberGrid(field, GridSpec(4, 2.0 * np.pi), "momentum"))
     rc, out = _run(tmp_path, "evolve", config={"state": {"file": str(path)}, "evolve": {
         "times": [0.0], "normalize": normalize}})
-    assert rc == 1
-    assert "payload is non-finite at grid index (1, 2, 3), component 0" in capsys.readouterr().err
+    assert rc == 2
+    assert ("payload is non-finite at grid index (1, 2, 3), component 0 (field: state.file)"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -1214,12 +1230,12 @@ def test_state_file_with_box_length_out_of_range_exits_2(tmp_path, capsys, box_l
                    config={"state": {"file": str(path)}, "evolve": {"times": [0.0]}})
     assert rc == 2
     err = capsys.readouterr().err
-    assert "(field: state.file)" in err and "box_length" in err
+    assert f"state.file: {path}: box_length" in err and "(field: state.file)" in err
     assert "Traceback" not in err and not out.exists()
 
 
 def test_evolve_gates_each_snapshot_on_its_dc_share(tmp_path, capsys):
-    # the photon number of a snapshot is read from advance's sums, behind the
+    # the photon number of a snapshot is read from advance_into's sums, behind the
     # same DC gate as photon_number: 2e-6 of |F~|^2 in k = 0 fails the default
     spec = GridSpec(4, 2.0 * np.pi)
     field = np.zeros((4, 4, 4, 3), complex)

@@ -158,7 +158,6 @@ _GUARDED = [
     ("klein_gordon_residual", MOMENTUM, (0.1,)),
     ("photon_wavefunction", MOMENTUM, ()),
     ("to_position", MOMENTUM, ()),
-    ("density_profile_y", MOMENTUM, ()),
     ("density_profiles", MOMENTUM, ([0.1],)),
     ("photon_number", MOMENTUM, ()),
     ("probability_flow", POSITION, ()),
@@ -183,8 +182,8 @@ def _payload_ordered(field):
 
 
 def _producers(tmp_path):
-    from photonflow import (advance, evolve, normalize_single_photon, place,
-                            project_transverse, read_weber, write_weber)
+    from photonflow import (evolve, normalize_single_photon, place, project_transverse,
+                            read_weber, write_weber)
     from photonflow.planewaves import counterprop_pair
     from photonflow.spectral import forward_transform_in_place
 
@@ -197,11 +196,6 @@ def _producers(tmp_path):
         write_weber(tmp_path / "f.phwf", momentum)
         return read_weber(tmp_path / "f.phwf")
 
-    def advanced():
-        weber = momentum.copy()
-        advance(weber, 0.4)
-        return weber
-
     def transformed_in_place():
         weber = WeberGrid(c_ordered, spec)
         forward_transform_in_place(weber)
@@ -213,7 +207,6 @@ def _producers(tmp_path):
         "read_weber": written_and_read,
         "copy": lambda: momentum.copy(),
         "normalize_single_photon": lambda: normalize_single_photon(momentum),
-        "advance": advanced,
         "evolve": lambda: evolve(momentum, 0.4),
         "forward_transform": lambda: forward_transform(WeberGrid(c_ordered, spec)),
         "forward_transform_in_place": transformed_in_place,
@@ -223,8 +216,7 @@ def _producers(tmp_path):
 
 
 @pytest.mark.parametrize("producer", [
-    "constructor", "place", "read_weber", "copy", "normalize_single_photon", "advance",
-    "evolve", "forward_transform", "forward_transform_in_place", "project_transverse",
+    "constructor", "place", "read_weber", "copy", "normalize_single_photon", "evolve", "forward_transform", "forward_transform_in_place", "project_transverse",
     "sample_to_grid"])
 def test_every_producer_holds_the_field_in_payload_order(tmp_path, producer):
     weber = _producers(tmp_path)[producer]()

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from photonflow import (GridSpec, PhotonWaveFunction, WeberGrid, continuity_residual,
-                        density_profile_y, evolve, forward_transform,
+                        density_profiles, evolve, forward_transform,
                         inverse_transform, normalize_single_photon,
                         photon_number, photon_wavefunction, probability_flow,
                         sample_to_grid, to_position, weber_probability_flow)
@@ -187,7 +187,7 @@ def test_probability_where_the_field_vanishes(spec16):
 
 
 @pytest.mark.parametrize("n, t", [(7, 0.0), (8, 0.55), (15, -1.3)])
-def test_density_profile_y_matches_the_full_flow(rng, n, t):
+def test_density_profile_matches_the_full_flow(rng, n, t):
     spec = GridSpec(n, 4.0, 1.5, 0.8)
     limit = n // 2 - 1
     # modes interfere in the x,z-mean only where their signed wave vectors share
@@ -199,12 +199,12 @@ def test_density_profile_y_matches_the_full_flow(rng, n, t):
              for my in rng.choice(np.arange(1, limit + 1), size=2, replace=False)]
     weber = evolve(place(PlaneWaveSuperposition(waves), spec), t)
     reference = probability_flow(to_position(photon_wavefunction(weber))).rho.mean(axis=(0, 2))
-    profile = density_profile_y(weber)
+    profile, = density_profiles(weber, [0.0])
     assert profile.shape == (n,)
     assert np.ptp(reference) > 0.01 * reference.max()  # the profile has structure
     assert np.abs(profile - reference).max() <= 1e-13 * reference.max()
     with pytest.raises(RepresentationError):
-        density_profile_y(inverse_transform(weber))
+        density_profiles(inverse_transform(weber), [0.0])
     weber.field[0, 0, 0, 0] = 1.0  # the DC gate of photon_wavefunction runs too
     with pytest.raises(DCContentError):
-        density_profile_y(weber)
+        density_profiles(weber, [0.0])

@@ -9,11 +9,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from photonflow import (GridSpec, WeberGrid, advance, density_profile_y, evolve, fields,
-                        forward_transform, inverse_transform, klein_gordon_residual,
-                        normalize_single_photon, photon_number, place, project_transverse,
-                        read_weber, sample_to_grid, single_wave, total_energy,
-                        transversality_residual, write_weber)
+from photonflow import (GridSpec, WeberGrid, evolve, fields, forward_transform,
+                        inverse_transform, klein_gordon_residual, normalize_single_photon,
+                        photon_number, place, project_transverse, read_weber, sample_to_grid,
+                        single_wave, total_energy, transversality_residual, write_weber)
 from photonflow.errors import (DCContentError, FieldValidationError, RepresentationError,
                                TransversalityError)
 from photonflow.fieldio import check_weber, new_weber_files
@@ -263,11 +262,10 @@ def test_evolve_commutes_with_projection(spec8, rng):
 def test_evolve_rejects_longitudinal_states(spec8, rng):
     tilde = forward_transform(_random_weber(spec8, rng))
     assert transversality_residual(tilde) > 1e-3
+    before = tilde.field.tobytes()
     with pytest.raises(TransversalityError):
         evolve(tilde, 0.1)
-    with pytest.raises(TransversalityError):  # in place, the time is not advanced
-        advance(tilde, 0.1)
-    assert tilde.time == 0.0
+    assert tilde.field.tobytes() == before and tilde.time == 0.0
 
 
 def test_evolve_rejects_a_nan_entry(spec8):
@@ -297,12 +295,28 @@ def test_evolve_rejects_an_inf_in_the_dc_mode(spec8):
         evolve(tilde, 0.1)
 
 
-def test_evolve_by_zero_returns_an_equal_copy(spec8, rng):
-    tilde = _random_transverse(spec8, rng)
-    evolved = evolve(tilde, 0.0)
-    assert evolved is not tilde and evolved.field is not tilde.field
-    assert evolved.field.tobytes() == tilde.field.tobytes()
-    assert evolved.time == tilde.time
+@pytest.mark.parametrize("n, dt", [(7, -0.61), (8, 0.0), (8, 0.45), (15, 2.3), (15, -1.7)])
+@pytest.mark.parametrize("read_only", [False, True], ids=["writeable", "read-only"])
+def test_evolve_returns_a_new_field_with_the_bits_of_advance_into(tmp_path, rng, n, dt,
+                                                                   read_only):
+    # evolve only reads its input, so a read-only one steps too; the new field
+    # is in payload order and holds the bytes advance_into writes from the
+    # input's .phwf file into a new one (dt = 0: the input's own bytes)
+    spec = GridSpec(n, 2.0 * np.pi, c=1.3)
+    tilde = _random_transverse(spec, rng)
+    tilde.time = 0.25
+    write_weber(tmp_path / "state.phwf", tilde)
+    tilde.field.flags.writeable = not read_only
+    before = tilde.field.tobytes()
+    evolved = evolve(tilde, dt)
+    assert tilde.field.tobytes() == before and tilde.time == 0.25
+    assert evolved is not tilde and not np.shares_memory(evolved.field, tilde.field)
+    assert plane_view(evolved.field).flags.c_contiguous and evolved.time == 0.25 + dt
+    write_weber(tmp_path / "evolved.phwf", evolved)
+    _file_to_files(tmp_path / "state.phwf", [tmp_path / "next.phwf"], [dt])
+    assert (tmp_path / "next.phwf").read_bytes() == (tmp_path / "evolved.phwf").read_bytes()
+    if dt == 0:
+        assert evolved.field.tobytes() == before
 
 
 @pytest.mark.parametrize("spoil", ["nan", "longitudinal"])
@@ -332,11 +346,10 @@ def test_evolve_matches_matrix_exponential_for_odd_n(rng):
 
 def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
     # beyond its input, evolve holds its output plus plane-sized temporaries
-    # (advance and forward_transform_in_place, the temporaries alone: a few
-    # planes of 1/64 of the field per worker), photon_number (one plane of
-    # 1/|k|), density_profile_y and the doubleslit pass through several steps
-    # (density_profiles: plane buffers and n^2 profile floats a step) no
-    # full-size temporary at all,
+    # (forward_transform_in_place, the temporaries alone: a few planes of 1/64
+    # of the field per worker), photon_number (one plane of 1/|k|) and the
+    # doubleslit pass, of one step or several (density_profiles: plane buffers
+    # and n^2 profile floats a step), no full-size temporary at all,
     # normalize_single_photon and place little beyond the field they return
     # and inverse_transform one field besides it; the .phwf writer and reader
     # copy the payload straight between file and field, and advance_into from
@@ -355,13 +368,12 @@ def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
     try:
         for name, call, limit in (
                 ("evolve", lambda: evolve(weber, 0.3), 1.5),
-                ("advance", lambda: advance(weber, 0.3), 0.15),
                 ("photon_number", lambda: photon_number(weber), 0.05),
                 ("forward_transform_in_place", lambda: forward_transform_in_place(position),
                  0.15),
                 ("normalize_single_photon", lambda: normalize_single_photon(weber), 1.05),
                 ("place", lambda: place(state, spec), 1.2),
-                ("density_profile_y", lambda: density_profile_y(weber), 0.2),
+                ("density_profiles_one_step", lambda: density_profiles(weber, [0.0]), 0.2),
                 ("density_profiles", lambda: density_profiles(weber, [0.0, 0.4, -0.3]), 0.25),
                 ("write_weber", lambda: write_weber(path, weber), 0.005),
                 ("advance_into", lambda: _file_to_files(path, [tmp_path / "next.phwf"], [0.3]),
@@ -378,21 +390,6 @@ def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
             assert budget[name] < limit, budget
     finally:
         tracemalloc.stop()
-
-
-@pytest.mark.parametrize("n, dt", [(7, -0.61), (8, 0.45), (15, 2.3), (15, -1.7)])
-def test_evolve_in_place_equals_the_default_route(rng, n, dt):
-    spec = GridSpec(n, 2.0 * np.pi, c=1.3)
-    weber = _random_transverse(spec, rng)
-    weber.time = 0.25
-    reference = evolve(weber, dt)
-    buffer = weber.field
-    advance(weber, dt)
-    assert weber.field is buffer and weber.time == reference.time == 0.25 + dt
-    assert weber.field.tobytes() == reference.field.tobytes()
-    advance(weber, 0.0)
-    assert weber.field is buffer and weber.time == reference.time
-    assert weber.field.tobytes() == reference.field.tobytes()
 
 
 def _into_files(source, targets, dts, **kwargs):
@@ -416,10 +413,11 @@ def _file_to_files(source, targets, dts, **kwargs):
 
 @pytest.mark.parametrize("n, dt", [(7, -0.61), (8, 0.0), (15, 2.3)])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_advance_into_reads_and_writes_the_bits_of_advance(tmp_path, rng, monkeypatch, n, dt,
-                                                            workers):
-    # file to file, and from a field read through a divisor: the bytes and sums
-    # of advance on the field (or on its normalized copy) written by write_weber
+def test_advance_into_reads_and_writes_the_bits_of_evolve(tmp_path, rng, monkeypatch, n, dt,
+                                                           workers):
+    # file to file, and from a field read through a divisor: the bytes of
+    # evolve on the field (or on its normalized copy) written by write_weber,
+    # and the sums of a pass from that field in memory
     monkeypatch.setattr(fields, "_WORKERS", workers)
     spec = GridSpec(n, 2.0 * np.pi, c=1.3, hbar=0.7)
     weber = _random_transverse(spec, rng)
@@ -427,12 +425,12 @@ def test_advance_into_reads_and_writes_the_bits_of_advance(tmp_path, rng, monkey
     weber.time = 0.25
     write_weber(tmp_path / "state.phwf", weber)
     for source, reference in (
-            (check_weber(tmp_path / "state.phwf"), weber.copy()),
+            (check_weber(tmp_path / "state.phwf"), weber),
             (FieldPlanes(weber, single_photon_norm(weber, dc_tolerance=1.0)),
              normalize_single_photon(weber, dc_tolerance=1.0))):
-        sums = advance(reference, dt)
-        write_weber(tmp_path / "reference.phwf", reference)
-        assert _into_files(source, [tmp_path / "next.phwf"], [dt]) == [sums]
+        sums = list(advance_into(FieldPlanes(reference), [dt], None))
+        write_weber(tmp_path / "reference.phwf", evolve(reference, dt))
+        assert _into_files(source, [tmp_path / "next.phwf"], [dt]) == sums
         assert ((tmp_path / "next.phwf").read_bytes()
                 == (tmp_path / "reference.phwf").read_bytes())
 
@@ -483,11 +481,12 @@ def test_advance_into_a_file_removes_it_when_the_gate_fails(tmp_path, spec8, rng
 
 @pytest.mark.parametrize("n", [7, 8, 15])
 @pytest.mark.parametrize("dt", [0.0, 0.83, -2.1])
-def test_advance_reports_the_sums_of_the_field_it_leaves(rng, n, dt):
+def test_advance_into_reports_the_sums_of_the_field_it_leaves(rng, n, dt):
     spec = GridSpec(n, 2.0 * np.pi, c=1.3, hbar=0.7)
-    weber = _random_transverse(spec, rng)
-    weber.field[0, 0, 0] = [1e-3, 2e-3j, 0.0]  # some DC content, carried unchanged
-    sums = advance(weber, dt)
+    source = _random_transverse(spec, rng)
+    source.field[0, 0, 0] = [1e-3, 2e-3j, 0.0]  # some DC content, carried unchanged
+    sums, = advance_into(FieldPlanes(source), [dt], None)
+    weber = evolve(source, dt)
     flat = weber.field.view(np.float64)
     assert sums.residual == transversality_residual(weber)  # bit for bit
     assert box_energy(sums.sum_sq, spec, "momentum") == pytest.approx(total_energy(weber),
@@ -501,7 +500,7 @@ def test_advance_reports_the_sums_of_the_field_it_leaves(rng, n, dt):
 
 
 def _profile_by_planes(weber):
-    """The x,z-mean of rho_p along y as density_profile_y has always formed it:
+    """The x,z-mean of rho_p along y as density_profiles has always formed it:
     Good's weight, an inverse FFT along y and |.|^2 per z-plane, the plane
     profiles added in plane order, then scaled."""
     spec, kg = weber.spec, kgrid(weber.spec)
@@ -517,8 +516,8 @@ def _profile_by_planes(weber):
                          ids=["benchmark-steps", "zero-and-negative-steps"])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n", [7, 8])
-def test_one_pass_gives_the_bits_of_advance_and_density_profile_y(rng, monkeypatch, n,
-                                                                   workers, dts):
+def test_one_pass_gives_the_bits_of_a_chain_of_one_step_passes(rng, monkeypatch, n, workers,
+                                                               dts):
     monkeypatch.setattr(fields, "_WORKERS", workers)
     spec = GridSpec(n, 2.0 * np.pi, c=1.3, hbar=0.7)
     weber = _random_transverse(spec, rng)
@@ -527,17 +526,18 @@ def test_one_pass_gives_the_bits_of_advance_and_density_profile_y(rng, monkeypat
     swept = _sweep(FieldPlanes(weber), [None if dt == 0 else spec.c * dt for dt in dts],
                    visit=_profile_row(spec))
     profiles = density_profiles(weber, dts)
-    reference = weber.copy()
+    reference = weber
     for dt, (residual, sums, _), profile in zip(dts, swept, profiles, strict=True):
         assert residual == transversality_residual(reference)
-        assert advance(reference, dt) == sums
-        assert (profile.tobytes() == density_profile_y(reference).tobytes()
+        assert list(advance_into(FieldPlanes(reference), [dt], None)) == [sums]
+        reference = evolve(reference, dt)
+        assert (profile.tobytes() == density_profiles(reference, [0.0])[0].tobytes()
                 == _profile_by_planes(reference).tobytes())
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_one_pass_raises_the_error_of_the_first_failing_step(spec8, rng, monkeypatch, workers):
-    # the messages of advance and of the whole-field DC gate photon_wavefunction
+    # the messages of evolve and of the whole-field DC gate photon_wavefunction
     # keeps: the transversality gate of a step before its DC gate
     monkeypatch.setattr(fields, "_WORKERS", workers)
     dts = [0.3, 0.0, -0.5]
@@ -549,9 +549,9 @@ def test_one_pass_raises_the_error_of_the_first_failing_step(spec8, rng, monkeyp
     both = longitudinal.copy()
     both.field[0, 0, 0] = heavy.field[0, 0, 0]
     for weber, error, parent in (
-            (longitudinal, TransversalityError, lambda w: advance(w.copy(), dts[0])),
+            (longitudinal, TransversalityError, lambda w: evolve(w, dts[0])),
             (heavy, DCContentError, lambda w: photon_wavefunction(evolve(w, dts[0]))),
-            (both, TransversalityError, lambda w: advance(w.copy(), dts[0]))):
+            (both, TransversalityError, lambda w: evolve(w, dts[0]))):
         with pytest.raises(error) as expected:
             parent(weber)
         with pytest.raises(error) as raised:
@@ -575,25 +575,12 @@ def test_forward_transform_in_place_is_fftn_bit_for_bit(rng):
         forward_transform_in_place(weber)
 
 
-# advance writes into the field itself: a read-only one is rejected before
-# the gate runs, whatever the step
-@pytest.mark.parametrize("dt", [0.3, 0.0], ids=["read-only", "read-only-zero-step"])
-def test_evolve_rejects_a_bad_out(spec8, rng, dt):
-    weber = _random_transverse(spec8, rng)
-    weber.field[1, 2, 3, 0] = np.nan  # a gate that ran first would raise TransversalityError
-    before = weber.field.tobytes()
-    weber.field.flags.writeable = False
-    with pytest.raises(FieldValidationError, match="read-only"):
-        advance(weber, dt)
-    assert weber.field.tobytes() == before and weber.time == 0.0
-
-
 @pytest.mark.parametrize("dt", [np.nan, np.inf, 1e308, -1e308])
 def test_evolve_rejects_a_step_with_a_non_finite_angle_before_writing(spec8, rng, dt):
     weber = _random_transverse(spec8, rng)
     before = weber.field.copy()
     with pytest.raises(FieldValidationError, match="dt"):
-        advance(weber, dt)
+        evolve(weber, dt)
     assert weber.field.tobytes() == before.tobytes() and weber.time == 0.0
 
 
@@ -634,12 +621,11 @@ def test_slab_loops_give_the_same_bits_for_any_worker_count(rng, monkeypatch, n)
         forward_transform_in_place(tilde)
         transverse = project_transverse(tilde)
         transverse.field[0, 0, 0] = 0.0  # photon_number rejects DC content
-        advanced = transverse.copy()
-        sums = advance(advanced, -1.1)
         results.append((tilde.field.tobytes(), transversality_residual(tilde),
                         evolve(transverse, 0.7).field.tobytes(),
-                        advanced.field.tobytes(), sums, photon_number(transverse),
-                        density_profile_y(transverse).tobytes(),
+                        list(advance_into(FieldPlanes(transverse), [-1.1], None)),
+                        photon_number(transverse),
+                        density_profiles(transverse, [0.0])[0].tobytes(),
                         normalize_single_photon(transverse).field.tobytes()))
     assert results[0] == results[1] == results[2]
 
@@ -674,7 +660,7 @@ def test_a_non_finite_entry_in_the_second_workers_run_fails_the_gate(spec8, monk
         warnings.simplefilter("error")  # in the workers too: the filters are global
         assert np.isnan(transversality_residual(tilde))
         with pytest.raises(TransversalityError):
-            advance(tilde, 0.1)
+            evolve(tilde, 0.1)
 
 
 @pytest.mark.parametrize("failing", [0, 1], ids=["caller-run", "started-run"])

@@ -10,13 +10,13 @@ cycle directory, with relative ``--config`` and ``--out`` paths, so the
 printed paths are the same on both sides.  Each side also runs the
 ``evolve`` jobs of FAILING, which fail on state files this script writes
 itself: a longitudinal mode (the transversality gate), a heavy k = 0 mode
-(the DC check, after the first snapshot is written) and a NaN entry (the
-state-file check, before --out exists), and the jobs of EXTRA, which cover
-steps the workloads never take.  The exit code, stdout, stderr
-and sha256 of every file each job writes are compared, so a warning that
-one side prints and the other does not is a difference; the names that
-differ are printed, and the exit status is 1 on any difference, 0
-otherwise.  The worktree is removed before the working tree's side runs.
+(the DC check, after the first snapshot is written), a NaN entry and a
+header cut short (the state-file checks, before --out exists), and the jobs
+of EXTRA, which cover steps the workloads never take.  The exit code,
+stdout, stderr and sha256 of every file each job writes are compared, so a
+warning that one side prints and the other does not is a difference; the
+names that differ are printed, and the exit status is 1 on any difference,
+0 otherwise.  The worktree is removed before the working tree's side runs.
 """
 
 import hashlib
@@ -38,14 +38,6 @@ from perfbench.workloads import WORKLOADS  # noqa: E402
 
 SEED = "3"
 
-# evolve jobs that fail: the nonzero modes {(ix, iy, iz): (Fx, Fy, Fz)} of an
-# n = 4 momentum state file at time 0, each run over the times [0, 1]
-FAILING = {
-    "evolve-longitudinal": {(0, 0, 1): (1.0, 1j, 0.5)},
-    "evolve-dc-heavy": {(0, 0, 1): (1.0, 1j, 0.0), (0, 0, 0): (2e-3, 0.0, 0.0)},
-    "evolve-nan": {(0, 0, 1): (1.0, 1j, 0.0), (1, 2, 3): (math.nan, 0.0, 0.0)},
-}
-
 # jobs beside the workloads' {kind: (command, config)}: a doubleslit and an
 # evolve whose steps include a negative step and a zero step between two
 # others (doubleslit dt = 0.8, -0.8, 0, -0.4; evolve dt = 0, 0.5, 0, -0.75,
@@ -63,13 +55,26 @@ EXTRA = {
 }
 
 
-def write_state_file(path: Path, modes: dict, n: int = 4) -> None:
-    """A PHWF1 momentum file (see photonflow.fieldio) holding ``modes``, packed by hand."""
+def state_file_bytes(modes: dict, n: int = 4) -> bytes:
+    """A PHWF1 momentum file (see photonflow.fieldio) at time 0 holding the nonzero
+    modes {(ix, iy, iz): (Fx, Fy, Fz)}, packed by hand."""
     payload = np.zeros((n, n, n, 3), dtype="<c16")  # [iz, iy, ix, component]: x fastest
     for (ix, iy, iz), value in modes.items():
         payload[iz, iy, ix] = value
     header = struct.pack("<5sIdddBd", b"PHWF1", n, 2.0 * math.pi, 1.0, 1.0, 1, 0.0)
-    path.write_bytes(header + payload.tobytes())
+    return header + payload.tobytes()
+
+
+# evolve jobs that fail, each run over the times [0, 1], and the bytes of their
+# state files: n = 4 momentum states, and a header cut short after its magic
+FAILING = {
+    "evolve-longitudinal": state_file_bytes({(0, 0, 1): (1.0, 1j, 0.5)}),
+    "evolve-dc-heavy": state_file_bytes({(0, 0, 1): (1.0, 1j, 0.0),
+                                         (0, 0, 0): (2e-3, 0.0, 0.0)}),
+    "evolve-nan": state_file_bytes({(0, 0, 1): (1.0, 1j, 0.0),
+                                    (1, 2, 3): (math.nan, 0.0, 0.0)}),
+    "evolve-bad-header": b"PHWF1" + bytes(16),
+}
 
 
 def run_job(cycle: Path, env: dict, kind: str, command: str, config: dict) -> tuple:
@@ -105,8 +110,8 @@ def run_side(src: Path, top: Path) -> dict:
         results[kind] = run_job(cycle, env, kind, command, config)
     cycle = top / "failing"
     cycle.mkdir(parents=True)
-    for kind, modes in FAILING.items():
-        write_state_file(cycle / f"{kind}.phwf", modes)
+    for kind, content in FAILING.items():
+        (cycle / f"{kind}.phwf").write_bytes(content)
         results[kind] = run_job(cycle, env, kind, "evolve",
                                 {"state": {"file": f"{kind}.phwf"},
                                  "evolve": {"times": [0.0, 1.0]}})
