@@ -14,6 +14,10 @@ relative to a rigorous upper bound on the density (the squared sum of
 component amplitude norms), so it does not depend on where the state is
 evaluated.
 
+No function here takes hbar: it scales every phi density by one factor
+1/hbar, so velocities, node floors and the line-sampling CDF, all ratios
+of densities, do not depend on it.  The states are compiled at hbar = 1.
+
 _rk4 is the one integrator: a fixed-step RK4 pass over an array of points,
 four guidance evaluations a step, each covering every point.  It serves
 integrate_trajectories, which keeps every knot of the pass and cuts each
@@ -46,13 +50,13 @@ _NODE_FLOOR_REL = 1e-12
 _LINE_SAMPLES = 4096
 
 
-def _velocity_field(state, guidance, c, hbar, node_floor_rel, **inputs):
+def _velocity_field(state, guidance, c, node_floor_rel, **inputs):
     """v(x, t) -> (velocity, node mask); checks the inputs and compiles once."""
     recipe = flow_recipe(guidance)
     for name, value in inputs.items():
         if not np.all(np.isfinite(value)):
             raise FieldValidationError(f"{name} must be finite, got {value!r}")
-    compiled = CompiledState(state, c, hbar)
+    compiled = CompiledState(state, c)
     floor = node_floor_rel * compiled.density_bound(recipe)
     return lambda x, t: _velocity_masked(compiled, recipe, x, t, floor)
 
@@ -74,14 +78,14 @@ def _velocity_masked(compiled, recipe, x, t, floor):
 
 
 def guidance_velocity(state: PlaneWaveSuperposition, x, t, guidance: str = PHI_BASED,
-                      *, c: float = 1.0, hbar: float = 1.0,
+                      *, c: float = 1.0,
                       node_floor_rel: float = _NODE_FLOOR_REL) -> np.ndarray:
     """v = J / rho at points x (..., 3) and time(s) t.
 
     Raises GuidanceNodeError if any point sits where the density is below
     node_floor_rel times its global upper bound.
     """
-    v, mask = _velocity_field(state, guidance, c, hbar, node_floor_rel, x=x, t=t)(x, t)
+    v, mask = _velocity_field(state, guidance, c, node_floor_rel, x=x, t=t)(x, t)
     if np.any(mask):
         idx = np.unravel_index(np.argmax(mask), mask.shape)
         where = np.asarray(x, dtype=float)[idx]
@@ -115,7 +119,7 @@ def knot_count(t0: float, t1: float, step: float) -> float:
     return 1.0 + max(1.0, float(np.ceil(span / float(step) - 1e-12)))
 
 
-def _rk4(state, points, t0, t1, step, guidance, c, hbar, node_floor_rel):
+def _rk4(state, points, t0, t1, step, guidance, c, node_floor_rel):
     """The one integrator: fixed-step RK4 for points (n, 3), yielding (t, x, v, live)
     at t0 and after each step, the last step shortened to land on t1.  A point
     meeting a density node in a step stays at its last knot and is no longer
@@ -124,7 +128,7 @@ def _rk4(state, points, t0, t1, step, guidance, c, hbar, node_floor_rel):
     x = np.array(points, dtype=float)
     if x.ndim != 2 or x.shape[1] != 3:
         raise FieldValidationError(f"points must have shape (n, 3), got {x.shape}")
-    velocity = _velocity_field(state, guidance, c, hbar, node_floor_rel,
+    velocity = _velocity_field(state, guidance, c, node_floor_rel,
                                points=x, t0=t0, t1=t1, step=step)
     if step <= 0:
         raise FieldValidationError(f"step must be positive, got {step!r}")
@@ -157,7 +161,6 @@ def _rk4(state, points, t0, t1, step, guidance, c, hbar, node_floor_rel):
 
 def integrate_trajectories(state: PlaneWaveSuperposition, points, t0: float, t1: float,
                            step: float, guidance: str = PHI_BASED, *, c: float = 1.0,
-                           hbar: float = 1.0,
                            node_floor_rel: float = _NODE_FLOOR_REL) -> list:
     """Classic fixed-step RK4 for points (n, 3) from t0 to t1 in one pass, last step
     shortened to land on t1; returns one Trajectory per point.
@@ -166,7 +169,7 @@ def integrate_trajectories(state: PlaneWaveSuperposition, points, t0: float, t1:
     knots before the node and has node_hit = True.  A point that starts on
     a node raises GuidanceNodeError.
     """
-    knots = _rk4(state, points, t0, t1, step, guidance, c, hbar, node_floor_rel)
+    knots = _rk4(state, points, t0, t1, step, guidance, c, node_floor_rel)
     first = t, x, _, live = next(knots)
     if not live.all():
         i = int(np.argmin(live))
@@ -186,13 +189,13 @@ def integrate_trajectories(state: PlaneWaveSuperposition, points, t0: float, t1:
 
 def transport_ensemble(state: PlaneWaveSuperposition, points, t0: float, t1: float,
                        step: float, guidance: str = PHI_BASED, *, c: float = 1.0,
-                       hbar: float = 1.0, node_floor_rel: float = _NODE_FLOOR_REL) -> tuple:
+                       node_floor_rel: float = _NODE_FLOOR_REL) -> tuple:
     """Push many initial points through the flow at once.
 
     Returns (final_positions, node_mask).  A particle that reaches a node
     stops at its last defined knot and is marked; the others are unaffected.
     """
-    for _, x, _, live in _rk4(state, points, t0, t1, step, guidance, c, hbar, node_floor_rel):
+    for _, x, _, live in _rk4(state, points, t0, t1, step, guidance, c, node_floor_rel):
         pass
     return x, ~live
 
@@ -200,7 +203,7 @@ def transport_ensemble(state: PlaneWaveSuperposition, points, t0: float, t1: flo
 def sample_points_on_line(state: PlaneWaveSuperposition, origin, direction,
                           length: float, n_points: int, rng,
                           guidance: str = PHI_BASED, *, t: float = 0.0,
-                          c: float = 1.0, hbar: float = 1.0) -> np.ndarray:
+                          c: float = 1.0) -> np.ndarray:
     """Draw points on a segment with probability proportional to the density.
 
     Inverse-CDF sampling on a dense tabulation of rho along
@@ -212,7 +215,7 @@ def sample_points_on_line(state: PlaneWaveSuperposition, origin, direction,
     direction = direction / np.linalg.norm(direction)
     s = np.linspace(0.0, length, _LINE_SAMPLES)
     pts = origin + s[:, None] * direction
-    rho, _ = CompiledState(state, c, hbar).flow(recipe, pts, t)
+    rho, _ = CompiledState(state, c).flow(recipe, pts, t)
     ds = s[1] - s[0]
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * ds)])
     if cdf[-1] <= 0.0:
@@ -246,18 +249,18 @@ class FrameConsistency:
 
 
 def frame_consistency_check(state: PlaneWaveSuperposition, boost: Boost, x, t: float,
-                            guidance: str = PHI_BASED, *, hbar: float = 1.0,
+                            guidance: str = PHI_BASED, *,
                             node_floor_rel: float = _NODE_FLOOR_REL) -> FrameConsistency:
     """Compare the two ways of obtaining the boosted-frame velocity at one event;
     both frames use the boost's c."""
     x = np.asarray(x, dtype=float)
-    v_rest = guidance_velocity(state, x[None, :], t, guidance, c=boost.c, hbar=hbar,
+    v_rest = guidance_velocity(state, x[None, :], t, guidance, c=boost.c,
                                node_floor_rel=node_floor_rel)[0]
     v_add = velocity_addition(v_rest, boost)
 
     x_prime, t_prime = boost_event(x, t, boost)
     boosted = boost_plane_wave(state, boost)
     v_flow = guidance_velocity(boosted, x_prime[None, :], float(t_prime), guidance,
-                               c=boost.c, hbar=hbar, node_floor_rel=node_floor_rel)[0]
+                               c=boost.c, node_floor_rel=node_floor_rel)[0]
     return FrameConsistency(guidance, x, float(t), x_prime, float(t_prime), v_rest,
                             v_add, v_flow, float(np.linalg.norm(v_add - v_flow) / boost.c))

@@ -100,10 +100,11 @@ from .bohm import (_NODE_FLOOR_REL, frame_consistency_check, integrate_trajector
                    knot_count, sample_points_on_line)
 from .errors import ConfigError, FieldValidationError, OffGridWaveVectorError, PhotonflowError
 from .fieldio import (_HEADER, _POINT_BYTES, WeberFile, check_weber, new_weber_files,
-                      read_weber, trajectories_to_csv, weber_header, write_csv, write_json)
+                      read_weber, trajectories_to_csv, weber_header, write_csv)
 from .fields import (_BOX_LENGTH_RANGE, _UNIT_RANGE, MOMENTUM, POSITION, FieldPlanes, GridSpec,
                      box_energy)
-from .lorentz import _AUDIT_TOL, Boost, audit_four_vector, audit_to_json, boost_plane_wave
+from .lorentz import (_AUDIT_TOL, SAMPLE_ARRAYS, Boost, audit_four_vector, audit_to_json,
+                      boost_plane_wave)
 from .photon import (DEFAULT_DC_TOLERANCE, PHI_BASED, WEBER_BASED, check_dc_share,
                      density_profiles, photon_count, single_photon_norm)
 from .planewaves import (PRESETS, CircularPlaneWave, CompiledState, PlaneWaveSuperposition,
@@ -227,8 +228,9 @@ def _state(value, path):
 # anything: bytes of one n^3 grid field at 48 bytes a point (also the bound
 # on the 8 n^2 bytes of profile rows that doubleslit's one pass holds per
 # time), trajectory points times RK4 knots that the one integration pass
-# holds (48 bytes each), and samples per four-vector audit (audits.json
-# stores 14 numbers a sample for each of its eight audits).
+# holds (48 bytes each), and samples per four-vector audit (each of the
+# eight audits stores 14 numbers a sample: 2 in audits.json, 12 in
+# audit_samples.npz).
 _FIELD_BYTES_LIMIT = 2 ** 31
 _MAX_N = 355  # the largest n with 48 n^3 <= _FIELD_BYTES_LIMIT
 # disk bytes of all the snapshots of one evolve run, headers included: 32
@@ -444,13 +446,15 @@ def _initial_source(config, tol):
     into memory (and transformed in place), with the same checks.  Every
     fault of the file is a ConfigError naming state.file (_named).  A
     normalized state is read through the divisor that makes it one photon,
-    never copied.
+    never copied; a photon number beyond a float is a ConfigError naming
+    state, or state.file for a file.
     """
     normalize, times = config["evolve"]["normalize"], len(config["evolve"]["times"])
     path = config["state"].get("file")
     # a stored snapshot carries its own grid and units, so the config's grid
     # and units sections are not used
     stored = None if path is None else _named("state.file", weber_header, path)
+    field = "state" if stored is None else "state.file"
     n = config["grid"]["n"] if stored is None else stored.spec.n_per_axis
     if n > _MAX_N:  # SCHEMA bounds grid.n: only a header's n is checked here
         raise ConfigError(f"state.file {path}: n = {n} is over the limit of {_MAX_N} "
@@ -459,14 +463,15 @@ def _initial_source(config, tol):
     if stored is None:
         grid, units = config["grid"], config["units"]
         spec = GridSpec(grid["n"], grid["L"], units["c"], units["hbar"])
-        weber = _named("state", place, build_state(config), spec)
+        weber = _named(field, place, build_state(config), spec)
     elif stored.representation == MOMENTUM and not normalize:
-        return _named("state.file", check_weber, path)
+        return _named(field, check_weber, path)
     else:
-        weber = _named("state.file", read_weber, path)
+        weber = _named(field, read_weber, path)
         if weber.representation == POSITION:
             forward_transform_in_place(weber)
-    return FieldPlanes(weber, single_photon_norm(weber, tol["dc"]) if normalize else None)
+    return FieldPlanes(weber, _named(field, single_photon_norm, weber, tol["dc"])
+                       if normalize else None)
 
 
 def cmd_evolve(config, tol, seed, out):
@@ -533,13 +538,15 @@ def cmd_boost_audit(config, tol, seed, out):
     z_boost = Boost([0.0, 0.0, 1.0], u * c, c)
     x_boost = Boost([1.0, 0.0, 0.0], u * c, c)
     # the pair's first wave is the single wave, so once the single wave and its
-    # boosts pass, the pair and its boosts can fail on k_left only; each audit
-    # boosts its state again
+    # boosts pass, the pair and its boosts can fail on k_left only; each state
+    # and boosted state is compiled for its checks (finite amplitudes and
+    # density bounds at c and hbar), and each audit boosts and compiles again
     single = _named("audit.k_right", single_wave, k_right, 1.0)
     pair = _named("audit.k_left", counterprop_pair, k_right, k_left, 1.0)
     for field, state in (("audit.k_right", single), ("audit.k_left", pair)):
+        _named(field, CompiledState, state, c, hbar)
         for boost in (z_boost, x_boost):
-            _named(field, boost_plane_wave, state, boost)
+            _named(field, lambda: CompiledState(boost_plane_wave(state, boost), c, hbar))
     yield
 
     scenarios = [
@@ -559,7 +566,12 @@ def cmd_boost_audit(config, tol, seed, out):
             print(f"{name:22s} {recipe:12s} {audit.max_mismatch:14.3e}  {audit.verdict}")
 
     with _writing(out / "audits.json") as path:
-        write_json(path, [dict(scenario=name, **audit_to_json(audit)) for name, audit in results])
+        path.write_text(json.dumps([dict(scenario=name, **audit_to_json(audit))
+                                    for name, audit in results]))
+    # the other per-sample arrays, each stacked over the audits in the order above
+    with _writing(out / "audit_samples.npz") as path:
+        np.savez(path, **{name: np.stack([getattr(audit, attr) for _, audit in results])
+                          for name, attr in SAMPLE_ARRAYS.items()})
 
     interference = next(audit for name, audit in results
                         if name == "two-wave x-boost" and audit.recipe == PHI_BASED)
@@ -567,18 +579,19 @@ def cmd_boost_audit(config, tol, seed, out):
         write_csv(path, "s,rho_boosted_frame,rho_fourvector,mismatch",
                   [interference.s, interference.rho_a, interference.rho_b,
                    np.abs(interference.rho_a - interference.rho_b)])
-    print(f"wrote audits.json and interference.csv to {out}")
+    print(f"wrote audits.json, audit_samples.npz and interference.csv to {out}")
 
 
 # --- trajectories -----------------------------------------------------------
 
 def cmd_trajectories(config, tol, seed, out):
-    c, hbar = config["units"]["c"], config["units"]["hbar"]
+    # guidance velocities are ratios of phi densities, so units.hbar is not read
+    c = config["units"]["c"]
     state = build_state(config)
     boost = Boost(config["boost"]["direction"], config["boost"]["u"] * c, c)
     # compiled here for their checks only: the amplitudes of both frames must be finite
-    _named("state", CompiledState, state, c, hbar)
-    _named("boost", lambda: CompiledState(boost_plane_wave(state, boost), c, hbar))
+    _named("state", CompiledState, state, c)
+    _named("boost", lambda: CompiledState(boost_plane_wave(state, boost), c))
     section = config["trajectories"]
     guidance, t0, t1, step = section["guidance"], section["t0"], section["t1"], section["step"]
     yield
@@ -589,10 +602,10 @@ def cmd_trajectories(config, tol, seed, out):
         rng = np.random.default_rng(seed)
         points = sample_points_on_line(state, line["origin"], line["direction"],
                                        line["length"], section["count"], rng,
-                                       guidance, t=t0, c=c, hbar=hbar)
+                                       guidance, t=t0, c=c)
 
     trajectories = integrate_trajectories(state, points, t0, t1, step, guidance, c=c,
-                                          hbar=hbar, node_floor_rel=tol["node_floor"])
+                                          node_floor_rel=tol["node_floor"])
     with _writing(out / "trajectories.csv") as path:
         trajectories_to_csv(path, trajectories)
 
@@ -607,7 +620,7 @@ def cmd_trajectories(config, tol, seed, out):
     checks = []
     for recipe in (PHI_BASED, WEBER_BASED):
         result = frame_consistency_check(state, boost, event["x"], event["t"], recipe,
-                                         hbar=hbar, node_floor_rel=tol["node_floor"])
+                                         node_floor_rel=tol["node_floor"])
         checks.append({
             "guidance": recipe,
             "event_rest": {"x": result.x.tolist(), "t": result.t},

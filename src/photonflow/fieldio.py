@@ -1,4 +1,4 @@
-"""Serialization: the PHWF1 binary field container, CSV exports and JSON payloads.
+"""Serialization: the PHWF1 binary field container and CSV exports.
 
 PHWF1 layout (all multi-byte values little-endian):
 
@@ -35,17 +35,11 @@ host converts, one plane at a time.
 
 CSV exports carry their column names in the first line (no comment
 prefix) so they load directly into plotting tools.
-
-write_json writes a payload whose leaves may be float64 arrays, with the
-bytes json.dumps gives once every such array is a list; it formats each
-distinct float of the whole payload once and writes the text a piece at a
-time.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import struct
 from contextlib import contextmanager
@@ -235,105 +229,6 @@ def check_weber(path) -> WeberFile:
         n = stored.spec.n_per_axis
         _read_payload(fh, stored, itertools.repeat(np.empty((n, n, 3), dtype="<c16"), n))
     return stored
-
-
-# array elements per piece of text that write_json writes: bounds the text held
-_JSON_CHUNK = 1 << 12
-
-# the longest JSON spelling of a float64: sign, 17 digits, point, "e-" and 3 digits
-_REPR_BYTES = 24
-
-
-def write_json(path, obj) -> None:
-    """Write obj as JSON, the bytes of json.dumps(obj) with every float64 array
-    replaced by its tolist().
-
-    Dicts (with str keys), lists and tuples are walked; the float64 ndarrays
-    among them are written from one repr per distinct bit pattern over the
-    whole payload, so NaN, +-inf and -0.0 are spelled as json spells them and
-    a value repeated between arrays is formatted once; every other key and
-    leaf goes through json.dumps, which rejects what it cannot encode.  The
-    text goes to the file piece by piece and is never built whole.
-    """
-    # every distinct bit pattern, sorted, and its repr, null-padded to a fixed width
-    bits = np.empty(0, dtype=np.uint64)
-    for array in _float_arrays(obj):
-        new = _distinct(np.sort(array.reshape(-1).view(np.uint64)))
-        # a stable sort takes the two sorted runs in linear time
-        bits = _distinct(np.sort(np.concatenate([bits, new]), kind="stable"))
-    reprs = np.empty(bits.size, dtype=f"S{_REPR_BYTES}")
-    for start in range(0, bits.size, _JSON_CHUNK):
-        values = bits[start:start + _JSON_CHUNK].view(np.float64).tolist()
-        reprs[start:start + _JSON_CHUNK] = json.dumps(values)[1:-1].encode().split(b", ")
-    with open(path, "wb") as fh:
-        _write_json_value(fh.write, obj, bits, reprs)
-
-
-def _distinct(ordered):
-    """The distinct values of the sorted 1-d array ``ordered``."""
-    keep = np.empty(ordered.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return ordered[keep]
-
-
-def _is_float_array(obj) -> bool:
-    """True for a float64 array of one or more axes and elements."""
-    return (isinstance(obj, np.ndarray) and obj.dtype == np.float64
-            and obj.ndim > 0 and obj.size > 0)
-
-
-def _float_arrays(obj):
-    """The float64 arrays with elements among the leaves of obj."""
-    if isinstance(obj, dict):
-        obj = list(obj.values())
-    if isinstance(obj, (list, tuple)):
-        for value in obj:
-            yield from _float_arrays(value)
-    elif _is_float_array(obj):
-        yield obj
-
-
-def _write_json_value(write, obj, bits, reprs) -> None:
-    if isinstance(obj, dict):
-        write(b"{")
-        for i, (key, value) in enumerate(obj.items()):
-            write(f"{', ' if i else ''}{json.dumps(key)}: ".encode())
-            _write_json_value(write, value, bits, reprs)
-        write(b"}")
-    elif isinstance(obj, (list, tuple)):
-        write(b"[")
-        for i, value in enumerate(obj):
-            if i:
-                write(b", ")
-            _write_json_value(write, value, bits, reprs)
-        write(b"]")
-    elif _is_float_array(obj):
-        _write_float_array(write, obj, bits, reprs)
-    else:  # a float64 scalar or array without elements too: nothing to share
-        write(json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj).encode())
-
-
-def _write_float_array(write, array, bits, reprs) -> None:
-    # each element's repr and the separator after it, null-padded side by side
-    # in one byte row per element, written without the nulls: ", " inside the
-    # last axis; where k trailing axes end, k closing brackets, ", " and k
-    # opening ones; after the last element, the closing brackets
-    inner = array.ndim - 1
-    rows = array.reshape(len(array), -1)
-    step = max(1, _JSON_CHUNK // rows.shape[1])
-    write(b"[" * array.ndim)
-    for start in range(0, len(rows), step):
-        chunk = rows[start:start + step].reshape(-1).view(np.uint64)
-        separators = np.full(chunk.size, b", ", dtype=f"S{2 + 2 * inner}")
-        for depth in range(1, inner + 1):
-            stride = int(np.prod(array.shape[-depth:]))
-            separators[stride - 1::stride] = b"]" * depth + b", " + b"[" * depth
-        if start + step >= len(rows):
-            separators[-1] = b"]" * array.ndim
-        text = np.concatenate([reprs[np.searchsorted(bits, chunk)].view(np.uint8).reshape(
-            chunk.size, -1), separators.view(np.uint8).reshape(chunk.size, -1)], axis=1)
-        write(text[text != 0].tobytes())
 
 
 def write_csv(path, header: str, columns) -> None:

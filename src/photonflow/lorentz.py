@@ -34,6 +34,11 @@ from .planewaves import (PHI_BASED, CircularPlaneWave, CompiledState, PlaneWaveS
 _CONSISTENCY_TOL = 1e-9
 # default mismatch below which audit_four_vector calls a recipe four-vector consistent
 _AUDIT_TOL = 1e-9
+# the per-sample arrays that audit_to_json leaves out, by the name a file
+# stores each under: name -> FourVectorAudit attribute
+SAMPLE_ARRAYS = {"x_prime": "x_prime", "t_prime": "t_prime",
+                 "rho_boosted_frame": "rho_a", "rho_fourvector": "rho_b",
+                 "current_boosted_frame": "current_a", "current_fourvector": "current_b"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,12 +252,11 @@ def audit_four_vector(state: PlaneWaveSuperposition, boost: Boost,
 
 
 def audit_to_json(audit: FourVectorAudit) -> dict:
-    """A summary of an audit for fieldio.write_json, samples included.
-
-    The per-sample values stay float64 arrays (s, t', rho and the mismatch
-    of shape (n,); x', J of shape (n, 3)), which write_json writes as the
-    lists their tolist() gives; everything else is a plain JSON value.
-    """
+    """A JSON-ready record of an audit: its recipe, boost, verdict, mismatch,
+    tolerance and scale, and the mismatch profile along the sample line as
+    the lists samples.s and samples.mismatch (the worst sample is
+    argmax(mismatch)).  The other per-sample arrays (x', t', rho and J of
+    both routes, SAMPLE_ARRAYS) are left to the caller's binary file."""
     return {
         "recipe": audit.recipe,
         "boost": {
@@ -264,14 +268,5 @@ def audit_to_json(audit: FourVectorAudit) -> dict:
         "max_mismatch": audit.max_mismatch,
         "tolerance": audit.tolerance,
         "scale": audit.scale,
-        "samples": {
-            "s": audit.s,
-            "x_prime": audit.x_prime,
-            "t_prime": audit.t_prime,
-            "rho_boosted_frame": audit.rho_a,
-            "rho_fourvector": audit.rho_b,
-            "current_boosted_frame": audit.current_a,
-            "current_fourvector": audit.current_b,
-            "mismatch": audit.mismatch_field,
-        },
+        "samples": {"s": audit.s.tolist(), "mismatch": audit.mismatch_field.tolist()},
     }

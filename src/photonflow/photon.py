@@ -222,9 +222,14 @@ def single_photon_norm(weber: WeberGrid,
                        dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> float:
     """sqrt(photon_number(weber)), the divisor that makes ``weber`` one photon.
 
-    A field with no photons raises ZeroFieldError.
+    A field with no photons raises ZeroFieldError; a photon number beyond a
+    float, which would divide the field to 0, raises FieldValidationError.
     """
-    n = photon_number(weber, dc_tolerance)
+    with np.errstate(over="ignore"):
+        n = photon_number(weber, dc_tolerance)
+    if not np.isfinite(n):
+        raise FieldValidationError(
+            f"photon number {n!r} is not finite; normalizing would leave a zero field")
     if n == 0.0:
         raise ZeroFieldError("photon number is 0; there is no photon to normalize")
     return np.sqrt(n)

@@ -250,7 +250,7 @@ def _one_point_loop(state, x0, t1, recipe, node_floor_rel=bohm._NODE_FLOOR_REL):
     """Reference: the knots of bohm._rk4 for x0 alone, up to its first dead knot."""
     times, positions, velocities = [], [], []
     for t, x, v, live in bohm._rk4(state, np.reshape(x0, (1, 3)), 0.0, t1, 0.05, recipe,
-                                   1.0, 1.0, node_floor_rel):
+                                   1.0, node_floor_rel):
         if not live[0]:
             break
         times.append(t)

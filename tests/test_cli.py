@@ -12,7 +12,7 @@ import os
 import struct
 import subprocess
 import sys
-import tracemalloc
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +25,9 @@ from photonflow import cli, fieldio, fields, photon, spectral
 from photonflow.cli import (_AUDIT_SAMPLES_LIMIT, _FIELD_BYTES_LIMIT, _POINT_KNOTS_LIMIT,
                             _check_budget, build_parser, load_config, main)
 from photonflow.errors import ConfigError
-from photonflow.fieldio import _HEADER, read_weber, write_json, write_weber
-from photonflow.planewaves import counterprop_pair
+from photonflow.fieldio import _HEADER, read_weber, write_weber
+from photonflow.lorentz import SAMPLE_ARRAYS, Boost, audit_four_vector
+from photonflow.planewaves import counterprop_pair, single_wave
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -530,10 +531,11 @@ def test_boost_audit_without_a_net_boosted_wave_vector(tmp_path, capsys):
     assert rc == 0
     rows = _audit_rows(capsys.readouterr().out)
     assert len(rows) == 8 and {row[3] for row in rows} == {"four_vector_consistent"}
-    pair = [a for a in _load_json(out, "audits.json") if a["scenario"].startswith("two-wave")]
-    for audit in pair:
-        x_prime = np.array(audit["samples"]["x_prime"])
-        assert np.all(x_prime[:, 1:] == 0.0) and x_prime[-1, 0] < 2.0 * np.pi
+    scenarios = [a["scenario"] for a in _load_json(out, "audits.json")]
+    x_primes = np.load(out / "audit_samples.npz")["x_prime"]
+    for scenario, x_prime in zip(scenarios, x_primes):
+        if scenario.startswith("two-wave"):
+            assert np.all(x_prime[:, 1:] == 0.0) and x_prime[-1, 0] < 2.0 * np.pi
 
 
 def _audit_rows(text):
@@ -572,26 +574,48 @@ def test_boost_audit_interference_csv(tmp_path):
     np.testing.assert_allclose(table[:, 2], 1.5 * gamma, atol=1e-9)
 
 
-def test_audits_json_is_written_in_pieces(tmp_path, monkeypatch):
-    # the benchmark's payload, eight audits of 4096 samples: write_json holds
-    # one array's pieces at a time, where json.dumps held its lists and the
-    # whole 7 MB text
-    peaks = []
-
-    def traced(path, payload):
-        tracemalloc.start()
-        try:
-            write_json(path, payload)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-
-    monkeypatch.setattr(cli, "write_json", traced)
-    rc, out = _run(tmp_path, "boost-audit", {"audit": {"samples": 4096}})
+def test_audit_files_hold_the_arrays_of_each_audit(tmp_path):
+    # the benchmark's eight audits of 4096 samples: audits.json holds each
+    # audit's record with s and the mismatch profile, audit_samples.npz the
+    # other per-sample arrays stacked over the audits in the same order
+    samples = 4096
+    rc, out = _run(tmp_path, "boost-audit", {"audit": {"samples": samples}})
     assert rc == 0
-    size = (out / "audits.json").stat().st_size
-    assert size > 6e6
-    assert peaks[0] <= 0.5 * size, peaks[0] / size
+    records = _load_json(out, "audits.json")
+    stored = np.load(out / "audit_samples.npz")
+    z_boost, x_boost = Boost([0.0, 0.0, 1.0], 0.5), Boost([1.0, 0.0, 0.0], 0.5)
+    audits = [(scenario, audit_four_vector(state, boost, recipe, n_samples=samples))
+              for scenario, state, boost in (
+                  ("single-wave z-boost", single_wave(1.0, 1.0), z_boost),
+                  ("single-wave x-boost", single_wave(1.0, 1.0), x_boost),
+                  ("two-wave z-boost", counterprop_pair(1.0, 2.0, 1.0), z_boost),
+                  ("two-wave x-boost", counterprop_pair(1.0, 2.0, 1.0), x_boost))
+              for recipe in ("phi_based", "weber_based")]
+    assert len(records) == len(audits) == 8
+    assert sorted(stored.files) == sorted(SAMPLE_ARRAYS)
+
+    def same_bits(a, b):
+        return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    for i, (record, (scenario, audit)) in enumerate(zip(records, audits)):
+        assert (record["scenario"], record["recipe"]) == (scenario, audit.recipe)
+        assert (record["verdict"], record["max_mismatch"]) == (audit.verdict, audit.max_mismatch)
+        assert record["samples"].keys() == {"s", "mismatch"}
+        assert same_bits(np.array(record["samples"]["s"]), audit.s)
+        assert same_bits(np.array(record["samples"]["mismatch"]), audit.mismatch_field)
+        for name, attr in SAMPLE_ARRAYS.items():
+            assert same_bits(stored[name][i], getattr(audit, attr)), (scenario, name)
+    # 2 numbers a sample in the JSON, where all 14 took 7 MB
+    assert (out / "audits.json").stat().st_size < 2e6
+
+
+def test_audit_samples_npz_entries_carry_a_fixed_date(tmp_path):
+    # zipfile stamps each entry 1980-01-01, so the bytes do not depend on when
+    # the file was written
+    rc, out = _run(tmp_path, "boost-audit", {"audit": {"samples": 16}})
+    assert rc == 0
+    with zipfile.ZipFile(out / "audit_samples.npz") as archive:
+        assert {info.date_time for info in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
 
 
 # --- trajectories -----------------------------------------------------------
@@ -848,14 +872,16 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
     # I' = 2e307 is finite, but |F'|^2 = 8 pi I' / c is not
     ("trajectories", {"state": {"components": [{"k": [0, 0, 1], "I": 1e301}]},
                       "boost": {"direction": [0, 0, -1], "u": 0.999999}}, "boost"),
-    # the rest-frame state compiles, but the redshifted 8 pi hbar c |k'| underflows
-    # to 0, so the phi amplitude is not finite: the boosted state's compile rejects it
-    ("trajectories", {"units": {"c": 1e-100, "hbar": 1e-100},
-                      "state": {"components": [{"k": [0, 0, 1e-124], "I": 1e-120}]},
-                      "boost": {"direction": [0, 0, 1], "u": 0.9998}}, "boost"),
-    # the amplitudes are finite, but the phi density bound (sum |phi_m|)^2 is not
-    ("trajectories", {"units": {"c": 1e-100, "hbar": 1e-100},
-                      "state": {"components": [{"k": [0, 0, 1], "I": 1e9}]}}, "state"),
+    # the phi density bound (sum |phi_m|)^2 of the single wave is not finite;
+    # at hbar = 1e-100 its phi amplitude is not finite either
+    ("boost-audit", {"units": {"c": 1e-100}, "audit": {"k_right": 1e-140, "samples": 16}},
+     "audit.k_right"),
+    ("boost-audit", {"units": {"c": 1e-100, "hbar": 1e-100},
+                     "audit": {"k_right": 1e-140, "samples": 16}}, "audit.k_right"),
+    # the photon number overflows, and normalizing would divide the field to 0
+    ("evolve", {"units": {"c": 1e-100}, "grid": {"n": 8, "L": 1e30},
+                "state": {"components": [{"k": [0, 0, 6.283185307179586e-30]}]},
+                "evolve": {"normalize": True, "times": [0.0]}}, "state"),
     # the outer bundle modes' Gaussian weight exp(-4e6) underflows to 0
     ("doubleslit", {"grid": {"n": 16}, "doubleslit": {"bundle_width": 2,
                                                       "bundle_sigma": 1e-3}},
@@ -896,7 +922,8 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
         "backward-span", "audit-speed-rounds-to-c", "boost-speed-rounds-to-c",
         "subnormal-c-trajectories", "tiny-c-boost-audit", "huge-hbar", "tiny-box-evolve",
         "huge-box-doubleslit", "tiny-box-trajectories", "boosted-intensity-overflows",
-        "boosted-amplitude-overflows", "boosted-phi-overflows", "density-bound-overflows",
+        "boosted-amplitude-overflows", "audit-density-bound-overflows",
+        "audit-phi-overflows", "normalized-photon-number-overflows",
         "tiny-bundle-sigma", "underflowing-bundle-sigma", "underflowing-second-source",
         "overflowing-slit-profile", "slit-times-over-limit", "snapshots-over-disk-limit",
         "wave-longer-than-box", "underflowing-k-left",
@@ -945,6 +972,42 @@ def test_units_at_the_ends_of_their_range_run(tmp_path, command, c, hbar):
              "doubleslit": {"grid": {"n": 16}}}[command]
     rc, out = _run(tmp_path, command, config=dict(small, units={"c": c, "hbar": hbar}))
     assert rc == 0 and out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    # at hbar = 1e-100 the redshifted 8 pi hbar c |k'| would underflow to 0
+    {"state": {"components": [{"k": [0, 0, 1e-124], "I": 1e-120}]},
+     "boost": {"direction": [0, 0, 1], "u": 0.9998}},
+    # at hbar = 1e-100 the phi density bound (sum |phi_m|)^2 would not be finite
+    {"state": {"components": [{"k": [0, 0, 1], "I": 1e9}]}},
+], ids=["boosted-phi-overflows", "density-bound-overflows"])
+def test_trajectories_take_no_hbar(tmp_path, capsys, config):
+    # guidance velocities are ratios of phi densities: a run at hbar = 1e-100
+    # writes the bytes of the run at hbar = 1
+    config = dict(config, units={"c": 1e-100, "hbar": 1e-100},
+                  trajectories={"count": 4})
+    assert main(["trajectories", "--config", _write_config(tmp_path, config),
+                 "--out", str(tmp_path / "tiny")]) == 0
+    config["units"] = {"c": 1e-100}
+    rc, out = _run(tmp_path, "trajectories", config=config)
+    assert rc == 0 and "Warning" not in capsys.readouterr().err
+    for name in ("trajectories.csv", "summary.json"):
+        assert (out / name).read_bytes() == (tmp_path / "tiny" / name).read_bytes()
+
+
+def test_normalized_state_file_whose_photon_number_overflows_exits_2(tmp_path, capsys):
+    config = {"units": {"c": 1e-100}, "grid": {"n": 8, "L": 1e30},
+              "state": {"components": [{"k": [0, 0, 6.283185307179586e-30]}]},
+              "evolve": {"times": [0.0]}}
+    assert main(["evolve", "--config", _write_config(tmp_path, config, name="plain.json"),
+                 "--out", str(tmp_path / "plain")]) == 0
+    rc, out = _run(tmp_path, "evolve", config={
+        "state": {"file": str(tmp_path / "plain" / "snapshot_00.phwf")},
+        "evolve": {"times": [0.0], "normalize": True}})
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "photon number inf is not finite" in err and "(field: state.file)" in err
+    assert not out.exists()
 
 
 def test_every_speed_the_schema_takes_is_a_boost_below_c(rng):

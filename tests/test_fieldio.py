@@ -1,18 +1,15 @@
-"""Binary field container round trips, the CSV writers and the JSON writer."""
+"""Binary field container round trips and the CSV writers."""
 
-import json
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from photonflow import GridSpec, WeberGrid, read_weber, write_weber
 from photonflow.bohm import Trajectory
 from photonflow.errors import FieldValidationError
-from photonflow import fieldio
-from photonflow.fieldio import trajectories_to_csv, write_csv, write_json
+from photonflow.fieldio import trajectories_to_csv, write_csv
 
 
 def _random_grid(rng, n=4, representation="position", c=1.0, hbar=1.0,
@@ -150,48 +147,6 @@ def test_write_csv_has_the_bytes_of_savetxt(tmp_path, rng, rows, ncol):
     write_csv(tmp_path / "ours.csv", header, table.T)
     np.savetxt(tmp_path / "savetxt.csv", table, delimiter=",", header=header, comments="")
     assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
-
-
-def _as_lists(obj):
-    if isinstance(obj, dict):
-        return {key: _as_lists(value) for key, value in obj.items()}
-    if isinstance(obj, list):
-        return [_as_lists(value) for value in obj]
-    return obj.tolist() if isinstance(obj, np.ndarray) else obj
-
-
-FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
-ARRAYS = st.one_of(
-    st.lists(FLOATS, max_size=12).map(lambda values: np.array(values, dtype=float)),
-    st.lists(st.tuples(FLOATS, FLOATS, FLOATS), max_size=6).map(
-        lambda rows: np.array(rows, dtype=float).reshape(-1, 3)))
-PAYLOADS = st.recursive(
-    ARRAYS | FLOATS | st.text(max_size=4) | st.integers() | st.booleans() | st.none(),
-    lambda children: (st.lists(children, max_size=4)
-                      | st.dictionaries(st.text(max_size=4), children, max_size=4)),
-    max_leaves=12)
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(payload=PAYLOADS)
-def test_write_json_has_the_bytes_of_json_dumps(tmp_path_factory, payload):
-    path = tmp_path_factory.getbasetemp() / "payload.json"  # rewritten by each example
-    write_json(path, payload)
-    assert path.read_text(encoding="utf-8") == json.dumps(_as_lists(payload))
-
-
-@pytest.mark.parametrize("chunk", [1, 2, 5, 4096])
-def test_write_json_joins_its_pieces_across_rows_and_arrays(tmp_path, monkeypatch, rng, chunk):
-    # pieces of whole first-axis rows, so a piece may end inside a nested row
-    # of a 3-d array; values repeat within and between arrays, and the one
-    # repr each distinct value gets serves all of them
-    monkeypatch.setattr(fieldio, "_JSON_CHUNK", chunk)
-    values = np.array(SPECIAL + [0.1, 1.0 / 3.0, -7e-300])
-    shapes = [(7,), (5, 3), (2, 3, 4), (3, 1, 2), (1, 1, 1, 2), (4, 0), (0,), ()]
-    arrays = [rng.choice(values, shape) for shape in shapes]
-    payload = {"arrays": arrays, "again": arrays[1][::-1].T, "reused": [arrays[0]] * 2}
-    write_json(tmp_path / "payload.json", payload)
-    assert (tmp_path / "payload.json").read_text() == json.dumps(_as_lists(payload))
 
 
 def test_trajectories_csv_layout(tmp_path):

@@ -19,7 +19,6 @@ from photonflow import (Boost, analytic_probability_flow, audit_four_vector,
 from photonflow import lorentz
 from photonflow.errors import (FieldValidationError, InternalConsistencyError,
                                ZeroFieldError)
-from photonflow.fieldio import write_json
 from photonflow.lorentz import default_sample_line
 from photonflow.photon import PHI_BASED, WEBER_BASED
 from photonflow.planewaves import (PlaneWaveSuperposition, counterprop_pair,
@@ -301,24 +300,16 @@ def test_audit_samples_along_x_when_the_boosted_wave_vectors_cancel():
     assert s[-1] < period <= s[-1] + (s[1] - s[0]) * 1.0001
 
 
-def test_audit_json_payload(tmp_path):
+def test_audit_record_is_plain_json():
     audit = audit_four_vector(single_wave(), _half_z(), WEBER_BASED, n_samples=16)
-    payload = audit_to_json(audit)
-    assert payload["recipe"] == WEBER_BASED
-    assert payload["verdict"] == "violated"
-    assert payload["boost"] == {"direction": [0.0, 0.0, 1.0], "speed": 0.5, "c": 1.0}
-    # the samples are the audit's own arrays, handed to write_json as they are
-    samples = payload["samples"]
-    assert samples["rho_boosted_frame"] is audit.rho_a
-    assert samples["current_fourvector"] is audit.current_b
-    assert samples["mismatch"] is audit.mismatch_field
-    assert all(value.dtype == np.float64 for value in samples.values())
-    assert samples["x_prime"].shape == samples["current_boosted_frame"].shape == (16, 3)
-    path = tmp_path / "audit.json"
-    write_json(path, payload)
-    written = json.loads(path.read_text())
-    assert written["samples"]["current_fourvector"] == audit.current_b.tolist()
-    assert written["samples"]["mismatch"] == audit.mismatch_field.tolist()
+    record = audit_to_json(audit)
+    assert json.loads(json.dumps(record)) == record
+    assert (record["recipe"], record["verdict"]) == (WEBER_BASED, "violated")
+    assert record["boost"] == {"direction": [0.0, 0.0, 1.0], "speed": 0.5, "c": 1.0}
+    # the mismatch profile only: its argmax is the worst sample
+    assert record["samples"] == {"s": audit.s.tolist(),
+                                 "mismatch": audit.mismatch_field.tolist()}
+    assert max(record["samples"]["mismatch"]) == record["max_mismatch"]
 
 
 def test_audit_rejects_empty_state():

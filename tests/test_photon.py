@@ -9,7 +9,8 @@ from photonflow import (GridSpec, PhotonWaveFunction, WeberGrid, continuity_resi
                         inverse_transform, normalize_single_photon,
                         photon_number, photon_wavefunction, probability_flow,
                         sample_to_grid, to_position, weber_probability_flow)
-from photonflow.errors import DCContentError, RepresentationError, ZeroFieldError
+from photonflow.errors import (DCContentError, FieldValidationError, RepresentationError,
+                               ZeroFieldError)
 from photonflow.photon import PHI_BASED, WEBER_BASED
 from photonflow.planewaves import (CircularPlaneWave, PlaneWaveSuperposition,
                                    copropagating_pair, counterprop_pair, place,
@@ -58,6 +59,16 @@ def test_normalize_rejects_zero_field(spec8):
                      representation="momentum")
     with pytest.raises(ZeroFieldError):
         normalize_single_photon(zero)
+
+
+def test_normalize_rejects_a_photon_number_beyond_a_float():
+    # N = E / (hbar k c) overflows at c = 1e-100 for a box of L = 1e30; dividing
+    # by its square root would give a zero field (pytest turns a warning into an error)
+    spec = GridSpec(8, 1e30, c=1e-100)
+    wave = CircularPlaneWave([0.0, 0.0, 2.0 * np.pi / 1e30], 1.0)
+    weber = place(PlaneWaveSuperposition([wave]), spec)
+    with pytest.raises(FieldValidationError, match="photon number inf is not finite"):
+        normalize_single_photon(weber)
 
 
 def test_zero_field_photon_number(spec8):

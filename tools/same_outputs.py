@@ -12,7 +12,8 @@ printed paths are the same on both sides.  Each side also runs the
 itself: a longitudinal mode (the transversality gate), a heavy k = 0 mode
 (the DC check, after the first snapshot is written), a NaN entry and a
 header cut short (the state-file checks, before --out exists), and the jobs
-of EXTRA, which cover steps the workloads never take.  The exit code,
+of EXTRA, which cover steps, odd grids and non-unit c and hbar that the
+workloads never take.  The exit code,
 stdout, stderr and sha256 of every file each job writes are compared, so a
 warning that one side prints and the other does not is a difference; the
 names that differ are printed, and the exit status is 1 on any difference,
@@ -41,9 +42,11 @@ SEED = "3"
 # jobs beside the workloads' {kind: (command, config)}: a doubleslit and an
 # evolve whose steps include a negative step and a zero step between two
 # others (doubleslit dt = 0.8, -0.8, 0, -0.4; evolve dt = 0, 0.5, 0, -0.75,
-# 1.25, each written to its own snapshot), and an evolve and a doubleslit on
+# 1.25, each written to its own snapshot), an evolve and a doubleslit on
 # odd grids, whose index ranges are lopsided (-(n-1)/2 .. (n-1)/2) and whose
-# planes split unevenly between two workers
+# planes split unevenly between two workers, and a boost-audit and a
+# trajectories at c = 2 and hbar = 0.25, where the workloads run at c = hbar = 1
+NON_UNIT = {"c": 2.0, "hbar": 0.25}
 EXTRA = {
     "doubleslit-steps": ("doubleslit", {"grid": {"n": 32}, "doubleslit": {
         "bundle_width": 1, "times": [0.8, 0.0, 0.0, -0.4]}}),
@@ -52,6 +55,8 @@ EXTRA = {
     "evolve-odd-n": ("evolve", {"grid": {"n": 33}, "evolve": {"normalize": True}}),
     "doubleslit-odd-n": ("doubleslit", {"grid": {"n": 35}, "doubleslit": {
         "bundle_width": 2}}),
+    "boost-audit-units": ("boost-audit", {"units": NON_UNIT, "audit": {"samples": 64}}),
+    "trajectories-units": ("trajectories", {"units": NON_UNIT}),
 }
 
 
