@@ -24,7 +24,9 @@ integrate_trajectories, which keeps every knot of the pass and cuts each
 point's Trajectory at its first node stop, and transport_ensemble, which
 keeps only the final knot.
 knot_count is the one count of its knots, which the CLI's work bound reads
-as well; a pass of more than 2^53 knots is rejected.
+as well; a pass of more than 2^53 knots is rejected.  _rk4 forms each knot
+time as it steps, so it holds nothing sized by the count; the arrays
+integrate_trajectories fills are the pass's only such allocation.
 
 The frame-consistency check compares, at one event, the velocity
 obtained by relativistically transforming the rest-frame velocity
@@ -35,6 +37,7 @@ themselves to be Lorentz covariant.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,14 +142,19 @@ def _rk4(state, points, t0, t1, step, guidance, c, node_floor_rel):
         raise FieldValidationError(
             f"step = {step!r} takes {count:.6g} RK4 knots from t0 = {t0!r} to t1 = {t1!r}, "
             f"more than 2^53")
-    knots = t0 + step * np.arange(int(count))
-    knots[-1] = t1
-    v, node = velocity(x, knots[0])
+    count = int(count)
+
+    def knot(j):  # formed as the loop reaches it: nothing is sized by the count
+        return t1 if j == count - 1 else t0 + step * j
+
+    a = knot(0)
+    v, node = velocity(x, a)
     live = ~node
-    yield knots[0], x, v, live
-    for a, b in zip(knots[:-1], knots[1:]):
+    yield a, x, v, live
+    for j in range(1, count):
         if not live.any():
             return
+        b = knot(j)
         h = b - a
         k2, m2 = velocity(x + 0.5 * h * v, a + 0.5 * h)
         k3, m3 = velocity(x + 0.5 * h * k2, a + 0.5 * h)
@@ -157,6 +165,7 @@ def _rk4(state, points, t0, t1, step, guidance, c, node_floor_rel):
         x = np.where(live[:, None], x_next, x)
         v = np.where(live[:, None], v_next, v)
         yield b, x, v, live
+        a = b
 
 
 def integrate_trajectories(state: PlaneWaveSuperposition, points, t0: float, t1: float,
@@ -176,14 +185,19 @@ def integrate_trajectories(state: PlaneWaveSuperposition, points, t0: float, t1:
         raise GuidanceNodeError(
             f"trajectory starts on a density node at x = {x[i].tolist()}, t = {t:.6g}",
             location=x[i], time=float(t))
-    times, positions, velocities, alive = zip(first, *knots)
-    times = np.array(times)
-    positions = np.stack(positions, axis=1)
-    velocities = np.stack(velocities, axis=1)
-    # a point never comes back to life, so its live count is its first dead knot
-    stops = np.sum(alive, axis=0)
+    # the arrays the CLI's work bound counts (48 bytes a point-knot), filled
+    # knot by knot; a point never comes back to life, so its live count is
+    # its first dead knot
+    count = int(knot_count(t0, t1, step))
+    times = np.empty(count)
+    positions = np.empty((len(x), count, 3))
+    velocities = np.empty((len(x), count, 3))
+    stops = np.zeros(len(x), dtype=np.int64)
+    for j, (t, x, v, live) in enumerate(itertools.chain([first], knots)):
+        times[j], positions[:, j], velocities[:, j] = t, x, v
+        stops += live
     return [Trajectory(times[:stop], positions[i, :stop], velocities[i, :stop], guidance,
-                       bool(stop < len(times)))
+                       bool(stop < count))
             for i, stop in enumerate(stops)]
 
 

@@ -84,6 +84,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 # Before numpy loads: the OpenBLAS bundled with numpy starts a thread pool
@@ -98,7 +99,8 @@ import numpy as np
 from . import __version__
 from .bohm import (_NODE_FLOOR_REL, frame_consistency_check, integrate_trajectories,
                    knot_count, sample_points_on_line)
-from .errors import ConfigError, FieldValidationError, OffGridWaveVectorError, PhotonflowError
+from .errors import (ConfigError, FieldValidationError, OffGridWaveVectorError, PhotonflowError,
+                     ZeroFieldError)
 from .fieldio import (_HEADER, _POINT_BYTES, WeberFile, check_weber, new_weber_files,
                       read_weber, trajectories_to_csv, weber_header, write_csv)
 from .fields import (_BOX_LENGTH_RANGE, _UNIT_RANGE, MOMENTUM, POSITION, FieldPlanes, GridSpec,
@@ -230,7 +232,11 @@ def _state(value, path):
 # time), trajectory points times RK4 knots that the one integration pass
 # holds (48 bytes each), and samples per four-vector audit (each of the
 # eight audits stores 14 numbers a sample: 2 in audits.json, 12 in
-# audit_samples.npz).
+# audit_samples.npz).  The jobs hold little more than that: measured peak
+# RSS at the bounds, over a small job's 35 MiB, is about 54 bytes a
+# point-knot (911 when the knots were stacked and trajectories.csv was
+# formatted as one table) and 1,100 bytes an audit sample (2,240 when
+# every audit was held to the end).
 _FIELD_BYTES_LIMIT = 2 ** 31
 _MAX_N = 355  # the largest n with 48 n^3 <= _FIELD_BYTES_LIMIT
 # disk bytes of all the snapshots of one evolve run, headers included: 32
@@ -391,11 +397,12 @@ def build_state(config) -> PlaneWaveSuperposition:
 
 def _named(field, build, *args):
     """build(*args); a value the library rejects in it (FieldValidationError,
-    OffGridWaveVectorError), or a file it cannot read (OSError), is a
-    ConfigError naming the config ``field``."""
+    OffGridWaveVectorError, or ZeroFieldError for a state with no photon to
+    normalize), or a file it cannot read (OSError), is a ConfigError naming
+    the config ``field``."""
     try:
         return build(*args)
-    except (FieldValidationError, OffGridWaveVectorError, OSError) as exc:
+    except (FieldValidationError, OffGridWaveVectorError, ZeroFieldError, OSError) as exc:
         raise ConfigError(f"{field}: {exc}", field=field) from exc
 
 
@@ -446,8 +453,8 @@ def _initial_source(config, tol):
     into memory (and transformed in place), with the same checks.  Every
     fault of the file is a ConfigError naming state.file (_named).  A
     normalized state is read through the divisor that makes it one photon,
-    never copied; a photon number beyond a float is a ConfigError naming
-    state, or state.file for a file.
+    never copied; a photon number of 0 or beyond a float is a ConfigError
+    naming state, or state.file for a file.
     """
     normalize, times = config["evolve"]["normalize"], len(config["evolve"]["times"])
     path = config["state"].get("file")
@@ -556,29 +563,44 @@ def cmd_boost_audit(config, tol, seed, out):
         ("two-wave x-boost", pair, x_boost),
     ]
 
+    # every per-sample array of the audits lives in one array per attribute,
+    # allocated once and stacked over the audits in this order: each audit,
+    # as it completes, is copied into its rows and kept as a view of them,
+    # and its own arrays are dropped, so the job holds the audits once
+    per_sample = ("s", "mismatch_field", *SAMPLE_ARRAYS.values())
     results = []
     print(f"{'scenario':22s} {'recipe':12s} {'max mismatch':>14s}  verdict")
     for name, state, boost in scenarios:
         for recipe in (PHI_BASED, WEBER_BASED):
             audit = audit_four_vector(state, boost, recipe, hbar=hbar,
                                       n_samples=section["samples"], tolerance=tol["audit"])
-            results.append((name, audit))
             print(f"{name:22s} {recipe:12s} {audit.max_mismatch:14.3e}  {audit.verdict}")
+            if not results:  # shaped by the first audit
+                stacked = {attr: np.empty((2 * len(scenarios),) + getattr(audit, attr).shape)
+                           for attr in per_sample}
+            rows = {attr: stacked[attr][len(results)] for attr in per_sample}
+            for attr, row in rows.items():
+                row[...] = getattr(audit, attr)
+            results.append((name, replace(audit, **rows)))
+            del audit
 
-    with _writing(out / "audits.json") as path:
-        path.write_text(json.dumps([dict(scenario=name, **audit_to_json(audit))
-                                    for name, audit in results]))
-    # the other per-sample arrays, each stacked over the audits in the order above
+    # every audit has passed: the bytes of json.dumps of the list of records,
+    # formed one record at a time
+    with _writing(out / "audits.json") as path, open(path, "w") as fh:
+        fh.write("[")
+        for i, (name, audit) in enumerate(results):
+            fh.write(", " if i else "")
+            fh.write(json.dumps(dict(scenario=name, **audit_to_json(audit))))
+        fh.write("]")
     with _writing(out / "audit_samples.npz") as path:
-        np.savez(path, **{name: np.stack([getattr(audit, attr) for _, audit in results])
-                          for name, attr in SAMPLE_ARRAYS.items()})
+        np.savez(path, **{name: stacked[attr] for name, attr in SAMPLE_ARRAYS.items()})
 
     interference = next(audit for name, audit in results
                         if name == "two-wave x-boost" and audit.recipe == PHI_BASED)
     with _writing(out / "interference.csv") as path:
         write_csv(path, "s,rho_boosted_frame,rho_fourvector,mismatch",
-                  [interference.s, interference.rho_a, interference.rho_b,
-                   np.abs(interference.rho_a - interference.rho_b)])
+                  [[interference.s, interference.rho_a, interference.rho_b,
+                    np.abs(interference.rho_a - interference.rho_b)]])
     print(f"wrote audits.json, audit_samples.npz and interference.csv to {out}")
 
 
@@ -718,8 +740,8 @@ def cmd_doubleslit(config, tol, seed, out):
 
     y = spec.axis_coordinates()
     with _writing(out / "frames.csv") as path:
-        write_csv(path, "t,y,rho",
-                  [np.repeat(times, y.size), np.tile(y, len(times)), np.concatenate(profiles)])
+        write_csv(path, "t,y,rho", ([np.broadcast_to(float(t), y.shape), y, profile]
+                                    for t, profile in zip(times, profiles)))
 
     spacing, visibility = _fringe_measurement(profiles[0], spec.box_length)
     m_t = section["transverse_mode"]

@@ -34,7 +34,10 @@ name when the caller commits it, in the caller's order.  Only a big-endian
 host converts, one plane at a time.
 
 CSV exports carry their column names in the first line (no comment
-prefix) so they load directly into plotting tools.
+prefix) so they load directly into plotting tools.  write_csv, the one CSV
+writer, takes its rows in blocks and formats a bounded number of rows at a
+time, so a caller that hands it one block per trajectory or per time holds
+no table of the whole file.
 """
 
 from __future__ import annotations
@@ -61,6 +64,10 @@ _POINT_BYTES = 6 * 8
 
 # whether a complex128 in memory has the payload's byte order
 _LITTLE_ENDIAN = np.dtype("<c16").isnative
+
+# CSV rows that write_csv formats in one %; each number of them takes a
+# float object and a tuple slot (32 bytes) and 25 bytes of text
+_CSV_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -231,21 +238,27 @@ def check_weber(path) -> WeberFile:
     return stored
 
 
-def write_csv(path, header: str, columns) -> None:
-    """Write named columns (1-d arrays of equal length) as CSV, the bytes of
-    np.savetxt(path, table, delimiter=",", header=header, comments="")
-    formatted in one % over the whole table."""
-    table = np.column_stack([np.asarray(col, dtype=float) for col in columns])
-    rows = (",".join(["%.18e"] * table.shape[1]) + "\n") * table.shape[0]
+def write_csv(path, header: str, blocks) -> None:
+    """Write the line ``header``, then row blocks as CSV: each block is a list
+    of columns (arrays of equal length, or of shape (rows, m) for m columns),
+    and the file has the bytes of np.savetxt(path, table, delimiter=",",
+    header=header, comments="") for the table of every block's rows in turn.
+    Each block is formatted _CSV_ROWS rows at a time, so what the writer
+    holds does not grow with the row count."""
     with open(path, "w") as fh:
         fh.write(f"{header}\n")
-        fh.write(rows % tuple(table.ravel().tolist()))
+        for block in blocks:
+            block = [np.asarray(col, dtype=float) for col in block]
+            for start in range(0, len(block[0]), _CSV_ROWS):
+                table = np.column_stack([col[start:start + _CSV_ROWS] for col in block])
+                rows = (",".join(["%.18e"] * table.shape[1]) + "\n") * table.shape[0]
+                fh.write(rows % tuple(table.ravel().tolist()))
 
 
 def trajectories_to_csv(path, trajectories) -> None:
-    """Trajectory list as traj,t,x,y,z,vx,vy,vz,node_hit (node_hit 0/1 per trajectory)."""
-    rows = [np.column_stack([np.full(len(traj.times), idx), traj.times, traj.positions,
-                             traj.velocities, np.full(len(traj.times), float(traj.node_hit))])
-            for idx, traj in enumerate(trajectories)]
-    table = np.vstack(rows) if rows else np.empty((0, 9))
-    write_csv(path, "traj,t,x,y,z,vx,vy,vz,node_hit", table.T)
+    """Trajectory list as traj,t,x,y,z,vx,vy,vz,node_hit (node_hit 0/1 per
+    trajectory), one write_csv block per trajectory."""
+    write_csv(path, "traj,t,x,y,z,vx,vy,vz,node_hit",
+              ([np.broadcast_to(float(idx), traj.times.shape), traj.times, traj.positions,
+                traj.velocities, np.broadcast_to(float(traj.node_hit), traj.times.shape)]
+               for idx, traj in enumerate(trajectories)))

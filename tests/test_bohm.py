@@ -1,6 +1,8 @@
 """Guidance velocities, trajectory integration, ensembles, and the
 cross-frame consistency of both guidance laws."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -98,6 +100,49 @@ def test_final_knot_lands_exactly_on_t1():
                                 PHI_BASED)
     assert traj.times[-1] == 1.03
     assert_allclose(traj.positions[-1], [0.0, 0.0, 1.03], atol=1e-12)
+
+
+@pytest.mark.parametrize("t0, t1, step", [(0.0, 2.0 * np.pi, 0.05), (0.1, 1.0, 0.07),
+                                           (-3.7, 2.3, 0.3), (-0.0, 0.0, 0.1),
+                                           (0.0, -0.0, 0.1), (1e-3, 1e-3 + 1e-9, 1e-10)])
+def test_rk4_knots_are_t0_plus_step_times_j_ending_on_t1(t0, t1, step):
+    # the knot times as an array over the whole pass, as they were once formed
+    reference = t0 + step * np.arange(int(bohm.knot_count(t0, t1, step)))
+    reference[-1] = t1
+    times = [t for t, *_ in bohm._rk4(single_wave(), [[0.0, 0.0, 0.0]], t0, t1, step,
+                                      PHI_BASED, 1.0, bohm._NODE_FLOOR_REL)]
+    assert np.array(times).tobytes() == reference.tobytes()
+
+
+def test_rk4_holds_nothing_sized_by_the_knot_count():
+    # 1e15 knots, under the 2^53 bound: an array of their times would take 7 PiB
+    tracemalloc.start()
+    try:
+        knots = bohm._rk4(counterprop_pair(), [[0.0, 0.0, 0.3]], 0.0, 1e12, 1e-3, PHI_BASED,
+                          1.0, 1e-12)
+        first, second = next(knots), next(knots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (first[0], second[0]) == (0.0, 1e-3) and second[3].all()
+    assert peak < 2 ** 20
+
+
+def test_integrate_trajectories_holds_48_bytes_a_point_knot():
+    # positions and velocities, (points, knots, 3), are allocated once and
+    # filled knot by knot; beyond them the pass holds its knot times and the
+    # per-step arrays of the points, a fixed allowance
+    points = np.outer(np.linspace(0.1, 3.0, 128), Z_HAT)
+    tracemalloc.start()
+    try:
+        trajectories = integrate_trajectories(counterprop_pair(), points, 0.0, 0.5, 2e-3,
+                                              PHI_BASED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    point_knots = sum(len(traj.times) for traj in trajectories)
+    assert point_knots == 128 * 251
+    assert peak < 1.2 * 48 * point_knots + 2 ** 18, peak / (48 * point_knots)
 
 
 def test_rk4_fourth_order_convergence():

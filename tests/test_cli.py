@@ -12,6 +12,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from photonflow.cli import (_AUDIT_SAMPLES_LIMIT, _FIELD_BYTES_LIMIT, _POINT_KNO
                             _check_budget, build_parser, load_config, main)
 from photonflow.errors import ConfigError
 from photonflow.fieldio import _HEADER, read_weber, write_weber
-from photonflow.lorentz import SAMPLE_ARRAYS, Boost, audit_four_vector
+from photonflow.lorentz import SAMPLE_ARRAYS, Boost, audit_four_vector, audit_to_json
 from photonflow.planewaves import counterprop_pair, single_wave
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -173,7 +174,7 @@ def test_evolve_normalizes_a_state_file_as_it_does_the_placed_state(tmp_path):
         assert (out / name).read_bytes() == (tmp_path / "normalized" / name).read_bytes()
 
 
-def test_evolve_zero_state(tmp_path):
+def test_evolve_zero_state(tmp_path, capsys):
     rc, out = _run(tmp_path, "evolve",
                    config={"state": {"components": []}, "evolve": {"times": [0.0, 1.0]}})
     assert rc == 0
@@ -181,10 +182,15 @@ def test_evolve_zero_state(tmp_path):
     assert all(s["energy"] == 0.0 for s in diag["snapshots"])
     assert all(s["photon_number"] == 0.0 for s in diag["snapshots"])
 
-    rc, _ = _run(tmp_path, "evolve",
-                 config={"state": {"components": []},
-                         "evolve": {"times": [0.0], "normalize": True}})
-    assert rc == 1
+    # there is no photon to normalize: named as the state, before --out exists
+    capsys.readouterr()
+    (tmp_path / "normalized").mkdir()
+    rc, out = _run(tmp_path / "normalized", "evolve",
+                   config={"state": {"components": []},
+                           "evolve": {"times": [0.0], "normalize": True}})
+    assert rc == 2
+    assert "(field: state)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evolve_custom_components(tmp_path):
@@ -609,6 +615,34 @@ def test_audit_files_hold_the_arrays_of_each_audit(tmp_path):
     assert (out / "audits.json").stat().st_size < 2e6
 
 
+def _peak(call):
+    """The tracemalloc peak of call(), in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_boost_audit_holds_each_audit_once(tmp_path):
+    # as each audit completes, its 14 numbers a sample (s, the mismatch and
+    # the six arrays of audit_samples.npz) are copied into arrays stacked over
+    # the eight audits and allocated once, and its own arrays are dropped;
+    # audits.json is formed one record at a time.  So beyond the work of one
+    # audit the job holds the stacked arrays and one record.
+    samples = 8192
+    state, boost = counterprop_pair(1.0, 2.0, 1.0), Boost([1.0, 0.0, 0.0], 0.5)
+    one_audit = _peak(lambda: audit_four_vector(state, boost, "phi_based", n_samples=samples))
+    audit = audit_four_vector(state, boost, "phi_based", n_samples=samples)
+    one_record = _peak(lambda: json.dumps(audit_to_json(audit)))
+    del audit
+    stacked = 8 * 14 * samples * 8
+    peak = _peak(lambda: _run(tmp_path, "boost-audit", {"audit": {"samples": samples}}))
+    assert peak < one_audit + stacked + one_record + 2 ** 20, (
+        peak / stacked, one_audit / stacked, one_record / stacked)
+
+
 def test_audit_samples_npz_entries_carry_a_fixed_date(tmp_path):
     # zipfile stamps each entry 1980-01-01, so the bytes do not depend on when
     # the file was written
@@ -882,6 +916,10 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
     ("evolve", {"units": {"c": 1e-100}, "grid": {"n": 8, "L": 1e30},
                 "state": {"components": [{"k": [0, 0, 6.283185307179586e-30]}]},
                 "evolve": {"normalize": True, "times": [0.0]}}, "state"),
+    # the photon number underflows to 0: there is no photon to normalize
+    ("evolve", {"units": {"c": 1e100, "hbar": 1e100}, "grid": {"n": 8},
+                "state": {"components": [{"k": [0, 0, 1], "I": 1e-100}]},
+                "evolve": {"times": [0.0], "normalize": True}}, "state"),
     # the outer bundle modes' Gaussian weight exp(-4e6) underflows to 0
     ("doubleslit", {"grid": {"n": 16}, "doubleslit": {"bundle_width": 2,
                                                       "bundle_sigma": 1e-3}},
@@ -924,6 +962,7 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
         "huge-box-doubleslit", "tiny-box-trajectories", "boosted-intensity-overflows",
         "boosted-amplitude-overflows", "audit-density-bound-overflows",
         "audit-phi-overflows", "normalized-photon-number-overflows",
+        "normalized-photon-number-underflows",
         "tiny-bundle-sigma", "underflowing-bundle-sigma", "underflowing-second-source",
         "overflowing-slit-profile", "slit-times-over-limit", "snapshots-over-disk-limit",
         "wave-longer-than-box", "underflowing-k-left",

@@ -1,6 +1,7 @@
 """Binary field container round trips and the CSV writers."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 from photonflow import GridSpec, WeberGrid, read_weber, write_weber
 from photonflow.bohm import Trajectory
 from photonflow.errors import FieldValidationError
-from photonflow.fieldio import trajectories_to_csv, write_csv
+from photonflow.fieldio import _CSV_ROWS, trajectories_to_csv, write_csv
 
 
 def _random_grid(rng, n=4, representation="position", c=1.0, hbar=1.0,
@@ -126,7 +127,7 @@ def test_non_finite_values_rejected(tmp_path, rng, n, offset, value, message):
 
 def test_write_csv_header_and_columns(tmp_path):
     path = tmp_path / "data.csv"
-    write_csv(path, "a,b", [np.array([1.0, 2.0]), np.array([3.0, 4.0])])
+    write_csv(path, "a,b", [[np.array([1.0, 2.0]), np.array([3.0, 4.0])]])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "a,b"
     assert len(lines) == 3
@@ -139,14 +140,44 @@ SPECIAL = [float("nan"), -float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 
            2.2250738585072e-308, 1e16, 9999999999999998.0, 1e-5, 0.0001, 1.0, -2.5]
 
 
-@pytest.mark.parametrize("rows, ncol", [(0, 3), (1, 1), (9, 4), (300, 9)])
+@pytest.mark.parametrize("rows, ncol", [(0, 3), (1, 1), (9, 4), (300, 9),
+                                        (2 * _CSV_ROWS + 5, 2)])
 def test_write_csv_has_the_bytes_of_savetxt(tmp_path, rng, rows, ncol):
     table = rng.standard_normal((rows, ncol)) * 10.0 ** rng.integers(-300, 300, (rows, ncol))
     table.flat[::3] = rng.choice(SPECIAL, table.size)[::3]
     header = ",".join(f"c{i}" for i in range(ncol))
-    write_csv(tmp_path / "ours.csv", header, table.T)
+    # two blocks of columns; at the last row count each spans two formatting pieces
+    write_csv(tmp_path / "ours.csv", header, [list(part.T) for part in np.array_split(table, 2)])
     np.savetxt(tmp_path / "savetxt.csv", table, delimiter=",", header=header, comments="")
     assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
+def _peak(call):
+    """The tracemalloc peak of call(), in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_writers_hold_one_block_whatever_the_row_count(tmp_path, rng):
+    # write_csv formats _CSV_ROWS rows at a time, and trajectories_to_csv hands
+    # it one trajectory at a time: a file of many blocks, or of trajectories
+    # longer than a block, peaks as one block does
+    def trajectories(knots, count):
+        return [Trajectory(np.arange(knots, dtype=float), rng.standard_normal((knots, 3)),
+                           rng.standard_normal((knots, 3)), "phi_based") for _ in range(count)]
+
+    path, budget = tmp_path / "out.csv", {}
+    for name, write, one_block, many_blocks in (
+            ("write_csv", lambda table: write_csv(path, "a,b,c,d", [list(table.T)]),
+             rng.standard_normal((_CSV_ROWS, 4)), rng.standard_normal((3 * _CSV_ROWS + 17, 4))),
+            ("trajectories_to_csv", lambda trajs: trajectories_to_csv(path, trajs),
+             trajectories(_CSV_ROWS, 1), trajectories(_CSV_ROWS + 5, 3))):
+        budget[name] = _peak(lambda: write(many_blocks)) / _peak(lambda: write(one_block))
+        assert budget[name] < 1.1, budget
 
 
 def test_trajectories_csv_layout(tmp_path):

@@ -12,8 +12,9 @@ printed paths are the same on both sides.  Each side also runs the
 itself: a longitudinal mode (the transversality gate), a heavy k = 0 mode
 (the DC check, after the first snapshot is written), a NaN entry and a
 header cut short (the state-file checks, before --out exists), and the jobs
-of EXTRA, which cover steps, odd grids and non-unit c and hbar that the
-workloads never take.  The exit code,
+of EXTRA, which cover steps, odd grids, non-unit c and hbar and CSV files
+that cross write_csv's block edges, which the workloads never take.  The
+exit code,
 stdout, stderr and sha256 of every file each job writes are compared, so a
 warning that one side prints and the other does not is a difference; the
 names that differ are printed, and the exit status is 1 on any difference,
@@ -44,8 +45,11 @@ SEED = "3"
 # others (doubleslit dt = 0.8, -0.8, 0, -0.4; evolve dt = 0, 0.5, 0, -0.75,
 # 1.25, each written to its own snapshot), an evolve and a doubleslit on
 # odd grids, whose index ranges are lopsided (-(n-1)/2 .. (n-1)/2) and whose
-# planes split unevenly between two workers, and a boost-audit and a
-# trajectories at c = 2 and hbar = 0.25, where the workloads run at c = hbar = 1
+# planes split unevenly between two workers, a boost-audit and a
+# trajectories at c = 2 and hbar = 0.25, where the workloads run at c = hbar =
+# 1, and a boost-audit and a trajectories whose CSV rows cross the edges of
+# the blocks that fieldio.write_csv formats at a time (_CSV_ROWS = 4096):
+# 5,000 samples in interference.csv, and 3 trajectories of 6,285 knots
 NON_UNIT = {"c": 2.0, "hbar": 0.25}
 EXTRA = {
     "doubleslit-steps": ("doubleslit", {"grid": {"n": 32}, "doubleslit": {
@@ -57,6 +61,8 @@ EXTRA = {
         "bundle_width": 2}}),
     "boost-audit-units": ("boost-audit", {"units": NON_UNIT, "audit": {"samples": 64}}),
     "trajectories-units": ("trajectories", {"units": NON_UNIT}),
+    "boost-audit-blocks": ("boost-audit", {"audit": {"samples": 5000}}),
+    "trajectories-blocks": ("trajectories", {"trajectories": {"count": 3, "step": 1e-3}}),
 }
 
 
