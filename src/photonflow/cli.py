@@ -5,26 +5,30 @@ writes data files into --out, and prints a short human-readable summary;
 info only prints the presets, tolerances and default config.  All
 randomness is seeded (--seed), all numeric output is deterministic.
 
-evolve and doubleslit build their grid state in momentum space
-(planewaves.place).  evolve holds no field: one pass (spectral.advance_into)
+evolve and doubleslit read their grid state in momentum space as a plane
+source (planewaves.StatePlanes) that forms each z-plane of the placed
+state when a pass reads it, so neither holds a field for a preset or
+components state.  evolve holds no field: one pass (spectral.advance_into)
 reads its state a z-plane at a time, turns each plane through every step
 in plane buffers and writes the plane each step leaves into that step's
 snapshot file, so no snapshot is read back.  A pass takes at most
 _STEPS_PER_PASS steps, which bounds the files it holds open; a longer
 evolve.times list runs in several passes, each reading the last snapshot
-of the pass before it.  The first pass reads the placed state (divided by
-the square root of its photon number for evolve.normalize, never copied)
-or a momentum state file; only a position-representation state file,
-which needs its 3-D transform (spectral.forward_transform_in_place), or a
-state file to be normalized is held in memory, as one field; a state
-file's header alone decides which, so its payload is read once.  Each
-snapshot's energy, photon number and transversality residual come from
-the sums its step forms in the pass.  doubleslit holds its placed state
-and writes no field: one pass (photon.density_profiles) reads each z-plane
-once, turns it through every time step in plane buffers and takes each
-step's x,z-mean density profile along y from the plane it leaves, without
-building phi~ or the 3-D inverse transform; the pass and all its gates, a
-non-finite profile included, run before --out exists.  trajectories
+of the pass before it.  The first pass reads the state's planes (each
+divided by the square root of the state's photon number for
+evolve.normalize) or a momentum state file; only a position-representation
+state file, which needs its 3-D transform
+(spectral.forward_transform_in_place), or a state file to be normalized is
+held in memory, as one field; a state file's header alone decides which.
+The photon number of the state is formed before --out exists, and one
+beyond a float is refused.  Each snapshot's energy, photon number and
+transversality residual come from the sums its step forms in the pass.
+doubleslit writes no field: one pass (photon.density_profiles) reads each
+z-plane of its state once, turns it through every time step in plane
+buffers and takes each step's x,z-mean density profile along y from the
+plane it leaves, without building phi~ or the 3-D inverse transform; the
+pass and all its gates, a non-finite profile included, run before --out
+exists.  trajectories
 integrates all its points in one RK4 pass (bohm.integrate_trajectories).
 A closed stdout ends a subcommand with exit status 1 and no traceback.  An
 --out that cannot be created as a directory exits 2, and an output file
@@ -102,15 +106,16 @@ from .bohm import (_NODE_FLOOR_REL, frame_consistency_check, integrate_trajector
 from .errors import (ConfigError, FieldValidationError, OffGridWaveVectorError, PhotonflowError,
                      ZeroFieldError)
 from .fieldio import (_HEADER, _POINT_BYTES, WeberFile, check_weber, new_weber_files,
-                      read_weber, trajectories_to_csv, weber_header, write_csv)
+                      read_weber, trajectories_to_csv, weber_header, write_csv, write_npz)
 from .fields import (_BOX_LENGTH_RANGE, _UNIT_RANGE, MOMENTUM, POSITION, FieldPlanes, GridSpec,
                      box_energy)
 from .lorentz import (_AUDIT_TOL, SAMPLE_ARRAYS, Boost, audit_four_vector, audit_to_json,
                       boost_plane_wave)
 from .photon import (DEFAULT_DC_TOLERANCE, PHI_BASED, WEBER_BASED, check_dc_share,
-                     density_profiles, photon_count, single_photon_norm)
+                     density_profiles, photon_count, single_photon_norm,
+                     swept_sum_sq_over_k)
 from .planewaves import (PRESETS, CircularPlaneWave, CompiledState, PlaneWaveSuperposition,
-                         place)
+                         StatePlanes)
 from .spectral import (_TRANSVERSALITY_TOL, advance_into, check_step,
                        forward_transform_in_place)
 
@@ -227,9 +232,12 @@ def _state(value, path):
 
 
 # Work bounds, checked on the resolved config before a command allocates
-# anything: bytes of one n^3 grid field at 48 bytes a point (also the bound
-# on the 8 n^2 bytes of profile rows that doubleslit's one pass holds per
-# time), trajectory points times RK4 knots that the one integration pass
+# anything: bytes of one n^3 grid field at 48 bytes a point, which bounds
+# grid.n in the schema (_MAX_N) and the n of a state file, the one field a
+# command may hold (a position file, or one to be normalized, is read into
+# memory; a preset or components state is never placed), and the 8 n^2
+# bytes of profile rows that doubleslit's one pass holds per time;
+# trajectory points times RK4 knots that the one integration pass
 # holds (48 bytes each), and samples per four-vector audit (each of the
 # eight audits stores 14 numbers a sample: 2 in audits.json, 12 in
 # audit_samples.npz).  The jobs hold little more than that: measured peak
@@ -442,19 +450,28 @@ def _check_snapshot_bytes(n, times):
 
 
 def _initial_source(config, tol):
-    """The plane source (fields.FieldPlanes or fieldio.WeberFile) evolve starts from.
+    """The plane source evolve starts from: a planewaves.StatePlanes for a
+    preset or components state, fieldio.WeberFile or fields.FieldPlanes for
+    a state.file.
 
     A state.file's header is read first, and its n is checked against
     _MAX_N, the bound of grid.n, and the disk bytes of the snapshots on its
-    n or on grid.n, before anything is allocated.  In the momentum
-    representation the file is then checked in one pass through a plane
-    buffer, and the pass of the first steps reads it again plane by plane;
-    in the position representation, or to be normalized, it is read once,
-    into memory (and transformed in place), with the same checks.  Every
-    fault of the file is a ConfigError naming state.file (_named).  A
-    normalized state is read through the divisor that makes it one photon,
-    never copied; a photon number of 0 or beyond a float is a ConfigError
-    naming state, or state.file for a file.
+    n or on grid.n, before anything is allocated.  A preset or components
+    state is compiled, never placed: the passes form its z-planes one at a
+    time, so no field is held for it.  A position state file, or one to be
+    normalized, is read once, into memory (and transformed in place), with
+    read_weber's checks.  The photon number of the state is then formed in
+    one pass (photon.single_photon_norm for a normalized state, which is
+    then read through the divisor that makes it one photon, never divided
+    whole; photon.swept_sum_sq_over_k otherwise, the sum the snapshots
+    record N from).  An N beyond a float, which every snapshot would
+    record, or a normalized state's N of 0, is a ConfigError naming state,
+    or state.file for a file.  For a momentum state file read as it is,
+    that pass through a plane buffer is also the file's check: only a sum
+    that is not finite makes check_weber read it again, to name the entry
+    that made it so.  The pass of the first steps then reads it plane by
+    plane.  Every fault of the file is a ConfigError naming state.file
+    (_named).
     """
     normalize, times = config["evolve"]["normalize"], len(config["evolve"]["times"])
     path = config["state"].get("file")
@@ -470,19 +487,28 @@ def _initial_source(config, tol):
     if stored is None:
         grid, units = config["grid"], config["units"]
         spec = GridSpec(grid["n"], grid["L"], units["c"], units["hbar"])
-        weber = _named(field, place, build_state(config), spec)
+        source = _named(field, StatePlanes, build_state(config), spec)
     elif stored.representation == MOMENTUM and not normalize:
-        return _named(field, check_weber, path)
+        source = stored  # checked by the photon number's pass below
     else:
         weber = _named(field, read_weber, path)
         if weber.representation == POSITION:
             forward_transform_in_place(weber)
-    return FieldPlanes(weber, _named(field, single_photon_norm, weber, tol["dc"])
-                       if normalize else None)
+        source = FieldPlanes(weber)
+    if normalize:
+        source.divisor = _named(field, single_photon_norm, source, tol["dc"])
+        return source
+    # the photon number a step of dt = 0 records (spectral's sums)
+    sum_sq_over_k = _named(field, swept_sum_sq_over_k, source)
+    if stored is not None and not np.isfinite(sum_sq_over_k):
+        _named(field, check_weber, path)  # names a non-finite entry, if one made the sum so
+    _named(field, photon_count, sum_sq_over_k, source.spec)
+    return source
 
 
 def cmd_evolve(config, tol, seed, out):
     section = config["evolve"]
+    field = "state.file" if "file" in config["state"] else "state"
     source = _initial_source(config, tol)
     spec, time = source.spec, source.time
     steps = _steps(source, section["times"], "evolve.times")
@@ -515,7 +541,8 @@ def cmd_evolve(config, tol, seed, out):
                     "time": t,
                     "file": path.name,
                     "energy": box_energy(sums.sum_sq, spec, MOMENTUM),
-                    "photon_number": photon_count(sums.sum_sq_over_k, spec),
+                    # a later step's roundoff may still take N beyond a float
+                    "photon_number": _named(field, photon_count, sums.sum_sq_over_k, spec),
                     "transversality_residual": sums.residual,
                 }
                 records.append(record)
@@ -593,7 +620,7 @@ def cmd_boost_audit(config, tol, seed, out):
             fh.write(json.dumps(dict(scenario=name, **audit_to_json(audit))))
         fh.write("]")
     with _writing(out / "audit_samples.npz") as path:
-        np.savez(path, **{name: stacked[attr] for name, attr in SAMPLE_ARRAYS.items()})
+        write_npz(path, {name: stacked[attr] for name, attr in SAMPLE_ARRAYS.items()})
 
     interference = next(audit for name, audit in results
                         if name == "two-wave x-boost" and audit.recipe == PHI_BASED)
@@ -726,10 +753,11 @@ def cmd_doubleslit(config, tol, seed, out):
     # only the second source's intensity can underflow to 0 or take an
     # amplitude beyond a float
     state = _named("doubleslit.intensity_ratio", build_slit_state, section, spec)
-    weber = _named("doubleslit.intensity_ratio", place, state, spec)
+    source = _named("doubleslit.intensity_ratio", StatePlanes, state, spec)
     times = section["times"]
-    # every step and profile in one pass over the placed state, which is only read
-    profiles = density_profiles(weber, _steps(weber, times, "doubleslit.times"),
+    # every step and profile in one pass over the state's planes, formed one
+    # at a time: no field is held
+    profiles = density_profiles(source, _steps(source, times, "doubleslit.times"),
                                 tol["transversality"], tol["dc"])
     if not all(np.isfinite(profile).all() for profile in profiles):
         raise ConfigError(

@@ -37,7 +37,8 @@ CSV exports carry their column names in the first line (no comment
 prefix) so they load directly into plotting tools.  write_csv, the one CSV
 writer, takes its rows in blocks and formats a bounded number of rows at a
 time, so a caller that hands it one block per trajectory or per time holds
-no table of the whole file.
+no table of the whole file.  write_npz writes the bytes of np.savez
+straight from the arrays' memory, a block of numbers at a time.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from __future__ import annotations
 import itertools
 import os
 import struct
+import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -68,6 +70,9 @@ _LITTLE_ENDIAN = np.dtype("<c16").isnative
 # CSV rows that write_csv formats in one %; each number of them takes a
 # float object and a tuple slot (32 bytes) and 25 bytes of text
 _CSV_ROWS = 4096
+
+# numbers of an array that write_npz writes in one call (512 KiB of float64)
+_NPZ_NUMBERS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -253,6 +258,25 @@ def write_csv(path, header: str, blocks) -> None:
                 table = np.column_stack([col[start:start + _CSV_ROWS] for col in block])
                 rows = (",".join(["%.18e"] * table.shape[1]) + "\n") * table.shape[0]
                 fh.write(rows % tuple(table.ravel().tolist()))
+
+
+def write_npz(path, arrays: dict) -> None:
+    """Write the bytes of np.savez(path, **arrays) for numeric arrays, each
+    taken in C order: one stored zip64 member ``<name>.npy`` per array, its
+    .npy version 1.0 header, then its numbers in blocks of _NPZ_NUMBERS,
+    each written through a memoryview of the array's own memory.  np.savez
+    copies each array whole through tobytes (a zip member is not a real
+    file); this copies no C-contiguous array."""
+    with zipfile.ZipFile(path, mode="w", compression=zipfile.ZIP_STORED,
+                         allowZip64=True) as archive:
+        for name, array in arrays.items():
+            array = np.asarray(array, order="C")
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(
+                    member, np.lib.format.header_data_from_array_1_0(array))
+                numbers = array.reshape(-1)
+                for start in range(0, numbers.size, _NPZ_NUMBERS):
+                    member.write(memoryview(numbers[start:start + _NPZ_NUMBERS]))
 
 
 def trajectories_to_csv(path, trajectories) -> None:

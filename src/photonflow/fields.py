@@ -111,25 +111,30 @@ class FieldPlanes:
 
     The plane loop of spectral reads a field through ``reader(buffer)`` and
     writes through ``writer()``, one context per worker run; fieldio.WeberFile
-    does the same for a PHWF1 file's payload.  ``buffer`` is the run's
-    complex plane buffer of shape (1, n, n, 3), in payload order.
-    ``read(zs)`` is the plane view's z-planes ``zs``, divided by ``divisor``
-    into ``buffer`` if a divisor is given and the field's own planes
-    otherwise; ``write(zs, plane)`` stores ``plane`` there.  ``spec``,
-    ``representation`` and ``time`` are the field's.
+    does the same for a PHWF1 file's payload and planewaves.StatePlanes for
+    a plane-wave state that no field holds.  ``buffer`` is the run's complex
+    plane buffer of shape (1, n, n, 3), in payload order.  ``read(zs)``
+    fills it with the plane view's z-planes ``zs``, divided by ``divisor``
+    if a divisor is given, and returns it, so a reader never hands out the
+    field's own planes; ``write(zs, plane)`` stores ``plane`` there.
+    ``spec``, ``representation`` and ``time`` are the field's.
     """
 
     def __init__(self, weber: WeberGrid, divisor=None):
         self.spec, self.representation, self.time = weber.spec, weber.representation, weber.time
-        self._planes, self._divisor = plane_view(weber.field), divisor
+        self._planes, self.divisor = plane_view(weber.field), divisor
 
     @contextmanager
     def reader(self, buffer):
-        planes, divisor = self._planes, self._divisor
-        if divisor is None:
-            yield lambda zs: planes[zs]
-        else:
-            yield lambda zs: np.divide(planes[zs], divisor, out=buffer)
+        planes, divisor = self._planes, self.divisor
+
+        def read(zs):
+            if divisor is None:
+                np.copyto(buffer, planes[zs])
+            else:
+                np.divide(planes[zs], divisor, out=buffer)
+            return buffer
+        yield read
 
     @contextmanager
     def writer(self):

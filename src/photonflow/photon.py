@@ -30,19 +30,27 @@ The 1/sqrt(k) weighting is singular at k = 0, so states carrying a
 non-negligible share of their energy in the DC mode are rejected, and
 the DC photon coefficient is hard-zeroed otherwise.
 
-density_profiles reads the x,z-mean of rho_p along y straight off the
-momentum-space field after each of a list of time steps, in one pass of
-the spectral kernel that reads the field once and writes no field: one
-per-plane visitor (_profile_row) applies the weight, an inverse FFT along
-y and the reduction to one z-plane of the field's plane view (see fields)
-at a time, so phi~ is never built in full, and the pass also sums |F~|^2
-and reads |F~(0)|^2 for the DC gate.  photon_number gathers the per-shell
-1/|k| and sums |F~|^2 for its DC gate in its own plane loop.  Both run on
-fields.over_planes and add their per-plane sums and profiles in plane
-order, so the results do not depend on the number of workers.
-normalize_single_photon divides the whole field once, and
-photon_wavefunction, which has no plane loop, makes a whole-field pass for
-the DC gate.
+density_profiles and photon_sums read a plane source (fields.FieldPlanes,
+fieldio.WeberFile or planewaves.StatePlanes, see spectral._sweep), so a
+plane-wave state reaches them with no field built.  density_profiles
+reads the x,z-mean of rho_p along y straight off the momentum-space field
+after each of a list of time steps, in one pass of the spectral kernel
+that reads the field once and writes no field: one per-plane visitor
+(_profile_row) applies the weight, an inverse FFT along y and the
+reduction to one z-plane of the field's plane view (see fields) at a
+time, in the plane buffer the step leaves, so phi~ is never built in
+full, and the pass also sums |F~|^2 and reads |F~(0)|^2 for the DC gate.
+photon_sums gathers the per-shell 1/|k| and sums |F~|^2 / |k|, |F~|^2 and
+|F~(0)|^2 in its own plane loop, and swept_sum_sq_over_k sums |F~|^2 / |k|
+in the same loop as spectral's kernel sums it; photon_number (a field) and
+single_photon_norm (a plane source, the divisor that makes the field one
+photon) gate the DC share on those sums and turn the first into N with
+photon_count, the one place N is formed from a sum, which refuses an N
+beyond a float.  Both passes run on fields.over_planes and add their
+per-plane sums and profiles in plane order, so the results do not depend
+on the number of workers.  normalize_single_photon divides the whole field
+once, and photon_wavefunction, which has no plane loop, makes a
+whole-field pass for the DC gate.
 """
 
 from __future__ import annotations
@@ -100,8 +108,15 @@ def check_dc_share(dc: float, total: float, dc_tolerance: float) -> None:
 
 
 def photon_count(sum_sq_over_k: float, spec: GridSpec) -> float:
-    """N of a field whose |F~|^2 / |k| summed over the modes k != 0 is sum_sq_over_k."""
-    return float(sum_sq_over_k * spec.dk ** 3 / (8.0 * np.pi * spec.hbar * spec.c))
+    """N of a field whose |F~|^2 / |k| summed over the modes k != 0 is sum_sq_over_k.
+
+    An N that is not finite (beyond a float) raises FieldValidationError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = float(sum_sq_over_k * spec.dk ** 3 / (8.0 * np.pi * spec.hbar * spec.c))
+    if not np.isfinite(n):
+        raise FieldValidationError(f"photon number {n!r} is not finite")
+    return n
 
 
 def _good_weights(spec: GridSpec) -> np.ndarray:
@@ -133,16 +148,17 @@ def _profile_row(spec: GridSpec):
     g = ifft_y(phi~) (2pi)^(3/2) / (dx^3 n^2), the x,z-mean of phi^dag phi
     along y is the sum over kx, kz and components of |g|^2.  The row sums
     |ifft_y(phi~)|^2 of the plane; _profile adds the rows and scales them.
-    Good's weights are gathered into the lent float buffer and phi~ formed
-    in the lent complex one, which then takes the inverse FFT in C order
-    (np.fft's out= needs numpy 2), so that its float view holds Re/Im pairs.
+    Good's weights are gathered into the lent float buffer, and phi~ is
+    formed in the plane buffer the step leaves, which then takes the
+    inverse FFT in C order (np.fft's out= needs numpy 2), so that its float
+    view holds Re/Im pairs.
     """
     weights = _good_weights(spec)
 
-    def visit(plane, shell, phi, weight):
-        np.multiply(plane, np.take(weights, shell, out=weight, mode="clip")[..., None], out=phi)
-        np.copyto(phi, np.fft.ifft(phi, axis=1))
-        flat = phi.view(np.float64)  # (1, n, n, 6): Re/Im pairs
+    def visit(plane, shell, weight):
+        plane *= np.take(weights, shell, out=weight, mode="clip")[..., None]
+        np.copyto(plane, np.fft.ifft(plane, axis=1))
+        flat = plane.view(np.float64)  # (1, n, n, 6): Re/Im pairs
         return np.einsum("zyxc,zyxc->y", flat, flat)
     return visit
 
@@ -158,35 +174,91 @@ def _profile(sums, rows, spec: GridSpec, dc_tolerance: float) -> np.ndarray:
         return sum_in_order(rows) * scale ** 2
 
 
-def density_profiles(weber: WeberGrid, dts,
+def density_profiles(source, dts,
                      transversality_tol: float = _TRANSVERSALITY_TOL,
                      dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> list:
     """The x,z-mean of the phi-based density rho = phi^dag phi along y, from F~,
-    of ``weber`` advanced by each step of ``dts`` in turn.
+    of the momentum field the plane source ``source`` reads
+    (fields.FieldPlanes, fieldio.WeberFile or planewaves.StatePlanes),
+    advanced by each step of ``dts`` in turn.
 
-    One pass of the spectral kernel reads each z-plane of ``weber`` once,
+    One pass of the spectral kernel reads each z-plane of the source once,
     turns it through every step in plane buffers and takes each step's
     profile row from the plane it leaves (Good's weight, an inverse FFT
-    along y and the reduction), so ``weber`` is only read, no advanced field
-    is written and the temporaries are plane-sized; the per-plane rows are
-    added in plane order.  A profile equals
+    along y and the reduction), so the source is only read, no advanced
+    field is written and the temporaries are plane-sized; the per-plane
+    rows are added in plane order.  A profile equals
     probability_flow(to_position(photon_wavefunction(evolve(weber, dt)))).rho.mean(axis=(0, 2))
-    to roundoff without building phi~, the 3-D inverse transform or the
-    current; density_profiles(weber, [0.0]) is the profile of ``weber``
-    itself.  Each step keeps the gates of evolve(weber, dt) and
+    to roundoff for the field ``weber`` the source reads, without building
+    phi~, the 3-D inverse transform or the current;
+    density_profiles(source, [0.0]) is the profile of that field itself.
+    Each step keeps the gates of evolve(weber, dt) and
     photon_wavefunction, in that order: the transversality gate on the field
     it starts from and the DC gate on the field it leaves; the first step
     that fails raises.  A non-finite dt or largest angle raises
     FieldValidationError before the pass (spectral.check_step).
     """
-    require_representation(weber, MOMENTUM, "density_profiles")
-    spec = weber.spec
+    require_representation(source, MOMENTUM, "density_profiles")
+    spec = source.spec
     c_dts = [_c_dt(spec, dt) for dt in dts]
     profiles = []
-    for residual, sums, rows in _sweep(FieldPlanes(weber), c_dts, visit=_profile_row(spec)):
+    for residual, sums, rows in _sweep(source, c_dts, visit=_profile_row(spec)):
         _gate(residual, transversality_tol)
         profiles.append(_profile(sums, rows, spec, dc_tolerance))
     return profiles
+
+
+def _plane_sums(source, sums) -> tuple:
+    """([sums(flat, inv_k) of each z-plane], |F~(0)|^2) of the momentum field
+    the plane source ``source`` reads, in one plane loop: ``flat`` is the
+    plane's float view (1, n, n, 6) of Re/Im pairs and ``inv_k`` its 1/|k|.
+
+    Each worker run reads its z-planes into one plane buffer and gathers
+    1/|k| one z-plane at a time from the per-shell table, so no (n, n, n)
+    array is built; the records come back in plane order.
+    """
+    spec = source.spec
+    kg, n = kgrid(spec), spec.n_per_axis
+    dc_sq = []  # from the run that reads plane 0
+
+    def work(run):
+        # the plane and its 1/|k|, one buffer each per run
+        buffer, inv_k = np.empty((1, n, n, 3), dtype=complex), np.empty((1, n, n))
+        records = []
+        with source.reader(buffer) as read:
+            for zs in run:
+                flat = read(zs).view(np.float64)
+                # the shell of a mode of plane z is mz^2 + (my^2 + mx^2): 1/|k| is the
+                # table from shell mz^2 on, gathered at yx_sq, with no shell index
+                np.take(kg.shell_inv_k[kg.axis_sq[zs.start]:], kg.yx_sq, out=inv_k[0],
+                        mode="clip")
+                records.append(sums(flat, inv_k))
+                if zs.start == 0:
+                    dc_sq.append(float(np.einsum("c,c->", flat[0, 0, 0], flat[0, 0, 0])))
+        return records
+
+    return over_planes(n, work), dc_sq[0]
+
+
+def photon_sums(source) -> tuple:
+    """(sum of |F~|^2 / |k| over k != 0, sum of |F~|^2, |F~(0)|^2) of the
+    momentum field the plane source ``source`` reads, in one plane loop
+    whose per-plane sums are added in plane order."""
+    records, dc_sq = _plane_sums(source, lambda flat, inv_k: (
+        np.einsum("zyxc,zyxc,zyx->", flat, flat, inv_k), np.einsum("zyxc,zyxc->", flat, flat)))
+    over_k, sq = zip(*records)
+    return sum_in_order(over_k), float(sum_in_order(sq)), dc_sq
+
+
+def swept_sum_sq_over_k(source) -> float:
+    """The sum of |F~|^2 / |k| over k != 0 of the momentum field the plane
+    source ``source`` reads, as spectral's kernel sums it per z-plane
+    (FieldSums.sum_sq_over_k: |F~|^2 per mode, then its 1/|k|-weighted
+    sum), in one plane loop: the bits a step of dt = 0 reports, and a
+    cheaper pass than photon_sums."""
+    records, _ = _plane_sums(source, lambda flat, inv_k: np.einsum(
+        "zyx,zyx->", np.einsum("...i,...i->...", flat, flat), inv_k))
+    return float(sum_in_order(records))
 
 
 def photon_number(weber: WeberGrid,
@@ -194,42 +266,28 @@ def photon_number(weber: WeberGrid,
     """N = (1/8pi) sum_{k != 0} |F~|^2 / (hbar k c) dk^3 >= 0.
 
     Scales quadratically with the field amplitude and is conserved by
-    evolve (each |F~(k)| is preserved mode by mode).  1/|k| is gathered
-    one z-plane at a time from the per-shell table, so no (n, n, n) float
-    array is built; the same plane loop sums |F~|^2 for the DC gate.
+    evolve (each |F~(k)| is preserved mode by mode).  The sums come from
+    photon_sums(FieldPlanes(weber)), whose |F~|^2 sum feeds the DC gate; an
+    N beyond a float raises FieldValidationError (photon_count).
     """
     require_representation(weber, MOMENTUM, "photon_number")
-    kg, n = kgrid(weber.spec), weber.spec.n_per_axis
-    flat = plane_view(weber.field).view(np.float64)  # (n, n, n, 6): Re/Im pairs
-
-    def work(run):
-        # the plane's shell index and 1/|k|, one buffer each per run
-        shell, inv_k = np.empty((1, n, n), dtype=np.intp), np.empty((1, n, n))
-        records = []
-        for zs in run:
-            np.take(kg.shell_inv_k, kg.shell_plane(zs, out=shell), out=inv_k, mode="clip")
-            records.append((np.einsum("zyxc,zyxc,zyx->", flat[zs], flat[zs], inv_k),
-                            np.einsum("zyxc,zyxc->", flat[zs], flat[zs])))
-        return records
-
-    over_k, sq = zip(*over_planes(n, work))
-    check_dc_share(float(np.einsum("c,c->", flat[0, 0, 0], flat[0, 0, 0])),
-                   float(sum_in_order(sq)), dc_tolerance)
-    return photon_count(sum_in_order(over_k), weber.spec)
+    sum_sq_over_k, sum_sq, dc_sq = photon_sums(FieldPlanes(weber))
+    check_dc_share(dc_sq, sum_sq, dc_tolerance)
+    return photon_count(sum_sq_over_k, weber.spec)
 
 
-def single_photon_norm(weber: WeberGrid,
-                       dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> float:
-    """sqrt(photon_number(weber)), the divisor that makes ``weber`` one photon.
+def single_photon_norm(source, dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> float:
+    """sqrt(N) of the momentum field the plane source ``source`` reads, the
+    divisor that makes that field one photon, from one photon_sums pass
+    with photon_number's DC gate.
 
     A field with no photons raises ZeroFieldError; a photon number beyond a
     float, which would divide the field to 0, raises FieldValidationError.
     """
-    with np.errstate(over="ignore"):
-        n = photon_number(weber, dc_tolerance)
-    if not np.isfinite(n):
-        raise FieldValidationError(
-            f"photon number {n!r} is not finite; normalizing would leave a zero field")
+    require_representation(source, MOMENTUM, "single_photon_norm")
+    sum_sq_over_k, sum_sq, dc_sq = photon_sums(source)
+    check_dc_share(dc_sq, sum_sq, dc_tolerance)
+    n = photon_count(sum_sq_over_k, source.spec)
     if n == 0.0:
         raise ZeroFieldError("photon number is 0; there is no photon to normalize")
     return np.sqrt(n)
@@ -240,8 +298,8 @@ def normalize_single_photon(weber: WeberGrid,
     """A new field, ``weber``'s divided by single_photon_norm so that
     photon_number(result) = 1 (within roundoff); ``weber`` is left as it is.
     """
-    return WeberGrid(weber.field / single_photon_norm(weber, dc_tolerance), weber.spec,
-                     MOMENTUM, weber.time)
+    return WeberGrid(weber.field / single_photon_norm(FieldPlanes(weber), dc_tolerance),
+                     weber.spec, MOMENTUM, weber.time)
 
 
 def probability_flow(pwf: PhotonWaveFunction) -> ProbabilityFlow:

@@ -24,10 +24,13 @@ by sqrt(8 pi hbar k c):
 
     phi(x, t) = sqrt(I / (2 hbar k c^2)) eps(k-hat) exp(i sigma (k.x - k c t) + i chi) .
 
-On a periodic grid an on-grid component is a single Fourier mode, so
-place builds the momentum-representation grid field of a state directly
-from its compiled mode arrays; sample_to_grid evaluates the same state at
-the grid nodes, the independent route that tests compare place against.
+On a periodic grid an on-grid component is a single Fourier mode, so the
+momentum-representation grid field of a state is a handful of lattice
+entries taken from its compiled mode arrays.  StatePlanes forms that field
+one z-plane at a time as a plane source (see spectral._sweep), so the
+grid passes read a state that no field holds; place writes it into a new
+field.  sample_to_grid evaluates the same state at the grid nodes, the
+independent route that tests compare place against.
 
 Flow recipes, evaluated in closed form here and on the grid by photon,
 both through _recipe_flow, the one evaluator of each recipe:
@@ -38,13 +41,15 @@ both through _recipe_flow, the one evaluator of each recipe:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
 
 from .errors import FieldValidationError, OffGridWaveVectorError
-from .fields import MOMENTUM, POSITION, GridSpec, WeberGrid, check_real, plane_view
+from .fields import (MOMENTUM, POSITION, FieldPlanes, GridSpec, WeberGrid, check_real,
+                     plane_view)
 
 RIGHT = "right"
 LEFT = "left"
@@ -293,6 +298,57 @@ def sample_to_grid(state: PlaneWaveSuperposition, spec: GridSpec, t: float = 0.0
     return WeberGrid(eval_weber(state, mesh, t, spec.c), spec, POSITION, t)
 
 
+class StatePlanes:
+    """The z-planes of the momentum-representation grid field of an on-grid
+    state at time 0, formed one at a time: a plane source like
+    fields.FieldPlanes and fieldio.WeberFile, with no field behind it.
+
+    When the source is made, the wave vectors are checked against the
+    k-lattice (as for sample_to_grid) and the state is compiled at the
+    spec's c and hbar; each compiled mode m is kept with its lattice site
+    (the FFT index of its signed wave vector) and its entry
+    L^3 (2pi)^(-3/2) weber_m.  ``reader(buffer)`` gives
+    a worker run read(zs): it zero-fills the run's complex plane buffer
+    ``buffer`` (shape (1, n, n, 3), payload order), adds the modes of
+    z-plane zs into it with np.add.at in mode order, so that a right-handed
+    k and a left-handed -k on one site add as they do in place, and
+    returns it.  With a ``divisor`` it then divides the sites it added to
+    by it with numpy's complex division; every other entry is the exact
+    zero that 0 / divisor gives, so each plane holds the bits of
+    np.divide(place(state, spec).field, divisor).  ``spec``,
+    ``representation`` (momentum) and ``time`` (0) are the placed field's.
+    """
+
+    def __init__(self, state: PlaneWaveSuperposition, spec: GridSpec, divisor=None):
+        _check_on_grid(state, spec)
+        modes = CompiledState(state, spec.c, spec.hbar)
+        index = np.rint(modes.wave_vectors / spec.dk).astype(int) % spec.n_per_axis
+        values = modes.weber * (spec.box_length ** 3 / (2.0 * np.pi) ** 1.5)
+        self.spec, self.representation, self.time = spec, MOMENTUM, 0.0
+        self.divisor = divisor
+        # z index -> the (0, iy, ix) sites of its modes in a plane buffer and
+        # their entries, in mode order
+        self._planes = {}
+        for iz in np.unique(index[:, 2]).tolist():
+            at = index[:, 2] == iz
+            self._planes[iz] = ((np.zeros(at.sum(), dtype=int), index[at, 1], index[at, 0]),
+                                values[at])
+
+    @contextmanager
+    def reader(self, buffer):
+        planes, divisor = self._planes, self.divisor
+
+        def read(zs):
+            buffer.fill(0.0)
+            if zs.start in planes:
+                sites, values = planes[zs.start]
+                np.add.at(buffer, sites, values)
+                if divisor is not None:
+                    buffer[sites] = np.divide(buffer[sites], divisor)
+            return buffer
+        yield read
+
+
 def place(state: PlaneWaveSuperposition, spec: GridSpec) -> WeberGrid:
     """The momentum-representation grid field of the superposition at time 0.
 
@@ -302,17 +358,17 @@ def place(state: PlaneWaveSuperposition, spec: GridSpec) -> WeberGrid:
     forward_transform(sample_to_grid(state, spec)) up to the FFT's roundoff,
     without evaluating the mode sum at the n^3 nodes; evolve then gives the
     field at any other time.  The wave vectors must sit on the k-lattice, as
-    for sample_to_grid.
+    for sample_to_grid.  The field is StatePlanes(state, spec) written into
+    a new field plane by plane, the one route by which a state is placed.
     """
-    _check_on_grid(state, spec)
-    modes = CompiledState(state, spec.c, spec.hbar)
+    source = StatePlanes(state, spec)
     n = spec.n_per_axis
-    index = np.rint(modes.wave_vectors / spec.dk).astype(int) % n
-    values = modes.weber * (spec.box_length ** 3 / (2.0 * np.pi) ** 1.5)
-    field = plane_view(np.zeros((n, n, n, 3), dtype=complex))  # in payload order
-    # a right-handed k and a left-handed -k share one lattice site: add, not assign
-    np.add.at(field, tuple(index.T), values)
-    return WeberGrid(field, spec, MOMENTUM, 0.0)
+    weber = WeberGrid(plane_view(np.empty((n, n, n, 3), dtype=complex)), spec, MOMENTUM, 0.0)
+    with source.reader(np.empty((1, n, n, 3), dtype=complex)) as read, \
+            FieldPlanes(weber).writer() as write:
+        for iz in range(n):
+            write(slice(iz, iz + 1), read(slice(iz, iz + 1)))
+    return weber
 
 
 # --- built-in states ---------------------------------------------------------

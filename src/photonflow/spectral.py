@@ -46,7 +46,9 @@ share one kernel (_sweep) that reads a field one z-plane at a time through
 a plane reader, turns each plane through a list of steps and hands the
 plane each step leaves to that step's plane writer, if there are writers:
 fields.FieldPlanes for a field in memory (read divided by a constant if
-asked), fieldio.WeberFile for the payload of a PHWF1 file.  Mode by mode
+asked), fieldio.WeberFile for the payload of a PHWF1 file and
+planewaves.StatePlanes for a plane-wave state that no field holds (a
+source only); every reader fills the run's plane buffer.  Mode by mode
 the dynamics never look beyond one plane, so advance_into writes the
 snapshot of every step from one read of its source, without a field in
 memory and without reading a snapshot back, and density_profiles takes a
@@ -60,10 +62,9 @@ into run buffers; per plane and step it forms k . F~ once and uses it for
 the NaN-closed transversality gate and for the rotation.  The buffers
 share roles: one complex buffer takes every product, a gather slot takes
 (1 - cos)/|k|^2, then cos, then |F~|^2, the rotation's buffer, seen in
-payload order, is also the plane the reader fills and the plane the
-writers write, and the visitor works in a gather slot that is free while
-it runs and in a buffer of its own (the components' buffer, when no step
-turns), so a run holds about four planes of three components.
+payload order, is also the plane the reader fills, the plane the writers
+write and the plane the visitor works in, with a gather slot that is free
+while it runs, so a run holds about three planes of three components.
 evolve(w, dt) is advance_into from w's field into a new field: w is only
 read, and the step holds the new field and plane-sized temporaries.  From
 the planes it already holds the kernel also sums |F~|^2 and |F~|^2/|k|,
@@ -276,14 +277,15 @@ def _sweep(source, c_dts=(None,), sinks=None, visit=None):
     ``source`` reads the field's z-planes and ``sinks``, if given, holds
     one sink per step, which takes each plane that step leaves: each is a
     fields.FieldPlanes or a fieldio.WeberFile, whose reader(buffer) and
-    writer() give each worker run read(zs) and write(zs, plane); a sink is
-    never the source.  Without sinks a turned plane stays in the run's
-    buffers and no field is written.
-    ``visit(plane, shell, spare, real)``, if given, records what it needs of
-    the plane (shape (1, n, n, 3)) each step leaves, whose shell index is
-    ``shell``; ``spare`` (complex, the plane's shape) and ``real`` (float,
-    (1, n, n)) are run buffers it may overwrite.  It runs on the worker
-    threads (see fields.over_planes).
+    writer() give each worker run read(zs), which fills ``buffer`` and
+    returns it, and write(zs, plane); the source may also be a
+    planewaves.StatePlanes, and a sink is never the source.  Without sinks
+    a turned plane stays in the run's buffers and no field is written.
+    ``visit(plane, shell, real)``, if given, records what it needs of the
+    plane (shape (1, n, n, 3)) each step leaves, whose shell index is
+    ``shell``, after the step's sink has written it; it may overwrite
+    ``plane`` and ``real`` (a float run buffer of shape (1, n, n)).  It
+    runs on the worker threads (see fields.over_planes).
 
     Returns one (residual, sums, visits) per step: the transversality
     residual of the field the step starts from, the FieldSums of the field
@@ -304,19 +306,16 @@ def _sweep(source, c_dts=(None,), sinks=None, visit=None):
     kg = kgrid(spec)
     kx, ky, kz = kg.plane_k
     turns = [None if c_dt is None else _turn(kg, c_dt) for c_dt in c_dts]
-    turning = any(turn is not None for turn in turns)
     dc_sq = [None] * len(turns)  # per step, |F~(0)|^2 of the field left: the run of plane 0
 
     def work(run):
         # the plane's components, contiguous, and a second such buffer that
         # takes their rotation; seen in payload order, the second holds the
         # plane the reader fills and, after each rotation, the plane the step
-        # leaves.  The visitor works in a third, or, when no step turns, in
-        # the first, which only the first tally reads then.
+        # leaves.  That plane is what the visitor works in: the components
+        # are the other buffer's, and a step that does not turn forms the
+        # plane from them again after the visitor of the step before.
         first, second = np.empty((2, 3, 1, n, n), dtype=complex)
-        lent = None
-        if visit:
-            lent = np.empty((1, n, n, 3), dtype=complex) if turning else first.reshape(1, n, n, 3)
         k_dot_f, product = np.empty((2, 1, n, n), dtype=complex)
         # 1/|k| of the plane, and two slots for the gathered weights: along,
         # then cos, in the first, which _tally then overwrites; sin / |k| in the
@@ -352,13 +351,14 @@ def _sweep(source, c_dts=(None,), sinks=None, visit=None):
                         np.copyto(plane, np.moveaxis(g, 0, -1))
                         result = _tally(k, g, plane.view(np.float64), inv_k, True,
                                         k_dot_f, product, real)
+                    elif visit and i:  # the visitor of the step before worked in the plane
+                        np.copyto(plane, np.moveaxis(g, 0, -1))
                     if writes:
                         writes[i](zs, plane)
                     if zs.start == 0:
                         dc = plane.view(np.float64)[0, 0, 0]
                         dc_sq[i] = float(np.einsum("c,c->", dc, dc))
-                    steps.append((tally, result,
-                                  visit(plane, shell, lent, weight) if visit else None))
+                    steps.append((tally, result, visit(plane, shell, weight) if visit else None))
                     tally = result
                 records.append(steps)
         return records

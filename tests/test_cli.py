@@ -22,13 +22,14 @@ import pytest
 import photonflow
 from photonflow import (GridSpec, WeberGrid, __version__, forward_transform,
                         inverse_transform, photon_number, place, sample_to_grid, total_energy)
-from photonflow import cli, fieldio, fields, photon, spectral
+from photonflow import cli, fieldio, fields, photon, planewaves, spectral
 from photonflow.cli import (_AUDIT_SAMPLES_LIMIT, _FIELD_BYTES_LIMIT, _POINT_KNOTS_LIMIT,
                             _check_budget, build_parser, load_config, main)
 from photonflow.errors import ConfigError
 from photonflow.fieldio import _HEADER, read_weber, write_weber
 from photonflow.lorentz import SAMPLE_ARRAYS, Boost, audit_four_vector, audit_to_json
-from photonflow.planewaves import counterprop_pair, single_wave
+from photonflow.planewaves import (CircularPlaneWave, PlaneWaveSuperposition, counterprop_pair,
+                                  single_wave)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -268,8 +269,8 @@ def test_evolve_reads_its_source_in_one_pass(tmp_path, monkeypatch):
     # a normalized run of T times takes the photon number of its state once,
     # then makes one pass that reads each plane of the state once and writes
     # every snapshot, and takes every diagnostic from it: it reads no snapshot
-    # back, never builds the normalized copy and calls none of the reference
-    # routes
+    # back, never places the state or builds the normalized copy, and calls
+    # none of the reference routes
     calls = []
 
     def counted(module, name):
@@ -282,7 +283,9 @@ def test_evolve_reads_its_source_in_one_pass(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(spectral, "_sweep")
-    for module, name in ((photon, "photon_number"), (photon, "normalize_single_photon"),
+    for module, name in ((photon, "photon_sums"), (photon, "swept_sum_sq_over_k"),
+                         (photon, "photon_number"),
+                         (photon, "normalize_single_photon"), (planewaves, "place"),
                          (fields, "total_energy"), (spectral, "transversality_residual")):
         counted(module, name)
         if hasattr(cli, name):
@@ -293,16 +296,17 @@ def test_evolve_reads_its_source_in_one_pass(tmp_path, monkeypatch):
     rc, out = _run(tmp_path, "evolve", config={"grid": {"n": 8}, "evolve": {
         "times": times, "normalize": True}})
     assert rc == 0
-    assert calls == ["photon_number", "_sweep"] and reads == []
+    assert calls == ["photon_sums", "_sweep"] and reads == []
     snapshots = _load_json(out, "diagnostics.json")["snapshots"]
     assert [s["time"] for s in snapshots] == times
-    # from a momentum state file: check_weber reads each plane once, the pass
-    # once more
+    # from a momentum state file: the pass of the photon number it records,
+    # which is also the file's check, reads each plane once, the pass of the
+    # steps once more
     calls.clear()
     (tmp_path / "resumed").mkdir()
     rc, resumed = _run(tmp_path / "resumed", "evolve", config={
         "state": {"file": str(out / "snapshot_03.phwf")}, "evolve": {"times": times}})
-    assert rc == 0 and calls == ["_sweep"]
+    assert rc == 0 and calls == ["swept_sum_sq_over_k", "_sweep"]
     assert sorted(reads) == sorted([("snapshot_03.phwf", iz) for iz in range(8)] * 2)
 
 
@@ -912,7 +916,11 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
      "audit.k_right"),
     ("boost-audit", {"units": {"c": 1e-100, "hbar": 1e-100},
                      "audit": {"k_right": 1e-140, "samples": 16}}, "audit.k_right"),
-    # the photon number overflows, and normalizing would divide the field to 0
+    # the photon number overflows: every snapshot would record it as
+    # Infinity, and normalizing would divide the field to 0
+    ("evolve", {"units": {"c": 1e-100}, "grid": {"n": 8, "L": 1e30},
+                "state": {"components": [{"k": [0, 0, 6.283185307179586e-30]}]},
+                "evolve": {"times": [0.0]}}, "state"),
     ("evolve", {"units": {"c": 1e-100}, "grid": {"n": 8, "L": 1e30},
                 "state": {"components": [{"k": [0, 0, 6.283185307179586e-30]}]},
                 "evolve": {"normalize": True, "times": [0.0]}}, "state"),
@@ -961,7 +969,7 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
         "subnormal-c-trajectories", "tiny-c-boost-audit", "huge-hbar", "tiny-box-evolve",
         "huge-box-doubleslit", "tiny-box-trajectories", "boosted-intensity-overflows",
         "boosted-amplitude-overflows", "audit-density-bound-overflows",
-        "audit-phi-overflows", "normalized-photon-number-overflows",
+        "audit-phi-overflows", "photon-number-overflows", "normalized-photon-number-overflows",
         "normalized-photon-number-underflows",
         "tiny-bundle-sigma", "underflowing-bundle-sigma", "underflowing-second-source",
         "overflowing-slit-profile", "slit-times-over-limit", "snapshots-over-disk-limit",
@@ -1034,15 +1042,16 @@ def test_trajectories_take_no_hbar(tmp_path, capsys, config):
         assert (out / name).read_bytes() == (tmp_path / "tiny" / name).read_bytes()
 
 
-def test_normalized_state_file_whose_photon_number_overflows_exits_2(tmp_path, capsys):
-    config = {"units": {"c": 1e-100}, "grid": {"n": 8, "L": 1e30},
-              "state": {"components": [{"k": [0, 0, 6.283185307179586e-30]}]},
-              "evolve": {"times": [0.0]}}
-    assert main(["evolve", "--config", _write_config(tmp_path, config, name="plain.json"),
-                 "--out", str(tmp_path / "plain")]) == 0
+@pytest.mark.parametrize("normalize", [False, True])
+def test_state_file_whose_photon_number_overflows_exits_2(tmp_path, capsys, normalize):
+    # the config state of the "photon-number-overflows" row, placed and
+    # written by the library: the CLI refuses to write it
+    spec = GridSpec(8, 1e30, c=1e-100)
+    write_weber(tmp_path / "state.phwf", place(
+        PlaneWaveSuperposition([CircularPlaneWave([0, 0, 6.283185307179586e-30], 1.0)]), spec))
     rc, out = _run(tmp_path, "evolve", config={
-        "state": {"file": str(tmp_path / "plain" / "snapshot_00.phwf")},
-        "evolve": {"times": [0.0], "normalize": True}})
+        "state": {"file": str(tmp_path / "state.phwf")},
+        "evolve": {"times": [0.0], "normalize": normalize}})
     assert rc == 2
     err = capsys.readouterr().err
     assert "photon number inf is not finite" in err and "(field: state.file)" in err

@@ -10,7 +10,8 @@ from numpy.testing import assert_allclose
 from photonflow import GridSpec, WeberGrid, read_weber, write_weber
 from photonflow.bohm import Trajectory
 from photonflow.errors import FieldValidationError
-from photonflow.fieldio import _CSV_ROWS, trajectories_to_csv, write_csv
+from photonflow.fieldio import (_CSV_ROWS, _NPZ_NUMBERS, trajectories_to_csv, write_csv,
+                               write_npz)
 
 
 def _random_grid(rng, n=4, representation="position", c=1.0, hbar=1.0,
@@ -178,6 +179,26 @@ def test_csv_writers_hold_one_block_whatever_the_row_count(tmp_path, rng):
              trajectories(_CSV_ROWS, 1), trajectories(_CSV_ROWS + 5, 3))):
         budget[name] = _peak(lambda: write(many_blocks)) / _peak(lambda: write(one_block))
         assert budget[name] < 1.1, budget
+
+
+def test_write_npz_has_the_bytes_of_savez(tmp_path, rng):
+    # arrays of one block, of exactly two and of more than two whose last
+    # block is short, stacked as boost-audit stacks its samples, an empty one
+    # and a scalar
+    arrays = {"one": rng.standard_normal((8, 5)),
+              "edge": rng.standard_normal((2, _NPZ_NUMBERS)),
+              "over": rng.standard_normal((8, _NPZ_NUMBERS // 3 + 7, 3)),
+              "empty": np.empty((0, 3)), "scalar": np.float64(2.5)}
+    write_npz(tmp_path / "ours.npz", arrays)
+    np.savez(tmp_path / "savez.npz", **arrays)
+    assert (tmp_path / "ours.npz").read_bytes() == (tmp_path / "savez.npz").read_bytes()
+
+
+def test_write_npz_copies_no_array(tmp_path, rng):
+    # np.savez copies an array whole; write_npz writes from the array's memory
+    samples = rng.standard_normal((8, 4 * _NPZ_NUMBERS // 8, 3))
+    peak = _peak(lambda: write_npz(tmp_path / "samples.npz", {"x_prime": samples}))
+    assert peak < 0.01 * samples.nbytes, peak
 
 
 def test_trajectories_csv_layout(tmp_path):

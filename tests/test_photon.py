@@ -12,7 +12,8 @@ from photonflow import (GridSpec, PhotonWaveFunction, WeberGrid, continuity_resi
 from photonflow.errors import (DCContentError, FieldValidationError, RepresentationError,
                                ZeroFieldError)
 from photonflow.photon import PHI_BASED, WEBER_BASED
-from photonflow.planewaves import (CircularPlaneWave, PlaneWaveSuperposition,
+from photonflow.fields import FieldPlanes
+from photonflow.planewaves import (CircularPlaneWave, PlaneWaveSuperposition, StatePlanes,
                                    copropagating_pair, counterprop_pair, place,
                                    single_wave)
 from photonflow.spectral import kgrid, transversality_residual
@@ -208,14 +209,18 @@ def test_density_profile_matches_the_full_flow(rng, n, t):
              for (mx, mz), handedness in zip(rng.integers(-limit, limit + 1, size=(3, 2)),
                                              ("right", "left", "right"))
              for my in rng.choice(np.arange(1, limit + 1), size=2, replace=False)]
-    weber = evolve(place(PlaneWaveSuperposition(waves), spec), t)
+    state = PlaneWaveSuperposition(waves)
+    weber = evolve(place(state, spec), t)
     reference = probability_flow(to_position(photon_wavefunction(weber))).rho.mean(axis=(0, 2))
-    profile, = density_profiles(weber, [0.0])
+    profile, = density_profiles(FieldPlanes(weber), [0.0])
     assert profile.shape == (n,)
     assert np.ptp(reference) > 0.01 * reference.max()  # the profile has structure
     assert np.abs(profile - reference).max() <= 1e-13 * reference.max()
+    # the state's planes, formed one at a time, give the placed field's bits
+    assert (density_profiles(StatePlanes(state, spec), [t])[0].tobytes()
+            == density_profiles(FieldPlanes(place(state, spec)), [t])[0].tobytes())
     with pytest.raises(RepresentationError):
-        density_profiles(inverse_transform(weber), [0.0])
+        density_profiles(FieldPlanes(inverse_transform(weber)), [0.0])
     weber.field[0, 0, 0, 0] = 1.0  # the DC gate of photon_wavefunction runs too
     with pytest.raises(DCContentError):
-        density_profiles(weber, [0.0])
+        density_profiles(FieldPlanes(weber), [0.0])

@@ -10,8 +10,10 @@ from photonflow import (GridSpec, analytic_probability_flow, eval_weber, evolve,
                         polarization_basis, probability_flow, sample_to_grid,
                         to_position, total_energy, weber_probability_flow)
 from photonflow.errors import FieldValidationError, OffGridWaveVectorError
+from photonflow.fields import FieldPlanes, plane_view
+from photonflow.photon import single_photon_norm
 from photonflow.planewaves import (PRESETS, CircularPlaneWave, CompiledState,
-                                   PlaneWaveSuperposition, WEBER_BASED, _cross,
+                                   PlaneWaveSuperposition, StatePlanes, WEBER_BASED, _cross,
                                    copropagating_pair, counterprop_pair,
                                    flow_recipe, single_wave)
 
@@ -236,6 +238,42 @@ def test_place_adds_modes_that_share_a_lattice_site(spec8):
         _assert_routes_agree(state, spec8, t)
     field = place(state, spec8).field
     assert np.count_nonzero(np.abs(field).sum(axis=-1)) == 1
+
+
+def _placed_whole(state, spec):
+    """The placed field of ``state`` formed as one np.add.at of every compiled
+    mode into a zero field, a reference for the routes that place plane by plane."""
+    modes, n = CompiledState(state, spec.c, spec.hbar), spec.n_per_axis
+    field = plane_view(np.zeros((n, n, n, 3), dtype=complex))
+    np.add.at(field, tuple((np.rint(modes.wave_vectors / spec.dk).astype(int) % n).T),
+              modes.weber * (spec.box_length ** 3 / (2.0 * np.pi) ** 1.5))
+    return field
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_state_planes_hold_the_bits_of_the_placed_field(rng, n):
+    # a right-handed k and a left-handed -k on one lattice site, each also
+    # twice, among random modes: the planes, read into a dirty buffer, and
+    # place's field are the bits of one add.at into a zero field, and with a
+    # divisor the bits of np.divide of it
+    spec = GridSpec(n, 3.0, 1.3, 0.7)
+    k = spec.dk * np.array([1.0, -2.0, 3.0 - n // 2])
+    state = _random_on_grid_state(spec, rng, 5)
+    state.components[1:1] = [CircularPlaneWave(k, 1.0, "right", 0.3),
+                             CircularPlaneWave(-k, 0.6, "left", 1.1),
+                             CircularPlaneWave(k, 0.2, "right", -2.0),
+                             CircularPlaneWave(-k, 1.7, "left", 2.9)]
+    reference = _placed_whole(state, spec)
+    assert place(state, spec).field.tobytes(order="A") == reference.tobytes(order="A")
+    divisor = single_photon_norm(StatePlanes(state, spec))
+    assert divisor == single_photon_norm(FieldPlanes(place(state, spec)))
+    for source, expected in ((StatePlanes(state, spec), reference),
+                             (StatePlanes(state, spec, divisor), np.divide(reference, divisor))):
+        buffer = np.full((1, n, n, 3), np.nan, dtype=complex)
+        with source.reader(buffer) as read:
+            planes = [read(slice(iz, iz + 1)).copy() for iz in range(n)]
+        assert (source.spec, source.representation, source.time) == (spec, "momentum", 0.0)
+        assert np.concatenate(planes).tobytes() == plane_view(expected).tobytes()
 
 
 def test_off_grid_error_is_the_same_on_both_routes(spec16):

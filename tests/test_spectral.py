@@ -18,8 +18,8 @@ from photonflow.errors import (DCContentError, FieldValidationError, Representat
 from photonflow.fieldio import check_weber, new_weber_files
 from photonflow.fields import FieldPlanes, box_energy, plane_view
 from photonflow.photon import (_good_weights, _profile_row, density_profiles, photon_count,
-                               photon_wavefunction, single_photon_norm)
-from photonflow.planewaves import counterprop_pair, eval_weber
+                               photon_wavefunction, single_photon_norm, swept_sum_sq_over_k)
+from photonflow.planewaves import StatePlanes, counterprop_pair, eval_weber
 from photonflow.spectral import (_TWO_PI_3_2, _sweep, advance_into, forward_transform_in_place,
                                  kgrid)
 
@@ -373,8 +373,10 @@ def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
                  0.15),
                 ("normalize_single_photon", lambda: normalize_single_photon(weber), 1.05),
                 ("place", lambda: place(state, spec), 1.2),
-                ("density_profiles_one_step", lambda: density_profiles(weber, [0.0]), 0.2),
-                ("density_profiles", lambda: density_profiles(weber, [0.0, 0.4, -0.3]), 0.25),
+                ("density_profiles_one_step", lambda: density_profiles(FieldPlanes(weber), [0.0]),
+                 0.2),
+                ("density_profiles", lambda: density_profiles(
+                    FieldPlanes(weber), [0.0, 0.4, -0.3]), 0.25),
                 ("write_weber", lambda: write_weber(path, weber), 0.005),
                 ("advance_into", lambda: _file_to_files(path, [tmp_path / "next.phwf"], [0.3]),
                  0.16),
@@ -382,6 +384,13 @@ def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
                     path, [tmp_path / f"step_{i}.phwf" for i in range(4)],
                     [0.3, 0.0, -0.5, 0.2]), 0.16),
                 ("read_weber", lambda: read_weber(path), 1.01),
+                # from a plane-wave state that no field holds: the plane buffers only
+                ("state_density_profiles", lambda: density_profiles(
+                    StatePlanes(state, spec), [0.0, 0.4, -0.3]), 0.25),
+                ("state_single_photon_norm", lambda: single_photon_norm(
+                    StatePlanes(state, spec)), 0.05),
+                ("state_advance_into", lambda: _into_files(
+                    StatePlanes(state, spec), [tmp_path / "placed.phwf"], [0.3]), 0.16),
                 ("inverse_transform", lambda: inverse_transform(weber), 2.1)):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
@@ -426,7 +435,7 @@ def test_advance_into_reads_and_writes_the_bits_of_evolve(tmp_path, rng, monkeyp
     write_weber(tmp_path / "state.phwf", weber)
     for source, reference in (
             (check_weber(tmp_path / "state.phwf"), weber),
-            (FieldPlanes(weber, single_photon_norm(weber, dc_tolerance=1.0)),
+            (FieldPlanes(weber, single_photon_norm(FieldPlanes(weber), dc_tolerance=1.0)),
              normalize_single_photon(weber, dc_tolerance=1.0))):
         sums = list(advance_into(FieldPlanes(reference), [dt], None))
         write_weber(tmp_path / "reference.phwf", evolve(reference, dt))
@@ -453,7 +462,7 @@ def test_one_pass_into_files_gives_the_bits_of_a_chain_of_passes(tmp_path, rng, 
 
     def source():
         if normalized:
-            return FieldPlanes(weber, single_photon_norm(weber, dc_tolerance=1.0))
+            return FieldPlanes(weber, single_photon_norm(FieldPlanes(weber), dc_tolerance=1.0))
         return check_weber(tmp_path / "state.phwf")
     chained, step_source = [], source()
     for i, dt in enumerate(dts):
@@ -493,6 +502,7 @@ def test_advance_into_reports_the_sums_of_the_field_it_leaves(rng, n, dt):
                                                                       rel=1e-13, abs=0)
     assert photon_count(sums.sum_sq_over_k, spec) == pytest.approx(
         photon_number(weber, dc_tolerance=1.0), rel=1e-13, abs=0)
+    assert swept_sum_sq_over_k(FieldPlanes(weber)) == sums.sum_sq_over_k  # bit for bit
     assert sums.dc_sq == np.einsum("c,c->", flat[0, 0, 0], flat[0, 0, 0])
 
 
@@ -512,8 +522,9 @@ def _profile_by_planes(weber):
     return profile * (_TWO_PI_3_2 / (spec.dx ** 3 * spec.n_per_axis ** 2)) ** 2
 
 
-@pytest.mark.parametrize("dts", [[0.0, 0.4, 0.4], [0.35, 0.0, -0.8, 0.0, 0.2]],
-                         ids=["benchmark-steps", "zero-and-negative-steps"])
+@pytest.mark.parametrize("dts", [[0.0, 0.4, 0.4], [0.35, 0.0, -0.8, 0.0, 0.2],
+                                 [0.0, 0.0, 0.5, 0.0, 0.0]],
+                         ids=["benchmark-steps", "zero-and-negative-steps", "zero-steps-in-a-row"])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n", [7, 8])
 def test_one_pass_gives_the_bits_of_a_chain_of_one_step_passes(rng, monkeypatch, n, workers,
@@ -525,13 +536,13 @@ def test_one_pass_gives_the_bits_of_a_chain_of_one_step_passes(rng, monkeypatch,
     weber.field.flags.writeable = False  # the pass only reads the state
     swept = _sweep(FieldPlanes(weber), [None if dt == 0 else spec.c * dt for dt in dts],
                    visit=_profile_row(spec))
-    profiles = density_profiles(weber, dts)
+    profiles = density_profiles(FieldPlanes(weber), dts)
     reference = weber
     for dt, (residual, sums, _), profile in zip(dts, swept, profiles, strict=True):
         assert residual == transversality_residual(reference)
         assert list(advance_into(FieldPlanes(reference), [dt], None)) == [sums]
         reference = evolve(reference, dt)
-        assert (profile.tobytes() == density_profiles(reference, [0.0])[0].tobytes()
+        assert (profile.tobytes() == density_profiles(FieldPlanes(reference), [0.0])[0].tobytes()
                 == _profile_by_planes(reference).tobytes())
 
 
@@ -555,7 +566,7 @@ def test_one_pass_raises_the_error_of_the_first_failing_step(spec8, rng, monkeyp
         with pytest.raises(error) as expected:
             parent(weber)
         with pytest.raises(error) as raised:
-            density_profiles(weber, dts)
+            density_profiles(FieldPlanes(weber), dts)
         assert str(raised.value) == str(expected.value)
 
 
@@ -625,7 +636,8 @@ def test_slab_loops_give_the_same_bits_for_any_worker_count(rng, monkeypatch, n)
                         evolve(transverse, 0.7).field.tobytes(),
                         list(advance_into(FieldPlanes(transverse), [-1.1], None)),
                         photon_number(transverse),
-                        density_profiles(transverse, [0.0])[0].tobytes(),
+                        swept_sum_sq_over_k(FieldPlanes(transverse)),
+                        density_profiles(FieldPlanes(transverse), [0.0])[0].tobytes(),
                         normalize_single_photon(transverse).field.tobytes()))
     assert results[0] == results[1] == results[2]
 

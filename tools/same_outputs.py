@@ -12,8 +12,9 @@ printed paths are the same on both sides.  Each side also runs the
 itself: a longitudinal mode (the transversality gate), a heavy k = 0 mode
 (the DC check, after the first snapshot is written), a NaN entry and a
 header cut short (the state-file checks, before --out exists), and the jobs
-of EXTRA, which cover steps, odd grids, non-unit c and hbar and CSV files
-that cross write_csv's block edges, which the workloads never take.  The
+of EXTRA, which cover steps, odd grids, non-unit c and hbar, CSV files
+that cross write_csv's block edges, modes that share a lattice site and a
+single slit source, which the workloads never take.  The
 exit code,
 stdout, stderr and sha256 of every file each job writes are compared, so a
 warning that one side prints and the other does not is a difference; the
@@ -47,10 +48,18 @@ SEED = "3"
 # odd grids, whose index ranges are lopsided (-(n-1)/2 .. (n-1)/2) and whose
 # planes split unevenly between two workers, a boost-audit and a
 # trajectories at c = 2 and hbar = 0.25, where the workloads run at c = hbar =
-# 1, and a boost-audit and a trajectories whose CSV rows cross the edges of
+# 1, a boost-audit and a trajectories whose CSV rows cross the edges of
 # the blocks that fieldio.write_csv formats at a time (_CSV_ROWS = 4096):
-# 5,000 samples in interference.csv, and 3 trajectories of 6,285 knots
+# 5,000 samples in interference.csv, and 3 trajectories of 6,285 knots, an
+# evolve with normalize and one without on a state whose right-handed k and
+# left-handed -k share a lattice site (the order in which
+# planewaves.StatePlanes adds modes, and its divisor), and a doubleslit of
+# one source
 NON_UNIT = {"c": 2.0, "hbar": 0.25}
+SHARED_SITE = {"components": [
+    {"k": [0.0, 0.0, 1.0], "I": 1.0, "phase": 0.3},
+    {"k": [0.0, 0.0, -1.0], "I": 0.7, "handedness": "left", "phase": -1.1},
+    {"k": [1.0, -2.0, 3.0], "I": 0.4, "handedness": "left"}]}
 EXTRA = {
     "doubleslit-steps": ("doubleslit", {"grid": {"n": 32}, "doubleslit": {
         "bundle_width": 1, "times": [0.8, 0.0, 0.0, -0.4]}}),
@@ -63,6 +72,13 @@ EXTRA = {
     "trajectories-units": ("trajectories", {"units": NON_UNIT}),
     "boost-audit-blocks": ("boost-audit", {"audit": {"samples": 5000}}),
     "trajectories-blocks": ("trajectories", {"trajectories": {"count": 3, "step": 1e-3}}),
+    "evolve-shared-site": ("evolve", {"grid": {"n": 16}, "state": SHARED_SITE, "evolve": {
+        "times": [0.0, 0.7]}}),
+    "evolve-shared-site-normalized": ("evolve", {"grid": {"n": 16}, "state": SHARED_SITE,
+                                                 "evolve": {"normalize": True,
+                                                            "times": [0.0, 0.7]}}),
+    "doubleslit-one-source": ("doubleslit", {"grid": {"n": 32}, "doubleslit": {
+        "sources": 1, "bundle_width": 1}}),
 }
 
 
