@@ -14,15 +14,14 @@ in plane buffers and writes the plane each step leaves into that step's
 snapshot file, so no snapshot is read back.  A pass takes at most
 _STEPS_PER_PASS steps, which bounds the files it holds open; a longer
 evolve.times list runs in several passes, each reading the last snapshot
-of the pass before it.  The first pass reads the state's planes (each
-divided by the square root of the state's photon number for
-evolve.normalize) or a momentum state file; only a position-representation
-state file, which needs its 3-D transform
-(spectral.forward_transform_in_place), or a state file to be normalized is
-held in memory, as one field; a state file's header alone decides which.
-The photon number of the state is formed before --out exists, and one
-beyond a float is refused.  Each snapshot's energy, photon number and
-transversality residual come from the sums its step forms in the pass.
+of the pass before it.  The first pass reads the state's planes, a preset
+or components state's or a momentum state file's (fieldio.WeberFile),
+each divided by the square root of the state's photon number for
+evolve.normalize; a position-representation state file is refused.  The
+photon number of the state is formed in one pass before --out exists
+(photon.photon_sums), and one beyond a float is refused.  Each snapshot's
+energy, photon number and transversality residual come from the sums its
+step forms in the pass, with the arithmetic of that first one.
 doubleslit writes no field: one pass (photon.density_profiles) reads each
 z-plane of its state once, turns it through every time step in plane
 buffers and takes each step's x,z-mean density profile along y from the
@@ -66,7 +65,9 @@ its input in one order before --out is created: the config, then the
 tolerances, then state.file (rejected by all but evolve), then the
 command's own checks.  One schema (``SCHEMA``) checks every key and every
 bound on one value (grid.n <= 355, audit.samples <= 2^16, units.c and
-units.hbar in [1e-100, 1e100], grid.L in [1e-40, 1e40]); ``_check_budget``
+units.hbar in [1e-100, 1e100], grid.L in [1e-40, 1e40]); a time whose step
+turns a mode by more than 2^53 rad is refused (spectral.check_step);
+``_check_budget``
 bounds the work of the sections a command reads: trajectory points times
 RK4 knots for trajectories and the profile rows of the times for
 doubleslit; evolve bounds the disk bytes of its snapshots on the n of
@@ -74,7 +75,8 @@ its grid or state file (``_check_snapshot_bytes``), and a state file's n,
 read from its header before the payload, as grid.n is bounded.  A value the
 library rejects while a command builds its state, boost or time steps, and
 every fault of a state file (one that cannot be read, a malformed header, a
-header value out of range, a non-finite payload), becomes, through
+header value out of range, the position representation, a non-finite
+payload), becomes, through
 ``_named``, an exit 2 naming its config field, before --out exists.  Boost
 speeds are given as fractions of c.  Tolerances are overridden per key with
 ``--tolerance KEY=VALUE`` (keys listed by ``photonflow info``); every value
@@ -93,8 +95,8 @@ from pathlib import Path
 
 # Before numpy loads: the OpenBLAS bundled with numpy starts a thread pool
 # when it loads, and its workers only spin.  photonflow's BLAS calls are
-# 3-vector products (x @ k, np.linalg.norm of 3-vectors, eps.conj() @ amp),
-# too small for a second thread; the program's own parallelism is
+# 3-vector products (np.linalg.norm of 3-vectors, eps.conj() @ amp), too
+# small for a second thread; the program's own parallelism is
 # fields.over_planes.  setdefault keeps a value the user's environment sets.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -106,18 +108,15 @@ from .bohm import (_NODE_FLOOR_REL, frame_consistency_check, integrate_trajector
 from .errors import (ConfigError, FieldValidationError, OffGridWaveVectorError, PhotonflowError,
                      ZeroFieldError)
 from .fieldio import (_HEADER, _POINT_BYTES, WeberFile, check_weber, new_weber_files,
-                      read_weber, trajectories_to_csv, weber_header, write_csv, write_npz)
-from .fields import (_BOX_LENGTH_RANGE, _UNIT_RANGE, MOMENTUM, POSITION, FieldPlanes, GridSpec,
-                     box_energy)
+                      trajectories_to_csv, weber_header, write_csv, write_npz)
+from .fields import _BOX_LENGTH_RANGE, _UNIT_RANGE, MOMENTUM, GridSpec, box_energy
 from .lorentz import (_AUDIT_TOL, SAMPLE_ARRAYS, Boost, audit_four_vector, audit_to_json,
                       boost_plane_wave)
 from .photon import (DEFAULT_DC_TOLERANCE, PHI_BASED, WEBER_BASED, check_dc_share,
-                     density_profiles, photon_count, single_photon_norm,
-                     swept_sum_sq_over_k)
+                     density_profiles, norm_of_sums, photon_count, photon_sums)
 from .planewaves import (PRESETS, CircularPlaneWave, CompiledState, PlaneWaveSuperposition,
                          StatePlanes)
-from .spectral import (_TRANSVERSALITY_TOL, advance_into, check_step,
-                       forward_transform_in_place)
+from .spectral import _TRANSVERSALITY_TOL, advance_into, check_step
 
 # --- config schema ------------------------------------------------------------
 #
@@ -232,11 +231,11 @@ def _state(value, path):
 
 
 # Work bounds, checked on the resolved config before a command allocates
-# anything: bytes of one n^3 grid field at 48 bytes a point, which bounds
-# grid.n in the schema (_MAX_N) and the n of a state file, the one field a
-# command may hold (a position file, or one to be normalized, is read into
-# memory; a preset or components state is never placed), and the 8 n^2
-# bytes of profile rows that doubleslit's one pass holds per time;
+# anything: bytes of one n^3 grid field at 48 bytes a point.  No command
+# holds a field: evolve and doubleslit read every state a z-plane at a time.
+# So the limit bounds, through grid.n in the schema (_MAX_N) and the n of a
+# state file, the disk bytes of one evolve snapshot, and the 8 n^2 bytes of
+# profile rows that doubleslit's one pass holds per time;
 # trajectory points times RK4 knots that the one integration pass
 # holds (48 bytes each), and samples per four-vector audit (each of the
 # eight audits stores 14 numbers a sample: 2 in audits.json, 12 in
@@ -451,27 +450,24 @@ def _check_snapshot_bytes(n, times):
 
 def _initial_source(config, tol):
     """The plane source evolve starts from: a planewaves.StatePlanes for a
-    preset or components state, fieldio.WeberFile or fields.FieldPlanes for
-    a state.file.
+    preset or components state, the fieldio.WeberFile of a state.file.
 
     A state.file's header is read first, and its n is checked against
     _MAX_N, the bound of grid.n, and the disk bytes of the snapshots on its
-    n or on grid.n, before anything is allocated.  A preset or components
-    state is compiled, never placed: the passes form its z-planes one at a
-    time, so no field is held for it.  A position state file, or one to be
-    normalized, is read once, into memory (and transformed in place), with
-    read_weber's checks.  The photon number of the state is then formed in
-    one pass (photon.single_photon_norm for a normalized state, which is
-    then read through the divisor that makes it one photon, never divided
-    whole; photon.swept_sum_sq_over_k otherwise, the sum the snapshots
-    record N from).  An N beyond a float, which every snapshot would
-    record, or a normalized state's N of 0, is a ConfigError naming state,
-    or state.file for a file.  For a momentum state file read as it is,
-    that pass through a plane buffer is also the file's check: only a sum
-    that is not finite makes check_weber read it again, to name the entry
-    that made it so.  The pass of the first steps then reads it plane by
-    plane.  Every fault of the file is a ConfigError naming state.file
-    (_named).
+    n or on grid.n, before anything is allocated; a file in the position
+    representation is refused, as nothing in the command line writes one.
+    A preset or components state is compiled, never placed: the passes form
+    its z-planes one at a time, so no field is held for it, nor for a file.
+    The photon number of the state is then formed in one pass
+    (photon.photon_sums, the sums a step of dt = 0 records).  For a state
+    file that pass through a plane buffer is also the file's check: only a
+    sum that is not finite makes check_weber read it again, to name the
+    entry that made it so.  An N beyond a float, which every snapshot would
+    record, is refused.  With evolve.normalize the source then reads its
+    planes through the divisor that makes the state one photon
+    (photon.norm_of_sums, which also makes the DC gate and refuses an N of
+    0), never divided whole.  Each refusal is a ConfigError naming state, or
+    state.file for a file (_named).
     """
     normalize, times = config["evolve"]["normalize"], len(config["evolve"]["times"])
     path = config["state"].get("file")
@@ -483,26 +479,27 @@ def _initial_source(config, tol):
     if n > _MAX_N:  # SCHEMA bounds grid.n: only a header's n is checked here
         raise ConfigError(f"state.file {path}: n = {n} is over the limit of {_MAX_N} "
                           f"({_FIELD_BYTES_LIMIT} bytes per field)", field="state.file")
+    if stored is not None and stored.representation != MOMENTUM:
+        raise ConfigError(f"state.file {path}: the file holds the {stored.representation} "
+                          "representation; evolve reads a momentum-representation file "
+                          "(photonflow.forward_transform and photonflow.write_weber make one)",
+                          field="state.file")
     _check_snapshot_bytes(n, times)
     if stored is None:
         grid, units = config["grid"], config["units"]
         spec = GridSpec(grid["n"], grid["L"], units["c"], units["hbar"])
         source = _named(field, StatePlanes, build_state(config), spec)
-    elif stored.representation == MOMENTUM and not normalize:
-        source = stored  # checked by the photon number's pass below
     else:
-        weber = _named(field, read_weber, path)
-        if weber.representation == POSITION:
-            forward_transform_in_place(weber)
-        source = FieldPlanes(weber)
+        source = stored
+    sums = _named(field, photon_sums, source)
+    # a NaN or inf entry of the file makes its |F~|^2 sum non-finite: check_weber
+    # names the entry, before the DC gate could fail on the NaN
+    if stored is not None and not np.isfinite(sums[1]):
+        _named(field, check_weber, path)
     if normalize:
-        source.divisor = _named(field, single_photon_norm, source, tol["dc"])
-        return source
-    # the photon number a step of dt = 0 records (spectral's sums)
-    sum_sq_over_k = _named(field, swept_sum_sq_over_k, source)
-    if stored is not None and not np.isfinite(sum_sq_over_k):
-        _named(field, check_weber, path)  # names a non-finite entry, if one made the sum so
-    _named(field, photon_count, sum_sq_over_k, source.spec)
+        source.divisor = _named(field, norm_of_sums, sums, source.spec, tol["dc"])
+    else:
+        _named(field, photon_count, sums[0], source.spec)
     return source
 
 

@@ -22,13 +22,16 @@ checks the header and the file size against the header's n before it
 allocates the field, then reads each plane into place and checks it for
 non-finite values; check_weber makes the same checks through one plane
 buffer and holds no field, and weber_header makes the header and size
-checks alone, so a caller can choose between the two before reading the
-payload.  A WeberFile (a checked file, or a new one whose header
-new_weber_files has written) reads and writes single z-planes at their
-offsets, one file handle per worker run, as fields.FieldPlanes does for a
-field in memory: it reads into the plane buffer of the run and writes the
-contiguous plane it is given, so spectral.advance_into evolves a state
-into one snapshot file per step through them, with no field held at all.
+checks alone, so a caller can read the payload in a pass of its own.  A
+WeberFile (a checked file, or a new one whose header new_weber_files has
+written) reads and writes single z-planes at their offsets, one file handle
+per worker run, as fields.FieldPlanes does for a field in memory: it reads
+into the plane buffer of the run, divided by its divisor if it has one,
+and writes the contiguous plane it is given, so spectral.advance_into
+evolves a state, normalized or not, into one snapshot file per step
+through them, with no field held at all.  read_weber, which holds the
+field, serves the library and its tests; the command line reads every
+state file through a WeberFile.
 new_weber_files writes its files under temporary names and gives each its
 name when the caller commits it, in the caller's order.  Only a big-endian
 host converts, one plane at a time.
@@ -75,22 +78,27 @@ _CSV_ROWS = 4096
 _NPZ_NUMBERS = 2 ** 16
 
 
-@dataclass(frozen=True)
+@dataclass
 class WeberFile:
     """A PHWF1 file's path and header, its payload read and written a z-plane at a time.
 
-    Like fields.FieldPlanes, ``reader(buffer)`` and ``writer()`` give each
-    worker run of a plane loop read(zs) and write(zs, plane) for the plane
-    view's z-planes ``zs`` of shape (1, n, n, 3), each at its offset in the
-    file through the run's own file handle.  ``read`` fills the run's
-    complex plane buffer ``buffer`` (payload order) and returns it;
-    ``write`` writes ``plane``, which is to be contiguous in payload order.
+    Like fields.FieldPlanes and planewaves.StatePlanes, ``reader(buffer)``
+    and ``writer()`` give each worker run of a plane loop read(zs) and
+    write(zs, plane) for the plane view's z-planes ``zs`` of shape
+    (1, n, n, 3), each at its offset in the file through the run's own file
+    handle.  ``read`` fills the run's complex plane buffer ``buffer``
+    (payload order), divides it in place by ``divisor`` if a divisor is
+    given (numpy's complex division, as FieldPlanes divides a field's
+    plane), and returns it; ``write`` writes ``plane``, which is to be
+    contiguous in payload order.  So a state file is normalized as it is
+    read, a plane at a time, and never held.
     """
 
     path: object
     spec: GridSpec
     representation: str
     time: float
+    divisor: object = None
 
     def _seek(self, fh, zs) -> None:
         fh.seek(_HEADER.size + zs.start * self.spec.n_per_axis ** 2 * _POINT_BYTES)
@@ -103,6 +111,8 @@ class WeberFile:
                 _read_plane(fh, self.path, buffer, zs.start)
                 if not _LITTLE_ENDIAN:  # the payload's bytes, as native complex128
                     buffer.byteswap(inplace=True)
+                if self.divisor is not None:
+                    np.divide(buffer, self.divisor, out=buffer)
                 return buffer
             yield read
 

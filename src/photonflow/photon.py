@@ -32,21 +32,24 @@ the DC photon coefficient is hard-zeroed otherwise.
 
 density_profiles and photon_sums read a plane source (fields.FieldPlanes,
 fieldio.WeberFile or planewaves.StatePlanes, see spectral._sweep), so a
-plane-wave state reaches them with no field built.  density_profiles
-reads the x,z-mean of rho_p along y straight off the momentum-space field
-after each of a list of time steps, in one pass of the spectral kernel
-that reads the field once and writes no field: one per-plane visitor
-(_profile_row) applies the weight, an inverse FFT along y and the
-reduction to one z-plane of the field's plane view (see fields) at a
-time, in the plane buffer the step leaves, so phi~ is never built in
+plane-wave state or a state file reaches them with no field built.
+density_profiles reads the x,z-mean of rho_p along y straight off the
+momentum-space field after each of a list of time steps, in one pass of
+the spectral kernel that reads the field once and writes no field: one
+per-plane visitor (_profile_row) applies the weight, an inverse FFT along y
+and the reduction to one z-plane of the field's plane view (see fields) at
+a time, in the plane buffer the step leaves, so phi~ is never built in
 full, and the pass also sums |F~|^2 and reads |F~(0)|^2 for the DC gate.
-photon_sums gathers the per-shell 1/|k| and sums |F~|^2 / |k|, |F~|^2 and
-|F~(0)|^2 in its own plane loop, and swept_sum_sq_over_k sums |F~|^2 / |k|
-in the same loop as spectral's kernel sums it; photon_number (a field) and
-single_photon_norm (a plane source, the divisor that makes the field one
-photon) gate the DC share on those sums and turn the first into N with
+photon_sums gathers the per-shell 1/|k| in its own plane loop and sums
+|F~|^2 and |F~|^2 / |k| per z-plane with the kernel's own arithmetic
+(spectral._square_sums), so it gives the bits a kernel step of dt = 0
+reports, and reads |F~(0)|^2: the one N pass.  photon_number (a field)
+gates the DC share on its sums and turns the first into N with
 photon_count, the one place N is formed from a sum, which refuses an N
-beyond a float.  Both passes run on fields.over_planes and add their
+beyond a float; norm_of_sums adds the refusal of N = 0 and gives sqrt(N),
+the divisor that makes the field one photon, which single_photon_norm
+forms for a plane source and evolve's normalize route from the sums of
+its own pass.  Both passes run on fields.over_planes and add their
 per-plane sums and profiles in plane order, so the results do not depend
 on the number of workers.  normalize_single_photon divides the whole field
 once, and photon_wavefunction, which has no plane loop, makes a
@@ -63,8 +66,8 @@ from .errors import DCContentError, FieldValidationError, ZeroFieldError
 from .fields import (MOMENTUM, POSITION, FieldPlanes, GridSpec, WeberGrid, over_planes,
                      plane_view, require_representation, sum_in_order, total_energy)
 from .planewaves import PHI_BASED, WEBER_BASED, _recipe_flow, flow_recipe
-from .spectral import (_TRANSVERSALITY_TOL, _TWO_PI_3_2, _c_dt, _fft_inverse, _gate, _sweep,
-                       evolve, inverse_transform, kgrid)
+from .spectral import (_TRANSVERSALITY_TOL, _TWO_PI_3_2, _c_dt, _fft_inverse, _gate,
+                       _square_sums, _sweep, evolve, inverse_transform, kgrid)
 
 DEFAULT_DC_TOLERANCE = 1e-12
 
@@ -195,8 +198,8 @@ def density_profiles(source, dts,
     Each step keeps the gates of evolve(weber, dt) and
     photon_wavefunction, in that order: the transversality gate on the field
     it starts from and the DC gate on the field it leaves; the first step
-    that fails raises.  A non-finite dt or largest angle raises
-    FieldValidationError before the pass (spectral.check_step).
+    that fails raises.  A non-finite dt, or a largest angle beyond 2^53 rad,
+    raises FieldValidationError before the pass (spectral.check_step).
     """
     require_representation(source, MOMENTUM, "density_profiles")
     spec = source.spec
@@ -208,22 +211,24 @@ def density_profiles(source, dts,
     return profiles
 
 
-def _plane_sums(source, sums) -> tuple:
-    """([sums(flat, inv_k) of each z-plane], |F~(0)|^2) of the momentum field
-    the plane source ``source`` reads, in one plane loop: ``flat`` is the
-    plane's float view (1, n, n, 6) of Re/Im pairs and ``inv_k`` its 1/|k|.
+def photon_sums(source) -> tuple:
+    """(sum of |F~|^2 / |k| over k != 0, sum of |F~|^2, |F~(0)|^2) of the
+    momentum field the plane source ``source`` reads, in one plane loop.
 
-    Each worker run reads its z-planes into one plane buffer and gathers
-    1/|k| one z-plane at a time from the per-shell table, so no (n, n, n)
-    array is built; the records come back in plane order.
+    Each z-plane's |F~|^2 per mode, its sum and its 1/|k|-weighted sum are
+    formed as spectral's kernel forms them (spectral._square_sums) and the
+    per-plane sums are added in plane order, so the two sums are the bits
+    FieldSums reports for a step of dt = 0.  Each worker run reads its
+    z-planes into one plane buffer and gathers 1/|k| one z-plane at a time
+    from the per-shell table, so no (n, n, n) array is built.
     """
     spec = source.spec
     kg, n = kgrid(spec), spec.n_per_axis
     dc_sq = []  # from the run that reads plane 0
 
     def work(run):
-        # the plane and its 1/|k|, one buffer each per run
-        buffer, inv_k = np.empty((1, n, n, 3), dtype=complex), np.empty((1, n, n))
+        # the plane, and its 1/|k| and |F~|^2 per mode: one buffer each per run
+        buffer, (inv_k, sq) = np.empty((1, n, n, 3), dtype=complex), np.empty((2, 1, n, n))
         records = []
         with source.reader(buffer) as read:
             for zs in run:
@@ -232,33 +237,13 @@ def _plane_sums(source, sums) -> tuple:
                 # table from shell mz^2 on, gathered at yx_sq, with no shell index
                 np.take(kg.shell_inv_k[kg.axis_sq[zs.start]:], kg.yx_sq, out=inv_k[0],
                         mode="clip")
-                records.append(sums(flat, inv_k))
+                records.append(_square_sums(flat, inv_k, sq))
                 if zs.start == 0:
                     dc_sq.append(float(np.einsum("c,c->", flat[0, 0, 0], flat[0, 0, 0])))
         return records
 
-    return over_planes(n, work), dc_sq[0]
-
-
-def photon_sums(source) -> tuple:
-    """(sum of |F~|^2 / |k| over k != 0, sum of |F~|^2, |F~(0)|^2) of the
-    momentum field the plane source ``source`` reads, in one plane loop
-    whose per-plane sums are added in plane order."""
-    records, dc_sq = _plane_sums(source, lambda flat, inv_k: (
-        np.einsum("zyxc,zyxc,zyx->", flat, flat, inv_k), np.einsum("zyxc,zyxc->", flat, flat)))
-    over_k, sq = zip(*records)
-    return sum_in_order(over_k), float(sum_in_order(sq)), dc_sq
-
-
-def swept_sum_sq_over_k(source) -> float:
-    """The sum of |F~|^2 / |k| over k != 0 of the momentum field the plane
-    source ``source`` reads, as spectral's kernel sums it per z-plane
-    (FieldSums.sum_sq_over_k: |F~|^2 per mode, then its 1/|k|-weighted
-    sum), in one plane loop: the bits a step of dt = 0 reports, and a
-    cheaper pass than photon_sums."""
-    records, _ = _plane_sums(source, lambda flat, inv_k: np.einsum(
-        "zyx,zyx->", np.einsum("...i,...i->...", flat, flat), inv_k))
-    return float(sum_in_order(records))
+    sq, over_k = zip(*over_planes(n, work))
+    return float(sum_in_order(over_k)), float(sum_in_order(sq)), dc_sq[0]
 
 
 def photon_number(weber: WeberGrid,
@@ -276,21 +261,26 @@ def photon_number(weber: WeberGrid,
     return photon_count(sum_sq_over_k, weber.spec)
 
 
-def single_photon_norm(source, dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> float:
-    """sqrt(N) of the momentum field the plane source ``source`` reads, the
-    divisor that makes that field one photon, from one photon_sums pass
-    with photon_number's DC gate.
+def norm_of_sums(sums, spec: GridSpec, dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> float:
+    """sqrt(N) of a field on ``spec``'s grid whose photon_sums are ``sums``: the
+    divisor that makes that field one photon, after photon_number's DC gate.
 
     A field with no photons raises ZeroFieldError; a photon number beyond a
     float, which would divide the field to 0, raises FieldValidationError.
     """
-    require_representation(source, MOMENTUM, "single_photon_norm")
-    sum_sq_over_k, sum_sq, dc_sq = photon_sums(source)
+    sum_sq_over_k, sum_sq, dc_sq = sums
     check_dc_share(dc_sq, sum_sq, dc_tolerance)
-    n = photon_count(sum_sq_over_k, source.spec)
+    n = photon_count(sum_sq_over_k, spec)
     if n == 0.0:
         raise ZeroFieldError("photon number is 0; there is no photon to normalize")
     return np.sqrt(n)
+
+
+def single_photon_norm(source, dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> float:
+    """norm_of_sums of the momentum field the plane source ``source`` reads,
+    from one photon_sums pass: the divisor that makes that field one photon."""
+    require_representation(source, MOMENTUM, "single_photon_norm")
+    return norm_of_sums(photon_sums(source), source.spec, dc_tolerance)
 
 
 def normalize_single_photon(weber: WeberGrid,

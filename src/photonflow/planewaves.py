@@ -227,15 +227,22 @@ class CompiledState:
                         f"amplitudes is not finite for c = {c!r}, hbar = {hbar!r}")
 
     def mode_sum(self, amplitudes: str, x, t) -> np.ndarray:
-        """v = sum over modes of the named amplitudes at points x (..., 3), time(s) t."""
+        """v = sum over modes of the named amplitudes at points x (..., 3), time(s) t.
+
+        Each phase k . x is formed elementwise, in one order for every point,
+        so a point gets the same bits alone as in a batch (a BLAS x @ k may
+        round a point differently with the batch around it).
+        """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != 3:
             raise FieldValidationError(
                 f"points must have a trailing axis of size 3, got shape {x.shape}")
         t = np.asarray(t, dtype=float)
         out = np.zeros(np.broadcast_shapes(x.shape[:-1], t.shape) + (3,), dtype=complex)
+        x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
         for k, omega, amplitude in zip(self.wave_vectors, self.frequencies, getattr(self, amplitudes)):
-            out += np.exp(1j * (x @ k - omega * t))[..., None] * amplitude
+            phase = x0 * k[0] + x1 * k[1] + x2 * k[2] - omega * t
+            out += np.exp(1j * phase)[..., None] * amplitude
         return out
 
     def flow(self, recipe: tuple, x, t) -> tuple:

@@ -45,10 +45,10 @@ evolve, advance_into, transversality_residual and photon.density_profiles
 share one kernel (_sweep) that reads a field one z-plane at a time through
 a plane reader, turns each plane through a list of steps and hands the
 plane each step leaves to that step's plane writer, if there are writers:
-fields.FieldPlanes for a field in memory (read divided by a constant if
-asked), fieldio.WeberFile for the payload of a PHWF1 file and
-planewaves.StatePlanes for a plane-wave state that no field holds (a
-source only); every reader fills the run's plane buffer.  Mode by mode
+fields.FieldPlanes for a field in memory, fieldio.WeberFile for the
+payload of a PHWF1 file and planewaves.StatePlanes for a plane-wave state
+that no field holds (a source only); every reader fills the run's plane
+buffer, divided by the source's divisor if it has one.  Mode by mode
 the dynamics never look beyond one plane, so advance_into writes the
 snapshot of every step from one read of its source, without a field in
 memory and without reading a snapshot back, and density_profiles takes a
@@ -70,12 +70,13 @@ read, and the step holds the new field and plane-sized temporaries.  From
 the planes it already holds the kernel also sums |F~|^2 and |F~|^2/|k|,
 reads |F~(0)|^2 and forms the transversality residual of the field each
 step leaves behind (FieldSums), so a caller that needs the energy, the
-photon number and the residual of each evolved state reads the field once.
+photon number and the residual of each evolved state reads the field once;
+the sums are formed per z-plane by _square_sums, which photon.photon_sums
+shares.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
@@ -93,6 +94,11 @@ _RESIDUAL_FLOOR = 1e-300
 
 # default transversality residual that evolve and advance_into accept
 _TRANSVERSALITY_TOL = 1e-10
+
+# The largest angle |k| c |dt| a step may turn a mode by.  A float angle theta
+# carries a rounding error of about u theta, with the unit roundoff u = 2^-53:
+# beyond 2^53 rad that error reaches 1 rad, and cos and sin of it keep no digit.
+_MAX_ANGLE = 2.0 ** 53
 
 
 class KGrid:
@@ -199,9 +205,10 @@ class FieldSums:
 
     ``sum_sq`` is the sum of |F~|^2 over all modes and ``sum_sq_over_k``
     the sum of |F~|^2 / |k| over k != 0, each summed per z-plane from the
-    |F~|^2 per mode that the residual's peak needs and added in plane
-    order; total_energy and photon_number sum the same terms over the
-    whole field at once, so the two routes agree to roundoff.  ``dc_sq``
+    |F~|^2 per mode that the residual's peak needs (_square_sums) and added
+    in plane order; photon_number and single_photon_norm sum them with the
+    same bits (photon.photon_sums), total_energy over the whole field at
+    once, which agrees to roundoff.  ``dc_sq``
     is |F~(0)|^2.  ``residual`` is the transversality residual, bit for
     bit as transversality_residual reports it.
     """
@@ -212,13 +219,22 @@ class FieldSums:
     residual: float
 
 
-def _tally(k, g, flat, inv_k, sums, k_dot_f, product, real):
+def _square_sums(flat, inv_k, sq) -> tuple:
+    """(sum |F~|^2, sum |F~|^2 / |k|) of a z-plane of float view ``flat`` (Re/Im
+    pairs) and 1/|k| ``inv_k``, from its |F~|^2 per mode, which is written into
+    the float plane buffer ``sq``: the one arithmetic of the energy and photon
+    number sums (FieldSums, photon.photon_sums)."""
+    np.einsum("...i,...i->...", flat, flat, out=sq)
+    return sq.sum(), np.einsum("zyx,zyx->", sq, inv_k)
+
+
+def _tally(k, g, flat, inv_k, k_dot_f, product, real):
     """Tally of one z-plane (components ``g`` first, float view ``flat``),
     with its k . F~ written into ``k_dot_f``.
 
     The tally is (max |k . F~| / |k|, max |F~|^2, sum |F~|^2,
-    sum |F~|^2 / |k|); the two sums are 0.0 unless ``sums``.  ``product``
-    (complex) and ``real`` (float) are plane buffers it overwrites.
+    sum |F~|^2 / |k|).  ``product`` (complex) and ``real`` (float) are plane
+    buffers it overwrites; ``real`` is left holding |F~|^2 per mode.
     """
     np.multiply(k[0], g[0], out=k_dot_f)
     k_dot_f += np.multiply(k[1], g[1], out=product)
@@ -226,10 +242,8 @@ def _tally(k, g, flat, inv_k, sums, k_dot_f, product, real):
     longitudinal = np.abs(k_dot_f, out=real)
     longitudinal *= inv_k
     peak_longitudinal = longitudinal.max()
-    sq = np.einsum("...i,...i->...", flat, flat, out=real)  # |F~|^2 per mode
-    if not sums:
-        return peak_longitudinal, sq.max(), 0.0, 0.0
-    return peak_longitudinal, sq.max(), sq.sum(), np.einsum("zyx,zyx->", sq, inv_k)
+    sum_sq, sum_sq_over_k = _square_sums(flat, inv_k, real)
+    return peak_longitudinal, real.max(), sum_sq, sum_sq_over_k
 
 
 def _fold(tallies):
@@ -335,8 +349,7 @@ def _sweep(source, c_dts=(None,), sinks=None, visit=None):
                 kg.shell_plane(zs, out=shell)
                 # mode="clip": with the default "raise" np.take buffers its out=
                 np.take(kg.shell_inv_k, shell, out=inv_k, mode="clip")
-                tally = _tally(k, g, plane.view(np.float64), inv_k, turns[0] is None,
-                               k_dot_f, product, real)
+                tally = _tally(k, g, plane.view(np.float64), inv_k, k_dot_f, product, real)
                 steps = []
                 for i, turn in enumerate(turns):
                     result = tally
@@ -349,8 +362,8 @@ def _sweep(source, c_dts=(None,), sinks=None, visit=None):
                         g, spare = spare, g
                         plane = spare.reshape(plane.shape)
                         np.copyto(plane, np.moveaxis(g, 0, -1))
-                        result = _tally(k, g, plane.view(np.float64), inv_k, True,
-                                        k_dot_f, product, real)
+                        result = _tally(k, g, plane.view(np.float64), inv_k, k_dot_f,
+                                        product, real)
                     elif visit and i:  # the visitor of the step before worked in the plane
                         np.copyto(plane, np.moveaxis(g, 0, -1))
                     if writes:
@@ -432,8 +445,8 @@ def evolve(weber: WeberGrid, dt: float,
         ``transversality_tol``.
     dt : float
         Time step (any sign).  A non-finite dt, or one that turns the
-        largest mode by a non-finite angle, raises FieldValidationError
-        before anything is written.
+        largest mode by an angle beyond 2^53 rad (check_step), raises
+        FieldValidationError before anything is written.
     """
     require_representation(weber, MOMENTUM, "evolve")
     evolved = WeberGrid(np.empty_like(weber.field), weber.spec, MOMENTUM, weber.time)
@@ -444,13 +457,16 @@ def evolve(weber: WeberGrid, dt: float,
 
 def check_step(spec: GridSpec, dt: float) -> float:
     """c dt of a step dt on ``spec``'s grid; raises FieldValidationError unless
-    dt and the largest angle |k| c dt it turns a mode by are finite."""
+    dt is finite and the largest angle |k| c |dt| it turns a mode by is at most
+    _MAX_ANGLE."""
     dt = float(check_real("dt", dt))
     c_dt = float(spec.c) * dt  # Python floats: an overflow gives inf, not a warning
-    # the largest angle is the outermost shell's
-    if not math.isfinite(float(kgrid(spec).shell_k[-1]) * abs(c_dt)):
+    # the largest angle is the outermost shell's; "not <=" refuses an inf or NaN too
+    angle = float(kgrid(spec).shell_k[-1]) * abs(c_dt)
+    if not angle <= _MAX_ANGLE:
         raise FieldValidationError(
-            f"dt = {dt!r} turns the largest mode by a non-finite angle |k| c dt")
+            f"dt = {dt!r} turns the largest mode by the angle |k| c dt = {angle!r}, "
+            f"beyond 2^53 rad, where a float angle has lost every digit of its phase")
     return c_dt
 
 
@@ -469,7 +485,7 @@ def advance_into(source, dts, sinks, transversality_tol: float = _TRANSVERSALITY
     once, turned through every step by evolve's exact per-mode propagator
     and written by each step into its sink, so no field need be held in
     memory and no sink is read back.  A step with dt == 0 writes the field
-    it starts from.  A non-finite dt or largest angle raises
+    it starts from.  A dt that check_step refuses raises
     FieldValidationError before anything is read.  Returns an iterator over
     the steps in order, after the pass: each step taken from it runs the
     step's transversality gate on the field the step starts from and gives

@@ -315,15 +315,17 @@ def _assert_same_trajectory(traj, reference, recipe):
 
 @pytest.mark.parametrize("recipe", [PHI_BASED, WEBER_BASED])
 def test_integrate_trajectories_equals_per_point_runs_bit_for_bit(rng, recipe):
-    state = _boosted_pair()
-    points = rng.uniform(-np.pi, np.pi, size=(16, 3))
-    batch = integrate_trajectories(state, points, 0.0, 1.3, 0.05, recipe)
-    assert len(batch) == 16
-    for x0, batched in zip(points, batch):
-        reference = _one_point_loop(state, x0, 1.3, recipe)
-        _assert_same_trajectory(batched, reference, recipe)
-        _assert_same_trajectory(_trajectory(state, x0, 0.0, 1.3, 0.05, recipe),
-                                reference, recipe)
+    # the boosted pair's wave vectors lie in the x-z plane; a random state's
+    # point out of it, so each phase k . x takes all three products
+    for state in (_boosted_pair(), _random_state(rng)):
+        points = rng.uniform(-np.pi, np.pi, size=(16, 3))
+        batch = integrate_trajectories(state, points, 0.0, 1.3, 0.05, recipe)
+        assert len(batch) == 16
+        for x0, batched in zip(points, batch):
+            reference = _one_point_loop(state, x0, 1.3, recipe)
+            _assert_same_trajectory(batched, reference, recipe)
+            _assert_same_trajectory(_trajectory(state, x0, 0.0, 1.3, 0.05, recipe),
+                                    reference, recipe)
 
 
 def test_integrate_trajectories_cuts_each_point_at_its_own_node_stop():

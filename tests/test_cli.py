@@ -159,8 +159,8 @@ def test_evolve_resumes_from_snapshot_file(tmp_path):
 
 
 def test_evolve_normalizes_a_state_file_as_it_does_the_placed_state(tmp_path):
-    # a momentum file to be normalized is read into memory and read through
-    # the same divisor as the placed state it holds: the snapshots agree bit for bit
+    # a momentum file to be normalized is read a plane at a time through the
+    # same divisor as the placed state it holds: the snapshots agree bit for bit
     config = {"grid": {"n": 8}, "evolve": {"times": [0.0, 0.6]}}
     assert main(["evolve", "--config", _write_config(tmp_path, config, name="plain.json"),
                  "--out", str(tmp_path / "plain")]) == 0
@@ -209,49 +209,58 @@ def test_evolve_custom_components(tmp_path):
     assert abs(snap["photon_number"] - 0.25 * box) < 1e-9
 
 
-def test_evolve_resumes_from_a_position_representation_file(tmp_path):
+def test_evolve_refuses_a_position_representation_file(tmp_path, capsys):
+    # nothing in the command line writes one: its header alone refuses it,
+    # naming state.file and the library route to a momentum file
     spec = GridSpec(8, 2.0 * np.pi, 1.3, 0.9)
     position = sample_to_grid(counterprop_pair(1.0, 2.0), spec)
-    assert position.representation == "position"
     path = tmp_path / "position.phwf"
     write_weber(path, position)
-    rc, out = _run(tmp_path, "evolve",
-                   config={"state": {"file": str(path)}, "evolve": {"times": [0.0, 0.5]}})
+    for normalize in (False, True):
+        rc, out = _run(tmp_path, "evolve", config={"state": {"file": str(path)}, "evolve": {
+            "times": [0.0, 0.5], "normalize": normalize}})
+        err = capsys.readouterr().err
+        assert rc == 2 and not out.exists()
+        assert err.startswith(f"error: state.file {path}: the file holds the position "
+                              "representation; evolve reads a momentum-representation file "
+                              "(photonflow.forward_transform and photonflow.write_weber "
+                              "make one) (field: state.file)\n")
+    # the library route the message names makes a file evolve reads
+    write_weber(path, forward_transform(position))
+    rc, out = _run(tmp_path, "evolve", config={"state": {"file": str(path)},
+                                               "evolve": {"times": [0.0]}})
     assert rc == 0
-    tilde = forward_transform(position)
-    first, second = _load_json(out, "diagnostics.json")["snapshots"]
-    # t = 0 is the state's own time: the snapshot is the transformed field itself
-    assert read_weber(out / first["file"]).field.tobytes() == tilde.field.tobytes()
-    assert (first["energy"], first["photon_number"]) == (total_energy(tilde),
-                                                         photon_number(tilde))
-    assert second["energy"] == pytest.approx(total_energy(tilde), rel=1e-13)
-    assert second["photon_number"] == pytest.approx(photon_number(tilde), rel=1e-13)
+    assert (out / "snapshot_00.phwf").read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("representation, normalize", [("position", False),
-                                                      ("momentum", True)])
-def test_a_state_file_read_into_memory_is_read_once(tmp_path, monkeypatch, representation,
-                                                    normalize):
-    # the header decides: a file that read_weber reads into memory is not
-    # also run through check_weber's pass; a NaN entry still stops the run
-    # before --out exists, naming state.file
+def test_a_normalized_state_file_is_checked_by_its_photon_number_pass(tmp_path, monkeypatch,
+                                                                      capsys):
+    # a state file to be normalized streams, as one that is not: the pass of
+    # its photon number checks it, and check_weber reads it only when a sum
+    # is not finite, to name the NaN entry that made it so, before the DC
+    # gate and before --out exists, with the error of the file's check
     spec = GridSpec(8, 2.0 * np.pi)
     field = place(counterprop_pair(1.0, 2.0), spec)
-    if representation == "position":
-        field = inverse_transform(field)
     path = tmp_path / "state.phwf"
     write_weber(path, field)
+    checked = []
 
-    def refused(path):
-        raise AssertionError(f"check_weber read {path}")
-    monkeypatch.setattr(cli, "check_weber", refused)
+    def counted(path, original=cli.check_weber):
+        checked.append(path)
+        return original(path)
+    monkeypatch.setattr(cli, "check_weber", counted)
     config = _write_config(tmp_path, {"state": {"file": str(path)},
-                                      "evolve": {"times": [0.0], "normalize": normalize}})
+                                      "evolve": {"times": [0.0], "normalize": True}})
     assert main(["evolve", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    assert checked == []
     field.field[1, 2, 3, 0] = np.nan
     write_weber(path, field)
+    capsys.readouterr()
     assert main(["evolve", "--config", config, "--out", str(tmp_path / "nan")]) == 2
-    assert not (tmp_path / "nan").exists()
+    assert checked == [str(path)] and not (tmp_path / "nan").exists()
+    assert capsys.readouterr().err == (
+        f"error: state.file: {path}: payload is non-finite at grid index (1, 2, 3), "
+        f"component 0 (field: state.file)\n" + _SCHEMA_HINT)
 
 
 def _count_plane_reads(monkeypatch):
@@ -283,8 +292,7 @@ def test_evolve_reads_its_source_in_one_pass(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(spectral, "_sweep")
-    for module, name in ((photon, "photon_sums"), (photon, "swept_sum_sq_over_k"),
-                         (photon, "photon_number"),
+    for module, name in ((photon, "photon_sums"), (photon, "photon_number"),
                          (photon, "normalize_single_photon"), (planewaves, "place"),
                          (fields, "total_energy"), (spectral, "transversality_residual")):
         counted(module, name)
@@ -302,12 +310,18 @@ def test_evolve_reads_its_source_in_one_pass(tmp_path, monkeypatch):
     # from a momentum state file: the pass of the photon number it records,
     # which is also the file's check, reads each plane once, the pass of the
     # steps once more
-    calls.clear()
-    (tmp_path / "resumed").mkdir()
-    rc, resumed = _run(tmp_path / "resumed", "evolve", config={
-        "state": {"file": str(out / "snapshot_03.phwf")}, "evolve": {"times": times}})
-    assert rc == 0 and calls == ["swept_sum_sq_over_k", "_sweep"]
-    assert sorted(reads) == sorted([("snapshot_03.phwf", iz) for iz in range(8)] * 2)
+    for normalize in (False, True):
+        # normalized or not, the file is read plane by plane: each plane once for
+        # the photon number, once more for the steps, and no field is held
+        calls.clear()
+        reads.clear()
+        top = tmp_path / f"resumed-{normalize}"
+        top.mkdir()
+        rc, resumed = _run(top, "evolve", config={
+            "state": {"file": str(out / "snapshot_03.phwf")},
+            "evolve": {"times": times, "normalize": normalize}})
+        assert rc == 0 and calls == ["photon_sums", "_sweep"]
+        assert sorted(reads) == sorted([("snapshot_03.phwf", iz) for iz in range(8)] * 2)
 
 
 def test_a_long_evolve_holds_a_bounded_number_of_files(tmp_path, monkeypatch):
@@ -434,12 +448,10 @@ def _child_usage(args):
                     reason="reads ru_maxrss in KiB, as Linux reports it")
 def test_evolve_jobs_hold_one_field(tmp_path):
     # the normalized evolve job and its resume, as the benchmark runs them at
-    # n = 128, and a resume from a position-representation file.  Beyond the
-    # interpreter with photonflow imported and the wave-vector grid, the first
-    # two read and write a plane at a time and hold no field (the normalized
-    # copy or the read payload, a full field, takes them over half a field),
-    # and the third holds one field (a second full-size copy, of the read
-    # bytes or the forward transform, takes it over one and a half)
+    # n = 128, and the same resume normalized.  Beyond the interpreter with
+    # photonflow imported and the wave-vector grid, each reads and writes a
+    # plane at a time and holds no field: the normalized copy, or a state
+    # file read whole, would take it over half a field
     n = 96
     shells = 3 * (n // 2) ** 2 + 1
     field_bytes = 48 * n ** 3  # complex 3-vectors
@@ -447,18 +459,16 @@ def test_evolve_jobs_hold_one_field(tmp_path):
     kgrid_bytes = 16 * shells + 8 * n ** 2
     baseline = _child_usage(["-c", "import photonflow.cli"])[0]
     run = tmp_path / "run"
-    position = tmp_path / "position.phwf"
-    write_weber(position, sample_to_grid(counterprop_pair(1.0, 2.0), GridSpec(n, 2.0 * np.pi)))
+    resume = {"state": {"file": str(run / "snapshot_01.phwf")}, "evolve": {"times": [1.0, 2.0]}}
     jobs = [({"grid": {"n": n}, "evolve": {"times": [0.0, 1.0], "normalize": True}}, run),
-            ({"state": {"file": str(run / "snapshot_01.phwf")},
-              "evolve": {"times": [1.0, 2.0]}}, tmp_path / "resumed"),
-            ({"state": {"file": str(position)}, "evolve": {"times": [0.0, 1.0]}},
-             tmp_path / "from-position")]
-    for i, ((config, out), limit) in enumerate(zip(jobs, (0.5, 0.5, 1.5))):
+            (resume, tmp_path / "resumed"),
+            ({**resume, "evolve": {"times": [1.0, 2.0], "normalize": True}},
+             tmp_path / "resumed-normalized")]
+    for i, (config, out) in enumerate(jobs):
         path = _write_config(tmp_path, config, name=f"job{i}.json")
         extra = _child_usage(["-m", "photonflow", "evolve", "--config", path,
                               "--out", str(out)])[0] - baseline
-        assert extra < limit * field_bytes + kgrid_bytes, (i, extra / field_bytes)
+        assert extra < 0.5 * field_bytes + kgrid_bytes, (i, extra / field_bytes)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -959,6 +969,11 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
     # wave) takes the boosted |k'| out of it
     ("boost-audit", {"audit": {"k_right": 1.5e-154}}, "audit.k_right"),
     ("boost-audit", {"audit": {"k_left": 1e154}}, "audit.k_left"),
+    # finite angles |k| c dt beyond 2^53 rad, whose phases keep no digit
+    ("evolve", {"grid": {"n": 8}, "evolve": {"times": [0.0, 1e299]}}, "evolve.times"),
+    ("evolve", {"grid": {"n": 8}, "evolve": {"times": [0.0, 1e17]}}, "evolve.times"),
+    ("doubleslit", {"grid": {"n": 16}, "doubleslit": {"times": [0.0, 1e299]}},
+     "doubleslit.times"),
 ], ids=["nan-point", "no-points", "inf-boost", "text-phase", "nan-phase",
         "text-preset-arg", "nan-preset-arg", "inf-evolve-time", "inf-slit-time",
         "text-normalize", "misspelled-key", "bool-sources", "zero-line-direction",
@@ -974,7 +989,8 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys, pair):
         "tiny-bundle-sigma", "underflowing-bundle-sigma", "underflowing-second-source",
         "overflowing-slit-profile", "slit-times-over-limit", "snapshots-over-disk-limit",
         "wave-longer-than-box", "underflowing-k-left",
-        "overflowing-k-right", "boost-underflows-k-right", "boost-overflows-k-left"])
+        "overflowing-k-right", "boost-underflows-k-right", "boost-overflows-k-left",
+        "huge-evolve-angle", "evolve-angle-beyond-2-53", "huge-slit-angle"])
 def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, command,
                                                    config, field):
     rc, out = _run(tmp_path, command, config=config)
@@ -1013,10 +1029,13 @@ def test_rejected_input_exits_2_naming_the_field(tmp_path, capsys, command, conf
 @pytest.mark.parametrize("c, hbar", [(1e-100, 1e-100), (1e100, 1e100), (1e-100, 1e100)])
 @pytest.mark.parametrize("command", ["evolve", "boost-audit", "trajectories", "doubleslit"])
 def test_units_at_the_ends_of_their_range_run(tmp_path, command, c, hbar):
-    small = {"evolve": {"grid": {"n": 8}, "evolve": {"normalize": True}},
+    # steps of a few periods of the grid's modes: at c = 1e100 a step of 1
+    # would turn them by angles beyond 2^53 rad, which check_step refuses
+    small = {"evolve": {"grid": {"n": 8}, "evolve": {"normalize": True,
+                                                     "times": [0.0, 1.0 / c, 2.0 / c]}},
              "boost-audit": {"audit": {"samples": 16}},
              "trajectories": {"trajectories": {"count": 4}},
-             "doubleslit": {"grid": {"n": 16}}}[command]
+             "doubleslit": {"grid": {"n": 16}, "doubleslit": {"times": [0.0, 0.4 / c]}}}[command]
     rc, out = _run(tmp_path, command, config=dict(small, units={"c": c, "hbar": hbar}))
     assert rc == 0 and out.exists()
 

@@ -10,8 +10,9 @@ from numpy.testing import assert_allclose
 from photonflow import GridSpec, WeberGrid, read_weber, write_weber
 from photonflow.bohm import Trajectory
 from photonflow.errors import FieldValidationError
-from photonflow.fieldio import (_CSV_ROWS, _NPZ_NUMBERS, trajectories_to_csv, write_csv,
-                               write_npz)
+from photonflow.fieldio import (_CSV_ROWS, _NPZ_NUMBERS, check_weber, trajectories_to_csv,
+                               write_csv, write_npz)
+from photonflow.fields import FieldPlanes
 
 
 def _random_grid(rng, n=4, representation="position", c=1.0, hbar=1.0,
@@ -76,6 +77,24 @@ def test_payload_bytes_match_a_hand_packed_reference(tmp_path):
     back = read_weber(path)
     assert back.field.dtype == np.complex128
     assert back.field.tobytes() == field.tobytes()  # bit-exact, -0.0 included
+
+
+@pytest.mark.parametrize("divisor", [None, 3.7, 1e-300])
+def test_a_file_reads_its_planes_through_a_divisor_as_a_field_does(tmp_path, rng, divisor):
+    # each plane read through the divisor holds the bits of the field's plane
+    # divided by it (FieldPlanes); the file itself is only read
+    weber = _random_grid(rng, n=5, representation="momentum")
+    path = tmp_path / "field.phwf"
+    write_weber(path, weber)
+    stored = check_weber(path)
+    stored.divisor = divisor
+    planes = [np.empty((1, 5, 5, 3), dtype=complex) for _ in range(2)]
+    with stored.reader(planes[0]) as read_file, \
+            FieldPlanes(weber, divisor).reader(planes[1]) as read_field:
+        for iz in range(5):
+            zs = slice(iz, iz + 1)
+            assert read_file(zs).tobytes() == read_field(zs).tobytes()
+    assert read_weber(path).field.tobytes() == weber.field.tobytes()
 
 
 def test_bad_magic_rejected(tmp_path, rng):

@@ -3,6 +3,7 @@
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from photonflow.errors import (DCContentError, FieldValidationError, Representat
 from photonflow.fieldio import check_weber, new_weber_files
 from photonflow.fields import FieldPlanes, box_energy, plane_view
 from photonflow.photon import (_good_weights, _profile_row, density_profiles, photon_count,
-                               photon_wavefunction, single_photon_norm, swept_sum_sq_over_k)
+                               photon_sums, photon_wavefunction, single_photon_norm)
 from photonflow.planewaves import StatePlanes, counterprop_pair, eval_weber
 from photonflow.spectral import (_TWO_PI_3_2, _sweep, advance_into, forward_transform_in_place,
                                  kgrid)
@@ -384,6 +385,9 @@ def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
                     path, [tmp_path / f"step_{i}.phwf" for i in range(4)],
                     [0.3, 0.0, -0.5, 0.2]), 0.16),
                 ("read_weber", lambda: read_weber(path), 1.01),
+                # a state file's photon number: one plane buffer per worker
+                ("file_single_photon_norm", lambda: single_photon_norm(check_weber(path)),
+                 0.05),
                 # from a plane-wave state that no field holds: the plane buffers only
                 ("state_density_profiles", lambda: density_profiles(
                     StatePlanes(state, spec), [0.0, 0.4, -0.3]), 0.25),
@@ -424,18 +428,20 @@ def _file_to_files(source, targets, dts, **kwargs):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_advance_into_reads_and_writes_the_bits_of_evolve(tmp_path, rng, monkeypatch, n, dt,
                                                            workers):
-    # file to file, and from a field read through a divisor: the bytes of
-    # evolve on the field (or on its normalized copy) written by write_weber,
-    # and the sums of a pass from that field in memory
+    # file to file, and from a field or a file read through a divisor: the
+    # bytes of evolve on the field (or on its normalized copy) written by
+    # write_weber, and the sums of a pass from that field in memory
     monkeypatch.setattr(fields, "_WORKERS", workers)
     spec = GridSpec(n, 2.0 * np.pi, c=1.3, hbar=0.7)
     weber = _random_transverse(spec, rng)
     weber.field[0, 0, 0] = [1e-3, 2e-3j, 0.0]  # some DC content, carried unchanged
     weber.time = 0.25
     write_weber(tmp_path / "state.phwf", weber)
+    divisor = single_photon_norm(FieldPlanes(weber), dc_tolerance=1.0)
     for source, reference in (
             (check_weber(tmp_path / "state.phwf"), weber),
-            (FieldPlanes(weber, single_photon_norm(FieldPlanes(weber), dc_tolerance=1.0)),
+            (FieldPlanes(weber, divisor), normalize_single_photon(weber, dc_tolerance=1.0)),
+            (replace(check_weber(tmp_path / "state.phwf"), divisor=divisor),
              normalize_single_photon(weber, dc_tolerance=1.0))):
         sums = list(advance_into(FieldPlanes(reference), [dt], None))
         write_weber(tmp_path / "reference.phwf", evolve(reference, dt))
@@ -500,9 +506,10 @@ def test_advance_into_reports_the_sums_of_the_field_it_leaves(rng, n, dt):
     assert sums.residual == transversality_residual(weber)  # bit for bit
     assert box_energy(sums.sum_sq, spec, "momentum") == pytest.approx(total_energy(weber),
                                                                       rel=1e-13, abs=0)
-    assert photon_count(sums.sum_sq_over_k, spec) == pytest.approx(
-        photon_number(weber, dc_tolerance=1.0), rel=1e-13, abs=0)
-    assert swept_sum_sq_over_k(FieldPlanes(weber)) == sums.sum_sq_over_k  # bit for bit
+    # photon_sums sums as the kernel does: the photon number of the field it
+    # leaves, bit for bit
+    assert photon_sums(FieldPlanes(weber)) == (sums.sum_sq_over_k, sums.sum_sq, sums.dc_sq)
+    assert photon_count(sums.sum_sq_over_k, spec) == photon_number(weber, dc_tolerance=1.0)
     assert sums.dc_sq == np.einsum("c,c->", flat[0, 0, 0], flat[0, 0, 0])
 
 
@@ -636,7 +643,7 @@ def test_slab_loops_give_the_same_bits_for_any_worker_count(rng, monkeypatch, n)
                         evolve(transverse, 0.7).field.tobytes(),
                         list(advance_into(FieldPlanes(transverse), [-1.1], None)),
                         photon_number(transverse),
-                        swept_sum_sq_over_k(FieldPlanes(transverse)),
+                        photon_sums(FieldPlanes(transverse)),
                         density_profiles(FieldPlanes(transverse), [0.0])[0].tobytes(),
                         normalize_single_photon(transverse).field.tobytes()))
     assert results[0] == results[1] == results[2]
