@@ -88,7 +88,7 @@ class WeberFile:
     (1, n, n, 3), each at its offset in the file through the run's own file
     handle.  ``read`` fills the run's complex plane buffer ``buffer``
     (payload order), divides it in place by ``divisor`` if a divisor is
-    given (numpy's complex division, as FieldPlanes divides a field's
+    given (numpy's complex division, the bits of np.divide of the field's
     plane), and returns it; ``write`` writes ``plane``, which is to be
     contiguous in payload order.  So a state file is normalized as it is
     read, a plane at a time, and never held.

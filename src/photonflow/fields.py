@@ -114,25 +114,23 @@ class FieldPlanes:
     does the same for a PHWF1 file's payload and planewaves.StatePlanes for
     a plane-wave state that no field holds.  ``buffer`` is the run's complex
     plane buffer of shape (1, n, n, 3), in payload order.  ``read(zs)``
-    fills it with the plane view's z-planes ``zs``, divided by ``divisor``
-    if a divisor is given, and returns it, so a reader never hands out the
-    field's own planes; ``write(zs, plane)`` stores ``plane`` there.
+    copies the plane view's z-planes ``zs`` into it and returns it, so a
+    reader never hands out the field's own planes; ``write(zs, plane)``
+    stores ``plane`` there.  Unlike the other two sources it takes no
+    divisor: a field is normalized whole (photon.normalize_single_photon).
     ``spec``, ``representation`` and ``time`` are the field's.
     """
 
-    def __init__(self, weber: WeberGrid, divisor=None):
+    def __init__(self, weber: WeberGrid):
         self.spec, self.representation, self.time = weber.spec, weber.representation, weber.time
-        self._planes, self.divisor = plane_view(weber.field), divisor
+        self._planes = plane_view(weber.field)
 
     @contextmanager
     def reader(self, buffer):
-        planes, divisor = self._planes, self.divisor
+        planes = self._planes
 
         def read(zs):
-            if divisor is None:
-                np.copyto(buffer, planes[zs])
-            else:
-                np.divide(planes[zs], divisor, out=buffer)
+            np.copyto(buffer, planes[zs])
             return buffer
         yield read
 

@@ -40,7 +40,8 @@ per-plane visitor (_profile_row) applies the weight, an inverse FFT along y
 and the reduction to one z-plane of the field's plane view (see fields) at
 a time, in the plane buffer the step leaves, so phi~ is never built in
 full, and the pass also sums |F~|^2 and reads |F~(0)|^2 for the DC gate.
-photon_sums gathers the per-shell 1/|k| in its own plane loop and sums
+photon_sums gathers the per-shell 1/|k| in its own plane loop as the
+kernel gathers its tables, from each z-plane's shell offset, and sums
 |F~|^2 and |F~|^2 / |k| per z-plane with the kernel's own arithmetic
 (spectral._square_sums), so it gives the bits a kernel step of dt = 0
 reports, and reads |F~(0)|^2: the one N pass.  photon_number (a field)
@@ -67,7 +68,7 @@ from .fields import (MOMENTUM, POSITION, FieldPlanes, GridSpec, WeberGrid, over_
                      plane_view, require_representation, sum_in_order, total_energy)
 from .planewaves import PHI_BASED, WEBER_BASED, _recipe_flow, flow_recipe
 from .spectral import (_TRANSVERSALITY_TOL, _TWO_PI_3_2, _c_dt, _fft_inverse, _gate,
-                       _square_sums, _sweep, evolve, inverse_transform, kgrid)
+                       _gather, _square_sums, _sweep, evolve, inverse_transform, kgrid)
 
 DEFAULT_DC_TOLERANCE = 1e-12
 
@@ -124,7 +125,8 @@ def photon_count(sum_sq_over_k: float, spec: GridSpec) -> float:
 
 def _good_weights(spec: GridSpec) -> np.ndarray:
     """1 / sqrt(8 pi hbar k c) per shell of kgrid(spec) (0 at k = 0); index it
-    with a shell index (KGrid.shell or shell_plane)."""
+    with KGrid.shell, or gather a z-plane's weights from its shell offset
+    (spectral._gather)."""
     return np.sqrt(kgrid(spec).shell_inv_k / (8.0 * np.pi * spec.hbar * spec.c))
 
 
@@ -151,15 +153,15 @@ def _profile_row(spec: GridSpec):
     g = ifft_y(phi~) (2pi)^(3/2) / (dx^3 n^2), the x,z-mean of phi^dag phi
     along y is the sum over kx, kz and components of |g|^2.  The row sums
     |ifft_y(phi~)|^2 of the plane; _profile adds the rows and scales them.
-    Good's weights are gathered into the lent float buffer, and phi~ is
-    formed in the plane buffer the step leaves, which then takes the
-    inverse FFT in C order (np.fft's out= needs numpy 2), so that its float
-    view holds Re/Im pairs.
+    Good's weights are gathered from the plane's shell offset ``base`` into
+    the lent float buffer, and phi~ is formed in the plane buffer the step
+    leaves, which then takes the inverse FFT in C order (np.fft's out= needs
+    numpy 2), so that its float view holds Re/Im pairs.
     """
-    weights = _good_weights(spec)
+    weights, yx_sq = _good_weights(spec), kgrid(spec).yx_sq
 
-    def visit(plane, shell, weight):
-        plane *= np.take(weights, shell, out=weight, mode="clip")[..., None]
+    def visit(plane, base, weight):
+        plane *= _gather(weights, base, yx_sq, weight)[..., None]
         np.copyto(plane, np.fft.ifft(plane, axis=1))
         flat = plane.view(np.float64)  # (1, n, n, 6): Re/Im pairs
         return np.einsum("zyxc,zyxc->y", flat, flat)
@@ -233,10 +235,7 @@ def photon_sums(source) -> tuple:
         with source.reader(buffer) as read:
             for zs in run:
                 flat = read(zs).view(np.float64)
-                # the shell of a mode of plane z is mz^2 + (my^2 + mx^2): 1/|k| is the
-                # table from shell mz^2 on, gathered at yx_sq, with no shell index
-                np.take(kg.shell_inv_k[kg.axis_sq[zs.start]:], kg.yx_sq, out=inv_k[0],
-                        mode="clip")
+                _gather(kg.shell_inv_k, kg.axis_sq[zs.start], kg.yx_sq, inv_k)
                 records.append(_square_sums(flat, inv_k, sq))
                 if zs.start == 0:
                     dc_sq.append(float(np.einsum("c,c->", flat[0, 0, 0], flat[0, 0, 0])))

@@ -336,7 +336,8 @@ class StatePlanes:
         # z index -> the (0, iy, ix) sites of its modes in a plane buffer and
         # their entries, in mode order
         self._planes = {}
-        for iz in np.unique(index[:, 2]).tolist():
+        # sorted(set()), not np.unique: numpy 2's unique imports numpy.ma
+        for iz in sorted(set(index[:, 2].tolist())):
             at = index[:, 2] == iz
             self._planes[iz] = ((np.zeros(at.sum(), dtype=int), index[at, 1], index[at, 0]),
                                 values[at])

@@ -27,8 +27,10 @@ view, the integer squares of the indices per axis and two per-shell tables
 of |k| and 1/|k| (0 at k = 0), indexed by the shell m^2 = mx^2 + my^2 + mz^2:
 a mode enters the propagator and Good's weight only through |k|, which
 takes 3 (n/2)^2 + 1 values against n^3 modes.  It holds no (n, n, n)
-array: each z-plane forms its shell index from the squares with n^2 adds,
-and the reference routes (project_transverse, klein_gordon_residual,
+array and the plane loops form no shell index: the shells of z-plane iz
+are mz^2 + (my^2 + mx^2), so a table read from the plane's offset mz^2 on
+at the n^2 sums my^2 + mx^2 (_gather) gives its entry per mode of the
+plane.  The reference routes (project_transverse, klein_gordon_residual,
 photon.photon_wavefunction) build the full index when they run.  A
 WeberGrid holds its field in PHWF1 payload order (see fields), so the
 kernels here work on its plane view [iz, iy, ix, component], whose
@@ -48,23 +50,24 @@ plane each step leaves to that step's plane writer, if there are writers:
 fields.FieldPlanes for a field in memory, fieldio.WeberFile for the
 payload of a PHWF1 file and planewaves.StatePlanes for a plane-wave state
 that no field holds (a source only); every reader fills the run's plane
-buffer, divided by the source's divisor if it has one.  Mode by mode
-the dynamics never look beyond one plane, so advance_into writes the
-snapshot of every step from one read of its source, without a field in
-memory and without reading a snapshot back, and density_profiles takes a
-profile of every step from one read of a field it never writes: between
+buffer, divided by the divisor of a file or a state if it has one.  Mode
+by mode the dynamics never look beyond one plane, so advance_into writes
+the snapshot of every step from one read of its source, without a field
+in memory and without reading a snapshot back, and density_profiles takes
+a profile of every step from one read of a field it never writes: between
 the steps a plane stays in the run's buffers, and a per-step visitor reads
 each plane a step leaves while it is at hand.  Each step's transversality
 gate is the tally of the plane the step before it left.
 The kernel forms the rotation's cos, sin/|k| and (1 - cos)/|k|^2 once per
-step and shell and gathers them per plane through the plane's shell index
-into run buffers; per plane and step it forms k . F~ once and uses it for
-the NaN-closed transversality gate and for the rotation.  The buffers
-share roles: one complex buffer takes every product, a gather slot takes
-(1 - cos)/|k|^2, then cos, then |F~|^2, the rotation's buffer, seen in
-payload order, is also the plane the reader fills, the plane the writers
-write and the plane the visitor works in, with a gather slot that is free
-while it runs, so a run holds about three planes of three components.
+step and shell and gathers them per plane from the plane's shell offset
+into run buffers (_gather); per plane and step it forms k . F~ once and
+uses it for the NaN-closed transversality gate and for the rotation.  The
+buffers share roles: one complex buffer takes every product, a gather slot
+takes (1 - cos)/|k|^2, then cos, then |F~|^2, the rotation's buffer, seen
+in payload order, is also the plane the reader fills, the plane the
+writers write and the plane the visitor works in, with a gather slot that
+is free while it runs, so a run holds about three planes of three
+components.
 evolve(w, dt) is advance_into from w's field into a new field: w is only
 read, and the step holds the new field and plane-sized temporaries.  From
 the planes it already holds the kernel also sums |F~|^2 and |F~|^2/|k|,
@@ -113,10 +116,11 @@ class KGrid:
     m^2 = 0, 1, ..., 3 (n/2)^2, so ``shell_k[index]`` is |k| per mode for a
     shell index ``index``.  No (n, n, n) array is held: ``axis_sq`` holds
     the squares m^2 of one axis and ``yx_sq`` their sums my^2 + mx^2 over a
-    z-plane, from which shell_plane forms the index of one z-plane with n^2
-    adds, and shell the index of every mode for the routes that need it
-    whole.  m^2 is symmetric in the three axes, so the index indexes the
-    modes of a field [ix, iy, iz] and of its plane view [iz, iy, ix] alike.
+    z-plane, so ``table[axis_sq[iz]:][yx_sq]`` is a per-shell table per mode
+    of z-plane iz with no shell index formed (_gather), and shell gives the
+    index of every mode for the routes that need it whole.  m^2 is
+    symmetric in the three axes, so the index indexes the modes of a field
+    [ix, iy, iz] and of its plane view [iz, iy, ix] alike.
     """
 
     def __init__(self, spec: GridSpec):
@@ -131,11 +135,6 @@ class KGrid:
         self.shell_k = spec.dk * np.sqrt(np.arange(3 * (n // 2) ** 2 + 1, dtype=float))
         self.shell_inv_k = np.divide(1.0, self.shell_k, out=np.zeros_like(self.shell_k),
                                      where=self.shell_k > 0)
-
-    def shell_plane(self, zs, out) -> np.ndarray:
-        """The shell index of the plane view's z-planes ``zs`` (a one-plane
-        slice), written into the intp buffer ``out`` of shape (1, n, n)."""
-        return np.add(self.yx_sq, self.axis_sq[zs, None, None], out=out)
 
     def shell(self) -> np.ndarray:
         """The (n, n, n) shell index of every mode, in the smallest unsigned
@@ -275,6 +274,14 @@ def _rotate(k, g, along, cos, sin_k, rotated, product):
         term += np.multiply(cos, g[i], out=product)
 
 
+def _gather(table, base, yx_sq, out):
+    """A per-shell ``table`` per mode of the z-plane whose shells are base + yx_sq,
+    written into the plane buffer ``out`` of shape (1, n, n) and returned."""
+    # mode="clip": with the default "raise" np.take buffers its out=
+    np.take(table[base:], yx_sq, out=out[0], mode="clip")
+    return out
+
+
 def _turn(kg: KGrid, c_dt: float):
     """Per shell of ``kg``: cos, sin / |k| and (1 - cos) / |k|^2 of the angle |k| c_dt."""
     theta = kg.shell_k * c_dt
@@ -295,11 +302,13 @@ def _sweep(source, c_dts=(None,), sinks=None, visit=None):
     returns it, and write(zs, plane); the source may also be a
     planewaves.StatePlanes, and a sink is never the source.  Without sinks
     a turned plane stays in the run's buffers and no field is written.
-    ``visit(plane, shell, real)``, if given, records what it needs of the
-    plane (shape (1, n, n, 3)) each step leaves, whose shell index is
-    ``shell``, after the step's sink has written it; it may overwrite
+    ``visit(plane, base, real)``, if given, records what it needs of the
+    plane (shape (1, n, n, 3)) each step leaves, whose shells are
+    ``base`` + kg.yx_sq (its per-shell tables are read with _gather at
+    ``base``), after the step's sink has written it; it may overwrite
     ``plane`` and ``real`` (a float run buffer of shape (1, n, n)).  It
-    runs on the worker threads (see fields.over_planes).
+    runs on the worker threads (see fields.over_planes) and calls no
+    public photonflow function.
 
     Returns one (residual, sums, visits) per step: the transversality
     residual of the field the step starts from, the FieldSums of the field
@@ -319,6 +328,7 @@ def _sweep(source, c_dts=(None,), sinks=None, visit=None):
     n = spec.n_per_axis
     kg = kgrid(spec)
     kx, ky, kz = kg.plane_k
+    yx_sq = kg.yx_sq
     turns = [None if c_dt is None else _turn(kg, c_dt) for c_dt in c_dts]
     dc_sq = [None] * len(turns)  # per step, |F~(0)|^2 of the field left: the run of plane 0
 
@@ -335,7 +345,6 @@ def _sweep(source, c_dts=(None,), sinks=None, visit=None):
         # then cos, in the first, which _tally then overwrites; sin / |k| in the
         # second, lent to the visitor afterwards
         inv_k, real, weight = np.empty((3, 1, n, n))
-        shell = np.empty((1, n, n), dtype=np.intp)
         records = []
         # non-finite entries give NaN products here; the residual reports them
         with ExitStack() as stack, np.errstate(invalid="ignore", over="ignore"):
@@ -346,9 +355,10 @@ def _sweep(source, c_dts=(None,), sinks=None, visit=None):
                 plane = read(zs)
                 np.copyto(g, np.moveaxis(plane, -1, 0))
                 k = (kx, ky, kz[zs])
-                kg.shell_plane(zs, out=shell)
-                # mode="clip": with the default "raise" np.take buffers its out=
-                np.take(kg.shell_inv_k, shell, out=inv_k, mode="clip")
+                # the plane's shells are mz^2 + (my^2 + mx^2): its offset into
+                # the per-shell tables, which _gather reads at yx_sq
+                base = kg.axis_sq[zs.start]
+                _gather(kg.shell_inv_k, base, yx_sq, inv_k)
                 tally = _tally(k, g, plane.view(np.float64), inv_k, k_dot_f, product, real)
                 steps = []
                 for i, turn in enumerate(turns):
@@ -356,9 +366,9 @@ def _sweep(source, c_dts=(None,), sinks=None, visit=None):
                     if turn is not None:
                         cos, sin_k, along = turn
                         # in place: k . F~ is not needed again
-                        k_dot_f *= np.take(along, shell, out=real, mode="clip")
-                        _rotate(k, g, k_dot_f, np.take(cos, shell, out=real, mode="clip"),
-                                np.take(sin_k, shell, out=weight, mode="clip"), spare, product)
+                        k_dot_f *= _gather(along, base, yx_sq, real)
+                        _rotate(k, g, k_dot_f, _gather(cos, base, yx_sq, real),
+                                _gather(sin_k, base, yx_sq, weight), spare, product)
                         g, spare = spare, g
                         plane = spare.reshape(plane.shape)
                         np.copyto(plane, np.moveaxis(g, 0, -1))
@@ -371,7 +381,7 @@ def _sweep(source, c_dts=(None,), sinks=None, visit=None):
                     if zs.start == 0:
                         dc = plane.view(np.float64)[0, 0, 0]
                         dc_sq[i] = float(np.einsum("c,c->", dc, dc))
-                    steps.append((tally, result, visit(plane, shell, weight) if visit else None))
+                    steps.append((tally, result, visit(plane, base, weight) if visit else None))
                     tally = result
                 records.append(steps)
         return records

@@ -12,7 +12,7 @@ from photonflow.bohm import Trajectory
 from photonflow.errors import FieldValidationError
 from photonflow.fieldio import (_CSV_ROWS, _NPZ_NUMBERS, check_weber, trajectories_to_csv,
                                write_csv, write_npz)
-from photonflow.fields import FieldPlanes
+from photonflow.fields import plane_view
 
 
 def _random_grid(rng, n=4, representation="position", c=1.0, hbar=1.0,
@@ -81,19 +81,18 @@ def test_payload_bytes_match_a_hand_packed_reference(tmp_path):
 
 @pytest.mark.parametrize("divisor", [None, 3.7, 1e-300])
 def test_a_file_reads_its_planes_through_a_divisor_as_a_field_does(tmp_path, rng, divisor):
-    # each plane read through the divisor holds the bits of the field's plane
-    # divided by it (FieldPlanes); the file itself is only read
+    # each plane read through the divisor holds the bits of np.divide of the
+    # field's plane by it; the file itself is only read
     weber = _random_grid(rng, n=5, representation="momentum")
     path = tmp_path / "field.phwf"
     write_weber(path, weber)
     stored = check_weber(path)
     stored.divisor = divisor
-    planes = [np.empty((1, 5, 5, 3), dtype=complex) for _ in range(2)]
-    with stored.reader(planes[0]) as read_file, \
-            FieldPlanes(weber, divisor).reader(planes[1]) as read_field:
+    with stored.reader(np.empty((1, 5, 5, 3), dtype=complex)) as read:
         for iz in range(5):
-            zs = slice(iz, iz + 1)
-            assert read_file(zs).tobytes() == read_field(zs).tobytes()
+            plane = plane_view(weber.field)[iz:iz + 1]
+            expected = plane if divisor is None else np.divide(plane, divisor)
+            assert read(slice(iz, iz + 1)).tobytes() == expected.tobytes()
     assert read_weber(path).field.tobytes() == weber.field.tobytes()
 
 

@@ -1,8 +1,10 @@
 """Every name a library module imports is used by that module; the package
-imports its modules only when one of its names is first used."""
+imports its modules only when one of its names is first used, and the grid
+jobs import no masked arrays."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -59,12 +61,12 @@ _EXPORTED = {
 _EXPORTED_NAMES = [(module, name) for module, names in _EXPORTED.items() for name in names]
 
 
-def _fresh(code: str) -> str:
-    """stdout of ``python -c code`` in a fresh interpreter, with no
+def _fresh(code: str, *args: str) -> str:
+    """stdout of ``python -c code args...`` in a fresh interpreter, with no
     OPENBLAS_NUM_THREADS in its environment."""
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = str(Path(photonflow.__file__).parents[1])
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True, check=True).stdout
 
 
@@ -94,3 +96,33 @@ def test_an_unknown_name_raises_attribute_error():
 
 def test_importing_the_entry_module_runs_no_command():
     assert _fresh("import photonflow.__main__") == ""
+
+
+# imports photonflow.cli, runs each (command, config, out) of the JSON list in
+# argv[1] through cli.main and prints, as its last line, the modules each job
+# added to those loaded once photonflow.cli was imported
+_JOB_IMPORTS = """
+import json, sys
+import photonflow.cli as cli
+imported, added = set(sys.modules), []
+for command, config, out in json.loads(sys.argv[1]):
+    assert cli.main([command, "--config", config, "--out", out]) == 0
+    added.append(sorted(set(sys.modules) - imported))
+print(json.dumps(added))
+"""
+
+
+def test_grid_jobs_import_no_masked_arrays(tmp_path):
+    # np.unique imports numpy.ma under numpy 2, which then stays resident in
+    # every evolve and doubleslit job.  Measured against the modules loaded
+    # with photonflow.cli: an older numpy loads numpy.ma with numpy itself
+    jobs = [("evolve", {"grid": {"n": 8}, "evolve": {"normalize": True}}),
+            ("doubleslit", {"grid": {"n": 16}})]
+    argv = []
+    for command, config in jobs:
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(config))
+        argv.append((command, str(path), str(tmp_path / command)))
+    added = json.loads(_fresh(_JOB_IMPORTS, json.dumps(argv)).splitlines()[-1])
+    assert [[name for name in names if name.split(".")[:2] == ["numpy", "ma"]]
+            for names in added] == [[], []]

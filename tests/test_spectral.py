@@ -66,24 +66,19 @@ def test_shell_tables_reproduce_the_full_k_grid_bit_for_bit(n):
     assert kg.shell_k[shell].tobytes() == k_norm.tobytes()
     assert kg.shell_inv_k[shell].tobytes() == inv_k.tobytes()
     assert kg.shell_k[-1] == k_norm.max()
-    # each z-plane of the plane view [iz, iy, ix] forms its index from the
-    # per-axis squares: m^2 = mx^2 + my^2 + mz^2 and the full index's plane,
-    # bit for bit
-    isq = idx ** 2
-    buffer = np.empty((1, n, n), dtype=np.intp)
+    # each z-plane of the plane view [iz, iy, ix] reads a table from its
+    # offset mz^2 at the sums my^2 + mx^2, with no shell index formed: the
+    # full grid's plane, bit for bit
     for iz in range(n):
-        formula = (isq[iz] + isq[:, None] + isq[None, :]).astype(np.intp)[None]
-        plane = kg.shell_plane(slice(iz, iz + 1), out=buffer)
-        assert plane is buffer and plane.tobytes() == formula.tobytes()
-        assert (plane == shell[iz:iz + 1]).all()
-        assert kg.shell_k[plane].tobytes() == k_norm[iz:iz + 1].tobytes()
-        assert kg.shell_inv_k[plane].tobytes() == inv_k[iz:iz + 1].tobytes()
+        base = kg.axis_sq[iz]
+        assert kg.shell_k[base:][kg.yx_sq].tobytes() == k_norm[iz].tobytes()
+        assert kg.shell_inv_k[base:][kg.yx_sq].tobytes() == inv_k[iz].tobytes()
 
 
 def test_kgrid_holds_the_shell_index_and_tables_only():
-    # O(n^2): the per-axis squares and their n^2 sums over a z-plane, from
-    # which each plane forms its index, and the per-shell tables of
-    # 3 (n/2)^2 + 1 floats each; no (n, n, n) array
+    # O(n^2): the per-axis squares and their n^2 sums over a z-plane, at
+    # which each plane reads the tables from its offset, and the per-shell
+    # tables of 3 (n/2)^2 + 1 floats each; no (n, n, n) array
     n = 64
     spec = GridSpec(n, 2.0 * np.pi * 1.61)  # not in kgrid's cache yet
     tracemalloc.start()
@@ -428,8 +423,8 @@ def _file_to_files(source, targets, dts, **kwargs):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_advance_into_reads_and_writes_the_bits_of_evolve(tmp_path, rng, monkeypatch, n, dt,
                                                            workers):
-    # file to file, and from a field or a file read through a divisor: the
-    # bytes of evolve on the field (or on its normalized copy) written by
+    # file to file, and from a file read through a divisor: the bytes of
+    # evolve on the field (or on its normalized copy) written by
     # write_weber, and the sums of a pass from that field in memory
     monkeypatch.setattr(fields, "_WORKERS", workers)
     spec = GridSpec(n, 2.0 * np.pi, c=1.3, hbar=0.7)
@@ -440,7 +435,6 @@ def test_advance_into_reads_and_writes_the_bits_of_evolve(tmp_path, rng, monkeyp
     divisor = single_photon_norm(FieldPlanes(weber), dc_tolerance=1.0)
     for source, reference in (
             (check_weber(tmp_path / "state.phwf"), weber),
-            (FieldPlanes(weber, divisor), normalize_single_photon(weber, dc_tolerance=1.0)),
             (replace(check_weber(tmp_path / "state.phwf"), divisor=divisor),
              normalize_single_photon(weber, dc_tolerance=1.0))):
         sums = list(advance_into(FieldPlanes(reference), [dt], None))
@@ -468,7 +462,7 @@ def test_one_pass_into_files_gives_the_bits_of_a_chain_of_passes(tmp_path, rng, 
 
     def source():
         if normalized:
-            return FieldPlanes(weber, single_photon_norm(FieldPlanes(weber), dc_tolerance=1.0))
+            return FieldPlanes(normalize_single_photon(weber, dc_tolerance=1.0))
         return check_weber(tmp_path / "state.phwf")
     chained, step_source = [], source()
     for i, dt in enumerate(dts):
