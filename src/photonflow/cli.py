@@ -67,18 +67,18 @@ command's own checks.  One schema (``SCHEMA``) checks every key and every
 bound on one value (grid.n <= 355, audit.samples <= 2^16, units.c and
 units.hbar in [1e-100, 1e100], grid.L in [1e-40, 1e40]); a time whose step
 turns a mode by more than 2^53 rad is refused (spectral.check_step);
-``_check_budget``
-bounds the work of the sections a command reads: trajectory points times
-RK4 knots for trajectories and the profile rows of the times for
-doubleslit; evolve bounds the disk bytes of its snapshots on the n of
-its grid or state file (``_check_snapshot_bytes``), and a state file's n,
-read from its header before the payload, as grid.n is bounded.  A value the
-library rejects while a command builds its state, boost or time steps, and
-every fault of a state file (one that cannot be read, a malformed header, a
-header value out of range, the position representation, a non-finite
-payload), becomes, through
-``_named``, an exit 2 naming its config field, before --out exists.  Boost
-speeds are given as fractions of c.  Tolerances are overridden per key with
+``_check_budget`` bounds the work of the sections a command reads:
+trajectory points times RK4 knots for trajectories and the profile rows of
+the times for doubleslit; evolve bounds the disk bytes of its snapshots on
+the n of its grid or state file (``_check_snapshot_bytes``), and a state
+file's n, read from its header before the payload, as grid.n is bounded.
+A value the library rejects while a command builds its state, boost or
+time steps, and every fault of a state file (one that cannot be read, a
+malformed header, a header value out of range, the position
+representation, a non-finite payload entry, which the photon-number pass
+names as it reads the file), becomes, through ``_named``, an exit 2 naming
+its config field, before --out exists.  Boost speeds are given as
+fractions of c.  Tolerances are overridden per key with
 ``--tolerance KEY=VALUE`` (keys listed by ``photonflow info``); every value
 must be finite and > 0.
 """
@@ -107,8 +107,8 @@ from .bohm import (_NODE_FLOOR_REL, frame_consistency_check, integrate_trajector
                    knot_count, sample_points_on_line)
 from .errors import (ConfigError, FieldValidationError, OffGridWaveVectorError, PhotonflowError,
                      ZeroFieldError)
-from .fieldio import (_HEADER, _POINT_BYTES, WeberFile, check_weber, new_weber_files,
-                      trajectories_to_csv, weber_header, write_csv, write_npz)
+from .fieldio import (_HEADER, _POINT_BYTES, WeberFile, new_weber_files, open_weber,
+                      trajectories_to_csv, write_csv, write_npz)
 from .fields import _BOX_LENGTH_RANGE, _UNIT_RANGE, MOMENTUM, GridSpec, box_energy
 from .lorentz import (_AUDIT_TOL, SAMPLE_ARRAYS, Boost, audit_four_vector, audit_to_json,
                       boost_plane_wave)
@@ -460,9 +460,9 @@ def _initial_source(config, tol):
     its z-planes one at a time, so no field is held for it, nor for a file.
     The photon number of the state is then formed in one pass
     (photon.photon_sums, the sums a step of dt = 0 records).  For a state
-    file that pass through a plane buffer is also the file's check: only a
-    sum that is not finite makes check_weber read it again, to name the
-    entry that made it so.  An N beyond a float, which every snapshot would
+    file that pass through a plane buffer is also the file's check: the
+    WeberFile's reader refuses the first plane that holds a non-finite
+    entry, naming it.  An N beyond a float, which every snapshot would
     record, is refused.  With evolve.normalize the source then reads its
     planes through the divisor that makes the state one photon
     (photon.norm_of_sums, which also makes the DC gate and refuses an N of
@@ -473,7 +473,7 @@ def _initial_source(config, tol):
     path = config["state"].get("file")
     # a stored snapshot carries its own grid and units, so the config's grid
     # and units sections are not used
-    stored = None if path is None else _named("state.file", weber_header, path)
+    stored = None if path is None else _named("state.file", open_weber, path)
     field = "state" if stored is None else "state.file"
     n = config["grid"]["n"] if stored is None else stored.spec.n_per_axis
     if n > _MAX_N:  # SCHEMA bounds grid.n: only a header's n is checked here
@@ -492,10 +492,6 @@ def _initial_source(config, tol):
     else:
         source = stored
     sums = _named(field, photon_sums, source)
-    # a NaN or inf entry of the file makes its |F~|^2 sum non-finite: check_weber
-    # names the entry, before the DC gate could fail on the NaN
-    if stored is not None and not np.isfinite(sums[1]):
-        _named(field, check_weber, path)
     if normalize:
         source.divisor = _named(field, norm_of_sums, sums, source.spec, tol["dc"])
     else:

@@ -17,12 +17,13 @@ PHWF1 layout (all multi-byte values little-endian):
 A WeberGrid holds its field in this payload order (see fields), so each
 z-plane (n^2 points) of the payload is one contiguous plane of the field's
 plane view, and every route moves the payload a plane at a time with no
-transpose.  write_weber writes each plane of the plane view; read_weber
-checks the header and the file size against the header's n before it
-allocates the field, then reads each plane into place and checks it for
-non-finite values; check_weber makes the same checks through one plane
-buffer and holds no field, and weber_header makes the header and size
-checks alone, so a caller can read the payload in a pass of its own.  A
+transpose.  write_weber writes each plane of the plane view.  read_weber
+and open_weber check the header and the file size against the header's n
+before anything is allocated; read_weber then reads each plane into place,
+and open_weber gives the file's WeberFile, whose payload is read in passes
+of the caller's own.  One function (_read_plane) reads every payload
+plane, and it checks the plane it reads for non-finite values, so no route
+reads a plane unchecked and none reads a file twice to check it.  A
 WeberFile (a checked file, or a new one whose header new_weber_files has
 written) reads and writes single z-planes at their offsets, one file handle
 per worker run, as fields.FieldPlanes does for a field in memory: it reads
@@ -46,7 +47,6 @@ straight from the arrays' memory, a block of numbers at a time.
 
 from __future__ import annotations
 
-import itertools
 import os
 import struct
 import zipfile
@@ -87,7 +87,8 @@ class WeberFile:
     write(zs, plane) for the plane view's z-planes ``zs`` of shape
     (1, n, n, 3), each at its offset in the file through the run's own file
     handle.  ``read`` fills the run's complex plane buffer ``buffer``
-    (payload order), divides it in place by ``divisor`` if a divisor is
+    (payload order), raises read_weber's error if the plane holds a
+    non-finite value, divides it in place by ``divisor`` if a divisor is
     given (numpy's complex division, the bits of np.divide of the field's
     plane), and returns it; ``write`` writes ``plane``, which is to be
     contiguous in payload order.  So a state file is normalized as it is
@@ -200,23 +201,19 @@ def _read_header(fh, path) -> WeberFile:
 
 
 def _read_plane(fh, path, plane, iz) -> None:
+    """Read z-plane ``iz`` of the payload from ``fh`` into the buffer ``plane``
+    and check it for non-finite values, naming the first bad entry."""
     # the size was checked with the header: only a file shortened while it is read gets here
     if fh.readinto(plane) != plane.nbytes:
         raise FieldValidationError(f"{path}: payload ended early at z-plane {iz}")
-
-
-def _read_payload(fh, stored: WeberFile, planes) -> None:
-    """Read the payload of ``stored`` from ``fh`` into ``planes``, z-plane iz into
-    planes[iz] (shape (n, n, 3)), checking each plane for non-finite values."""
-    n = stored.spec.n_per_axis
-    for iz, plane in enumerate(planes):
-        _read_plane(fh, stored.path, plane, iz)
-        finite = np.isfinite(plane)
-        if not finite.all():
-            point, component = divmod(int(np.argmin(finite)), 3)
-            raise FieldValidationError(
-                f"{stored.path}: payload is non-finite at grid index "
-                f"{(point % n, point // n, iz)}, component {component}")
+    # the payload's own floats, six per point, whatever the buffer's dtype or byte order
+    finite = np.isfinite(plane.view("<f8"))
+    if not finite.all():
+        point, part = divmod(int(np.argmin(finite)), 6)
+        n = plane.shape[-2]
+        raise FieldValidationError(
+            f"{path}: payload is non-finite at grid index "
+            f"{(point % n, point // n, iz)}, component {part // 2}")
 
 
 def read_weber(path) -> WeberGrid:
@@ -232,25 +229,17 @@ def read_weber(path) -> WeberGrid:
         stored = _read_header(fh, path)
         n = stored.spec.n_per_axis
         planes = np.empty((n, n, n, 3), dtype="<c16")  # [iz, iy, ix, component]
-        _read_payload(fh, stored, planes)
+        for iz, plane in enumerate(planes):
+            _read_plane(fh, path, plane, iz)
     return WeberGrid(plane_view(planes), stored.spec, stored.representation, stored.time)
 
 
-def weber_header(path) -> WeberFile:
+def open_weber(path) -> WeberFile:
     """The WeberFile of a PHWF1 file whose header and size read_weber accepts,
-    with the same errors; the payload is not read."""
+    with the same errors; the payload is not read here, and its reader makes
+    read_weber's check of each plane it reads."""
     with open(path, "rb") as fh:
         return _read_header(fh, path)
-
-
-def check_weber(path) -> WeberFile:
-    """Make read_weber's checks on a PHWF1 file, with the same errors, in one
-    pass through one plane buffer; the checked file's WeberFile."""
-    with open(path, "rb") as fh:
-        stored = _read_header(fh, path)
-        n = stored.spec.n_per_axis
-        _read_payload(fh, stored, itertools.repeat(np.empty((n, n, 3), dtype="<c16"), n))
-    return stored
 
 
 def write_csv(path, header: str, blocks) -> None:

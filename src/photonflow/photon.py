@@ -48,13 +48,13 @@ reports, and reads |F~(0)|^2: the one N pass.  photon_number (a field)
 gates the DC share on its sums and turns the first into N with
 photon_count, the one place N is formed from a sum, which refuses an N
 beyond a float; norm_of_sums adds the refusal of N = 0 and gives sqrt(N),
-the divisor that makes the field one photon, which single_photon_norm
-forms for a plane source and evolve's normalize route from the sums of
-its own pass.  Both passes run on fields.over_planes and add their
-per-plane sums and profiles in plane order, so the results do not depend
-on the number of workers.  normalize_single_photon divides the whole field
-once, and photon_wavefunction, which has no plane loop, makes a
-whole-field pass for the DC gate.
+the divisor that makes the field one photon, which normalize_single_photon
+and evolve's normalize route form from the sums of a photon_sums pass.
+Both passes run on fields.over_planes and add their per-plane sums and
+profiles in plane order, so the results do not depend on the number of
+workers.  normalize_single_photon divides the whole field once, and
+photon_wavefunction gates the DC share on the sums of a photon_sums pass,
+as photon_number does, before it weights the whole field.
 """
 
 from __future__ import annotations
@@ -94,12 +94,6 @@ class ProbabilityFlow:
     time: float = 0.0
 
 
-def _check_dc_content(weber: WeberGrid, dc_tolerance: float):
-    flat = plane_view(weber.field).view(np.float64)  # (n, n, n, 6): Re/Im pairs
-    check_dc_share(float(np.einsum("c,c->", flat[0, 0, 0], flat[0, 0, 0])),
-                   float(np.einsum("zyxc,zyxc->", flat, flat)), dc_tolerance)
-
-
 def check_dc_share(dc: float, total: float, dc_tolerance: float) -> None:
     """Raise DCContentError unless |F~(0)|^2 = dc is at most dc_tolerance times
     the sum of |F~|^2 over all modes, ``total``."""
@@ -134,7 +128,8 @@ def photon_wavefunction(weber: WeberGrid,
                         dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> PhotonWaveFunction:
     """phi~(k) = F~(k) / sqrt(8 pi hbar k c); the k = 0 coefficient is set to 0."""
     require_representation(weber, MOMENTUM, "photon_wavefunction")
-    _check_dc_content(weber, dc_tolerance)
+    _, sum_sq, dc_sq = photon_sums(FieldPlanes(weber))
+    check_dc_share(dc_sq, sum_sq, dc_tolerance)
     weight = _good_weights(weber.spec)[kgrid(weber.spec).shell()]
     phi = weber.field * weight[..., None]
     return PhotonWaveFunction(phi, weber.spec, MOMENTUM, weber.time)
@@ -275,20 +270,14 @@ def norm_of_sums(sums, spec: GridSpec, dc_tolerance: float = DEFAULT_DC_TOLERANC
     return np.sqrt(n)
 
 
-def single_photon_norm(source, dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> float:
-    """norm_of_sums of the momentum field the plane source ``source`` reads,
-    from one photon_sums pass: the divisor that makes that field one photon."""
-    require_representation(source, MOMENTUM, "single_photon_norm")
-    return norm_of_sums(photon_sums(source), source.spec, dc_tolerance)
-
-
 def normalize_single_photon(weber: WeberGrid,
                             dc_tolerance: float = DEFAULT_DC_TOLERANCE) -> WeberGrid:
-    """A new field, ``weber``'s divided by single_photon_norm so that
-    photon_number(result) = 1 (within roundoff); ``weber`` is left as it is.
+    """A new field, ``weber``'s divided by norm_of_sums of its photon_sums so
+    that photon_number(result) = 1 (within roundoff); ``weber`` is left as it is.
     """
-    return WeberGrid(weber.field / single_photon_norm(FieldPlanes(weber), dc_tolerance),
-                     weber.spec, MOMENTUM, weber.time)
+    require_representation(weber, MOMENTUM, "normalize_single_photon")
+    divisor = norm_of_sums(photon_sums(FieldPlanes(weber)), weber.spec, dc_tolerance)
+    return WeberGrid(weber.field / divisor, weber.spec, MOMENTUM, weber.time)
 
 
 def probability_flow(pwf: PhotonWaveFunction) -> ProbabilityFlow:

@@ -156,24 +156,17 @@ def _fft_inverse(arr: np.ndarray, spec: GridSpec) -> np.ndarray:
 
 
 def forward_transform(weber: WeberGrid) -> WeberGrid:
-    """Position -> momentum representation (symmetric convention above)."""
-    require_representation(weber, POSITION, "forward_transform")
-    tilde = weber.copy()
-    forward_transform_in_place(tilde)
-    return tilde
-
-
-def forward_transform_in_place(weber: WeberGrid) -> None:
-    """Turn ``weber`` itself into the momentum representation.
+    """Position -> momentum representation (symmetric convention above).
 
     The 1-D FFTs run in the order np.fft.fftn takes them, so the result is
     bit for bit fftn's: along z one y-plane at a time, then along y and x
     one z-plane at a time, each z-plane scaled as it is written back.  Both
-    passes run through over_planes.  Beyond the field only plane-sized
-    temporaries are allocated.
+    passes run through over_planes on a copy of the field, so beyond the
+    result only plane-sized temporaries are allocated.
     """
-    require_representation(weber, POSITION, "forward_transform_in_place")
-    planes, n = plane_view(weber.field), weber.spec.n_per_axis
+    require_representation(weber, POSITION, "forward_transform")
+    tilde = weber.copy()
+    planes, n = plane_view(tilde.field), weber.spec.n_per_axis
     scale = weber.spec.dx ** 3 / _TWO_PI_3_2
 
     def along_z(run):
@@ -188,7 +181,8 @@ def forward_transform_in_place(weber: WeberGrid) -> None:
 
     over_planes(n, along_z)
     over_planes(n, along_y_x)
-    weber.representation = MOMENTUM
+    tilde.representation = MOMENTUM
+    return tilde
 
 
 def inverse_transform(weber: WeberGrid) -> WeberGrid:
@@ -205,11 +199,12 @@ class FieldSums:
     ``sum_sq`` is the sum of |F~|^2 over all modes and ``sum_sq_over_k``
     the sum of |F~|^2 / |k| over k != 0, each summed per z-plane from the
     |F~|^2 per mode that the residual's peak needs (_square_sums) and added
-    in plane order; photon_number and single_photon_norm sum them with the
-    same bits (photon.photon_sums), total_energy over the whole field at
-    once, which agrees to roundoff.  ``dc_sq``
-    is |F~(0)|^2.  ``residual`` is the transversality residual, bit for
-    bit as transversality_residual reports it.
+    in plane order; photon.photon_sums, which photon_number,
+    normalize_single_photon, photon_wavefunction and the command line's
+    evolve read, sums them with the same bits, total_energy over the whole
+    field at once, which agrees to roundoff.  ``dc_sq`` is |F~(0)|^2.
+    ``residual`` is the transversality residual, bit for bit as
+    transversality_residual reports it.
     """
 
     sum_sq: float

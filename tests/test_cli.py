@@ -21,7 +21,8 @@ import pytest
 
 import photonflow
 from photonflow import (GridSpec, WeberGrid, __version__, forward_transform,
-                        inverse_transform, photon_number, place, sample_to_grid, total_energy)
+                        inverse_transform, photon_number, place, project_transverse,
+                        sample_to_grid, total_energy)
 from photonflow import cli, fieldio, fields, photon, planewaves, spectral
 from photonflow.cli import (_AUDIT_SAMPLES_LIMIT, _FIELD_BYTES_LIMIT, _POINT_KNOTS_LIMIT,
                             _check_budget, build_parser, load_config, main)
@@ -233,31 +234,51 @@ def test_evolve_refuses_a_position_representation_file(tmp_path, capsys):
     assert (out / "snapshot_00.phwf").read_bytes() == path.read_bytes()
 
 
+def test_the_remedy_each_state_file_refusal_names_makes_a_file_evolve_reads(tmp_path, capsys):
+    # the library routes that the refusals name as the remedy, and the reason
+    # they stay public: forward_transform and write_weber for a position
+    # file, read_weber, project_transverse and write_weber for a momentum
+    # file with a longitudinal part
+    spec = GridSpec(4, 2.0 * np.pi)
+    field = np.zeros((4, 4, 4, 3), complex)
+    field[0, 0, 1] = [1.0, 1j, 0.0]  # transverse to k = (0, 0, 1)
+    position = tmp_path / "position.phwf"
+    write_weber(position, inverse_transform(WeberGrid(field, spec, "momentum")))
+    field[0, 0, 1, 2] = 0.5  # and a part along k
+    longitudinal = tmp_path / "longitudinal.phwf"
+    write_weber(longitudinal, WeberGrid(field, spec, "momentum"))
+    for path, code, remedy in (
+            (position, 2, lambda: forward_transform(read_weber(position))),
+            (longitudinal, 1, lambda: project_transverse(read_weber(longitudinal)))):
+        config = {"state": {"file": str(path)}, "evolve": {"times": [0.0, 1.0]}}
+        assert _run(tmp_path, "evolve", config=config)[0] == code
+        write_weber(path, remedy())
+        assert _run(tmp_path, "evolve", config=config)[0] == 0
+    err = capsys.readouterr().err
+    assert "photonflow.forward_transform and photonflow.write_weber make one" in err
+    assert "project_transverse it first" in err
+
+
 def test_a_normalized_state_file_is_checked_by_its_photon_number_pass(tmp_path, monkeypatch,
                                                                       capsys):
     # a state file to be normalized streams, as one that is not: the pass of
-    # its photon number checks it, and check_weber reads it only when a sum
-    # is not finite, to name the NaN entry that made it so, before the DC
-    # gate and before --out exists, with the error of the file's check
+    # its photon number reads each plane once and checks it as it reads it,
+    # so a finite file takes that pass and the sweep and no third pass, and
+    # a NaN entry is named before the DC gate and before --out exists
     spec = GridSpec(8, 2.0 * np.pi)
     field = place(counterprop_pair(1.0, 2.0), spec)
     path = tmp_path / "state.phwf"
     write_weber(path, field)
-    checked = []
-
-    def counted(path, original=cli.check_weber):
-        checked.append(path)
-        return original(path)
-    monkeypatch.setattr(cli, "check_weber", counted)
+    reads = _count_plane_reads(monkeypatch)
     config = _write_config(tmp_path, {"state": {"file": str(path)},
                                       "evolve": {"times": [0.0], "normalize": True}})
     assert main(["evolve", "--config", config, "--out", str(tmp_path / "out")]) == 0
-    assert checked == []
+    assert sorted(reads) == sorted([("state.phwf", iz) for iz in range(8)] * 2)
     field.field[1, 2, 3, 0] = np.nan
     write_weber(path, field)
     capsys.readouterr()
     assert main(["evolve", "--config", config, "--out", str(tmp_path / "nan")]) == 2
-    assert checked == [str(path)] and not (tmp_path / "nan").exists()
+    assert not (tmp_path / "nan").exists()
     assert capsys.readouterr().err == (
         f"error: state.file: {path}: payload is non-finite at grid index (1, 2, 3), "
         f"component 0 (field: state.file)\n" + _SCHEMA_HINT)

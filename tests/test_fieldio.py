@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from photonflow import GridSpec, WeberGrid, read_weber, write_weber
 from photonflow.bohm import Trajectory
 from photonflow.errors import FieldValidationError
-from photonflow.fieldio import (_CSV_ROWS, _NPZ_NUMBERS, check_weber, trajectories_to_csv,
+from photonflow.fieldio import (_CSV_ROWS, _NPZ_NUMBERS, open_weber, trajectories_to_csv,
                                write_csv, write_npz)
 from photonflow.fields import plane_view
 
@@ -86,7 +86,7 @@ def test_a_file_reads_its_planes_through_a_divisor_as_a_field_does(tmp_path, rng
     weber = _random_grid(rng, n=5, representation="momentum")
     path = tmp_path / "field.phwf"
     write_weber(path, weber)
-    stored = check_weber(path)
+    stored = open_weber(path)
     stored.divisor = divisor
     with stored.reader(np.empty((1, 5, 5, 3), dtype=complex)) as read:
         for iz in range(5):
@@ -240,7 +240,7 @@ def test_trajectories_csv_layout(tmp_path):
 def test_asymmetric_round_trip_keeps_payload_order_and_sums(tmp_path, rng, n, representation):
     # a random field has no symmetry between x and z, so a swapped axis shows
     from photonflow import forward_transform, photon_number, total_energy
-    from photonflow.fieldio import check_weber
+    from photonflow.fieldio import open_weber
     from photonflow.fields import FieldPlanes, box_energy
     from photonflow.photon import photon_count
     from photonflow.spectral import _sweep, kgrid, transversality_residual
@@ -258,7 +258,7 @@ def test_asymmetric_round_trip_keeps_payload_order_and_sums(tmp_path, rng, n, re
     tilde = back if representation == "momentum" else forward_transform(back)
     (residual, sums, _), = _sweep(FieldPlanes(tilde))
     if representation == "momentum":  # the same pass reading the file's planes
-        assert _sweep(check_weber(path))[0][:2] == (residual, sums)
+        assert _sweep(open_weber(path))[0][:2] == (residual, sums)
     f = np.ascontiguousarray(tilde.field)  # C-ordered reference routes from here
     sq = (np.abs(f) ** 2).sum(axis=-1)
     kg = kgrid(spec)

@@ -185,7 +185,6 @@ def _producers(tmp_path):
     from photonflow import (evolve, normalize_single_photon, place, project_transverse,
                             read_weber, write_weber)
     from photonflow.planewaves import counterprop_pair
-    from photonflow.spectral import forward_transform_in_place
 
     spec = GridSpec(6, 2.0 * np.pi)
     rng = np.random.default_rng(7)
@@ -196,11 +195,6 @@ def _producers(tmp_path):
         write_weber(tmp_path / "f.phwf", momentum)
         return read_weber(tmp_path / "f.phwf")
 
-    def transformed_in_place():
-        weber = WeberGrid(c_ordered, spec)
-        forward_transform_in_place(weber)
-        return weber
-
     return {
         "constructor": lambda: WeberGrid(c_ordered, spec),
         "place": lambda: momentum,
@@ -209,14 +203,13 @@ def _producers(tmp_path):
         "normalize_single_photon": lambda: normalize_single_photon(momentum),
         "evolve": lambda: evolve(momentum, 0.4),
         "forward_transform": lambda: forward_transform(WeberGrid(c_ordered, spec)),
-        "forward_transform_in_place": transformed_in_place,
         "project_transverse": lambda: project_transverse(WeberGrid(c_ordered, spec, MOMENTUM)),
         "sample_to_grid": lambda: sample_to_grid(single_wave(), spec),
     }
 
 
 @pytest.mark.parametrize("producer", [
-    "constructor", "place", "read_weber", "copy", "normalize_single_photon", "evolve", "forward_transform", "forward_transform_in_place", "project_transverse",
+    "constructor", "place", "read_weber", "copy", "normalize_single_photon", "evolve", "forward_transform", "project_transverse",
     "sample_to_grid"])
 def test_every_producer_holds_the_field_in_payload_order(tmp_path, producer):
     weber = _producers(tmp_path)[producer]()

@@ -11,7 +11,7 @@ from photonflow import (GridSpec, analytic_probability_flow, eval_weber, evolve,
                         to_position, total_energy, weber_probability_flow)
 from photonflow.errors import FieldValidationError, OffGridWaveVectorError
 from photonflow.fields import FieldPlanes, plane_view
-from photonflow.photon import single_photon_norm
+from photonflow.photon import norm_of_sums, photon_sums
 from photonflow.planewaves import (PRESETS, CircularPlaneWave, CompiledState,
                                    PlaneWaveSuperposition, StatePlanes, WEBER_BASED, _cross,
                                    copropagating_pair, counterprop_pair,
@@ -265,8 +265,8 @@ def test_state_planes_hold_the_bits_of_the_placed_field(rng, n):
                              CircularPlaneWave(-k, 1.7, "left", 2.9)]
     reference = _placed_whole(state, spec)
     assert place(state, spec).field.tobytes(order="A") == reference.tobytes(order="A")
-    divisor = single_photon_norm(StatePlanes(state, spec))
-    assert divisor == single_photon_norm(FieldPlanes(place(state, spec)))
+    divisor = norm_of_sums(photon_sums(StatePlanes(state, spec)), spec)
+    assert divisor == norm_of_sums(photon_sums(FieldPlanes(place(state, spec))), spec)
     for source, expected in ((StatePlanes(state, spec), reference),
                              (StatePlanes(state, spec, divisor), np.divide(reference, divisor))):
         buffer = np.full((1, n, n, 3), np.nan, dtype=complex)

@@ -16,13 +16,12 @@ from photonflow import (GridSpec, WeberGrid, evolve, fields, forward_transform,
                         single_wave, total_energy, transversality_residual, write_weber)
 from photonflow.errors import (DCContentError, FieldValidationError, RepresentationError,
                                TransversalityError)
-from photonflow.fieldio import check_weber, new_weber_files
+from photonflow.fieldio import new_weber_files, open_weber
 from photonflow.fields import FieldPlanes, box_energy, plane_view
-from photonflow.photon import (_good_weights, _profile_row, density_profiles, photon_count,
-                               photon_sums, photon_wavefunction, single_photon_norm)
+from photonflow.photon import (_good_weights, _profile_row, density_profiles, norm_of_sums,
+                               photon_count, photon_sums, photon_wavefunction)
 from photonflow.planewaves import StatePlanes, counterprop_pair, eval_weber
-from photonflow.spectral import (_TWO_PI_3_2, _sweep, advance_into, forward_transform_in_place,
-                                 kgrid)
+from photonflow.spectral import _TWO_PI_3_2, _sweep, advance_into, kgrid
 
 
 def _random_weber(spec, rng):
@@ -341,9 +340,9 @@ def test_evolve_matches_matrix_exponential_for_odd_n(rng):
 
 
 def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
-    # beyond its input, evolve holds its output plus plane-sized temporaries
-    # (forward_transform_in_place, the temporaries alone: a few planes of 1/64
-    # of the field per worker), photon_number (one plane of 1/|k|) and the
+    # beyond its input, evolve and forward_transform hold their output plus
+    # plane-sized temporaries (a few planes of 1/64 of the field per
+    # worker), photon_number (one plane of 1/|k|) and the
     # doubleslit pass, of one step or several (density_profiles: plane buffers
     # and n^2 profile floats a step), no full-size temporary at all,
     # normalize_single_photon and place little beyond the field they return
@@ -365,8 +364,7 @@ def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
         for name, call, limit in (
                 ("evolve", lambda: evolve(weber, 0.3), 1.5),
                 ("photon_number", lambda: photon_number(weber), 0.05),
-                ("forward_transform_in_place", lambda: forward_transform_in_place(position),
-                 0.15),
+                ("forward_transform", lambda: forward_transform(position), 1.15),
                 ("normalize_single_photon", lambda: normalize_single_photon(weber), 1.05),
                 ("place", lambda: place(state, spec), 1.2),
                 ("density_profiles_one_step", lambda: density_profiles(FieldPlanes(weber), [0.0]),
@@ -381,13 +379,13 @@ def test_evolve_and_photon_number_work_in_slabs(rng, tmp_path):
                     [0.3, 0.0, -0.5, 0.2]), 0.16),
                 ("read_weber", lambda: read_weber(path), 1.01),
                 # a state file's photon number: one plane buffer per worker
-                ("file_single_photon_norm", lambda: single_photon_norm(check_weber(path)),
-                 0.05),
+                ("file_single_photon_norm", lambda: norm_of_sums(
+                    photon_sums(open_weber(path)), spec), 0.05),
                 # from a plane-wave state that no field holds: the plane buffers only
                 ("state_density_profiles", lambda: density_profiles(
                     StatePlanes(state, spec), [0.0, 0.4, -0.3]), 0.25),
-                ("state_single_photon_norm", lambda: single_photon_norm(
-                    StatePlanes(state, spec)), 0.05),
+                ("state_single_photon_norm", lambda: norm_of_sums(
+                    photon_sums(StatePlanes(state, spec)), spec), 0.05),
                 ("state_advance_into", lambda: _into_files(
                     StatePlanes(state, spec), [tmp_path / "placed.phwf"], [0.3]), 0.16),
                 ("inverse_transform", lambda: inverse_transform(weber), 2.1)):
@@ -416,7 +414,7 @@ def _into_files(source, targets, dts, **kwargs):
 
 def _file_to_files(source, targets, dts, **kwargs):
     """_into_files from the .phwf file ``source``."""
-    return _into_files(check_weber(source), targets, dts, **kwargs)
+    return _into_files(open_weber(source), targets, dts, **kwargs)
 
 
 @pytest.mark.parametrize("n, dt", [(7, -0.61), (8, 0.0), (15, 2.3)])
@@ -432,10 +430,10 @@ def test_advance_into_reads_and_writes_the_bits_of_evolve(tmp_path, rng, monkeyp
     weber.field[0, 0, 0] = [1e-3, 2e-3j, 0.0]  # some DC content, carried unchanged
     weber.time = 0.25
     write_weber(tmp_path / "state.phwf", weber)
-    divisor = single_photon_norm(FieldPlanes(weber), dc_tolerance=1.0)
+    divisor = norm_of_sums(photon_sums(FieldPlanes(weber)), spec, dc_tolerance=1.0)
     for source, reference in (
-            (check_weber(tmp_path / "state.phwf"), weber),
-            (replace(check_weber(tmp_path / "state.phwf"), divisor=divisor),
+            (open_weber(tmp_path / "state.phwf"), weber),
+            (replace(open_weber(tmp_path / "state.phwf"), divisor=divisor),
              normalize_single_photon(weber, dc_tolerance=1.0))):
         sums = list(advance_into(FieldPlanes(reference), [dt], None))
         write_weber(tmp_path / "reference.phwf", evolve(reference, dt))
@@ -463,11 +461,11 @@ def test_one_pass_into_files_gives_the_bits_of_a_chain_of_passes(tmp_path, rng, 
     def source():
         if normalized:
             return FieldPlanes(normalize_single_photon(weber, dc_tolerance=1.0))
-        return check_weber(tmp_path / "state.phwf")
+        return open_weber(tmp_path / "state.phwf")
     chained, step_source = [], source()
     for i, dt in enumerate(dts):
         chained += _into_files(step_source, [tmp_path / f"chain_{i}.phwf"], [dt])
-        step_source = check_weber(tmp_path / f"chain_{i}.phwf")
+        step_source = open_weber(tmp_path / f"chain_{i}.phwf")
     one_pass = _into_files(source(), [tmp_path / f"pass_{i}.phwf" for i in range(len(dts))],
                            dts)
     assert one_pass == chained
@@ -571,20 +569,21 @@ def test_one_pass_raises_the_error_of_the_first_failing_step(spec8, rng, monkeyp
         assert str(raised.value) == str(expected.value)
 
 
-def test_forward_transform_in_place_is_fftn_bit_for_bit(rng):
+def test_forward_transform_is_fftn_bit_for_bit(rng):
+    # on a copy: the input keeps its bits and its representation
     for n in (7, 8, 16):
         spec = GridSpec(n, 2.0 * np.pi * 0.9)
         weber = _random_weber(spec, rng)
         weber.time = 0.5
+        before = weber.field.tobytes()
         reference = np.fft.fftn(weber.field, axes=(0, 1, 2))
         reference *= spec.dx ** 3 / (2.0 * np.pi) ** 1.5
-        buffer = weber.field
-        forward_transform_in_place(weber)
-        assert weber.field is buffer
-        assert (weber.representation, weber.time) == ("momentum", 0.5)
-        assert weber.field.tobytes() == reference.tobytes()
+        tilde = forward_transform(weber)
+        assert (tilde.representation, tilde.time) == ("momentum", 0.5)
+        assert tilde.field.tobytes() == reference.tobytes()
+        assert weber.field.tobytes() == before and weber.representation == "position"
     with pytest.raises(RepresentationError):
-        forward_transform_in_place(weber)
+        forward_transform(tilde)
 
 
 @pytest.mark.parametrize("dt", [np.nan, np.inf, 1e308, -1e308])
@@ -629,8 +628,7 @@ def test_slab_loops_give_the_same_bits_for_any_worker_count(rng, monkeypatch, n)
     results = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(fields, "_WORKERS", workers)
-        tilde = position.copy()
-        forward_transform_in_place(tilde)
+        tilde = forward_transform(position)
         transverse = project_transverse(tilde)
         transverse.field[0, 0, 0] = 0.0  # photon_number rejects DC content
         results.append((tilde.field.tobytes(), transversality_residual(tilde),

@@ -25,7 +25,7 @@ PACKAGE = SRC / "photonflow"
 ALLOWLIST = {
     ("fieldio.py", "payload ended early"):
         "the file size is checked against the header before the payload is read "
-        "(read_weber, check_weber), and a snapshot that evolve reads plane by plane "
+        "(read_weber, open_weber), and a snapshot that evolve reads plane by plane "
         "was written whole by the pass before, so only a file shortened while it "
         "is being read gets here",
 }
