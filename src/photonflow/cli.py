@@ -3,7 +3,8 @@
 Every subcommand but info reads an optional JSON config (--config),
 writes data files into --out, and prints a short human-readable summary;
 info only prints the presets, tolerances and default config.  All
-randomness is seeded (--seed), all numeric output is deterministic.
+randomness is seeded (--seed, an integer >= 0), all numeric output is
+deterministic.
 
 evolve and doubleslit read their grid state in momentum space as a plane
 source (planewaves.StatePlanes) that forms each z-plane of the placed
@@ -27,8 +28,15 @@ z-plane of its state once, turns it through every time step in plane
 buffers and takes each step's x,z-mean density profile along y from the
 plane it leaves, without building phi~ or the 3-D inverse transform; the
 pass and all its gates, a non-finite profile included, run before --out
-exists.  trajectories
-integrates all its points in one RK4 pass (bohm.integrate_trajectories).
+exists.  trajectories draws its start points from the standard library's
+random.Random(seed), never numpy.random, and integrates all its points in
+one RK4 pass (bohm.integrate_trajectories).  boost-audit holds one audit
+at a time: each, as it completes, writes its audits.json record to a
+temporary file and its rows of audit_samples.npz to a spill file in
+--out, laid out in the npz's member order, and is dropped; after the last
+audit write_npz copies the npz from the spill a block at a time and the
+files take their names (fieldio.new_files, which removes every temporary
+file on a failure).
 A closed stdout ends a subcommand with exit status 1 and no traceback.  An
 --out that cannot be created as a directory exits 2, and an output file
 that cannot be written exits 1 naming it ("cannot write <file>").  A
@@ -88,10 +96,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 # Before numpy loads: the OpenBLAS bundled with numpy starts a thread pool
 # when it loads, and its workers only spin.  photonflow's BLAS calls are
@@ -107,8 +116,8 @@ from .bohm import (_NODE_FLOOR_REL, frame_consistency_check, integrate_trajector
                    knot_count, sample_points_on_line)
 from .errors import (ConfigError, FieldValidationError, OffGridWaveVectorError, PhotonflowError,
                      ZeroFieldError)
-from .fieldio import (_HEADER, _POINT_BYTES, WeberFile, new_weber_files, open_weber,
-                      trajectories_to_csv, write_csv, write_npz)
+from .fieldio import (_HEADER, _POINT_BYTES, WeberFile, new_files, new_weber_files,
+                      open_weber, trajectories_to_csv, write_csv, write_npz)
 from .fields import _BOX_LENGTH_RANGE, _UNIT_RANGE, MOMENTUM, GridSpec, box_energy
 from .lorentz import (_AUDIT_TOL, SAMPLE_ARRAYS, Boost, audit_four_vector, audit_to_json,
                       boost_plane_wave)
@@ -239,11 +248,12 @@ def _state(value, path):
 # trajectory points times RK4 knots that the one integration pass
 # holds (48 bytes each), and samples per four-vector audit (each of the
 # eight audits stores 14 numbers a sample: 2 in audits.json, 12 in
-# audit_samples.npz).  The jobs hold little more than that: measured peak
-# RSS at the bounds, over a small job's 35 MiB, is about 54 bytes a
+# audit_samples.npz, written as each audit completes, so the job holds one
+# audit at a time).  The jobs hold little more than that: measured peak
+# RSS at the bounds, over a small job's 31 MiB, is about 53 bytes a
 # point-knot (911 when the knots were stacked and trajectories.csv was
-# formatted as one table) and 1,100 bytes an audit sample (2,240 when
-# every audit was held to the end).
+# formatted as one table) and 380 bytes an audit sample (1,100 when the
+# audits were stacked to the end, 2,240 when each was held whole).
 _FIELD_BYTES_LIMIT = 2 ** 31
 _MAX_N = 355  # the largest n with 48 n^3 <= _FIELD_BYTES_LIMIT
 # disk bytes of all the snapshots of one evolve run, headers included: 32
@@ -583,44 +593,51 @@ def cmd_boost_audit(config, tol, seed, out):
         ("two-wave x-boost", pair, x_boost),
     ]
 
-    # every per-sample array of the audits lives in one array per attribute,
-    # allocated once and stacked over the audits in this order: each audit,
-    # as it completes, is copied into its rows and kept as a view of them,
-    # and its own arrays are dropped, so the job holds the audits once
-    per_sample = ("s", "mismatch_field", *SAMPLE_ARRAYS.values())
-    results = []
+    # each audit is written as it completes and then dropped, so the job
+    # holds one audit at a time: its audits.json record (the bytes of
+    # json.dumps of the list of records) goes to a temporary file, its
+    # SAMPLE_ARRAYS rows to a spill file laid out as the npz's members (each
+    # member's rows in audit order), and the phi-based two-wave x-boost, the
+    # failing case, to interference.csv.  After the last audit the npz is
+    # copied from the spill and the files take their names; a failure
+    # removes every temporary file and leaves the names as they were
+    audits = [(name, state, boost, recipe) for name, state, boost in scenarios
+              for recipe in (PHI_BASED, WEBER_BASED)]
+    names = ("audits.json", "audit_samples.npz", "interference.csv", "audit_samples.spill")
+    paths = [out / name for name in names]
     print(f"{'scenario':22s} {'recipe':12s} {'max mismatch':>14s}  verdict")
-    for name, state, boost in scenarios:
-        for recipe in (PHI_BASED, WEBER_BASED):
-            audit = audit_four_vector(state, boost, recipe, hbar=hbar,
-                                      n_samples=section["samples"], tolerance=tol["audit"])
-            print(f"{name:22s} {recipe:12s} {audit.max_mismatch:14.3e}  {audit.verdict}")
-            if not results:  # shaped by the first audit
-                stacked = {attr: np.empty((2 * len(scenarios),) + getattr(audit, attr).shape)
-                           for attr in per_sample}
-            rows = {attr: stacked[attr][len(results)] for attr in per_sample}
-            for attr, row in rows.items():
-                row[...] = getattr(audit, attr)
-            results.append((name, replace(audit, **rows)))
-            del audit
-
-    # every audit has passed: the bytes of json.dumps of the list of records,
-    # formed one record at a time
-    with _writing(out / "audits.json") as path, open(path, "w") as fh:
-        fh.write("[")
-        for i, (name, audit) in enumerate(results):
-            fh.write(", " if i else "")
-            fh.write(json.dumps(dict(scenario=name, **audit_to_json(audit))))
-        fh.write("]")
-    with _writing(out / "audit_samples.npz") as path:
-        write_npz(path, {name: stacked[attr] for name, attr in SAMPLE_ARRAYS.items()})
-
-    interference = next(audit for name, audit in results
-                        if name == "two-wave x-boost" and audit.recipe == PHI_BASED)
-    with _writing(out / "interference.csv") as path:
-        write_csv(path, "s,rho_boosted_frame,rho_fourvector,mismatch",
-                  [[interference.s, interference.rho_a, interference.rho_b,
-                    np.abs(interference.rho_a - interference.rho_b)]])
+    with new_files(paths) as (partials, commit):
+        with _writing(paths[0]), open(partials[0], "w") as records, \
+                open(partials[3], "w+b") as spill:
+            records.write("[")
+            shapes = {}  # of the npz's members, as the rows give them
+            for i, (name, state, boost, recipe) in enumerate(audits):
+                audit = audit_four_vector(state, boost, recipe, hbar=hbar,
+                                          n_samples=section["samples"], tolerance=tol["audit"])
+                print(f"{name:22s} {recipe:12s} {audit.max_mismatch:14.3e}  {audit.verdict}")
+                records.write(", " if i else "")
+                records.write(json.dumps(dict(scenario=name, **audit_to_json(audit))))
+                with _writing(paths[1]):
+                    offset = 0
+                    for member, attr in SAMPLE_ARRAYS.items():
+                        row = np.ascontiguousarray(getattr(audit, attr), dtype=float)
+                        spill.seek(offset + i * row.nbytes)
+                        spill.write(memoryview(row))
+                        offset += len(audits) * row.nbytes
+                        shapes[member] = (len(audits),) + row.shape
+                if name == "two-wave x-boost" and recipe == PHI_BASED:
+                    with _writing(paths[2]):
+                        write_csv(partials[2], "s,rho_boosted_frame,rho_fourvector,mismatch",
+                                  [[audit.s, audit.rho_a, audit.rho_b,
+                                    np.abs(audit.rho_a - audit.rho_b)]])
+                del audit, row
+            records.write("]")
+            spill.seek(0)
+            with _writing(paths[1]):
+                write_npz(partials[1], shapes, spill)
+        for i in range(3):
+            with _writing(paths[i]):
+                commit(i)
     print(f"wrote audits.json, audit_samples.npz and interference.csv to {out}")
 
 
@@ -641,7 +658,10 @@ def cmd_trajectories(config, tol, seed, out):
     points = section["initial_points"]
     if points is None:
         line = section["line"]
-        rng = np.random.default_rng(seed)
+        # the standard library's Mersenne Twister, whose random() stream
+        # Python keeps for a seed across versions, drawn as numpy's rng.random(n)
+        draw = random.Random(seed).random
+        rng = SimpleNamespace(random=lambda n: np.fromiter((draw() for _ in range(n)), float, n))
         points = sample_points_on_line(state, line["origin"], line["direction"],
                                        line["length"], section["count"], rng,
                                        guidance, t=t0, c=c)
@@ -811,13 +831,15 @@ def cmd_info(args):
 # --- entry point ------------------------------------------------------------
 
 def _run(args) -> int:
-    """Check the config, the work it asks of the command, the tolerances and
-    state.file, run the generator ``args.handler(config, tol, seed, out)``
-    through its own checks up to its one bare yield, then create --out and
+    """Check the config, the work it asks of the command, the tolerances,
+    --seed and state.file, run the generator
+    ``args.handler(config, tol, seed, out)`` through its own checks up to its one bare yield, then create --out and
     run the rest of the command."""
     config = load_config(args.config)
     _check_budget(config, args.command)
     tol = parse_tolerances(args.tolerance)
+    if args.seed < 0:  # random.Random would seed -1 as 1
+        raise ConfigError(f"--seed must be an integer >= 0, got {args.seed}")
     if args.command != "evolve" and "file" in config["state"]:
         raise ConfigError("state.file is read by evolve only", field="state.file")
     out = Path(args.out)
@@ -837,7 +859,7 @@ def _add_common(parser):
     parser.add_argument("--out", default="photonflow-out",
                         help="output directory (default: photonflow-out)")
     parser.add_argument("--seed", type=int, default=0,
-                        help="RNG seed for ensemble sampling (default: 0)")
+                        help="RNG seed for ensemble sampling, an integer >= 0 (default: 0)")
     parser.add_argument("--tolerance", action="append", metavar="KEY=VALUE",
                         help="override a named tolerance; repeatable")
 

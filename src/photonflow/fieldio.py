@@ -42,7 +42,10 @@ prefix) so they load directly into plotting tools.  write_csv, the one CSV
 writer, takes its rows in blocks and formats a bounded number of rows at a
 time, so a caller that hands it one block per trajectory or per time holds
 no table of the whole file.  write_npz writes the bytes of np.savez
-straight from the arrays' memory, a block of numbers at a time.
+straight from the arrays' memory, or, for a member given by its shape,
+from a spill file the caller has laid out in the members' order, a block
+of numbers at a time.  new_files, behind new_weber_files, writes any new
+files under temporary names and removes those not committed.
 """
 
 from __future__ import annotations
@@ -147,17 +150,12 @@ def write_weber(path, weber: WeberGrid) -> None:
 
 
 @contextmanager
-def new_weber_files(paths, spec: GridSpec, representation: str, times):
-    """Give (files, commit) for new PHWF1 files, one per path: ``files`` holds
-    the WeberFile of each, with this header and the time of the same index,
-    whose payload the block writes plane by plane (WeberFile.writer), and
-    ``commit(i)`` gives file i the name ``paths[i]``.
-
-    The files are written under temporary names in their directories, so a
-    file the block reads may be one of ``paths``.  When the block ends, or
+def new_files(paths):
+    """Give (partials, commit): a temporary name in its directory for each of
+    ``paths``, under which the block writes that file, and ``commit(i)``,
+    which gives file i the name ``paths[i]``.  When the block ends, or
     raises, every file it has not committed is removed and its path left as
-    it was.
-    """
+    it was; a file that is never committed is a scratch file of the block."""
     partials = []
     for path in paths:
         directory, name = os.path.split(os.fspath(path))
@@ -167,16 +165,32 @@ def new_weber_files(paths, spec: GridSpec, representation: str, times):
         os.replace(partials[i], paths[i])
 
     try:
+        yield partials, commit
+    finally:
+        for partial in partials:  # a committed file has its name: what is left is not
+            if os.path.exists(partial):
+                os.remove(partial)
+
+
+@contextmanager
+def new_weber_files(paths, spec: GridSpec, representation: str, times):
+    """Give (files, commit) for new PHWF1 files, one per path: ``files`` holds
+    the WeberFile of each, with this header and the time of the same index,
+    whose payload the block writes plane by plane (WeberFile.writer), and
+    ``commit(i)`` gives file i the name ``paths[i]``.
+
+    The files are written under temporary names in their directories
+    (new_files), so a file the block reads may be one of ``paths``.  When
+    the block ends, or raises, every file it has not committed is removed
+    and its path left as it was.
+    """
+    with new_files(paths) as (partials, commit):
         files = []
         for partial, time in zip(partials, times):
             with open(partial, "wb") as fh:
                 fh.write(_header_bytes(spec, representation, time))
             files.append(WeberFile(partial, spec, representation, time))
         yield files, commit
-    finally:
-        for partial in partials:  # a committed file has its name: what is left is not
-            if os.path.exists(partial):
-                os.remove(partial)
 
 
 def _read_header(fh, path) -> WeberFile:
@@ -259,23 +273,29 @@ def write_csv(path, header: str, blocks) -> None:
                 fh.write(rows % tuple(table.ravel().tolist()))
 
 
-def write_npz(path, arrays: dict) -> None:
+def write_npz(path, arrays: dict, spill=None) -> None:
     """Write the bytes of np.savez(path, **arrays) for numeric arrays, each
     taken in C order: one stored zip64 member ``<name>.npy`` per array, its
-    .npy version 1.0 header, then its numbers in blocks of _NPZ_NUMBERS,
-    each written through a memoryview of the array's own memory.  np.savez
-    copies each array whole through tobytes (a zip member is not a real
-    file); this copies no C-contiguous array."""
+    .npy version 1.0 header, then its numbers in blocks of _NPZ_NUMBERS.
+    An array in memory is written through memoryviews of its own memory:
+    np.savez copies each array whole through tobytes (a zip member is not a
+    real file); this copies no C-contiguous array.  A member given by its
+    shape, a tuple, in place of an array holds the next float64 numbers of
+    the open binary file ``spill``, copied a block at a time, so a caller
+    that lays out its rows in a file in the members' order holds none."""
     with zipfile.ZipFile(path, mode="w", compression=zipfile.ZIP_STORED,
                          allowZip64=True) as archive:
         for name, array in arrays.items():
-            array = np.asarray(array, order="C")
+            # a member given by its shape: a stand-in of that shape, which
+            # holds one float64, gives its header, and spill its numbers
+            spilled = isinstance(array, tuple)
+            array = np.broadcast_to(0.0, array) if spilled else np.asarray(array, order="C")
             with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
                 np.lib.format.write_array_header_1_0(
                     member, np.lib.format.header_data_from_array_1_0(array))
-                numbers = array.reshape(-1)
-                for start in range(0, numbers.size, _NPZ_NUMBERS):
-                    member.write(memoryview(numbers[start:start + _NPZ_NUMBERS]))
+                for start in range(0, array.size, _NPZ_NUMBERS):
+                    member.write(spill.read(8 * min(_NPZ_NUMBERS, array.size - start)) if spilled
+                                 else memoryview(array.reshape(-1)[start:start + _NPZ_NUMBERS]))
 
 
 def trajectories_to_csv(path, trajectories) -> None:

@@ -26,7 +26,7 @@ from photonflow import (GridSpec, WeberGrid, __version__, forward_transform,
 from photonflow import cli, fieldio, fields, photon, planewaves, spectral
 from photonflow.cli import (_AUDIT_SAMPLES_LIMIT, _FIELD_BYTES_LIMIT, _POINT_KNOTS_LIMIT,
                             _check_budget, build_parser, load_config, main)
-from photonflow.errors import ConfigError
+from photonflow.errors import ConfigError, InternalConsistencyError
 from photonflow.fieldio import _HEADER, read_weber, write_weber
 from photonflow.lorentz import SAMPLE_ARRAYS, Boost, audit_four_vector, audit_to_json
 from photonflow.planewaves import (CircularPlaneWave, PlaneWaveSuperposition, counterprop_pair,
@@ -660,22 +660,45 @@ def _peak(call):
         tracemalloc.stop()
 
 
-def test_boost_audit_holds_each_audit_once(tmp_path):
-    # as each audit completes, its 14 numbers a sample (s, the mismatch and
-    # the six arrays of audit_samples.npz) are copied into arrays stacked over
-    # the eight audits and allocated once, and its own arrays are dropped;
-    # audits.json is formed one record at a time.  So beyond the work of one
-    # audit the job holds the stacked arrays and one record.
-    samples = 8192
+def test_boost_audit_holds_one_audit_at_a_time(tmp_path):
+    # each audit is written as it completes (its record to audits.json, its
+    # rows of audit_samples.npz to a spill file) and dropped, and the npz is
+    # copied from the spill a block at a time: the job holds one audit and
+    # its record, where stacking the audits' 14 numbers a sample held 4 audit
+    # peaks at this size
+    samples = 16384
     state, boost = counterprop_pair(1.0, 2.0, 1.0), Boost([1.0, 0.0, 0.0], 0.5)
     one_audit = _peak(lambda: audit_four_vector(state, boost, "phi_based", n_samples=samples))
-    audit = audit_four_vector(state, boost, "phi_based", n_samples=samples)
-    one_record = _peak(lambda: json.dumps(audit_to_json(audit)))
-    del audit
-    stacked = 8 * 14 * samples * 8
     peak = _peak(lambda: _run(tmp_path, "boost-audit", {"audit": {"samples": samples}}))
-    assert peak < one_audit + stacked + one_record + 2 ** 20, (
-        peak / stacked, one_audit / stacked, one_record / stacked)
+    assert peak < 2 * one_audit, peak / one_audit
+
+
+def test_a_failed_audit_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # the fifth audit fails: the four written before it, in temporary files,
+    # and the spill are removed, and no output file takes its name
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 5:
+            raise InternalConsistencyError("audit failed")
+        return audit_four_vector(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "audit_four_vector", failing)
+    rc, out = _run(tmp_path, "boost-audit", {"audit": {"samples": 16}})
+    assert rc == 1
+    assert capsys.readouterr().err == "error: audit failed\n"
+    assert _listing(out) == []
+
+
+def test_an_audit_file_that_cannot_take_its_name_exits_1_naming_it(tmp_path, capsys):
+    # audits.json is a directory: the files written under temporary names go
+    (tmp_path / "out" / "audits.json").mkdir(parents=True)
+    rc, out = _run(tmp_path, "boost-audit", {"audit": {"samples": 16}})
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: cannot write {out / 'audits.json'}: "
+                                       f"{os.strerror(errno.EISDIR)}\n")
+    assert _listing(out) == ["audits.json"]
 
 
 def test_audit_samples_npz_entries_carry_a_fixed_date(tmp_path):
@@ -1034,9 +1057,11 @@ def test_bad_config_value_exits_2_naming_the_field(tmp_path, capsys, command,
      "(field: state.components[0])"),
     ("doubleslit", {"grid": {"n": 8}, "doubleslit": {"forward_mode": 4}}, [],
      "(field: doubleslit)"),
+    ("trajectories", None, ["--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+    ("boost-audit", None, ["--seed", "-3"], "--seed must be an integer >= 0, got -3"),
 ], ids=["state-form-plus-extra", "config-not-object", "unreadable-config",
         "tolerance-without-equals", "tolerance-not-a-number", "bad-preset-argument",
-        "bad-component", "slit-modes-beyond-grid"])
+        "bad-component", "slit-modes-beyond-grid", "negative-seed", "negative-seed-unread"])
 def test_rejected_input_exits_2_naming_the_field(tmp_path, capsys, command, config, extra,
                                                  named):
     rc, out = _run(tmp_path, command, config=config, extra=extra)

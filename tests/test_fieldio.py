@@ -210,6 +210,17 @@ def test_write_npz_has_the_bytes_of_savez(tmp_path, rng):
     write_npz(tmp_path / "ours.npz", arrays)
     np.savez(tmp_path / "savez.npz", **arrays)
     assert (tmp_path / "ours.npz").read_bytes() == (tmp_path / "savez.npz").read_bytes()
+    # the same members, all but the first given by their shapes and copied
+    # from a spill file that holds their numbers in member order
+    spilled = {name: array for name, array in arrays.items() if name != "one"}
+    with open(tmp_path / "spill", "w+b") as spill:
+        for array in spilled.values():
+            spill.write(np.asarray(array).tobytes())
+        spill.seek(0)
+        write_npz(tmp_path / "spilled.npz",
+                  {name: np.shape(array) if name in spilled else array
+                   for name, array in arrays.items()}, spill)
+    assert (tmp_path / "spilled.npz").read_bytes() == (tmp_path / "savez.npz").read_bytes()
 
 
 def test_write_npz_copies_no_array(tmp_path, rng):

@@ -1,6 +1,6 @@
 """Every name a library module imports is used by that module; the package
-imports its modules only when one of its names is first used, and the grid
-jobs import no masked arrays."""
+imports its modules only when one of its names is first used; the grid
+jobs import no masked arrays, and the trajectories jobs no numpy.random."""
 
 import ast
 import importlib
@@ -126,3 +126,15 @@ def test_grid_jobs_import_no_masked_arrays(tmp_path):
     added = json.loads(_fresh(_JOB_IMPORTS, json.dumps(argv)).splitlines()[-1])
     assert [[name for name in names if name.split(".")[:2] == ["numpy", "ma"]]
             for names in added] == [[], []]
+
+
+def test_trajectories_jobs_import_no_numpy_random(tmp_path):
+    # the start points come from the standard library's random.Random: all of
+    # numpy.random (its bit generators, the legacy mtrand, and secrets and
+    # OpenSSL's hashlib with them) stays out of the job
+    path = tmp_path / "trajectories.json"
+    path.write_text(json.dumps({"trajectories": {"count": 4}}))
+    argv = [("trajectories", str(path), str(tmp_path / "out"))]
+    added = json.loads(_fresh(_JOB_IMPORTS, json.dumps(argv)).splitlines()[-1])
+    assert [[name for name in names if name.split(".")[:2] == ["numpy", "random"]
+             or name == "secrets"] for names in added] == [[]]
