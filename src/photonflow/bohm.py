@@ -179,26 +179,31 @@ def integrate_trajectories(state: PlaneWaveSuperposition, points, t0: float, t1:
     a node raises GuidanceNodeError.
     """
     knots = _rk4(state, points, t0, t1, step, guidance, c, node_floor_rel)
-    first = t, x, _, live = next(knots)
-    if not live.all():
-        i = int(np.argmin(live))
-        raise GuidanceNodeError(
-            f"trajectory starts on a density node at x = {x[i].tolist()}, t = {t:.6g}",
-            location=x[i], time=float(t))
-    # the arrays the CLI's work bound counts (48 bytes a point-knot), filled
-    # knot by knot; a point never comes back to life, so its live count is
-    # its first dead knot
-    count = int(knot_count(t0, t1, step))
-    times = np.empty(count)
-    positions = np.empty((len(x), count, 3))
-    velocities = np.empty((len(x), count, 3))
-    stops = np.zeros(len(x), dtype=np.int64)
+    first = _started(knots)
+    # the pass's arrays (48 bytes a point-knot: the CLI hands it one block of
+    # points at a time), filled knot by knot; a point never comes back to
+    # life, so its live count is its first dead knot
+    count, size = int(knot_count(t0, t1, step)), len(first[1])
+    times, (positions, velocities) = np.empty(count), np.empty((2, size, count, 3))
+    stops = np.zeros(size, dtype=np.int64)
     for j, (t, x, v, live) in enumerate(itertools.chain([first], knots)):
         times[j], positions[:, j], velocities[:, j] = t, x, v
         stops += live
     return [Trajectory(times[:stop], positions[i, :stop], velocities[i, :stop], guidance,
                        bool(stop < count))
             for i, stop in enumerate(stops)]
+
+
+def _started(knots) -> tuple:
+    """The first knot of the _rk4 pass ``knots``; GuidanceNodeError if a point
+    starts on a density node (the first such point is named)."""
+    first = t, x, _, live = next(knots)
+    if not live.all():
+        i = int(np.argmin(live))
+        raise GuidanceNodeError(
+            f"trajectory starts on a density node at x = {x[i].tolist()}, t = {t:.6g}",
+            location=x[i], time=float(t))
+    return first
 
 
 def transport_ensemble(state: PlaneWaveSuperposition, points, t0: float, t1: float,

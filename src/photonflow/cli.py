@@ -29,14 +29,19 @@ buffers and takes each step's x,z-mean density profile along y from the
 plane it leaves, without building phi~ or the 3-D inverse transform; the
 pass and all its gates, a non-finite profile included, run before --out
 exists.  trajectories draws its start points from the standard library's
-random.Random(seed), never numpy.random, and integrates all its points in
-one RK4 pass (bohm.integrate_trajectories).  boost-audit holds one audit
-at a time: each, as it completes, writes its audits.json record to a
-temporary file and its rows of audit_samples.npz to a spill file in
---out, laid out in the npz's member order, and is dropped; after the last
-audit write_npz copies the npz from the spill a block at a time and the
-files take their names (fieldio.new_files, which removes every temporary
-file on a failure).
+random.Random(seed), never numpy.random, checks every one for a density
+node in one guidance evaluation, then integrates and writes them a block
+of at most _BLOCK_POINT_KNOTS point-knots at a time (an RK4 pass of
+bohm.integrate_trajectories per block; a point gets the same bits alone
+as in a batch), so it holds one block's knots; trajectories.csv is written
+under a temporary name and takes its name after the last block.
+boost-audit holds one audit at a time: each, as it completes, writes its
+audits.json record to a temporary file, its sample lists formatted a
+fixed-size piece at a time, and its rows of audit_samples.npz to a spill
+file in --out, laid out in the npz's member order, and is dropped; after
+the last audit write_npz copies the npz from the spill a block at a time
+and the files take their names (fieldio.new_files, which removes every
+temporary file on a failure).
 A closed stdout ends a subcommand with exit status 1 and no traceback.  An
 --out that cannot be created as a directory exits 2, and an output file
 that cannot be written exits 1 naming it ("cannot write <file>").  A
@@ -112,14 +117,14 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
-from .bohm import (_NODE_FLOOR_REL, frame_consistency_check, integrate_trajectories,
-                   knot_count, sample_points_on_line)
+from .bohm import (_NODE_FLOOR_REL, _rk4, _started, frame_consistency_check,
+                   integrate_trajectories, knot_count, sample_points_on_line)
 from .errors import (ConfigError, FieldValidationError, OffGridWaveVectorError, PhotonflowError,
                      ZeroFieldError)
-from .fieldio import (_HEADER, _POINT_BYTES, WeberFile, new_files, new_weber_files,
-                      open_weber, trajectories_to_csv, write_csv, write_npz)
+from .fieldio import (_HEADER, _PIECE_NUMBERS, _POINT_BYTES, WeberFile, new_files,
+                      new_weber_files, open_weber, trajectories_to_csv, write_csv, write_npz)
 from .fields import _BOX_LENGTH_RANGE, _UNIT_RANGE, MOMENTUM, GridSpec, box_energy
-from .lorentz import (_AUDIT_TOL, SAMPLE_ARRAYS, Boost, audit_four_vector, audit_to_json,
+from .lorentz import (_AUDIT_TOL, SAMPLE_ARRAYS, Boost, _verdict_fields, audit_four_vector,
                       boost_plane_wave)
 from .photon import (DEFAULT_DC_TOLERANCE, PHI_BASED, WEBER_BASED, check_dc_share,
                      density_profiles, norm_of_sums, photon_count, photon_sums)
@@ -245,15 +250,19 @@ def _state(value, path):
 # So the limit bounds, through grid.n in the schema (_MAX_N) and the n of a
 # state file, the disk bytes of one evolve snapshot, and the 8 n^2 bytes of
 # profile rows that doubleslit's one pass holds per time;
-# trajectory points times RK4 knots that the one integration pass
-# holds (48 bytes each), and samples per four-vector audit (each of the
-# eight audits stores 14 numbers a sample: 2 in audits.json, 12 in
+# trajectory points times RK4 knots, which trajectories holds one block of
+# _BLOCK_POINT_KNOTS at a time, so what the limit bounds is the disk bytes
+# and time of trajectories.csv (about 225 bytes and 6.6 us a point-knot:
+# 946 MB in 27 s at the limit); and samples per four-vector audit (each of
+# the eight audits stores 14 numbers a sample: 2 in audits.json, 12 in
 # audit_samples.npz, written as each audit completes, so the job holds one
-# audit at a time).  The jobs hold little more than that: measured peak
-# RSS at the bounds, over a small job's 31 MiB, is about 53 bytes a
-# point-knot (911 when the knots were stacked and trajectories.csv was
-# formatted as one table) and 380 bytes an audit sample (1,100 when the
-# audits were stacked to the end, 2,240 when each was held whole).
+# audit at a time).  Measured peak RSS at the bounds, on a 2-core VM where
+# a small job peaks at 31 MiB: trajectories 57.6 MiB, about 7 bytes a
+# point-knot (53 when every knot was held, 911 when the knots were stacked
+# and trajectories.csv was formatted as one table), and boost-audit
+# 48.1 MiB, about 270 bytes a sample (380 when each sample list was
+# formatted whole, 1,100 when the audits were stacked to the end, 2,240
+# when each was held whole).
 _FIELD_BYTES_LIMIT = 2 ** 31
 _MAX_N = 355  # the largest n with 48 n^3 <= _FIELD_BYTES_LIMIT
 # disk bytes of all the snapshots of one evolve run, headers included: 32
@@ -263,6 +272,9 @@ _SNAPSHOT_BYTES_LIMIT = 2 ** 36
 # pass holds one file handle per snapshot besides the one it reads
 _STEPS_PER_PASS = 8
 _POINT_KNOTS_LIMIT = 2 ** 22
+# point-knots of one block of trajectories, integrated and written before
+# the next: 12 MiB of positions and velocities
+_BLOCK_POINT_KNOTS = 2 ** 18
 _AUDIT_SAMPLES_LIMIT = 2 ** 16
 
 SCHEMA = {
@@ -616,7 +628,7 @@ def cmd_boost_audit(config, tol, seed, out):
                                           n_samples=section["samples"], tolerance=tol["audit"])
                 print(f"{name:22s} {recipe:12s} {audit.max_mismatch:14.3e}  {audit.verdict}")
                 records.write(", " if i else "")
-                records.write(json.dumps(dict(scenario=name, **audit_to_json(audit))))
+                _write_record(records, name, audit)
                 with _writing(paths[1]):
                     offset = 0
                     for member, attr in SAMPLE_ARRAYS.items():
@@ -639,6 +651,20 @@ def cmd_boost_audit(config, tol, seed, out):
             with _writing(paths[i]):
                 commit(i)
     print(f"wrote audits.json, audit_samples.npz and interference.csv to {out}")
+
+
+def _write_record(fh, name, audit):
+    """Write the bytes of json.dumps(dict(scenario=name, **audit_to_json(audit)))
+    to ``fh``, each sample list as json.dumps of pieces of _PIECE_NUMBERS
+    numbers joined by ", ", so no list of the whole profile is formed."""
+    head = json.dumps(dict(scenario=name, **_verdict_fields(audit)))
+    for text, values in ((head[:-1] + ', "samples": {"s": [', audit.s),
+                         ('], "mismatch": [', audit.mismatch_field)):
+        fh.write(text)
+        for start in range(0, len(values), _PIECE_NUMBERS):
+            piece = json.dumps(values[start:start + _PIECE_NUMBERS].tolist())[1:-1]
+            fh.write(f", {piece}" if start else piece)
+    fh.write("]}}")
 
 
 # --- trajectories -----------------------------------------------------------
@@ -666,15 +692,30 @@ def cmd_trajectories(config, tol, seed, out):
                                        line["length"], section["count"], rng,
                                        guidance, t=t0, c=c)
 
-    trajectories = integrate_trajectories(state, points, t0, t1, step, guidance, c=c,
-                                          node_floor_rel=tol["node_floor"])
-    with _writing(out / "trajectories.csv") as path:
-        trajectories_to_csv(path, trajectories)
+    # the first knot of the pass over every point: a point that starts on a
+    # node raises before any block is integrated or written
+    _started(_rk4(state, points, t0, t1, step, guidance, c, tol["node_floor"]))
+    # the points are integrated and written a block at a time, each block at
+    # most _BLOCK_POINT_KNOTS point-knots (one point if its knots alone are
+    # more), and the file takes its name after the last block
+    size = max(1, _BLOCK_POINT_KNOTS // int(knot_count(t0, t1, step)))
+    node_hits, max_speed = 0, 0.0
 
-    node_hits = sum(t.node_hit for t in trajectories)
-    max_speed = max(float(np.linalg.norm(t.velocities, axis=1).max())
-                    for t in trajectories)
-    print(f"integrated {len(trajectories)} trajectories ({guidance}), "
+    def integrated():
+        nonlocal node_hits, max_speed
+        for start in range(0, len(points), size):
+            for traj in integrate_trajectories(state, points[start:start + size], t0, t1, step,
+                                               guidance, c=c, node_floor_rel=tol["node_floor"]):
+                node_hits += traj.node_hit
+                max_speed = max(max_speed, float(np.linalg.norm(traj.velocities, axis=1).max()))
+                yield traj
+
+    path = out / "trajectories.csv"
+    with new_files([path]) as (partials, commit), _writing(path):
+        trajectories_to_csv(partials[0], integrated())
+        commit(0)
+
+    print(f"integrated {len(points)} trajectories ({guidance}), "
           f"t = [{t0:g}, {t1:g}] step {step:g}; node hits: {node_hits}; "
           f"max |v|/c = {max_speed / c:.12g}")
 
@@ -696,7 +737,7 @@ def cmd_trajectories(config, tol, seed, out):
               f"{result.mismatch:.6g} c")
     summary = {
         "guidance": guidance,
-        "count": len(trajectories),
+        "count": len(points),
         "t0": t0, "t1": t1, "step": step,
         "node_hits": int(node_hits),
         "max_speed_over_c": max_speed / c,

@@ -39,7 +39,7 @@ host converts, one plane at a time.
 
 CSV exports carry their column names in the first line (no comment
 prefix) so they load directly into plotting tools.  write_csv, the one CSV
-writer, takes its rows in blocks and formats a bounded number of rows at a
+writer, takes its rows in blocks and formats a fixed count of numbers at a
 time, so a caller that hands it one block per trajectory or per time holds
 no table of the whole file.  write_npz writes the bytes of np.savez
 straight from the arrays' memory, or, for a member given by its shape,
@@ -73,9 +73,10 @@ _POINT_BYTES = 6 * 8
 # whether a complex128 in memory has the payload's byte order
 _LITTLE_ENDIAN = np.dtype("<c16").isnative
 
-# CSV rows that write_csv formats in one %; each number of them takes a
-# float object and a tuple slot (32 bytes) and 25 bytes of text
-_CSV_ROWS = 4096
+# numbers that one formatting call turns into text (write_csv's % and the
+# CLI's json.dumps of a piece of a sample list); each takes a float object
+# and a tuple or list slot (32 bytes) and about 25 bytes of text
+_PIECE_NUMBERS = 2 ** 10
 
 # numbers of an array that write_npz writes in one call (512 KiB of float64)
 _NPZ_NUMBERS = 2 ** 16
@@ -261,16 +262,19 @@ def write_csv(path, header: str, blocks) -> None:
     of columns (arrays of equal length, or of shape (rows, m) for m columns),
     and the file has the bytes of np.savetxt(path, table, delimiter=",",
     header=header, comments="") for the table of every block's rows in turn.
-    Each block is formatted _CSV_ROWS rows at a time, so what the writer
-    holds does not grow with the row count."""
+    Each block is formatted in pieces of about _PIECE_NUMBERS numbers (that
+    count over the block's column count, in rows), so what the writer holds
+    grows with neither the row count nor the block size; ``blocks`` may be a
+    generator that forms each block as the writer reaches it."""
     with open(path, "w") as fh:
         fh.write(f"{header}\n")
         for block in blocks:
             block = [np.asarray(col, dtype=float) for col in block]
-            for start in range(0, len(block[0]), _CSV_ROWS):
-                table = np.column_stack([col[start:start + _CSV_ROWS] for col in block])
-                rows = (",".join(["%.18e"] * table.shape[1]) + "\n") * table.shape[0]
-                fh.write(rows % tuple(table.ravel().tolist()))
+            width = sum(1 if col.ndim == 1 else col.shape[1] for col in block)
+            line, rows = ",".join(["%.18e"] * width) + "\n", max(1, _PIECE_NUMBERS // width)
+            for start in range(0, len(block[0]), rows):
+                table = np.column_stack([col[start:start + rows] for col in block])
+                fh.write((line * len(table)) % tuple(table.ravel().tolist()))
 
 
 def write_npz(path, arrays: dict, spill=None) -> None:
@@ -299,8 +303,9 @@ def write_npz(path, arrays: dict, spill=None) -> None:
 
 
 def trajectories_to_csv(path, trajectories) -> None:
-    """Trajectory list as traj,t,x,y,z,vx,vy,vz,node_hit (node_hit 0/1 per
-    trajectory), one write_csv block per trajectory."""
+    """Trajectories (any iterable, e.g. a generator that integrates them as
+    the writer reaches them) as traj,t,x,y,z,vx,vy,vz,node_hit (node_hit 0/1
+    per trajectory), one write_csv block per trajectory."""
     write_csv(path, "traj,t,x,y,z,vx,vy,vz,node_hit",
               ([np.broadcast_to(float(idx), traj.times.shape), traj.times, traj.positions,
                 traj.velocities, np.broadcast_to(float(traj.node_hit), traj.times.shape)]

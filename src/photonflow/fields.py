@@ -84,7 +84,7 @@ def over_planes(n: int, work) -> list:
     (errstate is per thread).
     """
     slices = [slice(i, i + 1) for i in range(n)]
-    count = min(_WORKERS, n)
+    count = max(1, min(_WORKERS, n))  # n = 0: one empty run
     cuts = [n * i // count for i in range(count + 1)]
     records, errors = [None] * count, [None] * count
 
@@ -252,6 +252,9 @@ class WeberGrid:
     time: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.spec, GridSpec):
+            raise FieldValidationError(f"spec must be a GridSpec, got {self.spec!r}")
+        check_real("time", self.time)
         if self.representation not in _REPRESENTATIONS:
             raise RepresentationError(
                 f"representation must be one of {_REPRESENTATIONS}, got {self.representation!r}")

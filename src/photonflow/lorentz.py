@@ -54,7 +54,9 @@ class Boost:
         if np.linalg.norm(n) == 0.0:
             raise FieldValidationError(f"direction must be nonzero, got {n!r}")
         object.__setattr__(self, "direction", n / np.linalg.norm(n))
-        if not (0.0 <= check_real("speed", self.speed) < check_real("c", self.c)):
+        if not check_real("c", self.c) > 0:
+            raise FieldValidationError(f"c must be > 0, got {self.c!r}")
+        if not (0.0 <= check_real("speed", self.speed) < self.c):
             raise FieldValidationError(
                 f"speed must satisfy 0 <= u < c, got u = {self.speed!r}, c = {self.c!r}")
 
@@ -253,10 +255,16 @@ def audit_four_vector(state: PlaneWaveSuperposition, boost: Boost,
 
 def audit_to_json(audit: FourVectorAudit) -> dict:
     """A JSON-ready record of an audit: its recipe, boost, verdict, mismatch,
-    tolerance and scale, and the mismatch profile along the sample line as
-    the lists samples.s and samples.mismatch (the worst sample is
-    argmax(mismatch)).  The other per-sample arrays (x', t', rho and J of
+    tolerance and scale (_verdict_fields), and the mismatch profile along the
+    sample line as the lists samples.s and samples.mismatch (the worst sample
+    is argmax(mismatch)).  The other per-sample arrays (x', t', rho and J of
     both routes, SAMPLE_ARRAYS) are left to the caller's binary file."""
+    return {**_verdict_fields(audit),
+            "samples": {"s": audit.s.tolist(), "mismatch": audit.mismatch_field.tolist()}}
+
+
+def _verdict_fields(audit: FourVectorAudit) -> dict:
+    """audit_to_json's record without its samples, in the record's key order."""
     return {
         "recipe": audit.recipe,
         "boost": {
@@ -268,5 +276,4 @@ def audit_to_json(audit: FourVectorAudit) -> dict:
         "max_mismatch": audit.max_mismatch,
         "tolerance": audit.tolerance,
         "scale": audit.scale,
-        "samples": {"s": audit.s.tolist(), "mismatch": audit.mismatch_field.tolist()},
     }

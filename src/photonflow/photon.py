@@ -66,7 +66,7 @@ import numpy as np
 from .errors import DCContentError, FieldValidationError, ZeroFieldError
 from .fields import (MOMENTUM, POSITION, FieldPlanes, GridSpec, WeberGrid, over_planes,
                      plane_view, require_representation, sum_in_order, total_energy)
-from .planewaves import PHI_BASED, WEBER_BASED, _recipe_flow, flow_recipe
+from .planewaves import PHI_BASED, WEBER_BASED, StatePlanes, _recipe_flow, flow_recipe
 from .spectral import (_TRANSVERSALITY_TOL, _TWO_PI_3_2, _c_dt, _fft_inverse, _gate,
                        _gather, _square_sums, _sweep, evolve, inverse_transform, kgrid)
 
@@ -217,26 +217,31 @@ def photon_sums(source) -> tuple:
     per-plane sums are added in plane order, so the two sums are the bits
     FieldSums reports for a step of dt = 0.  Each worker run reads its
     z-planes into one plane buffer and gathers 1/|k| one z-plane at a time
-    from the per-shell table, so no (n, n, n) array is built.
+    from the per-shell table, so no (n, n, n) array is built.  Of a
+    planewaves.StatePlanes only the z-planes that hold a mode are read: a
+    zero plane adds 0.0 to each sum, which changes no bit of it, and an
+    unread plane 0 gives |F~(0)|^2 = 0.0.
     """
     spec = source.spec
     kg, n = kgrid(spec), spec.n_per_axis
-    dc_sq = []  # from the run that reads plane 0
+    planes = list(source._planes) if isinstance(source, StatePlanes) else range(n)
+    dc_sq = [0.0]  # replaced by the run that reads plane 0
 
     def work(run):
         # the plane, and its 1/|k| and |F~|^2 per mode: one buffer each per run
         buffer, (inv_k, sq) = np.empty((1, n, n, 3), dtype=complex), np.empty((2, 1, n, n))
         records = []
         with source.reader(buffer) as read:
-            for zs in run:
-                flat = read(zs).view(np.float64)
-                _gather(kg.shell_inv_k, kg.axis_sq[zs.start], kg.yx_sq, inv_k)
+            for iz in (planes[zs.start] for zs in run):
+                flat = read(slice(iz, iz + 1)).view(np.float64)
+                _gather(kg.shell_inv_k, kg.axis_sq[iz], kg.yx_sq, inv_k)
                 records.append(_square_sums(flat, inv_k, sq))
-                if zs.start == 0:
-                    dc_sq.append(float(np.einsum("c,c->", flat[0, 0, 0], flat[0, 0, 0])))
+                if iz == 0:
+                    dc_sq[0] = float(np.einsum("c,c->", flat[0, 0, 0], flat[0, 0, 0]))
         return records
 
-    sq, over_k = zip(*over_planes(n, work))
+    # a zero record first, which adds 0.0 to each sum, so a state of no plane has sums
+    sq, over_k = zip((0.0, 0.0), *over_planes(len(planes), work))
     return float(sum_in_order(over_k)), float(sum_in_order(sq)), dc_sq[0]
 
 

@@ -144,6 +144,12 @@ class PlaneWaveSuperposition:
 
     components: List[CircularPlaneWave] = field(default_factory=list)
 
+    def __post_init__(self):
+        if not (isinstance(self.components, list)
+                and all(isinstance(comp, CircularPlaneWave) for comp in self.components)):
+            raise FieldValidationError(
+                f"components must be a list of CircularPlaneWave, got {self.components!r}")
+
 
 # recipe -> (CompiledState amplitudes of the mode sum v, norm) for _recipe_flow,
 # which divides the density and the current by the same norm, so |J| <= c rho
@@ -172,10 +178,20 @@ def _cross(a, b) -> np.ndarray:
 
 def _recipe_flow(recipe: tuple, v, c: float) -> tuple:
     """(rho, J) = (|v|^2 / norm, (c / norm) Im(v* x v)) of a RECIPES entry; v* x v
-    is purely imaginary componentwise, so J discards no real part."""
+    is purely imaginary componentwise, so J discards no real part.
+
+    J is formed one component at a time into its own array, through two
+    complex scratch arrays the size of one component, with _cross's
+    products in _cross's order: its bits, with no (..., 3) complex product."""
     _, norm = recipe
     rho = (v.real ** 2 + v.imag ** 2).sum(axis=-1) / norm
-    return rho, (c / norm) * _cross(v.conj(), v).imag
+    a, current = v.conj(), np.empty(v.shape)
+    p, q = (np.empty(v.shape[:-1], dtype=complex) for _ in "pq")
+    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(a[..., j], v[..., k], out=p)
+        np.subtract(p, np.multiply(a[..., k], v[..., j], out=q), out=p)
+        np.multiply(c / norm, p.imag, out=current[..., i])
+    return rho, current
 
 
 class CompiledState:

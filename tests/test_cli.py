@@ -5,8 +5,10 @@ directory and inspects the files it writes; one test runs the installed
 console script in a subprocess.
 """
 
+import dataclasses
 import errno
 import importlib.util
+import io
 import json
 import os
 import struct
@@ -27,8 +29,9 @@ from photonflow import cli, fieldio, fields, photon, planewaves, spectral
 from photonflow.cli import (_AUDIT_SAMPLES_LIMIT, _FIELD_BYTES_LIMIT, _POINT_KNOTS_LIMIT,
                             _check_budget, build_parser, load_config, main)
 from photonflow.errors import ConfigError, InternalConsistencyError
-from photonflow.fieldio import _HEADER, read_weber, write_weber
-from photonflow.lorentz import SAMPLE_ARRAYS, Boost, audit_four_vector, audit_to_json
+from photonflow.fieldio import _HEADER, _PIECE_NUMBERS, read_weber, write_weber
+from photonflow.lorentz import (SAMPLE_ARRAYS, Boost, audit_four_vector, audit_to_json,
+                                boost_plane_wave)
 from photonflow.planewaves import (CircularPlaneWave, PlaneWaveSuperposition, counterprop_pair,
                                   single_wave)
 
@@ -673,6 +676,26 @@ def test_boost_audit_holds_one_audit_at_a_time(tmp_path):
     assert peak < 2 * one_audit, peak / one_audit
 
 
+def test_an_audit_record_is_formatted_in_pieces(tmp_path):
+    # each sample list is json.dumps of pieces of _PIECE_NUMBERS numbers joined
+    # by ", ": the bytes of json.dumps of the whole record, NaN and Infinity
+    # included, and a record of 4x the samples peaks as the small one does
+    state, boost = counterprop_pair(1.0, 2.0, 1.0), Boost([1.0, 0.0, 0.0], 0.5)
+    audits = [audit_four_vector(state, boost, "phi_based", n_samples=n)
+              for n in (4 * _PIECE_NUMBERS, 16 * _PIECE_NUMBERS + 3)]
+    special = audits[0].mismatch_field.copy()
+    special[[0, _PIECE_NUMBERS - 1, _PIECE_NUMBERS, -1]] = [np.nan, np.inf, -np.inf, -0.0]
+    for audit in audits + [dataclasses.replace(audits[0], mismatch_field=special)]:
+        text = io.StringIO()
+        cli._write_record(text, "two-wave x-boost", audit)
+        assert text.getvalue() == json.dumps(dict(scenario="two-wave x-boost",
+                                                  **audit_to_json(audit)))
+    with open(os.devnull, "w") as sink:
+        small, large = (_peak(lambda: cli._write_record(sink, "two-wave x-boost", audit))
+                        for audit in audits)
+    assert large < 1.1 * small, large / small
+
+
 def test_a_failed_audit_leaves_no_file(tmp_path, capsys, monkeypatch):
     # the fifth audit fails: the four written before it, in temporary files,
     # and the spill are removed, and no output file takes its name
@@ -785,9 +808,81 @@ def test_trajectories_run_is_one_batched_pass(tmp_path, monkeypatch):
     monkeypatch.setattr(bohm, "_velocity_masked", counted)
     rc, _ = _run(tmp_path, "trajectories")
     assert rc == 0
-    # 126 RK4 steps over all 16 points: the start knot, then four a step;
-    # the two recipes' frame checks add one rest and one boosted point each
-    assert points_per_call == [16] * (1 + 4 * 126) + [1] * 4
+    # the start check over every point, then 126 RK4 steps over the one block
+    # of all 16 points: the start knot, then four a step; the two recipes'
+    # frame checks add one rest and one boosted point each
+    assert points_per_call == [16] * (2 + 4 * 126) + [1] * 4
+
+
+# the boosted standing wave of test_bohm, whose troughs a node floor of 0.45
+# turns into nodes that points along k_sum reach at different knots; t1 = 2
+# takes 41 knots
+BOOSTED_PAIR = {"state": {"components": [
+    {"k": comp.wave_vector.tolist(), "I": comp.intensity, "handedness": comp.handedness,
+     "phase": comp.phase}
+    for comp in boost_plane_wave(counterprop_pair(), Boost([1.0, 0.0, 0.0], 0.5)).components]}}
+K_SUM_HAT = np.array([-np.sqrt(3.0), 0.0, -1.0]) / 2.0
+
+
+def test_trajectories_in_point_blocks_keep_the_bytes_of_one_block(tmp_path, monkeypatch):
+    # blocks of 2 points: the node stops of later blocks, the node-hit count
+    # and the top speed reduced over blocks give the files of one block
+    points = np.outer([np.pi / 2.0, 0.7, 1.2, 2.5, 1.9, 2.2, 1.0], K_SUM_HAT).tolist()
+    config = dict(BOOSTED_PAIR, trajectories={"t1": 2.0, "initial_points": points,
+                                              "check_event": {"x": points[0]}})
+    blocks, real = [], cli.integrate_trajectories
+
+    def counted(state, block, *args, **kwargs):
+        blocks[-1].append(len(block))
+        return real(state, block, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate_trajectories", counted)
+    outputs = []
+    for budget in (cli._BLOCK_POINT_KNOTS, 2 * 41):
+        monkeypatch.setattr(cli, "_BLOCK_POINT_KNOTS", budget)
+        blocks.append([])
+        (tmp_path / str(budget)).mkdir()
+        rc, out = _run(tmp_path / str(budget), "trajectories", config,
+                       ["--tolerance", "node_floor=0.45"])
+        assert rc == 0
+        outputs.append([(out / name).read_bytes() for name in ("trajectories.csv",
+                                                               "summary.json")])
+    assert blocks == [[7], [2, 2, 2, 1]]
+    assert outputs[0] == outputs[1]
+    table = np.loadtxt(io.BytesIO(outputs[0][0]), delimiter=",", skiprows=1)
+    hits = sorted({int(row[0]) for row in table if row[8] == 1.0})
+    assert json.loads(outputs[0][1])["node_hits"] == len(hits) and max(hits) >= 4, hits
+
+
+def test_a_start_on_a_node_in_a_later_block_writes_no_block(tmp_path, monkeypatch, capsys):
+    # one point a block, the fourth on a node of the weber-based flow: every
+    # start point is checked before the first block is integrated or written
+    written = []
+    monkeypatch.setattr(cli, "_BLOCK_POINT_KNOTS", 1)
+    monkeypatch.setattr(cli, "trajectories_to_csv", lambda *args: written.append(args))
+    config = {"state": {"preset": "copropagating-pair"}, "trajectories": {
+        "guidance": "weber_based", "t1": 1.0,
+        "initial_points": [[0.0, 0.0, 0.5], [0.0, 0.0, 0.7], [0.0, 0.0, 0.9],
+                           [0.0, 0.0, np.pi]]}}
+    rc, out = _run(tmp_path, "trajectories", config)
+    assert rc == 1
+    assert "trajectory starts on a density node at x = [0.0, 0.0, 3.14159" in (
+        capsys.readouterr().err)
+    assert written == [] and _listing(out) == []
+
+
+def test_trajectories_hold_one_block_whatever_the_point_count(tmp_path, monkeypatch):
+    # blocks of 64 points of 64 knots: 4x the points peaks as the small run
+    # does, where holding every knot took 1.7x
+    monkeypatch.setattr(cli, "_BLOCK_POINT_KNOTS", 64 * 64)
+
+    def peak(count):
+        (tmp_path / str(count)).mkdir()
+        return _peak(lambda: _run(tmp_path / str(count), "trajectories",
+                                  {"trajectories": {"count": count, "t1": np.pi}}))
+
+    small, large = peak(128), peak(512)
+    assert large < 1.1 * small, large / small
 
 
 # --- doubleslit -------------------------------------------------------------
@@ -1345,10 +1440,14 @@ def test_corrupt_state_file_exits_2(tmp_path, capsys):
 
 
 def test_state_file_with_nan_time_exits_2(tmp_path, capsys):
+    # WeberGrid refuses a NaN time, so the header's time (its last field) is
+    # overwritten in a file written at time 0
     bad = tmp_path / "nan-time.phwf"
     spec = GridSpec(4, 2.0 * np.pi)
-    write_weber(bad, WeberGrid(np.zeros((4, 4, 4, 3), complex), spec, "momentum",
-                               time=float("nan")))
+    write_weber(bad, WeberGrid(np.zeros((4, 4, 4, 3), complex), spec, "momentum"))
+    raw = bytearray(bad.read_bytes())
+    struct.pack_into("<d", raw, _HEADER.size - 8, float("nan"))
+    bad.write_bytes(bytes(raw))
     rc, out = _run(tmp_path, "evolve",
                    config={"state": {"file": str(bad)}, "evolve": {"times": [0.0]}})
     assert rc == 2

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from photonflow import GridSpec, WeberGrid, read_weber, write_weber
 from photonflow.bohm import Trajectory
 from photonflow.errors import FieldValidationError
-from photonflow.fieldio import (_CSV_ROWS, _NPZ_NUMBERS, open_weber, trajectories_to_csv,
+from photonflow.fieldio import (_NPZ_NUMBERS, _PIECE_NUMBERS, open_weber, trajectories_to_csv,
                                write_csv, write_npz)
 from photonflow.fields import plane_view
 
@@ -160,12 +160,13 @@ SPECIAL = [float("nan"), -float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 
 
 
 @pytest.mark.parametrize("rows, ncol", [(0, 3), (1, 1), (9, 4), (300, 9),
-                                        (2 * _CSV_ROWS + 5, 2)])
+                                        (_PIECE_NUMBERS + 5, 2), (3, _PIECE_NUMBERS + 1)])
 def test_write_csv_has_the_bytes_of_savetxt(tmp_path, rng, rows, ncol):
     table = rng.standard_normal((rows, ncol)) * 10.0 ** rng.integers(-300, 300, (rows, ncol))
     table.flat[::3] = rng.choice(SPECIAL, table.size)[::3]
     header = ",".join(f"c{i}" for i in range(ncol))
-    # two blocks of columns; at the last row count each spans two formatting pieces
+    # two blocks of columns; at 300 rows of 9 and at _PIECE_NUMBERS + 5 rows of 2
+    # each spans two formatting pieces, and a row wider than a piece is a piece
     write_csv(tmp_path / "ours.csv", header, [list(part.T) for part in np.array_split(table, 2)])
     np.savetxt(tmp_path / "savetxt.csv", table, delimiter=",", header=header, comments="")
     assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
@@ -182,9 +183,9 @@ def _peak(call):
 
 
 def test_csv_writers_hold_one_block_whatever_the_row_count(tmp_path, rng):
-    # write_csv formats _CSV_ROWS rows at a time, and trajectories_to_csv hands
-    # it one trajectory at a time: a file of many blocks, or of trajectories
-    # longer than a block, peaks as one block does
+    # write_csv formats _PIECE_NUMBERS numbers at a time, and trajectories_to_csv
+    # hands it one trajectory at a time: a file of many pieces, or of
+    # trajectories longer than a piece, peaks as one piece does
     def trajectories(knots, count):
         return [Trajectory(np.arange(knots, dtype=float), rng.standard_normal((knots, 3)),
                            rng.standard_normal((knots, 3)), "phi_based") for _ in range(count)]
@@ -192,9 +193,10 @@ def test_csv_writers_hold_one_block_whatever_the_row_count(tmp_path, rng):
     path, budget = tmp_path / "out.csv", {}
     for name, write, one_block, many_blocks in (
             ("write_csv", lambda table: write_csv(path, "a,b,c,d", [list(table.T)]),
-             rng.standard_normal((_CSV_ROWS, 4)), rng.standard_normal((3 * _CSV_ROWS + 17, 4))),
+             rng.standard_normal((_PIECE_NUMBERS // 4, 4)),
+             rng.standard_normal((12 * _PIECE_NUMBERS // 4 + 17, 4))),
             ("trajectories_to_csv", lambda trajs: trajectories_to_csv(path, trajs),
-             trajectories(_CSV_ROWS, 1), trajectories(_CSV_ROWS + 5, 3))):
+             trajectories(_PIECE_NUMBERS // 9, 1), trajectories(4 * _PIECE_NUMBERS // 9 + 5, 3))):
         budget[name] = _peak(lambda: write(many_blocks)) / _peak(lambda: write(one_block))
         assert budget[name] < 1.1, budget
 

@@ -1,6 +1,8 @@
 """Analytic circular plane waves: polarization geometry, closed-form flows,
 and agreement with the sampled grid pipeline."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,7 +15,8 @@ from photonflow.errors import FieldValidationError, OffGridWaveVectorError
 from photonflow.fields import FieldPlanes, plane_view
 from photonflow.photon import norm_of_sums, photon_sums
 from photonflow.planewaves import (PRESETS, CircularPlaneWave, CompiledState,
-                                   PlaneWaveSuperposition, StatePlanes, WEBER_BASED, _cross,
+                                   RECIPES, PlaneWaveSuperposition, StatePlanes, WEBER_BASED,
+                                   _cross, _recipe_flow,
                                    copropagating_pair, counterprop_pair,
                                    flow_recipe, single_wave)
 
@@ -163,6 +166,17 @@ def test_cross_has_the_bits_of_np_cross(spec16, rng):
         assert np.array_equal(_cross(a, b), np.cross(a, b))
 
 
+def test_recipe_flow_current_has_the_bits_of_cross(spec16, rng):
+    # J, formed a component at a time, against (c / norm) Im(v* x v) through
+    # _cross, at one event, at closed-form points and on a grid field
+    v = CompiledState(counterprop_pair()).mode_sum("phi", rng.uniform(-3.0, 3.0, (16, 3)), 0.4)
+    for field in (v[0], v, sample_to_grid(counterprop_pair(), spec16).field):
+        for recipe in RECIPES.values():
+            rho, current = _recipe_flow(recipe, field, 1.7)
+            expected = (1.7 / recipe[1]) * _cross(field.conj(), field).imag
+            assert current.shape == field.shape and current.tobytes() == expected.tobytes()
+
+
 def test_off_grid_wave_vector_rejected(spec16):
     state = PlaneWaveSuperposition(
         [CircularPlaneWave(np.array([0.0, 0.0, 1.3]), 1.0)])
@@ -274,6 +288,36 @@ def test_state_planes_hold_the_bits_of_the_placed_field(rng, n):
             planes = [read(slice(iz, iz + 1)).copy() for iz in range(n)]
         assert (source.spec, source.representation, source.time) == (spec, "momentum", 0.0)
         assert np.concatenate(planes).tobytes() == plane_view(expected).tobytes()
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_photon_sums_read_only_the_planes_of_a_state_s_modes(rng, n, monkeypatch):
+    # a zero plane adds 0.0 to each sum: reading only the planes that hold a
+    # mode gives the sums of the placed field's full pass, bit for bit, and
+    # |F~(0)|^2 = 0.0 where plane 0 holds no mode (single_wave's k is on
+    # plane 1); a cancelled state reads no plane and sums to zero
+    spec = GridSpec(n, 3.0, 1.3, 0.7)
+    k = [0.0, 0.0, spec.dk]
+    cancelled = PlaneWaveSuperposition([CircularPlaneWave(k, 1.0),
+                                        CircularPlaneWave(k, 1.0, phase=np.pi)])
+    read = []
+    real = StatePlanes.reader
+
+    def counted(self, buffer):
+        def record(zs):
+            read.append(zs.start)
+            return plane(zs)
+        with real(self, buffer) as plane:
+            yield record
+
+    monkeypatch.setattr(StatePlanes, "reader", contextmanager(counted))
+    for state in (_random_on_grid_state(spec, rng, 5), single_wave(spec.dk), cancelled):
+        source, read[:] = StatePlanes(state, spec), []
+        sums, seen = photon_sums(source), sorted(read)
+        assert seen == sorted(source._planes)
+        assert sums == photon_sums(FieldPlanes(place(state, spec)))
+        assert 0 in seen or sums[2] == 0.0
+    assert seen == [] and sums == (0.0, 0.0, 0.0)
 
 
 def test_off_grid_error_is_the_same_on_both_routes(spec16):

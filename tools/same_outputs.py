@@ -61,9 +61,11 @@ SEED = "3"
 # odd grids, whose index ranges are lopsided (-(n-1)/2 .. (n-1)/2) and whose
 # planes split unevenly between two workers, a boost-audit and a
 # trajectories at c = 2 and hbar = 0.25, where the workloads run at c = hbar =
-# 1, a boost-audit and a trajectories whose CSV rows cross the edges of
-# the blocks that fieldio.write_csv formats at a time (_CSV_ROWS = 4096):
-# 5,000 samples in interference.csv, and 3 trajectories of 6,285 knots, an
+# 1, a boost-audit and a trajectories whose CSV rows and sample lists cross
+# the edges of the pieces formatted at a time (fieldio._PIECE_NUMBERS =
+# 1,024 numbers: 256 rows of interference.csv, 113 of trajectories.csv):
+# 5,000 samples (20 pieces of interference.csv, 5 of each audits.json
+# sample list), and 3 trajectories of 6,285 knots (56 pieces each), an
 # evolve with normalize and one without on a state whose right-handed k and
 # left-handed -k share a lattice site (the order in which
 # planewaves.StatePlanes adds modes, and its divisor), and a doubleslit of
