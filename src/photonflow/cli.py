@@ -35,13 +35,14 @@ of at most _BLOCK_POINT_KNOTS point-knots at a time (an RK4 pass of
 bohm.integrate_trajectories per block; a point gets the same bits alone
 as in a batch), so it holds one block's knots; trajectories.csv is written
 under a temporary name and takes its name after the last block.
-boost-audit holds one audit at a time: each, as it completes, writes its
-audits.json record to a temporary file, its sample lists formatted a
-fixed-size piece at a time, and its rows of audit_samples.npz to a spill
-file in --out, laid out in the npz's member order, and is dropped; after
-the last audit write_npz copies the npz from the spill a block at a time
-and the files take their names (fieldio.new_files, which removes every
-temporary file on a failure).
+boost-audit holds one audit at a time, which walks its sample line a
+fixed-size piece at a time (lorentz.audit_four_vector): each, as it
+completes, writes its audits.json record to a temporary file, its sample
+lists formatted a fixed-size piece at a time, and its rows of
+audit_samples.npz to a spill file in --out, laid out in the npz's member
+order, and is dropped; after the last audit write_npz copies the npz from
+the spill a block of 1,024 numbers at a time and the files take their
+names (fieldio.new_files, which removes every temporary file on a failure).
 A closed stdout ends a subcommand with exit status 1 and no traceback.  An
 --out that cannot be created as a directory exits 2, and an output file
 that cannot be written exits 1 naming it ("cannot write <file>").  A
@@ -256,11 +257,13 @@ def _state(value, path):
 # 946 MB in 27 s at the limit); and samples per four-vector audit (each of
 # the eight audits stores 14 numbers a sample: 2 in audits.json, 12 in
 # audit_samples.npz, written as each audit completes, so the job holds one
-# audit at a time).  Measured peak RSS at the bounds, on a 2-core VM where
-# a small job peaks at 31 MiB: trajectories 57.6 MiB, about 7 bytes a
-# point-knot (53 when every knot was held, 911 when the knots were stacked
-# and trajectories.csv was formatted as one table), and boost-audit
-# 48.1 MiB, about 270 bytes a sample (380 when each sample list was
+# audit at a time, and each audit walks its samples a piece at a time).
+# Measured peak RSS at the bounds, on a 2-core VM where a small job peaks at
+# 30.7 MiB: trajectories 57.1 MiB, about 7 bytes a point-knot (53 when
+# every knot was held, 911 when the knots were stacked and trajectories.csv
+# was formatted as one table), and boost-audit 38.5 MiB, about 120 bytes a
+# sample, of which the audit's 14 numbers a sample are 112 (270 when each
+# audit evaluated its samples at once, 380 when each sample list was also
 # formatted whole, 1,100 when the audits were stacked to the end, 2,240
 # when each was held whole).
 _FIELD_BYTES_LIMIT = 2 ** 31

@@ -74,12 +74,10 @@ _POINT_BYTES = 6 * 8
 _LITTLE_ENDIAN = np.dtype("<c16").isnative
 
 # numbers that one formatting call turns into text (write_csv's % and the
-# CLI's json.dumps of a piece of a sample list); each takes a float object
-# and a tuple or list slot (32 bytes) and about 25 bytes of text
+# CLI's json.dumps of a piece of a sample list; each takes a float object
+# and a tuple or list slot, 32 bytes, and about 25 bytes of text), and that
+# write_npz writes in one call (8 KiB of float64, read from a spill file)
 _PIECE_NUMBERS = 2 ** 10
-
-# numbers of an array that write_npz writes in one call (512 KiB of float64)
-_NPZ_NUMBERS = 2 ** 16
 
 
 @dataclass
@@ -280,13 +278,14 @@ def write_csv(path, header: str, blocks) -> None:
 def write_npz(path, arrays: dict, spill=None) -> None:
     """Write the bytes of np.savez(path, **arrays) for numeric arrays, each
     taken in C order: one stored zip64 member ``<name>.npy`` per array, its
-    .npy version 1.0 header, then its numbers in blocks of _NPZ_NUMBERS.
+    .npy version 1.0 header, then its numbers in blocks of _PIECE_NUMBERS.
     An array in memory is written through memoryviews of its own memory:
     np.savez copies each array whole through tobytes (a zip member is not a
     real file); this copies no C-contiguous array.  A member given by its
     shape, a tuple, in place of an array holds the next float64 numbers of
     the open binary file ``spill``, copied a block at a time, so a caller
-    that lays out its rows in a file in the members' order holds none."""
+    that lays out its rows in a file in the members' order holds none, and
+    the copy holds one block of 8 KiB."""
     with zipfile.ZipFile(path, mode="w", compression=zipfile.ZIP_STORED,
                          allowZip64=True) as archive:
         for name, array in arrays.items():
@@ -297,9 +296,9 @@ def write_npz(path, arrays: dict, spill=None) -> None:
             with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
                 np.lib.format.write_array_header_1_0(
                     member, np.lib.format.header_data_from_array_1_0(array))
-                for start in range(0, array.size, _NPZ_NUMBERS):
-                    member.write(spill.read(8 * min(_NPZ_NUMBERS, array.size - start)) if spilled
-                                 else memoryview(array.reshape(-1)[start:start + _NPZ_NUMBERS]))
+                for start in range(0, array.size, _PIECE_NUMBERS):
+                    member.write(spill.read(8 * min(_PIECE_NUMBERS, array.size - start)) if spilled
+                                 else memoryview(array.reshape(-1)[start:start + _PIECE_NUMBERS]))
 
 
 def trajectories_to_csv(path, trajectories) -> None:

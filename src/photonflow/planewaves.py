@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import List
 
 import numpy as np
 
@@ -58,6 +57,11 @@ PHI_BASED = "phi_based"
 WEBER_BASED = "weber_based"
 
 _Z_ALIGNMENT_CUTOFF = 0.9
+# points of one piece of a closed-form evaluation: a larger batch is evaluated
+# a piece at a time, so it holds one piece's temporaries.  A power of two, so
+# that each row of a BLAS x @ n (lorentz.boost_event) keeps its position
+# modulo the kernel's unrolling, and gets the bits it gets in the whole batch
+_FLOW_POINTS = 2 ** 10
 
 
 def polarization_basis(k_hat) -> tuple:
@@ -138,17 +142,22 @@ class CircularPlaneWave:
         return np.sqrt(4.0 * np.pi * self.intensity / c) * np.exp(1j * self.phase) * self.polarization()
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlaneWaveSuperposition:
-    """A finite list of components; empty list = zero field."""
+    """A finite list of components; empty list = zero field.
 
-    components: List[CircularPlaneWave] = field(default_factory=list)
+    The list is checked and stored as a tuple, so a superposition cannot
+    change after its check: a state with another component is a new
+    superposition, checked where it is made."""
+
+    components: tuple[CircularPlaneWave, ...] = field(default_factory=list)
 
     def __post_init__(self):
         if not (isinstance(self.components, list)
                 and all(isinstance(comp, CircularPlaneWave) for comp in self.components)):
             raise FieldValidationError(
                 f"components must be a list of CircularPlaneWave, got {self.components!r}")
+        object.__setattr__(self, "components", tuple(self.components))
 
 
 # recipe -> (CompiledState amplitudes of the mode sum v, norm) for _recipe_flow,
@@ -176,6 +185,16 @@ def _cross(a, b) -> np.ndarray:
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
+def _pieces(size: int):
+    """The slices of [0, size) of _FLOW_POINTS points each, the last one short,
+    or longer by a remainder of at most a quarter piece: a short piece costs
+    the fixed cost of a whole evaluation (about 35 us), and a piece of one
+    point would take numpy's other BLAS route for x @ n, which rounds a row
+    differently."""
+    stops = [*range(_FLOW_POINTS, size - _FLOW_POINTS // 4, _FLOW_POINTS), size]
+    return map(slice, [0, *stops[:-1]], stops)
+
+
 def _recipe_flow(recipe: tuple, v, c: float) -> tuple:
     """(rho, J) = (|v|^2 / norm, (c / norm) Im(v* x v)) of a RECIPES entry; v* x v
     is purely imaginary componentwise, so J discards no real part.
@@ -192,6 +211,15 @@ def _recipe_flow(recipe: tuple, v, c: float) -> tuple:
         np.subtract(p, np.multiply(a[..., k], v[..., j], out=q), out=p)
         np.multiply(c / norm, p.imag, out=current[..., i])
     return rho, current
+
+
+def _points(x) -> np.ndarray:
+    """x as float points (..., 3); FieldValidationError for another trailing axis."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != 3:
+        raise FieldValidationError(
+            f"points must have a trailing axis of size 3, got shape {x.shape}")
+    return x
 
 
 class CompiledState:
@@ -249,21 +277,35 @@ class CompiledState:
         so a point gets the same bits alone as in a batch (a BLAS x @ k may
         round a point differently with the batch around it).
         """
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != 3:
-            raise FieldValidationError(
-                f"points must have a trailing axis of size 3, got shape {x.shape}")
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(np.broadcast_shapes(x.shape[:-1], t.shape) + (3,), dtype=complex)
+        x, t = _points(x), np.asarray(t, dtype=float)
         x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+        out = np.zeros(np.broadcast(x0, t).shape + (3,), dtype=complex)
         for k, omega, amplitude in zip(self.wave_vectors, self.frequencies, getattr(self, amplitudes)):
             phase = x0 * k[0] + x1 * k[1] + x2 * k[2] - omega * t
             out += np.exp(1j * phase)[..., None] * amplitude
         return out
 
     def flow(self, recipe: tuple, x, t) -> tuple:
-        """(rho, J) of a RECIPES entry in closed form at (x, t), cross terms included."""
-        return _recipe_flow(recipe, self.mode_sum(recipe[0], x, t), self.c)
+        """(rho, J) of a RECIPES entry in closed form at (x, t), cross terms included.
+
+        A batch of more than _FLOW_POINTS points is evaluated a piece
+        (_pieces) at a time into the result arrays, so it holds the result
+        and one piece's temporaries.  Every step is elementwise per point
+        (mode_sum), so each point gets the bits it gets alone.
+        """
+        x, t = _points(x), np.asarray(t, dtype=float)
+        points = np.broadcast(x[..., 0], t)
+        if points.size <= _FLOW_POINTS:
+            return _recipe_flow(recipe, self.mode_sum(recipe[0], x, t), self.c)
+        rho, current = np.empty(points.size), np.empty((points.size, 3))
+        # flat views of the events (reshape copies only an x whose strides
+        # cannot be flattened)
+        xs = np.broadcast_to(x, points.shape + (3,)).reshape(-1, 3)
+        ts = np.broadcast_to(t, points.shape).reshape(-1)
+        for piece in _pieces(points.size):
+            rho[piece], current[piece] = _recipe_flow(
+                recipe, self.mode_sum(recipe[0], xs[piece], ts[piece]), self.c)
+        return rho.reshape(points.shape), current.reshape(points.shape + (3,))
 
     def density_bound(self, recipe: tuple) -> float:
         """(sum of mode amplitude norms)^2 / the recipe's norm >= rho at every event."""

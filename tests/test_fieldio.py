@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from photonflow import GridSpec, WeberGrid, read_weber, write_weber
 from photonflow.bohm import Trajectory
 from photonflow.errors import FieldValidationError
-from photonflow.fieldio import (_NPZ_NUMBERS, _PIECE_NUMBERS, open_weber, trajectories_to_csv,
+from photonflow.fieldio import (_PIECE_NUMBERS, open_weber, trajectories_to_csv,
                                write_csv, write_npz)
 from photonflow.fields import plane_view
 
@@ -206,8 +206,8 @@ def test_write_npz_has_the_bytes_of_savez(tmp_path, rng):
     # block is short, stacked as boost-audit stacks its samples, an empty one
     # and a scalar
     arrays = {"one": rng.standard_normal((8, 5)),
-              "edge": rng.standard_normal((2, _NPZ_NUMBERS)),
-              "over": rng.standard_normal((8, _NPZ_NUMBERS // 3 + 7, 3)),
+              "edge": rng.standard_normal((2, _PIECE_NUMBERS)),
+              "over": rng.standard_normal((8, _PIECE_NUMBERS // 3 + 7, 3)),
               "empty": np.empty((0, 3)), "scalar": np.float64(2.5)}
     write_npz(tmp_path / "ours.npz", arrays)
     np.savez(tmp_path / "savez.npz", **arrays)
@@ -226,10 +226,17 @@ def test_write_npz_has_the_bytes_of_savez(tmp_path, rng):
 
 
 def test_write_npz_copies_no_array(tmp_path, rng):
-    # np.savez copies an array whole; write_npz writes from the array's memory
-    samples = rng.standard_normal((8, 4 * _NPZ_NUMBERS // 8, 3))
+    # np.savez copies an array whole; write_npz writes from the array's
+    # memory, and copies a spilled member _PIECE_NUMBERS numbers at a time
+    samples = rng.standard_normal((8, 32 * _PIECE_NUMBERS, 3))
     peak = _peak(lambda: write_npz(tmp_path / "samples.npz", {"x_prime": samples}))
     assert peak < 0.01 * samples.nbytes, peak
+    with open(tmp_path / "spill", "w+b") as spill:
+        spill.write(samples.tobytes())
+        spill.seek(0)
+        peak = _peak(lambda: write_npz(tmp_path / "spilled.npz", {"x_prime": samples.shape},
+                                       spill))
+    assert peak < 2 * 8 * _PIECE_NUMBERS + 2 ** 13, peak
 
 
 def test_trajectories_csv_layout(tmp_path):

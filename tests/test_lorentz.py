@@ -6,9 +6,12 @@ while the energy-weighted flow fails for every boosted scenario.
 """
 
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from photonflow import (Boost, analytic_probability_flow, audit_four_vector,
@@ -16,13 +19,13 @@ from photonflow import (Boost, analytic_probability_flow, audit_four_vector,
                         boost_plane_wave, boost_wave_vector, eval_weber,
                         field_boost, fourvector_transform_flow,
                         velocity_addition)
-from photonflow import lorentz
+from photonflow import lorentz, planewaves
 from photonflow.errors import (FieldValidationError, InternalConsistencyError,
                                ZeroFieldError)
 from photonflow.lorentz import default_sample_line
 from photonflow.photon import PHI_BASED, WEBER_BASED
-from photonflow.planewaves import (PlaneWaveSuperposition, counterprop_pair,
-                                   single_wave)
+from photonflow.planewaves import (CircularPlaneWave, CompiledState, PlaneWaveSuperposition,
+                                   counterprop_pair, flow_recipe, single_wave)
 
 X_HAT = np.array([1.0, 0.0, 0.0])
 Z_HAT = np.array([0.0, 0.0, 1.0])
@@ -324,6 +327,72 @@ def test_unboosted_audit_is_trivially_consistent():
                                              audit.x_prime, 0.0)
     assert_allclose(audit.rho_a, rho, rtol=1e-12)
     assert_allclose(audit.current_a, current, atol=1e-12)
+
+
+# two modes and a boost with no zero entry, so that each x @ n of the
+# audit's boost_event takes all three products
+OBLIQUE = PlaneWaveSuperposition([CircularPlaneWave([0.3, -1.2, 0.8], 1.0),
+                                  CircularPlaneWave([-1.0, 0.5, 2.0], 0.6, "left", 1.1)])
+OBLIQUE_BOOST = Boost([0.48, 0.6, 0.64], 0.5)
+
+
+def _audit_bits(audit):
+    """Every field of an audit, each array as its bytes."""
+    return [value.tobytes() if isinstance(value, np.ndarray) else value
+            for value in vars(audit).values()]
+
+
+def test_audit_in_pieces_has_the_bits_of_one_evaluation(monkeypatch):
+    # 5,000 samples: 4 pieces of _FLOW_POINTS and a short one, against one
+    # piece over the whole sample line
+    audits = [audit_four_vector(OBLIQUE, OBLIQUE_BOOST, recipe, n_samples=5000)
+              for recipe in (PHI_BASED, WEBER_BASED)]
+    monkeypatch.setattr(planewaves, "_FLOW_POINTS", 2 ** 13)
+    for audit in audits:
+        whole = audit_four_vector(OBLIQUE, OBLIQUE_BOOST, audit.recipe, n_samples=5000)
+        assert audit.x_prime.shape == (5000, 3)
+        assert _audit_bits(audit) == _audit_bits(whole)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(points=st.integers(0, 300), piece=st.sampled_from([2 ** i for i in range(2, 8)]))
+@example(points=15, piece=4)
+@example(points=127, piece=64)
+def test_flows_and_audits_in_pieces_of_any_size_have_the_bits_of_one_piece(points, piece):
+    # a point count against a power-of-two piece size, the last piece short
+    # or longer by up to a quarter piece; the two examples are audits of 17
+    # and 129 samples, whose one-sample remainder x @ n would round alone
+    compiled, entry = CompiledState(OBLIQUE), flow_recipe(WEBER_BASED)
+    x = np.outer(np.linspace(-2.0, 3.0, points), [0.3, -0.5, 0.8])
+    t = np.linspace(0.0, 1.0, points)
+
+    def evaluated():
+        return ([value.tobytes() for value in compiled.flow(entry, x, t)],
+                _audit_bits(audit_four_vector(OBLIQUE, OBLIQUE_BOOST, n_samples=points + 2)))
+
+    with mock.patch.object(planewaves, "_FLOW_POINTS", piece):
+        pieces = evaluated()
+    with mock.patch.object(planewaves, "_FLOW_POINTS", points + 2):
+        assert pieces == evaluated()
+
+
+def _beyond_result(n_samples):
+    """What a phi-based audit of n_samples holds at its peak beyond its
+    per-sample arrays, in bytes."""
+    tracemalloc.start()
+    try:
+        audit = audit_four_vector(counterprop_pair(), _half_x(), n_samples=n_samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(value.nbytes for value in vars(audit).values()
+                      if isinstance(value, np.ndarray))
+
+
+def test_an_audit_holds_its_samples_and_one_piece():
+    # the per-sample arrays are 14 numbers a sample; the rest is one piece
+    small, large = _beyond_result(4096), _beyond_result(16384)
+    assert large < 1.1 * small, (small, large)
 
 
 @pytest.mark.parametrize("corrupt", [

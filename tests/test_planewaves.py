@@ -1,6 +1,8 @@
 """Analytic circular plane waves: polarization geometry, closed-form flows,
 and agreement with the sampled grid pipeline."""
 
+import dataclasses
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -15,8 +17,8 @@ from photonflow.errors import FieldValidationError, OffGridWaveVectorError
 from photonflow.fields import FieldPlanes, plane_view
 from photonflow.photon import norm_of_sums, photon_sums
 from photonflow.planewaves import (PRESETS, CircularPlaneWave, CompiledState,
-                                   RECIPES, PlaneWaveSuperposition, StatePlanes, WEBER_BASED,
-                                   _cross, _recipe_flow,
+                                   PHI_BASED, RECIPES, PlaneWaveSuperposition, StatePlanes,
+                                   WEBER_BASED, _FLOW_POINTS, _cross, _recipe_flow,
                                    copropagating_pair, counterprop_pair,
                                    flow_recipe, single_wave)
 
@@ -177,6 +179,61 @@ def test_recipe_flow_current_has_the_bits_of_cross(spec16, rng):
             assert current.shape == field.shape and current.tobytes() == expected.tobytes()
 
 
+# three modes whose wave vectors have no zero entry in common, so that each
+# phase k . x takes all three products
+THREE_MODES = PlaneWaveSuperposition([CircularPlaneWave([0.3, -1.2, 0.8], 1.0),
+                                      CircularPlaneWave([-1.0, 0.5, 2.0], 0.6, "left", 1.1),
+                                      CircularPlaneWave([0.0, 0.0, 1.0], 0.4, "right", -0.7)])
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (1, 1), (31, 33), (32, 32), (25, 41), (17, 181)])
+@pytest.mark.parametrize("recipe, array_t", [(PHI_BASED, False), (WEBER_BASED, True)])
+def test_flow_in_pieces_has_the_bits_of_per_point_evaluation(rng, shape, recipe, array_t):
+    # 0, 1, 1023, 1024, 1025 and 3 * 1024 + 5 points as (a, b, 3): a batch of
+    # more than _FLOW_POINTS points is evaluated a piece at a time
+    compiled, entry = CompiledState(THREE_MODES), flow_recipe(recipe)
+    x = rng.uniform(-3.0, 3.0, shape + (3,))
+    t = rng.uniform(-1.0, 1.0, shape) if array_t else 0.4
+    rho, current = compiled.flow(entry, x, t)
+    assert rho.shape == shape and current.shape == shape + (3,)
+    one_rho, one_current, ts = np.empty(shape), np.empty(shape + (3,)), np.broadcast_to(t, shape)
+    for index in np.ndindex(shape):
+        one_rho[index], one_current[index] = compiled.flow(entry, x[index], ts[index])
+    assert rho.tobytes() == one_rho.tobytes() and current.tobytes() == one_current.tobytes()
+
+
+def _held(call):
+    """(result, tracemalloc peak of call() in bytes)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_flow_holds_its_result_and_one_piece(rng):
+    # 16 pieces hold their result and the temporaries of one piece, which one
+    # piece's evaluation (its own result included) bounds
+    compiled, entry = CompiledState(THREE_MODES), flow_recipe(PHI_BASED)
+    x = rng.uniform(-3.0, 3.0, (16 * _FLOW_POINTS, 3))
+    _, one_piece = _held(lambda: compiled.flow(entry, x[:_FLOW_POINTS], 0.4))
+    (rho, current), peak = _held(lambda: compiled.flow(entry, x, 0.4))
+    assert peak < rho.nbytes + current.nbytes + 1.1 * one_piece, (peak, one_piece)
+
+
+def test_a_superposition_cannot_change_after_its_check():
+    # its components are a tuple, so an item that is not a wave can only come
+    # in through a new superposition, whose check names it
+    state = single_wave()
+    assert isinstance(state.components, tuple)
+    with pytest.raises(AttributeError):
+        state.components.append(1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.components = [1]
+    with pytest.raises(FieldValidationError, match="components must be a list"):
+        PlaneWaveSuperposition([*state.components, 1])
+
+
 def test_off_grid_wave_vector_rejected(spec16):
     state = PlaneWaveSuperposition(
         [CircularPlaneWave(np.array([0.0, 0.0, 1.3]), 1.0)])
@@ -272,11 +329,11 @@ def test_state_planes_hold_the_bits_of_the_placed_field(rng, n):
     # divisor the bits of np.divide of it
     spec = GridSpec(n, 3.0, 1.3, 0.7)
     k = spec.dk * np.array([1.0, -2.0, 3.0 - n // 2])
-    state = _random_on_grid_state(spec, rng, 5)
-    state.components[1:1] = [CircularPlaneWave(k, 1.0, "right", 0.3),
-                             CircularPlaneWave(-k, 0.6, "left", 1.1),
-                             CircularPlaneWave(k, 0.2, "right", -2.0),
-                             CircularPlaneWave(-k, 1.7, "left", 2.9)]
+    first, *rest = _random_on_grid_state(spec, rng, 5).components
+    state = PlaneWaveSuperposition([first, CircularPlaneWave(k, 1.0, "right", 0.3),
+                                    CircularPlaneWave(-k, 0.6, "left", 1.1),
+                                    CircularPlaneWave(k, 0.2, "right", -2.0),
+                                    CircularPlaneWave(-k, 1.7, "left", 2.9), *rest])
     reference = _placed_whole(state, spec)
     assert place(state, spec).field.tobytes(order="A") == reference.tobytes(order="A")
     divisor = norm_of_sums(photon_sums(StatePlanes(state, spec)), spec)

@@ -65,7 +65,13 @@ SEED = "3"
 # the edges of the pieces formatted at a time (fieldio._PIECE_NUMBERS =
 # 1,024 numbers: 256 rows of interference.csv, 113 of trajectories.csv):
 # 5,000 samples (20 pieces of interference.csv, 5 of each audits.json
-# sample list), and 3 trajectories of 6,285 knots (56 pieces each), an
+# sample list, 4 pieces and a short one of planewaves._FLOW_POINTS = 1,024
+# audit samples, and npz members of 40,000 and 120,000 numbers, which
+# write_npz copies from the spill 1,024 numbers at a time), and 3
+# trajectories of 6,285 knots (56 pieces each), a trajectories of 1,500
+# points, whose start check and RK4 steps evaluate the flow in a piece of
+# 1,024 points and one of 476 (each workload's 4,096-point line table is
+# exactly 4 pieces), an
 # evolve with normalize and one without on a state whose right-handed k and
 # left-handed -k share a lattice site (the order in which
 # planewaves.StatePlanes adds modes, and its divisor), and a doubleslit of
@@ -87,6 +93,7 @@ EXTRA = {
     "trajectories-units": ("trajectories", {"units": NON_UNIT}),
     "boost-audit-blocks": ("boost-audit", {"audit": {"samples": 5000}}),
     "trajectories-blocks": ("trajectories", {"trajectories": {"count": 3, "step": 1e-3}}),
+    "trajectories-pieces": ("trajectories", {"trajectories": {"count": 1500, "step": 0.5}}),
     "evolve-shared-site": ("evolve", {"grid": {"n": 16}, "state": SHARED_SITE, "evolve": {
         "times": [0.0, 0.7]}}),
     "evolve-shared-site-normalized": ("evolve", {"grid": {"n": 16}, "state": SHARED_SITE,
